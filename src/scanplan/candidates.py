@@ -82,6 +82,9 @@ class GeometryParams:
     fov_range: float = 30.0
 
     def __post_init__(self):
+        for name in ("d_max", "eta", "fov_half_angle", "fov_range"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.d_max <= 0:
             raise ValidationError(f"d_max must be positive, got {self.d_max}")
         if not 0 <= self.eta <= 1:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import candidates as cand
-from .errors import EmptySide, GraphFormatError, ScanPlanError, ValidationError
+from .errors import EmptySide, GraphFormatError, InvariantViolation, ScanPlanError, ValidationError
 from .graph import ExchangeGraph, VertexId, format_rational, load_graph, save_graph
 from .objectives import Objective, as_fraction
 from .policy import (
@@ -56,12 +56,31 @@ def _add_objective_flags(parser, default="p2"):
     parser.add_argument("--omega", default="0", help="workload mixing weight (p3)")
 
 
-def _add_geometry_flags(parser):
+def _input_flags() -> argparse.ArgumentParser:
+    """Parent parser for the candidate-input flags of build-graph and sweep."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("--poses1"), parser.add_argument("--poses2")
+    parser.add_argument("--features1"), parser.add_argument("--features2")
+    parser.add_argument("--scores", help="appearance mode: file of 'u v score' lines")
+    parser.add_argument("--top-k", type=int, default=2)
+    parser.add_argument("--symmetric", action="store_true", help="also query side 2 against side 1")
+    parser.add_argument("--synthetic", action="store_true", help="use the bundled two-loop fixture")
+    parser.add_argument("--synthetic-poses", type=int, default=100)
+    parser.add_argument("--synthetic-seed", type=int, default=7)
     parser.add_argument("--dmax", default="30", help="max distance between candidate poses (m)")
     parser.add_argument("--eta", default="0", help="min field-of-view overlap fraction")
     parser.add_argument("--rate-divisor", type=int, default=1)
     parser.add_argument("--fov-half-angle", type=float, default=0.7)
     parser.add_argument("--fov-range", type=float, default=30.0)
+    return parser
+
+
+def _float_arg(value) -> float:
+    """A gate value given as an exact decimal or ``p/q`` number, as a float."""
+    try:
+        return float(as_fraction(value))
+    except OverflowError:
+        raise ValidationError(f"number out of range: {value}") from None
 
 
 def _load_trajectories(args) -> tuple[cand.Trajectory, cand.Trajectory]:
@@ -79,8 +98,8 @@ def _load_trajectories(args) -> tuple[cand.Trajectory, cand.Trajectory]:
 
 def _geometry_params(args, d_max=None, eta=None) -> cand.GeometryParams:
     return cand.GeometryParams(
-        d_max=float(Fraction(args.dmax)) if d_max is None else d_max,
-        eta=float(Fraction(args.eta)) if eta is None else eta,
+        d_max=_float_arg(args.dmax) if d_max is None else d_max,
+        eta=_float_arg(args.eta) if eta is None else eta,
         rate_divisor=args.rate_divisor,
         fov_half_angle=args.fov_half_angle,
         fov_range=args.fov_range,
@@ -112,7 +131,7 @@ def cmd_build_graph(args) -> int:
         scores = cand.read_scores(args.scores)
         w1, w2 = _appearance_weights(args)
         params = cand.AppearanceParams(
-            alpha=float(Fraction(args.alpha)), top_k=args.top_k, symmetric=args.symmetric
+            alpha=_float_arg(args.alpha), top_k=args.top_k, symmetric=args.symmetric
         )
         g = cand.build_appearance(scores, w1, w2, params)
     else:
@@ -267,12 +286,9 @@ def run_sweep(args) -> tuple[list[str], str]:
     graphs: list[tuple[Fraction, ExchangeGraph]] = []
     if parameter in ("dmax", "eta"):
         t1, t2 = _load_trajectories(args)
+        swept = "d_max" if parameter == "dmax" else "eta"
         for value in values:
-            params = _geometry_params(
-                args,
-                d_max=float(value) if parameter == "dmax" else float(Fraction(args.dmax)),
-                eta=float(value) if parameter == "eta" else float(Fraction(args.eta)),
-            )
+            params = _geometry_params(args, **{swept: _float_arg(value)})
             graphs.append((value, cand.build_geometric(t1, t2, params)))
     elif parameter == "alpha":
         if not args.scores:
@@ -281,16 +297,14 @@ def run_sweep(args) -> tuple[list[str], str]:
         w1, w2 = _appearance_weights(args)
         for value in values:
             params = cand.AppearanceParams(
-                alpha=float(value), top_k=args.top_k, symmetric=args.symmetric
+                alpha=_float_arg(value), top_k=args.top_k, symmetric=args.symmetric
             )
             graphs.append((value, cand.build_appearance(scores, w1, w2, params)))
-    elif parameter == "omega":
+    else:  # omega; SweepSpec rejects every other name
         if not args.graph:
             raise GraphFormatError("omega sweeps need --graph")
         g = load_graph(args.graph)
         graphs = [(value, g) for value in values]
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError(f"unknown sweep parameter {parameter}")
 
     # candidate sets grow with dmax and shrink with eta/alpha; omega leaves
     # the graph untouched
@@ -304,7 +318,7 @@ def run_sweep(args) -> tuple[list[str], str]:
     else:
         nested, direction = True, "constant"
     if not nested:
-        raise AssertionError(f"candidate sets not nested along {parameter} sweep")
+        raise InvariantViolation(f"candidate sets not nested along {parameter} sweep")
 
     lines = ["param,optimal,monolog1,monolog2,bidirectional,num_vertices,num_edges"]
     for value, g in graphs:
@@ -351,19 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Plan resource-optimal sensory-data exchange between two robots.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    inputs = _input_flags()
 
-    p = sub.add_parser("build-graph", help="build an exchange graph from poses or scores")
+    p = sub.add_parser(
+        "build-graph", parents=[inputs], help="build an exchange graph from poses or scores"
+    )
     p.add_argument("--out", required=True)
-    p.add_argument("--poses1"), p.add_argument("--poses2")
-    p.add_argument("--features1"), p.add_argument("--features2")
-    p.add_argument("--scores", help="appearance mode: file of 'u v score' lines")
     p.add_argument("--alpha", default="0.3", help="appearance score threshold")
-    p.add_argument("--top-k", type=int, default=2)
-    p.add_argument("--symmetric", action="store_true", help="also query side 2 against side 1")
-    p.add_argument("--synthetic", action="store_true", help="use the bundled two-loop fixture")
-    p.add_argument("--synthetic-poses", type=int, default=100)
-    p.add_argument("--synthetic-seed", type=int, default=7)
-    _add_geometry_flags(p)
     p.set_defaults(func=cmd_build_graph)
 
     p = sub.add_parser("solve", help="solve for the optimal exchange policy")
@@ -393,22 +401,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_objective_flags(p)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("sweep", help="sweep a parameter and emit cost curves as CSV")
+    p = sub.add_parser(
+        "sweep", parents=[inputs], help="sweep a parameter and emit cost curves as CSV"
+    )
     p.add_argument("--parameter", choices=("dmax", "eta", "alpha", "omega"), required=True)
     p.add_argument("--start", required=True)
     p.add_argument("--stop", required=True)
     p.add_argument("--step", required=True)
     p.add_argument("--out")
     p.add_argument("--graph", help="prebuilt graph (omega sweeps)")
-    p.add_argument("--poses1"), p.add_argument("--poses2")
-    p.add_argument("--features1"), p.add_argument("--features2")
-    p.add_argument("--scores")
-    p.add_argument("--top-k", type=int, default=2)
-    p.add_argument("--symmetric", action="store_true")
-    p.add_argument("--synthetic", action="store_true")
-    p.add_argument("--synthetic-poses", type=int, default=100)
-    p.add_argument("--synthetic-seed", type=int, default=7)
-    _add_geometry_flags(p)
     _add_objective_flags(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -426,7 +427,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ScanPlanError, AssertionError) as exc:
+    except ScanPlanError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

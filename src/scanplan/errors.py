@@ -3,6 +3,8 @@
 Two broad families matter to callers (and to the CLI exit codes):
 ``GraphFormatError`` for unreadable/malformed input files, and
 ``ValidationError`` for structurally readable but semantically invalid data.
+``InvariantViolation`` marks a result that failed an internal consistency
+check, which is a defect in this package rather than in the input.
 """
 
 
@@ -16,6 +18,11 @@ class GraphFormatError(ScanPlanError):
 
 class ValidationError(ScanPlanError):
     """Parsed data violates a model invariant (CLI exit code 3)."""
+
+
+class InvariantViolation(ScanPlanError):
+    """A computed result failed an internal consistency check (CLI exit
+    code 4). Unlike ``assert``, the check survives ``python -O``."""
 
 
 class DuplicateEdge(ValidationError):

@@ -410,6 +410,14 @@ def _load_number(value) -> Fraction:
     return as_fraction(value)
 
 
+def _load_int(value) -> int:
+    """A JSON integer as an id or label; floats and booleans are refused
+    rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise GraphFormatError(f"expected an integer, got {value!r}")
+    return value
+
+
 def loads_graph(text: str) -> ExchangeGraph:
     """Parse the exchange-graph file format; numbers become exact rationals."""
     try:
@@ -429,7 +437,7 @@ def loads_graph(text: str) -> ExchangeGraph:
                 inertia = entry.get("inertia")
                 side.append(
                     (
-                        int(entry["id"]),
+                        _load_int(entry["id"]),
                         _load_number(entry["scan_size"]),
                         None if inertia is None else _load_number(inertia),
                     )
@@ -438,7 +446,7 @@ def loads_graph(text: str) -> ExchangeGraph:
         edges = []
         for entry in doc.get("edges", []):
             cost = entry.get("cost", Fraction(1))
-            edges.append((int(entry["u"]), int(entry["v"]), _load_number(cost)))
+            edges.append((_load_int(entry["u"]), _load_int(entry["v"]), _load_number(cost)))
     except (KeyError, TypeError, AttributeError) as exc:
         raise GraphFormatError(f"malformed graph file: {exc!r}") from exc
     return ExchangeGraph.from_vertices(sides[0], sides[1], edges)

@@ -20,8 +20,8 @@ from .errors import (
     LabelDomainMismatch,
     ValidationError,
 )
-from .graph import EdgeKey, ExchangeGraph, VertexId
-from .objectives import P1, P2, Objective, as_fraction
+from .graph import EdgeKey, ExchangeGraph, VertexId, _load_int, effective_weight
+from .objectives import Objective, as_fraction
 
 
 class Policy:
@@ -102,8 +102,7 @@ def full_bidirectional(g: ExchangeGraph) -> Policy:
 def comm_cost(g: ExchangeGraph, pi: Policy) -> Fraction:
     """Total bytes transmitted: the sum of effective scan sizes over
     labeled vertices. Defined for any labeling, admissible or not."""
-    _check_domain(g, pi)
-    return sum((g.scan_weight(vid) for vid in pi.ones), Fraction(0))
+    return objective_cost(g, pi, Objective.p2())
 
 
 class WorkloadReport(NamedTuple):
@@ -157,25 +156,14 @@ def workloads(g: ExchangeGraph, pi: Policy, alpha1=1, alpha2=1) -> WorkloadRepor
 def balance_cost(g: ExchangeGraph, pi: Policy, alpha1=1, alpha2=1) -> Fraction:
     """Workload objective as a pure per-vertex sum; unlike
     :func:`workloads` this is defined for inadmissible labelings too."""
-    _check_domain(g, pi)
-    alpha1 = as_fraction(alpha1)
-    alpha2 = as_fraction(alpha2)
-    total = Fraction(0)
-    inc = g.incidence()
-    for vid in pi.ones:
-        alpha = alpha2 if vid.side == 1 else alpha1
-        total += alpha * inc.incident_cost(vid)
-    return total
+    return objective_cost(g, pi, Objective.p1(alpha1, alpha2))
 
 
 def objective_cost(g: ExchangeGraph, pi: Policy, obj: Objective) -> Fraction:
     """Cost of a labeling under an objective; equals the sum of per-vertex
     effective weights over the labeled vertices."""
-    if obj.variant == P1:
-        return balance_cost(g, pi, obj.alpha1, obj.alpha2)
-    if obj.variant == P2:
-        return comm_cost(g, pi)
-    return comm_cost(g, pi) + obj.omega * balance_cost(g, pi, obj.alpha1, obj.alpha2)
+    _check_domain(g, pi)
+    return sum((effective_weight(g, vid, obj) for vid in pi.ones), Fraction(0))
 
 
 class Transmission(NamedTuple):
@@ -218,7 +206,7 @@ def loads_policy(text: str) -> Policy:
         raise GraphFormatError(f"invalid JSON: {exc}") from exc
     try:
         labels = {
-            VertexId(int(row["side"]), int(row["index"])): int(row["bit"])
+            VertexId(_load_int(row["side"]), _load_int(row["index"])): _load_int(row["bit"])
             for row in doc["labels"]
         }
     except (KeyError, TypeError, ValueError) as exc:

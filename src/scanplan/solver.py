@@ -24,10 +24,9 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .errors import NonUniformWeights, ValidationError
-from .graph import ExchangeGraph, VertexId
+from .errors import InvariantViolation, NonUniformWeights, ValidationError
+from .graph import ExchangeGraph, VertexId, effective_weight
 from .objectives import Objective, as_fraction
 from .policy import Policy, monolog, objective_cost
 
@@ -128,54 +127,52 @@ class _Dinic:
         return seen
 
 
-def _min_cut_reachable_scipy(
-    n1: int, n2: int, w1: Sequence[int], w2: Sequence[int], pairs, inf: int
-) -> tuple[int, set[int]]:
+def _min_cut_reachable_scipy(n: int, tails, heads, caps) -> tuple[int, set[int]]:
     """Compiled max-flow path; returns (flow value, source-reachable set)."""
     import numpy as np
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
-    n = n1 + n2 + 2
-    src, dst = 0, n - 1
-    rows = [0] * n1 + [1 + n1 + j for j in range(n2)] + [1 + u for u, _ in pairs]
-    cols = (
-        [1 + i for i in range(n1)]
-        + [dst] * n2
-        + [1 + n1 + v for _, v in pairs]
-    )
-    data = list(w1) + list(w2) + [inf] * len(pairs)
-    cap = csr_matrix((data, (rows, cols)), shape=(n, n), dtype=np.int64)
-    result = maximum_flow(cap, src, dst)
+    cap = csr_matrix((caps, (tails, heads)), shape=(n, n), dtype=np.int64)
+    result = maximum_flow(cap, 0, n - 1)
     residual = cap - result.flow  # reverse arcs appear as positive entries
     residual.eliminate_zeros()
-    order = breadth_first_order(residual, src, directed=True, return_predecessors=False)
+    order = breadth_first_order(residual, 0, directed=True, return_predecessors=False)
     return int(result.flow_value), set(int(x) for x in order)
 
 
-def _min_cut_reachable_dinic(
-    n1: int, n2: int, w1: Sequence[int], w2: Sequence[int], pairs, inf: int
-) -> tuple[int, set[int]]:
-    n = n1 + n2 + 2
-    src, dst = 0, n - 1
+def _min_cut_reachable_dinic(n: int, tails, heads, caps) -> tuple[int, set[int]]:
     dinic = _Dinic(n)
-    for i, w in enumerate(w1):
-        dinic.add_edge(src, 1 + i, w)
-    for j, w in enumerate(w2):
-        dinic.add_edge(1 + n1 + j, dst, w)
-    for u, v in pairs:
-        dinic.add_edge(1 + u, 1 + n1 + v, inf)
-    value = dinic.max_flow(src, dst)
-    return value, dinic.reachable(src)
+    for arc in zip(tails, heads, caps):
+        dinic.add_edge(*arc)
+    return dinic.max_flow(0, n - 1), dinic.reachable(0)
 
 
-def _scaled_weights(g: ExchangeGraph, obj: Objective) -> tuple[dict[VertexId, Fraction], dict[VertexId, int], int]:
-    from .graph import effective_weight
+def _numbering(
+    g: ExchangeGraph, swap: bool = False
+) -> tuple[list[VertexId], list[VertexId], list[tuple[int, int]]]:
+    """The vertex numbering shared by the cut step and the matcher: side-1
+    ids, side-2 ids, and each edge as a (side-1 position, side-2 position)
+    pair. ``swap`` gives side 2 the first role."""
+    v1_ids = [sv.vid for sv in g.v1]
+    v2_ids = [sv.vid for sv in g.v2]
+    pos1 = {vid: i for i, vid in enumerate(v1_ids)}
+    pos2 = {vid: j for j, vid in enumerate(v2_ids)}
+    pairs = [(pos1[e.u], pos2[e.v]) for e in g.edges]
+    if swap:
+        return v2_ids, v1_ids, [(j, i) for i, j in pairs]
+    return v1_ids, v2_ids, pairs
 
-    exact = {vid: effective_weight(g, vid, obj) for vid in g.vertex_ids}
-    scale = math.lcm(*(w.denominator for w in exact.values())) if exact else 1
-    scaled = {vid: int(w * scale) for vid, w in exact.items()}
-    return exact, scaled, scale
+
+def _weight_map(g: ExchangeGraph, obj: Objective) -> dict[VertexId, Fraction]:
+    """Exact weight of every vertex under ``obj``."""
+    return {vid: effective_weight(g, vid, obj) for vid in g.vertex_ids}
+
+
+def _scaled(weight: dict[VertexId, Fraction]) -> tuple[dict[VertexId, int], int]:
+    """The weights as integers over their least common denominator."""
+    scale = math.lcm(*(w.denominator for w in weight.values()))
+    return {vid: w.numerator * (scale // w.denominator) for vid, w in weight.items()}, scale
 
 
 @dataclass(frozen=True)
@@ -205,21 +202,23 @@ def solve(g: ExchangeGraph, obj: Objective, engine: str | None = None) -> SolveR
     cover is extracted from the source-minimal min cut, which is unique
     across all maximum flows.
     """
-    exact, scaled, scale = _scaled_weights(g, obj)
-    v1_ids = [sv.vid for sv in g.v1]
-    v2_ids = [sv.vid for sv in g.v2]
+    return _min_cut_cover(g, _weight_map(g, obj), engine)
+
+
+def _min_cut_cover(
+    g: ExchangeGraph, weight: dict[VertexId, Fraction], engine: str | None = None
+) -> SolveResult:
+    """Minimum-weight vertex cover for an exact weight map, read off the
+    source-minimal min cut of the cover network."""
     if not g.edges:
         empty = Policy(g.vertex_ids, ())
         return SolveResult(empty, Fraction(0), "flow_cut", Fraction(0), engine or "none")
-    w1 = [scaled[vid] for vid in v1_ids]
-    w2 = [scaled[vid] for vid in v2_ids]
-    pos1 = {vid: i for i, vid in enumerate(v1_ids)}
-    pos2 = {vid: j for j, vid in enumerate(v2_ids)}
-    pairs = [(pos1[e.u], pos2[e.v]) for e in g.edges]
-    total = sum(w1) + sum(w2)
-    inf = total + 1
+    scaled, scale = _scaled(weight)
+    v1_ids, v2_ids, pairs = _numbering(g)
+    n1, n2 = len(v1_ids), len(v2_ids)
+    total = sum(scaled.values())
     if engine is None:
-        engine = "scipy" if total < _INT32_SAFE_TOTAL and _scipy_available() else "dinic"
+        engine = "scipy" if total < _INT32_SAFE_TOTAL else "dinic"
     if engine == "scipy":
         if total >= _INT32_SAFE_TOTAL:
             # the compiled engine casts to int32 and would corrupt silently
@@ -227,37 +226,36 @@ def solve(g: ExchangeGraph, obj: Objective, engine: str | None = None) -> SolveR
                 f"scaled capacities total {total} exceeds the compiled engine's "
                 "safe range; use the dinic engine"
             )
-        flow_value, reach = _min_cut_reachable_scipy(len(w1), len(w2), w1, w2, pairs, inf)
+        max_flow = _min_cut_reachable_scipy
     elif engine == "dinic":
-        flow_value, reach = _min_cut_reachable_dinic(len(w1), len(w2), w1, w2, pairs, inf)
+        max_flow = _min_cut_reachable_dinic
     else:
         raise ValidationError(f"unknown flow engine {engine!r}")
-    n1 = len(v1_ids)
+    # node 0 is the source, 1..n1 side 1, then side 2, and n1 + n2 + 1 the sink
+    sink = n1 + n2 + 1
+    tails = [0] * n1 + list(range(1 + n1, sink)) + [1 + u for u, _ in pairs]
+    heads = list(range(1, 1 + n1)) + [sink] * n2 + [1 + n1 + v for _, v in pairs]
+    caps = [scaled[vid] for vid in v1_ids + v2_ids] + [total + 1] * len(pairs)
+    flow_value, reach = max_flow(sink + 1, tails, heads, caps)
     cover = [vid for i, vid in enumerate(v1_ids) if (1 + i) not in reach]
     cover += [vid for j, vid in enumerate(v2_ids) if (1 + n1 + j) in reach]
-    policy = Policy(g.vertex_ids, cover)
-    cost = sum((exact[vid] for vid in cover), Fraction(0))
+    cost = sum((weight[vid] for vid in cover), Fraction(0))
     certificate = Fraction(flow_value, scale)
-    assert certificate == cost, "max-flow value must equal cover weight"
-    return SolveResult(policy, cost, "flow_cut", certificate, engine)
-
-
-def _scipy_available() -> bool:
-    try:
-        import scipy.sparse.csgraph  # noqa: F401
-    except ImportError:  # pragma: no cover - scipy is a declared dependency
-        return False
-    return True
+    if certificate != cost:
+        raise InvariantViolation(f"max-flow value {certificate} differs from cover weight {cost}")
+    return SolveResult(Policy(g.vertex_ids, cover), cost, "flow_cut", certificate, engine)
 
 
 def solve_brute_force(g: ExchangeGraph, obj: Objective) -> SolveResult:
     """Exhaustive minimum over all 2^|V| labelings; the independent oracle
     for the polynomial solvers. Only usable on small graphs."""
+    # The oracle numbers vertices itself, not through the solvers' shared
+    # numbering, so that it stays independent of the code it checks.
     vids = sorted(g.vertex_ids)
     n = len(vids)
     if n > 22:
         raise ValidationError(f"brute force limited to 22 vertices, got {n}")
-    exact, scaled, scale = _scaled_weights(g, obj)
+    scaled, scale = _scaled(_weight_map(g, obj))
     pos = {vid: i for i, vid in enumerate(vids)}
     full = (1 << len(g.edges)) - 1
     edge_bit = [0] * n
@@ -286,14 +284,13 @@ def solve_brute_force(g: ExchangeGraph, obj: Objective) -> SolveResult:
 # -- uniform-weight fast path ----------------------------------------------
 
 
-def _adjacency_by_index(g: ExchangeGraph) -> tuple[list[VertexId], list[VertexId], list[list[int]]]:
-    v1_ids = [sv.vid for sv in g.v1]
-    v2_ids = [sv.vid for sv in g.v2]
-    pos2 = {vid: j for j, vid in enumerate(v2_ids)}
+def _adjacency_by_index(
+    g: ExchangeGraph, swap: bool = False
+) -> tuple[list[VertexId], list[VertexId], list[list[int]]]:
+    v1_ids, v2_ids, pairs = _numbering(g, swap)
     adj: list[list[int]] = [[] for _ in v1_ids]
-    pos1 = {vid: i for i, vid in enumerate(v1_ids)}
-    for e in g.edges:
-        adj[pos1[e.u]].append(pos2[e.v])
+    for u, v in pairs:
+        adj[u].append(v)
     for lst in adj:
         lst.sort()
     return v1_ids, v2_ids, adj
@@ -361,7 +358,8 @@ def solve_uniform_matching(g: ExchangeGraph) -> SolveResult:
     ones = [v1_ids[i] for i in sorted(cover1)] + [v2_ids[j] for j in sorted(cover2)]
     policy = Policy(g.vertex_ids, ones)
     size = sum(1 for v in match1 if v != -1)
-    assert len(ones) == size, "Koenig cover size must equal matching size"
+    if len(ones) != size:
+        raise InvariantViolation(f"Koenig cover has {len(ones)} vertices, matching {size} edges")
     matched_pairs = tuple(
         (v1_ids[u], v2_ids[match1[u]]) for u in range(len(match1)) if match1[u] != -1
     )
@@ -375,17 +373,7 @@ def check_hall_uniform(g: ExchangeGraph, side: int) -> bool:
     _uniform_scan_weight(g)
     if side not in (1, 2):
         raise ValidationError(f"robot side must be 1 or 2, got {side}")
-    v1_ids, v2_ids, adj = _adjacency_by_index(g)
-    if side == 2:
-        # transpose: query saturation of side 2 by swapping roles
-        adj_t: list[list[int]] = [[] for _ in v2_ids]
-        for u, vs in enumerate(adj):
-            for v in vs:
-                adj_t[v].append(u)
-        for lst in adj_t:
-            lst.sort()
-        match1, _ = _max_matching(adj_t, len(v1_ids))
-        return all(v != -1 for v in match1)
+    _, v2_ids, adj = _adjacency_by_index(g, swap=side == 2)
     match1, _ = _max_matching(adj, len(v2_ids))
     return all(v != -1 for v in match1)
 
@@ -416,14 +404,10 @@ class GhcCertificate:
 
 def check_ghc(g: ExchangeGraph, obj: Objective, side: int) -> GhcCertificate:
     """Decide whether the monolog from ``side`` is optimal under ``obj``."""
-    if side not in (1, 2):
-        raise ValidationError(f"robot side must be 1 or 2, got {side}")
-    from .graph import effective_weight
-
     side_ids = [sv.vid for sv in g.side(side)]
-    weight = {vid: effective_weight(g, vid, obj) for vid in g.vertex_ids}
+    weight = _weight_map(g, obj)
     monolog_cost = sum((weight[vid] for vid in side_ids), Fraction(0))
-    result = solve(g, obj)
+    result = _min_cut_cover(g, weight)
     if result.optimal_cost == monolog_cost:
         return GhcCertificate(True, side, monolog_cost, result.optimal_cost)
     # The side vertices left out of the optimal cover form a violating
@@ -434,11 +418,13 @@ def check_ghc(g: ExchangeGraph, obj: Objective, side: int) -> GhcCertificate:
     neighborhood = frozenset(nb for vid in witness for nb in inc.neighbors(vid))
     w_s = sum((weight[vid] for vid in witness), Fraction(0))
     w_n = sum((weight[vid] for vid in neighborhood), Fraction(0))
-    assert w_s > w_n, "min-cut witness must violate the subset-weight condition"
+    if not w_s > w_n:
+        raise InvariantViolation(f"witness weight {w_s} <= neighborhood weight {w_n}")
     kept = [vid for vid in side_ids if vid not in witness]
     improving = Policy(g.vertex_ids, kept + sorted(neighborhood))
     improving_cost = objective_cost(g, improving, obj)
-    assert improving_cost < monolog_cost
+    if not improving_cost < monolog_cost:
+        raise InvariantViolation(f"improving cost {improving_cost} >= monolog cost {monolog_cost}")
     return GhcCertificate(
         False,
         side,

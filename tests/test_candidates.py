@@ -312,6 +312,14 @@ def test_feature_count_file_rejects_negative(tmp_path):
         read_feature_counts(f)
 
 
+@pytest.mark.parametrize("field", ["d_max", "eta", "fov_half_angle", "fov_range"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_geometry_params_reject_non_finite(field, value):
+    params = {"d_max": 10.0, "eta": 0.5, field: value}
+    with pytest.raises(sp.ValidationError, match="finite"):
+        GeometryParams(**params)
+
+
 def test_geometry_params_validation():
     with pytest.raises(sp.ValidationError):
         GeometryParams(d_max=0, eta=0.0)

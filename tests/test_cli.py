@@ -67,6 +67,40 @@ def test_invalid_graph_exits_3(capsys):
     assert "error" in err
 
 
+GEOMETRY_SWEEP = ("sweep", "--synthetic", "--synthetic-poses", "12", "--start", "10", "--stop", "20", "--step", "10")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build-graph", "--synthetic", "--synthetic-poses", "12", "--dmax", "abc"),
+        ("build-graph", "--synthetic", "--synthetic-poses", "12", "--eta", "1/0"),
+        ("build-graph", "--synthetic", "--synthetic-poses", "12", "--dmax", "1e400"),
+        ("build-graph", "--synthetic", "--synthetic-poses", "12", "--fov-range", "nan"),
+        (
+            "build-graph", "--scores", str(DATA / "scores_40x40.txt"), "--alpha", "x",
+            "--features1", str(DATA / "features_40.txt"), "--features2", str(DATA / "features_40.txt"),
+        ),
+        GEOMETRY_SWEEP + ("--parameter", "eta", "--dmax", "abc"),
+        GEOMETRY_SWEEP + ("--parameter", "dmax", "--eta", "1/0"),
+    ],
+)
+def test_invalid_number_flag_exits_3(capsys, tmp_path, argv):
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 3
+    assert "error" in err
+
+
+def test_invariant_violation_exits_4(capsys, monkeypatch):
+    def wrong_flow(*network):
+        return 0, set()
+
+    monkeypatch.setattr("scanplan.solver._min_cut_reachable_scipy", wrong_flow)
+    code, _, err = run(capsys, "solve", "--graph", DOUBLE_STAR)
+    assert code == 4
+    assert "internal error" in err
+
+
 def test_check_monolog_double_star(capsys, tmp_path):
     improving = tmp_path / "improving.json"
     code, out, _ = run(

@@ -181,6 +181,21 @@ def test_malformed_json_raises_format_error():
         sp.loads_graph('{"v1": 3, "v2": [], "edges": []}')
     with pytest.raises(sp.GraphFormatError):
         sp.loads_graph("[1, 2, 3]")
+    # ids and endpoints must be JSON integers, never truncated to one
+    edge = '"edges": [{"u": %s, "v": %s}]'
+    for v1_id, u in (("1.5", "1"), ("true", "1"), ("1", "1.5"), ("1", "true"), ("1", '"1"')):
+        text = '{"v1": [{"id": %s, "scan_size": 1}], "v2": [{"id": 0, "scan_size": 1}], %s}' % (
+            v1_id,
+            edge % (u, 0),
+        )
+        with pytest.raises(sp.GraphFormatError):
+            sp.loads_graph(text)
+    with pytest.raises(sp.GraphFormatError):
+        sp.loads_graph(
+            '{"v1": [{"id": 0, "scan_size": 1}], "v2": [{"id": 0, "scan_size": 1}], '
+            + edge % (0, "false")
+            + "}"
+        )
 
 
 def test_format_rational_tokens():

@@ -201,6 +201,11 @@ def test_balance_cost_defined_for_inadmissible(double_star):
     assert balance_cost(double_star, sp.Policy(double_star.vertex_ids, ()), 1, 1) == 0
 
 
+def test_balance_cost_rejects_negative_alpha(double_star):
+    with pytest.raises(sp.ValidationError):
+        balance_cost(double_star, sp.monolog(double_star, 1), -1, 1)
+
+
 def test_policy_file_round_trip(double_star):
     pi = cover_policy(double_star, [(1, 0), (2, 2)])
     assert loads_policy(dumps_policy(pi)) == pi
@@ -211,3 +216,7 @@ def test_policy_file_malformed():
         loads_policy("nope")
     with pytest.raises(sp.GraphFormatError):
         loads_policy('{"labels": [{"side": 1}]}')
+    # side, index and bit must be JSON integers, never truncated to one
+    for side, index, bit in (("1.9", 0, 1), ("true", 0, 1), (1, "0.5", 1), (1, 0, "true"), (1, 0, "1.0")):
+        with pytest.raises(sp.GraphFormatError):
+            loads_policy('{"labels": [{"side": %s, "index": %s, "bit": %s}]}' % (side, index, bit))

@@ -20,6 +20,24 @@ from conftest import (
 )
 
 
+def test_wrong_flow_value_raises_invariant_violation(double_star, monkeypatch):
+    # a flow engine whose value disagrees with its cut must not go unnoticed,
+    # even under python -O
+    for engine in ("scipy", "dinic"):
+        real = getattr(sp.solver, f"_min_cut_reachable_{engine}")
+
+        def off_by_one(*args, real=real):
+            value, reach = real(*args)
+            return value + 1, reach
+
+        monkeypatch.setattr(sp.solver, f"_min_cut_reachable_{engine}", off_by_one)
+    for engine in ("scipy", "dinic"):
+        with pytest.raises(sp.InvariantViolation):
+            sp.solve(double_star, sp.Objective.p2(), engine=engine)
+    with pytest.raises(sp.InvariantViolation):
+        sp.check_ghc(double_star, sp.Objective.p2(), 1)
+
+
 def complete_bipartite(m, n, weight=1):
     return sp.build_graph(
         [weight] * m, [weight] * n, [(i, j) for i in range(m) for j in range(n)]
