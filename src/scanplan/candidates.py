@@ -255,10 +255,12 @@ def _orthonormalized(m: np.ndarray) -> np.ndarray:
 
 def read_kitti_poses(path, feature_counts: Sequence[int] | None = None) -> Trajectory:
     """Read a KITTI odometry ground-truth pose file: one pose per line, 12
-    space-separated decimals forming a row-major 3x4 rigid transform.
-    Rotations are projected to the nearest orthonormal matrix, since the
-    files carry rounded entries."""
+    space-separated finite decimals forming a row-major 3x4 rigid
+    transform. Rotations are projected to the nearest orthonormal matrix,
+    since the files carry rounded entries. ``feature_counts``, when given,
+    holds exactly one count per pose."""
     poses = []
+    lineno = -1
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh):
             line = line.strip()
@@ -273,6 +275,8 @@ def read_kitti_poses(path, feature_counts: Sequence[int] | None = None) -> Traje
                 m = np.array([float(v) for v in values], dtype=float).reshape(3, 4)
             except ValueError as exc:
                 raise GraphFormatError(f"{path}:{lineno + 1}: bad number ({exc})") from exc
+            if not np.isfinite(m).all():
+                raise GraphFormatError(f"{path}:{lineno + 1}: non-finite value in pose line")
             count = 1
             if feature_counts is not None:
                 if len(poses) >= len(feature_counts):
@@ -289,6 +293,11 @@ def read_kitti_poses(path, feature_counts: Sequence[int] | None = None) -> Traje
                     timestamp=len(poses),
                 )
             )
+    if feature_counts is not None and len(feature_counts) > len(poses):
+        # named at the line where the next pose was expected
+        raise GraphFormatError(
+            f"{path}:{lineno + 2}: {len(poses)} poses but {len(feature_counts)} feature counts"
+        )
     return Trajectory(poses)
 
 

@@ -9,6 +9,7 @@ failure, 4 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -138,7 +139,7 @@ def cmd_build_graph(args) -> int:
         t1, t2 = _load_trajectories(args)
         g = cand.build_geometric(t1, t2, _geometry_params(args))
     save_graph(g, args.out)
-    print(f"wrote {args.out}: |V1|={len(g.v1)} |V2|={len(g.v2)} |L|={g.num_edges}")
+    print(f"wrote {args.out}: |V1|={len(g.ids[0])} |V2|={len(g.ids[1])} |L|={g.num_edges}")
     if g.pruned:
         print(f"pruned {len(g.pruned)} isolated vertices")
     return EXIT_OK
@@ -244,6 +245,9 @@ def cmd_simulate(args) -> int:
 
 SWEEP_PARAMETERS = ("dmax", "eta", "alpha", "omega")
 
+# Most points one sweep may have; each point builds and solves a graph.
+MAX_SWEEP_POINTS = 10_000
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -264,14 +268,17 @@ class SweepSpec:
             raise ValidationError(f"sweep step must be positive, got {self.step}")
         if self.start > self.stop:
             raise ValidationError(f"sweep start {self.start} exceeds stop {self.stop}")
+        if self.num_points > MAX_SWEEP_POINTS:
+            raise ValidationError(
+                f"sweep has {self.num_points} points, more than the limit of {MAX_SWEEP_POINTS}"
+            )
+
+    @property
+    def num_points(self) -> int:
+        return math.floor((self.stop - self.start) / self.step) + 1
 
     def values(self) -> list[Fraction]:
-        out = []
-        value = self.start
-        while value <= self.stop:
-            out.append(value)
-            value += self.step
-        return out
+        return [self.start + k * self.step for k in range(self.num_points)]
 
 
 def run_sweep(args) -> tuple[list[str], str]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
@@ -20,7 +21,7 @@ from .errors import (
     LabelDomainMismatch,
     ValidationError,
 )
-from .graph import EdgeKey, ExchangeGraph, VertexId, _load_int, effective_weight
+from .graph import EdgeKey, ExchangeGraph, VertexId, _load_int, weight_numerators
 from .objectives import Objective, as_fraction
 
 
@@ -70,9 +71,9 @@ class Policy:
 
 
 def _check_domain(g: ExchangeGraph, pi: Policy) -> None:
-    if pi.domain != frozenset(g.vertex_ids):
-        missing = frozenset(g.vertex_ids) - pi.domain
-        extra = pi.domain - frozenset(g.vertex_ids)
+    if pi.domain != g.vertex_set:
+        missing = g.vertex_set - pi.domain
+        extra = pi.domain - g.vertex_set
         raise LabelDomainMismatch(
             f"policy domain mismatch (missing={sorted(missing)}, extra={sorted(extra)})"
         )
@@ -81,17 +82,16 @@ def _check_domain(g: ExchangeGraph, pi: Policy) -> None:
 def is_admissible(g: ExchangeGraph, pi: Policy) -> bool:
     """True iff every candidate edge has at least one transmitted endpoint."""
     _check_domain(g, pi)
-    return all(e.u in pi.ones or e.v in pi.ones for e in g.edges)
+    sent1, sent2 = g.label_masks(pi.ones)
+    return bool((sent1[g.eu] | sent2[g.ev]).all())
 
 
 def monolog(g: ExchangeGraph, source_side: int) -> Policy:
     """The one-directional policy transmitting every scan of one robot."""
-    if source_side not in (1, 2):
-        raise ValidationError(f"robot side must be 1 or 2, got {source_side}")
-    source = g.side(source_side)
+    source = g.side_vids(source_side)
     if not source:
         raise EmptySide(f"side {source_side} has no vertices")
-    return Policy(g.vertex_ids, (sv.vid for sv in source))
+    return Policy(g.vertex_ids, source)
 
 
 def full_bidirectional(g: ExchangeGraph) -> Policy:
@@ -130,23 +130,16 @@ def workloads(g: ExchangeGraph, pi: Policy, alpha1=1, alpha2=1) -> WorkloadRepor
         raise InadmissiblePolicy("workload partition is defined for admissible policies")
     alpha1 = as_fraction(alpha1)
     alpha2 = as_fraction(alpha2)
-    l1, l2 = set(), set()
-    ell1 = ell2 = Fraction(0)
-    for e in g.edges:
-        if e.v in pi.ones:  # robot 1 received the side-2 scan
-            l1.add(e.key)
-        if e.u in pi.ones:  # robot 2 received the side-1 scan
-            l2.add(e.key)
-    for vid in pi.ones:
-        cost = g.incidence().incident_cost(vid)
-        if vid.side == 2:
-            ell1 += cost
-        else:
-            ell2 += cost
+    sent1, sent2 = g.label_masks(pi.ones)
+    on_robot1 = sent2[g.ev]  # robot 1 received the side-2 scan
+    on_robot2 = sent1[g.eu]  # robot 2 received the side-1 scan
+    keys = g.edge_key_list
+    verified = [m.tolist() for m in (on_robot1, on_robot2, on_robot1 & on_robot2)]
+    ell1, ell2 = (Fraction(sum(compress(g.cost_num, m)), g.den) for m in verified[:2])
     return WorkloadReport(
-        l1_edges=frozenset(l1),
-        l2_edges=frozenset(l2),
-        l12_edges=frozenset(l1 & l2),
+        l1_edges=frozenset(compress(keys, verified[0])),
+        l2_edges=frozenset(compress(keys, verified[1])),
+        l12_edges=frozenset(compress(keys, verified[2])),
         ell1=ell1,
         ell2=ell2,
         f_balance=alpha1 * ell1 + alpha2 * ell2,
@@ -163,7 +156,9 @@ def objective_cost(g: ExchangeGraph, pi: Policy, obj: Objective) -> Fraction:
     """Cost of a labeling under an objective; equals the sum of per-vertex
     effective weights over the labeled vertices."""
     _check_domain(g, pi)
-    return sum((effective_weight(g, vid, obj) for vid in pi.ones), Fraction(0))
+    weight, den = weight_numerators(g, obj)
+    sent = g.label_masks(pi.ones)
+    return Fraction(sum(sum(compress(w, m.tolist())) for w, m in zip(weight, sent)), den)
 
 
 class Transmission(NamedTuple):

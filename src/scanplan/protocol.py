@@ -111,8 +111,7 @@ def run_rendezvous(
     the given admissible policy is executed as-is (used for comparing
     fixed strategies against the optimum).
     """
-    candidate_keys = g.edge_keys()
-    bad = cfg.ground_truth_closures - candidate_keys
+    bad = [key for key in cfg.ground_truth_closures if g.edge_index(key) is None]
     if bad:
         raise GroundTruthOutsideCandidates(
             f"ground-truth closures outside the candidate set: {sorted(bad)}"
@@ -125,7 +124,7 @@ def run_rendezvous(
 
     # round 1: per-pose metadata to the broker
     for side in (1, 2):
-        n = len(g.side(side))
+        n = len(g.ids[side - 1])
         meta_leg(ROBOT[side], BROKER, side, n * cfg.metadata_bytes_per_vertex, f"meta[{n}]")
     # round 2/3: broker forms the graph and solves (or adopts the override)
     if policy is None:
@@ -133,7 +132,7 @@ def run_rendezvous(
     elif not is_admissible(g, policy):
         raise InadmissiblePolicy("rendezvous requires a complete-search policy")
     for side in (1, 2):
-        n = len(g.side(side))
+        n = len(g.ids[side - 1])
         meta_leg(BROKER, ROBOT[side], side, _policy_leg_bytes(n), f"policy[{n}]")
     # round 4: execute the policy, scans cross to the other robot
     scan_bytes = Fraction(0)

@@ -24,9 +24,12 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+
+import numpy as np
 
 from .errors import InvariantViolation, NonUniformWeights, ValidationError
-from .graph import ExchangeGraph, VertexId, effective_weight
+from .graph import ExchangeGraph, VertexId, effective_weight, weight_numerators
 from .objectives import Objective, as_fraction
 from .policy import Policy, monolog, objective_cost
 
@@ -129,7 +132,6 @@ class _Dinic:
 
 def _min_cut_reachable_scipy(n: int, tails, heads, caps) -> tuple[int, set[int]]:
     """Compiled max-flow path; returns (flow value, source-reachable set)."""
-    import numpy as np
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
@@ -138,41 +140,14 @@ def _min_cut_reachable_scipy(n: int, tails, heads, caps) -> tuple[int, set[int]]
     residual = cap - result.flow  # reverse arcs appear as positive entries
     residual.eliminate_zeros()
     order = breadth_first_order(residual, 0, directed=True, return_predecessors=False)
-    return int(result.flow_value), set(int(x) for x in order)
+    return int(result.flow_value), set(order.tolist())
 
 
 def _min_cut_reachable_dinic(n: int, tails, heads, caps) -> tuple[int, set[int]]:
     dinic = _Dinic(n)
-    for arc in zip(tails, heads, caps):
+    for arc in zip(np.asarray(tails).tolist(), np.asarray(heads).tolist(), caps):
         dinic.add_edge(*arc)
     return dinic.max_flow(0, n - 1), dinic.reachable(0)
-
-
-def _numbering(
-    g: ExchangeGraph, swap: bool = False
-) -> tuple[list[VertexId], list[VertexId], list[tuple[int, int]]]:
-    """The vertex numbering shared by the cut step and the matcher: side-1
-    ids, side-2 ids, and each edge as a (side-1 position, side-2 position)
-    pair. ``swap`` gives side 2 the first role."""
-    v1_ids = [sv.vid for sv in g.v1]
-    v2_ids = [sv.vid for sv in g.v2]
-    pos1 = {vid: i for i, vid in enumerate(v1_ids)}
-    pos2 = {vid: j for j, vid in enumerate(v2_ids)}
-    pairs = [(pos1[e.u], pos2[e.v]) for e in g.edges]
-    if swap:
-        return v2_ids, v1_ids, [(j, i) for i, j in pairs]
-    return v1_ids, v2_ids, pairs
-
-
-def _weight_map(g: ExchangeGraph, obj: Objective) -> dict[VertexId, Fraction]:
-    """Exact weight of every vertex under ``obj``."""
-    return {vid: effective_weight(g, vid, obj) for vid in g.vertex_ids}
-
-
-def _scaled(weight: dict[VertexId, Fraction]) -> tuple[dict[VertexId, int], int]:
-    """The weights as integers over their least common denominator."""
-    scale = math.lcm(*(w.denominator for w in weight.values()))
-    return {vid: w.numerator * (scale // w.denominator) for vid, w in weight.items()}, scale
 
 
 @dataclass(frozen=True)
@@ -202,21 +177,27 @@ def solve(g: ExchangeGraph, obj: Objective, engine: str | None = None) -> SolveR
     cover is extracted from the source-minimal min cut, which is unique
     across all maximum flows.
     """
-    return _min_cut_cover(g, _weight_map(g, obj), engine)
+    weight, den = weight_numerators(g, obj)
+    return _min_cut_cover(g, weight, den, engine)
 
 
 def _min_cut_cover(
-    g: ExchangeGraph, weight: dict[VertexId, Fraction], engine: str | None = None
+    g: ExchangeGraph, weight: tuple[list[int], list[int]], den: int, engine: str | None = None
 ) -> SolveResult:
-    """Minimum-weight vertex cover for an exact weight map, read off the
-    source-minimal min cut of the cover network."""
-    if not g.edges:
+    """Minimum-weight vertex cover for exact weights (per side, numerators
+    over ``den``), read off the source-minimal min cut of the cover
+    network."""
+    if not g.num_edges:
         empty = Policy(g.vertex_ids, ())
         return SolveResult(empty, Fraction(0), "flow_cut", Fraction(0), engine or "none")
-    scaled, scale = _scaled(weight)
-    v1_ids, v2_ids, pairs = _numbering(g)
-    n1, n2 = len(v1_ids), len(v2_ids)
-    total = sum(scaled.values())
+    w1, w2 = weight
+    n1, n2 = len(w1), len(w2)
+    # Capacities are the weights over the LCM of their reduced denominators,
+    # which is den divided by the gcd of den and every numerator.
+    common = math.gcd(den, *w1, *w2)
+    scale = den // common
+    caps = [w // common for w in w1] + [w // common for w in w2]
+    total = sum(caps)
     if engine is None:
         engine = "scipy" if total < _INT32_SAFE_TOTAL else "dinic"
     if engine == "scipy":
@@ -233,16 +214,18 @@ def _min_cut_cover(
         raise ValidationError(f"unknown flow engine {engine!r}")
     # node 0 is the source, 1..n1 side 1, then side 2, and n1 + n2 + 1 the sink
     sink = n1 + n2 + 1
-    tails = [0] * n1 + list(range(1 + n1, sink)) + [1 + u for u, _ in pairs]
-    heads = list(range(1, 1 + n1)) + [sink] * n2 + [1 + n1 + v for _, v in pairs]
-    caps = [scaled[vid] for vid in v1_ids + v2_ids] + [total + 1] * len(pairs)
+    tails = np.concatenate((np.zeros(n1, np.int64), np.arange(1 + n1, sink), 1 + g.eu))
+    heads = np.concatenate((np.arange(1, 1 + n1), np.full(n2, sink), 1 + n1 + g.ev))
+    caps += [total + 1] * g.num_edges
     flow_value, reach = max_flow(sink + 1, tails, heads, caps)
-    cover = [vid for i, vid in enumerate(v1_ids) if (1 + i) not in reach]
-    cover += [vid for j, vid in enumerate(v2_ids) if (1 + n1 + j) in reach]
-    cost = sum((weight[vid] for vid in cover), Fraction(0))
+    reached = np.zeros(sink + 1, dtype=bool)
+    reached[list(reach)] = True
+    in_cover = (~reached[1 : 1 + n1]).tolist(), reached[1 + n1 : sink].tolist()
+    cost = Fraction(sum(compress(w1, in_cover[0])) + sum(compress(w2, in_cover[1])), den)
     certificate = Fraction(flow_value, scale)
     if certificate != cost:
         raise InvariantViolation(f"max-flow value {certificate} differs from cover weight {cost}")
+    cover = [*compress(g.vids[0], in_cover[0]), *compress(g.vids[1], in_cover[1])]
     return SolveResult(Policy(g.vertex_ids, cover), cost, "flow_cut", certificate, engine)
 
 
@@ -255,14 +238,15 @@ def solve_brute_force(g: ExchangeGraph, obj: Objective) -> SolveResult:
     n = len(vids)
     if n > 22:
         raise ValidationError(f"brute force limited to 22 vertices, got {n}")
-    scaled, scale = _scaled(_weight_map(g, obj))
+    exact = {vid: effective_weight(g, vid, obj) for vid in vids}
+    scale = math.lcm(*(w.denominator for w in exact.values()))
     pos = {vid: i for i, vid in enumerate(vids)}
     full = (1 << len(g.edges)) - 1
     edge_bit = [0] * n
     for ei, e in enumerate(g.edges):
         edge_bit[pos[e.u]] |= 1 << ei
         edge_bit[pos[e.v]] |= 1 << ei
-    int_w = [scaled[vid] for vid in vids]
+    int_w = [exact[vid].numerator * (scale // exact[vid].denominator) for vid in vids]
     size = 1 << n
     covered = [0] * size
     weight = [0] * size
@@ -286,35 +270,51 @@ def solve_brute_force(g: ExchangeGraph, obj: Objective) -> SolveResult:
 
 def _adjacency_by_index(
     g: ExchangeGraph, swap: bool = False
-) -> tuple[list[VertexId], list[VertexId], list[list[int]]]:
-    v1_ids, v2_ids, pairs = _numbering(g, swap)
-    adj: list[list[int]] = [[] for _ in v1_ids]
-    for u, v in pairs:
-        adj[u].append(v)
-    for lst in adj:
-        lst.sort()
-    return v1_ids, v2_ids, adj
+) -> tuple[tuple[VertexId, ...], tuple[VertexId, ...], list[list[int]]]:
+    """The matcher's view of a graph: the first side's ids, the second
+    side's ids, and each first-side position's neighbour positions in
+    ascending order. ``swap`` gives side 2 the first role."""
+    first, second = (g.ev, g.eu) if swap else (g.eu, g.ev)
+    first_ids, second_ids = g.vids[::-1] if swap else g.vids
+    order = np.lexsort((second, first))
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(first, minlength=len(first_ids))))).tolist()
+    neighbours = second[order].tolist()
+    adj = [neighbours[bounds[k] : bounds[k + 1]] for k in range(len(first_ids))]
+    return first_ids, second_ids, adj
 
 
 def _max_matching(adj: list[list[int]], n2: int) -> tuple[list[int], list[int]]:
     """Augmenting-path maximum matching; returns (match1, match2) with -1
-    for unmatched. Deterministic given adjacency order."""
+    for unmatched. Deterministic given adjacency order: from each side-1
+    vertex in turn, a depth-first search tries neighbours in adjacency
+    order. The search keeps its own stack, so the length of an alternating
+    path is not bounded by the interpreter's recursion limit."""
     n1 = len(adj)
     match1 = [-1] * n1
     match2 = [-1] * n2
-
-    def try_augment(u: int, seen: list[bool]) -> bool:
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                if match2[v] == -1 or try_augment(match2[v], seen):
-                    match1[u] = v
-                    match2[v] = u
-                    return True
-        return False
-
-    for u in range(n1):
-        try_augment(u, [False] * n2)
+    seen = [-1] * n2  # the root whose search last reached each side-2 vertex
+    for root in range(n1):
+        # the alternating path so far: side-1 vertices, each with the rest
+        # of its neighbours still to try, and the side-2 vertices between
+        path = [(root, iter(adj[root]))]
+        via: list[int] = []
+        while path:
+            for v in path[-1][1]:
+                if seen[v] != root:
+                    break
+            else:  # dead end: resume the parent's neighbours
+                path.pop()
+                if via:
+                    via.pop()
+                continue
+            seen[v] = root
+            via.append(v)
+            if match2[v] == -1:
+                for (u, _), w in zip(path, via):
+                    match1[u] = w
+                    match2[w] = u
+                break
+            path.append((match2[v], iter(adj[match2[v]])))
     return match1, match2
 
 
@@ -340,17 +340,18 @@ def _koenig_cover(adj: list[list[int]], match1: list[int], match2: list[int]) ->
 
 
 def _uniform_scan_weight(g: ExchangeGraph) -> Fraction:
-    values = {sv.effective_scan_size for sv in g.v1 + g.v2}
+    values = set(g.eff_num[0]) | set(g.eff_num[1])
     if len(values) > 1:
-        raise NonUniformWeights(f"expected one scan weight, found {sorted(values)}")
-    return values.pop() if values else Fraction(0)
+        found = sorted(Fraction(x, g.den) for x in values)
+        raise NonUniformWeights(f"expected one scan weight, found {found}")
+    return Fraction(values.pop(), g.den) if values else Fraction(0)
 
 
 def solve_uniform_matching(g: ExchangeGraph) -> SolveResult:
     """Optimal communication policy for uniform scan weights, built
     directly from a maximum bipartite matching (Koenig's theorem)."""
     unit = _uniform_scan_weight(g)
-    if not g.edges:
+    if not g.num_edges:
         return SolveResult(Policy(g.vertex_ids, ()), Fraction(0), "matching", Fraction(0))
     v1_ids, v2_ids, adj = _adjacency_by_index(g)
     match1, match2 = _max_matching(adj, len(v2_ids))
@@ -404,24 +405,27 @@ class GhcCertificate:
 
 def check_ghc(g: ExchangeGraph, obj: Objective, side: int) -> GhcCertificate:
     """Decide whether the monolog from ``side`` is optimal under ``obj``."""
-    side_ids = [sv.vid for sv in g.side(side)]
-    weight = _weight_map(g, obj)
-    monolog_cost = sum((weight[vid] for vid in side_ids), Fraction(0))
-    result = _min_cut_cover(g, weight)
+    side_ids = g.side_vids(side)
+    s = side - 1
+    weight, den = weight_numerators(g, obj)
+    monolog_cost = Fraction(sum(weight[s]), den)
+    result = _min_cut_cover(g, weight, den)
     if result.optimal_cost == monolog_cost:
         return GhcCertificate(True, side, monolog_cost, result.optimal_cost)
     # The side vertices left out of the optimal cover form a violating
     # subset: their weight strictly exceeds their neighborhood's.
-    cover = result.policy.ones
-    witness = frozenset(vid for vid in side_ids if vid not in cover)
-    inc = g.incidence()
-    neighborhood = frozenset(nb for vid in witness for nb in inc.neighbors(vid))
-    w_s = sum((weight[vid] for vid in witness), Fraction(0))
-    w_n = sum((weight[vid] for vid in neighborhood), Fraction(0))
+    in_cover = g.label_masks(result.policy.ones)[s]
+    ends = (g.eu, g.ev)
+    neighbours = np.unique(ends[1 - s][~in_cover[ends[s]]]).tolist()
+    out_of_cover = (~in_cover).tolist()
+    witness = frozenset(compress(side_ids, out_of_cover))
+    neighborhood = sorted(g.vids[1 - s][j] for j in neighbours)
+    w_s = Fraction(sum(compress(weight[s], out_of_cover)), den)
+    w_n = Fraction(sum(weight[1 - s][j] for j in neighbours), den)
     if not w_s > w_n:
         raise InvariantViolation(f"witness weight {w_s} <= neighborhood weight {w_n}")
-    kept = [vid for vid in side_ids if vid not in witness]
-    improving = Policy(g.vertex_ids, kept + sorted(neighborhood))
+    kept = list(compress(side_ids, in_cover.tolist()))
+    improving = Policy(g.vertex_ids, kept + neighborhood)
     improving_cost = objective_cost(g, improving, obj)
     if not improving_cost < monolog_cost:
         raise InvariantViolation(f"improving cost {improving_cost} >= monolog cost {monolog_cost}")
@@ -444,7 +448,7 @@ def p1_closed_form(g: ExchangeGraph, alpha1=1, alpha2=1) -> SolveResult:
     cost, and that monolog meets the bound with equality."""
     alpha1 = as_fraction(alpha1)
     alpha2 = as_fraction(alpha2)
-    if not g.edges:
+    if not g.num_edges:
         return SolveResult(Policy(g.vertex_ids, ()), Fraction(0), "closed_form", Fraction(0))
     source = 1 if alpha1 >= alpha2 else 2
     policy = monolog(g, source)

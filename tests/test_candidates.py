@@ -327,3 +327,22 @@ def test_geometry_params_validation():
         GeometryParams(d_max=10, eta=1.5)
     with pytest.raises(sp.ValidationError):
         AppearanceParams(alpha=-0.1)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", [0, 4, 11])
+def test_kitti_rejects_non_finite_values(tmp_path, value, column):
+    fields = "1 0 0 0 0 1 0 0 0 0 1 0".split()
+    fields[column] = value
+    path = tmp_path / "poses.txt"
+    path.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n\n" + " ".join(fields) + "\n")
+    with pytest.raises(sp.GraphFormatError, match=r"poses.txt:3: non-finite"):
+        read_kitti_poses(path)
+
+
+def test_kitti_rejects_extra_feature_counts(tmp_path):
+    path = tmp_path / "poses.txt"
+    path.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n")
+    assert len(read_kitti_poses(path, [5])) == 1
+    with pytest.raises(sp.GraphFormatError, match=r"poses.txt:2: 1 poses but 3 feature counts"):
+        read_kitti_poses(path, [5, 5, 5])

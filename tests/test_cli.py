@@ -317,3 +317,49 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert "optimal_cost 2" in result.stdout
+
+
+def _build_from_poses(capsys, tmp_path, poses_text, counts_text):
+    poses, counts = tmp_path / "poses.txt", tmp_path / "counts.txt"
+    poses.write_text(poses_text)
+    counts.write_text(counts_text)
+    return run(
+        capsys,
+        "build-graph",
+        "--poses1", str(poses), "--poses2", str(DATA / "two_loop_poses2.txt"),
+        "--features1", str(counts), "--features2", str(DATA / "two_loop_features2.txt"),
+        "--out", str(tmp_path / "g.json"),
+    )
+
+
+IDENTITY_POSE = "1 0 0 0 0 1 0 0 0 0 1 0"
+
+
+@pytest.mark.parametrize("bad", ["nan 0 0 0 0 1 0 0 0 0 1 0", "1 0 0 0 0 1 0 0 0 0 1 inf"])
+def test_non_finite_pose_exits_2(capsys, tmp_path, bad):
+    code, _, err = _build_from_poses(capsys, tmp_path, f"{IDENTITY_POSE}\n{bad}\n", "5\n5\n")
+    assert code == 2
+    assert "poses.txt:2: non-finite value" in err
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_extra_feature_counts_exit_2(capsys, tmp_path):
+    code, _, err = _build_from_poses(capsys, tmp_path, f"{IDENTITY_POSE}\n", "5\n5\n5\n")
+    assert code == 2
+    assert "poses.txt:2: 1 poses but 3 feature counts" in err
+
+
+def test_sweep_point_cap_exits_3(capsys, monkeypatch):
+    # the point count is checked before any value or graph is made
+    def refuse(*args, **kwargs):
+        raise AssertionError("no sweep point may be built")
+
+    monkeypatch.setattr("scanplan.cli.SweepSpec.values", refuse)
+    monkeypatch.setattr("scanplan.cli._load_trajectories", refuse)
+    code, _, err = run(
+        capsys,
+        "sweep", "--parameter", "dmax", "--start", "0", "--stop", "1e9", "--step", "1",
+        "--synthetic", "--eta", "0",
+    )
+    assert code == 3
+    assert "1000000001 points" in err

@@ -330,3 +330,24 @@ def test_internal_matcher_is_deterministic():
     m1a, m2a = _max_matching([list(a) for a in adj], 3)
     m1b, m2b = _max_matching([list(a) for a in adj], 3)
     assert (m1a, m2a) == (m1b, m2b)
+
+
+# 2000 + 2000 vertices: alternating paths twice the default recursion limit
+CHAIN = 2000
+CHAINS = {
+    "down": [(i, i) for i in range(CHAIN)] + [(i + 1, i) for i in range(CHAIN - 1)],
+    "up": [(i, i) for i in range(CHAIN)] + [(i, i + 1) for i in range(CHAIN - 1)],
+    "reversed": [(i, CHAIN - 1 - i) for i in range(CHAIN)] + [(i, CHAIN - 2 - i) for i in range(CHAIN - 1)],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(CHAINS))
+def test_matcher_follows_long_alternating_paths(shape):
+    # uniform path graphs whose augmenting paths are thousands of edges
+    # long; each has a perfect matching
+    g = sp.build_graph([1] * CHAIN, [1] * CHAIN, CHAINS[shape])
+    res = sp.solve_uniform_matching(g)
+    assert res.optimal_cost == CHAIN == len(res.matching)
+    assert res.policy == sp.solve(g, sp.Objective.p2()).policy
+    assert sp.check_hall_uniform(g, 1)
+    assert sp.check_hall_uniform(g, 2)
