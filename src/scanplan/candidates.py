@@ -15,6 +15,7 @@ camera heading is the rotation's z column projected onto it.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -55,6 +56,10 @@ class Trajectory:
             last = pose.pid
             if pose.feature_count < 0:
                 raise ValidationError(f"pose {pose.pid} has negative feature count")
+            # NaN would slip through the residual test below (nan > tol is False)
+            for name in ("position", "rotation"):
+                if not np.isfinite(getattr(pose, name)).all():
+                    raise ValidationError(f"pose {pose.pid} {name} has a non-finite entry")
             err = np.abs(pose.rotation @ pose.rotation.T - np.eye(3)).max()
             if err > rotation_tol:
                 raise ValidationError(
@@ -69,6 +74,15 @@ class Trajectory:
 
     def __getitem__(self, i):
         return self.poses[i]
+
+
+def _check_count(name: str, value) -> None:
+    """A gate count must be a true integer >= 1: floats and booleans are
+    refused rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValidationError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -89,8 +103,7 @@ class GeometryParams:
             raise ValidationError(f"d_max must be positive, got {self.d_max}")
         if not 0 <= self.eta <= 1:
             raise ValidationError(f"eta must lie in [0, 1], got {self.eta}")
-        if int(self.rate_divisor) < 1:
-            raise ValidationError(f"rate_divisor must be >= 1, got {self.rate_divisor}")
+        _check_count("rate_divisor", self.rate_divisor)
 
 
 @dataclass(frozen=True)
@@ -105,8 +118,7 @@ class AppearanceParams:
     def __post_init__(self):
         if not 0 <= self.alpha <= 1:
             raise ValidationError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if int(self.top_k) < 1:
-            raise ValidationError(f"top_k must be >= 1, got {self.top_k}")
+        _check_count("top_k", self.top_k)
 
 
 def planar_position(pose: Pose) -> np.ndarray:
@@ -125,10 +137,105 @@ def planar_heading(pose: Pose) -> np.ndarray:
 
 def subsample(traj: Trajectory, rate_divisor: int) -> Trajectory:
     """Keep every rate_divisor-th pose starting from the first."""
-    r = int(rate_divisor)
-    if r < 1:
-        raise ValidationError(f"rate_divisor must be >= 1, got {rate_divisor}")
-    return Trajectory(traj.poses[::r])
+    _check_count("rate_divisor", rate_divisor)
+    return Trajectory(traj.poses[::rate_divisor])
+
+
+class _FovQuadrature:
+    """Sector-overlap quadrature at one lattice resolution, on scratch
+    buffers allocated on first use and reused by every later pair.
+
+    The lattice and every per-cell float operation are those of the plain
+    meshgrid formulation, so masks and overlaps are bit-identical to it.
+    Three things make it cheaper:
+
+    - the lattice is separable: a sector's offsets are two 1-D vectors
+      ``dx``/``dz``, and its distances and heading projections are their
+      ``np.hypot`` and ``np.add.outer``, written into the scratch buffers;
+    - each sector is evaluated only on the window of lattice rows with
+      ``|dx| <= r`` and columns with ``|dz| <= r``. A cell outside it fails
+      ``dist <= r`` anyway, because a faithfully rounded ``hypot(dx, dz)``
+      is at least ``|dx|`` and ``|dz|``; NaN cells fail both tests;
+    - the two sectors are intersected only where their windows overlap.
+    """
+
+    def __init__(self, resolution: int = FOV_GRID_RESOLUTION):
+        self.resolution = resolution
+        self._dist = self._proj = self._in_a = self._in_b = self._test = None
+
+    @staticmethod
+    def _window(d: np.ndarray, r: float) -> tuple[int, int]:
+        """Index range of the lattice lines within ``r`` of the apex."""
+        inside = np.flatnonzero(np.abs(d) <= r)
+        return (int(inside[0]), int(inside[-1]) + 1) if inside.size else (0, 0)
+
+    @staticmethod
+    def _view(buf: np.ndarray, rows: tuple[int, int], cols: tuple[int, int]) -> np.ndarray:
+        """The front of a flat buffer as a C-ordered rows x cols array."""
+        shape = (rows[1] - rows[0], cols[1] - cols[0])
+        return buf[: shape[0] * shape[1]].reshape(shape)
+
+    def _sector(self, dx, dz, h, cos_half, r, rows, cols, out) -> np.ndarray:
+        """Mask of the sector's cells inside its window, written to ``out``."""
+        x, z = dx[rows[0] : rows[1]], dz[cols[0] : cols[1]]
+        dist = self._view(self._dist, rows, cols)
+        proj = self._view(self._proj, rows, cols)
+        mask = self._view(out, rows, cols)
+        test = self._view(self._test, rows, cols)
+        np.hypot(x[:, None], z[None, :], out=dist)
+        np.add.outer(x * h[0], z * h[1], out=proj)
+        np.less_equal(dist, r, out=mask)
+        np.multiply(cos_half, dist, out=dist)
+        np.greater_equal(proj, dist, out=test)
+        mask &= test
+        return mask
+
+    def overlap(self, pa, ha, pb, hb, fov_half_angle, fov_range) -> float:
+        """``fov_overlap`` of two sectors given by planar position and unit
+        heading."""
+        if fov_range <= 0 or fov_half_angle <= 0:
+            return 0.0
+        # extreme ranges overflow the lattice bounds into inf/NaN lines,
+        # which the windows leave out; that is expected, not worth a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            if float(np.hypot(*(pa - pb))) > 2 * fov_range:
+                return 0.0
+            r = float(fov_range)
+            lo = np.minimum(pa, pb) - r
+            hi = np.maximum(pa, pb) + r
+            n = int(self.resolution)
+            xs = lo[0] + (np.arange(n) + 0.5) * (hi[0] - lo[0]) / n
+            zs = lo[1] + (np.arange(n) + 0.5) * (hi[1] - lo[1]) / n
+            cos_half = math.cos(fov_half_angle)
+            if self._dist is None:
+                size = max(n, 0) ** 2
+                self._dist, self._proj = np.empty(size), np.empty(size)
+                self._in_a, self._in_b, self._test = (np.empty(size, dtype=bool) for _ in range(3))
+            sectors = []
+            for p, h, out in ((pa, ha, self._in_a), (pb, hb, self._in_b)):
+                dx, dz = xs - p[0], zs - p[1]
+                rows, cols = self._window(dx, r), self._window(dz, r)
+                sectors.append((rows, cols, self._sector(dx, dz, h, cos_half, r, rows, cols, out)))
+        (rows_a, cols_a, mask_a), (rows_b, cols_b, mask_b) = sectors
+        n_a = int(np.count_nonzero(mask_a))
+        n_b = int(np.count_nonzero(mask_b))
+        if n_a + n_b == 0:
+            return 0.0
+        rows = (max(rows_a[0], rows_b[0]), min(rows_a[1], rows_b[1]))
+        cols = (max(cols_a[0], cols_b[0]), min(cols_a[1], cols_b[1]))
+        if rows[0] >= rows[1] or cols[0] >= cols[1]:
+            return 0.0
+
+        def crop(mask, mask_rows, mask_cols):
+            return mask[
+                rows[0] - mask_rows[0] : rows[1] - mask_rows[0],
+                cols[0] - mask_cols[0] : cols[1] - mask_cols[0],
+            ]
+
+        both = np.logical_and(
+            crop(mask_a, rows_a, cols_a), crop(mask_b, rows_b, cols_b), out=self._view(self._test, rows, cols)
+        )
+        return 2.0 * int(np.count_nonzero(both)) / (n_a + n_b)
 
 
 def fov_overlap(
@@ -143,39 +250,21 @@ def fov_overlap(
     Each sector sits at its pose's planar position, is bisected by its
     heading, and spans ``fov_half_angle`` to each side up to ``fov_range``.
     The fraction is the sector-intersection area over the (common) area of
-    one sector, evaluated by grid quadrature on a fixed shared lattice so
-    the result is symmetric in the two poses and exactly 1.0 for identical
-    ones. Degenerate zero-range sectors overlap nothing.
+    one sector, evaluated by grid quadrature on a fixed shared lattice
+    (``resolution`` cells per axis over the bounding box of both sectors)
+    so the result is symmetric in the two poses, and exactly 1.0 for
+    identical ones while the lattice bounds are finite. Degenerate
+    zero-range sectors overlap nothing, and so do ranges whose lattice
+    bounds overflow.
     """
-    if fov_range <= 0 or fov_half_angle <= 0:
-        return 0.0
-    pa, pb = planar_position(pose_a), planar_position(pose_b)
-    if float(np.hypot(*(pa - pb))) > 2 * fov_range:
-        return 0.0
-    ha, hb = planar_heading(pose_a), planar_heading(pose_b)
-    r = float(fov_range)
-    lo = np.minimum(pa, pb) - r
-    hi = np.maximum(pa, pb) + r
-    n = int(resolution)
-    xs = lo[0] + (np.arange(n) + 0.5) * (hi[0] - lo[0]) / n
-    zs = lo[1] + (np.arange(n) + 0.5) * (hi[1] - lo[1]) / n
-    gx, gz = np.meshgrid(xs, zs, indexing="ij")
-    cos_half = math.cos(fov_half_angle)
-
-    def sector_mask(p, h):
-        dx = gx - p[0]
-        dz = gz - p[1]
-        dist = np.hypot(dx, dz)
-        return (dist <= r) & (dx * h[0] + dz * h[1] >= cos_half * dist)
-
-    mask_a = sector_mask(pa, ha)
-    mask_b = sector_mask(pb, hb)
-    n_a = int(mask_a.sum())
-    n_b = int(mask_b.sum())
-    if n_a + n_b == 0:
-        return 0.0
-    n_ab = int((mask_a & mask_b).sum())
-    return 2.0 * n_ab / (n_a + n_b)
+    return _FovQuadrature(resolution).overlap(
+        planar_position(pose_a),
+        planar_heading(pose_a),
+        planar_position(pose_b),
+        planar_heading(pose_b),
+        fov_half_angle,
+        fov_range,
+    )
 
 
 def build_geometric(
@@ -196,14 +285,32 @@ def build_geometric(
     pos1 = np.array([pose.position for pose in s1], dtype=float)
     pos2 = np.array([pose.position for pose in s2], dtype=float)
     dists = np.linalg.norm(pos1[:, None, :] - pos2[None, :, :], axis=2)
-    edges = []
-    for i, j in np.argwhere(dists <= p.d_max):
-        if p.eta > 0 and fov_overlap(s1[i], s2[j], p.fov_half_angle, p.fov_range) < p.eta:
-            continue
-        edges.append((int(i), int(j), 1))
+    pairs = np.argwhere(dists <= p.d_max).tolist()
+    if p.eta > 0:
+        # one lattice's buffers and each pose's planar inputs serve every pair
+        quad = _FovQuadrature()
+        planar1 = [(planar_position(pose), planar_heading(pose)) for pose in s1]
+        planar2 = [(planar_position(pose), planar_heading(pose)) for pose in s2]
+        pairs = [
+            (i, j)
+            for i, j in pairs
+            if not quad.overlap(*planar1[i], *planar2[j], p.fov_half_angle, p.fov_range) < p.eta
+        ]
     w1 = [pose.feature_count * descriptor_bytes for pose in s1]
     w2 = [pose.feature_count * descriptor_bytes for pose in s2]
-    return build_graph(w1, w2, edges)
+    return build_graph(w1, w2, [(i, j, 1) for i, j in pairs])
+
+
+def _top_k(group: np.ndarray, score: np.ndarray, tie: np.ndarray, k: int) -> np.ndarray:
+    """Positions of each group's ``k`` best entries: highest score first,
+    then the lower ``tie`` value, then the earlier entry."""
+    order = np.lexsort((tie, -score, group))
+    g = group[order]
+    first = np.ones(len(g), dtype=bool)
+    first[1:] = g[1:] != g[:-1]
+    at = np.arange(len(g))
+    rank = at - np.maximum.accumulate(np.where(first, at, 0))
+    return order[rank < k]
 
 
 def build_appearance(
@@ -215,28 +322,26 @@ def build_appearance(
     """Exchange graph from appearance scores: each side-1 query keeps its
     ``top_k`` highest-scoring side-2 candidates with score strictly above
     ``alpha`` (ties broken toward the lower index). With ``symmetric``
-    set, side-2 queries against side 1 are unioned in as well.
+    set, side-2 queries against side 1 are unioned in as well. Repeated
+    ``(u, v, score)`` entries count as separate candidates.
     """
-    rows: dict[int, list[tuple[float, int, int]]] = {}
-    cols: dict[int, list[tuple[float, int, int]]] = {}
+    us, vs, values = [], [], []
     for u, v, score in scores:
         if not 0 <= score <= 1:
             raise ScoreOutOfRange(f"score {score!r} for pair ({u}, {v}) outside [0, 1]")
-        rows.setdefault(int(u), []).append((float(score), int(u), int(v)))
-        cols.setdefault(int(v), []).append((float(score), int(u), int(v)))
-    selected: set[tuple[int, int]] = set()
-
-    def pick(candidates, tie_index):
-        kept = [c for c in candidates if c[0] > p.alpha]
-        kept.sort(key=lambda c: (-c[0], c[tie_index]))
-        return kept[: p.top_k]
-
-    for u in sorted(rows):
-        selected.update((u, v) for _, u, v in pick(rows[u], 2))
+        us.append(int(u))
+        vs.append(int(v))
+        values.append(float(score))
+    # np.array keeps indices beyond int64 exact, as an object array
+    s = np.array(values, dtype=float)
+    keep = np.flatnonzero(s > p.alpha)
+    u, v, s = np.array(us)[keep], np.array(vs)[keep], s[keep]
+    picked = [_top_k(u, s, v, p.top_k)]
     if p.symmetric:
-        for v in sorted(cols):
-            selected.update((u, v) for _, u, v in pick(cols[v], 1))
-    edges = [(u, v, 1) for u, v in sorted(selected)]
+        picked.append(_top_k(v, s, u, p.top_k))
+    chosen = np.concatenate(picked)
+    selected = set(zip(u[chosen].tolist(), v[chosen].tolist()))
+    edges = [(a, b, 1) for a, b in sorted(selected)]
     return build_graph(list(t1_weights), list(t2_weights), edges)
 
 

@@ -3,9 +3,14 @@ gating (each against a brute-force reference), and pose-file ingestion."""
 
 import math
 import random
+import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scanplan as sp
 from scanplan.candidates import (
@@ -17,6 +22,8 @@ from scanplan.candidates import (
     build_geometric,
     fov_overlap,
     make_pose,
+    planar_heading,
+    planar_position,
     read_feature_counts,
     read_kitti_poses,
     read_scores,
@@ -46,6 +53,123 @@ def mc_overlap(pa, heading_a, pb, heading_b, half, r, samples=10**6, seed=42):
     a = in_sector(pa, heading_a)
     b = in_sector(pb, heading_b)
     return 2 * int((a & b).sum()) / (int(a.sum()) + int(b.sum()))
+
+
+def seed_fov_overlap(pose_a, pose_b, fov_half_angle, fov_range, resolution=256):
+    """Frozen reference: the original full-lattice meshgrid quadrature.
+    The kernel must return exactly (``==``) what this returns."""
+    if fov_range <= 0 or fov_half_angle <= 0:
+        return 0.0
+    pa, pb = planar_position(pose_a), planar_position(pose_b)
+    if float(np.hypot(*(pa - pb))) > 2 * fov_range:
+        return 0.0
+    ha, hb = planar_heading(pose_a), planar_heading(pose_b)
+    r = float(fov_range)
+    lo = np.minimum(pa, pb) - r
+    hi = np.maximum(pa, pb) + r
+    n = int(resolution)
+    xs = lo[0] + (np.arange(n) + 0.5) * (hi[0] - lo[0]) / n
+    zs = lo[1] + (np.arange(n) + 0.5) * (hi[1] - lo[1]) / n
+    gx, gz = np.meshgrid(xs, zs, indexing="ij")
+    cos_half = math.cos(fov_half_angle)
+
+    def sector_mask(p, h):
+        dx = gx - p[0]
+        dz = gz - p[1]
+        dist = np.hypot(dx, dz)
+        return (dist <= r) & (dx * h[0] + dz * h[1] >= cos_half * dist)
+
+    mask_a = sector_mask(pa, ha)
+    mask_b = sector_mask(pb, hb)
+    n_a = int(mask_a.sum())
+    n_b = int(mask_b.sum())
+    if n_a + n_b == 0:
+        return 0.0
+    n_ab = int((mask_a & mask_b).sum())
+    return 2.0 * n_ab / (n_a + n_b)
+
+
+def two_loop_fixture():
+    data = Path(__file__).parent / "data"
+    return tuple(
+        read_kitti_poses(data / f"two_loop_poses{s}.txt", read_feature_counts(data / f"two_loop_features{s}.txt"))
+        for s in (1, 2)
+    )
+
+
+def test_kernel_matches_seed_on_every_gated_fixture_pair():
+    t1, t2 = two_loop_fixture()
+    pos1 = np.array([pose.position for pose in t1])
+    pos2 = np.array([pose.position for pose in t2])
+    pairs = np.argwhere(np.linalg.norm(pos1[:, None, :] - pos2[None, :, :], axis=2) <= 30).tolist()
+    assert len(pairs) == 1065
+    got = [fov_overlap(t1[i], t2[j], HALF, RANGE) for i, j in pairs]
+    assert got == [seed_fov_overlap(t1[i], t2[j], HALF, RANGE) for i, j in pairs]
+    assert sum(v >= 0.4 for v in got) == 233
+
+
+def test_kernel_counts_lattice_lines_exactly_at_range():
+    # 7 cells over [-1, 3]: the centre (1, 0) lies exactly fov_range from
+    # pose a, so the window bound |dx| <= r must include it
+    a = make_pose(0, 0.0, 0.0, math.pi / 2)
+    b = make_pose(1, 2.0, 0.0, -math.pi / 2)
+    for half in (0.3, 1.0, 2.0):
+        expected = seed_fov_overlap(a, b, half, 1.0, 7)
+        assert fov_overlap(a, b, half, 1.0, 7) == expected > 0
+
+
+coordinate = st.floats(-100, 100)
+angle = st.floats(-math.pi, math.pi)
+
+
+@st.composite
+def sector_pairs(draw):
+    """Two poses and a sector shape: identical poses, separations within a
+    few ulps of ``2 * fov_range``, or anywhere; half-angles past pi/2
+    (negative ``cos_half``); tiny, overflowing and NaN ranges."""
+    fov_range = draw(st.one_of(st.floats(0.5, 60), st.sampled_from([5e-324, 1e-300, 1e308, math.nan])))
+    half = draw(st.floats(0.01, math.pi))
+    x, z, heading = draw(coordinate), draw(coordinate), draw(angle)
+    kind = draw(st.sampled_from(["identical", "limit", "anywhere"]))
+    if kind == "identical":
+        bx, bz = x, z
+    elif kind == "limit":
+        bearing = draw(angle)
+        sep = 2 * fov_range * draw(st.sampled_from([1 - 2e-16, 1.0, 1 + 2e-16, 1 - 1e-9, 1 + 1e-9]))
+        bx, bz = x + sep * math.sin(bearing), z + sep * math.cos(bearing)
+    else:
+        bx, bz = draw(coordinate), draw(coordinate)
+    b_heading = heading if kind == "identical" else draw(angle)
+    return make_pose(0, x, z, heading), make_pose(1, bx, bz, b_heading), half, fov_range
+
+
+@settings(max_examples=150, deadline=None)
+@given(sector_pairs(), st.sampled_from([1, 2, 7, 256]))
+def test_kernel_matches_seed_on_random_sectors(case, resolution):
+    a, b, half, fov_range = case
+    with np.errstate(all="ignore"):  # the reference warns on overflowing ranges
+        expected = seed_fov_overlap(a, b, half, fov_range, resolution)
+    assert fov_overlap(a, b, half, fov_range, resolution) == expected
+    assert fov_overlap(b, a, half, fov_range, resolution) == expected
+
+
+@pytest.mark.parametrize("fov_range", [1e308, math.inf, math.nan])
+def test_extreme_ranges_overlap_zero_without_numpy_warnings(fov_range):
+    p = make_pose(0, 3.0, -2.0, 0.4)
+    far = make_pose(1, 1e308, -1e308, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fov_overlap(p, p, HALF, fov_range) == 0.0
+        assert fov_overlap(p, far, HALF, fov_range) == 0.0
+
+
+def test_build_geometric_extreme_range_without_numpy_warnings():
+    t1, t2 = synthetic_two_loop(12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("ignore", UserWarning)  # every vertex is pruned
+        g = build_geometric(t1, t2, GeometryParams(d_max=30, eta=0.4, fov_range=1e308))
+    assert g.num_edges == 0
 
 
 def test_identical_poses_overlap_fully():
@@ -254,6 +378,84 @@ def test_appearance_symmetric_mode_adds_reverse_queries():
     }
 
 
+def seed_appearance_edges(scores, p):
+    """Frozen reference: the original dict-of-lists top-k selection."""
+    rows, cols = {}, {}
+    for u, v, score in scores:
+        rows.setdefault(int(u), []).append((float(score), int(u), int(v)))
+        cols.setdefault(int(v), []).append((float(score), int(u), int(v)))
+    selected = set()
+
+    def pick(candidates, tie_index):
+        kept = [c for c in candidates if c[0] > p.alpha]
+        kept.sort(key=lambda c: (-c[0], c[tie_index]))
+        return kept[: p.top_k]
+
+    for u in sorted(rows):
+        selected.update((u, v) for _, u, v in pick(rows[u], 2))
+    if p.symmetric:
+        for v in sorted(cols):
+            selected.update((u, v) for _, u, v in pick(cols[v], 1))
+    return {(sp.VertexId(1, u), sp.VertexId(2, v)) for u, v in selected}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])), max_size=30),
+    st.integers(0, 4),
+    st.sampled_from([0.0, 0.25, 0.5, 0.9, Fraction(1, 4), Fraction(1, 10)]),
+    st.integers(1, 4),
+    st.booleans(),
+)
+def test_appearance_matches_seed_loop(n1, n2, entries, repeats, alpha, top_k, symmetric):
+    # ties on the few score levels, exact repeats of earlier entries
+    scores = [(u % n1, v % n2, s) for u, v, s in entries]
+    scores += scores[:repeats]
+    params = AppearanceParams(alpha=alpha, top_k=top_k, symmetric=symmetric)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # pruned vertices
+        g = build_appearance(scores, [1] * n1, [1] * n2, params)
+    assert g.edge_keys() == seed_appearance_edges(scores, params)
+
+
+def test_appearance_symmetric_ties_break_to_lower_side1_index():
+    # side-2 vertex 0 ties between side-1 vertices 1 and 0 (listed first);
+    # its own query keeps vertex 0, which no side-1 query keeps
+    scores = [(1, 0, 0.8), (0, 0, 0.8), (0, 1, 0.9)]
+    g = build_appearance(scores, [1, 1], [1, 1], AppearanceParams(alpha=0.1, top_k=1, symmetric=True))
+    assert g.edge_keys() == {
+        (sp.VertexId(1, 1), sp.VertexId(2, 0)),
+        (sp.VertexId(1, 0), sp.VertexId(2, 1)),
+        (sp.VertexId(1, 0), sp.VertexId(2, 0)),
+    }
+
+
+def test_appearance_repeated_entries_fill_top_k():
+    # the repeat of (0, 0) takes the second slot, so (0, 1) is not kept
+    scores = [(0, 0, 0.9), (0, 1, 0.8), (0, 0, 0.9)]
+    with pytest.warns(UserWarning):
+        g = build_appearance(scores, [1], [1, 1], AppearanceParams(alpha=0.1, top_k=2))
+    assert g.edge_keys() == {(sp.VertexId(1, 0), sp.VertexId(2, 0))}
+
+
+def test_appearance_indices_beyond_int64():
+    # unselected huge indices are ignored; selected ones are out of range,
+    # reported for the first selected edge in (u, v) order
+    scores = [(0, 0, 0.9), (2**70, 0, 0.2), (0, -(2**70), 0.3)]
+    g = build_appearance(scores, [1], [1], AppearanceParams(alpha=0.5))
+    assert g.edge_keys() == {(sp.VertexId(1, 0), sp.VertexId(2, 0))}
+    with pytest.raises(sp.IndexOutOfRange, match=f"^edge \\(0, {-(2**70)}\\) outside"):
+        build_appearance(scores, [1], [1], AppearanceParams(alpha=0.1))
+
+
+def test_score_out_of_range_names_first_bad_score():
+    scores = [(0, 0, 0.5), (1, 2, Fraction(3, 2)), (3, 4, -0.5)]
+    with pytest.raises(sp.ScoreOutOfRange, match=r"^score Fraction\(3, 2\) for pair \(1, 2\) outside \[0, 1\]$"):
+        build_appearance(scores, [1] * 4, [1] * 5, AppearanceParams(alpha=0.1))
+
+
 def test_score_out_of_range():
     with pytest.raises(sp.ScoreOutOfRange):
         build_appearance([(0, 0, 1.5)], [1], [1], AppearanceParams(alpha=0.5))
@@ -318,6 +520,41 @@ def test_geometry_params_reject_non_finite(field, value):
     params = {"d_max": 10.0, "eta": 0.5, field: value}
     with pytest.raises(sp.ValidationError, match="finite"):
         GeometryParams(**params)
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True, "2", Fraction(2)])
+def test_gate_counts_must_be_integers(value):
+    with pytest.raises(sp.ValidationError, match="rate_divisor must be an integer"):
+        GeometryParams(d_max=10.0, eta=0.0, rate_divisor=value)
+    with pytest.raises(sp.ValidationError, match="top_k must be an integer"):
+        AppearanceParams(alpha=0.5, top_k=value)
+    t1, _ = synthetic_two_loop(4)
+    with pytest.raises(sp.ValidationError, match="rate_divisor must be an integer"):
+        subsample(t1, value)
+
+
+def test_gate_counts_accept_integers():
+    assert GeometryParams(d_max=10.0, eta=0.0, rate_divisor=np.int64(2)).rate_divisor == 2
+    assert AppearanceParams(alpha=0.5, top_k=3).top_k == 3
+    with pytest.raises(sp.ValidationError, match="top_k must be >= 1"):
+        AppearanceParams(alpha=0.5, top_k=0)
+
+
+@pytest.mark.parametrize("field", ["position", "rotation"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_trajectory_rejects_non_finite_pose(field, value):
+    good = make_pose(3, 1.0, 2.0, 0.5)
+    bad = make_pose(4, 1.0, 2.0, 0.5)
+    getattr(bad, field)[0] = value
+    with pytest.raises(sp.ValidationError, match=f"pose 4 {field} has a non-finite entry"):
+        Trajectory([good, bad])
+
+
+def test_nan_rotation_no_longer_reaches_build_geometric():
+    # an all-NaN rotation passes the orthonormality residual test
+    bad = sp.Pose(0, np.zeros(3), np.full((3, 3), math.nan))
+    with pytest.raises(sp.ValidationError, match="pose 0 rotation"):
+        Trajectory([bad])
 
 
 def test_geometry_params_validation():

@@ -1,7 +1,9 @@
 """Command-line interface: subcommands, exit codes, CSV determinism."""
 
+import hashlib
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -363,3 +365,36 @@ def test_sweep_point_cap_exits_3(capsys, monkeypatch):
     )
     assert code == 3
     assert "1000000001 points" in err
+
+
+def test_build_graph_fov_golden(capsys, tmp_path):
+    # the graph file the two-loop fixture gave before the windowed FOV
+    # quadrature; it must stay byte-identical
+    out_file = tmp_path / "g.json"
+    with pytest.warns(UserWarning, match="pruned 128 isolated vertices"):
+        code, _, _ = run(
+            capsys,
+            "build-graph",
+            "--poses1", str(DATA / "two_loop_poses1.txt"),
+            "--poses2", str(DATA / "two_loop_poses2.txt"),
+            "--features1", str(DATA / "two_loop_features1.txt"),
+            "--features2", str(DATA / "two_loop_features2.txt"),
+            "--dmax", "30", "--eta", "0.4", "--out", str(out_file),
+        )
+    assert code == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
+        "a33ee8fd7f2163739da0e99d9e8669efc12b0c33c19c997ad657b6c316dc4ad7"
+    )
+
+
+def test_build_graph_extreme_fov_range_no_numpy_warnings(capsys, tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("ignore", UserWarning)  # every vertex is pruned
+        code, out, _ = run(
+            capsys,
+            "build-graph", "--synthetic", "--synthetic-poses", "12",
+            "--eta", "0.4", "--fov-range", "1e308", "--out", str(tmp_path / "g.json"),
+        )
+    assert code == 0
+    assert "|L|=0" in out
