@@ -103,6 +103,9 @@ class GeometryParams:
             raise ValidationError(f"d_max must be positive, got {self.d_max}")
         if not 0 <= self.eta <= 1:
             raise ValidationError(f"eta must lie in [0, 1], got {self.eta}")
+        for name in ("fov_half_angle", "fov_range"):
+            if getattr(self, name) <= 0:
+                raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
         _check_count("rate_divisor", self.rate_divisor)
 
 

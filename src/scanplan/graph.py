@@ -15,6 +15,7 @@ side positions. ``Fraction``, ``VertexId``, ``ScanVertex`` and ``Edge``
 objects exist only at the API boundary, built on first access and cached.
 
 Graphs are immutable after construction and safe to share across threads.
+Each graph also remembers the solver's optimal covers (see ``solver.solve``).
 """
 
 from __future__ import annotations
@@ -162,6 +163,9 @@ class ExchangeGraph:
         self.cost_num = tuple(cost_num)
         self.pruned = tuple(pruned)
         self._validate()
+        # solver memo: (objective, requested engine) -> (SolveResult, weight
+        # numerators, denominator); holds only results that passed every check
+        self._covers: dict = {}
 
     def _validate(self):
         if not (type(self.den) is int and self.den > 0):

@@ -176,9 +176,28 @@ def solve(g: ExchangeGraph, obj: Objective, engine: str | None = None) -> SolveR
     inside int32 range. Both backends return the same policy because the
     cover is extracted from the source-minimal min cut, which is unique
     across all maximum flows.
+
+    The graph remembers the result per objective and requested engine, so
+    ``solve``, ``check_ghc`` and ``run_rendezvous`` on one graph share one
+    min cut. Only a result that passed every check is remembered.
     """
-    weight, den = weight_numerators(g, obj)
-    return _min_cut_cover(g, weight, den, engine)
+    return _optimal_cover(g, obj, engine)[0]
+
+
+def _optimal_cover(
+    g: ExchangeGraph, obj: Objective, engine: str | None = None
+) -> tuple[SolveResult, tuple[list[int], list[int]], int]:
+    """``solve``'s result with the weight numerators and denominator it
+    was computed from, taken from the graph's memo or computed and stored
+    there. Concurrent misses compute equal results; the last write wins."""
+    if engine not in (None, "scipy", "dinic"):
+        raise ValidationError(f"unknown flow engine {engine!r}")
+    key = (obj, engine)
+    found = g._covers.get(key)
+    if found is None:
+        weight, den = weight_numerators(g, obj)
+        found = g._covers[key] = (_min_cut_cover(g, weight, den, engine), weight, den)
+    return found
 
 
 def _min_cut_cover(
@@ -186,7 +205,7 @@ def _min_cut_cover(
 ) -> SolveResult:
     """Minimum-weight vertex cover for exact weights (per side, numerators
     over ``den``), read off the source-minimal min cut of the cover
-    network."""
+    network. ``engine`` is None, "scipy" or "dinic"."""
     if not g.num_edges:
         empty = Policy(g.vertex_ids, ())
         return SolveResult(empty, Fraction(0), "flow_cut", Fraction(0), engine or "none")
@@ -208,10 +227,8 @@ def _min_cut_cover(
                 "safe range; use the dinic engine"
             )
         max_flow = _min_cut_reachable_scipy
-    elif engine == "dinic":
-        max_flow = _min_cut_reachable_dinic
     else:
-        raise ValidationError(f"unknown flow engine {engine!r}")
+        max_flow = _min_cut_reachable_dinic
     # node 0 is the source, 1..n1 side 1, then side 2, and n1 + n2 + 1 the sink
     sink = n1 + n2 + 1
     tails = np.concatenate((np.zeros(n1, np.int64), np.arange(1 + n1, sink), 1 + g.eu))
@@ -404,12 +421,16 @@ class GhcCertificate:
 
 
 def check_ghc(g: ExchangeGraph, obj: Objective, side: int) -> GhcCertificate:
-    """Decide whether the monolog from ``side`` is optimal under ``obj``."""
+    """Decide whether the monolog from ``side`` is optimal under ``obj``.
+
+    The verdict and the witness are read off the optimal cover that
+    ``solve(g, obj)`` returns, taken from the same per-graph memo, so both
+    sides' certificates and ``solve`` share one min cut.
+    """
     side_ids = g.side_vids(side)
     s = side - 1
-    weight, den = weight_numerators(g, obj)
+    result, weight, den = _optimal_cover(g, obj)
     monolog_cost = Fraction(sum(weight[s]), den)
-    result = _min_cut_cover(g, weight, den)
     if result.optimal_cost == monolog_cost:
         return GhcCertificate(True, side, monolog_cost, result.optimal_cost)
     # The side vertices left out of the optimal cover form a violating

@@ -522,6 +522,14 @@ def test_geometry_params_reject_non_finite(field, value):
         GeometryParams(**params)
 
 
+@pytest.mark.parametrize("field", ["fov_half_angle", "fov_range"])
+@pytest.mark.parametrize("value", [0, -5])
+def test_geometry_params_reject_non_positive_fov(field, value):
+    params = {"d_max": 10.0, "eta": 0.5, field: value}
+    with pytest.raises(sp.ValidationError, match=f"{field} must be positive, got {value}"):
+        GeometryParams(**params)
+
+
 @pytest.mark.parametrize("value", [1.5, 2.0, True, "2", Fraction(2)])
 def test_gate_counts_must_be_integers(value):
     with pytest.raises(sp.ValidationError, match="rate_divisor must be an integer"):

@@ -93,6 +93,19 @@ def test_invalid_number_flag_exits_3(capsys, tmp_path, argv):
     assert "error" in err
 
 
+@pytest.mark.parametrize("flag", ["--fov-range", "--fov-half-angle"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_non_positive_fov_exits_3(capsys, tmp_path, flag, value):
+    code, _, err = run(
+        capsys,
+        "build-graph", "--synthetic", "--synthetic-poses", "20", "--eta", "0.4", flag, value,
+        "--out", str(tmp_path / "g.json"),
+    )
+    assert code == 3
+    assert f"{flag[2:].replace('-', '_')} must be positive" in err
+    assert not (tmp_path / "g.json").exists()
+
+
 def test_invariant_violation_exits_4(capsys, monkeypatch):
     def wrong_flow(*network):
         return 0, set()

@@ -1,10 +1,16 @@
 """Exact solver, matching fast path, and monolog-optimality certificates,
 all cross-checked against exhaustive oracles on small instances."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scanplan as sp
 from scanplan.solver import _max_matching
@@ -36,6 +42,40 @@ def test_wrong_flow_value_raises_invariant_violation(double_star, monkeypatch):
             sp.solve(double_star, sp.Objective.p2(), engine=engine)
     with pytest.raises(sp.InvariantViolation):
         sp.check_ghc(double_star, sp.Objective.p2(), 1)
+    # a failed cut is not remembered: with the real engines back, the same
+    # graph solves and certifies
+    monkeypatch.undo()
+    for engine in ("scipy", "dinic"):
+        assert sp.solve(double_star, sp.Objective.p2(), engine=engine).optimal_cost == 2
+    assert not sp.check_ghc(double_star, sp.Objective.p2(), 1).holds
+
+
+INVARIANT_UNDER_O = """
+import scanplan as sp
+from scanplan import solver
+
+def off_by_one(*args, real=solver._min_cut_reachable_scipy):
+    value, reach = real(*args)
+    return value + 1, reach
+
+solver._min_cut_reachable_scipy = off_by_one
+g = sp.build_graph([1, 1], [1, 1], [(0, 0), (1, 1)])
+try:
+    solver.solve(g, sp.Objective.p2(), engine="scipy")
+except sp.InvariantViolation:
+    raise SystemExit(0)
+raise SystemExit("solve accepted a wrong flow value under python -O")
+"""
+
+
+def test_invariant_violation_survives_python_O():
+    # invariants are explicit raises, not asserts, so -O must not strip them
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", INVARIANT_UNDER_O], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def complete_bipartite(m, n, weight=1):
@@ -132,6 +172,88 @@ def test_empty_graph_solves_to_nothing():
     g = sp.build_graph([], [], [])
     res = sp.solve(g, sp.Objective.p2())
     assert res.optimal_cost == 0 and res.policy.ones == frozenset()
+
+
+def test_unknown_engine_rejected_on_empty_graph():
+    # every vertex is isolated, so loading prunes them all and no cut runs
+    text = '{"v1": [{"id": 0, "scan_size": 1}], "v2": [{"id": 0, "scan_size": 1}], "edges": []}'
+    with pytest.warns(UserWarning, match="pruned"):
+        g = sp.loads_graph(text)
+    assert g.num_edges == 0
+    with pytest.raises(sp.ValidationError, match="unknown flow engine 'bogus'"):
+        sp.solve(g, sp.Objective.p2(), engine="bogus")
+    assert sp.solve(g, sp.Objective.p2()).engine == "none"
+
+
+# -- one min cut per graph and objective ---------------------------------------
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """Counts the calls into each flow engine."""
+    calls = {"scipy": 0, "dinic": 0}
+    for engine in calls:
+        real = getattr(sp.solver, f"_min_cut_reachable_{engine}")
+
+        def counted(*args, real=real, engine=engine):
+            calls[engine] += 1
+            return real(*args)
+
+        monkeypatch.setattr(sp.solver, f"_min_cut_reachable_{engine}", counted)
+    return calls
+
+
+def test_session_computes_one_cut(double_star, engine_calls):
+    obj = sp.Objective.p2()
+    result = sp.solve(double_star, obj)
+    certificates = [sp.check_ghc(double_star, obj, side) for side in (1, 2)]
+    trace = sp.run_rendezvous(double_star, sp.RendezvousConfig(objective=obj))
+    assert sum(engine_calls.values()) == 1
+    assert trace.policy == result.policy
+    assert all(c.optimal_cost == result.optimal_cost for c in certificates)
+    sp.solve(double_star, sp.Objective.p1(2, 1))
+    sp.check_ghc(double_star, sp.Objective.p1(2, 1), 2)
+    assert sum(engine_calls.values()) == 2
+
+
+def test_forced_engines_each_cut_once(double_star, engine_calls):
+    obj = sp.Objective.p3(1, 2, Fraction(1, 3))
+    by_engine = {engine: sp.solve(double_star, obj, engine=engine) for engine in ("scipy", "dinic")}
+    for engine in ("scipy", "dinic"):
+        assert sp.solve(double_star, obj, engine=engine) is by_engine[engine]
+    assert engine_calls == {"scipy": 1, "dinic": 1}
+    assert by_engine["scipy"].policy == by_engine["dinic"].policy
+    assert by_engine["scipy"].engine == "scipy" and by_engine["dinic"].engine == "dinic"
+
+
+def test_refused_engine_is_not_remembered(engine_calls):
+    g = sp.build_graph([2**40, 1], [1, 2**40], [(0, 0), (1, 1)])
+    for _ in range(2):
+        with pytest.raises(sp.ValidationError):
+            sp.solve(g, sp.Objective.p2(), engine="scipy")
+        with pytest.raises(sp.ValidationError, match="unknown flow engine"):
+            sp.solve(g, sp.Objective.p2(), engine="bogus")
+    assert engine_calls == {"scipy": 0, "dinic": 0}
+    assert sp.solve(g, sp.Objective.p2()).engine == "dinic"
+
+
+def _solver_outputs(g, obj, engine):
+    # SolveResult and GhcCertificate are dataclasses: == compares every field
+    return sp.solve(g, obj, engine=engine), [sp.check_ghc(g, obj, side) for side in (1, 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.lists(st.integers(0, 3), min_size=1, max_size=8))
+def test_memoized_results_equal_fresh_graph(rng, picks):
+    g = random_graph(rng, max_side=5, rational_costs=True)
+    # a few objectives, requested in a sequence with repeats
+    pool = [random_objective(rng) for _ in range(3)]
+    text = sp.dumps_graph(g)
+    for pick in picks:
+        obj = pool[pick % 3]
+        engine = (None, "scipy", "dinic", None)[pick]
+        fresh = sp.loads_graph(text)
+        assert _solver_outputs(g, obj, engine) == _solver_outputs(fresh, obj, engine)
 
 
 def test_brute_force_size_guard():
