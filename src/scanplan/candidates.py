@@ -18,12 +18,12 @@ import math
 import numbers
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import EmptyTrajectory, GraphFormatError, ScoreOutOfRange, ValidationError
-from .graph import ExchangeGraph, build_graph
+from .graph import ExchangeGraph, build_graph, open_text
 
 # Standard BRIEF descriptor size; one vocabulary word fits in 3 bytes.
 DESCRIPTOR_BYTES = 32
@@ -241,6 +241,223 @@ class _FovQuadrature:
         return 2.0 * int(np.count_nonzero(both)) / (n_a + n_b)
 
 
+# Row-band filter constants; _fov_overlaps derives them.
+_DISK_BAND = 2.0**-40  # kappa: relative half-width of a band around the disk edge
+_WEDGE_BAND = 2.0**-20  # delta: half-width, in radians, of a wedge around a cone edge
+_MIN_WEDGE_SINE = 2.0**-10  # a wedge end nearer the row direction sends the pair to the kernel
+_APEX = 2.0**-1000  # cells nearer the apex than this are always evaluated
+_APEX_BAND = 2.0**-989  # >= _APEX / _MIN_WEDGE_SINE, so it holds every wedge of a row that near
+_SCALE = 2.0**400  # the range lies in [1/_SCALE, _SCALE], every lattice bound within +-_SCALE
+_INDEX_ERROR = 2.0**-48  # 32u: column tolerance per cell of coordinate magnitude
+_BLOCK_ROWS = 1024  # lattice rows per block; under 1 MB of working arrays
+
+
+def _fov_overlaps(pa, ha, pb, hb, fov_half_angle, fov_range, resolution=FOV_GRID_RESOLUTION) -> list[float]:
+    """``fov_overlap`` of many sector pairs, given as (pairs, 2) arrays of
+    planar positions and unit headings; equal (``==``) to
+    ``_FovQuadrature.overlap`` pair by pair, at O(resolution) cost per pair
+    instead of O(resolution**2).
+
+    **Row bands.** On one lattice row (fixed ``x``) a sector's exact
+    predicate ``|v| <= r and v.h >= c|v|`` (``v`` the cell's offset from the
+    apex, ``c`` the rounded ``cos(fov_half_angle)``) changes only where the
+    row meets the disk edge or a cone edge. A *band* of cells is put around
+    each such place: the cells with ``|v|`` in ``[r(1-kappa), r(1+kappa)]``,
+    and the cells whose direction lies within ``delta`` of a cone edge, at
+    ``+-acos(c)`` from the heading. The band edges of both sectors split the
+    row into segments. A band segment's cells are evaluated one by one with
+    the kernel's float operations (``hypot``, ``x*h0 + z*h1``,
+    ``cos_half*dist``); a gap (a segment outside every band) is evaluated
+    at its first cell, and that value holds for the whole gap. The columns
+    before the first band edge and after the last one lie outside both
+    disks.
+
+    **Why a gap is constant.** Let ``u = 2**-53``. For a cell outside every
+    band, with ``|v| >= 2**-1000``:
+
+    - ``hypot`` is faithful, ``|D - |v|| < 2u|v|``, so ``D <= r`` agrees
+      with ``|v| <= r`` while ``||v| - r| > (kappa - 8u) r``; the ``8u``
+      covers the rounding of the band ends;
+    - the kernel compares ``fl(fl(x h0) + fl(z h1))`` with ``fl(c D)``. By
+      Cauchy-Schwarz and ``|h| <= 1 + 3u`` the left side is off by at most
+      ``2.01u|v|`` and the right side by ``3.01u|v|``; underflow adds at
+      most ``4 * 2**-1075``, below ``u|v|`` at that distance. In all, less
+      than ``6.1u|v|``;
+    - the exact margin is ``|v| |m cos b - c|``, with ``m = |h|`` and ``b``
+      the angle between ``v`` and ``h``. For ``alpha = fl(acos c)`` and
+      ``|b - alpha| >= delta'``, ``|cos b - cos alpha| >= 2 sin(delta'/2)**2``.
+      Rounding ``acos`` moves ``cos alpha`` off ``c`` by at most ``2 pi u``,
+      and ``|m - 1| <= 3u``. The wedge ends (the heading turned by
+      ``+-alpha +- delta``), their cotangents and the column positions are
+      each off by ``O(10u)``, so ``delta' >= delta - 2**-40`` and the
+      margin exceeds ``2**-41.2 |v|``.
+
+    With ``kappa = 2**-40`` and ``delta = 2**-20`` each margin is more than
+    250 times the error, so the float test equals the exact one on every gap
+    cell, and the exact one has no crossing inside a gap. Cells within
+    ``2**-1000`` of the apex lie in an apex band. Column positions come from
+    the lattice formula; each band is widened by the tolerance
+    ``2**-48 (Z / step + 1)`` cells, with ``Z`` the sum of the magnitudes of
+    every coordinate involved. Widening only adds band cells.
+
+    **Fallback.** A pair goes to the kernel when a position, a heading, the
+    range or ``cos_half`` is not finite; the range is outside
+    ``[2**-400, 2**400]`` or a lattice bound exceeds ``2**400`` in
+    magnitude; ``|h|`` is not within ``2**-50`` of 1; a wedge end is within
+    ``asin(2**-10)`` of the row direction, where the wedge's band would be
+    long; or the column tolerance exceeds a quarter cell. The other pairs
+    are processed in blocks of at most ``_BLOCK_ROWS`` lattice rows.
+    """
+    pa, ha, pb, hb = (np.asarray(v, dtype=float).reshape(-1, 2) for v in (pa, ha, pb, hb))
+    out = [0.0] * len(pa)
+    if fov_range <= 0 or fov_half_angle <= 0:
+        return out
+    two_r = 2 * fov_range
+    with np.errstate(over="ignore", invalid="ignore"):
+        apart = np.hypot(pa[:, 0] - pb[:, 0], pa[:, 1] - pb[:, 1]).tolist()
+    live = np.array([k for k, d in enumerate(apart) if not d > two_r], dtype=np.int64)
+    r, n = float(fov_range), int(resolution)
+    usable = 1 <= n < 2**30 and 1 / _SCALE <= r <= _SCALE and math.isfinite(fov_half_angle)
+    if usable:
+        cos_half = math.cos(fov_half_angle)
+        alpha = math.acos(cos_half)
+    quad = _FovQuadrature(resolution)
+    per_block = max(1, _BLOCK_ROWS // n)
+    for first in range(0, len(live), per_block):
+        block = live[first : first + per_block]
+        fast = np.zeros(len(block), dtype=bool)
+        if usable:
+            with np.errstate(all="ignore"):
+                fast, params = _band_setup(pa[block], ha[block], pb[block], hb[block], r, n, alpha)
+        for k in block[~fast].tolist():
+            out[k] = quad.overlap(pa[k], ha[k], pb[k], hb[k], fov_half_angle, fov_range)
+        if fast.any():
+            counts = _block_counts({key: value[fast] for key, value in params.items()}, cos_half, r, n)
+            for k, (n_a, n_b, n_ab) in zip(block[fast].tolist(), counts):
+                if n_a + n_b:
+                    out[k] = 2.0 * n_ab / (n_a + n_b)
+    return out
+
+
+def _band_setup(pa, ha, pb, hb, r, n, alpha):
+    """Per-pair arrays of the row-band filter, and the mask of the pairs
+    it takes (the others go to the kernel)."""
+    lo = np.minimum(pa, pb) - r
+    hi = np.maximum(pa, pb) + r
+    span = hi - lo
+    step = span[:, 1] / n
+    params = {"lo": lo, "span": span, "scale": 1 / step}
+    ok = np.isfinite(pa).all(1) & np.isfinite(pb).all(1) & (np.maximum(np.abs(lo), np.abs(hi)).max(1) <= _SCALE)
+    reach = np.abs(lo[:, 1]) + np.abs(hi[:, 1]) + 2 * r * (1 + _DISK_BAND)
+    turns = (alpha - _WEDGE_BAND, alpha + _WEDGE_BAND, -alpha - _WEDGE_BAND, -alpha + _WEDGE_BAND)
+    cos_t, sin_t = np.array([math.cos(t) for t in turns]), np.array([math.sin(t) for t in turns])
+    for s, p, h in (("a", pa, ha), ("b", pb, hb)):
+        ok &= np.isfinite(h).all(1) & (np.abs(np.hypot(h[:, 0], h[:, 1]) - 1) <= 2.0**-50)
+        # the wedge ends' directions: the heading turned by each angle
+        ex = h[:, 0, None] * cos_t + h[:, 1, None] * sin_t
+        ez = h[:, 1, None] * cos_t - h[:, 0, None] * sin_t
+        ok &= (np.abs(ex) >= _MIN_WEDGE_SINE).all(1)
+        # a wedge meets the rows on the side of the apex its ends point to
+        # (the sign of ``side``); there the smaller column offset comes first
+        side = ex[:, ::2]
+        cot = ez / ex * params["scale"][:, None]
+        low, high = np.minimum(cot[:, ::2], cot[:, 1::2]), np.maximum(cot[:, ::2], cot[:, 1::2])
+        cot = np.stack([np.where(side > 0, low, high), np.where(side > 0, high, low)], axis=2)
+        params[f"p{s}"], params[f"h{s}"], params[f"side{s}"], params[f"cot{s}"] = p, h, side, cot
+        params[f"apex{s}"] = (p[:, 1] - lo[:, 1]) / step - 0.5
+        reach = reach + np.abs(p[:, 1])
+    params["tol"] = _INDEX_ERROR * (reach / step + 1)
+    ok &= params["tol"] <= 0.25
+    return ok, params
+
+
+def _band_bounds(dx, apex, cot, side, scale, tol, r, n):
+    """Column bounds ``[start, end)`` (rows, 4) of one sector's bands on
+    each lattice row of a block: the two disk-edge bands and the two
+    cone-edge wedges. ``dx`` is (pairs, rows); ``apex`` is the apex's
+    column position, ``scale`` the columns per unit length, and ``cot``
+    the wedge ends' cotangents in columns per unit of ``dx``.
+
+    A wedge that misses a row is empty and placed where the row's first
+    disk band starts, so it adds no segment."""
+    adx = np.abs(dx)
+    outer, inner = r * (1 + _DISK_BAND), r * (1 - _DISK_BAND)
+    scale, apex = scale[:, None], apex[:, None]
+    w_hi = np.sqrt(np.maximum((outer - adx) * (outer + adx), 0.0)) * scale
+    w_lo = np.sqrt(np.maximum((inner - adx) * (inner + adx), 0.0)) * scale
+    first, last = apex - w_hi, apex + w_hi
+    bands = np.empty(dx.shape + (4, 2))
+    bands[..., 0, 0], bands[..., 0, 1] = first, apex - w_lo
+    bands[..., 1, 0], bands[..., 1, 1] = apex + w_lo, last
+    for k in (0, 1):
+        # past the outer disk edge every cell is decided anyway
+        top = np.where(dx * side[:, None, k] > 0, last, first)
+        for e in (0, 1):
+            bands[..., 2 + k, e] = np.minimum(np.maximum(apex + dx * cot[:, None, k, e], first), top)
+    near = np.nonzero(adx <= _APEX)
+    if near[0].size:
+        reach = (_APEX_BAND * scale)[near[0], 0]
+        bands[near + (slice(2, 4), 0)] = (apex[near[0], 0] - reach)[:, None]
+        bands[near + (slice(2, 4), 1)] = (apex[near[0], 0] + reach)[:, None]
+    tol = tol[:, None, None]
+    start = np.minimum(np.maximum(np.ceil(bands[..., 0] - tol), 0), n)
+    end = np.minimum(np.maximum(np.floor(bands[..., 1] + tol) + 1, 0), n)
+    return start.astype(np.int32).reshape(-1, 4), end.astype(np.int32).reshape(-1, 4)
+
+
+def _block_counts(block, cos_half, r, n) -> list[tuple[int, int, int]]:
+    """``(n_a, n_b, n_ab)`` for each pair of one block."""
+    pairs = len(block["lo"])
+    centres = np.arange(n) + 0.5
+    # the kernel's lattice lines, and each sector's offsets and heading
+    # products along them, as (pairs, n) tables
+    xs = block["lo"][:, 0, None] + centres * block["span"][:, 0, None] / n
+    zs = block["lo"][:, 1, None] + centres * block["span"][:, 1, None] / n
+    keys = np.empty((pairs * n, 16), dtype=np.int32)
+    sectors = []
+    for k, s in enumerate("ab"):
+        p, h = block[f"p{s}"], block[f"h{s}"]
+        dx, dz = xs - p[:, 0, None], zs - p[:, 1, None]
+        sectors.append([t.ravel() for t in (dx, dx * h[:, 0, None], dz, dz * h[:, 1, None])])
+        start, end = _band_bounds(
+            dx, block[f"apex{s}"], block[f"cot{s}"], block[f"side{s}"], block["scale"], block["tol"], r, n
+        )
+        keys[:, 8 * k : 8 * k + 4] = 2 * start + 1
+        keys[:, 8 * k + 4 : 8 * k + 8] = 2 * end
+    # band edges by column, a start odd and an end even; the running sum of
+    # +1/-1 counts the bands over the segment that follows (each row sums to 0)
+    keys.sort(axis=1)
+    cols = keys >> 1
+    depth = np.cumsum((keys & 1) * 2 - 1).reshape(keys.shape)[:, :-1]
+    seg_start = cols[:, :-1]
+    seg_len = cols[:, 1:] - seg_start
+    covered = depth > 0
+    # every segment evaluates its first cell, which stands for the whole of
+    # a gap; a band segment also evaluates each of its other cells
+    seg_start, seg_len, covered = seg_start.ravel(), seg_len.ravel(), covered.ravel()
+    seg = np.flatnonzero(seg_len)
+    weight = np.where(covered, 1, seg_len)[seg]
+    col = seg_start[seg]
+    more = np.flatnonzero(covered & (seg_len > 1))
+    if more.size:
+        extra = seg_len[more] - 1
+        first = np.cumsum(extra) - extra
+        more = np.repeat(more, extra)
+        seg = np.concatenate([seg, more])
+        weight = np.concatenate([weight, np.ones(len(more), dtype=weight.dtype)])
+        col = np.concatenate([col, seg_start[more] + 1 + np.arange(len(more)) - np.repeat(first, extra)])
+    row = seg // (keys.shape[1] - 1)
+    cell = row - row % n + col
+    code = (row // n) * 4
+    for bit, (dx, xh, dz, zh) in zip((1, 2), sectors):
+        x, z = dx[row], dz[cell]
+        dist = np.hypot(x, z)
+        code += bit * ((dist <= r) & (xh[row] + zh[cell] >= cos_half * dist))
+    # per pair: cells in neither sector, in a only, in b only, in both
+    counts = np.bincount(code, weights=weight, minlength=4 * pairs).astype(np.int64).reshape(pairs, 4)
+    return [(a + ab, b + ab, ab) for _, a, b, ab in counts.tolist()]
+
+
 def fov_overlap(
     pose_a: Pose,
     pose_b: Pose,
@@ -260,14 +477,15 @@ def fov_overlap(
     zero-range sectors overlap nothing, and so do ranges whose lattice
     bounds overflow.
     """
-    return _FovQuadrature(resolution).overlap(
+    return _fov_overlaps(
         planar_position(pose_a),
         planar_heading(pose_a),
         planar_position(pose_b),
         planar_heading(pose_b),
         fov_half_angle,
         fov_range,
-    )
+        resolution,
+    )[0]
 
 
 def build_geometric(
@@ -281,27 +499,49 @@ def build_geometric(
     within ``d_max`` and their view overlap is at least ``eta``. Vertex
     weights are feature_count * descriptor_bytes; edge costs are 1.
     """
-    if len(t1) == 0 or len(t2) == 0:
-        raise EmptyTrajectory("both trajectories must contain at least one pose")
-    s1 = subsample(t1, p.rate_divisor)
-    s2 = subsample(t2, p.rate_divisor)
-    pos1 = np.array([pose.position for pose in s1], dtype=float)
-    pos2 = np.array([pose.position for pose in s2], dtype=float)
-    dists = np.linalg.norm(pos1[:, None, :] - pos2[None, :, :], axis=2)
-    pairs = np.argwhere(dists <= p.d_max).tolist()
-    if p.eta > 0:
-        # one lattice's buffers and each pose's planar inputs serve every pair
-        quad = _FovQuadrature()
-        planar1 = [(planar_position(pose), planar_heading(pose)) for pose in s1]
-        planar2 = [(planar_position(pose), planar_heading(pose)) for pose in s2]
-        pairs = [
-            (i, j)
-            for i, j in pairs
-            if not quad.overlap(*planar1[i], *planar2[j], p.fov_half_angle, p.fov_range) < p.eta
-        ]
-    w1 = [pose.feature_count * descriptor_bytes for pose in s1]
-    w2 = [pose.feature_count * descriptor_bytes for pose in s2]
-    return build_graph(w1, w2, [(i, j, 1) for i, j in pairs])
+    return next(build_geometric_sweep(t1, t2, [p], descriptor_bytes))
+
+
+def build_geometric_sweep(
+    t1: Trajectory,
+    t2: Trajectory,
+    params: Iterable[GeometryParams],
+    descriptor_bytes: int = DESCRIPTOR_BYTES,
+) -> Iterator[ExchangeGraph]:
+    """``build_geometric`` at each of ``params`` in turn, read one at a
+    time. The points may differ only in ``d_max`` and ``eta``: each pose
+    pair's distance is computed once, and its FOV overlap the first time a
+    point with ``eta > 0`` gates it.
+    """
+    s1 = s2 = None
+    for p in params:
+        if s1 is None:
+            if len(t1) == 0 or len(t2) == 0:
+                raise EmptyTrajectory("both trajectories must contain at least one pose")
+            shared = (p.rate_divisor, p.fov_half_angle, p.fov_range)
+            s1 = subsample(t1, p.rate_divisor)
+            s2 = subsample(t2, p.rate_divisor)
+            pos1 = np.array([pose.position for pose in s1], dtype=float)
+            pos2 = np.array([pose.position for pose in s2], dtype=float)
+            dists = np.linalg.norm(pos1[:, None, :] - pos2[None, :, :], axis=2)
+            (xy1, h1), (xy2, h2) = (
+                [np.array([f(pose) for pose in s]) for f in (planar_position, planar_heading)] for s in (s1, s2)
+            )
+            overlap = np.full(dists.shape, np.nan)  # not computed yet
+            w1 = [pose.feature_count * descriptor_bytes for pose in s1]
+            w2 = [pose.feature_count * descriptor_bytes for pose in s2]
+        elif (p.rate_divisor, p.fov_half_angle, p.fov_range) != shared:
+            raise ValidationError("sweep points may differ only in d_max and eta")
+        pairs = np.argwhere(dists <= p.d_max)
+        if p.eta > 0:
+            i, j = pairs.T
+            todo = np.isnan(overlap[i, j])
+            i_new, j_new = i[todo], j[todo]
+            overlap[i_new, j_new] = _fov_overlaps(
+                xy1[i_new], h1[i_new], xy2[j_new], h2[j_new], p.fov_half_angle, p.fov_range
+            )
+            pairs = pairs[np.array([not v < p.eta for v in overlap[i, j].tolist()], dtype=bool)]
+        yield build_graph(w1, w2, [(i, j, 1) for i, j in pairs.tolist()])
 
 
 def _top_k(group: np.ndarray, score: np.ndarray, tie: np.ndarray, k: int) -> np.ndarray:
@@ -369,7 +609,7 @@ def read_kitti_poses(path, feature_counts: Sequence[int] | None = None) -> Traje
     holds exactly one count per pose."""
     poses = []
     lineno = -1
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh):
             line = line.strip()
             if not line:
@@ -412,7 +652,7 @@ def read_kitti_poses(path, feature_counts: Sequence[int] | None = None) -> Traje
 def read_feature_counts(path) -> list[int]:
     """One non-negative integer per line, aligned with pose lines."""
     counts = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh):
             line = line.strip()
             if not line:
@@ -430,7 +670,7 @@ def read_feature_counts(path) -> list[int]:
 def read_scores(path) -> list[tuple[int, int, float]]:
     """Score file: lines of ``u_index v_index score``."""
     scores = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh):
             line = line.strip()
             if not line:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import candidates as cand
 from .errors import EmptySide, GraphFormatError, InvariantViolation, ScanPlanError, ValidationError
-from .graph import ExchangeGraph, VertexId, format_rational, load_graph, save_graph
+from .graph import ExchangeGraph, VertexId, format_rational, load_graph, open_text, save_graph
 from .objectives import Objective, as_fraction
 from .policy import (
     full_bidirectional,
@@ -190,7 +190,7 @@ def cmd_check_monolog(args) -> int:
 
 def _read_ground_truth(path) -> frozenset:
     pairs = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh):
             line = line.strip()
             if not line:
@@ -294,9 +294,10 @@ def run_sweep(args) -> tuple[list[str], str]:
     if parameter in ("dmax", "eta"):
         t1, t2 = _load_trajectories(args)
         swept = "d_max" if parameter == "dmax" else "eta"
-        for value in values:
-            params = _geometry_params(args, **{swept: _float_arg(value)})
-            graphs.append((value, cand.build_geometric(t1, t2, params)))
+        # one distance and FOV overlap per pose pair for the whole sweep;
+        # each point's gates are checked when its graph is built
+        points = (_geometry_params(args, **{swept: _float_arg(value)}) for value in values)
+        graphs = list(zip(values, cand.build_geometric_sweep(t1, t2, points)))
     elif parameter == "alpha":
         if not args.scores:
             raise GraphFormatError("alpha sweeps need --scores")

@@ -20,6 +20,7 @@ Each graph also remembers the solver's optimal covers (see ``solver.solve``).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import warnings
@@ -585,6 +586,78 @@ def effective_weight(g: ExchangeGraph, vid: VertexId, objective: Objective) -> F
 # form has no terminating decimal expansion are written as "p/q" strings and
 # accepted back in that form, so serialize/deserialize round-trips exactly.
 
+# Largest number a graph or policy file may hold: at most MAX_NUMBER_DIGITS
+# digits and a decimal exponent of at most MAX_NUMBER_EXPONENT in magnitude,
+# for a JSON number token and for the text of a number given as a string.
+# An accepted value's exact decimal form then has at most 1000 digits on
+# each side of the point, so printing it, or a sum of decimal values, stays
+# far inside the interpreter's 4300-digit int-to-str limit.
+MAX_NUMBER_DIGITS = 500
+MAX_NUMBER_EXPONENT = 500
+
+_DIGITS_AS_ZERO = str.maketrans("123456789", "000000000")
+
+
+@contextlib.contextmanager
+def open_text(path):
+    """Open a UTF-8 text file for reading. Bytes that do not decode raise
+    ``GraphFormatError`` naming the file, wherever the caller reads them."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _check_number(text: str) -> str:
+    """``text`` if its digits and decimal exponent are within the file
+    format's bounds, else ``GraphFormatError``."""
+    mantissa, _, exponent = text.lower().partition("e")
+    too_long = len(mantissa) > MAX_NUMBER_DIGITS and sum(c.isdigit() for c in mantissa) > MAX_NUMBER_DIGITS
+    exponent = exponent.lstrip("+-").lstrip("0")
+    if too_long or len(exponent) > 4 or int(exponent or 0) > MAX_NUMBER_EXPONENT:
+        raise GraphFormatError(
+            f"number {text[:20]}{'...' if len(text) > 20 else ''} exceeds {MAX_NUMBER_DIGITS} digits "
+            f"or a decimal exponent of {MAX_NUMBER_EXPONENT}"
+        )
+    return text
+
+
+def _bounded_int(token: str) -> int:
+    return int(_check_number(token))
+
+
+def _may_hold_long_int(text: str) -> bool:
+    """False only when no run of digits in ``text`` is longer than
+    MAX_NUMBER_DIGITS. Such a run covers two consecutive multiples of half
+    that length with only digits between them, so only those windows are
+    read. Integer tokens then need a checking hook, a Python call per
+    integer where the stdlib scanner has a fast path."""
+    step = MAX_NUMBER_DIGITS // 2
+    marks = text[::step].translate(_DIGITS_AS_ZERO)
+    k = marks.find("00")
+    while k >= 0:
+        if text[k * step : (k + 1) * step + 1].isdigit():
+            return True
+        k = marks.find("00", k + 1)
+    return False
+
+
+def _load_json(text: str, parse_float=float):
+    """Parse a graph or policy document. Malformed JSON, nesting deeper
+    than the interpreter's recursion limit, and number tokens beyond the
+    format's bounds all raise ``GraphFormatError``."""
+    try:
+        return json.loads(
+            text,
+            parse_float=lambda token: parse_float(_check_number(token)),
+            parse_int=_bounded_int if _may_hold_long_int(text) else int,
+        )
+    except json.JSONDecodeError as exc:
+        raise GraphFormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise GraphFormatError("JSON nested too deeply") from None
+
 
 def format_rational(f: Fraction) -> str:
     """Exact text form of a rational: a plain integer, a terminating
@@ -593,16 +666,23 @@ def format_rational(f: Fraction) -> str:
     if den == 1:
         return str(f.numerator)
     twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
+    if not den & 1:
+        twos = (den & -den).bit_length() - 1
+        den >>= twos
+    if den % 5 == 0:
+        # 5**(2**k) while it divides, then the exponent bit by bit from the top
+        powers = [5]
+        while den % powers[-1] == 0:
+            powers.append(powers[-1] ** 2)
+        for k in reversed(range(len(powers) - 1)):
+            if den % powers[k] == 0:
+                den //= powers[k]
+                fives += 1 << k
     if den != 1:
         return f"{f.numerator}/{f.denominator}"
     digits = max(twos, fives)
-    scaled = f.numerator * 10**digits // f.denominator
+    # times 10**digits / denominator, with no big-int division
+    scaled = f.numerator * 5 ** (digits - fives) << (digits - twos)
     sign = "-" if scaled < 0 else ""
     text = str(abs(scaled)).rjust(digits + 1, "0")
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
@@ -652,6 +732,8 @@ def _load_number(value) -> int | Fraction:
         return value
     if isinstance(value, bool) or value is None:
         raise GraphFormatError(f"expected a number, got {value!r}")
+    if isinstance(value, str):
+        _check_number(value)
     return as_fraction(value)
 
 
@@ -665,10 +747,7 @@ def _load_int(value) -> int:
 
 def loads_graph(text: str) -> ExchangeGraph:
     """Parse the exchange-graph file format; numbers become exact rationals."""
-    try:
-        doc = json.loads(text, parse_float=Fraction, parse_int=int)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"invalid JSON: {exc}") from exc
+    doc = _load_json(text, parse_float=Fraction)
     if not isinstance(doc, dict):
         raise GraphFormatError("graph file must hold a JSON object")
     parsed: dict[str, Fraction] = {}  # "p/q" texts repeat, edge costs above all
@@ -681,6 +760,7 @@ def loads_graph(text: str) -> ExchangeGraph:
             exact = parsed[value] = _load_number(value)
         return exact
 
+    entry = entries = None
     try:
         ids, sizes, inertia = ([], []), ([], []), ([], [])
         for s, key in enumerate(("v1", "v2")):
@@ -692,8 +772,11 @@ def loads_graph(text: str) -> ExchangeGraph:
                 ids[s].append(_load_int(entry["id"]))
                 sizes[s].append(number(entry["scan_size"]))
                 inertia[s].append(None if price is None else number(price))
+        key, entries = "edges", doc.get("edges", [])
+        if not isinstance(entries, list):
+            raise GraphFormatError("'edges' must be an array")
         us, vs, costs = [], [], []
-        for entry in doc.get("edges", []):
+        for entry in entries:
             cost = entry.get("cost", 1)
             u = entry["u"]
             us.append(u if type(u) is int else _load_int(u))
@@ -701,6 +784,10 @@ def loads_graph(text: str) -> ExchangeGraph:
             vs.append(v if type(v) is int else _load_int(v))
             costs.append(cost if type(cost) is int else number(cost))
     except (KeyError, TypeError, AttributeError) as exc:
+        # every entry before the failing one was an object
+        if entry is not None and not isinstance(entry, dict):
+            k = next(k for k, e in enumerate(entries) if not isinstance(e, dict))
+            raise GraphFormatError(f"{key}[{k}] must be an object") from exc
         raise GraphFormatError(f"malformed graph file: {exc!r}") from exc
     positions = tuple({i: k for k, i in enumerate(side_ids)} for side_ids in ids)
     eu = [positions[0].get(u) for u in us]
@@ -717,5 +804,9 @@ def save_graph(g: ExchangeGraph, path) -> None:
 
 
 def load_graph(path) -> ExchangeGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_graph(fh.read())
+    with open_text(path) as fh:
+        text = fh.read()
+    try:
+        return loads_graph(text)
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from exc

@@ -9,7 +9,6 @@ policies are indicator functions of vertex covers.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Mapping, NamedTuple
@@ -21,7 +20,7 @@ from .errors import (
     LabelDomainMismatch,
     ValidationError,
 )
-from .graph import EdgeKey, ExchangeGraph, VertexId, _load_int, weight_numerators
+from .graph import EdgeKey, ExchangeGraph, VertexId, _load_int, _load_json, open_text, weight_numerators
 from .objectives import Objective, as_fraction
 
 
@@ -195,15 +194,16 @@ def dumps_policy(pi: Policy) -> str:
 
 
 def loads_policy(text: str) -> Policy:
+    doc = _load_json(text)
+    labels = {}
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"invalid JSON: {exc}") from exc
-    try:
-        labels = {
-            VertexId(_load_int(row["side"]), _load_int(row["index"])): _load_int(row["bit"])
-            for row in doc["labels"]
-        }
+        rows = doc["labels"]
+        if not isinstance(rows, list):
+            raise GraphFormatError("'labels' must be an array")
+        for k, row in enumerate(rows):
+            if not isinstance(row, dict):
+                raise GraphFormatError(f"labels[{k}] must be an object")
+            labels[VertexId(_load_int(row["side"]), _load_int(row["index"]))] = _load_int(row["bit"])
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"malformed policy file: {exc!r}") from exc
     return Policy.from_labels(labels)
@@ -215,5 +215,9 @@ def save_policy(pi: Policy, path) -> None:
 
 
 def load_policy(path) -> Policy:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_policy(fh.read())
+    with open_text(path) as fh:
+        text = fh.read()
+    try:
+        return loads_policy(text)
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from exc

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scanplan as sp
+from scanplan import candidates
 from scanplan.candidates import (
     DESCRIPTOR_BYTES,
     AppearanceParams,
@@ -20,6 +21,7 @@ from scanplan.candidates import (
     Trajectory,
     build_appearance,
     build_geometric,
+    build_geometric_sweep,
     fov_overlap,
     make_pose,
     planar_heading,
@@ -206,6 +208,181 @@ def test_overlap_symmetric_and_bounded():
 def test_degenerate_zero_range_overlaps_nothing():
     p = make_pose(0, 0.0, 0.0, 0.0)
     assert fov_overlap(p, p, HALF, 0.0) == 0.0
+
+
+# -- row-band filter: adversarial shapes against the frozen reference ---------
+
+
+ADVERSARIAL_KINDS = ("axis", "half", "near", "lattice", "same", "2r", "any")
+ADVERSARIAL_HALVES = (1e-300, 1e-8, 1e-6, 1e-3, 0.3, 0.7, math.pi / 4, math.pi / 2, 2.0, math.pi - 1e-6, math.pi, 4.0, 1e3)
+ADVERSARIAL_RANGES = (1e-3, 0.5, 7.3, 30.0, 1e4)
+
+
+def adversarial_sector_pair(rng, kind, half, r, resolution):
+    """Two poses built to sit on the row-band filter's edge cases for a
+    sector of this half-angle and range: headings along the lattice axes,
+    at +-half (a boundary ray parallel to the rows, which the kernel takes)
+    or just off it (a long wedge band), an apex on or next to a lattice
+    line, coincident poses, and poses 2r apart within ulps."""
+    x, z = rng.uniform(-3, 3) * r, rng.uniform(-3, 3) * r
+    heading_a, heading_b = rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi)
+    bx, bz = x + rng.uniform(-2, 2) * r, z + rng.uniform(-2, 2) * r
+    axes = [0.0, math.pi / 2, math.pi, -math.pi / 2]
+    if kind == "axis":
+        heading_a, heading_b = rng.choice(axes), rng.choice(axes)
+    elif kind == "half":
+        heading_a = rng.choice([half, -half, math.pi - half, half - math.pi])
+        heading_b = rng.choice([half, -half, heading_b])
+    elif kind == "near":
+        # a boundary ray just off the row direction, past the fallback
+        # threshold: its wedge band spans many cells of a row
+        heading_a = rng.choice([half, -half, math.pi - half]) + rng.choice([-1, 1]) * rng.choice([1.1e-3, 2e-3, 1e-2])
+        heading_b = rng.choice([heading_a, heading_b])
+    elif kind == "lattice":
+        # lattice-aligned offsets put lattice lines through (or within ulps
+        # of) an apex
+        cell = 2 * r / resolution
+        x = z = 0.0
+        bx, bz = rng.choice([0.0, r, -r, 2 * r, cell, -cell]), rng.choice([0.0, r, -r, cell])
+    elif kind == "same":
+        bx, bz = x, z
+        if rng.random() < 0.5:
+            heading_b = heading_a
+    elif kind == "2r":
+        bearing = rng.uniform(-math.pi, math.pi)
+        sep = 2 * r * rng.choice([1 - 2e-16, 1.0, 1 + 2e-16, 1 - 1e-9])
+        bx, bz = x + sep * math.sin(bearing), z + sep * math.cos(bearing)
+    return make_pose(0, x, z, heading_a), make_pose(1, bx, bz, heading_b)
+
+
+def planar(poses):
+    poses = list(poses)
+    return [planar_position(p) for p in poses], [planar_heading(p) for p in poses]
+
+
+def test_row_bands_match_seed_on_adversarial_pairs():
+    # 5590 pairs over every half-angle and range above, each compared with
+    # ``==`` in both orders: all of them through the batched routine, in
+    # pair counts that end blocks part-way, and the first few of every
+    # shape through fov_overlap, one pair per call
+    rng = random.Random(2024)
+    checked = 0
+    for resolution, per_shape in ((1, 23), (2, 23), (7, 37), (256, 3)):
+        for half in ADVERSARIAL_HALVES:
+            for r in ADVERSARIAL_RANGES:
+                cases = [
+                    adversarial_sector_pair(rng, ADVERSARIAL_KINDS[k % 7], half, r, resolution)
+                    for k in range(per_shape)
+                ]
+                a, b = planar(c[0] for c in cases), planar(c[1] for c in cases)
+                with np.errstate(all="ignore"):
+                    expected = [seed_fov_overlap(pa, pb, half, r, resolution) for pa, pb in cases]
+                assert candidates._fov_overlaps(*a, *b, half, r, resolution) == expected, (half, r)
+                assert candidates._fov_overlaps(*b, *a, half, r, resolution) == expected, (half, r)
+                for (pa, pb), value in list(zip(cases, expected))[:3]:
+                    assert fov_overlap(pa, pb, half, r, resolution) == value
+                checked += len(cases)
+    assert checked >= 5000
+
+
+@pytest.mark.parametrize("resolution", [3, 9, 21])
+@pytest.mark.parametrize("half", [1.0, 2.0])
+def test_cells_exactly_on_the_disk_edge_inside_a_row(resolution, half):
+    # with range 5 and the apex at the origin, lattice cell (-4, -3) lies
+    # exactly on the disk edge, on the low-column side of an interior row
+    a = make_pose(0, 0.0, 0.0, math.atan2(-4.0, -3.0))
+    b = make_pose(1, -8.0, 2.0, math.atan2(8.0, -2.0))
+    xs = -13.0 + (np.arange(resolution) + 0.5) * 18.0 / resolution
+    zs = -5.0 + (np.arange(resolution) + 0.5) * 12.0 / resolution
+    assert -4.0 in xs and -3.0 in zs
+    expected = seed_fov_overlap(a, b, half, 5.0, resolution)
+    assert fov_overlap(a, b, half, 5.0, resolution) == fov_overlap(b, a, half, 5.0, resolution) == expected > 0
+
+
+def test_wide_bands_match_seed(monkeypatch):
+    # widening a band only adds cells evaluated one by one, so any widths
+    # at least the error bound's give the same overlaps; wide ones put many
+    # cells in each band, cover the apex with a real band, and merge bands
+    monkeypatch.setattr(candidates, "_DISK_BAND", 0.05)
+    monkeypatch.setattr(candidates, "_WEDGE_BAND", 0.05)
+    monkeypatch.setattr(candidates, "_MIN_WEDGE_SINE", 0.25)  # above sin(2 * 0.05)
+    monkeypatch.setattr(candidates, "_APEX", 0.02)
+    monkeypatch.setattr(candidates, "_APEX_BAND", 0.08)  # _APEX / _MIN_WEDGE_SINE
+    rng = random.Random(99)
+    for resolution, per_shape in ((7, 9), (32, 5), (64, 2)):
+        for half in ADVERSARIAL_HALVES:
+            for r in (0.5, 7.3, 30.0):
+                cases = [
+                    adversarial_sector_pair(rng, ADVERSARIAL_KINDS[k % 7], half, r, resolution)
+                    for k in range(per_shape)
+                ]
+                a, b = planar(c[0] for c in cases), planar(c[1] for c in cases)
+                with np.errstate(all="ignore"):
+                    expected = [seed_fov_overlap(pa, pb, half, r, resolution) for pa, pb in cases]
+                assert candidates._fov_overlaps(*a, *b, half, r, resolution) == expected, (half, r)
+
+
+def adversarial_trajectories(seed, count):
+    """Two trajectories whose pairs mix the adversarial kinds at the
+    geometry gate's default range and half-angle, all within 30 m."""
+    rng = random.Random(seed)
+    poses = [[], []]
+    for k in range(count):
+        pair = adversarial_sector_pair(rng, ADVERSARIAL_KINDS[k % 7], HALF, RANGE, 256)
+        for side, pose in enumerate(pair):
+            x, z = (float(v) for v in planar_position(pose))
+            scale = 10.0 / max(10.0, abs(x), abs(z))
+            poses[side].append(make_pose(k, x * scale, z * scale, math.atan2(*planar_heading(pose))))
+    return Trajectory(poses[0]), Trajectory(poses[1])
+
+
+def test_build_geometric_overlaps_match_seed(monkeypatch):
+    # every overlap build_geometric computes, in its gated-pair order and
+    # over several blocks (the last one short), equals the frozen reference
+    t1, t2 = adversarial_trajectories(5, 15)
+    params = GeometryParams(d_max=30, eta=0.4)
+    seen = []
+    batched = candidates._fov_overlaps
+
+    def recording(*args):
+        values = batched(*args)
+        seen.extend(values)
+        return values
+
+    monkeypatch.setattr(candidates, "_fov_overlaps", recording)
+    g = build_geometric(t1, t2, params)
+    pairs = [(i, j) for i in range(len(t1)) for j in range(len(t2))]
+    expected = [seed_fov_overlap(t1[i], t2[j], HALF, RANGE) for i, j in pairs]
+    per_block = candidates._BLOCK_ROWS // 256
+    assert len(pairs) > 4 * per_block and len(pairs) % per_block
+    assert seen == expected
+    assert g.edge_keys() == {
+        (sp.VertexId(1, i), sp.VertexId(2, j)) for (i, j), v in zip(pairs, expected) if v >= params.eta
+    }
+
+
+def count_kernel_pairs(monkeypatch):
+    calls = []
+    kernel = candidates._FovQuadrature.overlap
+    monkeypatch.setattr(candidates._FovQuadrature, "overlap", lambda self, *a: calls.append(1) or kernel(self, *a))
+    return calls
+
+
+def test_fixture_pairs_need_no_kernel_fallback(monkeypatch):
+    calls = count_kernel_pairs(monkeypatch)
+    t1, t2 = two_loop_fixture()
+    g = build_geometric(t1, t2, GeometryParams(d_max=30, eta=0.4))
+    assert g.num_edges == 233 and calls == []
+
+
+@pytest.mark.parametrize("heading", [HALF, -HALF, math.pi - HALF])
+def test_boundary_ray_parallel_to_rows_takes_kernel(monkeypatch, heading):
+    # a boundary ray at heading -+ HALF points along +-z, the row direction
+    calls = count_kernel_pairs(monkeypatch)
+    a = make_pose(0, 0.0, 0.0, heading)
+    b = make_pose(1, 4.0, 3.0, 0.3)
+    assert fov_overlap(a, b, HALF, RANGE) == seed_fov_overlap(a, b, HALF, RANGE)
+    assert len(calls) == 1
 
 
 # -- geometric gating ---------------------------------------------------------
@@ -591,3 +768,17 @@ def test_kitti_rejects_extra_feature_counts(tmp_path):
     assert len(read_kitti_poses(path, [5])) == 1
     with pytest.raises(sp.GraphFormatError, match=r"poses.txt:2: 1 poses but 3 feature counts"):
         read_kitti_poses(path, [5, 5, 5])
+
+
+def test_geometric_sweep_equals_per_point_builds():
+    t1, t2 = synthetic_two_loop(40)
+    params = [GeometryParams(d_max=d, eta=e) for d, e in ((10, 0.3), (25, 0.3), (25, 0.0), (25, 0.6), (40, 0.3))]
+    swept = list(build_geometric_sweep(t1, t2, params))
+    assert [sp.dumps_graph(g) for g in swept] == [sp.dumps_graph(build_geometric(t1, t2, p)) for p in params]
+
+
+def test_geometric_sweep_points_share_fov_shape():
+    t1, t2 = synthetic_two_loop(10)
+    points = [GeometryParams(d_max=20, eta=0.3), GeometryParams(d_max=20, eta=0.3, fov_range=20.0)]
+    with pytest.raises(sp.ValidationError, match="differ only in d_max and eta"):
+        list(build_geometric_sweep(t1, t2, points))

@@ -6,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import scanplan as sp
@@ -411,3 +412,130 @@ def test_build_graph_extreme_fov_range_no_numpy_warnings(capsys, tmp_path):
         )
     assert code == 0
     assert "|L|=0" in out
+
+
+FIXTURE_POSES = [
+    "--poses1", str(DATA / "two_loop_poses1.txt"),
+    "--poses2", str(DATA / "two_loop_poses2.txt"),
+    "--features1", str(DATA / "two_loop_features1.txt"),
+    "--features2", str(DATA / "two_loop_features2.txt"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, fov_d_max",
+    [
+        (("--parameter", "eta", "--start", "0", "--stop", "0.9", "--step", "0.15", "--dmax", "24"), 24),
+        (("--parameter", "dmax", "--start", "4", "--stop", "32", "--step", "4", "--eta", "0.35"), 32),
+        (("--parameter", "dmax", "--start", "4", "--stop", "32", "--step", "7", "--eta", "0"), None),
+    ],
+)
+def test_sweep_matches_per_point_build_geometric(capsys, monkeypatch, argv, fov_d_max):
+    from scanplan import candidates as cand
+
+    pairs = []
+    batched = cand._fov_overlaps
+    monkeypatch.setattr(cand, "_fov_overlaps", lambda *a: pairs.append(len(a[0])) or batched(*a))
+    argv = ("sweep", *FIXTURE_POSES, "--rate-divisor", "3", *argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # pruned vertices
+        shared = run(capsys, *argv)
+        computed = sum(pairs)
+        # the same sweep with one build_geometric call (a one-point sweep)
+        # per point, so no overlap is shared between points
+        sweep = cand.build_geometric_sweep
+        monkeypatch.setattr(
+            cand, "build_geometric_sweep", lambda t1, t2, params: (next(sweep(t1, t2, [p])) for p in params)
+        )
+        per_point = run(capsys, *argv)
+    assert shared[0] == 0 and shared == per_point
+    # the shared sweep computed each gated pair's overlap once
+    t1, t2 = (cand.subsample(t, 3) for t in load_fixture_trajectories())
+    pos1, pos2 = (np.array([pose.position for pose in t]) for t in (t1, t2))
+    dists = np.linalg.norm(pos1[:, None, :] - pos2[None, :, :], axis=2)
+    if fov_d_max is None:
+        assert sum(pairs) == 0
+    else:
+        assert computed == int((dists <= fov_d_max).sum())
+        assert sum(pairs) > 2 * computed  # the per-point sweep recomputed them
+
+
+def load_fixture_trajectories():
+    from scanplan.candidates import read_feature_counts, read_kitti_poses
+
+    return [
+        read_kitti_poses(DATA / f"two_loop_poses{s}.txt", read_feature_counts(DATA / f"two_loop_features{s}.txt"))
+        for s in (1, 2)
+    ]
+
+
+def reader_argv(tmp_path, reader, path):
+    """A command that reads ``path`` with the given reader; every other
+    input is a valid fixture."""
+    poses = [str(DATA / f"two_loop_poses{s}.txt") for s in (1, 2)]
+    features = str(DATA / "features_40.txt")
+    out = str(tmp_path / "out.json")
+    return {
+        "graph": ["solve", "--graph", path],
+        "policy": ["simulate", "--graph", DOUBLE_STAR, "--policy", path],
+        "poses": ["build-graph", "--poses1", path, "--poses2", poses[1], "--out", out],
+        "features": ["build-graph", "--poses1", poses[0], "--poses2", poses[1], "--features1", path, "--out", out],
+        "scores": ["build-graph", "--scores", path, "--features1", features, "--features2", features, "--out", out],
+        "ground truth": ["simulate", "--graph", DOUBLE_STAR, "--ground-truth", path],
+    }[reader]
+
+
+VALID_TEXT = {
+    "graph": (DATA / "double_star.json").read_text(),
+    "policy": '{"labels": [{"side": 1, "index": 0, "bit": 1}]}',
+    "poses": "1 0 0 0 0 1 0 0 0 0 1 0\n",
+    "features": "12\n",
+    "scores": "0 0 0.5\n",
+    "ground truth": "0 0\n",
+}
+
+
+@pytest.mark.parametrize("reader", sorted(VALID_TEXT))
+def test_undecodable_input_exits_2_naming_file(capsys, tmp_path, reader):
+    path = tmp_path / "input.txt"
+    path.write_bytes(VALID_TEXT[reader].encode() + b"\n\xff\xfe\n")
+    code, _, err = run(capsys, *reader_argv(tmp_path, reader, str(path)))
+    assert code == 2
+    assert f"error: {path}: not UTF-8 text" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("reader", ["graph", "policy"])
+def test_deeply_nested_json_exits_2_naming_file(capsys, tmp_path, reader):
+    path = tmp_path / "deep.json"
+    path.write_text('{"labels": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, _, err = run(capsys, *reader_argv(tmp_path, reader, str(path)))
+    assert code == 2
+    assert f"error: {path}: JSON nested too deeply" in err
+
+
+@pytest.mark.parametrize(
+    "scan_size",
+    ["9" * 5000, "9" * 501, "-" + "9" * 777, "1e999999", "1e-999999", '"1e999999"', "0." + "0" * 600 + "1", '"1/' + "3" * 600 + '"'],
+)
+def test_number_beyond_format_bound_exits_2(capsys, tmp_path, scan_size):
+    # each used to exit 1 with a traceback, or not finish, in solve
+    path = tmp_path / "g.json"
+    path.write_text(
+        '{"v1": [{"id": 0, "scan_size": %s}], "v2": [{"id": 0, "scan_size": 1}], "edges": [{"u": 0, "v": 0}]}'
+        % scan_size
+    )
+    code, _, err = run(capsys, "solve", "--graph", str(path))
+    assert code == 2
+    assert "exceeds 500 digits or a decimal exponent of 500" in err
+
+
+def test_numbers_at_format_bound_solve(capsys, tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(
+        '{"v1": [{"id": 0, "scan_size": %s}], "v2": [{"id": 0, "scan_size": 1e-500}], "edges": [{"u": 0, "v": 0}]}'
+        % ("9" * 500)
+    )
+    code, out, _ = run(capsys, "solve", "--graph", str(path))
+    assert code == 0
+    assert f"optimal_cost 0.{'0' * 499}1\n" in out
+    assert f"monolog1_cost {'9' * 500}\n" in out

@@ -1,6 +1,7 @@
 """Exchange-graph model: construction, validation, weights, serialization."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -228,3 +229,63 @@ def test_round_trip_identity_property(data):
 def test_graphs_hold_no_duplicate_or_cross_side_ids():
     with pytest.raises(sp.ValidationError):
         sp.ExchangeGraph.from_vertices([(0, 1, None), (0, 2, None)], [(0, 1, None)], [(0, 0, 1)])
+
+
+def seed_format_rational(f: Fraction) -> str:
+    """Frozen reference: the original one-division-per-factor loop."""
+    den = f.denominator
+    if den == 1:
+        return str(f.numerator)
+    twos = fives = 0
+    while den % 2 == 0:
+        den //= 2
+        twos += 1
+    while den % 5 == 0:
+        den //= 5
+        fives += 1
+    if den != 1:
+        return f"{f.numerator}/{f.denominator}"
+    digits = max(twos, fives)
+    scaled = f.numerator * 10**digits // f.denominator
+    sign = "-" if scaled < 0 else ""
+    text = str(abs(scaled)).rjust(digits + 1, "0")
+    return f"{sign}{text[:-digits]}.{text[-digits:]}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(-(10**30), 10**30),
+    st.integers(0, 80),
+    st.integers(0, 80),
+    st.sampled_from([1, 1, 3, 7, 9, 11, 2**61 - 1]),
+)
+def test_format_rational_matches_seed(num, twos, fives, rest):
+    f = Fraction(num, 2**twos * 5**fives * rest)
+    assert format_rational(f) == seed_format_rational(f)
+
+
+def test_format_rational_long_decimals():
+    # one division per factor took 0.72 s here; counting the twos from the
+    # low bit and the fives by bisection takes milliseconds
+    assert format_rational(Fraction(1, 10**20000)) == "0." + "0" * 19999 + "1"
+    assert format_rational(Fraction(-7, 2**5000 * 5**7)) == seed_format_rational(Fraction(-7, 2**5000 * 5**7))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"v1": ["x"], "v2": [], "edges": []}', "v1[0] must be an object"),
+        ('{"v1": [{"id": 0, "scan_size": 1}], "v2": [{"id": 0, "scan_size": 1}, 3], "edges": []}', "v2[1] must be an object"),
+        ('{"v1": [{"id": 0, "scan_size": 1}], "v2": [{"id": 0, "scan_size": 1}], "edges": [{"u": 0, "v": 0}, [0, 0]]}', "edges[1] must be an object"),
+        ('{"v1": [], "v2": [], "edges": {"u": 0}}', "'edges' must be an array"),
+    ],
+)
+def test_malformed_entry_names_the_field(text, message):
+    with pytest.raises(sp.GraphFormatError, match=f"^{re.escape(message)}$"):
+        sp.loads_graph(text)
+
+
+def test_non_object_after_malformed_object_reports_the_first():
+    # the missing scan_size of v1[0] comes before the string at v1[1]
+    with pytest.raises(sp.GraphFormatError, match="^malformed graph file: KeyError"):
+        sp.loads_graph('{"v1": [{"id": 0}, "x"], "v2": [], "edges": []}')

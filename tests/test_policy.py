@@ -220,3 +220,10 @@ def test_policy_file_malformed():
     for side, index, bit in (("1.9", 0, 1), ("true", 0, 1), (1, "0.5", 1), (1, 0, "true"), (1, 0, "1.0")):
         with pytest.raises(sp.GraphFormatError):
             loads_policy('{"labels": [{"side": %s, "index": %s, "bit": %s}]}' % (side, index, bit))
+
+
+def test_policy_file_names_the_bad_label():
+    with pytest.raises(sp.GraphFormatError, match=r"^labels\[1\] must be an object$"):
+        loads_policy('{"labels": [{"side": 1, "index": 0, "bit": 1}, "y"]}')
+    with pytest.raises(sp.GraphFormatError, match="^'labels' must be an array$"):
+        loads_policy('{"labels": {"side": 1}}')
