@@ -271,9 +271,13 @@ class ExchangeGraph:
         return tuple(Edge(u, v, Fraction(c, den)) for (u, v), c in zip(self.edge_key_list, self.cost_num))
 
     @cached_property
-    def _edge_at(self) -> dict[int, int]:
+    def _edge_lookup(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every edge's code ``u * n2 + v`` (side positions) in ascending
+        order, and the position of each edge. Built on first use: a graph
+        that is never searched keeps no per-edge index."""
         codes = self.eu * len(self.ids[1]) + self.ev
-        return dict(zip(codes.tolist(), range(len(self.cost_num))))
+        order = np.argsort(codes)
+        return codes[order], order
 
     @cached_property
     def _incidence(self) -> IncidenceView:
@@ -349,19 +353,36 @@ class ExchangeGraph:
     def incidence(self) -> IncidenceView:
         return self._incidence
 
+    def edge_positions(self, keys: Iterable) -> np.ndarray:
+        """Position of each edge ``(u, v)`` of ``keys`` in the edge arrays,
+        -1 where the pair is not a candidate edge: one binary search in the
+        sorted edge codes for all of them."""
+        pos1, pos2 = self.position
+        n2 = len(self.ids[1])
+        codes = []
+        for key in keys:
+            code = -1
+            try:
+                (su, iu), (sv, iv) = key
+                if su == 1 and sv == 2:
+                    i, j = pos1.get(iu), pos2.get(iv)
+                    if i is not None and j is not None:
+                        code = i * n2 + j
+            except (TypeError, ValueError):
+                pass
+            codes.append(code)
+        codes = np.array(codes, dtype=np.int64)
+        if not self.num_edges:
+            return np.full(len(codes), -1, dtype=np.int64)
+        edge_codes, order = self._edge_lookup
+        at = np.minimum(np.searchsorted(edge_codes, codes), self.num_edges - 1)
+        return np.where(edge_codes[at] == codes, order[at], -1)
+
     def edge_index(self, key) -> int | None:
         """Position of the edge ``(u, v)`` in the edge arrays, or None when
         the pair is not a candidate edge."""
-        try:
-            (su, iu), (sv, iv) = key
-            if su != 1 or sv != 2:
-                return None
-            i, j = self.position[0].get(iu), self.position[1].get(iv)
-        except (TypeError, ValueError):
-            return None
-        if i is None or j is None:
-            return None
-        return self._edge_at.get(i * len(self.ids[1]) + j)
+        k = int(self.edge_positions([key])[0])
+        return None if k < 0 else k
 
     def edge_cost(self, key: EdgeKey) -> Fraction:
         k = self.edge_index(key)
@@ -595,6 +616,22 @@ def effective_weight(g: ExchangeGraph, vid: VertexId, objective: Objective) -> F
 MAX_NUMBER_DIGITS = 500
 MAX_NUMBER_EXPONENT = 500
 
+# Largest common denominator of a graph file's values: ``loads_graph``
+# refuses a file whose values' common denominator has more than
+# MAX_DENOMINATOR_DIGITS digits. Every file of decimal numbers within the
+# bounds above passes, since its denominator is a power of ten below
+# 10**1000; "p/q" values with many coprime denominators may not. Over an
+# accepted graph with fewer than 10**11 vertices and edges, every P1, P2 or
+# P3 cost prints inside the 4300-digit limit while each objective
+# parameter's numerator and denominator have at most 100 digits:
+# - the cost is below 10**1213 (values below 10**1000, parameter products
+#   below 10**200);
+# - its denominator divides one below 10**1300 with at most 2653 factors of
+#   2 or of 5 (a "p/q" value's denominator has at most 499 digits, so at
+#   most 1657 factors of 2; the parameters add at most 996);
+# so either printed form, "p/q" or decimal, has at most 3870 digits.
+MAX_DENOMINATOR_DIGITS = 1000
+
 _DIGITS_AS_ZERO = str.maketrans("123456789", "000000000")
 
 
@@ -795,7 +832,13 @@ def loads_graph(text: str) -> ExchangeGraph:
     if None in eu or None in ev:
         k = next(k for k, ends in enumerate(zip(eu, ev)) if None in ends)
         raise IndexOutOfRange(f"edge ({us[k]}, {vs[k]}) references a missing vertex")
-    return _assemble(ids, sizes, inertia, positions, eu, ev, costs)
+    g = _assemble(ids, sizes, inertia, positions, eu, ev, costs)
+    if g.den >= 10**MAX_DENOMINATOR_DIGITS:
+        raise GraphFormatError(
+            f"the values' common denominator ({g.den.bit_length()} bits) exceeds "
+            f"{MAX_DENOMINATOR_DIGITS} digits"
+        )
+    return g
 
 
 def save_graph(g: ExchangeGraph, path) -> None:

@@ -13,6 +13,8 @@ from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Mapping, NamedTuple
 
+import numpy as np
+
 from .errors import (
     EmptySide,
     GraphFormatError,
@@ -122,23 +124,47 @@ class WorkloadReport(NamedTuple):
     f_balance: Fraction
 
 
+def _division(
+    g: ExchangeGraph, pi: Policy, refusal: str
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """An admissible policy's division of labour on the index arrays: per
+    side, a mask of the transmitted vertices; per robot, a mask of the edges
+    it verifies. ``InadmissiblePolicy(refusal)`` when an edge has neither
+    endpoint transmitted."""
+    _check_domain(g, pi)
+    sent1, sent2 = g.label_masks(pi.ones)
+    # robot 1 verifies an edge when it received the side-2 scan, and robot 2
+    # when it received the side-1 scan
+    on_robot = (sent2[g.ev], sent1[g.eu])
+    if not (on_robot[0] | on_robot[1]).all():
+        raise InadmissiblePolicy(refusal)
+    return (sent1, sent2), on_robot
+
+
+def _cost_num(g: ExchangeGraph, edges: np.ndarray) -> int:
+    """Summed cost of the edges in a mask, as a numerator over ``g.den``."""
+    return sum(compress(g.cost_num, edges.tolist()))
+
+
+def _edge_key_set(g: ExchangeGraph, edges: np.ndarray) -> frozenset[EdgeKey]:
+    """The ``(u, v)`` keys of some edges, given as a mask or as positions;
+    built for those edges only."""
+    vids1, vids2 = g.vids
+    return frozenset(
+        zip(map(vids1.__getitem__, g.eu[edges].tolist()), map(vids2.__getitem__, g.ev[edges].tolist()))
+    )
+
+
 def workloads(g: ExchangeGraph, pi: Policy, alpha1=1, alpha2=1) -> WorkloadReport:
     """Compute the induced division of labor for an admissible policy."""
-    _check_domain(g, pi)
-    if not is_admissible(g, pi):
-        raise InadmissiblePolicy("workload partition is defined for admissible policies")
+    _, (l1, l2) = _division(g, pi, "workload partition is defined for admissible policies")
     alpha1 = as_fraction(alpha1)
     alpha2 = as_fraction(alpha2)
-    sent1, sent2 = g.label_masks(pi.ones)
-    on_robot1 = sent2[g.ev]  # robot 1 received the side-2 scan
-    on_robot2 = sent1[g.eu]  # robot 2 received the side-1 scan
-    keys = g.edge_key_list
-    verified = [m.tolist() for m in (on_robot1, on_robot2, on_robot1 & on_robot2)]
-    ell1, ell2 = (Fraction(sum(compress(g.cost_num, m)), g.den) for m in verified[:2])
+    ell1, ell2 = (Fraction(_cost_num(g, m), g.den) for m in (l1, l2))
     return WorkloadReport(
-        l1_edges=frozenset(compress(keys, verified[0])),
-        l2_edges=frozenset(compress(keys, verified[1])),
-        l12_edges=frozenset(compress(keys, verified[2])),
+        l1_edges=_edge_key_set(g, l1),
+        l2_edges=_edge_key_set(g, l2),
+        l12_edges=_edge_key_set(g, l1 & l2),
         ell1=ell1,
         ell2=ell2,
         f_balance=alpha1 * ell1 + alpha2 * ell2,
@@ -166,16 +192,25 @@ class Transmission(NamedTuple):
     size: Fraction
 
 
+def _schedule(g: ExchangeGraph, sent: tuple[np.ndarray, np.ndarray]) -> list[tuple[int, int, int]]:
+    """The transmitted scans in ascending (side, index) order, from per-side
+    masks of the transmitted vertices: ``(side, index, size)`` with the
+    effective scan size as a numerator over ``g.den``."""
+    return [
+        (side, index, size)
+        for side, ids, eff, mask in zip((1, 2), g.ids, g.eff_num, sent)
+        for index, size in sorted(compress(zip(ids, eff), mask.tolist()))
+    ]
+
+
 def execute_order(g: ExchangeGraph, pi: Policy) -> list[Transmission]:
     """Deterministic transmission schedule for an admissible policy: the
     labeled scans in ascending (side, index) order, each going to the
     other robot, with its effective byte count."""
-    _check_domain(g, pi)
-    if not is_admissible(g, pi):
-        raise InadmissiblePolicy("refusing to execute an incomplete-search policy")
+    sent, _ = _division(g, pi, "refusing to execute an incomplete-search policy")
     return [
-        Transmission(vid, 2 if vid.side == 1 else 1, g.scan_weight(vid))
-        for vid in sorted(pi.ones)
+        Transmission(VertexId(side, index), 3 - side, Fraction(size, g.den))
+        for side, index, size in _schedule(g, sent)
     ]
 
 

@@ -17,18 +17,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
-from .errors import GroundTruthOutsideCandidates, InadmissiblePolicy, ValidationError
+import numpy as np
+
+from .errors import GroundTruthOutsideCandidates, ValidationError
 from .graph import EdgeKey, ExchangeGraph, format_rational
 from .objectives import Objective
 from .policy import (
     Policy,
-    execute_order,
+    _cost_num,
+    _division,
+    _edge_key_set,
+    _schedule,
+    execute_order,  # noqa: F401  (still importable from scanplan.protocol)
     full_bidirectional,
-    is_admissible,
+    is_admissible,  # noqa: F401
     monolog,
-    workloads,
+    workloads,  # noqa: F401
 )
 from .solver import solve
 
@@ -73,15 +80,37 @@ class RendezvousConfig:
             raise ValidationError(f"broker_host must be 1, 2, or None, got {self.broker_host}")
 
 
-@dataclass(frozen=True)
+# RendezvousTrace's public values, in the order they are compared
+_TRACE_VALUES = (
+    "messages",
+    "policy",
+    "verified_1",
+    "verified_2",
+    "redundant",
+    "discovered_1",
+    "discovered_2",
+    "undelivered_1",
+    "undelivered_2",
+    "metadata_bytes",
+    "scan_bytes",
+    "closure_bytes",
+    "ell1",
+    "ell2",
+)
+
+
+@dataclass(frozen=True, eq=False)
 class RendezvousTrace:
-    """Complete record of one simulated exchange."""
+    """Complete record of one simulated exchange.
+
+    ``verified_1``, ``verified_2`` and ``redundant`` are the candidate edges
+    robot 1, robot 2 and both screened. They are built from per-edge masks
+    on first access and cached, like the graph's ``edges``. Two traces are
+    equal when every one of their values is.
+    """
 
     messages: tuple[Message, ...]
     policy: Policy
-    verified_1: frozenset[EdgeKey]  # candidate edges robot 1 screened
-    verified_2: frozenset[EdgeKey]
-    redundant: frozenset[EdgeKey]  # screened by both robots
     discovered_1: frozenset[EdgeKey]  # true closures robot 1 found
     discovered_2: frozenset[EdgeKey]
     undelivered_1: frozenset[EdgeKey]  # found by robot 1, never sent over
@@ -91,10 +120,36 @@ class RendezvousTrace:
     closure_bytes: Fraction
     ell1: Fraction
     ell2: Fraction
+    # the graph and, per robot, the mask of the edges it screened
+    _graph: ExchangeGraph = field(repr=False)
+    _on_robot: tuple[np.ndarray, np.ndarray] = field(repr=False)
+
+    @cached_property
+    def verified_1(self) -> frozenset[EdgeKey]:
+        return _edge_key_set(self._graph, self._on_robot[0])
+
+    @cached_property
+    def verified_2(self) -> frozenset[EdgeKey]:
+        return _edge_key_set(self._graph, self._on_robot[1])
+
+    @cached_property
+    def redundant(self) -> frozenset[EdgeKey]:
+        return _edge_key_set(self._graph, self._on_robot[0] & self._on_robot[1])
 
     @property
     def total_bytes(self) -> Fraction:
         return self.metadata_bytes + self.scan_bytes + self.closure_bytes
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in _TRACE_VALUES)
+
+    def __eq__(self, other):
+        if not isinstance(other, RendezvousTrace):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 def _policy_leg_bytes(num_vertices: int) -> int:
@@ -109,10 +164,14 @@ def run_rendezvous(
 
     With ``policy`` unset the broker solves ``cfg.objective``; otherwise
     the given admissible policy is executed as-is (used for comparing
-    fixed strategies against the optimum).
+    fixed strategies against the optimum). The session runs on the graph's
+    index arrays: per-vertex and per-edge masks, sizes and costs as integer
+    numerators over ``g.den``.
     """
-    bad = [key for key in cfg.ground_truth_closures if g.edge_index(key) is None]
-    if bad:
+    truth = tuple(cfg.ground_truth_closures)
+    at = g.edge_positions(truth)
+    if (at < 0).any():
+        bad = [key for key, k in zip(truth, at.tolist()) if k < 0]
         raise GroundTruthOutsideCandidates(
             f"ground-truth closures outside the candidate set: {sorted(bad)}"
         )
@@ -129,61 +188,51 @@ def run_rendezvous(
     # round 2/3: broker forms the graph and solves (or adopts the override)
     if policy is None:
         policy = solve(g, cfg.objective).policy
-    elif not is_admissible(g, policy):
-        raise InadmissiblePolicy("rendezvous requires a complete-search policy")
+    sent, on_robot = _division(g, policy, "rendezvous requires a complete-search policy")
     for side in (1, 2):
         n = len(g.ids[side - 1])
         meta_leg(BROKER, ROBOT[side], side, _policy_leg_bytes(n), f"policy[{n}]")
     # round 4: execute the policy, scans cross to the other robot
-    scan_bytes = Fraction(0)
-    for item in execute_order(g, policy):
-        src = ROBOT[item.vertex.side]
-        messages.append(
-            Message(SCAN_PHASE, src, ROBOT[item.dest_side], item.size, f"scan[{item.vertex}]")
-        )
-        scan_bytes += item.size
+    scans = _schedule(g, sent)
+    # one Fraction per distinct scan size
+    sizes = {num: Fraction(num, g.den) for num in {num for _, _, num in scans}}
+    messages += [
+        Message(SCAN_PHASE, ROBOT[side], ROBOT[3 - side], sizes[num], f"scan[{side}:{index}]")
+        for side, index, num in scans
+    ]
     # round 5: verification against the simulated ground truth
-    report = workloads(g, policy, cfg.objective.alpha1, cfg.objective.alpha2)
-    discovered_1 = frozenset(report.l1_edges & cfg.ground_truth_closures)
-    discovered_2 = frozenset(report.l2_edges & cfg.ground_truth_closures)
-    both = discovered_1 & discovered_2
-    exclusive = {1: discovered_1 - both, 2: discovered_2 - both}
+    found = [m[at] for m in on_robot]  # per robot, the true closures it screened
+    exclusive = {1: at[found[0] & ~found[1]], 2: at[found[1] & ~found[0]]}
     # round 6: swap discoveries the other robot does not already have
-    closure_bytes = Fraction(0)
+    closure_size = Fraction(cfg.closure_message_bytes)
+    closures = 0
     undelivered = {1: frozenset(), 2: frozenset()}
     if cfg.channel_alive_after_exchange:
         for side in (1, 2):
-            for u, v in sorted(exclusive[side]):
-                messages.append(
-                    Message(
-                        CLOSURE_PHASE,
-                        ROBOT[side],
-                        ROBOT[3 - side],
-                        Fraction(cfg.closure_message_bytes),
-                        f"closure[{u}-{v}]",
-                    )
-                )
-                closure_bytes += cfg.closure_message_bytes
+            messages += [
+                Message(CLOSURE_PHASE, ROBOT[side], ROBOT[3 - side], closure_size, f"closure[{u}-{v}]")
+                for u, v in sorted(_edge_key_set(g, exclusive[side]))
+            ]
+            closures += len(exclusive[side])
     else:
-        undelivered = {1: frozenset(exclusive[1]), 2: frozenset(exclusive[2])}
+        undelivered = {side: _edge_key_set(g, exclusive[side]) for side in (1, 2)}
     metadata_bytes = sum(
         (m.size for m in messages if m.phase == METADATA_PHASE), Fraction(0)
     )
     return RendezvousTrace(
         messages=tuple(messages),
         policy=policy,
-        verified_1=report.l1_edges,
-        verified_2=report.l2_edges,
-        redundant=report.l12_edges,
-        discovered_1=discovered_1,
-        discovered_2=discovered_2,
+        discovered_1=_edge_key_set(g, at[found[0]]),
+        discovered_2=_edge_key_set(g, at[found[1]]),
         undelivered_1=undelivered[1],
         undelivered_2=undelivered[2],
         metadata_bytes=metadata_bytes,
-        scan_bytes=scan_bytes,
-        closure_bytes=closure_bytes,
-        ell1=report.ell1,
-        ell2=report.ell2,
+        scan_bytes=Fraction(sum(num for _, _, num in scans), g.den),
+        closure_bytes=Fraction(closures * cfg.closure_message_bytes),
+        ell1=Fraction(_cost_num(g, on_robot[0]), g.den),
+        ell2=Fraction(_cost_num(g, on_robot[1]), g.den),
+        _graph=g,
+        _on_robot=on_robot,
     )
 
 

@@ -301,38 +301,71 @@ def _adjacency_by_index(
 
 
 def _max_matching(adj: list[list[int]], n2: int) -> tuple[list[int], list[int]]:
-    """Augmenting-path maximum matching; returns (match1, match2) with -1
-    for unmatched. Deterministic given adjacency order: from each side-1
-    vertex in turn, a depth-first search tries neighbours in adjacency
-    order. The search keeps its own stack, so the length of an alternating
-    path is not bounded by the interpreter's recursion limit."""
+    """Hopcroft-Karp maximum matching; returns (match1, match2) with -1
+    for unmatched. Deterministic given adjacency order.
+
+    Each phase lays the side-1 vertices out in layers by a breadth-first
+    search from the unmatched ones, up to the first layer that reaches an
+    unmatched side-2 vertex. It then augments along alternating paths of
+    that length, found by depth-first searches from the unmatched side-1
+    vertices in ascending order, each trying neighbours in adjacency order.
+    A phase tries every edge at most once in each search, and the searches
+    keep their own stacks, so the length of an alternating path is not
+    bounded by the interpreter's recursion limit."""
     n1 = len(adj)
     match1 = [-1] * n1
     match2 = [-1] * n2
-    seen = [-1] * n2  # the root whose search last reached each side-2 vertex
-    for root in range(n1):
-        # the alternating path so far: side-1 vertices, each with the rest
-        # of its neighbours still to try, and the side-2 vertices between
-        path = [(root, iter(adj[root]))]
-        via: list[int] = []
-        while path:
-            for v in path[-1][1]:
-                if seen[v] != root:
+    while True:
+        free = [u for u in range(n1) if match1[u] == -1]
+        dist = [-1] * n1
+        for u in free:
+            dist[u] = 0
+        # layer of the side-1 vertices that reach an unmatched side-2 vertex
+        limit = -1
+        layer = free
+        while layer and limit < 0:
+            following = []
+            for u in layer:
+                for v in adj[u]:
+                    w = match2[v]
+                    if w == -1:
+                        limit = dist[u]
+                    elif dist[w] == -1:
+                        dist[w] = dist[u] + 1
+                        following.append(w)
+            layer = following
+        if limit < 0:
+            return match1, match2
+        tried = [0] * n1  # per side-1 vertex, neighbours already tried this phase
+        for root in free:
+            # the alternating path so far: side-1 vertices and the side-2
+            # vertices between them
+            path, via = [root], []
+            while path:
+                u = path[-1]
+                neighbours = adj[u]
+                while tried[u] < len(neighbours):
+                    v = neighbours[tried[u]]
+                    tried[u] += 1
+                    w = match2[v]
+                    if w == -1:
+                        if dist[u] == limit:
+                            break
+                    elif dist[w] == dist[u] + 1 and dist[u] < limit:
+                        break
+                else:  # dead end for the rest of the phase
+                    dist[u] = -1
+                    path.pop()
+                    if via:
+                        via.pop()
+                    continue
+                via.append(v)
+                if w == -1:
+                    for u, v in zip(path, via):
+                        match1[u] = v
+                        match2[v] = u
                     break
-            else:  # dead end: resume the parent's neighbours
-                path.pop()
-                if via:
-                    via.pop()
-                continue
-            seen[v] = root
-            via.append(v)
-            if match2[v] == -1:
-                for (u, _), w in zip(path, via):
-                    match1[u] = w
-                    match2[w] = u
-                break
-            path.append((match2[v], iter(adj[match2[v]])))
-    return match1, match2
+                path.append(w)
 
 
 def _koenig_cover(adj: list[list[int]], match1: list[int], match2: list[int]) -> tuple[set[int], set[int]]:

@@ -4,6 +4,7 @@ import hashlib
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 import scanplan as sp
 from scanplan.cli import main
+from scanplan.graph import MAX_DENOMINATOR_DIGITS
 
 DATA = Path(__file__).parent / "data"
 DOUBLE_STAR = str(DATA / "double_star.json")
@@ -539,3 +541,61 @@ def test_numbers_at_format_bound_solve(capsys, tmp_path):
     assert code == 0
     assert f"optimal_cost 0.{'0' * 499}1\n" in out
     assert f"monolog1_cost {'9' * 500}\n" in out
+
+
+def primes_below(limit):
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for n in range(2, int(limit**0.5) + 1):
+        if sieve[n]:
+            sieve[n * n :: n] = bytes(len(range(n * n, limit, n)))
+    return [n for n in range(limit) if sieve[n]]
+
+
+# the first 1300 primes above 10007
+PRIMES = [p for p in primes_below(25_000) if p > 10007][:1300]
+
+
+def reciprocal_prime_graph(path, count):
+    """Side-1 scan sizes 1/p for the first ``count`` primes above 10007, one
+    edge per vertex: the values' common denominator is their product."""
+    v1 = ", ".join(f'{{"id": {i}, "scan_size": "1/{p}"}}' for i, p in enumerate(PRIMES[:count]))
+    v2 = ", ".join(f'{{"id": {i}, "scan_size": 1}}' for i in range(count))
+    edges = ", ".join(f'{{"u": {i}, "v": {i}}}' for i in range(count))
+    path.write_text(f'{{"v1": [{v1}], "v2": [{v2}], "edges": [{edges}]}}')
+    return str(path)
+
+
+@pytest.mark.parametrize("count", [1300, 248])
+def test_common_denominator_beyond_bound_exits_2(capsys, tmp_path, count):
+    # 1300 primes: an 18,137-bit denominator, whose optimal cost used to exit
+    # 1 with a traceback from int-to-str conversion; 248 primes: 1004 digits
+    path = reciprocal_prime_graph(tmp_path / "g.json", count)
+    code, _, err = run(capsys, "solve", "--graph", path)
+    assert code == 2
+    assert f"error: {path}: the values' common denominator" in err
+    assert f"exceeds {MAX_DENOMINATOR_DIGITS} digits" in err
+    assert "Traceback" not in err
+
+
+def test_common_denominator_at_bound_prints_every_cost(capsys, tmp_path):
+    # 247 primes: a 1000-digit denominator, the largest this family reaches
+    # inside the bound
+    path = reciprocal_prime_graph(tmp_path / "g.json", 247)
+    g = sp.load_graph(path)
+    assert len(str(g.den)) == MAX_DENOMINATOR_DIGITS
+    p3 = ["--objective", "p3", "--alpha1", "2/3", "--alpha2", "5/7", "--omega", "1/11"]
+    optimum = sum(Fraction(1, p) for p in PRIMES[:247])
+    for argv in (
+        ["solve", "--graph", path],
+        ["solve", "--graph", path, *p3],
+        ["check-monolog", "--graph", path, "--side", "1", *p3],
+        ["check-monolog", "--graph", path, "--side", "2"],
+        ["simulate", "--graph", path],
+        ["simulate", "--graph", path, "--compare", *p3],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert "Traceback" not in err
+        if argv == ["solve", "--graph", path]:
+            assert f"optimal_cost {optimum.numerator}/{optimum.denominator}\n" in out

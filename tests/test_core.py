@@ -2,7 +2,9 @@
 engines against per-edge reference loops over the boundary objects, and
 exact file round trips."""
 
+import dataclasses
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scanplan as sp
+from scanplan.graph import format_rational
+from scanplan.protocol import Message
 from scanplan.solver import _INT32_SAFE_TOTAL
 
 from conftest import build_quiet, random_admissible_policy, random_graph, random_objective
@@ -63,17 +67,85 @@ def ref_execute_order(g, pi):
     ]
 
 
-def rational_graph(rng, n1, n2):
-    """Random graph with p/q sizes, inertia prices and edge costs."""
+def ref_rendezvous(g, cfg, policy=None):
+    """The broker session one edge and one vertex at a time: every
+    ``RendezvousTrace`` value by name, and the ``format_trace`` text."""
+    keys = {e.key for e in g.edges}
+    bad = [key for key in cfg.ground_truth_closures if key not in keys]
+    if bad:
+        raise sp.GroundTruthOutsideCandidates(f"ground-truth closures outside the candidate set: {sorted(bad)}")
+    n = {1: len({e.u for e in g.edges}), 2: len({e.v for e in g.edges})}
+    messages = []
+
+    def leg(sender, recipient, side, size, summary):
+        size = Fraction(0) if cfg.broker_host == side else Fraction(size)
+        messages.append(Message("metadata", sender, recipient, size, summary))
+
+    for side in (1, 2):
+        leg(f"robot{side}", "broker", side, n[side] * cfg.metadata_bytes_per_vertex, f"meta[{n[side]}]")
+    if policy is None:
+        policy = sp.solve(g, cfg.objective).policy
+    if not ref_is_admissible(g, policy):
+        raise sp.InadmissiblePolicy("rendezvous requires a complete-search policy")
+    for side in (1, 2):
+        leg("broker", f"robot{side}", side, (n[side] + 7) // 8, f"policy[{n[side]}]")
+    scan_bytes = Fraction(0)
+    for vid in sorted(policy.ones):
+        size = g.vertex(vid).effective_scan_size
+        messages.append(Message("scan", f"robot{vid.side}", f"robot{3 - vid.side}", size, f"scan[{vid}]"))
+        scan_bytes += size
+    verified = {1: set(), 2: set()}
+    ell = {1: Fraction(0), 2: Fraction(0)}
+    for e in g.edges:
+        for side, sent in ((1, e.v), (2, e.u)):  # robot 1 verifies with the side-2 scan
+            if sent in policy.ones:
+                verified[side].add(e.key)
+                ell[side] += e.cost
+    found = {side: {key for key in verified[side] if key in cfg.ground_truth_closures} for side in (1, 2)}
+    exclusive = {1: found[1] - found[2], 2: found[2] - found[1]}
+    closure_bytes = Fraction(0)
+    undelivered = {1: set(), 2: set()}
+    if cfg.channel_alive_after_exchange:
+        for side in (1, 2):
+            for u, v in sorted(exclusive[side]):
+                size = Fraction(cfg.closure_message_bytes)
+                messages.append(Message("closure", f"robot{side}", f"robot{3 - side}", size, f"closure[{u}-{v}]"))
+                closure_bytes += size
+    else:
+        undelivered = exclusive
+    values = {
+        "messages": tuple(messages),
+        "policy": policy,
+        "verified_1": frozenset(verified[1]),
+        "verified_2": frozenset(verified[2]),
+        "redundant": frozenset(verified[1] & verified[2]),
+        "discovered_1": frozenset(found[1]),
+        "discovered_2": frozenset(found[2]),
+        "undelivered_1": frozenset(undelivered[1]),
+        "undelivered_2": frozenset(undelivered[2]),
+        "metadata_bytes": sum((m.size for m in messages if m.phase == "metadata"), Fraction(0)),
+        "scan_bytes": scan_bytes,
+        "closure_bytes": closure_bytes,
+        "ell1": ell[1],
+        "ell2": ell[2],
+    }
+    text = "".join(f"{m.phase} {m.sender} {m.recipient} {format_rational(m.size)} {m.summary}\n" for m in messages)
+    return values, text
+
+
+def rational_graph(rng, n1, n2, inertia=True):
+    """Random graph with p/q sizes, inertia prices (unless ``inertia`` is
+    false) and edge costs."""
     frac = lambda hi: Fraction(rng.randint(0, hi), rng.choice((1, 2, 3, 7, 10)))
     edges = [(i, j, frac(9)) for i in range(n1) for j in range(n2) if rng.random() < 0.35]
     edges = edges or [(0, 0, frac(9))]
+    share = 0.3 if inertia else 0
     return build_quiet(
         [frac(40) for _ in range(n1)],
         [frac(40) for _ in range(n2)],
         edges,
-        v1_inertia={i: frac(40) for i in range(n1) if rng.random() < 0.3},
-        v2_inertia={j: frac(40) for j in range(n2) if rng.random() < 0.3},
+        v1_inertia={i: frac(40) for i in range(n1) if rng.random() < share},
+        v2_inertia={j: frac(40) for j in range(n2) if rng.random() < share},
     )
 
 
@@ -108,6 +180,102 @@ def test_session_path_builds_no_boundary_objects():
         sp.check_ghc(g, obj, side)
     sp.run_rendezvous(g, sp.RendezvousConfig(objective=obj, ground_truth_closures=gt))
     assert not {"edges", "v1", "v2", "_incidence"} & vars(g).keys()
+    # nor edge keys, nor any dict with an entry per edge
+    assert not {"edge_key_list", "_edge_keys"} & vars(g).keys()
+    assert not [name for name, value in vars(g).items() if isinstance(value, dict) and len(value) >= g.num_edges]
+
+
+def test_session_matches_per_edge_reference():
+    rng = random.Random(233)
+    for trial in range(120):
+        if trial % 3:
+            g = rational_graph(rng, rng.randint(1, 8), rng.randint(1, 8), inertia=trial % 3 == 1)
+        else:
+            g = random_graph(rng)
+        truth = frozenset(key for key in g.edge_keys() if rng.random() < rng.choice((0, 0.3, 1)))
+        cfg = sp.RendezvousConfig(
+            objective=random_objective(rng),
+            metadata_bytes_per_vertex=rng.randint(0, 5),
+            ground_truth_closures=truth,
+            channel_alive_after_exchange=rng.random() < 0.5,
+            closure_message_bytes=rng.randint(0, 80),
+            broker_host=rng.choice((None, 1, 2)),
+        )
+        policies = [
+            None,
+            sp.monolog(g, 1),
+            sp.monolog(g, 2),
+            sp.full_bidirectional(g),
+            random_admissible_policy(g, rng),
+        ]
+        for policy in policies:
+            trace = sp.run_rendezvous(g, cfg, policy)
+            values, text = ref_rendezvous(g, cfg, policy)
+            assert {name: getattr(trace, name) for name in values} == values
+            assert all(type(m.size) is Fraction for m in trace.messages)
+            assert sp.format_trace(trace) == text
+        # an edge outside the candidates, or an inadmissible override: the
+        # same exception and message
+        outside = {(sp.VertexId(2, 0), sp.VertexId(1, 0)), (sp.VertexId(1, 99), sp.VertexId(2, 0))}
+        cfg_bad = dataclasses.replace(cfg, ground_truth_closures=truth | outside)
+        nothing = sp.Policy(g.vertex_ids, ())
+        for run_args in ((cfg_bad, None), (cfg, nothing)):
+            with pytest.raises(sp.ScanPlanError) as expected:
+                ref_rendezvous(g, *run_args)
+            with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+                sp.run_rendezvous(g, *run_args)
+
+
+def lookup(table, key):
+    try:
+        return table.get(key)
+    except TypeError:  # unhashable: not an edge key
+        return None
+
+
+def test_edge_index_matches_dict_oracle():
+    rng = random.Random(239)
+    for _ in range(30):
+        g = rational_graph(rng, rng.randint(1, 8), rng.randint(1, 8))
+        table = {e.key: k for k, e in enumerate(g.edges)}
+        ids = [vid.index for vid in g.vertex_ids]
+        keys = [
+            *table,
+            *((v, u) for u, v in table),  # wrong sides
+            *((tuple(u), tuple(v)) for u, v in table),  # plain tuples
+            *((sp.VertexId(1, i), sp.VertexId(2, j)) for i in ids for j in ids),
+            (sp.VertexId(1, 99), sp.VertexId(2, 0)),
+            (sp.VertexId(1, 0), sp.VertexId(2, -1)),
+            ((1, 0.0), (2, 0)),
+            ((3, 0), (2, 0)),
+            None,
+            5,
+            "ab",
+            (sp.VertexId(1, 0),),
+            (sp.VertexId(1, 0), sp.VertexId(2, 0), sp.VertexId(2, 1)),
+            ((1, 0, 0), (2, 0)),
+            (([], 0), (2, 0)),
+        ]
+        expected = [lookup(table, key) for key in keys]
+        assert [g.edge_index(key) for key in keys] == expected
+        assert g.edge_positions(keys).tolist() == [-1 if k is None else k for k in expected]
+        for key, k in table.items():
+            assert g.edge_cost(key) == g.edges[k].cost
+
+
+def test_trace_edge_sets_are_lazy_views_of_the_workloads():
+    rng = random.Random(241)
+    g = rational_graph(rng, 12, 12)
+    obj = sp.Objective.p3(Fraction(2, 3), Fraction(5, 7), Fraction(1, 11))
+    cfg = sp.RendezvousConfig(objective=obj, ground_truth_closures=frozenset(list(g.edge_keys())[::3]))
+    trace = sp.run_rendezvous(g, cfg)
+    assert not {"verified_1", "verified_2", "redundant"} & vars(trace).keys()
+    report = sp.workloads(g, trace.policy, obj.alpha1, obj.alpha2)
+    assert (trace.verified_1, trace.verified_2, trace.redundant) == report[:3]
+    assert (trace.ell1, trace.ell2) == report[3:5]
+    again = sp.run_rendezvous(g, cfg)
+    assert again == trace and hash(again) == hash(trace)
+    assert again != dataclasses.replace(trace, scan_bytes=trace.scan_bytes + 1)
 
 
 # -- the two flow engines ------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scanplan as sp
-from scanplan.solver import _max_matching
+from scanplan.solver import _adjacency_by_index, _max_matching
 
 from conftest import (
     A1,
@@ -473,3 +474,31 @@ def test_matcher_follows_long_alternating_paths(shape):
     assert res.policy == sp.solve(g, sp.Objective.p2()).policy
     assert sp.check_hall_uniform(g, 1)
     assert sp.check_hall_uniform(g, 2)
+
+
+def test_matcher_is_near_linear_on_long_chains():
+    # 20,000 + 20,000 vertices: a search that walks the chain once per
+    # root would take minutes
+    n = 20_000
+    g = sp.build_graph([1] * n, [1] * n, [(i, i) for i in range(n)] + [(i + 1, i) for i in range(n - 1)])
+    start = time.perf_counter()
+    res = sp.solve_uniform_matching(g)
+    halls = sp.check_hall_uniform(g, 1), sp.check_hall_uniform(g, 2)
+    assert time.perf_counter() - start < 1.0
+    assert res.optimal_cost == n == len(res.matching)
+    assert halls == (True, True)
+    assert res.policy == sp.solve(g, sp.Objective.p2()).policy
+
+
+def test_matcher_returns_a_maximum_matching():
+    # a valid matching whose size is the minimum cover size (Koenig), found
+    # by exhaustive search
+    rng = random.Random(149)
+    for _ in range(200):
+        g = random_graph(rng, max_side=6, uniform_weight=1)
+        _, _, adj = _adjacency_by_index(g)
+        match1, match2 = _max_matching(adj, len(g.ids[1]))
+        pairs = [(u, v) for u, v in enumerate(match1) if v != -1]
+        assert all(v in adj[u] and match2[v] == u for u, v in pairs)
+        assert sum(u != -1 for u in match2) == len(pairs)
+        assert len(pairs) == sp.solve_brute_force(g, sp.Objective.p2()).optimal_cost
