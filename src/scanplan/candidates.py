@@ -144,119 +144,21 @@ def subsample(traj: Trajectory, rate_divisor: int) -> Trajectory:
     return Trajectory(traj.poses[::rate_divisor])
 
 
-class _FovQuadrature:
-    """Sector-overlap quadrature at one lattice resolution, on scratch
-    buffers allocated on first use and reused by every later pair.
-
-    The lattice and every per-cell float operation are those of the plain
-    meshgrid formulation, so masks and overlaps are bit-identical to it.
-    Three things make it cheaper:
-
-    - the lattice is separable: a sector's offsets are two 1-D vectors
-      ``dx``/``dz``, and its distances and heading projections are their
-      ``np.hypot`` and ``np.add.outer``, written into the scratch buffers;
-    - each sector is evaluated only on the window of lattice rows with
-      ``|dx| <= r`` and columns with ``|dz| <= r``. A cell outside it fails
-      ``dist <= r`` anyway, because a faithfully rounded ``hypot(dx, dz)``
-      is at least ``|dx|`` and ``|dz|``; NaN cells fail both tests;
-    - the two sectors are intersected only where their windows overlap.
-    """
-
-    def __init__(self, resolution: int = FOV_GRID_RESOLUTION):
-        self.resolution = resolution
-        self._dist = self._proj = self._in_a = self._in_b = self._test = None
-
-    @staticmethod
-    def _window(d: np.ndarray, r: float) -> tuple[int, int]:
-        """Index range of the lattice lines within ``r`` of the apex."""
-        inside = np.flatnonzero(np.abs(d) <= r)
-        return (int(inside[0]), int(inside[-1]) + 1) if inside.size else (0, 0)
-
-    @staticmethod
-    def _view(buf: np.ndarray, rows: tuple[int, int], cols: tuple[int, int]) -> np.ndarray:
-        """The front of a flat buffer as a C-ordered rows x cols array."""
-        shape = (rows[1] - rows[0], cols[1] - cols[0])
-        return buf[: shape[0] * shape[1]].reshape(shape)
-
-    def _sector(self, dx, dz, h, cos_half, r, rows, cols, out) -> np.ndarray:
-        """Mask of the sector's cells inside its window, written to ``out``."""
-        x, z = dx[rows[0] : rows[1]], dz[cols[0] : cols[1]]
-        dist = self._view(self._dist, rows, cols)
-        proj = self._view(self._proj, rows, cols)
-        mask = self._view(out, rows, cols)
-        test = self._view(self._test, rows, cols)
-        np.hypot(x[:, None], z[None, :], out=dist)
-        np.add.outer(x * h[0], z * h[1], out=proj)
-        np.less_equal(dist, r, out=mask)
-        np.multiply(cos_half, dist, out=dist)
-        np.greater_equal(proj, dist, out=test)
-        mask &= test
-        return mask
-
-    def overlap(self, pa, ha, pb, hb, fov_half_angle, fov_range) -> float:
-        """``fov_overlap`` of two sectors given by planar position and unit
-        heading."""
-        if fov_range <= 0 or fov_half_angle <= 0:
-            return 0.0
-        # extreme ranges overflow the lattice bounds into inf/NaN lines,
-        # which the windows leave out; that is expected, not worth a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            if float(np.hypot(*(pa - pb))) > 2 * fov_range:
-                return 0.0
-            r = float(fov_range)
-            lo = np.minimum(pa, pb) - r
-            hi = np.maximum(pa, pb) + r
-            n = int(self.resolution)
-            xs = lo[0] + (np.arange(n) + 0.5) * (hi[0] - lo[0]) / n
-            zs = lo[1] + (np.arange(n) + 0.5) * (hi[1] - lo[1]) / n
-            cos_half = math.cos(fov_half_angle)
-            if self._dist is None:
-                size = max(n, 0) ** 2
-                self._dist, self._proj = np.empty(size), np.empty(size)
-                self._in_a, self._in_b, self._test = (np.empty(size, dtype=bool) for _ in range(3))
-            sectors = []
-            for p, h, out in ((pa, ha, self._in_a), (pb, hb, self._in_b)):
-                dx, dz = xs - p[0], zs - p[1]
-                rows, cols = self._window(dx, r), self._window(dz, r)
-                sectors.append((rows, cols, self._sector(dx, dz, h, cos_half, r, rows, cols, out)))
-        (rows_a, cols_a, mask_a), (rows_b, cols_b, mask_b) = sectors
-        n_a = int(np.count_nonzero(mask_a))
-        n_b = int(np.count_nonzero(mask_b))
-        if n_a + n_b == 0:
-            return 0.0
-        rows = (max(rows_a[0], rows_b[0]), min(rows_a[1], rows_b[1]))
-        cols = (max(cols_a[0], cols_b[0]), min(cols_a[1], cols_b[1]))
-        if rows[0] >= rows[1] or cols[0] >= cols[1]:
-            return 0.0
-
-        def crop(mask, mask_rows, mask_cols):
-            return mask[
-                rows[0] - mask_rows[0] : rows[1] - mask_rows[0],
-                cols[0] - mask_cols[0] : cols[1] - mask_cols[0],
-            ]
-
-        both = np.logical_and(
-            crop(mask_a, rows_a, cols_a), crop(mask_b, rows_b, cols_b), out=self._view(self._test, rows, cols)
-        )
-        return 2.0 * int(np.count_nonzero(both)) / (n_a + n_b)
-
-
 # Row-band filter constants; _fov_overlaps derives them.
 _DISK_BAND = 2.0**-40  # kappa: relative half-width of a band around the disk edge
 _WEDGE_BAND = 2.0**-20  # delta: half-width, in radians, of a wedge around a cone edge
-_MIN_WEDGE_SINE = 2.0**-10  # a wedge end nearer the row direction sends the pair to the kernel
-_APEX = 2.0**-1000  # cells nearer the apex than this are always evaluated
-_APEX_BAND = 2.0**-989  # >= _APEX / _MIN_WEDGE_SINE, so it holds every wedge of a row that near
+_APEX = 2.0**-1000  # on rows this near the apex both wedge bands span the whole chord
 _SCALE = 2.0**400  # the range lies in [1/_SCALE, _SCALE], every lattice bound within +-_SCALE
 _INDEX_ERROR = 2.0**-48  # 32u: column tolerance per cell of coordinate magnitude
-_BLOCK_ROWS = 1024  # lattice rows per block; under 1 MB of working arrays
+_BLOCK_ROWS = 1024  # lattice rows per block; under 1 MB of working arrays unless a pair takes full rows
 
 
 def _fov_overlaps(pa, ha, pb, hb, fov_half_angle, fov_range, resolution=FOV_GRID_RESOLUTION) -> list[float]:
     """``fov_overlap`` of many sector pairs, given as (pairs, 2) arrays of
-    planar positions and unit headings; equal (``==``) to
-    ``_FovQuadrature.overlap`` pair by pair, at O(resolution) cost per pair
-    instead of O(resolution**2).
+    planar positions and unit headings. Each overlap equals (``==``) that
+    of the plain quadrature, which tests every cell of the full lattice,
+    while a pair the error bound below covers evaluates O(resolution)
+    cells instead of O(resolution**2).
 
     **Row bands.** On one lattice row (fixed ``x``) a sector's exact
     predicate ``|v| <= r and v.h >= c|v|`` (``v`` the cell's offset from the
@@ -266,11 +168,23 @@ def _fov_overlaps(pa, ha, pb, hb, fov_half_angle, fov_range, resolution=FOV_GRID
     and the cells whose direction lies within ``delta`` of a cone edge, at
     ``+-acos(c)`` from the heading. The band edges of both sectors split the
     row into segments. A band segment's cells are evaluated one by one with
-    the kernel's float operations (``hypot``, ``x*h0 + z*h1``,
+    the plain quadrature's float operations (``hypot``, ``x*h0 + z*h1``,
     ``cos_half*dist``); a gap (a segment outside every band) is evaluated
     at its first cell, and that value holds for the whole gap. The columns
     before the first band edge and after the last one lie outside both
     disks.
+
+    **Wedge bands.** A cone edge's wedge has two ends, the heading turned
+    by ``+-alpha +- delta``. An end ``(ex, ez)`` meets the row at offset
+    ``dx`` from the apex, at column offset ``dx ez / ex``, when it points
+    toward the row (``dx ex > 0``). On the other rows it is taken at
+    infinity, on the side the ``ez`` of the wedge's first end points to;
+    both ends share that side. The band runs between the two ends' columns,
+    clipped to the outer disk edge. So a wedge whose ends straddle the row
+    direction meets the row from one end to the disk edge, and a wedge that
+    misses the row collapses onto the end of a disk band, adding no cells.
+    The side only matters for a wedge that straddles the row direction,
+    where both ends' ``ez`` are near +-1 and agree.
 
     **Why a gap is constant.** Let ``u = 2**-53``. For a cell outside every
     band, with ``|v| >= 2**-1000``:
@@ -278,34 +192,39 @@ def _fov_overlaps(pa, ha, pb, hb, fov_half_angle, fov_range, resolution=FOV_GRID
     - ``hypot`` is faithful, ``|D - |v|| < 2u|v|``, so ``D <= r`` agrees
       with ``|v| <= r`` while ``||v| - r| > (kappa - 8u) r``; the ``8u``
       covers the rounding of the band ends;
-    - the kernel compares ``fl(fl(x h0) + fl(z h1))`` with ``fl(c D)``. By
-      Cauchy-Schwarz and ``|h| <= 1 + 3u`` the left side is off by at most
-      ``2.01u|v|`` and the right side by ``3.01u|v|``; underflow adds at
-      most ``4 * 2**-1075``, below ``u|v|`` at that distance. In all, less
-      than ``6.1u|v|``;
+    - the quadrature compares ``fl(fl(x h0) + fl(z h1))`` with ``fl(c D)``.
+      By Cauchy-Schwarz and ``|h| <= 1 + 3u`` the left side is off by at
+      most ``2.01u|v|`` and the right side by ``3.01u|v|``; underflow adds
+      at most ``4 * 2**-1075``, below ``u|v|`` at that distance. In all,
+      less than ``6.1u|v|``;
     - the exact margin is ``|v| |m cos b - c|``, with ``m = |h|`` and ``b``
       the angle between ``v`` and ``h``. For ``alpha = fl(acos c)`` and
       ``|b - alpha| >= delta'``, ``|cos b - cos alpha| >= 2 sin(delta'/2)**2``.
       Rounding ``acos`` moves ``cos alpha`` off ``c`` by at most ``2 pi u``,
-      and ``|m - 1| <= 3u``. The wedge ends (the heading turned by
-      ``+-alpha +- delta``), their cotangents and the column positions are
-      each off by ``O(10u)``, so ``delta' >= delta - 2**-40`` and the
+      and ``|m - 1| <= 3u``. Each computed wedge end's direction is within
+      ``O(10u)`` rad of exact, whatever ``|ex|`` is. The side test reads
+      the sign of the computed ``ex``, so it is exact for the computed end;
+      where it differs from the exact end's, that end lies within
+      ``O(10u)`` rad of the row direction, and the band is still that of a
+      wedge inside this slack. The cotangents and column positions are off
+      by ``O(10u)`` relative, so ``delta' >= delta - 2**-40`` and the
       margin exceeds ``2**-41.2 |v|``.
 
     With ``kappa = 2**-40`` and ``delta = 2**-20`` each margin is more than
     250 times the error, so the float test equals the exact one on every gap
-    cell, and the exact one has no crossing inside a gap. Cells within
-    ``2**-1000`` of the apex lie in an apex band. Column positions come from
-    the lattice formula; each band is widened by the tolerance
+    cell, and the exact one has no crossing inside a gap. On rows within
+    ``2**-1000`` of the apex both wedge bands span the whole chord, so no
+    cell nearer the apex lies in a gap. Column positions come from the
+    lattice formula; each band is widened by the tolerance
     ``2**-48 (Z / step + 1)`` cells, with ``Z`` the sum of the magnitudes of
     every coordinate involved. Widening only adds band cells.
 
-    **Fallback.** A pair goes to the kernel when a position, a heading, the
-    range or ``cos_half`` is not finite; the range is outside
+    **Full rows.** A pair the bound does not cover has every band span the
+    whole row, so every cell is evaluated one by one: a position, a
+    heading, the range or ``cos_half`` is not finite; the range is outside
     ``[2**-400, 2**400]`` or a lattice bound exceeds ``2**400`` in
-    magnitude; ``|h|`` is not within ``2**-50`` of 1; a wedge end is within
-    ``asin(2**-10)`` of the row direction, where the wedge's band would be
-    long; or the column tolerance exceeds a quarter cell. The other pairs
+    magnitude; ``|h|`` is not within ``2**-50`` of 1; the resolution is
+    ``2**30`` or more; or the column tolerance exceeds a quarter cell. Pairs
     are processed in blocks of at most ``_BLOCK_ROWS`` lattice rows.
     """
     pa, ha, pb, hb = (np.asarray(v, dtype=float).reshape(-1, 2) for v in (pa, ha, pb, hb))
@@ -313,41 +232,37 @@ def _fov_overlaps(pa, ha, pb, hb, fov_half_angle, fov_range, resolution=FOV_GRID
     if fov_range <= 0 or fov_half_angle <= 0:
         return out
     two_r = 2 * fov_range
-    with np.errstate(over="ignore", invalid="ignore"):
+    # extreme ranges overflow the lattice bounds into inf/NaN lines, which
+    # fail every cell test; that is expected, not worth a warning
+    with np.errstate(all="ignore"):
         apart = np.hypot(pa[:, 0] - pb[:, 0], pa[:, 1] - pb[:, 1]).tolist()
-    live = np.array([k for k, d in enumerate(apart) if not d > two_r], dtype=np.int64)
-    r, n = float(fov_range), int(resolution)
-    usable = 1 <= n < 2**30 and 1 / _SCALE <= r <= _SCALE and math.isfinite(fov_half_angle)
-    if usable:
+        live = np.array([k for k, d in enumerate(apart) if not d > two_r], dtype=np.int64)
+        if not live.size:
+            return out
+        r, n = float(fov_range), int(resolution)
         cos_half = math.cos(fov_half_angle)
         alpha = math.acos(cos_half)
-    quad = _FovQuadrature(resolution)
-    per_block = max(1, _BLOCK_ROWS // n)
-    for first in range(0, len(live), per_block):
-        block = live[first : first + per_block]
-        fast = np.zeros(len(block), dtype=bool)
-        if usable:
-            with np.errstate(all="ignore"):
-                fast, params = _band_setup(pa[block], ha[block], pb[block], hb[block], r, n, alpha)
-        for k in block[~fast].tolist():
-            out[k] = quad.overlap(pa[k], ha[k], pb[k], hb[k], fov_half_angle, fov_range)
-        if fast.any():
-            counts = _block_counts({key: value[fast] for key, value in params.items()}, cos_half, r, n)
-            for k, (n_a, n_b, n_ab) in zip(block[fast].tolist(), counts):
+        bounded = n < 2**30 and 1 / _SCALE <= r <= _SCALE and math.isfinite(fov_half_angle)
+        per_block = max(1, _BLOCK_ROWS // n)
+        for first in range(0, len(live), per_block):
+            block = live[first : first + per_block]
+            params = _band_setup(pa[block], ha[block], pb[block], hb[block], r, n, alpha, bounded)
+            for k, (n_a, n_b, n_ab) in zip(block.tolist(), _block_counts(params, cos_half, r, n)):
                 if n_a + n_b:
                     out[k] = 2.0 * n_ab / (n_a + n_b)
     return out
 
 
-def _band_setup(pa, ha, pb, hb, r, n, alpha):
-    """Per-pair arrays of the row-band filter, and the mask of the pairs
-    it takes (the others go to the kernel)."""
+def _band_setup(pa, ha, pb, hb, r, n, alpha, bounded):
+    """Per-pair arrays of the row-band filter for one block, with the mask
+    ``full`` of the pairs that take full rows."""
     lo = np.minimum(pa, pb) - r
     hi = np.maximum(pa, pb) + r
     span = hi - lo
     step = span[:, 1] / n
     params = {"lo": lo, "span": span, "scale": 1 / step}
-    ok = np.isfinite(pa).all(1) & np.isfinite(pb).all(1) & (np.maximum(np.abs(lo), np.abs(hi)).max(1) <= _SCALE)
+    ok = bounded & np.isfinite(pa).all(1) & np.isfinite(pb).all(1)
+    ok &= np.maximum(np.abs(lo), np.abs(hi)).max(1) <= _SCALE
     reach = np.abs(lo[:, 1]) + np.abs(hi[:, 1]) + 2 * r * (1 + _DISK_BAND)
     turns = (alpha - _WEDGE_BAND, alpha + _WEDGE_BAND, -alpha - _WEDGE_BAND, -alpha + _WEDGE_BAND)
     cos_t, sin_t = np.array([math.cos(t) for t in turns]), np.array([math.sin(t) for t in turns])
@@ -356,61 +271,62 @@ def _band_setup(pa, ha, pb, hb, r, n, alpha):
         # the wedge ends' directions: the heading turned by each angle
         ex = h[:, 0, None] * cos_t + h[:, 1, None] * sin_t
         ez = h[:, 1, None] * cos_t - h[:, 0, None] * sin_t
-        ok &= (np.abs(ex) >= _MIN_WEDGE_SINE).all(1)
-        # a wedge meets the rows on the side of the apex its ends point to
-        # (the sign of ``side``); there the smaller column offset comes first
-        side = ex[:, ::2]
-        cot = ez / ex * params["scale"][:, None]
-        low, high = np.minimum(cot[:, ::2], cot[:, 1::2]), np.maximum(cot[:, ::2], cot[:, 1::2])
-        cot = np.stack([np.where(side > 0, low, high), np.where(side > 0, high, low)], axis=2)
-        params[f"p{s}"], params[f"h{s}"], params[f"side{s}"], params[f"cot{s}"] = p, h, side, cot
+        params[f"p{s}"], params[f"h{s}"], params[f"side{s}"] = p, h, np.sign(ex)
+        params[f"cot{s}"] = ez / ex * params["scale"][:, None]
+        params[f"far{s}"] = np.repeat(np.where(ez[:, ::2] > 0, np.inf, -np.inf), 2, axis=1)
         params[f"apex{s}"] = (p[:, 1] - lo[:, 1]) / step - 0.5
         reach = reach + np.abs(p[:, 1])
     params["tol"] = _INDEX_ERROR * (reach / step + 1)
-    ok &= params["tol"] <= 0.25
-    return ok, params
+    params["full"] = ~(ok & (params["tol"] <= 0.25))
+    return params
 
 
-def _band_bounds(dx, apex, cot, side, scale, tol, r, n):
-    """Column bounds ``[start, end)`` (rows, 4) of one sector's bands on
-    each lattice row of a block: the two disk-edge bands and the two
-    cone-edge wedges. ``dx`` is (pairs, rows); ``apex`` is the apex's
-    column position, ``scale`` the columns per unit length, and ``cot``
-    the wedge ends' cotangents in columns per unit of ``dx``.
-
-    A wedge that misses a row is empty and placed where the row's first
-    disk band starts, so it adds no segment."""
+def _band_bounds(dx, block, s, r, n):
+    """Column bounds ``[start, end)`` (4, pairs * rows) of sector ``s``'s
+    bands on each lattice row of a block: the two disk-edge bands and the
+    two cone-edge wedges. ``dx`` is (pairs, rows); ``block`` holds the
+    apex's column position, the columns per unit length (``scale``), and
+    each wedge end's cotangent in columns per unit of ``dx``, the side of
+    the apex it points to (the sign of its ``ex``) and its wedge's far
+    side."""
     adx = np.abs(dx)
     outer, inner = r * (1 + _DISK_BAND), r * (1 - _DISK_BAND)
-    scale, apex = scale[:, None], apex[:, None]
+    scale, apex = block["scale"][:, None], block[f"apex{s}"][:, None]
     w_hi = np.sqrt(np.maximum((outer - adx) * (outer + adx), 0.0)) * scale
     w_lo = np.sqrt(np.maximum((inner - adx) * (inner + adx), 0.0)) * scale
     first, last = apex - w_hi, apex + w_hi
-    bands = np.empty(dx.shape + (4, 2))
-    bands[..., 0, 0], bands[..., 0, 1] = first, apex - w_lo
-    bands[..., 1, 0], bands[..., 1, 1] = apex + w_lo, last
-    for k in (0, 1):
-        # past the outer disk edge every cell is decided anyway
-        top = np.where(dx * side[:, None, k] > 0, last, first)
-        for e in (0, 1):
-            bands[..., 2 + k, e] = np.minimum(np.maximum(apex + dx * cot[:, None, k, e], first), top)
+    # band ends as (start or end, band, pairs, rows), so that every array
+    # operation below runs along whole rows
+    bands = np.empty((2, 4) + dx.shape)
+    bands[0, 0], bands[1, 0] = first, apex - w_lo
+    bands[0, 1], bands[1, 1] = apex + w_lo, last
+    # (end, pairs, rows): each wedge end's column where it points toward
+    # the row, else its wedge's far side
+    side, cot, far = (block[f"{key}{s}"].T[:, :, None] for key in ("side", "cot", "far"))
+    ends = np.where(dx * side > 0, apex + dx * cot, far)
+    # past the outer disk edge every cell is decided anyway
+    wedges = bands[:, 2:]
+    wedges[0] = np.minimum(np.maximum(np.minimum(ends[0::2], ends[1::2]), first), last)
+    wedges[1] = np.minimum(np.maximum(np.maximum(ends[0::2], ends[1::2]), first), last)
     near = np.nonzero(adx <= _APEX)
     if near[0].size:
-        reach = (_APEX_BAND * scale)[near[0], 0]
-        bands[near + (slice(2, 4), 0)] = (apex[near[0], 0] - reach)[:, None]
-        bands[near + (slice(2, 4), 1)] = (apex[near[0], 0] + reach)[:, None]
-    tol = tol[:, None, None]
-    start = np.minimum(np.maximum(np.ceil(bands[..., 0] - tol), 0), n)
-    end = np.minimum(np.maximum(np.floor(bands[..., 1] + tol) + 1, 0), n)
-    return start.astype(np.int32).reshape(-1, 4), end.astype(np.int32).reshape(-1, 4)
+        wedges[0][:, near[0], near[1]] = first[near]
+        wedges[1][:, near[0], near[1]] = last[near]
+    tol = block["tol"][:, None]
+    start = np.minimum(np.maximum(np.ceil(bands[0] - tol), 0), n)
+    end = np.minimum(np.maximum(np.floor(bands[1] + tol) + 1, 0), n)
+    full = block["full"]
+    if full.any():
+        start[:, full], end[:, full] = 0, n
+    return start.astype(np.int32).reshape(4, -1), end.astype(np.int32).reshape(4, -1)
 
 
 def _block_counts(block, cos_half, r, n) -> list[tuple[int, int, int]]:
     """``(n_a, n_b, n_ab)`` for each pair of one block."""
     pairs = len(block["lo"])
     centres = np.arange(n) + 0.5
-    # the kernel's lattice lines, and each sector's offsets and heading
-    # products along them, as (pairs, n) tables
+    # the plain quadrature's lattice lines, and each sector's offsets and
+    # heading products along them, as (pairs, n) tables
     xs = block["lo"][:, 0, None] + centres * block["span"][:, 0, None] / n
     zs = block["lo"][:, 1, None] + centres * block["span"][:, 1, None] / n
     keys = np.empty((pairs * n, 16), dtype=np.int32)
@@ -419,11 +335,9 @@ def _block_counts(block, cos_half, r, n) -> list[tuple[int, int, int]]:
         p, h = block[f"p{s}"], block[f"h{s}"]
         dx, dz = xs - p[:, 0, None], zs - p[:, 1, None]
         sectors.append([t.ravel() for t in (dx, dx * h[:, 0, None], dz, dz * h[:, 1, None])])
-        start, end = _band_bounds(
-            dx, block[f"apex{s}"], block[f"cot{s}"], block[f"side{s}"], block["scale"], block["tol"], r, n
-        )
-        keys[:, 8 * k : 8 * k + 4] = 2 * start + 1
-        keys[:, 8 * k + 4 : 8 * k + 8] = 2 * end
+        start, end = _band_bounds(dx, block, s, r, n)
+        keys[:, 8 * k : 8 * k + 4] = (2 * start + 1).T
+        keys[:, 8 * k + 4 : 8 * k + 8] = (2 * end).T
     # band edges by column, a start odd and an end even; the running sum of
     # +1/-1 counts the bands over the segment that follows (each row sums to 0)
     keys.sort(axis=1)
@@ -475,8 +389,9 @@ def fov_overlap(
     so the result is symmetric in the two poses, and exactly 1.0 for
     identical ones while the lattice bounds are finite. Degenerate
     zero-range sectors overlap nothing, and so do ranges whose lattice
-    bounds overflow.
+    bounds overflow. ``resolution`` must be an integer >= 1.
     """
+    _check_count("resolution", resolution)
     return _fov_overlaps(
         planar_position(pose_a),
         planar_heading(pose_a),

@@ -40,7 +40,7 @@ from .errors import (
     UnknownVertex,
     ValidationError,
 )
-from .objectives import P1, P2, Objective, as_fraction
+from .objectives import MAX_NUMBER_DIGITS, P1, P2, Objective, as_fraction, check_number_text
 
 
 class VertexId(NamedTuple):
@@ -607,23 +607,15 @@ def effective_weight(g: ExchangeGraph, vid: VertexId, objective: Objective) -> F
 # form has no terminating decimal expansion are written as "p/q" strings and
 # accepted back in that form, so serialize/deserialize round-trips exactly.
 
-# Largest number a graph or policy file may hold: at most MAX_NUMBER_DIGITS
-# digits and a decimal exponent of at most MAX_NUMBER_EXPONENT in magnitude,
-# for a JSON number token and for the text of a number given as a string.
-# An accepted value's exact decimal form then has at most 1000 digits on
-# each side of the point, so printing it, or a sum of decimal values, stays
-# far inside the interpreter's 4300-digit int-to-str limit.
-MAX_NUMBER_DIGITS = 500
-MAX_NUMBER_EXPONENT = 500
-
 # Largest common denominator of a graph file's values: ``loads_graph``
 # refuses a file whose values' common denominator has more than
 # MAX_DENOMINATOR_DIGITS digits. Every file of decimal numbers within the
-# bounds above passes, since its denominator is a power of ten below
-# 10**1000; "p/q" values with many coprime denominators may not. Over an
-# accepted graph with fewer than 10**11 vertices and edges, every P1, P2 or
-# P3 cost prints inside the 4300-digit limit while each objective
-# parameter's numerator and denominator have at most 100 digits:
+# number bounds (``objectives.check_number_text``) passes, since its
+# denominator is a power of ten below 10**1000; "p/q" values with many
+# coprime denominators may not. Over an accepted graph with fewer than
+# 10**11 vertices and edges, every P1, P2 or P3 cost prints inside the
+# 4300-digit limit, since each objective parameter's numerator and
+# denominator have at most ``objectives.MAX_PARAMETER_DIGITS`` = 100 digits:
 # - the cost is below 10**1213 (values below 10**1000, parameter products
 #   below 10**200);
 # - its denominator divides one below 10**1300 with at most 2653 factors of
@@ -647,17 +639,8 @@ def open_text(path):
 
 
 def _check_number(text: str) -> str:
-    """``text`` if its digits and decimal exponent are within the file
-    format's bounds, else ``GraphFormatError``."""
-    mantissa, _, exponent = text.lower().partition("e")
-    too_long = len(mantissa) > MAX_NUMBER_DIGITS and sum(c.isdigit() for c in mantissa) > MAX_NUMBER_DIGITS
-    exponent = exponent.lstrip("+-").lstrip("0")
-    if too_long or len(exponent) > 4 or int(exponent or 0) > MAX_NUMBER_EXPONENT:
-        raise GraphFormatError(
-            f"number {text[:20]}{'...' if len(text) > 20 else ''} exceeds {MAX_NUMBER_DIGITS} digits "
-            f"or a decimal exponent of {MAX_NUMBER_EXPONENT}"
-        )
-    return text
+    """``text`` if it is within the number bounds, else ``GraphFormatError``."""
+    return check_number_text(text, GraphFormatError)
 
 
 def _bounded_int(token: str) -> int:
@@ -769,9 +752,13 @@ def _load_number(value) -> int | Fraction:
         return value
     if isinstance(value, bool) or value is None:
         raise GraphFormatError(f"expected a number, got {value!r}")
-    if isinstance(value, str):
-        _check_number(value)
-    return as_fraction(value)
+    try:
+        return as_fraction(value)
+    except ValidationError:
+        # in a file, a number text beyond the bounds is a format error
+        if isinstance(value, str):
+            _check_number(value)
+        raise
 
 
 def _load_int(value) -> int:

@@ -20,11 +20,44 @@ P3 = "p3"
 _VARIANTS = (P1, P2, P3)
 
 
+# Largest number text: at most MAX_NUMBER_DIGITS digits and a decimal
+# exponent of at most MAX_NUMBER_EXPONENT in magnitude. The bound holds for
+# every JSON number token and number string of a graph or policy file, and
+# for every text given to ``as_fraction``, such as a CLI number flag. An
+# accepted value's exact decimal form then has at most 1000 digits on each
+# side of the point, so printing it, or a sum of decimal values, stays far
+# inside the interpreter's 4300-digit int-to-str limit, and no text makes
+# ``Fraction`` build a huge power of ten.
+MAX_NUMBER_DIGITS = 500
+MAX_NUMBER_EXPONENT = 500
+
+# Most digits in the numerator or the denominator of an objective
+# parameter; ``graph.MAX_DENOMINATOR_DIGITS`` shows that every cost then
+# prints inside the int-to-str limit.
+MAX_PARAMETER_DIGITS = 100
+
+
+def check_number_text(text: str, error: type[Exception] = ValidationError) -> str:
+    """``text`` if its digits and decimal exponent are within
+    MAX_NUMBER_DIGITS and MAX_NUMBER_EXPONENT, else ``error``. Only the
+    text is read, so nothing of the number's size is built."""
+    mantissa, _, exponent = text.lower().partition("e")
+    too_long = len(mantissa) > MAX_NUMBER_DIGITS and sum(c.isdigit() for c in mantissa) > MAX_NUMBER_DIGITS
+    exponent = exponent.lstrip("+-").lstrip("0")
+    if too_long or len(exponent) > 4 or int(exponent or 0) > MAX_NUMBER_EXPONENT:
+        raise error(
+            f"number {text[:20]}{'...' if len(text) > 20 else ''} exceeds {MAX_NUMBER_DIGITS} digits "
+            f"or a decimal exponent of {MAX_NUMBER_EXPONENT}"
+        )
+    return text
+
+
 def as_fraction(value) -> Fraction:
     """Convert ``value`` to an exact Fraction.
 
     Accepts ints, Fractions, decimal strings ("1.5"), fraction strings
     ("3/7"), and floats (converted exactly from their binary value).
+    Strings beyond the bounds of ``check_number_text`` are refused.
     """
     if isinstance(value, Fraction):
         return value
@@ -37,6 +70,7 @@ def as_fraction(value) -> Fraction:
             raise ValidationError(f"non-finite value {value!r}")
         return Fraction(value)
     if isinstance(value, str):
+        check_number_text(value)
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -50,6 +84,8 @@ class Objective:
 
     alpha1/alpha2 weight the two robots' induced workloads (used by p1 and
     p3); omega mixes the workload term into the communication term (p3).
+    Each is non-negative with at most MAX_PARAMETER_DIGITS digits in its
+    numerator and its denominator.
     """
 
     variant: str
@@ -64,6 +100,10 @@ class Objective:
             val = as_fraction(getattr(self, name))
             if val < 0:
                 raise ValidationError(f"{name} must be non-negative, got {val}")
+            if max(val.numerator, val.denominator) >= 10**MAX_PARAMETER_DIGITS:
+                raise ValidationError(
+                    f"{name} must have at most {MAX_PARAMETER_DIGITS} digits in its numerator and denominator"
+                )
             object.__setattr__(self, name, val)
 
     @classmethod

@@ -205,6 +205,13 @@ def test_overlap_symmetric_and_bounded():
         assert 0.0 <= ab <= 1.0
 
 
+@pytest.mark.parametrize("resolution", [0, -1, 2.5, True, "7"])
+def test_fov_overlap_refuses_a_non_count_resolution(resolution):
+    p = make_pose(0, 0.0, 0.0, 0.0)
+    with pytest.raises(sp.ValidationError, match="^resolution must be"):
+        fov_overlap(p, p, HALF, RANGE, resolution)
+
+
 def test_degenerate_zero_range_overlaps_nothing():
     p = make_pose(0, 0.0, 0.0, 0.0)
     assert fov_overlap(p, p, HALF, 0.0) == 0.0
@@ -213,7 +220,7 @@ def test_degenerate_zero_range_overlaps_nothing():
 # -- row-band filter: adversarial shapes against the frozen reference ---------
 
 
-ADVERSARIAL_KINDS = ("axis", "half", "near", "lattice", "same", "2r", "any")
+ADVERSARIAL_KINDS = ("axis", "half", "near", "row", "lattice", "same", "2r", "any")
 ADVERSARIAL_HALVES = (1e-300, 1e-8, 1e-6, 1e-3, 0.3, 0.7, math.pi / 4, math.pi / 2, 2.0, math.pi - 1e-6, math.pi, 4.0, 1e3)
 ADVERSARIAL_RANGES = (1e-3, 0.5, 7.3, 30.0, 1e4)
 
@@ -221,9 +228,11 @@ ADVERSARIAL_RANGES = (1e-3, 0.5, 7.3, 30.0, 1e4)
 def adversarial_sector_pair(rng, kind, half, r, resolution):
     """Two poses built to sit on the row-band filter's edge cases for a
     sector of this half-angle and range: headings along the lattice axes,
-    at +-half (a boundary ray parallel to the rows, which the kernel takes)
-    or just off it (a long wedge band), an apex on or next to a lattice
-    line, coincident poses, and poses 2r apart within ulps."""
+    at +-half (a boundary ray parallel to the rows), just off it (a long
+    wedge band) or within a wedge's half-width of it (wedge ends on both
+    sides of the row direction) with the middle lattice row on or near both
+    apexes, an apex on or next to a lattice line, coincident poses, and
+    poses 2r apart within ulps."""
     x, z = rng.uniform(-3, 3) * r, rng.uniform(-3, 3) * r
     heading_a, heading_b = rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi)
     bx, bz = x + rng.uniform(-2, 2) * r, z + rng.uniform(-2, 2) * r
@@ -234,10 +243,20 @@ def adversarial_sector_pair(rng, kind, half, r, resolution):
         heading_a = rng.choice([half, -half, math.pi - half, half - math.pi])
         heading_b = rng.choice([half, -half, heading_b])
     elif kind == "near":
-        # a boundary ray just off the row direction, past the fallback
-        # threshold: its wedge band spans many cells of a row
+        # a boundary ray just off the row direction: its wedge band spans
+        # many cells of a row
         heading_a = rng.choice([half, -half, math.pi - half]) + rng.choice([-1, 1]) * rng.choice([1.1e-3, 2e-3, 1e-2])
         heading_b = rng.choice([heading_a, heading_b])
+    elif kind == "row":
+        # a boundary ray theta off the row direction, within a wedge's
+        # half-width of it; on an odd resolution the middle lattice row
+        # passes midway between the apexes: at 0 or within rounding error of
+        # both for equal x, else about theta * r off, where that ray crosses
+        # the row inside the disk
+        theta = rng.choice([-1, 1]) * rng.choice([1e-13, 1e-10, 1e-7, 5e-7])
+        heading_a = rng.choice([half, -half, math.pi - half]) + theta
+        heading_b = rng.choice([heading_a, heading_b])
+        bx = x + rng.choice([0.0, rng.uniform(-2, 2) * theta * r])
     elif kind == "lattice":
         # lattice-aligned offsets put lattice lines through (or within ulps
         # of) an apex
@@ -271,7 +290,7 @@ def test_row_bands_match_seed_on_adversarial_pairs():
         for half in ADVERSARIAL_HALVES:
             for r in ADVERSARIAL_RANGES:
                 cases = [
-                    adversarial_sector_pair(rng, ADVERSARIAL_KINDS[k % 7], half, r, resolution)
+                    adversarial_sector_pair(rng, ADVERSARIAL_KINDS[k % len(ADVERSARIAL_KINDS)], half, r, resolution)
                     for k in range(per_shape)
                 ]
                 a, b = planar(c[0] for c in cases), planar(c[1] for c in cases)
@@ -302,18 +321,17 @@ def test_cells_exactly_on_the_disk_edge_inside_a_row(resolution, half):
 def test_wide_bands_match_seed(monkeypatch):
     # widening a band only adds cells evaluated one by one, so any widths
     # at least the error bound's give the same overlaps; wide ones put many
-    # cells in each band, cover the apex with a real band, and merge bands
+    # cells in each band, make every row near an apex a full chord, and
+    # merge bands
     monkeypatch.setattr(candidates, "_DISK_BAND", 0.05)
     monkeypatch.setattr(candidates, "_WEDGE_BAND", 0.05)
-    monkeypatch.setattr(candidates, "_MIN_WEDGE_SINE", 0.25)  # above sin(2 * 0.05)
     monkeypatch.setattr(candidates, "_APEX", 0.02)
-    monkeypatch.setattr(candidates, "_APEX_BAND", 0.08)  # _APEX / _MIN_WEDGE_SINE
     rng = random.Random(99)
     for resolution, per_shape in ((7, 9), (32, 5), (64, 2)):
         for half in ADVERSARIAL_HALVES:
             for r in (0.5, 7.3, 30.0):
                 cases = [
-                    adversarial_sector_pair(rng, ADVERSARIAL_KINDS[k % 7], half, r, resolution)
+                    adversarial_sector_pair(rng, ADVERSARIAL_KINDS[k % len(ADVERSARIAL_KINDS)], half, r, resolution)
                     for k in range(per_shape)
                 ]
                 a, b = planar(c[0] for c in cases), planar(c[1] for c in cases)
@@ -328,7 +346,7 @@ def adversarial_trajectories(seed, count):
     rng = random.Random(seed)
     poses = [[], []]
     for k in range(count):
-        pair = adversarial_sector_pair(rng, ADVERSARIAL_KINDS[k % 7], HALF, RANGE, 256)
+        pair = adversarial_sector_pair(rng, ADVERSARIAL_KINDS[k % len(ADVERSARIAL_KINDS)], HALF, RANGE, 256)
         for side, pose in enumerate(pair):
             x, z = (float(v) for v in planar_position(pose))
             scale = 10.0 / max(10.0, abs(x), abs(z))
@@ -361,28 +379,52 @@ def test_build_geometric_overlaps_match_seed(monkeypatch):
     }
 
 
-def count_kernel_pairs(monkeypatch):
-    calls = []
-    kernel = candidates._FovQuadrature.overlap
-    monkeypatch.setattr(candidates._FovQuadrature, "overlap", lambda self, *a: calls.append(1) or kernel(self, *a))
-    return calls
+def full_row_masks(monkeypatch):
+    """Record, per block, which pairs the row-band set-up leaves to full
+    rows (every cell evaluated)."""
+    masks = []
+    setup = candidates._band_setup
+
+    def recording(*args):
+        params = setup(*args)
+        masks.append(params["full"].tolist())
+        return params
+
+    monkeypatch.setattr(candidates, "_band_setup", recording)
+    return masks
 
 
 def test_fixture_pairs_need_no_kernel_fallback(monkeypatch):
-    calls = count_kernel_pairs(monkeypatch)
+    # at pi/2, 571 of the pairs have a cone edge within asin(2**-10) rad of
+    # the row direction
     t1, t2 = two_loop_fixture()
-    g = build_geometric(t1, t2, GeometryParams(d_max=30, eta=0.4))
-    assert g.num_edges == 233 and calls == []
+    for half, edges in ((HALF, 233), (math.pi / 2, 420)):
+        masks = full_row_masks(monkeypatch)
+        g = build_geometric(t1, t2, GeometryParams(d_max=30, eta=0.4, fov_half_angle=half))
+        assert g.num_edges == edges and sum(map(len, masks)) == 1065 and not any(map(any, masks))
 
 
 @pytest.mark.parametrize("heading", [HALF, -HALF, math.pi - HALF])
-def test_boundary_ray_parallel_to_rows_takes_kernel(monkeypatch, heading):
+def test_boundary_ray_parallel_to_rows_is_banded(monkeypatch, heading):
     # a boundary ray at heading -+ HALF points along +-z, the row direction
-    calls = count_kernel_pairs(monkeypatch)
+    masks = full_row_masks(monkeypatch)
     a = make_pose(0, 0.0, 0.0, heading)
     b = make_pose(1, 4.0, 3.0, 0.3)
     assert fov_overlap(a, b, HALF, RANGE) == seed_fov_overlap(a, b, HALF, RANGE)
-    assert len(calls) == 1
+    assert masks == [[False]]
+
+
+def test_full_rows_match_seed_beyond_the_range_bound(monkeypatch):
+    # ranges outside [2**-400, 2**400] are not covered by the error bound:
+    # every cell is evaluated, as the plain quadrature does
+    masks = full_row_masks(monkeypatch)
+    rng = random.Random(11)
+    for r in (1e-300, 1e300):
+        cases = [adversarial_sector_pair(rng, kind, HALF, r, 7) for kind in ADVERSARIAL_KINDS]
+        a, b = planar(c[0] for c in cases), planar(c[1] for c in cases)
+        expected = [seed_fov_overlap(pa, pb, HALF, r, 7) for pa, pb in cases]
+        assert candidates._fov_overlaps(*a, *b, HALF, r, 7) == expected
+    assert masks and all(map(all, masks))
 
 
 # -- geometric gating ---------------------------------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -384,23 +385,32 @@ def test_sweep_point_cap_exits_3(capsys, monkeypatch):
 
 
 def test_build_graph_fov_golden(capsys, tmp_path):
-    # the graph file the two-loop fixture gave before the windowed FOV
-    # quadrature; it must stay byte-identical
-    out_file = tmp_path / "g.json"
-    with pytest.warns(UserWarning, match="pruned 128 isolated vertices"):
-        code, _, _ = run(
-            capsys,
-            "build-graph",
-            "--poses1", str(DATA / "two_loop_poses1.txt"),
-            "--poses2", str(DATA / "two_loop_poses2.txt"),
-            "--features1", str(DATA / "two_loop_features1.txt"),
-            "--features2", str(DATA / "two_loop_features2.txt"),
-            "--dmax", "30", "--eta", "0.4", "--out", str(out_file),
-        )
-    assert code == 0
-    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
-        "a33ee8fd7f2163739da0e99d9e8669efc12b0c33c19c997ad657b6c316dc4ad7"
-    )
+    # the graph files the two-loop fixture gave before the windowed FOV
+    # quadrature (default half-angle) and before the row bands took wedges
+    # along the row direction (pi/2, where a cone edge lies along the rows
+    # for over half the gated pairs); they must stay byte-identical
+    golden = [
+        ([], 128, "a33ee8fd7f2163739da0e99d9e8669efc12b0c33c19c997ad657b6c316dc4ad7"),
+        (
+            ["--fov-half-angle", "1.5707963267948966"],
+            124,
+            "91852a2380423db269f58f494568609c810beb9e01d2a4e7c9ef2de54c83b45c",
+        ),
+    ]
+    for flags, pruned, digest in golden:
+        out_file = tmp_path / "g.json"
+        with pytest.warns(UserWarning, match=f"pruned {pruned} isolated vertices"):
+            code, _, _ = run(
+                capsys,
+                "build-graph",
+                "--poses1", str(DATA / "two_loop_poses1.txt"),
+                "--poses2", str(DATA / "two_loop_poses2.txt"),
+                "--features1", str(DATA / "two_loop_features1.txt"),
+                "--features2", str(DATA / "two_loop_features2.txt"),
+                "--dmax", "30", "--eta", "0.4", *flags, "--out", str(out_file),
+            )
+        assert code == 0
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
 def test_build_graph_extreme_fov_range_no_numpy_warnings(capsys, tmp_path):
@@ -541,6 +551,47 @@ def test_numbers_at_format_bound_solve(capsys, tmp_path):
     assert code == 0
     assert f"optimal_cost 0.{'0' * 499}1\n" in out
     assert f"monolog1_cost {'9' * 500}\n" in out
+
+
+@pytest.mark.parametrize("flag", ["--alpha1", "--alpha2", "--omega"])
+@pytest.mark.parametrize(
+    "value, code",
+    [
+        ("9" * 100, 0),
+        ("1/" + "9" * 100, 0),
+        ("1e-99", 0),
+        ("1" + "0" * 100, 3),
+        ("1/1" + "0" * 100, 3),
+        ("1e-100", 3),
+        ("1e-5000", 3),
+    ],
+)
+def test_objective_parameter_digit_bound(capsys, flag, value, code):
+    # a parameter's numerator and denominator may have 100 digits each;
+    # 1e-5000 used to exit 1 with a traceback from int-to-str conversion
+    result, out, err = run(capsys, "solve", "--graph", DOUBLE_STAR, "--objective", "p3", flag, value)
+    assert result == code, err
+    assert "Traceback" not in err
+    if code:
+        assert "exceeds 500 digits" in err if "5000" in value else "at most 100 digits" in err
+    else:
+        assert "optimal_cost" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build-graph", "--synthetic", "--synthetic-poses", "12", "--dmax", "1e999999999"),
+        ("sweep", "--synthetic", "--parameter", "dmax", "--start", "10", "--stop", "1e999999999", "--step", "10"),
+    ],
+)
+def test_huge_exponent_flag_exits_3_quickly(capsys, tmp_path, argv):
+    # the text is refused before a Fraction builds a 10**999999999
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 3
+    assert "exceeds 500 digits or a decimal exponent of 500" in err
+    assert time.perf_counter() - start < 5
 
 
 def primes_below(limit):
