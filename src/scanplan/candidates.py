@@ -85,6 +85,11 @@ def _check_count(name: str, value) -> None:
         raise ValidationError(f"{name} must be >= 1, got {value}")
 
 
+def _check_finite(name: str, value) -> None:
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class GeometryParams:
     """Gates for geometric candidate generation."""
@@ -97,8 +102,7 @@ class GeometryParams:
 
     def __post_init__(self):
         for name in ("d_max", "eta", "fov_half_angle", "fov_range"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
+            _check_finite(name, getattr(self, name))
         if self.d_max <= 0:
             raise ValidationError(f"d_max must be positive, got {self.d_max}")
         if not 0 <= self.eta <= 1:
@@ -389,8 +393,11 @@ def fov_overlap(
     so the result is symmetric in the two poses, and exactly 1.0 for
     identical ones while the lattice bounds are finite. Degenerate
     zero-range sectors overlap nothing, and so do ranges whose lattice
-    bounds overflow. ``resolution`` must be an integer >= 1.
+    bounds overflow. ``fov_half_angle`` and ``fov_range`` must be finite,
+    and ``resolution`` an integer >= 1.
     """
+    _check_finite("fov_half_angle", fov_half_angle)
+    _check_finite("fov_range", fov_range)
     _check_count("resolution", resolution)
     return _fov_overlaps(
         planar_position(pose_a),
@@ -455,8 +462,8 @@ def build_geometric_sweep(
             overlap[i_new, j_new] = _fov_overlaps(
                 xy1[i_new], h1[i_new], xy2[j_new], h2[j_new], p.fov_half_angle, p.fov_range
             )
-            pairs = pairs[np.array([not v < p.eta for v in overlap[i, j].tolist()], dtype=bool)]
-        yield build_graph(w1, w2, [(i, j, 1) for i, j in pairs.tolist()])
+            pairs = pairs[~(overlap[i, j] < p.eta)]
+        yield build_graph(w1, w2, pairs.tolist())  # [i, j] pairs, each of cost 1
 
 
 def _top_k(group: np.ndarray, score: np.ndarray, tie: np.ndarray, k: int) -> np.ndarray:
@@ -483,24 +490,40 @@ def build_appearance(
     set, side-2 queries against side 1 are unioned in as well. Repeated
     ``(u, v, score)`` entries count as separate candidates.
     """
-    us, vs, values = [], [], []
-    for u, v, score in scores:
-        if not 0 <= score <= 1:
-            raise ScoreOutOfRange(f"score {score!r} for pair ({u}, {v}) outside [0, 1]")
-        us.append(int(u))
-        vs.append(int(v))
-        values.append(float(score))
-    # np.array keeps indices beyond int64 exact, as an object array
-    s = np.array(values, dtype=float)
-    keep = np.flatnonzero(s > p.alpha)
-    u, v, s = np.array(us)[keep], np.array(vs)[keep], s[keep]
-    picked = [_top_k(u, s, v, p.top_k)]
-    if p.symmetric:
-        picked.append(_top_k(v, s, u, p.top_k))
-    chosen = np.concatenate(picked)
-    selected = set(zip(u[chosen].tolist(), v[chosen].tolist()))
-    edges = [(a, b, 1) for a, b in sorted(selected)]
-    return build_graph(list(t1_weights), list(t2_weights), edges)
+    return next(build_appearance_sweep(scores, t1_weights, t2_weights, [p]))
+
+
+def build_appearance_sweep(
+    scores: Iterable[tuple[int, int, float]],
+    t1_weights: Sequence,
+    t2_weights: Sequence,
+    params: Iterable[AppearanceParams],
+) -> Iterator[ExchangeGraph]:
+    """``build_appearance`` at each of ``params`` in turn, read one at a
+    time. ``scores`` is read, and each score checked, once, when the first
+    point is built; each point then only thresholds and picks its top k.
+    """
+    s = None
+    for p in params:
+        if s is None:
+            us, vs, values = [], [], []
+            for u, v, score in scores:
+                if not 0 <= score <= 1:
+                    raise ScoreOutOfRange(f"score {score!r} for pair ({u}, {v}) outside [0, 1]")
+                us.append(int(u))
+                vs.append(int(v))
+                values.append(float(score))
+            # np.array keeps indices beyond int64 exact, as an object array
+            u_all, v_all, s = np.array(us), np.array(vs), np.array(values, dtype=float)
+            w1, w2 = list(t1_weights), list(t2_weights)
+        keep = np.flatnonzero(s > p.alpha)
+        u, v, score = u_all[keep], v_all[keep], s[keep]
+        picked = [_top_k(u, score, v, p.top_k)]
+        if p.symmetric:
+            picked.append(_top_k(v, score, u, p.top_k))
+        chosen = np.concatenate(picked)
+        selected = set(zip(u[chosen].tolist(), v[chosen].tolist()))
+        yield build_graph(w1, w2, [(a, b, 1) for a, b in sorted(selected)])
 
 
 # -- file ingestion ----------------------------------------------------------

@@ -15,6 +15,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import candidates as cand
 from .errors import EmptySide, GraphFormatError, InvariantViolation, ScanPlanError, ValidationError
 from .graph import ExchangeGraph, VertexId, format_rational, load_graph, open_text, save_graph
@@ -281,6 +283,17 @@ class SweepSpec:
         return [self.start + k * self.step for k in range(self.num_points)]
 
 
+def _edge_codes(graphs: list[ExchangeGraph]) -> list[np.ndarray]:
+    """Each graph's edges as codes ``u * stride + v`` of their endpoints'
+    vertex ids, with one stride for all graphs, so two graphs share an
+    edge exactly when they share its code. The codes are int64 where the
+    largest fits, else exact Python ints."""
+    top = max((max(g.ids[0], default=0) for g in graphs), default=0)
+    stride = 1 + max((max(g.ids[1], default=0) for g in graphs), default=0)
+    dtype = np.int64 if (top + 1) * stride < 2**63 else object
+    return [np.array(g.ids[0], dtype)[g.eu] * stride + np.array(g.ids[1], dtype)[g.ev] for g in graphs]
+
+
 def run_sweep(args) -> tuple[list[str], str]:
     """Build one graph per sweep point, solve all strategies, and return
     (CSV lines, nesting report). Candidate sets must be nested along the
@@ -303,11 +316,12 @@ def run_sweep(args) -> tuple[list[str], str]:
             raise GraphFormatError("alpha sweeps need --scores")
         scores = cand.read_scores(args.scores)
         w1, w2 = _appearance_weights(args)
-        for value in values:
-            params = cand.AppearanceParams(
-                alpha=_float_arg(value), top_k=args.top_k, symmetric=args.symmetric
-            )
-            graphs.append((value, cand.build_appearance(scores, w1, w2, params)))
+        # each score is checked and read once for the whole sweep
+        points = (
+            cand.AppearanceParams(alpha=_float_arg(value), top_k=args.top_k, symmetric=args.symmetric)
+            for value in values
+        )
+        graphs = list(zip(values, cand.build_appearance_sweep(scores, w1, w2, points)))
     else:  # omega; SweepSpec rejects every other name
         if not args.graph:
             raise GraphFormatError("omega sweeps need --graph")
@@ -316,15 +330,15 @@ def run_sweep(args) -> tuple[list[str], str]:
 
     # candidate sets grow with dmax and shrink with eta/alpha; omega leaves
     # the graph untouched
-    edge_sets = [g.edge_keys() for _, g in graphs]
-    if parameter == "dmax":
-        nested = all(a <= b for a, b in zip(edge_sets, edge_sets[1:]))
-        direction = "non-decreasing"
-    elif parameter in ("eta", "alpha"):
-        nested = all(b <= a for a, b in zip(edge_sets, edge_sets[1:]))
-        direction = "non-increasing"
-    else:
+    if parameter == "omega":
         nested, direction = True, "constant"
+    else:
+        codes = _edge_codes([g for _, g in graphs])
+        if parameter == "dmax":
+            direction, steps = "non-decreasing", zip(codes, codes[1:])
+        else:
+            direction, steps = "non-increasing", zip(codes[1:], codes)
+        nested = all(np.isin(a, b).all() for a, b in steps)
     if not nested:
         raise InvariantViolation(f"candidate sets not nested along {parameter} sweep")
 

@@ -445,7 +445,7 @@ class ExchangeGraph:
             eu.append(i)
             ev.append(j)
             costs.append(_exact(cost))
-        return _assemble(ids, sizes, inertia, (pos1, pos2), eu, ev, costs)
+        return _assemble(ids, sizes, inertia, eu, ev, costs, (pos1, pos2))
 
 
 def _exact(value) -> int | Fraction:
@@ -461,18 +461,19 @@ def _numerators(values: list, den: int) -> list:
     ]
 
 
-def _assemble(ids, sizes, inertia, positions, eu, ev, costs) -> ExchangeGraph:
+def _assemble(ids, sizes, inertia, eu, ev, costs, positions=None) -> ExchangeGraph:
     """Prune degree-zero vertices (with a warning), bring every value over
     one common denominator and construct the graph. ``ids``, ``sizes`` and
-    ``inertia`` are per-side lists, ``positions`` per-side maps from id to
-    position, ``eu``/``ev`` the side positions of each edge's endpoints and
-    ``costs`` its cost; values are ints or Fractions."""
+    ``inertia`` are per-side lists, ``eu``/``ev`` the side positions of each
+    edge's endpoints and ``costs`` its cost; values are ints or Fractions.
+    ``positions``, per-side maps from id to position, is needed only where
+    an id may repeat."""
     ends = [np.array(eu, dtype=np.int64), np.array(ev, dtype=np.int64)]
     keep, pruned = [], []
     for side in (1, 2):
         s = side - 1
         touched = np.bincount(ends[s], minlength=len(ids[s])) > 0
-        if len(positions[s]) < len(ids[s]):
+        if positions is not None and len(positions[s]) < len(ids[s]):
             # repeated ids: every copy of a touched id is kept (and refused later)
             touched = touched[[positions[s][i] for i in ids[s]]]
         keep.append(touched)
@@ -516,26 +517,39 @@ def build_graph(
     """Build a validated exchange graph from per-side scan sizes and an
     edge list of (v1_index, v2_index[, cost]) tuples (cost defaults to 1).
 
-    Vertex indices are positions within the weight lists. Degree-0
+    Vertex indices are positions within the weight lists, so they are the
+    vertex ids too; inertia keys outside the lists are ignored. Degree-0
     vertices are pruned (with a warning) so every retained vertex has at
-    least one candidate edge.
+    least one candidate edge. Errors come in the order of
+    :meth:`ExchangeGraph.from_vertices`: edge shapes and ranges first, then
+    scan sizes and inertia prices, then edge costs.
     """
-    v1_inertia = v1_inertia or {}
-    v2_inertia = v2_inertia or {}
-    v1 = [(i, w, v1_inertia.get(i)) for i, w in enumerate(v1_weights)]
-    v2 = [(i, w, v2_inertia.get(i)) for i, w in enumerate(v2_weights)]
-    n1, n2 = len(v1), len(v2)
-    norm_edges = []
+    # (scan size, inertia price) per vertex, as from_vertices reads them
+    vertices = [
+        [(w, prices.get(i)) for i, w in enumerate(weights)]
+        for weights, prices in ((v1_weights, v1_inertia or {}), (v2_weights, v2_inertia or {}))
+    ]
+    n1, n2 = len(vertices[0]), len(vertices[1])
+    eu, ev, costs = [], [], []
     for item in edges:
         if len(item) == 2:
-            u, v = item
-            cost = 1
+            (u, v), cost = item, 1
         else:
             u, v, cost = item
-        if not (0 <= int(u) < n1) or not (0 <= int(v) < n2):
+        i = u if type(u) is int else int(u)
+        if not 0 <= i < n1 or not 0 <= (j := v if type(v) is int else int(v)) < n2:
             raise IndexOutOfRange(f"edge ({u}, {v}) outside vertex ranges")
-        norm_edges.append((u, v, cost))
-    return ExchangeGraph.from_vertices(v1, v2, norm_edges)
+        eu.append(i)
+        ev.append(j)
+        costs.append(cost)
+    sizes: tuple[list, list] = ([], [])
+    inertia: tuple[list, list] = ([], [])
+    for s, entries in enumerate(vertices):
+        for scan_size, price in entries:
+            sizes[s].append(_exact(scan_size))
+            inertia[s].append(None if price is None else _exact(price))
+    costs = [c if type(c) is int else _exact(c) for c in costs]
+    return _assemble((list(range(n1)), list(range(n2))), sizes, inertia, eu, ev, costs)
 
 
 def _weight_terms(g: ExchangeGraph, objective: Objective) -> tuple[int, tuple[int, int], int]:
@@ -819,7 +833,7 @@ def loads_graph(text: str) -> ExchangeGraph:
     if None in eu or None in ev:
         k = next(k for k, ends in enumerate(zip(eu, ev)) if None in ends)
         raise IndexOutOfRange(f"edge ({us[k]}, {vs[k]}) references a missing vertex")
-    g = _assemble(ids, sizes, inertia, positions, eu, ev, costs)
+    g = _assemble(ids, sizes, inertia, eu, ev, costs, positions)
     if g.den >= 10**MAX_DENOMINATOR_DIGITS:
         raise GraphFormatError(
             f"the values' common denominator ({g.den.bit_length()} bits) exceeds "

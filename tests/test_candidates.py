@@ -20,6 +20,7 @@ from scanplan.candidates import (
     GeometryParams,
     Trajectory,
     build_appearance,
+    build_appearance_sweep,
     build_geometric,
     build_geometric_sweep,
     fov_overlap,
@@ -151,6 +152,14 @@ def test_kernel_matches_seed_on_random_sectors(case, resolution):
     a, b, half, fov_range = case
     with np.errstate(all="ignore"):  # the reference warns on overflowing ranges
         expected = seed_fov_overlap(a, b, half, fov_range, resolution)
+    if math.isnan(fov_range):
+        # fov_overlap refuses a NaN range; the quadrature behind it must
+        # still match the reference
+        with pytest.raises(sp.ValidationError, match="^fov_range must be finite, got nan$"):
+            fov_overlap(a, b, half, fov_range, resolution)
+        for p, q in ((a, b), (b, a)):
+            assert candidates._fov_overlaps(*planar([p]), *planar([q]), half, fov_range, resolution) == [expected]
+        return
     assert fov_overlap(a, b, half, fov_range, resolution) == expected
     assert fov_overlap(b, a, half, fov_range, resolution) == expected
 
@@ -161,8 +170,11 @@ def test_extreme_ranges_overlap_zero_without_numpy_warnings(fov_range):
     far = make_pose(1, 1e308, -1e308, 2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert fov_overlap(p, p, HALF, fov_range) == 0.0
-        assert fov_overlap(p, far, HALF, fov_range) == 0.0
+        # fov_overlap refuses a non-finite range, which the quadrature behind it still takes
+        for q in (p, far):
+            assert candidates._fov_overlaps(*planar([p]), *planar([q]), HALF, fov_range) == [0.0]
+            if math.isfinite(fov_range):
+                assert fov_overlap(p, q, HALF, fov_range) == 0.0
 
 
 def test_build_geometric_extreme_range_without_numpy_warnings():
@@ -210,6 +222,19 @@ def test_fov_overlap_refuses_a_non_count_resolution(resolution):
     p = make_pose(0, 0.0, 0.0, 0.0)
     with pytest.raises(sp.ValidationError, match="^resolution must be"):
         fov_overlap(p, p, HALF, RANGE, resolution)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("argument", ["fov_half_angle", "fov_range"])
+def test_fov_overlap_refuses_non_finite_geometry(monkeypatch, argument, value):
+    def quadrature(*args):
+        raise AssertionError("the quadrature ran")
+
+    monkeypatch.setattr(candidates, "_fov_overlaps", quadrature)
+    p = make_pose(0, 0.0, 0.0, 0.0)
+    shape = {"fov_half_angle": HALF, "fov_range": RANGE, argument: value}
+    with pytest.raises(sp.ValidationError, match=f"^{argument} must be finite, got {value}$"):
+        fov_overlap(p, p, **shape)
 
 
 def test_degenerate_zero_range_overlaps_nothing():
@@ -673,6 +698,66 @@ def test_score_out_of_range_names_first_bad_score():
     scores = [(0, 0, 0.5), (1, 2, Fraction(3, 2)), (3, 4, -0.5)]
     with pytest.raises(sp.ScoreOutOfRange, match=r"^score Fraction\(3, 2\) for pair \(1, 2\) outside \[0, 1\]$"):
         build_appearance(scores, [1] * 4, [1] * 5, AppearanceParams(alpha=0.1))
+
+
+def appearance_outcomes(graphs):
+    """Each graph's file text and pruned ids, until the first error, which
+    ends the list as its type and message."""
+    out = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # pruned vertices
+        try:
+            for g in graphs:
+                out.append((sp.dumps_graph(g), g.pruned))
+        except sp.ScanPlanError as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+# side-1 and side-2 indices: in range, past the weights, beyond int64, negative
+appearance_index = st.one_of(st.integers(0, 5), st.sampled_from([7, 2**63, 2**70, -(2**70)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.lists(st.tuples(appearance_index, appearance_index, st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])), max_size=30),
+    st.integers(0, 4),
+    st.lists(
+        st.builds(
+            AppearanceParams,
+            alpha=st.sampled_from([0.0, 0.2, 0.25, 0.5, 0.9, Fraction(1, 4)]),
+            top_k=st.integers(1, 3),
+            symmetric=st.booleans(),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+)
+def test_appearance_sweep_equals_per_point_builds(n1, n2, entries, repeats, params):
+    # ties on the few score levels, exact repeats of earlier entries, indices
+    # mostly within range; the sweep stops at a point's first error
+    scores = [(u if not 0 <= u <= 5 else u % n1, v if not 0 <= v <= 5 else v % n2, s) for u, v, s in entries]
+    scores += scores[:repeats]
+    w1, w2 = list(range(1, n1 + 1)), [2] * n2
+    expected = appearance_outcomes(build_appearance(scores, w1, w2, p) for p in params)
+    assert appearance_outcomes(build_appearance_sweep(scores, w1, w2, params)) == expected
+    # one-shot iterators are read once, for the whole sweep
+    once = iter(scores)
+    assert appearance_outcomes(build_appearance_sweep(once, iter(w1), iter(w2), params)) == expected
+    assert next(once, None) is None
+
+
+def test_appearance_sweep_checks_scores_at_the_first_point():
+    scores = [(0, 0, 0.5), (1, 2, Fraction(3, 2)), (3, 4, -0.5)]
+    params = [AppearanceParams(alpha=a) for a in (0.1, 0.2)]
+    sweep = build_appearance_sweep(scores, [1] * 4, [1] * 5, params)  # reads nothing yet
+    message = r"^score Fraction\(3, 2\) for pair \(1, 2\) outside \[0, 1\]$"
+    with pytest.raises(sp.ScoreOutOfRange, match=message):
+        next(sweep)
+    with pytest.raises(sp.ScoreOutOfRange, match=message):
+        build_appearance(scores, [1] * 4, [1] * 5, params[0])
 
 
 def test_score_out_of_range():

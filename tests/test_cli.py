@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scanplan as sp
 from scanplan.cli import main
@@ -470,6 +472,85 @@ def test_sweep_matches_per_point_build_geometric(capsys, monkeypatch, argv, fov_
     else:
         assert computed == int((dists <= fov_d_max).sum())
         assert sum(pairs) > 2 * computed  # the per-point sweep recomputed them
+
+
+SCORES_40 = [
+    "--scores", str(DATA / "scores_40x40.txt"),
+    "--features1", str(DATA / "features_40.txt"),
+    "--features2", str(DATA / "features_40.txt"),
+]
+
+
+@pytest.mark.parametrize("flags", [(), ("--top-k", "1"), ("--top-k", "3", "--symmetric")])
+def test_sweep_matches_per_point_build_appearance(capsys, monkeypatch, flags):
+    from scanplan import candidates as cand
+
+    argv = ("sweep", "--parameter", "alpha", "--start", "0.1", "--stop", "0.95", "--step", "0.05", *SCORES_40, *flags)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # pruned vertices
+        shared = run(capsys, *argv)
+        # the same sweep with one build_appearance call (a one-point sweep)
+        # per point, each reading and checking every score again
+        sweep = cand.build_appearance_sweep
+        monkeypatch.setattr(
+            cand, "build_appearance_sweep", lambda scores, w1, w2, params: (next(sweep(scores, w1, w2, [p])) for p in params)
+        )
+        per_point = run(capsys, *argv)
+    assert shared[0] == 0 and shared == per_point
+    edge_counts = [int(row.split(",")[-1]) for row in shared[1].splitlines()[1:]]
+    assert len(edge_counts) == 18 and edge_counts[0] > edge_counts[-1]
+
+
+@pytest.mark.parametrize(
+    "parameter, builder, argv",
+    [
+        ("dmax", "build_geometric_sweep", ("--start", "4", "--stop", "32", "--step", "7", "--eta", "0", *FIXTURE_POSES)),
+        ("eta", "build_geometric_sweep", ("--start", "0", "--stop", "0.9", "--step", "0.3", "--dmax", "24", *FIXTURE_POSES)),
+        ("alpha", "build_appearance_sweep", ("--start", "0.1", "--stop", "0.9", "--step", "0.2", *SCORES_40)),
+    ],
+)
+def test_sweep_out_of_order_graphs_exit_4(capsys, monkeypatch, parameter, builder, argv):
+    from scanplan import candidates as cand
+
+    build = getattr(cand, builder)
+    # every point's graph, but the sweep's last graph first
+    monkeypatch.setattr(cand, builder, lambda *args: reversed(list(build(*args))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # pruned vertices
+        code, out, err = run(capsys, "sweep", "--parameter", parameter, "--rate-divisor", "3", *argv)
+    assert code == 4
+    assert out == ""
+    assert err == f"internal error: candidate sets not nested along {parameter} sweep\n"
+
+
+def graphs_over(data, n1, n2, ids=None):
+    """A graph on a random edge subset of an ``n1`` x ``n2`` grid; with
+    ``ids``, per-side vertex ids in place of positions."""
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n1 - 1), st.integers(0, n2 - 1)), unique=True))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # pruned vertices
+        if ids is None:
+            return sp.build_graph([1] * n1, [1] * n2, pairs)
+        return sp.ExchangeGraph.from_vertices(
+            [(i, 1, None) for i in ids[0]], [(i, 1, None) for i in ids[1]], [(ids[0][u], ids[1][v], 1) for u, v in pairs]
+        )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_edge_codes_nest_as_edge_key_sets(data):
+    from scanplan.cli import _edge_codes
+
+    n1, n2 = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    ids = None
+    if data.draw(st.booleans()):
+        # explicit ids around the int64 bound, so both code types are used
+        pool = st.sampled_from([0, 1, 2, 7, 2**31, 2**62, 2**63 - 2, 2**63 - 1, 2**63, 2**70])
+        ids = [data.draw(st.lists(pool, min_size=n, max_size=n, unique=True)) for n in (n1, n2)]
+    a, b = graphs_over(data, n1, n2, ids), graphs_over(data, n1, n2, ids)
+    codes = _edge_codes([a, b])
+    assert bool(np.isin(codes[0], codes[1]).all()) == (a.edge_keys() <= b.edge_keys())
+    assert bool(np.isin(codes[1], codes[0]).all()) == (b.edge_keys() <= a.edge_keys())
 
 
 def load_fixture_trajectories():

@@ -2,8 +2,10 @@
 
 import random
 import re
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,6 +56,91 @@ def test_index_out_of_range_rejected():
         sp.build_graph([1], [1], [(0, 1, 1)])
     with pytest.raises(sp.IndexOutOfRange):
         sp.build_graph([1], [1], [(2, 0, 1)])
+
+
+def seed_build_graph(v1_weights, v2_weights, edges, v1_inertia=None, v2_inertia=None):
+    """Frozen reference: build_graph as a round trip through from_vertices."""
+    v1_inertia = v1_inertia or {}
+    v2_inertia = v2_inertia or {}
+    v1 = [(i, w, v1_inertia.get(i)) for i, w in enumerate(v1_weights)]
+    v2 = [(i, w, v2_inertia.get(i)) for i, w in enumerate(v2_weights)]
+    n1, n2 = len(v1), len(v2)
+    norm_edges = []
+    for item in edges:
+        if len(item) == 2:
+            u, v = item
+            cost = 1
+        else:
+            u, v, cost = item
+        if not (0 <= int(u) < n1) or not (0 <= int(v) < n2):
+            raise sp.IndexOutOfRange(f"edge ({u}, {v}) outside vertex ranges")
+        norm_edges.append((u, v, cost))
+    return sp.ExchangeGraph.from_vertices(v1, v2, norm_edges)
+
+
+def build_outcome(build, args, kwargs):
+    """The graph's file text, pruned ids and warning texts, or the error's
+    type and message."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            g = build(*args, **kwargs)
+        except Exception as exc:  # the reference's own errors are compared too
+            return type(exc), str(exc)
+    return sp.dumps_graph(g), g.pruned, [str(w.message) for w in caught]
+
+
+NAN = float("nan")
+
+BUILD_CASES = {
+    # valid inputs
+    "pairs and triples": (([1, 2], [3, 4, 5], [(0, 0), [1, 2, Fraction(1, 3)], (0, 2, "0.25")]), {}),
+    "pruned": (([1, 2, 3], [4, 5], [(1, 1, 2)]), {}),
+    "many pruned": (([1] * 12, [1] * 3, [(0, 0)]), {}),
+    "inertia, keys outside ignored": (([1, 2], [3], [(0, 0), (1, 0)]), {"v1_inertia": {1: "1/7", 5: NAN, -1: 3}, "v2_inertia": {0: 2.5}}),
+    "numpy and bool indices": (([1, 2], [3, 4], [(np.int64(1), np.int32(0)), (True, True)]), {}),
+    "float indices truncate": (([1, 2], [3, 4], [(0.5, 1.9), (-0.5, 0.0)]), {}),
+    "string indices": (([1, 2], [3], [("1", "0")]), {}),
+    "iterator weights": (((1, 2), (3,), ((1, 0),)), {}),
+    "no edges": (([1], [2], []), {}),
+    "float and decimal weights": (([0.1, "2.5"], [Fraction(2, 3)], [(0, 0, 0.5), (1, 0, 1e-3)]), {}),
+    # one fault each
+    "edge of length 1": (([1], [1], [(0,)]), {}),
+    "edge of length 4": (([1], [1], [(0, 0, 1, 1)]), {}),
+    "edge without a length": (([1], [1], [5]), {}),
+    "u out of range": (([1], [1], [(1, 0)]), {}),
+    "v negative": (([1], [1], [(0, -1)]), {}),
+    "u beyond int64": (([1], [1], [(2**70, 0)]), {}),
+    "float u out of range": (([1], [1], [(1.5, 0)]), {}),
+    "bad u text": (([1], [1], [("x", 0)]), {}),
+    "u out of range hides bad v": (([1], [1], [(3, "x")]), {}),
+    "bad v after good u": (([1], [1], [(0, None)]), {}),
+    "nan weight": (([NAN], [1], [(0, 0)]), {}),
+    "inf weight": (([1], [float("inf")], [(0, 0)]), {}),
+    "nan inertia": (([1], [1], [(0, 0)]), {"v1_inertia": {0: NAN}}),
+    "nan cost": (([1], [1], [(0, 0, NAN)]), {}),
+    "negative weight": (([-1], [1], [(0, 0)]), {}),
+    "negative cost": (([1], [1], [(0, 0, -2)]), {}),
+    "duplicate edge": (([1], [1], [(0, 0), (0, 0, 3)]), {}),
+    # several faults: edges first, then sizes and prices, then costs
+    "out of range before bad shape": (([1], [1], [(0, 0), (4, 0), (0,)]), {}),
+    "out of range before nan weight": (([NAN], [1], [(0, 0), (0, 9)]), {}),
+    "weight before cost": (([1, "bad size"], [1], [(0, 0, "bad cost"), (1, 0)]), {}),
+    "price of 1:0 before size of 1:1": (([1, NAN], [1], [(0, 0), (1, 0)]), {"v1_inertia": {0: "bad price"}}),
+    "side 1 before side 2": (([1, 1], ["bad size"], [(0, 0), (1, 0)]), {"v1_inertia": {1: "bad price"}}),
+    "nan cost before negative weight": (([-1], [1], [(0, 0, NAN)]), {}),
+    "duplicate before negative cost": (([1, 1], [1], [(1, 0, 1), (1, 0, 2), (0, 0, -1)]), {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUILD_CASES))
+def test_build_graph_matches_from_vertices_reference(case):
+    args, kwargs = BUILD_CASES[case]
+
+    def fresh():  # a tuple argument is passed as a one-shot iterator
+        return [iter(a) if isinstance(a, tuple) else a for a in args]
+
+    assert build_outcome(sp.build_graph, fresh(), kwargs) == build_outcome(seed_build_graph, fresh(), kwargs)
 
 
 def test_zero_cost_edges_admitted():
