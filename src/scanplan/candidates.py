@@ -154,7 +154,8 @@ _WEDGE_BAND = 2.0**-20  # delta: half-width, in radians, of a wedge around a con
 _APEX = 2.0**-1000  # on rows this near the apex both wedge bands span the whole chord
 _SCALE = 2.0**400  # the range lies in [1/_SCALE, _SCALE], every lattice bound within +-_SCALE
 _INDEX_ERROR = 2.0**-48  # 32u: column tolerance per cell of coordinate magnitude
-_BLOCK_ROWS = 1024  # lattice rows per block; under 1 MB of working arrays unless a pair takes full rows
+_BLOCK_ROWS = 1024  # live lattice rows per block; under 1 MB of working arrays unless a pair takes full rows
+_SETUP_PAIRS = 1024  # pairs set up and culled at a time; under about 1 MB of per-pair arrays
 
 
 def _fov_overlaps(pa, ha, pb, hb, fov_half_angle, fov_range, resolution=FOV_GRID_RESOLUTION) -> list[float]:
@@ -162,7 +163,8 @@ def _fov_overlaps(pa, ha, pb, hb, fov_half_angle, fov_range, resolution=FOV_GRID
     planar positions and unit headings. Each overlap equals (``==``) that
     of the plain quadrature, which tests every cell of the full lattice,
     while a pair the error bound below covers evaluates O(resolution)
-    cells instead of O(resolution**2).
+    cells instead of O(resolution**2), on the lattice rows its sectors can
+    reach, or none when an axis separates them.
 
     **Row bands.** On one lattice row (fixed ``x``) a sector's exact
     predicate ``|v| <= r and v.h >= c|v|`` (``v`` the cell's offset from the
@@ -223,13 +225,53 @@ def _fov_overlaps(pa, ha, pb, hb, fov_half_angle, fov_range, resolution=FOV_GRID
     ``2**-48 (Z / step + 1)`` cells, with ``Z`` the sum of the magnitudes of
     every coordinate involved. Widening only adds band cells.
 
+    **Grown sectors.** The same bounds say where the float predicate can
+    put a cell at all. A cell it puts in a sector has ``D <= r``, so
+    ``|v| < r(1 + kappa)``, and ``v.h >= c|v| - 6.1u|v|``, so ``b`` is at
+    most ``alpha + delta`` (``cos alpha - cos b`` would otherwise exceed
+    ``2 sin(delta/2)**2``, far above ``6.1u`` plus the rounding of ``m`` and
+    ``alpha``); or else ``|v| < 2**-1000``. So each such cell lies in the
+    *grown sector* ``S+``: the sector of range ``R = r(1 + kappa)`` and
+    half-angle ``beta = alpha + delta`` (the whole disk once ``beta >=
+    pi``), together with the ``2**-1000`` ball around the apex. Along a
+    unit direction ``d`` at angle ``phi`` in ``[0, pi]`` from the heading,
+    ``S+`` reaches ``p.d + R max(0, cos(max(0, phi - beta)))`` beyond the
+    apex ball: the whole range while ``d`` lies inside the cone, the tip of
+    the nearer cone edge until ``phi = beta + pi/2``, and the apex after
+    it. That is the support function of ``S+``, so what follows holds at
+    every half-angle, also where the sector is not convex.
+
+    **Culling.** Two culls use it (Gilbert, Johnson and Keerthi, IEEE J.
+    Robotics and Automation 4(2), 1988), each with the margin
+    ``2**-40 (|pa|_1 + |pb|_1 + 2R) + 2**-999``, far above the rounding of
+    the support values, of the offsets ``fl(x - p)`` and of the row
+    positions, and covering both apex balls:
+
+    - *pairs*: when some axis ``d`` has ``max over S+_a of d.x`` plus the
+      margin below ``min over S+_b of d.x``, or the other way round, no
+      cell lies in both sectors, ``n_ab = 0``, and the overlap is ``0.0``
+      without a lattice. The axes tried are ``x``, ``z``, the outward
+      normals of the four grown cone edges and the apex-to-apex direction,
+      each in both orientations;
+    - *rows*: a lattice row whose centre lies outside the hull of the two
+      grown sectors' x-extents, widened by the margin, holds no cell of
+      either sector, so it adds nothing to any count and is skipped. The
+      live rows of a pair are one run.
+
     **Full rows.** A pair the bound does not cover has every band span the
-    whole row, so every cell is evaluated one by one: a position, a
-    heading, the range or ``cos_half`` is not finite; the range is outside
-    ``[2**-400, 2**400]`` or a lattice bound exceeds ``2**400`` in
-    magnitude; ``|h|`` is not within ``2**-50`` of 1; the resolution is
-    ``2**30`` or more; or the column tolerance exceeds a quarter cell. Pairs
-    are processed in blocks of at most ``_BLOCK_ROWS`` lattice rows.
+    whole row, so every cell is evaluated one by one, and neither cull
+    touches it: a position, a heading, the range or ``cos_half`` is not
+    finite; the range is outside ``[2**-400, 2**400]`` or a lattice bound
+    exceeds ``2**400`` in magnitude; ``|h|`` is not within ``2**-50`` of 1;
+    the resolution is ``2**30`` or more; or the column tolerance exceeds a
+    quarter cell.
+
+    **Blocks.** Pairs are set up and culled ``_SETUP_PAIRS`` at a time. The
+    live rows of those pairs, in pair order, are processed in blocks of at
+    most ``_BLOCK_ROWS`` rows, which may take rows from several pairs and
+    split a pair's rows between blocks; a block spans at most
+    ``16 * _BLOCK_ROWS // resolution`` pairs (at least one), which bounds
+    its per-pair column tables.
     """
     pa, ha, pb, hb = (np.asarray(v, dtype=float).reshape(-1, 2) for v in (pa, ha, pb, hb))
     out = [0.0] * len(pa)
@@ -247,19 +289,28 @@ def _fov_overlaps(pa, ha, pb, hb, fov_half_angle, fov_range, resolution=FOV_GRID
         cos_half = math.cos(fov_half_angle)
         alpha = math.acos(cos_half)
         bounded = n < 2**30 and 1 / _SCALE <= r <= _SCALE and math.isfinite(fov_half_angle)
-        per_block = max(1, _BLOCK_ROWS // n)
-        for first in range(0, len(live), per_block):
-            block = live[first : first + per_block]
-            params = _band_setup(pa[block], ha[block], pb[block], hb[block], r, n, alpha, bounded)
-            for k, (n_a, n_b, n_ab) in zip(block.tolist(), _block_counts(params, cos_half, r, n)):
+        for start in range(0, len(live), _SETUP_PAIRS):
+            chunk = live[start : start + _SETUP_PAIRS]
+            params = _band_setup(pa[chunk], ha[chunk], pb[chunk], hb[chunk], r, n, alpha, bounded)
+            first, rows = _live_rows(params, r, n, alpha)
+            lattice = np.flatnonzero(rows)
+            if not lattice.size:
+                continue
+            if lattice.size < chunk.size:
+                params = {key: value[lattice] for key, value in params.items()}
+            counts = np.zeros((len(lattice), 4), dtype=np.int64)
+            for pair, row in _row_blocks(first[lattice], rows[lattice], n):
+                counts[pair[0] : pair[-1] + 1] += _block_counts(params, pair, row, cos_half, r, n)
+            for k, (_, a, b, ab) in zip(chunk[lattice].tolist(), counts.tolist()):
+                n_a, n_b = a + ab, b + ab
                 if n_a + n_b:
-                    out[k] = 2.0 * n_ab / (n_a + n_b)
+                    out[k] = 2.0 * ab / (n_a + n_b)
     return out
 
 
 def _band_setup(pa, ha, pb, hb, r, n, alpha, bounded):
-    """Per-pair arrays of the row-band filter for one block, with the mask
-    ``full`` of the pairs that take full rows."""
+    """Per-pair arrays of the row-band filter, with the mask ``full`` of
+    the pairs that take full rows."""
     lo = np.minimum(pa, pb) - r
     hi = np.maximum(pa, pb) + r
     span = hi - lo
@@ -285,61 +336,123 @@ def _band_setup(pa, ha, pb, hb, r, n, alpha, bounded):
     return params
 
 
-def _band_bounds(dx, block, s, r, n):
-    """Column bounds ``[start, end)`` (4, pairs * rows) of sector ``s``'s
-    bands on each lattice row of a block: the two disk-edge bands and the
-    two cone-edge wedges. ``dx`` is (pairs, rows); ``block`` holds the
-    apex's column position, the columns per unit length (``scale``), and
-    each wedge end's cotangent in columns per unit of ``dx``, the side of
-    the apex it points to (the sign of its ``ex``) and its wedge's far
-    side."""
+def _live_rows(params, r, n, alpha):
+    """Per pair, the first lattice row that can hold a cell of either
+    sector and the number of such rows: none when an axis separates the
+    grown sectors, the rows inside the hull of their x-extents otherwise,
+    and all ``n`` for a pair that takes full rows."""
+    grown, wide = r * (1 + _DISK_BAND), alpha + _WEDGE_BAND
+    pa, pb = params["pa"], params["pb"]
+    apart = pb - pa
+    turns = np.empty((len(pa), 2))
+    for k, s in enumerate("ab"):
+        turns[:, k] = np.arctan2(params[f"h{s}"][:, 1], params[f"h{s}"][:, 0])
+    edge = wide + math.pi / 2
+    # (pairs, axis) as angles: +x, +z, the outward normals of the four
+    # grown cone edges and the apex-to-apex direction, then each of them
+    # reversed
+    axes = np.empty((len(pa), 14))
+    axes[:, 0], axes[:, 1] = 0.0, math.pi / 2
+    axes[:, 2:4], axes[:, 4:6] = turns + edge, turns - edge
+    axes[:, 6] = np.arctan2(apart[:, 1], apart[:, 0])
+    axes[:, 7:] = axes[:, :7] + math.pi
+    # (pairs, sector, axis): how far each grown sector reaches beyond its apex
+    phi = np.abs((axes[:, None, :] - turns[..., None] + math.pi) % (2 * math.pi) - math.pi)
+    reach = grown * np.maximum(np.cos(np.maximum(phi - wide, 0.0)), 0.0)
+    along_a, along_b, back_a, back_b = reach[:, 0, :7], reach[:, 1, :7], reach[:, 0, 7:], reach[:, 1, 7:]
+    margin = (2.0**-40 * (np.abs(pa).sum(1) + np.abs(pb).sum(1) + 2 * grown) + 2.0**-999)[:, None]
+    # the apexes' gap along each axis exceeds a's reach along it and b's
+    # against it, or the other way round
+    gap = apart[:, :1] * np.cos(axes[:, :7]) + apart[:, 1:] * np.sin(axes[:, :7])
+    split = ((gap - along_a - back_b > margin) | (-gap - back_a - along_b > margin)).any(1)
+    # axis 0 is +x: the rows whose centre lies within the x-extents' hull
+    x_lo = np.minimum(pa[:, 0] - back_a[:, 0], pb[:, 0] - back_b[:, 0]) - margin[:, 0]
+    x_hi = np.maximum(pa[:, 0] + along_a[:, 0], pb[:, 0] + along_b[:, 0]) + margin[:, 0]
+    lo, per_row = params["lo"][:, 0], n / params["span"][:, 0]
+    first = np.minimum(np.maximum(np.ceil((x_lo - lo) * per_row - 0.5), 0), n)
+    stop = np.minimum(np.maximum(np.floor((x_hi - lo) * per_row - 0.5) + 1, first), n)
+    full = params["full"]
+    first = np.where(full, 0, first)
+    stop = np.where(full, n, np.where(split, first, stop))
+    return first.astype(np.int64), (stop - first).astype(np.int64)
+
+
+def _row_blocks(first, rows, n):
+    """The pairs' live rows, in pair order, in blocks of at most
+    ``_BLOCK_ROWS`` rows over at most ``16 * _BLOCK_ROWS // n`` pairs (at
+    least one): per block, each row's pair and lattice row index."""
+    ends = np.cumsum(rows)
+    most = max(1, 16 * _BLOCK_ROWS // n)
+    done = 0
+    while done < ends[-1]:
+        head = int(np.searchsorted(ends, done, side="right"))
+        stop = min(done + _BLOCK_ROWS, int(ends[min(head + most, len(ends)) - 1]))
+        flat = np.arange(done, stop)
+        pair = np.searchsorted(ends, flat, side="right")
+        yield pair, first[pair] + flat - (ends[pair] - rows[pair])
+        done = stop
+
+
+def _band_bounds(dx, params, pair, s, r, n):
+    """Column bounds ``[start, end)`` (4, rows) of sector ``s``'s bands on
+    each lattice row of a block: the two disk-edge bands and the two
+    cone-edge wedges. ``dx`` holds each row's offset from the apex and
+    ``pair`` its pair; ``params`` holds per pair the apex's column
+    position, the columns per unit length (``scale``), and each wedge
+    end's cotangent in columns per unit of ``dx``, the side of the apex it
+    points to (the sign of its ``ex``) and its wedge's far side."""
     adx = np.abs(dx)
     outer, inner = r * (1 + _DISK_BAND), r * (1 - _DISK_BAND)
-    scale, apex = block["scale"][:, None], block[f"apex{s}"][:, None]
+    scale, apex = params["scale"][pair], params[f"apex{s}"][pair]
     w_hi = np.sqrt(np.maximum((outer - adx) * (outer + adx), 0.0)) * scale
     w_lo = np.sqrt(np.maximum((inner - adx) * (inner + adx), 0.0)) * scale
     first, last = apex - w_hi, apex + w_hi
-    # band ends as (start or end, band, pairs, rows), so that every array
+    # band ends as (start or end, band, rows), so that every array
     # operation below runs along whole rows
-    bands = np.empty((2, 4) + dx.shape)
+    bands = np.empty((2, 4, len(dx)))
     bands[0, 0], bands[1, 0] = first, apex - w_lo
     bands[0, 1], bands[1, 1] = apex + w_lo, last
-    # (end, pairs, rows): each wedge end's column where it points toward
-    # the row, else its wedge's far side
-    side, cot, far = (block[f"{key}{s}"].T[:, :, None] for key in ("side", "cot", "far"))
+    # (end, rows): each wedge end's column where it points toward the row,
+    # else its wedge's far side
+    side, cot, far = (np.take(params[f"{key}{s}"], pair, axis=0).T for key in ("side", "cot", "far"))
     ends = np.where(dx * side > 0, apex + dx * cot, far)
     # past the outer disk edge every cell is decided anyway
     wedges = bands[:, 2:]
     wedges[0] = np.minimum(np.maximum(np.minimum(ends[0::2], ends[1::2]), first), last)
     wedges[1] = np.minimum(np.maximum(np.maximum(ends[0::2], ends[1::2]), first), last)
-    near = np.nonzero(adx <= _APEX)
-    if near[0].size:
-        wedges[0][:, near[0], near[1]] = first[near]
-        wedges[1][:, near[0], near[1]] = last[near]
-    tol = block["tol"][:, None]
+    near = np.flatnonzero(adx <= _APEX)
+    if near.size:
+        wedges[0][:, near] = first[near]
+        wedges[1][:, near] = last[near]
+    tol = params["tol"][pair]
     start = np.minimum(np.maximum(np.ceil(bands[0] - tol), 0), n)
     end = np.minimum(np.maximum(np.floor(bands[1] + tol) + 1, 0), n)
-    full = block["full"]
+    full = params["full"][pair]
     if full.any():
         start[:, full], end[:, full] = 0, n
-    return start.astype(np.int32).reshape(4, -1), end.astype(np.int32).reshape(4, -1)
+    return start.astype(np.int32), end.astype(np.int32)
 
 
-def _block_counts(block, cos_half, r, n) -> list[tuple[int, int, int]]:
-    """``(n_a, n_b, n_ab)`` for each pair of one block."""
-    pairs = len(block["lo"])
-    centres = np.arange(n) + 0.5
+def _block_counts(params, pair, row, cos_half, r, n) -> np.ndarray:
+    """Cells in neither sector, in a only, in b only and in both, over one
+    block's rows, for each pair from ``pair[0]`` to ``pair[-1]``, as a
+    (pairs, 4) array. ``pair`` and ``row`` give each row's pair and lattice
+    row index."""
+    local = pair - pair[0]
+    pairs = int(local[-1]) + 1
+    held = slice(int(pair[0]), int(pair[-1]) + 1)
+    lo, span = params["lo"], params["span"]
     # the plain quadrature's lattice lines, and each sector's offsets and
-    # heading products along them, as (pairs, n) tables
-    xs = block["lo"][:, 0, None] + centres * block["span"][:, 0, None] / n
-    zs = block["lo"][:, 1, None] + centres * block["span"][:, 1, None] / n
-    keys = np.empty((pairs * n, 16), dtype=np.int32)
+    # heading products along them: x per row, z as (pairs, n) tables
+    xs = lo[:, 0][pair] + (row + 0.5) * span[:, 0][pair] / n
+    zs = lo[held, 1, None] + (np.arange(n) + 0.5) * span[held, 1, None] / n
+    keys = np.empty((len(row), 16), dtype=np.int32)
     sectors = []
     for k, s in enumerate("ab"):
-        p, h = block[f"p{s}"], block[f"h{s}"]
-        dx, dz = xs - p[:, 0, None], zs - p[:, 1, None]
-        sectors.append([t.ravel() for t in (dx, dx * h[:, 0, None], dz, dz * h[:, 1, None])])
-        start, end = _band_bounds(dx, block, s, r, n)
+        p, h = params[f"p{s}"], params[f"h{s}"]
+        dx, dz = xs - p[:, 0][pair], zs - p[held, 1, None]
+        sectors.append((dx, dx * h[:, 0][pair], dz.ravel(), (dz * h[held, 1, None]).ravel()))
+        start, end = _band_bounds(dx, params, pair, s, r, n)
         keys[:, 8 * k : 8 * k + 4] = (2 * start + 1).T
         keys[:, 8 * k + 4 : 8 * k + 8] = (2 * end).T
     # band edges by column, a start odd and an end even; the running sum of
@@ -364,16 +477,15 @@ def _block_counts(block, cos_half, r, n) -> list[tuple[int, int, int]]:
         seg = np.concatenate([seg, more])
         weight = np.concatenate([weight, np.ones(len(more), dtype=weight.dtype)])
         col = np.concatenate([col, seg_start[more] + 1 + np.arange(len(more)) - np.repeat(first, extra)])
-    row = seg // (keys.shape[1] - 1)
-    cell = row - row % n + col
-    code = (row // n) * 4
+    at = seg // (keys.shape[1] - 1)
+    cell = local[at] * n + col
+    code = local[at] * 4
     for bit, (dx, xh, dz, zh) in zip((1, 2), sectors):
-        x, z = dx[row], dz[cell]
+        x, z = dx[at], dz[cell]
         dist = np.hypot(x, z)
-        code += bit * ((dist <= r) & (xh[row] + zh[cell] >= cos_half * dist))
+        code += bit * ((dist <= r) & (xh[at] + zh[cell] >= cos_half * dist))
     # per pair: cells in neither sector, in a only, in b only, in both
-    counts = np.bincount(code, weights=weight, minlength=4 * pairs).astype(np.int64).reshape(pairs, 4)
-    return [(a + ab, b + ab, ab) for _, a, b, ab in counts.tolist()]
+    return np.bincount(code, weights=weight, minlength=4 * pairs).astype(np.int64).reshape(pairs, 4)
 
 
 def fov_overlap(

@@ -34,7 +34,8 @@ class NegativeWeight(ValidationError):
 
 
 class IndexOutOfRange(ValidationError):
-    """An edge references a vertex index outside the declared vertex lists."""
+    """An edge references a vertex index outside the declared vertex lists,
+    or gives one as a number that is not an integer."""
 
 
 class UnknownVertex(ValidationError):

@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -507,6 +508,16 @@ def _assemble(ids, sizes, inertia, eu, ev, costs, positions=None) -> ExchangeGra
     )
 
 
+def _edge_index(value, u, v) -> int:
+    """An edge end given as something other than an int, as ``int()``
+    reads it; a number that ``int()`` would change is refused, not
+    truncated."""
+    index = int(value)
+    if isinstance(value, numbers.Number) and index != value:
+        raise IndexOutOfRange(f"edge ({u}, {v}) has a non-integral index {value}")
+    return index
+
+
 def build_graph(
     v1_weights: Sequence[object],
     v2_weights: Sequence[object],
@@ -518,9 +529,11 @@ def build_graph(
     edge list of (v1_index, v2_index[, cost]) tuples (cost defaults to 1).
 
     Vertex indices are positions within the weight lists, so they are the
-    vertex ids too; inertia keys outside the lists are ignored. Degree-0
-    vertices are pruned (with a warning) so every retained vertex has at
-    least one candidate edge. Errors come in the order of
+    vertex ids too; an index is read with ``int()``, and a number that
+    ``int()`` would change, such as ``1.5``, is refused with
+    :class:`IndexOutOfRange`. Inertia keys outside the lists are ignored.
+    Degree-0 vertices are pruned (with a warning) so every retained vertex
+    has at least one candidate edge. Errors come in the order of
     :meth:`ExchangeGraph.from_vertices`: edge shapes and ranges first, then
     scan sizes and inertia prices, then edge costs.
     """
@@ -536,8 +549,8 @@ def build_graph(
             (u, v), cost = item, 1
         else:
             u, v, cost = item
-        i = u if type(u) is int else int(u)
-        if not 0 <= i < n1 or not 0 <= (j := v if type(v) is int else int(v)) < n2:
+        i = u if type(u) is int else _edge_index(u, u, v)
+        if not 0 <= i < n1 or not 0 <= (j := v if type(v) is int else _edge_index(v, u, v)) < n2:
             raise IndexOutOfRange(f"edge ({u}, {v}) outside vertex ranges")
         eu.append(i)
         ev.append(j)

@@ -245,19 +245,27 @@ def test_degenerate_zero_range_overlaps_nothing():
 # -- row-band filter: adversarial shapes against the frozen reference ---------
 
 
-ADVERSARIAL_KINDS = ("axis", "half", "near", "row", "lattice", "same", "2r", "any")
+ADVERSARIAL_KINDS = ("axis", "half", "near", "row", "lattice", "same", "2r", "any", "split", "touch", "extent")
 ADVERSARIAL_HALVES = (1e-300, 1e-8, 1e-6, 1e-3, 0.3, 0.7, math.pi / 4, math.pi / 2, 2.0, math.pi - 1e-6, math.pi, 4.0, 1e3)
-ADVERSARIAL_RANGES = (1e-3, 0.5, 7.3, 30.0, 1e4)
+ADVERSARIAL_RANGES = (1e-100, 1e-3, 0.5, 7.3, 30.0, 1e4, 1e100)
+
+
+def sector_reach(heading, axis, half, r):
+    """How far a sector reaches beyond its apex along the direction
+    ``axis``, both given as ``make_pose`` headings."""
+    return r * max(0.0, math.cos(max(0.0, abs(math.remainder(axis - heading, 2 * math.pi)) - half)))
 
 
 def adversarial_sector_pair(rng, kind, half, r, resolution):
-    """Two poses built to sit on the row-band filter's edge cases for a
-    sector of this half-angle and range: headings along the lattice axes,
-    at +-half (a boundary ray parallel to the rows), just off it (a long
-    wedge band) or within a wedge's half-width of it (wedge ends on both
-    sides of the row direction) with the middle lattice row on or near both
-    apexes, an apex on or next to a lattice line, coincident poses, and
-    poses 2r apart within ulps."""
+    """Two poses built to sit on the row-band filter's and the culls' edge
+    cases for a sector of this half-angle and range: headings along the
+    lattice axes, at +-half (a boundary ray parallel to the rows), just off
+    it (a long wedge band) or within a wedge's half-width of it (wedge ends
+    on both sides of the row direction) with the middle lattice row on or
+    near both apexes, an apex on or next to a lattice line, coincident
+    poses, poses 2r apart within ulps, sectors a hair apart along one of
+    the pair cull's axes, disks touching head-on, and a sector along +-x
+    whose x-extent ends on a lattice row."""
     x, z = rng.uniform(-3, 3) * r, rng.uniform(-3, 3) * r
     heading_a, heading_b = rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi)
     bx, bz = x + rng.uniform(-2, 2) * r, z + rng.uniform(-2, 2) * r
@@ -296,7 +304,54 @@ def adversarial_sector_pair(rng, kind, half, r, resolution):
         bearing = rng.uniform(-math.pi, math.pi)
         sep = 2 * r * rng.choice([1 - 2e-16, 1.0, 1 + 2e-16, 1 - 1e-9])
         bx, bz = x + sep * math.sin(bearing), z + sep * math.cos(bearing)
+    elif kind == "split":
+        # b beyond a along the axis by both sectors' reach and a hair, just
+        # touching, or overlapping by a hair; the axis is +-x, +-z, a cone
+        # edge's outward normal of a or the reversed one of b, or (with no
+        # sideways offset) the apex-to-apex direction
+        heading_a, heading_b = rng.choice(axes + [heading_a]), rng.choice(axes + [heading_b])
+        normal = half + math.pi / 2
+        axis = rng.choice(axes + [heading_a + normal, heading_a - normal, heading_b + normal + math.pi, heading_b - normal + math.pi])
+        hair = r * rng.choice([1e-6, 1e-9, 1e-12, 0.0, -1e-12, -1e-9])
+        along = sector_reach(heading_a, axis, half, r) + sector_reach(heading_b, axis + math.pi, half, r) + hair
+        aside = rng.choice([0.0, rng.uniform(-1, 1) * r])
+        bx = x + along * math.sin(axis) + aside * math.cos(axis)
+        bz = z + along * math.cos(axis) - aside * math.sin(axis)
+    elif kind == "touch":
+        # disks touching head-on along a lattice axis; at odd resolutions
+        # the touching point is a lattice cell
+        dx, dz = rng.choice([(1, 0), (-1, 0), (0, 1), (0, -1)])
+        x = z = 0.0
+        heading_a = math.atan2(dx, dz)
+        heading_b = rng.choice([heading_a + math.pi, heading_b])
+        bx, bz = 2 * r * dx, 2 * r * dz
+    elif kind == "extent":
+        # a along +-x, b r / (resolution - 1/2) ahead of it in x: a lattice
+        # row centre lies at a's x-extent end, r from its apex; with both
+        # apexes on z = 0 and an odd resolution, so does a lattice cell
+        sign = rng.choice([-1, 1])
+        x = z = 0.0
+        heading_a = sign * math.pi / 2
+        heading_b = rng.choice(axes + [heading_b])
+        bx = sign * r / (resolution - 0.5)
+        bz = rng.choice([0.0, 0.0 if resolution == 1 else rng.uniform(-1, 1) * r])
     return make_pose(0, x, z, heading_a), make_pose(1, bx, bz, heading_b)
+
+
+def culls(monkeypatch):
+    """Count, over every call, the pairs the pair cull separates and the
+    lattice rows the row cull skips in the pairs it keeps."""
+    culled = {"split": 0, "rows": 0}
+    live_rows = candidates._live_rows
+
+    def recording(params, r, n, alpha):
+        first, rows = live_rows(params, r, n, alpha)
+        culled["split"] += int((rows == 0).sum())
+        culled["rows"] += int((n - rows)[rows > 0].sum())
+        return first, rows
+
+    monkeypatch.setattr(candidates, "_live_rows", recording)
+    return culled
 
 
 def planar(poses):
@@ -304,11 +359,12 @@ def planar(poses):
     return [planar_position(p) for p in poses], [planar_heading(p) for p in poses]
 
 
-def test_row_bands_match_seed_on_adversarial_pairs():
-    # 5590 pairs over every half-angle and range above, each compared with
+def test_row_bands_match_seed_on_adversarial_pairs(monkeypatch):
+    # 7826 pairs over every half-angle and range above, each compared with
     # ``==`` in both orders: all of them through the batched routine, in
     # pair counts that end blocks part-way, and the first few of every
-    # shape through fov_overlap, one pair per call
+    # shape through fov_overlap, one pair per call; many of them are culled
+    culled = culls(monkeypatch)
     rng = random.Random(2024)
     checked = 0
     for resolution, per_shape in ((1, 23), (2, 23), (7, 37), (256, 3)):
@@ -326,7 +382,9 @@ def test_row_bands_match_seed_on_adversarial_pairs():
                 for (pa, pb), value in list(zip(cases, expected))[:3]:
                     assert fov_overlap(pa, pb, half, r, resolution) == value
                 checked += len(cases)
-    assert checked >= 5000
+    assert checked >= 7000
+    # 6660 separated pairs and 16,704 skipped rows when written
+    assert culled["split"] >= 3000 and culled["rows"] >= 8000, culled
 
 
 @pytest.mark.parametrize("resolution", [3, 9, 21])
@@ -380,24 +438,34 @@ def adversarial_trajectories(seed, count):
 
 
 def test_build_geometric_overlaps_match_seed(monkeypatch):
-    # every overlap build_geometric computes, in its gated-pair order and
-    # over several blocks (the last one short), equals the frozen reference
+    # every overlap build_geometric computes, in its gated-pair order, set
+    # up 16 pairs at a time (the last time 1) and over several blocks of
+    # live rows, equals the frozen reference
+    monkeypatch.setattr(candidates, "_SETUP_PAIRS", 16)
     t1, t2 = adversarial_trajectories(5, 15)
     params = GeometryParams(d_max=30, eta=0.4)
-    seen = []
-    batched = candidates._fov_overlaps
+    seen, blocks = [], []
+    batched, counts = candidates._fov_overlaps, candidates._block_counts
 
     def recording(*args):
         values = batched(*args)
         seen.extend(values)
         return values
 
+    def block_pairs(params, pair, row, *args):
+        blocks.append(pair.tolist())
+        return counts(params, pair, row, *args)
+
     monkeypatch.setattr(candidates, "_fov_overlaps", recording)
+    monkeypatch.setattr(candidates, "_block_counts", block_pairs)
     g = build_geometric(t1, t2, params)
     pairs = [(i, j) for i in range(len(t1)) for j in range(len(t2))]
     expected = [seed_fov_overlap(t1[i], t2[j], HALF, RANGE) for i, j in pairs]
-    per_block = candidates._BLOCK_ROWS // 256
-    assert len(pairs) > 4 * per_block and len(pairs) % per_block
+    # blocks that hold rows of several pairs, pairs whose rows two blocks
+    # share, and a short last block
+    assert len(pairs) % 16 == 1
+    assert len(blocks) > 4 and len(blocks[-1]) < candidates._BLOCK_ROWS
+    assert any(b[0] != b[-1] for b in blocks) and any(a[-1] == b[0] for a, b in zip(blocks, blocks[1:]))
     assert seen == expected
     assert g.edge_keys() == {
         (sp.VertexId(1, i), sp.VertexId(2, j)) for (i, j), v in zip(pairs, expected) if v >= params.eta
@@ -427,6 +495,27 @@ def test_fixture_pairs_need_no_kernel_fallback(monkeypatch):
         masks = full_row_masks(monkeypatch)
         g = build_geometric(t1, t2, GeometryParams(d_max=30, eta=0.4, fov_half_angle=half))
         assert g.num_edges == edges and sum(map(len, masks)) == 1065 and not any(map(any, masks))
+
+
+@pytest.mark.parametrize("half, edges, pairs, rows", [(HALF, 233, 755, 124_772), (math.pi / 2, 420, 999, 237_736)])
+def test_culls_shrink_the_fixture_lattice(monkeypatch, half, edges, pairs, rows):
+    # of the 1065 gated pairs, 272,640 lattice rows at resolution 256, the
+    # lattice sees only the pairs no axis separates, and of those only the
+    # rows their grown sectors' x-extents reach
+    culled = culls(monkeypatch)
+    sent = []
+    counts = candidates._block_counts
+
+    def recording(params, pair, row, *args):
+        sent.append(len(row))
+        return counts(params, pair, row, *args)
+
+    monkeypatch.setattr(candidates, "_block_counts", recording)
+    t1, t2 = two_loop_fixture()
+    g = build_geometric(t1, t2, GeometryParams(d_max=30, eta=0.4, fov_half_angle=half))
+    assert g.num_edges == edges
+    assert (1065 - culled["split"], sum(sent)) == (pairs, rows)
+    assert sum(sent) + culled["rows"] == pairs * 256
 
 
 @pytest.mark.parametrize("heading", [HALF, -HALF, math.pi - HALF])

@@ -99,7 +99,8 @@ BUILD_CASES = {
     "many pruned": (([1] * 12, [1] * 3, [(0, 0)]), {}),
     "inertia, keys outside ignored": (([1, 2], [3], [(0, 0), (1, 0)]), {"v1_inertia": {1: "1/7", 5: NAN, -1: 3}, "v2_inertia": {0: 2.5}}),
     "numpy and bool indices": (([1, 2], [3, 4], [(np.int64(1), np.int32(0)), (True, True)]), {}),
-    "float indices truncate": (([1, 2], [3, 4], [(0.5, 1.9), (-0.5, 0.0)]), {}),
+    "integral float indices": (([1, 2], [3, 4], [(1.0, np.float64(0.0)), (0.0, -0.0)]), {}),
+    "float indices refused": (([1, 2], [3, 4], [(0.5, 1.9), (-0.5, 0.0)]), {}),
     "string indices": (([1, 2], [3], [("1", "0")]), {}),
     "iterator weights": (((1, 2), (3,), ((1, 0),)), {}),
     "no edges": (([1], [2], []), {}),
@@ -111,7 +112,7 @@ BUILD_CASES = {
     "u out of range": (([1], [1], [(1, 0)]), {}),
     "v negative": (([1], [1], [(0, -1)]), {}),
     "u beyond int64": (([1], [1], [(2**70, 0)]), {}),
-    "float u out of range": (([1], [1], [(1.5, 0)]), {}),
+    "float u refused before its range": (([1], [1], [(1.5, 0)]), {}),
     "bad u text": (([1], [1], [("x", 0)]), {}),
     "u out of range hides bad v": (([1], [1], [(3, "x")]), {}),
     "bad v after good u": (([1], [1], [(0, None)]), {}),
@@ -133,6 +134,14 @@ BUILD_CASES = {
 }
 
 
+# where build_graph refuses what the reference truncates with int(): a
+# number index that int() would change
+REFUSED_CASES = {
+    "float indices refused": (sp.IndexOutOfRange, "edge (0.5, 1.9) has a non-integral index 0.5"),
+    "float u refused before its range": (sp.IndexOutOfRange, "edge (1.5, 0) has a non-integral index 1.5"),
+}
+
+
 @pytest.mark.parametrize("case", sorted(BUILD_CASES))
 def test_build_graph_matches_from_vertices_reference(case):
     args, kwargs = BUILD_CASES[case]
@@ -140,7 +149,24 @@ def test_build_graph_matches_from_vertices_reference(case):
     def fresh():  # a tuple argument is passed as a one-shot iterator
         return [iter(a) if isinstance(a, tuple) else a for a in args]
 
-    assert build_outcome(sp.build_graph, fresh(), kwargs) == build_outcome(seed_build_graph, fresh(), kwargs)
+    expected = REFUSED_CASES.get(case) or build_outcome(seed_build_graph, fresh(), kwargs)
+    assert build_outcome(sp.build_graph, fresh(), kwargs) == expected
+
+
+@pytest.mark.parametrize(
+    "edge, message",
+    [
+        ((np.float64(2.5), 0), "edge (2.5, 0) has a non-integral index 2.5"),
+        ((0, Fraction(3, 2)), "edge (0, 3/2) has a non-integral index 3/2"),
+        ((1, np.float32(0.25)), "edge (1, 0.25) has a non-integral index 0.25"),
+        ((-0.5, 0), "edge (-0.5, 0) has a non-integral index -0.5"),
+    ],
+)
+def test_build_graph_refuses_non_integral_indices(edge, message):
+    # a truncated index would name another vertex; exit code 3 in the CLI
+    with pytest.raises(sp.IndexOutOfRange, match=f"^{re.escape(message)}$") as caught:
+        sp.build_graph([1, 2], [1, 2], [(0, 0), edge])
+    assert isinstance(caught.value, sp.ValidationError)
 
 
 def test_zero_cost_edges_admitted():
