@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import EmptyTrajectory, GraphFormatError, ScoreOutOfRange, ValidationError
-from .graph import ExchangeGraph, build_graph, open_text
+from .graph import ExchangeGraph, _index, build_graph, open_text
 
 # Standard BRIEF descriptor size; one vocabulary word fits in 3 bytes.
 DESCRIPTOR_BYTES = 32
@@ -54,7 +54,10 @@ class Trajectory:
             if last is not None and pose.pid <= last:
                 raise ValidationError(f"pose ids must strictly increase, got {pose.pid} after {last}")
             last = pose.pid
-            if pose.feature_count < 0:
+            count = pose.feature_count
+            if not (isinstance(count, numbers.Real) and math.isfinite(count) and int(count) == count):
+                raise ValidationError(f"pose {pose.pid} has a non-integral feature count {count!r}")
+            if count < 0:
                 raise ValidationError(f"pose {pose.pid} has negative feature count")
             # NaN would slip through the residual test below (nan > tol is False)
             for name in ("position", "rotation"):
@@ -622,8 +625,8 @@ def build_appearance_sweep(
             for u, v, score in scores:
                 if not 0 <= score <= 1:
                     raise ScoreOutOfRange(f"score {score!r} for pair ({u}, {v}) outside [0, 1]")
-                us.append(int(u))
-                vs.append(int(v))
+                us.append(u if type(u) is int else _index(u, f"score pair ({u}, {v})"))
+                vs.append(v if type(v) is int else _index(v, f"score pair ({u}, {v})"))
                 values.append(float(score))
             # np.array keeps indices beyond int64 exact, as an object array
             u_all, v_all, s = np.array(us), np.array(vs), np.array(values, dtype=float)
@@ -681,7 +684,7 @@ def read_kitti_poses(path, feature_counts: Sequence[int] | None = None) -> Traje
                     raise GraphFormatError(
                         f"{path}: more poses than feature counts ({len(feature_counts)})"
                     )
-                count = int(feature_counts[len(poses)])
+                count = feature_counts[len(poses)]
             poses.append(
                 Pose(
                     pid=len(poses),
@@ -745,7 +748,7 @@ def write_kitti_poses(traj: Trajectory, path) -> None:
 def write_feature_counts(traj: Trajectory, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for pose in traj:
-            fh.write(f"{pose.feature_count}\n")
+            fh.write(f"{int(pose.feature_count)}\n")
 
 
 # -- synthetic fixture --------------------------------------------------------

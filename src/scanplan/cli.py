@@ -14,6 +14,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -227,8 +228,7 @@ def cmd_simulate(args) -> int:
     trace = run_rendezvous(g, cfg, policy=policy)
     text = format_trace(trace)
     if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        Path(args.trace_out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     print(f"metadata_bytes {format_rational(trace.metadata_bytes)}")
@@ -370,8 +370,7 @@ def cmd_sweep(args) -> int:
     lines, report = run_sweep(args)
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     print(report, file=sys.stderr)
@@ -426,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sweep", parents=[inputs], help="sweep a parameter and emit cost curves as CSV"
     )
-    p.add_argument("--parameter", choices=("dmax", "eta", "alpha", "omega"), required=True)
+    p.add_argument("--parameter", choices=SWEEP_PARAMETERS, required=True)
     p.add_argument("--start", required=True)
     p.add_argument("--stop", required=True)
     p.add_argument("--step", required=True)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
+from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -124,19 +125,17 @@ class IncidenceView:
 class ExchangeGraph:
     """Validated bipartite exchange graph. Build via :func:`build_graph`,
     :meth:`from_vertices` or :func:`loads_graph`; the constructor takes the
-    index arrays below and runs every check.
-
-    Those entry points prune degree-zero vertices first (an isolated pose
-    needs no exchange), so every retained vertex has at least one
-    candidate edge; the pruned ids are kept in ``pruned`` and reported
-    with a warning.
+    index arrays below, runs every check on every vertex and edge, and
+    then prunes the degree-zero vertices (an isolated pose needs no
+    exchange). Every retained vertex has at least one candidate edge; the
+    pruned ids are kept in ``pruned`` and reported with a warning.
 
     The index arrays, indexed by side minus one where a pair is given:
 
     - ``ids``: per side, the vertex ids in file order. A vertex's position
       in its side's tuple is its position in every array below.
     - ``den``: the positive common denominator of every scan size,
-      inertia price and edge cost.
+      inertia price and edge cost, pruned vertices' values included.
     - ``size_num`` / ``inertia_num``: per side, tuples of numerators over
       ``den``; an inertia entry is None where no price is set.
     - ``eu`` / ``ev``: read-only int64 arrays holding, for each edge in
@@ -153,7 +152,6 @@ class ExchangeGraph:
         eu: Sequence[int],
         ev: Sequence[int],
         cost_num: Sequence[int],
-        pruned: Sequence[VertexId] = (),
     ):
         self.ids = (tuple(ids[0]), tuple(ids[1]))
         self.den = den
@@ -161,10 +159,27 @@ class ExchangeGraph:
         self.inertia_num = (tuple(inertia_num[0]), tuple(inertia_num[1]))
         self.eu = np.array(eu, dtype=np.int64)
         self.ev = np.array(ev, dtype=np.int64)
-        self.eu.flags.writeable = self.ev.flags.writeable = False
         self.cost_num = tuple(cost_num)
-        self.pruned = tuple(pruned)
         self._validate()
+        # every vertex is checked above; the degree-0 ones are pruned here
+        keep = [np.bincount(ends, minlength=len(col)) > 0 for ends, col in zip((self.eu, self.ev), self.ids)]
+        pruned = [
+            VertexId(s, i) for s, col, k in zip((1, 2), self.ids, keep) for i in compress(col, (~k).tolist())
+        ]
+        self.pruned = tuple(sorted(pruned))
+        if pruned:
+            shown = ", ".join(map(str, self.pruned[:8]))
+            if len(pruned) > 8:
+                shown += f", ... ({len(pruned) - 8} more)"
+            # stacklevel: the caller of build_graph, from_vertices or loads_graph
+            warnings.warn(f"pruned {len(pruned)} isolated vertices (no candidate edges): {shown}", stacklevel=4)
+            kept = [k.tolist() for k in keep]
+            self.ids, self.size_num, self.inertia_num = (
+                tuple(tuple(compress(col, k)) for col, k in zip(cols, kept))
+                for cols in (self.ids, self.size_num, self.inertia_num)
+            )
+            self.eu, self.ev = ((np.cumsum(k) - 1)[ends] for k, ends in zip(keep, (self.eu, self.ev)))
+        self.eu.flags.writeable = self.ev.flags.writeable = False
         # solver memo: (objective, requested engine) -> (SolveResult, weight
         # numerators, denominator); holds only results that passed every check
         self._covers: dict = {}
@@ -214,13 +229,6 @@ class ExchangeGraph:
             raise NegativeWeight(
                 f"edge 1:{u}--2:{v} has negative cost {Fraction(self.cost_num[k], self.den)}"
             )
-        for side, ends, n in ((1, self.eu, n1), (2, self.ev, n2)):
-            isolated = np.flatnonzero(np.bincount(ends, minlength=n) == 0)
-            if isolated.size:
-                raise ValidationError(
-                    f"vertex {side}:{self.ids[side - 1][isolated[0]]} has degree 0; "
-                    "prune isolated vertices before construction"
-                )
 
     # -- boundary objects, built on first use ------------------------------
 
@@ -425,28 +433,29 @@ class ExchangeGraph:
         edges: Iterable[tuple[int, int, object]],
     ) -> "ExchangeGraph":
         """Build from explicit vertex ids: each vertex is (id, scan_size,
-        inertia-or-None), each edge (u_id, v_id, cost). Isolated vertices
-        are pruned with a warning.
+        inertia-or-None), each edge (u_id, v_id, cost). Ids and edge ends
+        follow :func:`build_graph`'s index rule; isolated vertices are
+        pruned with a warning.
         """
-        ids: tuple[list, list] = ([], [])
-        sizes: tuple[list, list] = ([], [])
-        inertia: tuple[list, list] = ([], [])
-        for s, entries in enumerate((v1, v2)):
-            for vid_index, scan_size, price in entries:
-                ids[s].append(vid_index if type(vid_index) is int else int(vid_index))
-                sizes[s].append(_exact(scan_size))
-                inertia[s].append(None if price is None else _exact(price))
-        pos1, pos2 = ({i: k for k, i in enumerate(side_ids)} for side_ids in ids)
-        eu, ev, costs = [], [], []
-        for u_index, v_index, cost in edges:
-            i = pos1.get(u_index if type(u_index) is int else int(u_index))
-            j = pos2.get(v_index if type(v_index) is int else int(v_index))
-            if i is None or j is None:
-                raise IndexOutOfRange(f"edge ({u_index}, {v_index}) references a missing vertex")
-            eu.append(i)
-            ev.append(j)
+        ids, sizes, inertia = _vertex_columns((v1, v2))
+        us, vs, costs = [], [], []
+        for u, v, cost in edges:
+            us.append(u if type(u) is int else _index(u, f"edge ({u}, {v})"))
+            vs.append(v if type(v) is int else _index(v, f"edge ({u}, {v})"))
             costs.append(_exact(cost))
-        return _assemble(ids, sizes, inertia, eu, ev, costs, (pos1, pos2))
+        return _assemble(ids, sizes, inertia, *_end_positions(ids, us, vs), costs)
+
+
+def _vertex_columns(sides) -> tuple[tuple[list, list], tuple[list, list], tuple[list, list]]:
+    """Per side, the ids, exact scan sizes and exact inertia prices (None
+    where unset) of ``(id, scan_size, price)`` entries, in entry order."""
+    ids, sizes, inertia = ([], []), ([], []), ([], [])
+    for s, entries in enumerate(sides):
+        for index, scan_size, price in entries:
+            ids[s].append(index if type(index) is int else _index(index, f"side {s + 1} vertex"))
+            sizes[s].append(_exact(scan_size))
+            inertia[s].append(None if price is None else _exact(price))
+    return ids, sizes, inertia
 
 
 def _exact(value) -> int | Fraction:
@@ -462,60 +471,46 @@ def _numerators(values: list, den: int) -> list:
     ]
 
 
-def _assemble(ids, sizes, inertia, eu, ev, costs, positions=None) -> ExchangeGraph:
-    """Prune degree-zero vertices (with a warning), bring every value over
-    one common denominator and construct the graph. ``ids``, ``sizes`` and
-    ``inertia`` are per-side lists, ``eu``/``ev`` the side positions of each
-    edge's endpoints and ``costs`` its cost; values are ints or Fractions.
-    ``positions``, per-side maps from id to position, is needed only where
-    an id may repeat."""
-    ends = [np.array(eu, dtype=np.int64), np.array(ev, dtype=np.int64)]
-    keep, pruned = [], []
-    for side in (1, 2):
-        s = side - 1
-        touched = np.bincount(ends[s], minlength=len(ids[s])) > 0
-        if positions is not None and len(positions[s]) < len(ids[s]):
-            # repeated ids: every copy of a touched id is kept (and refused later)
-            touched = touched[[positions[s][i] for i in ids[s]]]
-        keep.append(touched)
-        pruned += [VertexId(side, i) for i in compress(ids[s], (~touched).tolist())]
-    pruned = sorted(set(pruned))
-    if pruned:
-        shown = ", ".join(str(p) for p in pruned[:8])
-        if len(pruned) > 8:
-            shown += f", ... ({len(pruned) - 8} more)"
-        warnings.warn(
-            f"pruned {len(pruned)} isolated vertices (no candidate edges): {shown}",
-            stacklevel=3,
-        )
-        for s in (0, 1):
-            ends[s] = (np.cumsum(keep[s]) - 1)[ends[s]]
-            kept = keep[s].tolist()
-            ids[s][:] = compress(ids[s], kept)
-            sizes[s][:] = compress(sizes[s], kept)
-            inertia[s][:] = compress(inertia[s], kept)
-    columns = (sizes[0], sizes[1], inertia[0], inertia[1], costs)
+def _assemble(ids, sizes, inertia, eu, ev, costs) -> ExchangeGraph:
+    """Bring every value over one common denominator and construct the
+    graph, which checks every vertex and then prunes the isolated ones.
+    ``ids``, ``sizes`` and ``inertia`` are per-side lists, ``eu``/``ev`` the
+    side positions of each edge's endpoints and ``costs`` its cost; values
+    are ints or Fractions."""
+    columns = (*sizes, *inertia, costs)
     den = math.lcm(*{x.denominator for col in columns for x in col if type(x) is not int and x is not None})
     return ExchangeGraph(
         ids,
         den,
-        (_numerators(sizes[0], den), _numerators(sizes[1], den)),
-        (_numerators(inertia[0], den), _numerators(inertia[1], den)),
-        ends[0],
-        ends[1],
+        [_numerators(col, den) for col in sizes],
+        [_numerators(col, den) for col in inertia],
+        eu,
+        ev,
         _numerators(costs, den),
-        pruned,
     )
 
 
-def _edge_index(value, u, v) -> int:
-    """An edge end given as something other than an int, as ``int()``
-    reads it; a number that ``int()`` would change is refused, not
-    truncated."""
+def _index(value, what) -> int:
+    """A vertex id or edge end given to the API as something other than
+    an int, as ``int()`` reads it; a number that ``int()`` would change is
+    refused with ``IndexOutOfRange`` naming ``what``, not truncated. Graph
+    files read theirs with ``_load_int`` instead."""
     index = int(value)
     if isinstance(value, numbers.Number) and index != value:
-        raise IndexOutOfRange(f"edge ({u}, {v}) has a non-integral index {value}")
+        raise IndexOutOfRange(f"{what} has a non-integral index {value}")
     return index
+
+
+def _end_positions(ids, us, vs) -> tuple[list[int], list[int]]:
+    """The side positions of edge ends given as vertex ids; an end that no
+    vertex of its side holds is refused."""
+    pos1, pos2 = ({i: k for k, i in enumerate(side_ids)} for side_ids in ids)
+    eu = [pos1.get(u) for u in us]
+    ev = [pos2.get(v) for v in vs]
+    if None in eu or None in ev:
+        k = next(k for k, ends in enumerate(zip(eu, ev)) if None in ends)
+        raise IndexOutOfRange(f"edge ({us[k]}, {vs[k]}) references a missing vertex")
+    return eu, ev
 
 
 def build_graph(
@@ -532,14 +527,15 @@ def build_graph(
     vertex ids too; an index is read with ``int()``, and a number that
     ``int()`` would change, such as ``1.5``, is refused with
     :class:`IndexOutOfRange`. Inertia keys outside the lists are ignored.
-    Degree-0 vertices are pruned (with a warning) so every retained vertex
-    has at least one candidate edge. Errors come in the order of
-    :meth:`ExchangeGraph.from_vertices`: edge shapes and ranges first, then
-    scan sizes and inertia prices, then edge costs.
+    Every vertex is checked, then degree-0 vertices are pruned (with a
+    warning) so every retained vertex has at least one candidate edge.
+    Errors come in this order: edge shapes and ranges, then scan sizes and
+    inertia prices vertex by vertex, then edge costs, then the
+    constructor's checks.
     """
-    # (scan size, inertia price) per vertex, as from_vertices reads them
+    # (id, scan size, inertia price) per vertex, as from_vertices reads them
     vertices = [
-        [(w, prices.get(i)) for i, w in enumerate(weights)]
+        [(i, w, prices.get(i)) for i, w in enumerate(weights)]
         for weights, prices in ((v1_weights, v1_inertia or {}), (v2_weights, v2_inertia or {}))
     ]
     n1, n2 = len(vertices[0]), len(vertices[1])
@@ -549,20 +545,14 @@ def build_graph(
             (u, v), cost = item, 1
         else:
             u, v, cost = item
-        i = u if type(u) is int else _edge_index(u, u, v)
-        if not 0 <= i < n1 or not 0 <= (j := v if type(v) is int else _edge_index(v, u, v)) < n2:
+        i = u if type(u) is int else _index(u, f"edge ({u}, {v})")
+        if not 0 <= i < n1 or not 0 <= (j := v if type(v) is int else _index(v, f"edge ({u}, {v})")) < n2:
             raise IndexOutOfRange(f"edge ({u}, {v}) outside vertex ranges")
         eu.append(i)
         ev.append(j)
         costs.append(cost)
-    sizes: tuple[list, list] = ([], [])
-    inertia: tuple[list, list] = ([], [])
-    for s, entries in enumerate(vertices):
-        for scan_size, price in entries:
-            sizes[s].append(_exact(scan_size))
-            inertia[s].append(None if price is None else _exact(price))
-    costs = [c if type(c) is int else _exact(c) for c in costs]
-    return _assemble((list(range(n1)), list(range(n2))), sizes, inertia, eu, ev, costs)
+    # sizes and prices are read before costs
+    return _assemble(*_vertex_columns(vertices), eu, ev, [c if type(c) is int else _exact(c) for c in costs])
 
 
 def _weight_terms(g: ExchangeGraph, objective: Objective) -> tuple[int, tuple[int, int], int]:
@@ -606,13 +596,10 @@ def weight_numerators(g: ExchangeGraph, objective: Objective) -> tuple[tuple[lis
 
 
 def workload_weight(g: ExchangeGraph, vid: VertexId, alpha1, alpha2) -> Fraction:
-    """Per-vertex workload price: transmitting v's scan makes the *other*
-    robot verify all of v's edges, so side-1 vertices are priced with
-    alpha2 and side-2 vertices with alpha1, times the incident edge cost.
-    """
-    alpha = as_fraction(alpha2) if vid.side == 1 else as_fraction(alpha1)
-    s, k = g.locate(vid)
-    return alpha * Fraction(g.incident_num[s][k], g.den)
+    """Per-vertex workload price: ``vid``'s weight under P1 (see
+    :func:`_weight_terms`), its incident edge cost times alpha2 on side 1
+    and alpha1 on side 2."""
+    return effective_weight(g, vid, Objective.p1(alpha1, alpha2))
 
 
 def effective_weight(g: ExchangeGraph, vid: VertexId, objective: Objective) -> Fraction:
@@ -840,13 +827,7 @@ def loads_graph(text: str) -> ExchangeGraph:
             k = next(k for k, e in enumerate(entries) if not isinstance(e, dict))
             raise GraphFormatError(f"{key}[{k}] must be an object") from exc
         raise GraphFormatError(f"malformed graph file: {exc!r}") from exc
-    positions = tuple({i: k for k, i in enumerate(side_ids)} for side_ids in ids)
-    eu = [positions[0].get(u) for u in us]
-    ev = [positions[1].get(v) for v in vs]
-    if None in eu or None in ev:
-        k = next(k for k, ends in enumerate(zip(eu, ev)) if None in ends)
-        raise IndexOutOfRange(f"edge ({us[k]}, {vs[k]}) references a missing vertex")
-    g = _assemble(ids, sizes, inertia, eu, ev, costs, positions)
+    g = _assemble(ids, sizes, inertia, *_end_positions(ids, us, vs), costs)
     if g.den >= 10**MAX_DENOMINATOR_DIGITS:
         raise GraphFormatError(
             f"the values' common denominator ({g.den.bit_length()} bits) exceeds "
@@ -856,14 +837,18 @@ def loads_graph(text: str) -> ExchangeGraph:
 
 
 def save_graph(g: ExchangeGraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_graph(g))
+    Path(path).write_text(dumps_graph(g), encoding="utf-8")
 
 
-def load_graph(path) -> ExchangeGraph:
+def _load_file(path, loads):
+    """``loads`` on the text of a UTF-8 file; a format error names the file."""
     with open_text(path) as fh:
         text = fh.read()
     try:
-        return loads_graph(text)
+        return loads(text)
     except GraphFormatError as exc:
         raise GraphFormatError(f"{path}: {exc}") from exc
+
+
+def load_graph(path) -> ExchangeGraph:
+    return _load_file(path, loads_graph)

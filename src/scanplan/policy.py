@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
+from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -22,7 +23,7 @@ from .errors import (
     LabelDomainMismatch,
     ValidationError,
 )
-from .graph import EdgeKey, ExchangeGraph, VertexId, _load_int, _load_json, open_text, weight_numerators
+from .graph import EdgeKey, ExchangeGraph, VertexId, _load_file, _load_int, _load_json, weight_numerators
 from .objectives import Objective, as_fraction
 
 
@@ -245,14 +246,8 @@ def loads_policy(text: str) -> Policy:
 
 
 def save_policy(pi: Policy, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_policy(pi))
+    Path(path).write_text(dumps_policy(pi), encoding="utf-8")
 
 
 def load_policy(path) -> Policy:
-    with open_text(path) as fh:
-        text = fh.read()
-    try:
-        return loads_policy(text)
-    except GraphFormatError as exc:
-        raise GraphFormatError(f"{path}: {exc}") from exc
+    return _load_file(path, loads_policy)

@@ -900,6 +900,26 @@ def test_score_file_parsing(tmp_path):
         read_scores(f)
 
 
+@pytest.mark.parametrize("count", [2.7, np.float64(0.5), float("nan"), float("inf"), "2"])
+def test_non_integral_feature_count_refused(tmp_path, count):
+    # int() would read 2.7 as 2; the pose is named instead
+    f = tmp_path / "poses.txt"
+    f.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n")
+    with pytest.raises(sp.ValidationError, match=r"^pose 0 has a non-integral feature count"):
+        read_kitti_poses(f, [count])
+    with pytest.raises(sp.ValidationError, match=r"^pose 4 has a non-integral feature count"):
+        sp.Trajectory([make_pose(4, 0.0, 0.0, 0.0, feature_count=count)])
+
+
+def test_integral_feature_counts_keep_their_value(tmp_path):
+    f = tmp_path / "poses.txt"
+    f.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n" * 3)
+    traj = read_kitti_poses(f, [2.0, np.int64(3), True])
+    assert [p.feature_count for p in traj] == [2, 3, 1]
+    write_feature_counts(traj, tmp_path / "counts.txt")
+    assert read_feature_counts(tmp_path / "counts.txt") == [2, 3, 1]
+
+
 def test_feature_count_file_rejects_negative(tmp_path):
     f = tmp_path / "counts.txt"
     f.write_text("3\n-1\n")

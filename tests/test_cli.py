@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, CSV determinism."""
 
 import hashlib
+import json
 import subprocess
 import sys
 import time
@@ -73,6 +74,28 @@ def test_invalid_graph_exits_3(capsys):
     code, _, err = run(capsys, "solve", "--graph", str(DATA / "dup_edge.json"))
     assert code == 3
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ([{"id": 3, "scan_size": -5}], "scan_size of 1:3 is negative: -5"),
+        ([{"id": 3, "scan_size": 1, "inertia": -5}], "inertia of 1:3 is negative: -5"),
+        ([{"id": -3, "scan_size": 1}], "negative vertex index 1:-3"),
+        ([{"id": 3, "scan_size": 1}, {"id": 3, "scan_size": 7}], "duplicate vertex id 1:3"),
+    ],
+)
+def test_isolated_vertex_fault_exits_3(capsys, tmp_path, extra, message):
+    # the same refusal whether or not the faulty vertex has an edge
+    for ends in ([0], [0, extra[0]["id"]]):
+        doc = {
+            "v1": [{"id": 0, "scan_size": 1}] + extra,
+            "v2": [{"id": 0, "scan_size": 1}],
+            "edges": [{"u": u, "v": 0} for u in ends],
+        }
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "solve", "--graph", str(path)) == (3, "", f"error: {message}\n")
 
 
 GEOMETRY_SWEEP = ("sweep", "--synthetic", "--synthetic-poses", "12", "--start", "10", "--stop", "20", "--step", "10")

@@ -1,5 +1,6 @@
 """Exchange-graph model: construction, validation, weights, serialization."""
 
+import json
 import random
 import re
 import warnings
@@ -167,6 +168,111 @@ def test_build_graph_refuses_non_integral_indices(edge, message):
     with pytest.raises(sp.IndexOutOfRange, match=f"^{re.escape(message)}$") as caught:
         sp.build_graph([1, 2], [1, 2], [(0, 0), edge])
     assert isinstance(caught.value, sp.ValidationError)
+
+
+@pytest.mark.parametrize(
+    "scores, message",
+    [
+        ([(1.5, 0, 0.9), (0, 0.7, 0.8)], "score pair (1.5, 0) has a non-integral index 1.5"),
+        ([(0, 0, 0.2), (np.float64(0.0), 0.7, 0.8)], "score pair (0.0, 0.7) has a non-integral index 0.7"),
+    ],
+)
+def test_build_appearance_refuses_non_integral_indices(scores, message):
+    # int() would turn (1.5, 0) into the pair 1:1--2:0; exit code 3 in the CLI
+    with pytest.raises(sp.IndexOutOfRange, match=f"^{re.escape(message)}$"):
+        sp.build_appearance(scores, [1, 1], [1], sp.AppearanceParams(alpha=0.5))
+
+
+def test_build_appearance_keeps_integral_index_forms():
+    plain = sp.build_appearance([(1, 0, 0.9), (0, 1, 0.8)], [1, 1], [1, 1], sp.AppearanceParams(alpha=0.5))
+    other = [(1.0, np.int64(0), 0.9), (False, "1", 0.8)]
+    again = sp.build_appearance(other, [1, 1], [1, 1], sp.AppearanceParams(alpha=0.5))
+    assert sp.dumps_graph(again) == sp.dumps_graph(plain)
+
+
+def test_from_vertices_refuses_non_integral_ids():
+    # each would name another vertex if truncated; exit code 3 in the CLI
+    with pytest.raises(sp.IndexOutOfRange, match=r"^side 1 vertex has a non-integral index 1.5$"):
+        sp.ExchangeGraph.from_vertices([(1.5, 1, None)], [(0, 1, None)], [(1, 0, 1)])
+    with pytest.raises(sp.IndexOutOfRange, match=r"^edge \(1, 1.5\) has a non-integral index 1.5$"):
+        sp.ExchangeGraph.from_vertices([(1, 1, None)], [(1, 1, None)], [(1, 1.5, 1)])
+    g = sp.ExchangeGraph.from_vertices([(np.int64(1), 1, None)], [(1.0, 1, None)], [("1", True, 1)])
+    assert g.edge_keys() == {(sp.VertexId(1, 1), sp.VertexId(2, 1))}
+
+
+# One fault on vertex 1:3 each, with the error it raises when 1:3 has an
+# edge: (side-1 vertices, error, message).
+ISOLATED_FAULTS = {
+    "negative size": ([(0, 1, None), (3, -5, None)], sp.NegativeWeight, "scan_size of 1:3 is negative: -5"),
+    "negative price": ([(0, 1, None), (3, 1, -5)], sp.NegativeWeight, "inertia of 1:3 is negative: -5"),
+    "negative id": ([(0, 1, None), (-3, 1, None)], sp.IndexOutOfRange, "negative vertex index 1:-3"),
+    "duplicate id": ([(0, 1, None), (3, 1, None), (3, 7, None)], sp.ValidationError, "duplicate vertex id 1:3"),
+}
+
+
+def graph_text(v1, edges):
+    entries = [{"id": i, "scan_size": w} | ({} if p is None else {"inertia": p}) for i, w, p in v1]
+    return json.dumps({"v1": entries, "v2": [{"id": 0, "scan_size": 1}], "edges": [{"u": u, "v": 0} for u in edges]})
+
+
+@pytest.mark.parametrize("case", sorted(ISOLATED_FAULTS))
+def test_isolated_vertex_is_checked_before_pruning(case):
+    v1, error, message = ISOLATED_FAULTS[case]
+    touched = v1[-1][0]
+    for ends in ([0], [0, touched]):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            sp.ExchangeGraph.from_vertices(v1, [(0, 1, None)], [(u, 0, 1) for u in ends])
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            sp.loads_graph(graph_text(v1, ends))
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"v1_inertia": {1: -5}}])
+def test_build_graph_checks_isolated_vertices(kwargs):
+    message = "inertia of 1:1 is negative: -5" if kwargs else "scan_size of 1:1 is negative: -3"
+    for edges in ([(0, 0)], [(0, 0), (1, 0)]):
+        with pytest.raises(sp.NegativeWeight, match=f"^{re.escape(message)}$"):
+            sp.build_graph([1, 3 if kwargs else -3], [1], edges, **kwargs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_pruning_matches_leaving_out_untouched_vertices(data):
+    def vertices(side):
+        ids = data.draw(st.lists(st.integers(0, 30), min_size=1, max_size=8, unique=True), label=f"ids{side}")
+        sizes = st.fractions(0, 100, max_denominator=12)
+        return [(i, data.draw(sizes), data.draw(st.one_of(st.none(), sizes))) for i in ids]
+
+    v1, v2 = vertices(1), vertices(2)
+    pairs = [(u, v) for u, _, _ in v1 for v, _, _ in v2]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True), label="edges")
+    edges = [(u, v, data.draw(st.integers(0, 9))) for u, v in chosen]
+    touched = ({u for u, _ in chosen}, {v for _, v in chosen})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g = sp.ExchangeGraph.from_vertices(v1, v2, edges)
+    kept = sp.ExchangeGraph.from_vertices(
+        [x for x in v1 if x[0] in touched[0]], [x for x in v2 if x[0] in touched[1]], edges
+    )
+    assert sp.dumps_graph(g) == sp.dumps_graph(kept)
+    untouched = [sp.VertexId(side, x[0]) for side, vs in ((1, v1), (2, v2)) for x in vs if x[0] not in touched[side - 1]]
+    assert g.pruned == tuple(sorted(untouched))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: sp.build_graph([1, 1], [1], [(0, 0)]),
+        lambda: sp.ExchangeGraph.from_vertices([(0, 1, None), (1, 1, None)], [(0, 1, None)], [(0, 0, 1)]),
+        lambda: sp.loads_graph(graph_text([(0, 1, None), (1, 1, None)], [0])),
+    ],
+    ids=["build_graph", "from_vertices", "loads_graph"],
+)
+def test_pruning_warning_names_the_caller(build):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        build()
+    assert [str(w.message) for w in caught] == ["pruned 1 isolated vertices (no candidate edges): 1:1"]
+    assert caught[0].filename == __file__
 
 
 def test_zero_cost_edges_admitted():
