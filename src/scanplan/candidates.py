@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import EmptyTrajectory, GraphFormatError, ScoreOutOfRange, ValidationError
 from .graph import ExchangeGraph, _index, build_graph, open_text
+from .objectives import MAX_NUMBER_DIGITS
 
 # Standard BRIEF descriptor size; one vocabulary word fits in 3 bytes.
 DESCRIPTOR_BYTES = 32
@@ -703,8 +704,11 @@ def read_kitti_poses(path, feature_counts: Sequence[int] | None = None) -> Traje
 
 
 def read_feature_counts(path) -> list[int]:
-    """One non-negative integer per line, aligned with pose lines."""
+    """One non-negative integer per line, aligned with pose lines. A count
+    whose scan size, ``count * DESCRIPTOR_BYTES``, has more than
+    MAX_NUMBER_DIGITS digits is refused, as a graph file would refuse it."""
     counts = []
+    limit = 10**MAX_NUMBER_DIGITS
     with open_text(path) as fh:
         for lineno, line in enumerate(fh):
             line = line.strip()
@@ -716,6 +720,11 @@ def read_feature_counts(path) -> list[int]:
                 raise GraphFormatError(f"{path}:{lineno + 1}: bad feature count {line!r}") from exc
             if value < 0:
                 raise GraphFormatError(f"{path}:{lineno + 1}: negative feature count {value}")
+            if value * DESCRIPTOR_BYTES >= limit:
+                raise GraphFormatError(
+                    f"{path}:{lineno + 1}: feature count {line[:20]}{'...' if len(line) > 20 else ''} "
+                    f"gives a scan size of more than {MAX_NUMBER_DIGITS} digits"
+                )
             counts.append(value)
     return counts
 

@@ -492,10 +492,14 @@ def _assemble(ids, sizes, inertia, eu, ev, costs) -> ExchangeGraph:
 
 def _index(value, what) -> int:
     """A vertex id or edge end given to the API as something other than
-    an int, as ``int()`` reads it; a number that ``int()`` would change is
-    refused with ``IndexOutOfRange`` naming ``what``, not truncated. Graph
-    files read theirs with ``_load_int`` instead."""
-    index = int(value)
+    an int, as ``int()`` reads it; a value that ``int()`` cannot read, or a
+    number that it would change, is refused with ``IndexOutOfRange`` naming
+    ``what``, not truncated. Graph files read theirs with ``_load_int``
+    instead."""
+    try:
+        index = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise IndexOutOfRange(f"{what} has a non-integer index {value!r}") from exc
     if isinstance(value, numbers.Number) and index != value:
         raise IndexOutOfRange(f"{what} has a non-integral index {value}")
     return index

@@ -239,7 +239,10 @@ def loads_policy(text: str) -> Policy:
         for k, row in enumerate(rows):
             if not isinstance(row, dict):
                 raise GraphFormatError(f"labels[{k}] must be an object")
-            labels[VertexId(_load_int(row["side"]), _load_int(row["index"]))] = _load_int(row["bit"])
+            vid, bit = VertexId(_load_int(row["side"]), _load_int(row["index"])), _load_int(row["bit"])
+            if vid in labels:
+                raise ValidationError(f"duplicate vertex id {vid} in labels[{k}]")
+            labels[vid] = bit
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"malformed policy file: {exc!r}") from exc
     return Policy.from_labels(labels)

@@ -15,7 +15,9 @@ in exact integer arithmetic, and the cover is read off the unique
 source-minimal min cut, which makes the returned policy independent of
 the flow engine used. A compiled engine (scipy) is used when capacities
 fit well inside int32; otherwise a pure-Python Dinic with unbounded
-integers takes over, so exactness never depends on magnitudes.
+integers takes over, so exactness never depends on magnitudes. Both
+engines are built from the same arc arrays, and the Dinic reads its cut
+off its last level graph, the one in which the sink is out of reach.
 """
 
 from __future__ import annotations
@@ -38,98 +40,6 @@ from .policy import Policy, monolog, objective_cost
 _INT32_SAFE_TOTAL = 2**30
 
 
-class _Dinic:
-    """Max flow with arbitrary-precision integer capacities."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-
-    def add_edge(self, u: int, v: int, c: int) -> None:
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def _bfs(self, s: int, t: int) -> list[int] | None:
-        level = [-1] * self.n
-        level[s] = 0
-        queue = deque([s])
-        to, cap, adj = self.to, self.cap, self.adj
-        while queue:
-            u = queue.popleft()
-            lu = level[u] + 1
-            for eid in adj[u]:
-                if cap[eid] > 0:
-                    v = to[eid]
-                    if level[v] < 0:
-                        level[v] = lu
-                        queue.append(v)
-        return level if level[t] >= 0 else None
-
-    def _augment(self, s: int, t: int, level: list[int], it: list[int]) -> int:
-        """Push one shortest augmenting path; 0 when the phase is done."""
-        to, cap, adj = self.to, self.cap, self.adj
-        path: list[int] = []
-        u = s
-        while True:
-            if u == t:
-                bottleneck = min(cap[eid] for eid in path)
-                for eid in path:
-                    cap[eid] -= bottleneck
-                    cap[eid ^ 1] += bottleneck
-                return bottleneck
-            advanced = False
-            arcs = adj[u]
-            while it[u] < len(arcs):
-                eid = arcs[it[u]]
-                v = to[eid]
-                if cap[eid] > 0 and level[v] == level[u] + 1:
-                    path.append(eid)
-                    u = v
-                    advanced = True
-                    break
-                it[u] += 1
-            if not advanced:
-                if u == s:
-                    return 0
-                level[u] = -1  # dead end within this phase
-                eid = path.pop()
-                u = self.to[eid ^ 1]
-                it[u] += 1
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while True:
-            level = self._bfs(s, t)
-            if level is None:
-                return flow
-            it = [0] * self.n
-            while True:
-                pushed = self._augment(s, t, level, it)
-                if pushed == 0:
-                    break
-                flow += pushed
-
-    def reachable(self, s: int) -> set[int]:
-        seen = {s}
-        queue = deque([s])
-        to, cap, adj = self.to, self.cap, self.adj
-        while queue:
-            u = queue.popleft()
-            for eid in adj[u]:
-                if cap[eid] > 0:
-                    v = to[eid]
-                    if v not in seen:
-                        seen.add(v)
-                        queue.append(v)
-        return seen
-
-
 def _min_cut_reachable_scipy(n: int, tails, heads, caps) -> tuple[int, set[int]]:
     """Compiled max-flow path; returns (flow value, source-reachable set)."""
     from scipy.sparse import csr_matrix
@@ -143,11 +53,71 @@ def _min_cut_reachable_scipy(n: int, tails, heads, caps) -> tuple[int, set[int]]
     return int(result.flow_value), set(order.tolist())
 
 
-def _min_cut_reachable_dinic(n: int, tails, heads, caps) -> tuple[int, set[int]]:
-    dinic = _Dinic(n)
-    for arc in zip(np.asarray(tails).tolist(), np.asarray(heads).tolist(), caps):
-        dinic.add_edge(*arc)
-    return dinic.max_flow(0, n - 1), dinic.reachable(0)
+def _min_cut_reachable_dinic(n: int, tails, heads, caps) -> tuple[int, list[int]]:
+    """Dinic max flow with arbitrary-precision integer capacities; returns
+    (flow value, source-reachable nodes).
+
+    Arc ``2k`` of the residual network is network arc ``k`` and ``2k + 1``
+    its reverse, so ``eid ^ 1`` pairs them. Each node's arcs are listed in
+    arc order. The phases stop when the sink is out of reach, and that last
+    breadth-first search has then reached exactly the source side of the
+    source-minimal min cut."""
+    s, t = 0, n - 1
+    to = np.empty(2 * len(caps), np.int64)
+    to[0::2], to[1::2] = heads, tails
+    tail = np.empty_like(to)
+    tail[0::2], tail[1::2] = tails, heads
+    by_tail = np.argsort(tail, kind="stable").tolist()
+    bounds = np.cumsum(np.bincount(tail, minlength=n)).tolist()
+    adj = [by_tail[lo:hi] for lo, hi in zip([0, *bounds], bounds)]
+    to = to.tolist()
+    cap = [0] * len(to)
+    cap[0::2] = caps
+    flow = 0
+    while True:
+        level = [-1] * n
+        level[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            lu = level[u] + 1
+            for eid in adj[u]:
+                if cap[eid] > 0:
+                    v = to[eid]
+                    if level[v] < 0:
+                        level[v] = lu
+                        queue.append(v)
+        if level[t] < 0:
+            return flow, [v for v in range(n) if level[v] >= 0]
+        # push shortest augmenting paths until the phase is blocked
+        it = [0] * n
+        path: list[int] = []
+        u = s
+        while True:
+            if u == t:
+                bottleneck = min(cap[eid] for eid in path)
+                for eid in path:
+                    cap[eid] -= bottleneck
+                    cap[eid ^ 1] += bottleneck
+                flow += bottleneck
+                path.clear()
+                u = s
+                continue
+            arcs = adj[u]
+            while it[u] < len(arcs):
+                eid = arcs[it[u]]
+                v = to[eid]
+                if cap[eid] > 0 and level[v] == level[u] + 1:
+                    path.append(eid)
+                    u = v
+                    break
+                it[u] += 1
+            else:
+                if u == s:
+                    break
+                level[u] = -1  # dead end within this phase
+                u = to[path.pop() ^ 1]
+                it[u] += 1
 
 
 @dataclass(frozen=True)

@@ -339,6 +339,19 @@ def test_solve_policy_feeds_simulate(capsys, tmp_path):
     assert "scan_bytes 2" in out
 
 
+def test_repeated_policy_row_exits_3(capsys, tmp_path):
+    # the repeated row's bit used to win silently
+    policy_file = tmp_path / "policy.json"
+    run(capsys, "solve", "--graph", DOUBLE_STAR, "--policy-out", str(policy_file))
+    doc = json.loads(policy_file.read_text())
+    doc["labels"].insert(0, {"side": 1, "index": 0, "bit": 0})
+    policy_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "simulate", "--graph", DOUBLE_STAR, "--policy", str(policy_file))
+    assert code == 3
+    assert out == ""
+    assert err == "error: duplicate vertex id 1:0 in labels[1]\n"
+
+
 def test_sweep_spec_validation():
     from scanplan.cli import SweepSpec
 
@@ -391,6 +404,39 @@ def test_extra_feature_counts_exit_2(capsys, tmp_path):
     code, _, err = _build_from_poses(capsys, tmp_path, f"{IDENTITY_POSE}\n", "5\n5\n5\n")
     assert code == 2
     assert "poses.txt:2: 1 poses but 3 feature counts" in err
+
+
+def _build_appearance_with_count(capsys, tmp_path, count):
+    features = tmp_path / "features.txt"
+    features.write_text(f"{count}\n" + (DATA / "features_40.txt").read_text().split("\n", 1)[1])
+    return run(
+        capsys,
+        "build-graph",
+        "--scores", str(DATA / "scores_40x40.txt"), "--alpha", "0.3",
+        "--features1", str(features), "--features2", str(DATA / "features_40.txt"),
+        "--out", str(tmp_path / "g.json"),
+    )
+
+
+@pytest.mark.parametrize("digits", [600, 4299])
+def test_feature_count_beyond_scan_size_bound_exits_2(capsys, tmp_path, digits):
+    # a 600-digit count wrote a graph file that solve refuses; a 4299-digit
+    # one exited 1 with a traceback
+    code, _, err = _build_appearance_with_count(capsys, tmp_path, "9" * digits)
+    assert code == 2
+    assert f"features.txt:1: feature count {'9' * 20}... gives a scan size of more than 500 digits" in err
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_largest_feature_count_solves(capsys, tmp_path):
+    largest = (10**500 - 1) // sp.candidates.DESCRIPTOR_BYTES
+    code, _, _ = _build_appearance_with_count(capsys, tmp_path, largest)
+    assert code == 0
+    assert sp.load_graph(tmp_path / "g.json").vertex(sp.VertexId(1, 0)).scan_size == largest * 32
+    code, out, _ = run(capsys, "solve", "--graph", str(tmp_path / "g.json"))
+    assert code == 0
+    assert "optimal_cost " in out
+    assert _build_appearance_with_count(capsys, tmp_path, largest + 1)[0] == 2
 
 
 def test_sweep_point_cap_exits_3(capsys, monkeypatch):

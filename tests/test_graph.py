@@ -117,6 +117,7 @@ BUILD_CASES = {
     "bad u text": (([1], [1], [("x", 0)]), {}),
     "u out of range hides bad v": (([1], [1], [(3, "x")]), {}),
     "bad v after good u": (([1], [1], [(0, None)]), {}),
+    "infinite u": (([1], [1], [(float("inf"), 0)]), {}),
     "nan weight": (([NAN], [1], [(0, 0)]), {}),
     "inf weight": (([1], [float("inf")], [(0, 0)]), {}),
     "nan inertia": (([1], [1], [(0, 0)]), {"v1_inertia": {0: NAN}}),
@@ -135,11 +136,14 @@ BUILD_CASES = {
 }
 
 
-# where build_graph refuses what the reference truncates with int(): a
-# number index that int() would change
+# where build_graph refuses what the reference truncates with int(), or
+# lets int() fail with a bare TypeError, ValueError or OverflowError
 REFUSED_CASES = {
     "float indices refused": (sp.IndexOutOfRange, "edge (0.5, 1.9) has a non-integral index 0.5"),
     "float u refused before its range": (sp.IndexOutOfRange, "edge (1.5, 0) has a non-integral index 1.5"),
+    "bad u text": (sp.IndexOutOfRange, "edge (x, 0) has a non-integer index 'x'"),
+    "bad v after good u": (sp.IndexOutOfRange, "edge (0, None) has a non-integer index None"),
+    "infinite u": (sp.IndexOutOfRange, "edge (inf, 0) has a non-integer index inf"),
 }
 
 
@@ -175,10 +179,12 @@ def test_build_graph_refuses_non_integral_indices(edge, message):
     [
         ([(1.5, 0, 0.9), (0, 0.7, 0.8)], "score pair (1.5, 0) has a non-integral index 1.5"),
         ([(0, 0, 0.2), (np.float64(0.0), 0.7, 0.8)], "score pair (0.0, 0.7) has a non-integral index 0.7"),
+        ([("x", 0, 0.9)], "score pair (x, 0) has a non-integer index 'x'"),
     ],
 )
 def test_build_appearance_refuses_non_integral_indices(scores, message):
-    # int() would turn (1.5, 0) into the pair 1:1--2:0; exit code 3 in the CLI
+    # int() would turn (1.5, 0) into the pair 1:1--2:0, and fail bare on 'x';
+    # exit code 3 in the CLI
     with pytest.raises(sp.IndexOutOfRange, match=f"^{re.escape(message)}$"):
         sp.build_appearance(scores, [1, 1], [1], sp.AppearanceParams(alpha=0.5))
 
@@ -196,6 +202,10 @@ def test_from_vertices_refuses_non_integral_ids():
         sp.ExchangeGraph.from_vertices([(1.5, 1, None)], [(0, 1, None)], [(1, 0, 1)])
     with pytest.raises(sp.IndexOutOfRange, match=r"^edge \(1, 1.5\) has a non-integral index 1.5$"):
         sp.ExchangeGraph.from_vertices([(1, 1, None)], [(1, 1, None)], [(1, 1.5, 1)])
+    with pytest.raises(sp.IndexOutOfRange, match=r"^side 1 vertex has a non-integer index None$"):
+        sp.ExchangeGraph.from_vertices([(None, 1, None)], [(0, 1, None)], [])
+    with pytest.raises(sp.IndexOutOfRange, match=r"^edge \(1, x\) has a non-integer index 'x'$"):
+        sp.ExchangeGraph.from_vertices([(1, 1, None)], [(1, 1, None)], [(1, "x", 1)])
     g = sp.ExchangeGraph.from_vertices([(np.int64(1), 1, None)], [(1.0, 1, None)], [("1", True, 1)])
     assert g.edge_keys() == {(sp.VertexId(1, 1), sp.VertexId(2, 1))}
 
