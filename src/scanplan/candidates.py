@@ -24,11 +24,14 @@ import numpy as np
 
 from .errors import EmptyTrajectory, GraphFormatError, ScoreOutOfRange, ValidationError
 from .graph import ExchangeGraph, _index, build_graph, open_text
-from .objectives import MAX_NUMBER_DIGITS
+from .objectives import MAX_NUMBER_DIGITS, clip_text
 
 # Standard BRIEF descriptor size; one vocabulary word fits in 3 bytes.
 DESCRIPTOR_BYTES = 32
 METADATA_WORD_BYTES = 3
+
+# Largest entry of R R^T - I that a pose rotation may show.
+ROTATION_TOL = 1e-9
 
 # Cells per axis for the deterministic sector-overlap quadrature.
 FOV_GRID_RESOLUTION = 256
@@ -48,7 +51,7 @@ class Pose:
 class Trajectory:
     """Ordered, validated pose sequence for one robot."""
 
-    def __init__(self, poses: Sequence[Pose], rotation_tol: float = 1e-9):
+    def __init__(self, poses: Sequence[Pose]):
         self.poses = tuple(poses)
         last = None
         for pose in self.poses:
@@ -65,7 +68,7 @@ class Trajectory:
                 if not np.isfinite(getattr(pose, name)).all():
                     raise ValidationError(f"pose {pose.pid} {name} has a non-finite entry")
             err = np.abs(pose.rotation @ pose.rotation.T - np.eye(3)).max()
-            if err > rotation_tol:
+            if err > ROTATION_TOL:
                 raise ValidationError(
                     f"pose {pose.pid} rotation is not orthonormal (residual {err:.3e})"
                 )
@@ -530,21 +533,19 @@ def build_geometric(
     t1: Trajectory,
     t2: Trajectory,
     p: GeometryParams,
-    descriptor_bytes: int = DESCRIPTOR_BYTES,
 ) -> ExchangeGraph:
     """Exchange graph from trajectory geometry: after subsampling, poses
     u (robot 1) and v (robot 2) are candidates iff their positions are
     within ``d_max`` and their view overlap is at least ``eta``. Vertex
-    weights are feature_count * descriptor_bytes; edge costs are 1.
+    weights are feature_count * DESCRIPTOR_BYTES; edge costs are 1.
     """
-    return next(build_geometric_sweep(t1, t2, [p], descriptor_bytes))
+    return next(build_geometric_sweep(t1, t2, [p]))
 
 
 def build_geometric_sweep(
     t1: Trajectory,
     t2: Trajectory,
     params: Iterable[GeometryParams],
-    descriptor_bytes: int = DESCRIPTOR_BYTES,
 ) -> Iterator[ExchangeGraph]:
     """``build_geometric`` at each of ``params`` in turn, read one at a
     time. The points may differ only in ``d_max`` and ``eta``: each pose
@@ -566,8 +567,8 @@ def build_geometric_sweep(
                 [np.array([f(pose) for pose in s]) for f in (planar_position, planar_heading)] for s in (s1, s2)
             )
             overlap = np.full(dists.shape, np.nan)  # not computed yet
-            w1 = [pose.feature_count * descriptor_bytes for pose in s1]
-            w2 = [pose.feature_count * descriptor_bytes for pose in s2]
+            w1 = [pose.feature_count * DESCRIPTOR_BYTES for pose in s1]
+            w2 = [pose.feature_count * DESCRIPTOR_BYTES for pose in s2]
         elif (p.rate_divisor, p.fov_half_angle, p.fov_range) != shared:
             raise ValidationError("sweep points may differ only in d_max and eta")
         pairs = np.argwhere(dists <= p.d_max)
@@ -655,6 +656,18 @@ def _orthonormalized(m: np.ndarray) -> np.ndarray:
     return r
 
 
+def _bad_field(path, lineno: int, what: str, fields) -> GraphFormatError:
+    """The refusal of a line with a ``(convert, token)`` field whose token
+    ``convert`` cannot read. It names the file, the line and the first
+    such token, cut at 20 characters."""
+    for convert, token in fields:
+        try:
+            convert(token)
+        except ValueError:
+            break
+    return GraphFormatError(f"{path}:{lineno + 1}: bad {what} {clip_text(token)!r}")
+
+
 def read_kitti_poses(path, feature_counts: Sequence[int] | None = None) -> Trajectory:
     """Read a KITTI odometry ground-truth pose file: one pose per line, 12
     space-separated finite decimals forming a row-major 3x4 rigid
@@ -676,7 +689,7 @@ def read_kitti_poses(path, feature_counts: Sequence[int] | None = None) -> Traje
             try:
                 m = np.array([float(v) for v in values], dtype=float).reshape(3, 4)
             except ValueError as exc:
-                raise GraphFormatError(f"{path}:{lineno + 1}: bad number ({exc})") from exc
+                raise _bad_field(path, lineno, "number", zip([float] * 12, values)) from exc
             if not np.isfinite(m).all():
                 raise GraphFormatError(f"{path}:{lineno + 1}: non-finite value in pose line")
             count = 1
@@ -717,12 +730,12 @@ def read_feature_counts(path) -> list[int]:
             try:
                 value = int(line)
             except ValueError as exc:
-                raise GraphFormatError(f"{path}:{lineno + 1}: bad feature count {line!r}") from exc
+                raise GraphFormatError(f"{path}:{lineno + 1}: bad feature count {clip_text(line)!r}") from exc
             if value < 0:
-                raise GraphFormatError(f"{path}:{lineno + 1}: negative feature count {value}")
+                raise GraphFormatError(f"{path}:{lineno + 1}: negative feature count {clip_text(str(value))}")
             if value * DESCRIPTOR_BYTES >= limit:
                 raise GraphFormatError(
-                    f"{path}:{lineno + 1}: feature count {line[:20]}{'...' if len(line) > 20 else ''} "
+                    f"{path}:{lineno + 1}: feature count {clip_text(line)} "
                     f"gives a scan size of more than {MAX_NUMBER_DIGITS} digits"
                 )
             counts.append(value)
@@ -743,7 +756,7 @@ def read_scores(path) -> list[tuple[int, int, float]]:
             try:
                 scores.append((int(parts[0]), int(parts[1]), float(parts[2])))
             except ValueError as exc:
-                raise GraphFormatError(f"{path}:{lineno + 1}: bad score line ({exc})") from exc
+                raise _bad_field(path, lineno, "score line field", zip((int, int, float), parts)) from exc
     return scores
 
 
@@ -802,9 +815,7 @@ def _resample_loop(corners: list[tuple[float, float]], n: int) -> list[tuple[flo
     return out
 
 
-def synthetic_two_loop(
-    n: int = 100, lane_offset: float = 1.0, seed: int = 7
-) -> tuple[Trajectory, Trajectory]:
+def synthetic_two_loop(n: int = 100, seed: int = 7) -> tuple[Trajectory, Trajectory]:
     """Deterministic two-robot fixture: each robot drives a rectangular
     loop and the two loops share a central corridor traversed in the same
     direction, a few meters apart. Corridor pose pairs are close with
@@ -820,9 +831,10 @@ def synthetic_two_loop(
     rng = random.Random(seed)
     half = 30.0
     width = 60.0
+    lane = 1.0  # the corridor legs' distance from the centre line
     # traversal orders keep both corridor legs heading toward +z
-    left = [(-lane_offset, -half), (-lane_offset, half), (-width, half), (-width, -half)]
-    right = [(lane_offset, -half), (lane_offset, half), (width, half), (width, -half)]
+    left = [(-lane, -half), (-lane, half), (-width, half), (-width, -half)]
+    right = [(lane, -half), (lane, half), (width, half), (width, -half)]
 
     def feature_count(side, z):
         light = z < 0 if side == 1 else z >= 0

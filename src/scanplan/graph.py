@@ -772,11 +772,9 @@ def _load_number(value) -> int | Fraction:
         raise GraphFormatError(f"expected a number, got {value!r}")
     try:
         return as_fraction(value)
-    except ValidationError:
-        # in a file, a number text beyond the bounds is a format error
-        if isinstance(value, str):
-            _check_number(value)
-        raise
+    except ValidationError as exc:
+        # in a file, a value that is not a number within the bounds is a format error
+        raise GraphFormatError(str(exc)) from exc
 
 
 def _load_int(value) -> int:

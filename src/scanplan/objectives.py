@@ -37,6 +37,12 @@ MAX_NUMBER_EXPONENT = 500
 MAX_PARAMETER_DIGITS = 100
 
 
+def clip_text(text: str) -> str:
+    """``text`` for a message: its first 20 characters, and "..." when
+    more were cut."""
+    return text if len(text) <= 20 else f"{text[:20]}..."
+
+
 def check_number_text(text: str, error: type[Exception] = ValidationError) -> str:
     """``text`` if its digits and decimal exponent are within
     MAX_NUMBER_DIGITS and MAX_NUMBER_EXPONENT, else ``error``. Only the
@@ -46,7 +52,7 @@ def check_number_text(text: str, error: type[Exception] = ValidationError) -> st
     exponent = exponent.lstrip("+-").lstrip("0")
     if too_long or len(exponent) > 4 or int(exponent or 0) > MAX_NUMBER_EXPONENT:
         raise error(
-            f"number {text[:20]}{'...' if len(text) > 20 else ''} exceeds {MAX_NUMBER_DIGITS} digits "
+            f"number {clip_text(text)} exceeds {MAX_NUMBER_DIGITS} digits "
             f"or a decimal exponent of {MAX_NUMBER_EXPONENT}"
         )
     return text

@@ -45,17 +45,10 @@ class Policy:
                 raise ValidationError(f"label of {vid} must be 0 or 1, got {bit!r}")
         return cls(labels.keys(), (vid for vid, bit in labels.items() if bit == 1))
 
-    @classmethod
-    def from_cover(cls, g: ExchangeGraph, cover: Iterable[VertexId]) -> "Policy":
-        return cls(g.vertex_ids, cover)
-
     def label(self, vid: VertexId) -> int:
         if vid not in self.domain:
             raise LabelDomainMismatch(f"vertex {vid} not labeled by this policy")
         return 1 if vid in self.ones else 0
-
-    def to_labels(self) -> dict[VertexId, int]:
-        return {vid: (1 if vid in self.ones else 0) for vid in sorted(self.domain)}
 
     def __eq__(self, other):
         return (

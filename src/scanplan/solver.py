@@ -255,108 +255,15 @@ def solve_brute_force(g: ExchangeGraph, obj: Objective) -> SolveResult:
 # -- uniform-weight fast path ----------------------------------------------
 
 
-def _adjacency_by_index(
-    g: ExchangeGraph, swap: bool = False
-) -> tuple[tuple[VertexId, ...], tuple[VertexId, ...], list[list[int]]]:
-    """The matcher's view of a graph: the first side's ids, the second
-    side's ids, and each first-side position's neighbour positions in
-    ascending order. ``swap`` gives side 2 the first role."""
-    first, second = (g.ev, g.eu) if swap else (g.eu, g.ev)
-    first_ids, second_ids = g.vids[::-1] if swap else g.vids
-    order = np.lexsort((second, first))
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(first, minlength=len(first_ids))))).tolist()
-    neighbours = second[order].tolist()
-    adj = [neighbours[bounds[k] : bounds[k + 1]] for k in range(len(first_ids))]
-    return first_ids, second_ids, adj
+def _max_matching(g: ExchangeGraph) -> np.ndarray:
+    """A maximum matching by scipy's compiled Hopcroft-Karp: for each
+    side-1 position, the matched side-2 position or -1."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
 
-
-def _max_matching(adj: list[list[int]], n2: int) -> tuple[list[int], list[int]]:
-    """Hopcroft-Karp maximum matching; returns (match1, match2) with -1
-    for unmatched. Deterministic given adjacency order.
-
-    Each phase lays the side-1 vertices out in layers by a breadth-first
-    search from the unmatched ones, up to the first layer that reaches an
-    unmatched side-2 vertex. It then augments along alternating paths of
-    that length, found by depth-first searches from the unmatched side-1
-    vertices in ascending order, each trying neighbours in adjacency order.
-    A phase tries every edge at most once in each search, and the searches
-    keep their own stacks, so the length of an alternating path is not
-    bounded by the interpreter's recursion limit."""
-    n1 = len(adj)
-    match1 = [-1] * n1
-    match2 = [-1] * n2
-    while True:
-        free = [u for u in range(n1) if match1[u] == -1]
-        dist = [-1] * n1
-        for u in free:
-            dist[u] = 0
-        # layer of the side-1 vertices that reach an unmatched side-2 vertex
-        limit = -1
-        layer = free
-        while layer and limit < 0:
-            following = []
-            for u in layer:
-                for v in adj[u]:
-                    w = match2[v]
-                    if w == -1:
-                        limit = dist[u]
-                    elif dist[w] == -1:
-                        dist[w] = dist[u] + 1
-                        following.append(w)
-            layer = following
-        if limit < 0:
-            return match1, match2
-        tried = [0] * n1  # per side-1 vertex, neighbours already tried this phase
-        for root in free:
-            # the alternating path so far: side-1 vertices and the side-2
-            # vertices between them
-            path, via = [root], []
-            while path:
-                u = path[-1]
-                neighbours = adj[u]
-                while tried[u] < len(neighbours):
-                    v = neighbours[tried[u]]
-                    tried[u] += 1
-                    w = match2[v]
-                    if w == -1:
-                        if dist[u] == limit:
-                            break
-                    elif dist[w] == dist[u] + 1 and dist[u] < limit:
-                        break
-                else:  # dead end for the rest of the phase
-                    dist[u] = -1
-                    path.pop()
-                    if via:
-                        via.pop()
-                    continue
-                via.append(v)
-                if w == -1:
-                    for u, v in zip(path, via):
-                        match1[u] = v
-                        match2[v] = u
-                    break
-                path.append(w)
-
-
-def _koenig_cover(adj: list[list[int]], match1: list[int], match2: list[int]) -> tuple[set[int], set[int]]:
-    """Minimum vertex cover from a maximum matching: alternating-path
-    reachability Z from unmatched side-1 vertices gives (V1 \\ Z, V2 & Z)."""
-    n1 = len(match1)
-    visited1 = {u for u in range(n1) if match1[u] == -1}
-    visited2: set[int] = set()
-    queue = deque(sorted(visited1))
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v == match1[u] or v in visited2:
-                continue
-            visited2.add(v)
-            w = match2[v]
-            if w != -1 and w not in visited1:
-                visited1.add(w)
-                queue.append(w)
-    cover1 = {u for u in range(n1) if u not in visited1}
-    return cover1, visited2
+    shape = tuple(map(len, g.ids))
+    adj = csr_matrix((np.ones(g.num_edges, np.int8), (g.eu, g.ev)), shape=shape)
+    return maximum_bipartite_matching(adj, perm_type="column")
 
 
 def _uniform_scan_weight(g: ExchangeGraph) -> Fraction:
@@ -368,35 +275,35 @@ def _uniform_scan_weight(g: ExchangeGraph) -> Fraction:
 
 
 def solve_uniform_matching(g: ExchangeGraph) -> SolveResult:
-    """Optimal communication policy for uniform scan weights, built
-    directly from a maximum bipartite matching (Koenig's theorem)."""
+    """Optimal communication policy for uniform scan weights (Koenig's
+    theorem): the minimum-cardinality cover, read off the source-minimal
+    min cut of the unit-weight cover network, with a maximum bipartite
+    matching of the same size as its certificate."""
     unit = _uniform_scan_weight(g)
     if not g.num_edges:
         return SolveResult(Policy(g.vertex_ids, ()), Fraction(0), "matching", Fraction(0))
-    v1_ids, v2_ids, adj = _adjacency_by_index(g)
-    match1, match2 = _max_matching(adj, len(v2_ids))
-    cover1, cover2 = _koenig_cover(adj, match1, match2)
-    ones = [v1_ids[i] for i in sorted(cover1)] + [v2_ids[j] for j in sorted(cover2)]
-    policy = Policy(g.vertex_ids, ones)
-    size = sum(1 for v in match1 if v != -1)
-    if len(ones) != size:
-        raise InvariantViolation(f"Koenig cover has {len(ones)} vertices, matching {size} edges")
-    matched_pairs = tuple(
-        (v1_ids[u], v2_ids[match1[u]]) for u in range(len(match1)) if match1[u] != -1
-    )
-    cost = unit * size
-    return SolveResult(policy, cost, "matching", cost, matching=matched_pairs)
+    n1, n2 = map(len, g.ids)
+    policy = _min_cut_cover(g, ([1] * n1, [1] * n2), 1).policy
+    match = _max_matching(g)
+    matched = np.flatnonzero(match >= 0).tolist()
+    if len(policy.ones) != len(matched):
+        raise InvariantViolation(
+            f"Koenig cover has {len(policy.ones)} vertices, matching {len(matched)} edges"
+        )
+    v1_ids, v2_ids = g.vids
+    pairs = tuple((v1_ids[u], v2_ids[v]) for u, v in zip(matched, match[matched].tolist()))
+    cost = unit * len(pairs)
+    return SolveResult(policy, cost, "matching", cost, matching=pairs)
 
 
 def check_hall_uniform(g: ExchangeGraph, side: int) -> bool:
     """Whether a matching saturating ``side`` exists (Hall's condition on
-    that side). Requires uniform scan weights."""
+    that side): whether a maximum matching has one edge per vertex of that
+    side. Requires uniform scan weights."""
     _uniform_scan_weight(g)
     if side not in (1, 2):
         raise ValidationError(f"robot side must be 1 or 2, got {side}")
-    _, v2_ids, adj = _adjacency_by_index(g, swap=side == 2)
-    match1, _ = _max_matching(adj, len(v2_ids))
-    return all(v != -1 for v in match1)
+    return int((_max_matching(g) >= 0).sum()) == len(g.ids[side - 1])
 
 
 # -- monolog optimality ------------------------------------------------------

@@ -703,6 +703,45 @@ def test_numbers_at_format_bound_solve(capsys, tmp_path):
     assert f"monolog1_cost {'9' * 500}\n" in out
 
 
+GRAPH_WITH_FIELD = {
+    "scan_size": '{"v1": [{"id": 0, "scan_size": %s}], "v2": [{"id": 0, "scan_size": 1}], "edges": [{"u": 0, "v": 0}]}',
+    "inertia": '{"v1": [{"id": 0, "scan_size": 1, "inertia": %s}], "v2": [{"id": 0, "scan_size": 1}], "edges": [{"u": 0, "v": 0}]}',
+    "cost": '{"v1": [{"id": 0, "scan_size": 1}], "v2": [{"id": 0, "scan_size": 1}], "edges": [{"u": 0, "v": 0, "cost": %s}]}',
+}
+
+
+@pytest.mark.parametrize("field", sorted(GRAPH_WITH_FIELD))
+@pytest.mark.parametrize("value", ['"abc"', '"1/0"', '"nan"', "[1]", '{"a": 1}', "NaN", "Infinity", "-Infinity"])
+def test_graph_value_that_is_not_a_number_exits_2_naming_file(capsys, tmp_path, field, value):
+    # each exited 3 without the file's name, as a validation error
+    path = tmp_path / "g.json"
+    path.write_text(GRAPH_WITH_FIELD[field] % value)
+    code, out, err = run(capsys, "solve", "--graph", str(path))
+    assert code == 2
+    assert f"error: {path}: " in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "reader, text, message",
+    [
+        ("poses", "1 0 0 0 0 1 0 0 0 0 1 " + "x" * 5000, "bad number 'xxxxxxxxxxxxxxxxxxxx...'"),
+        ("scores", "0 0 " + "9" * 4999 + "x", "bad score line field '99999999999999999999...'"),
+        ("features", "9" * 5000, "bad feature count '99999999999999999999...'"),
+    ],
+    ids=["poses", "scores", "features"],
+)
+def test_bad_reader_token_is_cut_in_message(capsys, tmp_path, reader, text, message):
+    # each message used to hold the whole 5000-character token
+    path = tmp_path / "input.txt"
+    path.write_text(text + "\n")
+    code, out, err = run(capsys, *reader_argv(tmp_path, reader, str(path)))
+    assert code == 2
+    assert f"error: {path}:1: {message}" in err
+    assert len(err.encode()) < 200
+    assert out == ""
+
+
 @pytest.mark.parametrize("flag", ["--alpha1", "--alpha2", "--omega"])
 @pytest.mark.parametrize(
     "value, code",

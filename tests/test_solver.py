@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scanplan as sp
-from scanplan.solver import _adjacency_by_index, _max_matching
 
 from conftest import (
     A1,
@@ -309,6 +308,17 @@ def test_uniform_matching_equals_solve_randomized():
         assert fast.policy == general.policy
 
 
+def test_uniform_weight_zero_gives_minimum_cardinality_cover():
+    # every cover costs 0, yet the fast path returns the smallest one: the
+    # cover and matching size it returns at weight 1
+    for seed in range(30):
+        free = sp.solve_uniform_matching(random_graph(random.Random(seed), uniform_weight=0))
+        unit = sp.solve_uniform_matching(random_graph(random.Random(seed), uniform_weight=1))
+        assert free.optimal_cost == free.certificate == 0
+        assert free.policy == unit.policy
+        assert len(free.matching) == len(unit.matching) == unit.optimal_cost
+
+
 def _brute_matching_size(adj, n1):
     """Enumerate every matching recursively; test oracle only."""
     best = 0
@@ -451,13 +461,6 @@ def test_p1_closed_form_matches_solver_randomized():
         assert sp.objective_cost(g, closed.policy, sp.Objective.p1(a1, a2)) == closed.optimal_cost
 
 
-def test_internal_matcher_is_deterministic():
-    adj = [[0, 1], [0], [1, 2]]
-    m1a, m2a = _max_matching([list(a) for a in adj], 3)
-    m1b, m2b = _max_matching([list(a) for a in adj], 3)
-    assert (m1a, m2a) == (m1b, m2b)
-
-
 # 2000 + 2000 vertices: alternating paths twice the default recursion limit
 CHAIN = 2000
 CHAINS = {
@@ -495,13 +498,28 @@ def test_matcher_is_near_linear_on_long_chains():
 
 def test_matcher_returns_a_maximum_matching():
     # a valid matching whose size is the minimum cover size (Koenig), found
-    # by exhaustive search
+    # by exhaustive search; the same one on every call and on a reloaded copy
     rng = random.Random(149)
     for _ in range(200):
         g = random_graph(rng, max_side=6, uniform_weight=1)
-        _, _, adj = _adjacency_by_index(g)
-        match1, match2 = _max_matching(adj, len(g.ids[1]))
-        pairs = [(u, v) for u, v in enumerate(match1) if v != -1]
-        assert all(v in adj[u] and match2[v] == u for u, v in pairs)
-        assert sum(u != -1 for u in match2) == len(pairs)
+        pairs = sp.solve_uniform_matching(g).matching
+        assert set(pairs) <= g.edge_keys()
+        assert len({u for u, _ in pairs}) == len(pairs) == len({v for _, v in pairs})
         assert len(pairs) == sp.solve_brute_force(g, sp.Objective.p2()).optimal_cost
+        assert [u for u, _ in pairs] == sorted(u for u, _ in pairs)
+        copy = sp.loads_graph(sp.dumps_graph(g))
+        assert sp.solve_uniform_matching(g) == sp.solve_uniform_matching(copy) == sp.solve_uniform_matching(g)
+
+
+def test_too_small_matching_raises_invariant_violation(double_star, monkeypatch):
+    # a matching one edge short of the cover no longer certifies it
+    max_matching = sp.solver._max_matching
+
+    def short(g):
+        match = max_matching(g).copy()
+        match[match.argmax()] = -1
+        return match
+
+    monkeypatch.setattr(sp.solver, "_max_matching", short)
+    with pytest.raises(sp.InvariantViolation, match="Koenig cover has 2 vertices, matching 1 edges"):
+        sp.solve_uniform_matching(double_star)
