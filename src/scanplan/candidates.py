@@ -23,12 +23,11 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import EmptyTrajectory, GraphFormatError, ScoreOutOfRange, ValidationError
-from .graph import ExchangeGraph, _index, build_graph, open_text
+from .graph import ExchangeGraph, VertexId, _index, build_graph, open_text
 from .objectives import MAX_NUMBER_DIGITS, clip_text
 
-# Standard BRIEF descriptor size; one vocabulary word fits in 3 bytes.
+# Standard BRIEF descriptor size.
 DESCRIPTOR_BYTES = 32
-METADATA_WORD_BYTES = 3
 
 # Largest entry of R R^T - I that a pose rotation may show.
 ROTATION_TOL = 1e-9
@@ -59,7 +58,10 @@ class Trajectory:
                 raise ValidationError(f"pose ids must strictly increase, got {pose.pid} after {last}")
             last = pose.pid
             count = pose.feature_count
-            if not (isinstance(count, numbers.Real) and math.isfinite(count) and int(count) == count):
+            # an int is never made a float: one beyond the float range would overflow
+            if not isinstance(count, numbers.Integral) and not (
+                isinstance(count, numbers.Real) and math.isfinite(count) and int(count) == count
+            ):
                 raise ValidationError(f"pose {pose.pid} has a non-integral feature count {count!r}")
             if count < 0:
                 raise ValidationError(f"pose {pose.pid} has negative feature count")
@@ -626,7 +628,8 @@ def build_appearance_sweep(
             us, vs, values = [], [], []
             for u, v, score in scores:
                 if not 0 <= score <= 1:
-                    raise ScoreOutOfRange(f"score {score!r} for pair ({u}, {v}) outside [0, 1]")
+                    pair = f"({clip_text(str(u))}, {clip_text(str(v))})"
+                    raise ScoreOutOfRange(f"score {score!r} for pair {pair} outside [0, 1]")
                 us.append(u if type(u) is int else _index(u, f"score pair ({u}, {v})"))
                 vs.append(v if type(v) is int else _index(v, f"score pair ({u}, {v})"))
                 values.append(float(score))
@@ -668,6 +671,30 @@ def _bad_field(path, lineno: int, what: str, fields) -> GraphFormatError:
     return GraphFormatError(f"{path}:{lineno + 1}: bad {what} {clip_text(token)!r}")
 
 
+def _records(path, converters, parse, what: str, shape: str) -> Iterator[tuple[int, object]]:
+    """``(line index, parse(fields))`` for each non-blank line of the text
+    file at ``path``, its fields split at whitespace. A line whose field
+    count is not ``len(converters)`` is refused with ``shape``, formatted
+    with the count as ``got`` and the line, cut at 20 characters, as
+    ``line``. A line that ``parse`` cannot read is refused as a bad
+    ``what``, naming its first token that its entry of ``converters``
+    cannot read."""
+    width = len(converters)
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh):
+            fields = line.split()
+            if not fields:
+                continue
+            if len(fields) != width:
+                message = shape.format(got=len(fields), line=clip_text(line.strip()))
+                raise GraphFormatError(f"{path}:{lineno + 1}: {message}")
+            try:
+                value = parse(fields)
+            except ValueError as exc:
+                raise _bad_field(path, lineno, what, zip(converters, fields)) from exc
+            yield lineno, value
+
+
 def read_kitti_poses(path, feature_counts: Sequence[int] | None = None) -> Trajectory:
     """Read a KITTI odometry ground-truth pose file: one pose per line, 12
     space-separated finite decimals forming a row-major 3x4 rigid
@@ -676,40 +703,19 @@ def read_kitti_poses(path, feature_counts: Sequence[int] | None = None) -> Traje
     holds exactly one count per pose."""
     poses = []
     lineno = -1
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            values = line.split()
-            if len(values) != 12:
-                raise GraphFormatError(
-                    f"{path}:{lineno + 1}: expected 12 values per pose line, got {len(values)}"
-                )
-            try:
-                m = np.array([float(v) for v in values], dtype=float).reshape(3, 4)
-            except ValueError as exc:
-                raise _bad_field(path, lineno, "number", zip([float] * 12, values)) from exc
-            if not np.isfinite(m).all():
-                raise GraphFormatError(f"{path}:{lineno + 1}: non-finite value in pose line")
-            count = 1
-            if feature_counts is not None:
-                if len(poses) >= len(feature_counts):
-                    raise GraphFormatError(
-                        f"{path}: more poses than feature counts ({len(feature_counts)})"
-                    )
-                count = feature_counts[len(poses)]
-            poses.append(
-                Pose(
-                    pid=len(poses),
-                    position=m[:, 3].copy(),
-                    rotation=_orthonormalized(m[:, :3]),
-                    feature_count=count,
-                    timestamp=len(poses),
-                )
-            )
+    parse = lambda f: np.array([float(v) for v in f], dtype=float).reshape(3, 4)  # noqa: E731
+    for lineno, m in _records(path, (float,) * 12, parse, "number", "expected 12 values per pose line, got {got}"):
+        if not np.isfinite(m).all():
+            raise GraphFormatError(f"{path}:{lineno + 1}: non-finite value in pose line")
+        count = 1
+        if feature_counts is not None:
+            if len(poses) >= len(feature_counts):
+                raise GraphFormatError(f"{path}: more poses than feature counts ({len(feature_counts)})")
+            count = feature_counts[len(poses)]
+        pid = len(poses)
+        poses.append(Pose(pid, m[:, 3].copy(), _orthonormalized(m[:, :3]), feature_count=count, timestamp=pid))
     if feature_counts is not None and len(feature_counts) > len(poses):
-        # named at the line where the next pose was expected
+        # named at the line after the last pose
         raise GraphFormatError(
             f"{path}:{lineno + 2}: {len(poses)} poses but {len(feature_counts)} feature counts"
         )
@@ -722,42 +728,30 @@ def read_feature_counts(path) -> list[int]:
     MAX_NUMBER_DIGITS digits is refused, as a graph file would refuse it."""
     counts = []
     limit = 10**MAX_NUMBER_DIGITS
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                value = int(line)
-            except ValueError as exc:
-                raise GraphFormatError(f"{path}:{lineno + 1}: bad feature count {clip_text(line)!r}") from exc
-            if value < 0:
-                raise GraphFormatError(f"{path}:{lineno + 1}: negative feature count {clip_text(str(value))}")
-            if value * DESCRIPTOR_BYTES >= limit:
-                raise GraphFormatError(
-                    f"{path}:{lineno + 1}: feature count {clip_text(line)} "
-                    f"gives a scan size of more than {MAX_NUMBER_DIGITS} digits"
-                )
-            counts.append(value)
+    parse = lambda f: (f[0], int(f[0]))  # noqa: E731
+    for lineno, (text, value) in _records(path, (int,), parse, "feature count", "bad feature count {line!r}"):
+        if value < 0:
+            raise GraphFormatError(f"{path}:{lineno + 1}: negative feature count {clip_text(str(value))}")
+        if value * DESCRIPTOR_BYTES >= limit:
+            raise GraphFormatError(
+                f"{path}:{lineno + 1}: feature count {clip_text(text)} "
+                f"gives a scan size of more than {MAX_NUMBER_DIGITS} digits"
+            )
+        counts.append(value)
     return counts
 
 
 def read_scores(path) -> list[tuple[int, int, float]]:
     """Score file: lines of ``u_index v_index score``."""
-    scores = []
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise GraphFormatError(f"{path}:{lineno + 1}: expected 'u v score'")
-            try:
-                scores.append((int(parts[0]), int(parts[1]), float(parts[2])))
-            except ValueError as exc:
-                raise _bad_field(path, lineno, "score line field", zip((int, int, float), parts)) from exc
-    return scores
+    parse = lambda f: (int(f[0]), int(f[1]), float(f[2]))  # noqa: E731
+    return [score for _, score in _records(path, (int, int, float), parse, "score line field", "expected 'u v score'")]
+
+
+def read_ground_truth(path) -> frozenset:
+    """Ground-truth closures: lines of ``u_index v_index``, as (side-1,
+    side-2) vertex id pairs."""
+    parse = lambda f: (VertexId(1, int(f[0])), VertexId(2, int(f[1])))  # noqa: E731
+    return frozenset(pair for _, pair in _records(path, (int, int), parse, "index", "expected 'u_index v_index'"))
 
 
 def write_kitti_poses(traj: Trajectory, path) -> None:

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import candidates as cand
 from .errors import EmptySide, GraphFormatError, InvariantViolation, ScanPlanError, ValidationError
-from .graph import ExchangeGraph, VertexId, format_rational, load_graph, open_text, save_graph
-from .objectives import Objective, as_fraction
+from .graph import ExchangeGraph, format_rational, load_graph, save_graph
+from .objectives import Objective, as_fraction, clip_text
 from .policy import (
     full_bidirectional,
     load_policy,
@@ -66,16 +66,16 @@ def _input_flags() -> argparse.ArgumentParser:
     parser.add_argument("--poses1"), parser.add_argument("--poses2")
     parser.add_argument("--features1"), parser.add_argument("--features2")
     parser.add_argument("--scores", help="appearance mode: file of 'u v score' lines")
-    parser.add_argument("--top-k", type=int, default=2)
+    parser.add_argument("--top-k", type=int, default=cand.AppearanceParams.top_k)
     parser.add_argument("--symmetric", action="store_true", help="also query side 2 against side 1")
     parser.add_argument("--synthetic", action="store_true", help="use the bundled two-loop fixture")
     parser.add_argument("--synthetic-poses", type=int, default=100)
     parser.add_argument("--synthetic-seed", type=int, default=7)
     parser.add_argument("--dmax", default="30", help="max distance between candidate poses (m)")
     parser.add_argument("--eta", default="0", help="min field-of-view overlap fraction")
-    parser.add_argument("--rate-divisor", type=int, default=1)
-    parser.add_argument("--fov-half-angle", type=float, default=0.7)
-    parser.add_argument("--fov-range", type=float, default=30.0)
+    parser.add_argument("--rate-divisor", type=int, default=cand.GeometryParams.rate_divisor)
+    parser.add_argument("--fov-half-angle", type=float, default=cand.GeometryParams.fov_half_angle)
+    parser.add_argument("--fov-range", type=float, default=cand.GeometryParams.fov_range)
     return parser
 
 
@@ -84,7 +84,7 @@ def _float_arg(value) -> float:
     try:
         return float(as_fraction(value))
     except OverflowError:
-        raise ValidationError(f"number out of range: {value}") from None
+        raise ValidationError(f"number out of range: {clip_text(str(value))}") from None
 
 
 def _load_trajectories(args) -> tuple[cand.Trajectory, cand.Trajectory]:
@@ -94,30 +94,38 @@ def _load_trajectories(args) -> tuple[cand.Trajectory, cand.Trajectory]:
         raise GraphFormatError("provide --poses1/--poses2 or --synthetic")
     counts1 = cand.read_feature_counts(args.features1) if args.features1 else None
     counts2 = cand.read_feature_counts(args.features2) if args.features2 else None
-    return (
-        cand.read_kitti_poses(args.poses1, counts1),
-        cand.read_kitti_poses(args.poses2, counts2),
-    )
+    return cand.read_kitti_poses(args.poses1, counts1), cand.read_kitti_poses(args.poses2, counts2)
 
 
-def _geometry_params(args, d_max=None, eta=None) -> cand.GeometryParams:
+def _candidate_inputs(args, appearance: bool) -> tuple:
+    """The inputs that build-graph and sweep gate: (scores, side-1 scan
+    sizes, side-2 scan sizes) for an appearance graph, else the two
+    trajectories."""
+    if not appearance:
+        return _load_trajectories(args)
+    scores = cand.read_scores(args.scores)
+    if not (args.features1 and args.features2):
+        raise GraphFormatError("appearance graphs need --features1 and --features2")
+    counts = (cand.read_feature_counts(args.features1), cand.read_feature_counts(args.features2))
+    return (scores, *([c * cand.DESCRIPTOR_BYTES for c in side] for side in counts))
+
+
+def _gate_params(args, appearance: bool, **swept) -> cand.AppearanceParams | cand.GeometryParams:
+    """The gates of build-graph's or sweep's flags; a gate named in
+    ``swept`` (``dmax``, ``eta`` or ``alpha``) takes that value instead,
+    read before the flags."""
+    gates = {name: _float_arg(value) for name, value in swept.items()}
+    names = ("alpha",) if appearance else ("dmax", "eta")
+    gates.update((name, _float_arg(getattr(args, name))) for name in names if name not in swept)
+    if appearance:
+        return cand.AppearanceParams(alpha=gates["alpha"], top_k=args.top_k, symmetric=args.symmetric)
     return cand.GeometryParams(
-        d_max=_float_arg(args.dmax) if d_max is None else d_max,
-        eta=_float_arg(args.eta) if eta is None else eta,
+        d_max=gates["dmax"],
+        eta=gates["eta"],
         rate_divisor=args.rate_divisor,
         fov_half_angle=args.fov_half_angle,
         fov_range=args.fov_range,
     )
-
-
-def _appearance_weights(args) -> tuple[list, list]:
-    def weights(path):
-        counts = cand.read_feature_counts(path)
-        return [c * cand.DESCRIPTOR_BYTES for c in counts]
-
-    if args.features1 and args.features2:
-        return weights(args.features1), weights(args.features2)
-    raise GraphFormatError("appearance graphs need --features1 and --features2")
 
 
 def _monolog_cost_text(g: ExchangeGraph, side: int, obj: Objective) -> str:
@@ -131,16 +139,9 @@ def _monolog_cost_text(g: ExchangeGraph, side: int, obj: Objective) -> str:
 
 
 def cmd_build_graph(args) -> int:
-    if args.scores:
-        scores = cand.read_scores(args.scores)
-        w1, w2 = _appearance_weights(args)
-        params = cand.AppearanceParams(
-            alpha=_float_arg(args.alpha), top_k=args.top_k, symmetric=args.symmetric
-        )
-        g = cand.build_appearance(scores, w1, w2, params)
-    else:
-        t1, t2 = _load_trajectories(args)
-        g = cand.build_geometric(t1, t2, _geometry_params(args))
+    appearance = bool(args.scores)
+    build = cand.build_appearance if appearance else cand.build_geometric
+    g = build(*_candidate_inputs(args, appearance), _gate_params(args, appearance))
     save_graph(g, args.out)
     print(f"wrote {args.out}: |V1|={len(g.ids[0])} |V2|={len(g.ids[1])} |L|={g.num_edges}")
     if g.pruned:
@@ -191,32 +192,12 @@ def cmd_check_monolog(args) -> int:
     return EXIT_OK
 
 
-def _read_ground_truth(path) -> frozenset:
-    pairs = set()
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphFormatError(f"{path}:{lineno + 1}: expected 'u_index v_index'")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise GraphFormatError(f"{path}:{lineno + 1}: bad indices") from exc
-            pairs.add((VertexId(1, u), VertexId(2, v)))
-    return frozenset(pairs)
-
-
 def cmd_simulate(args) -> int:
     g = load_graph(args.graph)
     cfg = RendezvousConfig(
         objective=_objective_from_args(args),
         metadata_bytes_per_vertex=args.metadata_bytes,
-        ground_truth_closures=_read_ground_truth(args.ground_truth)
-        if args.ground_truth
-        else frozenset(),
+        ground_truth_closures=cand.read_ground_truth(args.ground_truth) if args.ground_truth else frozenset(),
         channel_alive_after_exchange=not args.channel_dead,
         closure_message_bytes=args.closure_bytes,
         broker_host=args.broker_host,
@@ -294,6 +275,15 @@ def _edge_codes(graphs: list[ExchangeGraph]) -> list[np.ndarray]:
     return [np.array(g.ids[0], dtype)[g.eu] * stride + np.array(g.ids[1], dtype)[g.ev] for g in graphs]
 
 
+def _strategy_costs(g: ExchangeGraph, obj: Objective) -> list[Fraction]:
+    """The optimal, monolog-1, monolog-2 and full-bidirectional costs of
+    ``g``; all 0 on a graph without vertices."""
+    if g.num_vertices == 0:
+        return [Fraction(0)] * 4
+    policies = (monolog(g, 1), monolog(g, 2), full_bidirectional(g))
+    return [solve(g, obj).optimal_cost, *(objective_cost(g, pi, obj) for pi in policies)]
+
+
 def run_sweep(args) -> tuple[list[str], str]:
     """Build one graph per sweep point, solve all strategies, and return
     (CSV lines, nesting report). Candidate sets must be nested along the
@@ -303,67 +293,35 @@ def run_sweep(args) -> tuple[list[str], str]:
     parameter = spec.parameter
     obj = _objective_from_args(args)
 
-    graphs: list[tuple[Fraction, ExchangeGraph]] = []
-    if parameter in ("dmax", "eta"):
-        t1, t2 = _load_trajectories(args)
-        swept = "d_max" if parameter == "dmax" else "eta"
-        # one distance and FOV overlap per pose pair for the whole sweep;
-        # each point's gates are checked when its graph is built
-        points = (_geometry_params(args, **{swept: _float_arg(value)}) for value in values)
-        graphs = list(zip(values, cand.build_geometric_sweep(t1, t2, points)))
-    elif parameter == "alpha":
-        if not args.scores:
-            raise GraphFormatError("alpha sweeps need --scores")
-        scores = cand.read_scores(args.scores)
-        w1, w2 = _appearance_weights(args)
-        # each score is checked and read once for the whole sweep
-        points = (
-            cand.AppearanceParams(alpha=_float_arg(value), top_k=args.top_k, symmetric=args.symmetric)
-            for value in values
-        )
-        graphs = list(zip(values, cand.build_appearance_sweep(scores, w1, w2, points)))
-    else:  # omega; SweepSpec rejects every other name
+    if parameter == "omega":
+        # one graph, a P3 objective per point
         if not args.graph:
             raise GraphFormatError("omega sweeps need --graph")
-        g = load_graph(args.graph)
-        graphs = [(value, g) for value in values]
-
-    # candidate sets grow with dmax and shrink with eta/alpha; omega leaves
-    # the graph untouched
-    if parameter == "omega":
-        nested, direction = True, "constant"
+        graphs = [load_graph(args.graph)] * len(values)
+        objectives = [Objective.p3(alpha1=args.alpha1, alpha2=args.alpha2, omega=value) for value in values]
+        direction = "constant"
     else:
-        codes = _edge_codes([g for _, g in graphs])
-        if parameter == "dmax":
-            direction, steps = "non-decreasing", zip(codes, codes[1:])
-        else:
-            direction, steps = "non-increasing", zip(codes[1:], codes)
-        nested = all(np.isin(a, b).all() for a, b in steps)
-    if not nested:
-        raise InvariantViolation(f"candidate sets not nested along {parameter} sweep")
+        # a graph per point, one objective; each input is read, and each
+        # pose pair's distance and FOV overlap or each score checked, once
+        appearance = parameter == "alpha"
+        if appearance and not args.scores:
+            raise GraphFormatError("alpha sweeps need --scores")
+        build = cand.build_appearance_sweep if appearance else cand.build_geometric_sweep
+        points = (_gate_params(args, appearance, **{parameter: value}) for value in values)
+        graphs = list(build(*_candidate_inputs(args, appearance), points))
+        objectives = [obj] * len(values)
+        # candidate sets grow with dmax and shrink with eta and alpha
+        codes, grows = _edge_codes(graphs), parameter == "dmax"
+        direction = "non-decreasing" if grows else "non-increasing"
+        steps = zip(codes, codes[1:]) if grows else zip(codes[1:], codes)
+        if not all(np.isin(a, b).all() for a, b in steps):
+            raise InvariantViolation(f"candidate sets not nested along {parameter} sweep")
 
     lines = ["param,optimal,monolog1,monolog2,bidirectional,num_vertices,num_edges"]
-    for value, g in graphs:
-        if parameter == "omega":
-            obj_here = Objective.p3(alpha1=args.alpha1, alpha2=args.alpha2, omega=value)
-        else:
-            obj_here = obj
-        if g.num_vertices == 0:
-            optimal = mono1 = mono2 = bidir = Fraction(0)
-        else:
-            optimal = solve(g, obj_here).optimal_cost
-            mono1 = objective_cost(g, monolog(g, 1), obj_here)
-            mono2 = objective_cost(g, monolog(g, 2), obj_here)
-            bidir = objective_cost(g, full_bidirectional(g), obj_here)
-        lines.append(
-            ",".join(
-                [format_rational(value)]
-                + [format_rational(x) for x in (optimal, mono1, mono2, bidir)]
-                + [str(g.num_vertices), str(g.num_edges)]
-            )
-        )
-    report = f"nesting {direction}: ok ({len(graphs)} points)"
-    return lines, report
+    for value, g, obj_here in zip(values, graphs, objectives):
+        costs = [format_rational(x) for x in _strategy_costs(g, obj_here)]
+        lines.append(",".join([format_rational(value), *costs, str(g.num_vertices), str(g.num_edges)]))
+    return lines, f"nesting {direction}: ok ({len(graphs)} points)"
 
 
 def cmd_sweep(args) -> int:
@@ -413,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--policy", help="execute this policy instead of solving")
     p.add_argument("--ground-truth", help="file of 'u_index v_index' true closures")
-    p.add_argument("--metadata-bytes", type=int, default=cand.METADATA_WORD_BYTES)
-    p.add_argument("--closure-bytes", type=int, default=64)
+    p.add_argument("--metadata-bytes", type=int, default=RendezvousConfig.metadata_bytes_per_vertex)
+    p.add_argument("--closure-bytes", type=int, default=RendezvousConfig.closure_message_bytes)
     p.add_argument("--channel-dead", action="store_true")
     p.add_argument("--broker-host", type=int, choices=(1, 2))
     p.add_argument("--trace-out")

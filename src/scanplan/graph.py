@@ -42,7 +42,7 @@ from .errors import (
     UnknownVertex,
     ValidationError,
 )
-from .objectives import MAX_NUMBER_DIGITS, P1, P2, Objective, as_fraction, check_number_text
+from .objectives import MAX_NUMBER_DIGITS, P1, P2, Objective, as_fraction, check_number_text, clip_text
 
 
 class VertexId(NamedTuple):
@@ -55,6 +55,20 @@ class VertexId(NamedTuple):
 
     def __str__(self):
         return f"{self.side}:{self.index}"
+
+
+def _shown_ids(ids: Sequence) -> str:
+    """Sorted vertex ids, in ``side:index`` form, or edges, as ``u-v``, for
+    a message: the first 8, each cut at 20 characters, and how many more
+    there are."""
+    shown = ", ".join(clip_text(str(v)) for v in ids[:8])
+    return shown + f", ... ({len(ids) - 8} more)" if len(ids) > 8 else shown
+
+
+def _edge_text(u, v) -> str:
+    """An edge given by its end ids, for a message; each id is cut at 20
+    characters."""
+    return f"edge ({clip_text(str(u))}, {clip_text(str(v))})"
 
 
 class Edge(NamedTuple):
@@ -168,9 +182,7 @@ class ExchangeGraph:
         ]
         self.pruned = tuple(sorted(pruned))
         if pruned:
-            shown = ", ".join(map(str, self.pruned[:8]))
-            if len(pruned) > 8:
-                shown += f", ... ({len(pruned) - 8} more)"
+            shown = _shown_ids(self.pruned)
             # stacklevel: the caller of build_graph, from_vertices or loads_graph
             warnings.warn(f"pruned {len(pruned)} isolated vertices (no candidate edges): {shown}", stacklevel=4)
             kept = [k.tolist() for k in keep]
@@ -513,7 +525,7 @@ def _end_positions(ids, us, vs) -> tuple[list[int], list[int]]:
     ev = [pos2.get(v) for v in vs]
     if None in eu or None in ev:
         k = next(k for k, ends in enumerate(zip(eu, ev)) if None in ends)
-        raise IndexOutOfRange(f"edge ({us[k]}, {vs[k]}) references a missing vertex")
+        raise IndexOutOfRange(f"{_edge_text(us[k], vs[k])} references a missing vertex")
     return eu, ev
 
 
@@ -551,7 +563,7 @@ def build_graph(
             u, v, cost = item
         i = u if type(u) is int else _index(u, f"edge ({u}, {v})")
         if not 0 <= i < n1 or not 0 <= (j := v if type(v) is int else _index(v, f"edge ({u}, {v})")) < n2:
-            raise IndexOutOfRange(f"edge ({u}, {v}) outside vertex ranges")
+            raise IndexOutOfRange(f"{_edge_text(u, v)} outside vertex ranges")
         eu.append(i)
         ev.append(j)
         costs.append(cost)
@@ -781,7 +793,7 @@ def _load_int(value) -> int:
     """A JSON integer as an id or label; floats and booleans are refused
     rather than truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise GraphFormatError(f"expected an integer, got {value!r}")
+        raise GraphFormatError(f"expected an integer, got {clip_text(repr(value))}")
     return value
 
 

@@ -80,8 +80,8 @@ def as_fraction(value) -> Fraction:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"cannot parse number {value!r}") from exc
-    raise ValidationError(f"cannot interpret {value!r} as a number")
+            raise ValidationError(f"cannot parse number {clip_text(value)!r}") from exc
+    raise ValidationError(f"cannot interpret {clip_text(repr(value))} as a number")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,16 @@ from .errors import (
     LabelDomainMismatch,
     ValidationError,
 )
-from .graph import EdgeKey, ExchangeGraph, VertexId, _load_file, _load_int, _load_json, weight_numerators
+from .graph import (
+    EdgeKey,
+    ExchangeGraph,
+    VertexId,
+    _load_file,
+    _load_int,
+    _load_json,
+    _shown_ids,
+    weight_numerators,
+)
 from .objectives import Objective, as_fraction
 
 
@@ -70,7 +79,8 @@ def _check_domain(g: ExchangeGraph, pi: Policy) -> None:
         missing = g.vertex_set - pi.domain
         extra = pi.domain - g.vertex_set
         raise LabelDomainMismatch(
-            f"policy domain mismatch (missing={sorted(missing)}, extra={sorted(extra)})"
+            f"policy domain mismatch (missing {len(missing)}: [{_shown_ids(sorted(missing))}], "
+            f"extra {len(extra)}: [{_shown_ids(sorted(extra))}])"
         )
 
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GroundTruthOutsideCandidates, ValidationError
-from .graph import EdgeKey, ExchangeGraph, format_rational
+from .graph import EdgeKey, ExchangeGraph, _shown_ids, format_rational
 from .objectives import Objective
 from .policy import (
     Policy,
@@ -172,9 +172,8 @@ def run_rendezvous(
     at = g.edge_positions(truth)
     if (at < 0).any():
         bad = [key for key, k in zip(truth, at.tolist()) if k < 0]
-        raise GroundTruthOutsideCandidates(
-            f"ground-truth closures outside the candidate set: {sorted(bad)}"
-        )
+        shown = _shown_ids([f"{u}-{v}" for u, v in sorted(bad)])
+        raise GroundTruthOutsideCandidates(f"{len(bad)} ground-truth closures outside the candidate set: {shown}")
     messages: list[Message] = []
 
     def meta_leg(sender, recipient, robot_side, size, summary):

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, exit codes, CSV determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -728,8 +730,9 @@ def test_graph_value_that_is_not_a_number_exits_2_naming_file(capsys, tmp_path, 
         ("poses", "1 0 0 0 0 1 0 0 0 0 1 " + "x" * 5000, "bad number 'xxxxxxxxxxxxxxxxxxxx...'"),
         ("scores", "0 0 " + "9" * 4999 + "x", "bad score line field '99999999999999999999...'"),
         ("features", "9" * 5000, "bad feature count '99999999999999999999...'"),
+        ("ground truth", "9" * 5000 + " 0", "bad index '99999999999999999999...'"),
     ],
-    ids=["poses", "scores", "features"],
+    ids=["poses", "scores", "features", "ground truth"],
 )
 def test_bad_reader_token_is_cut_in_message(capsys, tmp_path, reader, text, message):
     # each message used to hold the whole 5000-character token
@@ -739,6 +742,190 @@ def test_bad_reader_token_is_cut_in_message(capsys, tmp_path, reader, text, mess
     assert code == 2
     assert f"error: {path}:1: {message}" in err
     assert len(err.encode()) < 200
+    assert out == ""
+
+
+GRAPH_WITH_ID = '{"v1": [{"id": %s, "scan_size": 1}], "v2": [{"id": 0, "scan_size": 1}], "edges": [{"u": 0, "v": 0}]}'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        GRAPH_WITH_FIELD["scan_size"] % json.dumps([1] * 5000),
+        GRAPH_WITH_FIELD["scan_size"] % json.dumps("x" * 5000),
+        GRAPH_WITH_ID % json.dumps("x" * 5000),
+    ],
+    ids=["scan_size list", "scan_size string", "id string"],
+)
+def test_graph_value_refusal_is_cut(capsys, tmp_path, text):
+    # these printed 29,000, 5,000 and 5,000 bytes, the whole value
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "solve", "--graph", str(path))
+    assert code == 2
+    assert err.startswith(f"error: {path}: ")
+    assert len(err.encode()) < 200
+    assert out == ""
+
+
+def graph_file(tmp_path, name, n, first=0):
+    """A perfect matching on ``n`` + ``n`` vertices whose ids start at ``first``."""
+    path = tmp_path / name
+    vertices = [(i, 1, None) for i in range(first, first + n)]
+    g = sp.ExchangeGraph.from_vertices(vertices, vertices, [(i, i, 1) for i, _, _ in vertices])
+    path.write_text(sp.dumps_graph(g))
+    return str(path)
+
+
+def test_policy_over_another_graph_exits_3_with_a_short_message(capsys, tmp_path):
+    # the message listed all 6000 missing and 6000 extra ids, 267,829 bytes
+    other = graph_file(tmp_path, "other.json", 3000, first=5000)
+    policy = tmp_path / "policy.json"
+    assert run(capsys, "solve", "--graph", other, "--policy-out", str(policy))[0] == 0
+    code, out, err = run(capsys, "simulate", "--graph", graph_file(tmp_path, "g.json", 3000), "--policy", str(policy))
+    assert code == 3
+    assert err.startswith("error: policy domain mismatch (missing 6000: [1:0, 1:1, 1:2, 1:3, 1:4, 1:5, 1:6, 1:7, ...")
+    assert "extra 6000: [1:5000, " in err
+    assert len(err.encode()) < 300
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0 0\n0 1 2\n", "2: expected 'u_index v_index'"),
+        ("0 0\n\n0 x\n", "3: bad index 'x'"),
+        ("0 1.0\n", "1: bad index '1.0'"),
+    ],
+    ids=["field count", "bad token", "float token"],
+)
+def test_ground_truth_refusal_names_line_and_token(capsys, tmp_path, text, message):
+    path = tmp_path / "truth.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, *reader_argv(tmp_path, "ground truth", str(path)))
+    assert code == 2
+    assert err == f"error: {path}:{message}\n"
+    assert len(err.encode()) < 200
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "text, count",
+    [("9" * 1000 + " 0\n", 1), ("".join(f"{u} {u}\n" for u in range(50, 3050)), 3000)],
+    ids=["1000-digit index", "3000 pairs"],
+)
+def test_ground_truth_outside_candidates_message_is_short(capsys, tmp_path, text, count):
+    path = tmp_path / "truth.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, *reader_argv(tmp_path, "ground truth", str(path)))
+    assert code == 3
+    assert err.startswith(f"error: {count} ground-truth closures outside the candidate set: ")
+    assert len(err.encode()) < 300
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (f"0 {'9' * 1000} 0.9", "edge (0, 99999999999999999999...) outside vertex ranges"),
+        (f"{'9' * 1000} 0 1.5", "score 1.5 for pair (99999999999999999999..., 0) outside [0, 1]"),
+    ],
+    ids=["index", "score"],
+)
+def test_score_line_refusal_cuts_its_indices(capsys, tmp_path, line, message):
+    # each echoed the whole 1000-digit index
+    path = tmp_path / "scores.txt"
+    path.write_text(line + "\n")
+    code, _, err = run(capsys, *reader_argv(tmp_path, "scores", str(path)))
+    assert code == 3
+    assert err == f"error: {message}\n"
+
+
+def test_feature_count_beyond_float_range_builds(capsys, tmp_path):
+    # a count past 1.8e308 made the pose check raise OverflowError (exit 1)
+    counts = (DATA / "two_loop_features1.txt").read_text().splitlines()
+    counts[0] = "9" * 400
+    path = tmp_path / "features.txt"
+    path.write_text("\n".join(counts) + "\n")
+    code, out, err = run(capsys, *reader_argv(tmp_path, "features", str(path)))
+    assert code == 0, err
+    assert out.startswith(f"wrote {tmp_path / 'out.json'}: ")
+
+
+def test_missing_feature_counts_named_after_the_last_pose(capsys, tmp_path):
+    # trailing blank lines do not move the line the refusal names
+    code, _, err = _build_from_poses(capsys, tmp_path, f"{IDENTITY_POSE}\n\n\n", "5\n5\n5\n")
+    assert code == 2
+    assert "poses.txt:2: 1 poses but 3 feature counts" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build-graph", "--synthetic", "--dmax", "9" * 500),
+        ("sweep", "--synthetic", "--parameter", "dmax", "--start", "1e500", "--stop", "1e500", "--step", "1"),
+    ],
+    ids=["flag", "sweep value"],
+)
+def test_gate_beyond_float_range_message_is_short(capsys, tmp_path, argv):
+    # each echoed the whole number, of 500 and 501 digits
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 3
+    assert err.startswith("error: number out of range: ") and err.endswith("...\n")
+    assert len(err.encode()) < 100
+    assert out == ""
+
+
+def test_flag_defaults_are_the_library_defaults():
+    from scanplan.cli import build_parser
+
+    parser = build_parser()
+    geometry = sp.GeometryParams(d_max=1, eta=0)
+    appearance = sp.AppearanceParams(alpha=0)
+    sweep = ["sweep", "--parameter", "dmax", "--start", "1", "--stop", "1", "--step", "1"]
+    for command in (["build-graph", "--out", "g.json"], sweep):
+        args = parser.parse_args(command)
+        assert (args.rate_divisor, args.fov_half_angle, args.fov_range) == (
+            geometry.rate_divisor,
+            geometry.fov_half_angle,
+            geometry.fov_range,
+        )
+        assert args.top_k == appearance.top_k
+    args = parser.parse_args(["simulate", "--graph", "g.json"])
+    config = sp.RendezvousConfig()
+    assert (args.metadata_bytes, args.closure_bytes) == (config.metadata_bytes_per_vertex, config.closure_message_bytes)
+
+
+BAD_SCORES = "0 0 0.5\n0 zz 0.5\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("build-graph --scores {scores} --out {out}", "{scores}:2: bad score line field 'zz'"),
+        ("sweep --parameter alpha --start 0.3 --stop 0.5 --step 0.1 --scores {scores}", "{scores}:2: bad score line field 'zz'"),
+        ("build-graph --poses1 {scores} --dmax x --out {out}", "provide --poses1/--poses2 or --synthetic"),
+        ("build-graph --synthetic --dmax x --eta y --out {out}", "cannot parse number 'x'"),
+        ("sweep --parameter omega --start 0 --stop 1 --step 1 --omega x", "cannot parse number 'x'"),
+        ("sweep --parameter alpha --start 0 --stop 1 --step 1 --alpha1 x", "cannot parse number 'x'"),
+    ],
+    ids=[
+        "appearance build",
+        "alpha sweep",
+        "poses before dmax",
+        "dmax before eta",
+        "objective before graph",
+        "objective before scores",
+    ],
+)
+def test_input_with_two_faults_reports_the_first(capsys, tmp_path, argv, message):
+    # the first fault each command reported before it shared its input reader
+    scores = tmp_path / "scores.txt"
+    scores.write_text(BAD_SCORES)
+    fill = {"scores": str(scores), "out": str(tmp_path / "g.json")}
+    code, out, err = run(capsys, *argv.format(**fill).split())
+    assert code in (2, 3)
+    assert err == f"error: {message.format(**fill)}\n"
     assert out == ""
 
 
@@ -839,3 +1026,84 @@ def test_common_denominator_at_bound_prints_every_cost(capsys, tmp_path):
         assert "Traceback" not in err
         if argv == ["solve", "--graph", path]:
             assert f"optimal_cost {optimum.numerator}/{optimum.denominator}\n" in out
+
+
+# -- reader fuzz: mutated fixture files through ``main`` ----------------------
+
+HOSTILE_TOKENS = [
+    "nan", "-inf", "1e999", "-1e999", "1e308", "1e-400", "٣", "1_0", "0x10", "+5", "-0", "-1", "1.5", "x",
+    "9" * 5000, "9" * 1000, "-" + "9" * 1000, "9" * 400, "0" * 600 + "1",
+]  # fmt: skip
+
+FUZZ_EXAMPLES = 30  # per reader; under 2 s in all
+GROUND_TRUTH = "0 0\n0 1\n1 0\n0 3\n3 0\n"  # closures of double_star.json
+
+
+@pytest.fixture(scope="module")
+def fuzz_workdir(tmp_path_factory):
+    """A directory with the fixture prefixes that the fuzzed commands read,
+    each short so a run takes milliseconds, and the text each reader's
+    mutations start from."""
+    workdir = tmp_path_factory.mktemp("fuzz")
+    texts = {"ground truth": GROUND_TRUTH}
+    for reader, name, size in [
+        ("poses", "two_loop_poses1", 12),
+        (None, "two_loop_poses2", 12),
+        ("features", "two_loop_features1", 12),
+        ("scores", "scores_40x40", 120),
+    ]:
+        texts[reader] = "".join((DATA / f"{name}.txt").read_text().splitlines(keepends=True)[:size])
+        (workdir / f"{name}.txt").write_text(texts[reader])
+    return workdir, texts
+
+
+def fuzz_argv(workdir, reader, path):
+    poses, features = str(workdir / "two_loop_poses2.txt"), str(DATA / "features_40.txt")
+    out = str(workdir / "out.json")
+    return {
+        "poses": ["build-graph", "--poses1", path, "--poses2", poses, "--eta", "0.5", "--out", out],
+        "features": ["build-graph", "--poses1", str(workdir / "two_loop_poses1.txt"), "--poses2", poses,
+                     "--features1", path, "--out", out],
+        "scores": ["build-graph", "--scores", path, "--features1", features, "--features2", features, "--out", out],
+        "ground truth": ["simulate", "--graph", DOUBLE_STAR, "--ground-truth", path],
+    }[reader]  # fmt: skip
+
+
+def mutated(data, text):
+    """``text`` after one to three token or line edits."""
+    lines = [line.split() for line in text.splitlines()]
+    tokens = st.one_of(st.sampled_from(HOSTILE_TOKENS), st.text(st.characters(exclude_categories=["Cs"]), max_size=6))
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        i = data.draw(st.integers(0, len(lines)), label="line")
+        edit = data.draw(st.sampled_from(["replace", "insert", "delete", "drop line", "copy line", "blank line"]))
+        if edit == "blank line" or i == len(lines):
+            lines.insert(i, [])
+        elif edit == "drop line":
+            del lines[i]
+        elif edit == "copy line":
+            lines.insert(i, list(lines[i]))
+        else:
+            k = data.draw(st.integers(0, len(lines[i])), label="token")
+            if edit == "insert" or k == len(lines[i]):
+                lines[i].insert(k, data.draw(tokens))
+            elif edit == "delete":
+                del lines[i][k]
+            else:
+                lines[i][k] = data.draw(tokens)
+    return "".join(" ".join(line) + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("reader", ["poses", "features", "scores", "ground truth"])
+@settings(max_examples=FUZZ_EXAMPLES, deadline=None)
+@given(data=st.data())
+def test_mutated_reader_input_exits_cleanly(fuzz_workdir, reader, data):
+    workdir, texts = fuzz_workdir
+    path = workdir / "mutated.txt"
+    path.write_text(mutated(data, texts[reader]), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(fuzz_argv(workdir, reader, str(path)))
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().encode()) < 1024, err.getvalue()[:200]

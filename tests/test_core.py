@@ -73,7 +73,9 @@ def ref_rendezvous(g, cfg, policy=None):
     keys = {e.key for e in g.edges}
     bad = [key for key in cfg.ground_truth_closures if key not in keys]
     if bad:
-        raise sp.GroundTruthOutsideCandidates(f"ground-truth closures outside the candidate set: {sorted(bad)}")
+        shown = ", ".join(f"{u}-{v}" for u, v in sorted(bad)[:8])
+        shown += f", ... ({len(bad) - 8} more)" if len(bad) > 8 else ""
+        raise sp.GroundTruthOutsideCandidates(f"{len(bad)} ground-truth closures outside the candidate set: {shown}")
     n = {1: len({e.u for e in g.edges}), 2: len({e.v for e in g.edges})}
     messages = []
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import scanplan as sp
 from scanplan.graph import effective_weight, format_rational, workload_weight
+from scanplan.objectives import clip_text
 
 from conftest import build_quiet, random_graph
 
@@ -74,7 +75,7 @@ def seed_build_graph(v1_weights, v2_weights, edges, v1_inertia=None, v2_inertia=
         else:
             u, v, cost = item
         if not (0 <= int(u) < n1) or not (0 <= int(v) < n2):
-            raise sp.IndexOutOfRange(f"edge ({u}, {v}) outside vertex ranges")
+            raise sp.IndexOutOfRange(f"edge ({clip_text(str(u))}, {clip_text(str(v))}) outside vertex ranges")
         norm_edges.append((u, v, cost))
     return sp.ExchangeGraph.from_vertices(v1, v2, norm_edges)
 

@@ -196,6 +196,19 @@ def test_label_domain_mismatch(double_star, single_edge):
         pi.label(sp.VertexId(1, 3))
 
 
+def test_label_domain_mismatch_message_is_short():
+    # the message listed every missing and extra VertexId repr
+    vertices = [(i, 1, None) for i in range(3000)]
+    g = sp.ExchangeGraph.from_vertices(vertices, vertices, [(i, i, 1) for i in range(3000)])
+    pi = sp.Policy([sp.VertexId(1, i) for i in range(1, 3000)] + [sp.VertexId(2, i) for i in range(5000, 5010)], ())
+    with pytest.raises(sp.LabelDomainMismatch) as caught:
+        sp.is_admissible(g, pi)
+    assert str(caught.value) == (
+        "policy domain mismatch (missing 3001: [1:0, 2:0, 2:1, 2:2, 2:3, 2:4, 2:5, 2:6, ... (2993 more)], "
+        "extra 10: [2:5000, 2:5001, 2:5002, 2:5003, 2:5004, 2:5005, 2:5006, 2:5007, ... (2 more)])"
+    )
+
+
 def test_balance_cost_defined_for_inadmissible(double_star):
     # pure per-vertex sum works on the all-zeros labeling
     assert balance_cost(double_star, sp.Policy(double_star.vertex_ids, ()), 1, 1) == 0
