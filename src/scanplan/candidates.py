@@ -630,8 +630,11 @@ def build_appearance_sweep(
                 if not 0 <= score <= 1:
                     pair = f"({clip_text(str(u))}, {clip_text(str(v))})"
                     raise ScoreOutOfRange(f"score {score!r} for pair {pair} outside [0, 1]")
-                us.append(u if type(u) is int else _index(u, f"score pair ({u}, {v})"))
-                vs.append(v if type(v) is int else _index(v, f"score pair ({u}, {v})"))
+                if type(u) is not int or type(v) is not int:
+                    what = f"score pair ({clip_text(str(u))}, {clip_text(str(v))})"
+                    u, v = _index(u, what), _index(v, what)
+                us.append(u)
+                vs.append(v)
                 values.append(float(score))
             # np.array keeps indices beyond int64 exact, as an object array
             u_all, v_all, s = np.array(us), np.array(vs), np.array(values, dtype=float)

@@ -9,6 +9,7 @@ failure, 4 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import sys
 import time
@@ -69,8 +70,9 @@ def _input_flags() -> argparse.ArgumentParser:
     parser.add_argument("--top-k", type=int, default=cand.AppearanceParams.top_k)
     parser.add_argument("--symmetric", action="store_true", help="also query side 2 against side 1")
     parser.add_argument("--synthetic", action="store_true", help="use the bundled two-loop fixture")
-    parser.add_argument("--synthetic-poses", type=int, default=100)
-    parser.add_argument("--synthetic-seed", type=int, default=7)
+    synthetic = inspect.signature(cand.synthetic_two_loop).parameters
+    parser.add_argument("--synthetic-poses", type=int, default=synthetic["n"].default)
+    parser.add_argument("--synthetic-seed", type=int, default=synthetic["seed"].default)
     parser.add_argument("--dmax", default="30", help="max distance between candidate poses (m)")
     parser.add_argument("--eta", default="0", help="min field-of-view overlap fraction")
     parser.add_argument("--rate-divisor", type=int, default=cand.GeometryParams.rate_divisor)

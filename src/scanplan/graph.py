@@ -13,6 +13,9 @@ order; scan sizes, inertia prices and edge costs as integer numerators
 over one common denominator; and the edge endpoints as two int64 arrays of
 side positions. ``Fraction``, ``VertexId``, ``ScanVertex`` and ``Edge``
 objects exist only at the API boundary, built on first access and cached.
+A graph file is read column by column, and each distinct number in it is
+parsed once into a reduced integer ``(numerator, denominator)`` pair and
+scaled once to the common denominator.
 
 Graphs are immutable after construction and safe to share across threads.
 Each graph also remembers the solver's optimal covers (see ``solver.solve``).
@@ -28,9 +31,10 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -38,6 +42,7 @@ from .errors import (
     DuplicateEdge,
     GraphFormatError,
     IndexOutOfRange,
+    InvariantViolation,
     NegativeWeight,
     UnknownVertex,
     ValidationError,
@@ -202,18 +207,25 @@ class ExchangeGraph:
         for side, ids, sizes, inertia in zip((1, 2), self.ids, self.size_num, self.inertia_num):
             if not len(ids) == len(sizes) == len(inertia):
                 raise ValidationError(f"side {side} arrays differ in length")
-            seen: set[int] = set()
-            for index, size, price in zip(ids, sizes, inertia):
-                if index < 0:
-                    raise IndexOutOfRange(f"negative vertex index {side}:{index}")
-                if index in seen:
-                    raise ValidationError(f"duplicate vertex id {side}:{index}")
-                seen.add(index)
-                for label, num in (("scan_size", size), ("inertia", price)):
-                    if num is not None and num < 0:
-                        raise NegativeWeight(
-                            f"{label} of {side}:{index} is negative: {Fraction(num, self.den)}"
-                        )
+            if ids and (
+                min(ids) < 0
+                or len(set(ids)) < len(ids)
+                or min(sizes) < 0
+                or min(filter(None, inertia), default=0) < 0
+            ):
+                # the first faulty vertex, in position order
+                seen: set[int] = set()
+                for index, size, price in zip(ids, sizes, inertia):
+                    if index < 0:
+                        raise IndexOutOfRange(f"negative vertex index {side}:{index}")
+                    if index in seen:
+                        raise ValidationError(f"duplicate vertex id {side}:{index}")
+                    seen.add(index)
+                    for label, num in (("scan_size", size), ("inertia", price)):
+                        if num is not None and num < 0:
+                            raise NegativeWeight(
+                                f"{label} of {side}:{index} is negative: {Fraction(num, self.den)}"
+                            )
         n1, n2 = len(self.ids[0]), len(self.ids[1])
         m = len(self.cost_num)
         if self.eu.shape != (m,) or self.ev.shape != (m,):
@@ -452,68 +464,97 @@ class ExchangeGraph:
         ids, sizes, inertia = _vertex_columns((v1, v2))
         us, vs, costs = [], [], []
         for u, v, cost in edges:
-            us.append(u if type(u) is int else _index(u, f"edge ({u}, {v})"))
-            vs.append(v if type(v) is int else _index(v, f"edge ({u}, {v})"))
-            costs.append(_exact(cost))
-        return _assemble(ids, sizes, inertia, *_end_positions(ids, us, vs), costs)
+            us.append(u if type(u) is int else _index(u, _edge_text(u, v)))
+            vs.append(v if type(v) is int else _index(v, _edge_text(u, v)))
+            costs.append(_key(cost))
+        eu, ev = _end_positions(ids, us, vs)
+        return _assemble(ids, sizes, inertia, eu, ev, costs, *_key_ratios(sizes, inertia, costs))
 
 
 def _vertex_columns(sides) -> tuple[tuple[list, list], tuple[list, list], tuple[list, list]]:
-    """Per side, the ids, exact scan sizes and exact inertia prices (None
-    where unset) of ``(id, scan_size, price)`` entries, in entry order."""
+    """Per side, the ids, scan sizes and inertia prices (None where unset)
+    of ``(id, scan_size, price)`` entries, in entry order; each number as
+    :func:`_key` gives it."""
     ids, sizes, inertia = ([], []), ([], []), ([], [])
     for s, entries in enumerate(sides):
         for index, scan_size, price in entries:
             ids[s].append(index if type(index) is int else _index(index, f"side {s + 1} vertex"))
-            sizes[s].append(_exact(scan_size))
-            inertia[s].append(None if price is None else _exact(price))
+            sizes[s].append(_key(scan_size))
+            inertia[s].append(None if price is None else _key(price))
     return ids, sizes, inertia
 
 
-def _exact(value) -> int | Fraction:
-    """An int or a Fraction as it is, anything else as an exact Fraction."""
-    return value if type(value) is int or type(value) is Fraction else as_fraction(value)
+def _ratio(value) -> tuple[int, int]:
+    """A number as its reduced ``(numerator, denominator)`` pair. A ``"p/q"``
+    text of at most MAX_NUMBER_DIGITS characters with ASCII digits on both
+    sides is read with two ``int`` calls and a ``gcd``; anything else but
+    an int goes through ``as_fraction``, which decides what is a number."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is str and len(value) <= MAX_NUMBER_DIGITS and value.isascii():
+        p, slash, q = value.partition("/")
+        if slash and p.isdigit() and q.isdigit() and (q := int(q)):
+            p = int(p)
+            g = math.gcd(p, q)
+            return p // g, q // g
+    exact = as_fraction(value)
+    return exact.numerator, exact.denominator
 
 
-def _numerators(values: list, den: int) -> list:
-    """Exact values (None passes through) as numerators over ``den``."""
-    return [
-        x * den if type(x) is int else None if x is None else x.numerator * (den // x.denominator)
-        for x in values
-    ]
+def _key(value) -> int | tuple[int, int]:
+    """A number given to the API as an int, or else as its reduced pair:
+    a key of :func:`_assemble`'s ratios that no int or text equals."""
+    return value if type(value) is int else _ratio(value)
 
 
-def _assemble(ids, sizes, inertia, eu, ev, costs) -> ExchangeGraph:
-    """Bring every value over one common denominator and construct the
-    graph, which checks every vertex and then prunes the isolated ones.
+def _distinct(*columns) -> set:
+    """The distinct values of the given value columns, None left out."""
+    values = set(chain.from_iterable(chain.from_iterable(columns)))
+    values.discard(None)
+    return values
+
+
+def _common_denominator(ratios: Mapping) -> int:
+    """The least common multiple of the denominators of ``ratios``."""
+    return math.lcm(*{q for _, q in ratios.values()})
+
+
+def _assemble(ids, sizes, inertia, eu, ev, costs, ratios: Mapping, den: int) -> ExchangeGraph:
+    """Bring every value over the common denominator ``den`` and construct
+    the graph, which checks every vertex and then prunes the isolated ones.
     ``ids``, ``sizes`` and ``inertia`` are per-side lists, ``eu``/``ev`` the
-    side positions of each edge's endpoints and ``costs`` its cost; values
-    are ints or Fractions."""
-    columns = (*sizes, *inertia, costs)
-    den = math.lcm(*{x.denominator for col in columns for x in col if type(x) is not int and x is not None})
-    return ExchangeGraph(
-        ids,
-        den,
-        [_numerators(col, den) for col in sizes],
-        [_numerators(col, den) for col in inertia],
-        eu,
-        ev,
-        _numerators(costs, den),
-    )
+    side positions of each edge's endpoints and ``costs`` its cost. Every
+    value is a key of ``ratios``, which holds its reduced ``(numerator,
+    denominator)`` pair, or None for an unset inertia price. Each distinct
+    value is scaled once and each column built with one lookup per entry;
+    when every value is an int, the columns pass as they are."""
+    if all(type(x) is int for x in ratios):
+        return ExchangeGraph(ids, 1, sizes, inertia, eu, ev, costs)
+    scaled = {x: p * (den // q) for x, (p, q) in ratios.items()}
+    scaled[None] = None
+    sizes, inertia = ([list(map(scaled.__getitem__, col)) for col in cols] for cols in (sizes, inertia))
+    return ExchangeGraph(ids, den, sizes, inertia, eu, ev, list(map(scaled.__getitem__, costs)))
+
+
+def _key_ratios(sizes, inertia, costs) -> tuple[dict, int]:
+    """The ratios and the common denominator that :func:`_assemble` takes,
+    for value columns of :func:`_key` returns."""
+    ratios = {x: x if type(x) is tuple else (x, 1) for x in _distinct(sizes, inertia, [costs])}
+    return ratios, _common_denominator(ratios)
 
 
 def _index(value, what) -> int:
     """A vertex id or edge end given to the API as something other than
     an int, as ``int()`` reads it; a value that ``int()`` cannot read, or a
     number that it would change, is refused with ``IndexOutOfRange`` naming
-    ``what``, not truncated. Graph files read theirs with ``_load_int``
-    instead."""
+    ``what``, not truncated; the message cuts the value at 20 characters.
+    Graph files read theirs with ``_load_int`` instead."""
     try:
         index = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise IndexOutOfRange(f"{what} has a non-integer index {value!r}") from exc
+        raise IndexOutOfRange(f"{what} has a non-integer index {clip_text(repr(value))}") from exc
     if isinstance(value, numbers.Number) and index != value:
-        raise IndexOutOfRange(f"{what} has a non-integral index {value}")
+        raise IndexOutOfRange(f"{what} has a non-integral index {clip_text(str(value))}")
     return index
 
 
@@ -521,8 +562,8 @@ def _end_positions(ids, us, vs) -> tuple[list[int], list[int]]:
     """The side positions of edge ends given as vertex ids; an end that no
     vertex of its side holds is refused."""
     pos1, pos2 = ({i: k for k, i in enumerate(side_ids)} for side_ids in ids)
-    eu = [pos1.get(u) for u in us]
-    ev = [pos2.get(v) for v in vs]
+    eu = list(map(pos1.get, us))
+    ev = list(map(pos2.get, vs))
     if None in eu or None in ev:
         k = next(k for k, ends in enumerate(zip(eu, ev)) if None in ends)
         raise IndexOutOfRange(f"{_edge_text(us[k], vs[k])} references a missing vertex")
@@ -561,14 +602,16 @@ def build_graph(
             (u, v), cost = item, 1
         else:
             u, v, cost = item
-        i = u if type(u) is int else _index(u, f"edge ({u}, {v})")
-        if not 0 <= i < n1 or not 0 <= (j := v if type(v) is int else _index(v, f"edge ({u}, {v})")) < n2:
+        i = u if type(u) is int else _index(u, _edge_text(u, v))
+        if not 0 <= i < n1 or not 0 <= (j := v if type(v) is int else _index(v, _edge_text(u, v))) < n2:
             raise IndexOutOfRange(f"{_edge_text(u, v)} outside vertex ranges")
         eu.append(i)
         ev.append(j)
         costs.append(cost)
+    ids, sizes, inertia = _vertex_columns(vertices)
     # sizes and prices are read before costs
-    return _assemble(*_vertex_columns(vertices), eu, ev, [c if type(c) is int else _exact(c) for c in costs])
+    costs = [c if type(c) is int else _key(c) for c in costs]
+    return _assemble(ids, sizes, inertia, eu, ev, costs, *_key_ratios(sizes, inertia, costs))
 
 
 def _weight_terms(g: ExchangeGraph, objective: Objective) -> tuple[int, tuple[int, int], int]:
@@ -797,57 +840,90 @@ def _load_int(value) -> int:
     return value
 
 
-def loads_graph(text: str) -> ExchangeGraph:
-    """Parse the exchange-graph file format; numbers become exact rationals."""
-    doc = _load_json(text, parse_float=Fraction)
-    if not isinstance(doc, dict):
-        raise GraphFormatError("graph file must hold a JSON object")
-    parsed: dict[str, Fraction] = {}  # "p/q" texts repeat, edge costs above all
+def _columns(doc: dict) -> tuple:
+    """The ids, scan sizes and inertia prices per side, and the edge ends
+    and costs, of a graph document, each read as one column. An entry that
+    is not an object or lacks a key raises; so does an id or end that is
+    not an int, or a value that is neither an int nor a text (a string, or
+    a decimal token kept as text)."""
+    sides = doc["v1"], doc["v2"]
+    edges = doc.get("edges", [])
+    if not all(type(entries) is list for entries in (*sides, edges)):
+        raise TypeError("a graph field is not an array")
+    ids = [list(map(itemgetter("id"), entries)) for entries in sides]
+    sizes = [list(map(itemgetter("scan_size"), entries)) for entries in sides]
+    inertia = [[entry.get("inertia") for entry in entries] for entries in sides]
+    us, vs = list(map(itemgetter("u"), edges)), list(map(itemgetter("v"), edges))
+    costs = [entry.get("cost", 1) for entry in edges]
+    if not (
+        set(map(type, chain(*ids, us, vs))) <= {int}
+        and set(map(type, chain(*sizes, costs))) <= {int, str}
+        and set(map(type, chain(*inertia))) <= {int, str, type(None)}
+    ):
+        raise TypeError("a graph entry holds a value of the wrong type")
+    return ids, sizes, inertia, us, vs, costs
 
-    def number(value):
-        if type(value) is not str:
-            return _load_number(value)
-        exact = parsed.get(value)
-        if exact is None:
-            exact = parsed[value] = _load_number(value)
-        return exact
 
+def _raise_first_fault(doc: dict) -> NoReturn:
+    """Read a graph document entry by entry, in file order, and raise the
+    error of its first fault: a field that is not an array, an entry that
+    is not an object or lacks a key, an id or end that is not a JSON
+    integer, or a value that is not a number."""
     entry = entries = None
     try:
-        ids, sizes, inertia = ([], []), ([], []), ([], [])
-        for s, key in enumerate(("v1", "v2")):
+        for key in ("v1", "v2"):
             entries = doc[key]
             if not isinstance(entries, list):
                 raise GraphFormatError(f"{key!r} must be an array")
             for entry in entries:
                 price = entry.get("inertia")
-                ids[s].append(_load_int(entry["id"]))
-                sizes[s].append(number(entry["scan_size"]))
-                inertia[s].append(None if price is None else number(price))
+                _load_int(entry["id"])
+                _load_number(entry["scan_size"])
+                if price is not None:
+                    _load_number(price)
         key, entries = "edges", doc.get("edges", [])
         if not isinstance(entries, list):
             raise GraphFormatError("'edges' must be an array")
-        us, vs, costs = [], [], []
         for entry in entries:
             cost = entry.get("cost", 1)
-            u = entry["u"]
-            us.append(u if type(u) is int else _load_int(u))
-            v = entry["v"]
-            vs.append(v if type(v) is int else _load_int(v))
-            costs.append(cost if type(cost) is int else number(cost))
+            _load_int(entry["u"])
+            _load_int(entry["v"])
+            _load_number(cost)
     except (KeyError, TypeError, AttributeError) as exc:
         # every entry before the failing one was an object
         if entry is not None and not isinstance(entry, dict):
             k = next(k for k, e in enumerate(entries) if not isinstance(e, dict))
             raise GraphFormatError(f"{key}[{k}] must be an object") from exc
         raise GraphFormatError(f"malformed graph file: {exc!r}") from exc
-    g = _assemble(ids, sizes, inertia, *_end_positions(ids, us, vs), costs)
-    if g.den >= 10**MAX_DENOMINATOR_DIGITS:
+    raise InvariantViolation("the graph reader refused a file whose entries all read")
+
+
+def loads_graph(text: str) -> ExchangeGraph:
+    """Parse the exchange-graph file format; numbers become exact rationals.
+
+    Each field is read as one column, and each distinct number text is
+    parsed once into a reduced integer pair (see :func:`_ratio`): no
+    Fraction is built for an int or a plain ``"p/q"`` value. The bound on
+    the common denominator is checked before any value is scaled to it.
+    A file with a fault is read again entry by entry, to name its first.
+    """
+    # decimal tokens stay text, to be parsed once per distinct text
+    doc = _load_json(text, parse_float=str)
+    if not isinstance(doc, dict):
+        raise GraphFormatError("graph file must hold a JSON object")
+    try:
+        ids, sizes, inertia, us, vs, costs = _columns(doc)
+        ratios = {x: _ratio(x) for x in _distinct(sizes, inertia, [costs])}
+    except (KeyError, TypeError, AttributeError, ValidationError):
+        # the messages name decimal tokens as the Fractions they denote
+        _raise_first_fault(_load_json(text, parse_float=Fraction))
+    den = _common_denominator(ratios)
+    if den >= 10**MAX_DENOMINATOR_DIGITS:
         raise GraphFormatError(
-            f"the values' common denominator ({g.den.bit_length()} bits) exceeds "
+            f"the values' common denominator ({den.bit_length()} bits) exceeds "
             f"{MAX_DENOMINATOR_DIGITS} digits"
         )
-    return g
+    return _assemble(ids, sizes, inertia, *_end_positions(ids, us, vs), costs, ratios, den)
 
 
 def save_graph(g: ExchangeGraph, path) -> None:

@@ -49,8 +49,12 @@ def check_number_text(text: str, error: type[Exception] = ValidationError) -> st
     text is read, so nothing of the number's size is built."""
     mantissa, _, exponent = text.lower().partition("e")
     too_long = len(mantissa) > MAX_NUMBER_DIGITS and sum(c.isdigit() for c in mantissa) > MAX_NUMBER_DIGITS
-    exponent = exponent.lstrip("+-").lstrip("0")
-    if too_long or len(exponent) > 4 or int(exponent or 0) > MAX_NUMBER_EXPONENT:
+    exponent = exponent.lstrip("+-").lstrip("0_")
+    try:
+        too_large = len(exponent) > 4 or int(exponent or 0) > MAX_NUMBER_EXPONENT
+    except ValueError:  # not an exponent: int() reads every one that Fraction reads
+        too_large = False
+    if too_long or too_large:
         raise error(
             f"number {clip_text(text)} exceeds {MAX_NUMBER_DIGITS} digits "
             f"or a decimal exponent of {MAX_NUMBER_EXPONENT}"

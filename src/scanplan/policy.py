@@ -33,7 +33,7 @@ from .graph import (
     _shown_ids,
     weight_numerators,
 )
-from .objectives import Objective, as_fraction
+from .objectives import Objective, as_fraction, clip_text
 
 
 class Policy:
@@ -51,7 +51,7 @@ class Policy:
     def from_labels(cls, labels: Mapping[VertexId, int]) -> "Policy":
         for vid, bit in labels.items():
             if bit not in (0, 1):
-                raise ValidationError(f"label of {vid} must be 0 or 1, got {bit!r}")
+                raise ValidationError(f"label of {vid} must be 0 or 1, got {clip_text(repr(bit))}")
         return cls(labels.keys(), (vid for vid, bit in labels.items() if bit == 1))
 
     def label(self, vid: VertexId) -> int:

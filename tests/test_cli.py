@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -288,6 +289,16 @@ def test_sweep_dmax_deterministic_and_consistent(capsys, tmp_path):
         assert int(cells[1]) <= min(int(cells[2]), int(cells[3]))
 
 
+def test_build_graph_synthetic_defaults_are_the_apis(capsys, tmp_path):
+    from scanplan.candidates import GeometryParams, build_geometric, synthetic_two_loop
+
+    out_file = tmp_path / "g.json"
+    code, _, _ = run(capsys, "build-graph", "--synthetic", "--out", str(out_file))
+    assert code == 0
+    g = build_geometric(*synthetic_two_loop(), GeometryParams(d_max=30, eta=0))
+    assert out_file.read_text(encoding="utf-8") == sp.dumps_graph(g)
+
+
 def test_sweep_alpha_edge_counts_non_increasing(capsys):
     code, out, _ = run(
         capsys,
@@ -352,6 +363,19 @@ def test_repeated_policy_row_exits_3(capsys, tmp_path):
     assert code == 3
     assert out == ""
     assert err == "error: duplicate vertex id 1:0 in labels[1]\n"
+
+
+def test_policy_bit_out_of_range_message_is_clipped(capsys, tmp_path):
+    # a 500-digit bit was repeated whole: a 541-byte line
+    policy_file = tmp_path / "policy.json"
+    run(capsys, "solve", "--graph", DOUBLE_STAR, "--policy-out", str(policy_file))
+    doc = json.loads(policy_file.read_text())
+    doc["labels"][0]["bit"] = int("9" * 500)
+    policy_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "simulate", "--graph", DOUBLE_STAR, "--policy", str(policy_file))
+    assert code == 3
+    assert out == ""
+    assert err == f"error: label of 1:0 must be 0 or 1, got {'9' * 20}...\n"
 
 
 def test_sweep_spec_validation():
@@ -983,10 +1007,11 @@ def primes_below(limit):
 PRIMES = [p for p in primes_below(25_000) if p > 10007][:1300]
 
 
-def reciprocal_prime_graph(path, count):
-    """Side-1 scan sizes 1/p for the first ``count`` primes above 10007, one
-    edge per vertex: the values' common denominator is their product."""
-    v1 = ", ".join(f'{{"id": {i}, "scan_size": "1/{p}"}}' for i, p in enumerate(PRIMES[:count]))
+def reciprocal_prime_graph(path, count, primes=PRIMES):
+    """Side-1 scan sizes 1/p for the first ``count`` of ``primes`` (by
+    default, primes above 10007), one edge per vertex: the values' common
+    denominator is their product."""
+    v1 = ", ".join(f'{{"id": {i}, "scan_size": "1/{p}"}}' for i, p in enumerate(primes[:count]))
     v2 = ", ".join(f'{{"id": {i}, "scan_size": 1}}' for i in range(count))
     edges = ", ".join(f'{{"u": {i}, "v": {i}}}' for i in range(count))
     path.write_text(f'{{"v1": [{v1}], "v2": [{v2}], "edges": [{edges}]}}')
@@ -1003,6 +1028,35 @@ def test_common_denominator_beyond_bound_exits_2(capsys, tmp_path, count):
     assert f"error: {path}: the values' common denominator" in err
     assert f"exceeds {MAX_DENOMINATOR_DIGITS} digits" in err
     assert "Traceback" not in err
+
+
+def test_common_denominator_bound_is_checked_before_any_value_is_scaled(capsys, tmp_path):
+    # 8000 scan sizes 1/p over primes above 10**5: scaling every value to
+    # the 137,134-bit denominator before the check took 1.4 s and a 285 MB
+    # peak of traced memory
+    primes = [p for p in primes_below(200_000) if p > 10**5]
+    path = reciprocal_prime_graph(tmp_path / "g.json", 8000, primes)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "solve", "--graph", path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: the values' common denominator (137134 bits) exceeds 1000 digits\n"
+    assert peak < 50 * 2**20
+
+
+def test_common_denominator_bound_comes_before_the_graph_checks(capsys, tmp_path):
+    # a format fault (exit 2) and a negative scan size (exit 3): the bound
+    # is checked first
+    path = reciprocal_prime_graph(tmp_path / "g.json", 1300)
+    text = Path(path).read_text()
+    Path(path).write_text(text.replace('"scan_size": 1}', '"scan_size": -1}', 1))
+    code, _, err = run(capsys, "solve", "--graph", path)
+    assert code == 2
+    assert f"error: {path}: the values' common denominator" in err
 
 
 def test_common_denominator_at_bound_prints_every_cost(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Exchange-graph model: construction, validation, weights, serialization."""
 
 import json
+import math
 import random
 import re
 import warnings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import scanplan as sp
 from scanplan.graph import effective_weight, format_rational, workload_weight
-from scanplan.objectives import clip_text
+from scanplan.objectives import as_fraction, clip_text
 
 from conftest import build_quiet, random_graph
 
@@ -519,3 +520,144 @@ def test_non_object_after_malformed_object_reports_the_first():
     # the missing scan_size of v1[0] comes before the string at v1[1]
     with pytest.raises(sp.GraphFormatError, match="^malformed graph file: KeyError"):
         sp.loads_graph('{"v1": [{"id": 0}, "x"], "v2": [], "edges": []}')
+
+
+def test_non_integer_index_message_is_clipped():
+    # the message repeated the value and both ends whole: 10,037 characters
+    with pytest.raises(sp.IndexOutOfRange) as caught:
+        sp.build_graph([1], [1], [(0, "x" * 5000)])
+    x20 = "x" * 20
+    assert str(caught.value) == f"edge (0, {x20}...) has a non-integer index '{'x' * 19}..."
+
+
+# -- graph-file ingest against a Fraction-per-value oracle ----------------------
+
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+@st.composite
+def ratio_texts(draw) -> str:
+    """A "p/q" string: plain or unreduced, signed, padded, with underscores
+    or Arabic-Indic digits, or with a zero denominator."""
+    p, q, k = draw(st.integers(0, 10**6)), draw(st.integers(0, 60)), draw(st.sampled_from([1, 7, 12]))
+    text = f"{p * k}/{q * k}"
+    form = draw(st.sampled_from(["plain", "plain", "signed", "padded", "underscore", "arabic"]))
+    if form == "signed":
+        text = draw(st.sampled_from("-+")) + text
+    elif form == "padded":
+        text = f" {text} "
+    elif form == "underscore":
+        text = text.replace("/", "_0/", 1)
+    elif form == "arabic":
+        text = text.translate(_ARABIC_INDIC)
+    return json.dumps(text)
+
+
+# JSON tokens of graph-file values
+VALUE_TOKENS = st.one_of(
+    st.integers(-2, 10**9).map(str),
+    st.builds("{}.{}".format, st.integers(-2, 999), st.integers(0, 99_999)),
+    st.decimals(0, 10**4, places=3).map(lambda d: json.dumps(str(d))),
+    ratio_texts(),
+    ratio_texts(),
+    st.sampled_from(['"1e3"', "2.5e-3", "0", '"7"', '"x/0"']),
+)
+
+
+@st.composite
+def graph_documents(draw) -> str:
+    """A graph file with ids in shuffled, non-contiguous order, costs and
+    inertia prices that are sometimes missing, and now and then an edge
+    end that no vertex holds."""
+    ids = [draw(st.lists(st.integers(0, 40), unique=True, max_size=5)) for _ in range(2)]
+    sides = []
+    for side in ids:
+        entries = []
+        for i in side:
+            price = f', "inertia": {draw(VALUE_TOKENS)}' if draw(st.booleans()) else ""
+            entries.append(f'{{"id": {i}, "scan_size": {draw(VALUE_TOKENS)}{price}}}')
+        sides.append(", ".join(entries))
+    ends = [st.sampled_from(side) | st.just(41) if side else st.just(41) for side in ids]
+    edges = []
+    for _ in range(draw(st.integers(0, 8))):
+        cost = f', "cost": {draw(VALUE_TOKENS)}' if draw(st.booleans()) else ""
+        edges.append(f'{{"u": {draw(ends[0])}, "v": {draw(ends[1])}{cost}}}')
+    return f'{{"v1": [{sides[0]}], "v2": [{sides[1]}], "edges": [{", ".join(edges)}]}}'
+
+
+def oracle_graph(text: str) -> sp.ExchangeGraph:
+    """The graph of a graph file read value by value: every value through
+    ``as_fraction``, all over the least common multiple of their
+    denominators."""
+    doc = json.loads(text, parse_float=Fraction)
+
+    def exact(value):
+        try:
+            return as_fraction(value)
+        except sp.ValidationError as exc:
+            raise sp.GraphFormatError(str(exc)) from None
+
+    ids, sizes, prices = ([], []), ([], []), ([], [])
+    for s, key in enumerate(("v1", "v2")):
+        for entry in doc[key]:
+            ids[s].append(entry["id"])
+            sizes[s].append(exact(entry["scan_size"]))
+            prices[s].append(exact(entry["inertia"]) if "inertia" in entry else None)
+    edges = [(e["u"], e["v"], exact(e.get("cost", 1))) for e in doc["edges"]]
+    values = [*sizes[0], *sizes[1], *prices[0], *prices[1], *(c for _, _, c in edges)]
+    den = math.lcm(*(x.denominator for x in values if x is not None))
+    position = [{i: k for k, i in enumerate(side)} for side in ids]
+    for u, v, _ in edges:
+        if u not in position[0] or v not in position[1]:
+            raise sp.IndexOutOfRange(f"edge ({u}, {v}) references a missing vertex")
+    scaled = [[None if x is None else int(x * den) for x in col] for col in (*sizes, *prices)]
+    return sp.ExchangeGraph(
+        ids,
+        den,
+        scaled[:2],
+        scaled[2:],
+        [position[0][u] for u, _, _ in edges],
+        [position[1][v] for _, v, _ in edges],
+        [int(c * den) for _, _, c in edges],
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_documents())
+def test_loads_graph_matches_a_fraction_per_value_oracle(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            expected = oracle_graph(text)
+        except sp.ScanPlanError as exc:
+            with pytest.raises(sp.ScanPlanError) as caught:
+                sp.loads_graph(text)
+            assert (type(caught.value), str(caught.value)) == (type(exc), str(exc))
+            return
+        g = sp.loads_graph(text)
+    assert (g.ids, g.den, g.size_num, g.inertia_num, g.cost_num) == (
+        expected.ids,
+        expected.den,
+        expected.size_num,
+        expected.inertia_num,
+        expected.cost_num,
+    )
+    assert (g.eu.tolist(), g.ev.tolist(), g.pruned) == (expected.eu.tolist(), expected.ev.tolist(), expected.pruned)
+    assert all(type(x) is int for x in (g.den, *g.size_num[0], *g.size_num[1], *g.cost_num))
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("1ex", "cannot parse number '1ex'"),
+        ("1e5x", "cannot parse number '1e5x'"),
+        ("1e0_999", "number 1e0_999 exceeds 500 digits or a decimal exponent of 500"),
+    ],
+)
+def test_number_text_with_a_bad_exponent_is_a_format_error(value, message):
+    # "1ex" raised a bare ValueError from the exponent bound: exit 1 in the CLI
+    text = '{"v1": [{"id": 0, "scan_size": "%s"}], "v2": [{"id": 0, "scan_size": 1}], "edges": [{"u": 0, "v": 0}]}'
+    with pytest.raises(sp.GraphFormatError, match=f"^{re.escape(message)}$"):
+        sp.loads_graph(text % value)
+    with pytest.raises(sp.ValidationError, match=f"^{re.escape(message)}$"):
+        as_fraction(value)
