@@ -54,8 +54,8 @@ def _objective_from_args(args) -> Objective:
     )
 
 
-def _add_objective_flags(parser, default="p2"):
-    parser.add_argument("--objective", choices=("p1", "p2", "p3"), default=default)
+def _add_objective_flags(parser):
+    parser.add_argument("--objective", choices=("p1", "p2", "p3"), default="p2")
     parser.add_argument("--alpha1", default="1", help="workload weight of robot 1 (p1/p3)")
     parser.add_argument("--alpha2", default="1", help="workload weight of robot 2 (p1/p3)")
     parser.add_argument("--omega", default="0", help="workload mixing weight (p3)")

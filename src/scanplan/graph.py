@@ -514,11 +514,6 @@ def _distinct(*columns) -> set:
     return values
 
 
-def _common_denominator(ratios: Mapping) -> int:
-    """The least common multiple of the denominators of ``ratios``."""
-    return math.lcm(*{q for _, q in ratios.values()})
-
-
 def _assemble(ids, sizes, inertia, eu, ev, costs, ratios: Mapping, den: int) -> ExchangeGraph:
     """Bring every value over the common denominator ``den`` and construct
     the graph, which checks every vertex and then prunes the isolated ones.
@@ -540,7 +535,7 @@ def _key_ratios(sizes, inertia, costs) -> tuple[dict, int]:
     """The ratios and the common denominator that :func:`_assemble` takes,
     for value columns of :func:`_key` returns."""
     ratios = {x: x if type(x) is tuple else (x, 1) for x in _distinct(sizes, inertia, [costs])}
-    return ratios, _common_denominator(ratios)
+    return ratios, math.lcm(*{q for _, q in ratios.values()})
 
 
 def _index(value, what) -> int:
@@ -917,12 +912,13 @@ def loads_graph(text: str) -> ExchangeGraph:
     except (KeyError, TypeError, AttributeError, ValidationError):
         # the messages name decimal tokens as the Fractions they denote
         _raise_first_fault(_load_json(text, parse_float=Fraction))
-    den = _common_denominator(ratios)
-    if den >= 10**MAX_DENOMINATOR_DIGITS:
-        raise GraphFormatError(
-            f"the values' common denominator ({den.bit_length()} bits) exceeds "
-            f"{MAX_DENOMINATOR_DIGITS} digits"
-        )
+    # a prefix's LCM divides the whole one, so the first prefix past the
+    # bound decides, in any order, and no LCM grows far beyond the bound
+    den, bound = 1, 10**MAX_DENOMINATOR_DIGITS
+    for q in {q for _, q in ratios.values()}:
+        den = math.lcm(den, q)
+        if den >= bound:
+            raise GraphFormatError(f"the values' common denominator exceeds {MAX_DENOMINATOR_DIGITS} digits")
     return _assemble(ids, sizes, inertia, *_end_positions(ids, us, vs), costs, ratios, den)
 
 

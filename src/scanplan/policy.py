@@ -12,19 +12,17 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import (
     EmptySide,
     GraphFormatError,
-    InadmissiblePolicy,
     LabelDomainMismatch,
     ValidationError,
 )
 from .graph import (
-    EdgeKey,
     ExchangeGraph,
     VertexId,
     _load_file,
@@ -33,7 +31,7 @@ from .graph import (
     _shown_ids,
     weight_numerators,
 )
-from .objectives import Objective, as_fraction, clip_text
+from .objectives import Objective, clip_text
 
 
 class Policy:
@@ -74,7 +72,9 @@ class Policy:
         return f"Policy(ones={{{ones}}})"
 
 
-def _check_domain(g: ExchangeGraph, pi: Policy) -> None:
+def _sent_masks(g: ExchangeGraph, pi: Policy) -> tuple[np.ndarray, np.ndarray]:
+    """Per side, a mask of the vertices the policy transmits.
+    ``LabelDomainMismatch`` unless the policy labels exactly g's vertices."""
     if pi.domain != g.vertex_set:
         missing = g.vertex_set - pi.domain
         extra = pi.domain - g.vertex_set
@@ -82,12 +82,12 @@ def _check_domain(g: ExchangeGraph, pi: Policy) -> None:
             f"policy domain mismatch (missing {len(missing)}: [{_shown_ids(sorted(missing))}], "
             f"extra {len(extra)}: [{_shown_ids(sorted(extra))}])"
         )
+    return g.label_masks(pi.ones)
 
 
 def is_admissible(g: ExchangeGraph, pi: Policy) -> bool:
     """True iff every candidate edge has at least one transmitted endpoint."""
-    _check_domain(g, pi)
-    sent1, sent2 = g.label_masks(pi.ones)
+    sent1, sent2 = _sent_masks(g, pi)
     return bool((sent1[g.eu] | sent2[g.ev]).all())
 
 
@@ -110,112 +110,19 @@ def comm_cost(g: ExchangeGraph, pi: Policy) -> Fraction:
     return objective_cost(g, pi, Objective.p2())
 
 
-class WorkloadReport(NamedTuple):
-    """Partition of the candidate set induced by an admissible policy.
-
-    ``l1_edges`` is the set robot 1 must verify (edges whose side-2
-    endpoint transmitted), ``l2_edges`` symmetrically; their intersection
-    ``l12_edges`` is verified redundantly by both robots, on purpose.
-    ``ell1``/``ell2`` are the per-robot verification costs and
-    ``f_balance`` their alpha-weighted combination.
-    """
-
-    l1_edges: frozenset[EdgeKey]
-    l2_edges: frozenset[EdgeKey]
-    l12_edges: frozenset[EdgeKey]
-    ell1: Fraction
-    ell2: Fraction
-    f_balance: Fraction
-
-
-def _division(
-    g: ExchangeGraph, pi: Policy, refusal: str
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """An admissible policy's division of labour on the index arrays: per
-    side, a mask of the transmitted vertices; per robot, a mask of the edges
-    it verifies. ``InadmissiblePolicy(refusal)`` when an edge has neither
-    endpoint transmitted."""
-    _check_domain(g, pi)
-    sent1, sent2 = g.label_masks(pi.ones)
-    # robot 1 verifies an edge when it received the side-2 scan, and robot 2
-    # when it received the side-1 scan
-    on_robot = (sent2[g.ev], sent1[g.eu])
-    if not (on_robot[0] | on_robot[1]).all():
-        raise InadmissiblePolicy(refusal)
-    return (sent1, sent2), on_robot
-
-
-def _cost_num(g: ExchangeGraph, edges: np.ndarray) -> int:
-    """Summed cost of the edges in a mask, as a numerator over ``g.den``."""
-    return sum(compress(g.cost_num, edges.tolist()))
-
-
-def _edge_key_set(g: ExchangeGraph, edges: np.ndarray) -> frozenset[EdgeKey]:
-    """The ``(u, v)`` keys of some edges, given as a mask or as positions;
-    built for those edges only."""
-    vids1, vids2 = g.vids
-    return frozenset(
-        zip(map(vids1.__getitem__, g.eu[edges].tolist()), map(vids2.__getitem__, g.ev[edges].tolist()))
-    )
-
-
-def workloads(g: ExchangeGraph, pi: Policy, alpha1=1, alpha2=1) -> WorkloadReport:
-    """Compute the induced division of labor for an admissible policy."""
-    _, (l1, l2) = _division(g, pi, "workload partition is defined for admissible policies")
-    alpha1 = as_fraction(alpha1)
-    alpha2 = as_fraction(alpha2)
-    ell1, ell2 = (Fraction(_cost_num(g, m), g.den) for m in (l1, l2))
-    return WorkloadReport(
-        l1_edges=_edge_key_set(g, l1),
-        l2_edges=_edge_key_set(g, l2),
-        l12_edges=_edge_key_set(g, l1 & l2),
-        ell1=ell1,
-        ell2=ell2,
-        f_balance=alpha1 * ell1 + alpha2 * ell2,
-    )
-
-
 def balance_cost(g: ExchangeGraph, pi: Policy, alpha1=1, alpha2=1) -> Fraction:
     """Workload objective as a pure per-vertex sum; unlike
-    :func:`workloads` this is defined for inadmissible labelings too."""
+    :func:`scanplan.protocol.workloads` this is defined for inadmissible
+    labelings too."""
     return objective_cost(g, pi, Objective.p1(alpha1, alpha2))
 
 
 def objective_cost(g: ExchangeGraph, pi: Policy, obj: Objective) -> Fraction:
     """Cost of a labeling under an objective; equals the sum of per-vertex
     effective weights over the labeled vertices."""
-    _check_domain(g, pi)
+    sent = _sent_masks(g, pi)
     weight, den = weight_numerators(g, obj)
-    sent = g.label_masks(pi.ones)
     return Fraction(sum(sum(compress(w, m.tolist())) for w, m in zip(weight, sent)), den)
-
-
-class Transmission(NamedTuple):
-    vertex: VertexId
-    dest_side: int
-    size: Fraction
-
-
-def _schedule(g: ExchangeGraph, sent: tuple[np.ndarray, np.ndarray]) -> list[tuple[int, int, int]]:
-    """The transmitted scans in ascending (side, index) order, from per-side
-    masks of the transmitted vertices: ``(side, index, size)`` with the
-    effective scan size as a numerator over ``g.den``."""
-    return [
-        (side, index, size)
-        for side, ids, eff, mask in zip((1, 2), g.ids, g.eff_num, sent)
-        for index, size in sorted(compress(zip(ids, eff), mask.tolist()))
-    ]
-
-
-def execute_order(g: ExchangeGraph, pi: Policy) -> list[Transmission]:
-    """Deterministic transmission schedule for an admissible policy: the
-    labeled scans in ascending (side, index) order, each going to the
-    other robot, with its effective byte count."""
-    sent, _ = _division(g, pi, "refusing to execute an incomplete-search policy")
-    return [
-        Transmission(VertexId(side, index), 3 - side, Fraction(size, g.den))
-        for side, index, size in _schedule(g, sent)
-    ]
 
 
 # -- policy file format ----------------------------------------------------

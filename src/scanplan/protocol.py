@@ -1,13 +1,18 @@
-"""Broker-mediated rendezvous simulation with byte-accurate accounting.
+"""The division of labour an admissible policy induces, and the
+broker-mediated rendezvous that carries it out with byte-accurate
+accounting.
 
-The exchange session runs six deterministic rounds: both robots send
-compact per-pose metadata to the broker, the broker solves for the
-cheapest complete-search policy and returns it, the robots execute the
-policy by exchanging scans, each verifies its assigned candidate edges
-against the simulated ground truth, and finally the robots swap the loop
-closures the other one could not have discovered itself. Edges whose both
-endpoints were transmitted are verified redundantly by both robots on
-purpose; those discoveries never need a closure message.
+A policy's division of labour assigns each candidate edge to the robots
+that received the other endpoint's scan (:func:`workloads`) and fixes the
+order the transmitted scans go in (:func:`execute_order`). The exchange
+session runs six deterministic rounds: both robots send compact per-pose
+metadata to the broker, the broker solves for the cheapest complete-search
+policy and returns it, the robots execute the policy by exchanging scans,
+each verifies its assigned candidate edges against the simulated ground
+truth, and finally the robots swap the loop closures the other one could
+not have discovered itself. Edges whose both endpoints were transmitted
+are verified redundantly by both robots on purpose; those discoveries
+never need a closure message.
 
 Actors are simulated in-process ("robot1", "robot2", "broker"); traces
 are byte-identical across runs for identical inputs.
@@ -15,29 +20,123 @@ are byte-identical across runs for identical inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GroundTruthOutsideCandidates, ValidationError
-from .graph import EdgeKey, ExchangeGraph, _shown_ids, format_rational
-from .objectives import Objective
+from .errors import GroundTruthOutsideCandidates, InadmissiblePolicy, ValidationError
+from .graph import EdgeKey, ExchangeGraph, VertexId, _shown_ids, format_rational
+from .objectives import Objective, as_fraction
 from .policy import (
     Policy,
-    _cost_num,
-    _division,
-    _edge_key_set,
-    _schedule,
-    execute_order,  # noqa: F401  (still importable from scanplan.protocol)
+    _sent_masks,
     full_bidirectional,
-    is_admissible,  # noqa: F401
+    is_admissible,  # noqa: F401  (perfbench/tracing.py wraps scanplan.protocol.is_admissible)
     monolog,
-    workloads,  # noqa: F401
 )
 from .solver import solve
+
+
+# -- division of labour ------------------------------------------------------
+
+
+class WorkloadReport(NamedTuple):
+    """Partition of the candidate set induced by an admissible policy.
+
+    ``l1_edges`` is the set robot 1 must verify (edges whose side-2
+    endpoint transmitted), ``l2_edges`` symmetrically; their intersection
+    ``l12_edges`` is verified redundantly by both robots, on purpose.
+    ``ell1``/``ell2`` are the per-robot verification costs and
+    ``f_balance`` their alpha-weighted combination.
+    """
+
+    l1_edges: frozenset[EdgeKey]
+    l2_edges: frozenset[EdgeKey]
+    l12_edges: frozenset[EdgeKey]
+    ell1: Fraction
+    ell2: Fraction
+    f_balance: Fraction
+
+
+class Transmission(NamedTuple):
+    vertex: VertexId
+    dest_side: int
+    size: Fraction
+
+
+def _division(
+    g: ExchangeGraph, pi: Policy, refusal: str
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """An admissible policy's division of labour on the index arrays: per
+    side, a mask of the transmitted vertices; per robot, a mask of the edges
+    it verifies. ``InadmissiblePolicy(refusal)`` when an edge has neither
+    endpoint transmitted."""
+    sent1, sent2 = _sent_masks(g, pi)
+    # robot 1 verifies an edge when it received the side-2 scan, and robot 2
+    # when it received the side-1 scan
+    on_robot = (sent2[g.ev], sent1[g.eu])
+    if not (on_robot[0] | on_robot[1]).all():
+        raise InadmissiblePolicy(refusal)
+    return (sent1, sent2), on_robot
+
+
+def _cost_num(g: ExchangeGraph, edges: np.ndarray) -> int:
+    """Summed cost of the edges in a mask, as a numerator over ``g.den``."""
+    return sum(compress(g.cost_num, edges.tolist()))
+
+
+def _edge_key_set(g: ExchangeGraph, edges: np.ndarray) -> frozenset[EdgeKey]:
+    """The ``(u, v)`` keys of some edges, given as a mask or as positions;
+    built for those edges only."""
+    vids1, vids2 = g.vids
+    return frozenset(
+        zip(map(vids1.__getitem__, g.eu[edges].tolist()), map(vids2.__getitem__, g.ev[edges].tolist()))
+    )
+
+
+def _schedule(g: ExchangeGraph, sent: tuple[np.ndarray, np.ndarray]) -> list[tuple[int, int, int]]:
+    """The transmitted scans in ascending (side, index) order, from per-side
+    masks of the transmitted vertices: ``(side, index, size)`` with the
+    effective scan size as a numerator over ``g.den``."""
+    return [
+        (side, index, size)
+        for side, ids, eff, mask in zip((1, 2), g.ids, g.eff_num, sent)
+        for index, size in sorted(compress(zip(ids, eff), mask.tolist()))
+    ]
+
+
+def workloads(g: ExchangeGraph, pi: Policy, alpha1=1, alpha2=1) -> WorkloadReport:
+    """Compute the induced division of labor for an admissible policy."""
+    _, (l1, l2) = _division(g, pi, "workload partition is defined for admissible policies")
+    alpha1 = as_fraction(alpha1)
+    alpha2 = as_fraction(alpha2)
+    ell1, ell2 = (Fraction(_cost_num(g, m), g.den) for m in (l1, l2))
+    return WorkloadReport(
+        l1_edges=_edge_key_set(g, l1),
+        l2_edges=_edge_key_set(g, l2),
+        l12_edges=_edge_key_set(g, l1 & l2),
+        ell1=ell1,
+        ell2=ell2,
+        f_balance=alpha1 * ell1 + alpha2 * ell2,
+    )
+
+
+def execute_order(g: ExchangeGraph, pi: Policy) -> list[Transmission]:
+    """Deterministic transmission schedule for an admissible policy: the
+    labeled scans in ascending (side, index) order, each going to the
+    other robot, with its effective byte count."""
+    sent, _ = _division(g, pi, "refusing to execute an incomplete-search policy")
+    return [
+        Transmission(VertexId(side, index), 3 - side, Fraction(size, g.den))
+        for side, index, size in _schedule(g, sent)
+    ]
+
+
+# -- the broker session --------------------------------------------------------
 
 ROBOT = {1: "robot1", 2: "robot2"}
 BROKER = "broker"
@@ -80,25 +179,6 @@ class RendezvousConfig:
             raise ValidationError(f"broker_host must be 1, 2, or None, got {self.broker_host}")
 
 
-# RendezvousTrace's public values, in the order they are compared
-_TRACE_VALUES = (
-    "messages",
-    "policy",
-    "verified_1",
-    "verified_2",
-    "redundant",
-    "discovered_1",
-    "discovered_2",
-    "undelivered_1",
-    "undelivered_2",
-    "metadata_bytes",
-    "scan_bytes",
-    "closure_bytes",
-    "ell1",
-    "ell2",
-)
-
-
 @dataclass(frozen=True, eq=False)
 class RendezvousTrace:
     """Complete record of one simulated exchange.
@@ -106,7 +186,7 @@ class RendezvousTrace:
     ``verified_1``, ``verified_2`` and ``redundant`` are the candidate edges
     robot 1, robot 2 and both screened. They are built from per-edge masks
     on first access and cached, like the graph's ``edges``. Two traces are
-    equal when every one of their values is.
+    equal when every one of their public values is.
     """
 
     messages: tuple[Message, ...]
@@ -121,8 +201,8 @@ class RendezvousTrace:
     ell1: Fraction
     ell2: Fraction
     # the graph and, per robot, the mask of the edges it screened
-    _graph: ExchangeGraph = field(repr=False)
-    _on_robot: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    _graph: ExchangeGraph = field(repr=False, compare=False)
+    _on_robot: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
 
     @cached_property
     def verified_1(self) -> frozenset[EdgeKey]:
@@ -141,7 +221,12 @@ class RendezvousTrace:
         return self.metadata_bytes + self.scan_bytes + self.closure_bytes
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in _TRACE_VALUES)
+        return (
+            *(getattr(self, f.name) for f in fields(self) if f.compare),
+            self.verified_1,
+            self.verified_2,
+            self.redundant,
+        )
 
     def __eq__(self, other):
         if not isinstance(other, RendezvousTrace):

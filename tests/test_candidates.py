@@ -637,6 +637,12 @@ def test_pose_ids_must_increase():
         Trajectory([a, b])
 
 
+def test_negative_feature_count_refused():
+    pose = sp.Pose(0, np.zeros(3), np.eye(3), feature_count=-1)
+    with pytest.raises(sp.ValidationError, match="^pose 0 has negative feature count$"):
+        Trajectory([pose])
+
+
 def test_rotation_validation():
     bad = sp.Pose(0, np.zeros(3), np.eye(3) * 2.0)
     with pytest.raises(sp.ValidationError):
@@ -888,6 +894,16 @@ def test_kitti_orthonormalizes_rounded_rotations(tmp_path):
     f.write_text(" ".join(str(v) for v in row) + "\n")
     traj = read_kitti_poses(f)
     r = traj[0].rotation
+    assert np.abs(r @ r.T - np.eye(3)).max() <= 1e-9
+
+
+def test_kitti_projects_a_reflection_to_a_rotation(tmp_path):
+    # an orthonormal matrix of determinant -1 is no rotation: the nearest
+    # rotation is taken instead
+    f = tmp_path / "poses.txt"
+    f.write_text("1 0 0 0 0 1 0 0 0 0 -1 0\n")
+    r = read_kitti_poses(f)[0].rotation
+    assert np.linalg.det(r) == pytest.approx(1)
     assert np.abs(r @ r.T - np.eye(3)).max() <= 1e-9
 
 

@@ -748,6 +748,13 @@ def test_graph_value_that_is_not_a_number_exits_2_naming_file(capsys, tmp_path, 
     assert out == ""
 
 
+@pytest.mark.parametrize("value, shown", [("true", "True"), ("null", "None")])
+def test_graph_scan_size_that_is_a_json_literal_exits_2(capsys, tmp_path, value, shown):
+    path = tmp_path / "g.json"
+    path.write_text(GRAPH_WITH_FIELD["scan_size"] % value)
+    assert run(capsys, "solve", "--graph", str(path)) == (2, "", f"error: {path}: expected a number, got {shown}\n")
+
+
 @pytest.mark.parametrize(
     "reader, text, message",
     [
@@ -953,6 +960,39 @@ def test_input_with_two_faults_reports_the_first(capsys, tmp_path, argv, message
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("sweep --parameter omega --start 0 --stop 1 --step 1", "omega sweeps need --graph"),
+        ("sweep --parameter alpha --start 0 --stop 1 --step 1 --synthetic", "alpha sweeps need --scores"),
+        (
+            f"build-graph --scores {DATA / 'scores_40x40.txt'} --features1 {DATA / 'features_40.txt'} --out g.json",
+            "appearance graphs need --features1 and --features2",
+        ),
+    ],
+    ids=["omega sweep", "alpha sweep", "appearance build"],
+)
+def test_missing_input_flag_exits_2(capsys, argv, message):
+    assert run(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+
+
+def test_solve_and_sweep_on_graphs_without_vertices(capsys, tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text('{"v1": [], "v2": [], "edges": []}')
+    code, out, _ = run(capsys, "solve", "--graph", str(path))
+    assert code == 0
+    assert "optimal_cost 0\nmonolog1_cost n/a\nmonolog2_cost n/a\n" in out
+    # a 1 mm gate keeps no pose pair, so every vertex is pruned
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, out, _ = run(
+            capsys, "sweep", "--synthetic", "--synthetic-poses", "12", "--parameter", "dmax",
+            "--start", "1/1000", "--stop", "1/1000", "--step", "1",
+        )
+    assert code == 0
+    assert out.splitlines()[1:] == ["0.001,0,0,0,0,0,0"]
+
+
 @pytest.mark.parametrize("flag", ["--alpha1", "--alpha2", "--omega"])
 @pytest.mark.parametrize(
     "value, code",
@@ -1044,8 +1084,22 @@ def test_common_denominator_bound_is_checked_before_any_value_is_scaled(capsys, 
         tracemalloc.stop()
     assert code == 2
     assert out == ""
-    assert err == f"error: {path}: the values' common denominator (137134 bits) exceeds 1000 digits\n"
+    assert err == f"error: {path}: the values' common denominator exceeds 1000 digits\n"
     assert peak < 50 * 2**20
+
+
+def test_common_denominator_bound_refuses_in_linear_time(capsys, tmp_path):
+    # 32,000 scan sizes 1/p over primes above 10**5: the LCM of every
+    # denominator, taken before the check, made this refusal take 5.2 s; a
+    # running LCM stops once it passes the bound
+    primes = [p for p in primes_below(520_000) if p > 10**5][:32_000]
+    path = reciprocal_prime_graph(tmp_path / "g.json", 32_000, primes)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "solve", "--graph", path)
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: the values' common denominator exceeds 1000 digits\n"
+    assert elapsed < 2
 
 
 def test_common_denominator_bound_comes_before_the_graph_checks(capsys, tmp_path):

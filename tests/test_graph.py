@@ -343,6 +343,52 @@ def test_unknown_vertex_rejected(double_star):
         effective_weight(double_star, sp.VertexId(1, 99), sp.Objective.p2())
 
 
+# one vertex per side and one edge, as the constructor's index arrays
+ONE_EDGE_ARRAYS = dict(
+    ids=([0], [0]), den=1, size_num=([1], [1]), inertia_num=([None], [None]), eu=[0], ev=[0], cost_num=[1]
+)
+
+
+@pytest.mark.parametrize(
+    "arrays, error, message",
+    [
+        ({"den": 0}, sp.ValidationError, "common denominator must be a positive integer, got 0"),
+        ({"den": -1}, sp.ValidationError, "common denominator must be a positive integer, got -1"),
+        ({"ids": ([0, 1], [0])}, sp.ValidationError, "side 1 arrays differ in length"),
+        ({"cost_num": [1, 1]}, sp.ValidationError, "edge endpoint arrays and edge costs differ in length"),
+        ({"ev": [1]}, sp.IndexOutOfRange, "edge 0 references a missing vertex position"),
+    ],
+)
+def test_constructor_refuses_inconsistent_index_arrays(arrays, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        sp.ExchangeGraph(**{**ONE_EDGE_ARRAYS, **arrays})
+
+
+def test_side_lookups_refuse_a_third_side(double_star):
+    for lookup in (double_star.side, double_star.side_vids):
+        with pytest.raises(sp.ValidationError, match="^robot side must be 1 or 2, got 3$"):
+            lookup(3)
+
+
+def test_edge_lookups_outside_the_candidate_set(double_star):
+    with pytest.raises(sp.UnknownVertex, match="^no edge 1:1--2:1 in graph$"):
+        double_star.edge_cost((sp.VertexId(1, 1), sp.VertexId(2, 1)))
+    empty = sp.build_graph([], [], [])
+    keys = [(sp.VertexId(1, 0), sp.VertexId(2, 0)), None]
+    assert empty.edge_positions(keys).tolist() == [-1, -1]
+    assert empty.edge_index(keys[0]) is None
+
+
+def test_incidence_view_costs_and_unknown_vertices(double_star):
+    inc = double_star.incidence()
+    with pytest.raises(sp.UnknownVertex, match="^vertex 1:9 not in graph$"):
+        inc.edges_at(sp.VertexId(1, 9))
+    for vid in double_star.vertex_ids:
+        assert inc.incident_cost(vid) == sum(e.cost for e in inc.edges_at(vid))
+    # each hub verifies its four edges, each leaf its one
+    assert inc.incident_cost(sp.VertexId(1, 0)) == 4 and inc.incident_cost(sp.VertexId(2, 3)) == 1
+
+
 def test_degree_sum_is_twice_edge_count():
     rng = random.Random(11)
     for _ in range(25):
@@ -661,3 +707,13 @@ def test_number_text_with_a_bad_exponent_is_a_format_error(value, message):
         sp.loads_graph(text % value)
     with pytest.raises(sp.ValidationError, match=f"^{re.escape(message)}$"):
         as_fraction(value)
+
+
+def test_a_boolean_is_not_a_number():
+    with pytest.raises(sp.ValidationError, match="^cannot interpret True as a number$"):
+        as_fraction(True)
+
+
+def test_unknown_objective_variant_refused():
+    with pytest.raises(sp.ValidationError, match="^unknown objective variant 'p4'$"):
+        sp.Objective("p4")

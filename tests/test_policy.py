@@ -188,6 +188,11 @@ def test_execute_order_requires_admissible(double_star):
         sp.execute_order(double_star, sp.Policy(double_star.vertex_ids, ()))
 
 
+def test_policy_refuses_labels_outside_its_domain():
+    with pytest.raises(sp.ValidationError, match="^labeled vertices outside the policy domain$"):
+        sp.Policy([A1], [A1, B1])
+
+
 def test_label_domain_mismatch(double_star, single_edge):
     pi = sp.monolog(single_edge, 1)
     with pytest.raises(sp.LabelDomainMismatch):

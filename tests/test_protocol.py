@@ -2,6 +2,7 @@
 and the strategy comparison ordering."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -150,6 +151,18 @@ def test_metadata_accounting_and_broker_hosting(double_star):
     )
     # robot 1's legs are free when it hosts the broker
     assert hosted.metadata_bytes == 4 * 3 + 1
+
+
+@pytest.mark.parametrize(
+    "knobs, message",
+    [
+        ({"metadata_bytes_per_vertex": -1}, "message byte sizes must be non-negative"),
+        ({"broker_host": 3}, "broker_host must be 1, 2, or None, got 3"),
+    ],
+)
+def test_config_refuses_bad_knobs(knobs, message):
+    with pytest.raises(sp.ValidationError, match=f"^{re.escape(message)}$"):
+        sp.RendezvousConfig(**knobs)
 
 
 def test_trace_format_lines(double_star):

@@ -177,6 +177,14 @@ def test_empty_graph_solves_to_nothing():
     assert res.optimal_cost == 0 and res.policy.ones == frozenset()
 
 
+def test_fast_paths_solve_an_edgeless_graph_to_nothing():
+    g = sp.build_graph([], [], [])
+    for result, method in ((sp.solve_uniform_matching(g), "matching"), (sp.p1_closed_form(g, 2, 3), "closed_form")):
+        assert result.policy == sp.Policy((), ())
+        assert result.optimal_cost == result.certificate == 0
+        assert result.method == method
+
+
 def test_unknown_engine_rejected_on_empty_graph():
     # every vertex is isolated, so loading prunes them all and no cut runs
     text = '{"v1": [{"id": 0, "scan_size": 1}], "v2": [{"id": 0, "scan_size": 1}], "edges": []}'
@@ -416,6 +424,11 @@ def test_hall_uniform_complete_smaller_side():
 def test_hall_uniform_rejects_mixed_weights(single_edge):
     with pytest.raises(sp.NonUniformWeights):
         sp.check_hall_uniform(single_edge, 1)
+
+
+def test_hall_uniform_refuses_a_third_side(double_star):
+    with pytest.raises(sp.ValidationError, match="^robot side must be 1 or 2, got 3$"):
+        sp.check_hall_uniform(double_star, 3)
 
 
 def test_hall_iff_ghc_under_uniform_weights():
