@@ -105,42 +105,6 @@ class ScanVertex:
         return self.scan_size if self.inertia is None else self.inertia
 
 
-class IncidenceView:
-    """Immutable per-vertex adjacency view of a validated graph.
-
-    Conceptually the unoriented incidence structure: every edge appears in
-    exactly two adjacency lists, one per endpoint.
-    """
-
-    def __init__(self, g: "ExchangeGraph"):
-        adj: dict[VertexId, list[Edge]] = {vid: [] for vid in g.vertex_ids}
-        for e in g.edges:
-            adj[e.u].append(e)
-            adj[e.v].append(e)
-        self._adj = {vid: tuple(es) for vid, es in adj.items()}
-        self._g = g
-
-    def edges_at(self, vid: VertexId) -> tuple[Edge, ...]:
-        try:
-            return self._adj[vid]
-        except KeyError:
-            raise UnknownVertex(f"vertex {vid} not in graph") from None
-
-    def neighbors(self, vid: VertexId) -> tuple[VertexId, ...]:
-        return tuple(e.v if e.u == vid else e.u for e in self.edges_at(vid))
-
-    def degree(self, vid: VertexId) -> int:
-        return len(self.edges_at(vid))
-
-    def incident_cost(self, vid: VertexId) -> Fraction:
-        """Sum of verification costs over the edges at ``vid``."""
-        s, k = self._g.locate(vid)
-        return Fraction(self._g.incident_num[s][k], self._g.den)
-
-    def items(self):
-        return self._adj.items()
-
-
 class ExchangeGraph:
     """Validated bipartite exchange graph. Build via :func:`build_graph`,
     :meth:`from_vertices` or :func:`loads_graph`; the constructor takes the
@@ -312,10 +276,6 @@ class ExchangeGraph:
         order = np.argsort(codes)
         return codes[order], order
 
-    @cached_property
-    def _incidence(self) -> IncidenceView:
-        return IncidenceView(self)
-
     # -- integer columns, built on first use -------------------------------
 
     @cached_property
@@ -359,13 +319,6 @@ class ExchangeGraph:
             return False
         return True
 
-    def side(self, side: int) -> tuple[ScanVertex, ...]:
-        if side == 1:
-            return self.v1
-        if side == 2:
-            return self.v2
-        raise ValidationError(f"robot side must be 1 or 2, got {side}")
-
     def side_vids(self, side: int) -> tuple[VertexId, ...]:
         if side not in (1, 2):
             raise ValidationError(f"robot side must be 1 or 2, got {side}")
@@ -382,9 +335,6 @@ class ExchangeGraph:
     @property
     def num_edges(self) -> int:
         return len(self.cost_num)
-
-    def incidence(self) -> IncidenceView:
-        return self._incidence
 
     def edge_positions(self, keys: Iterable) -> np.ndarray:
         """Position of each edge ``(u, v)`` of ``keys`` in the edge arrays,
@@ -411,15 +361,9 @@ class ExchangeGraph:
         at = np.minimum(np.searchsorted(edge_codes, codes), self.num_edges - 1)
         return np.where(edge_codes[at] == codes, order[at], -1)
 
-    def edge_index(self, key) -> int | None:
-        """Position of the edge ``(u, v)`` in the edge arrays, or None when
-        the pair is not a candidate edge."""
-        k = int(self.edge_positions([key])[0])
-        return None if k < 0 else k
-
     def edge_cost(self, key: EdgeKey) -> Fraction:
-        k = self.edge_index(key)
-        if k is None:
+        k = int(self.edge_positions([key])[0])
+        if k < 0:
             raise UnknownVertex(f"no edge {key[0]}--{key[1]} in graph")
         return Fraction(self.cost_num[k], self.den)
 
@@ -432,14 +376,6 @@ class ExchangeGraph:
 
     def total_edge_cost(self) -> Fraction:
         return Fraction(sum(self.cost_num), self.den)
-
-    def scan_weight(self, vid: VertexId) -> Fraction:
-        """Effective scan size: the inertia price when set, else the size."""
-        s, k = self.locate(vid)
-        return Fraction(self.eff_num[s][k], self.den)
-
-    def total_scan_weight(self) -> Fraction:
-        return Fraction(sum(self.eff_num[0]) + sum(self.eff_num[1]), self.den)
 
     def __repr__(self):
         return (
@@ -647,13 +583,6 @@ def weight_numerators(g: ExchangeGraph, objective: Objective) -> tuple[tuple[lis
         ),
         den,
     )
-
-
-def workload_weight(g: ExchangeGraph, vid: VertexId, alpha1, alpha2) -> Fraction:
-    """Per-vertex workload price: ``vid``'s weight under P1 (see
-    :func:`_weight_terms`), its incident edge cost times alpha2 on side 1
-    and alpha1 on side 2."""
-    return effective_weight(g, vid, Objective.p1(alpha1, alpha2))
 
 
 def effective_weight(g: ExchangeGraph, vid: VertexId, objective: Objective) -> Fraction:

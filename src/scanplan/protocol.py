@@ -20,17 +20,19 @@ are byte-identical across runs for identical inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import GroundTruthOutsideCandidates, InadmissiblePolicy, ValidationError
 from .graph import EdgeKey, ExchangeGraph, VertexId, _shown_ids, format_rational
-from .objectives import Objective, as_fraction
+from .objectives import Objective, as_fraction, clip_text
 from .policy import (
     Policy,
     _sent_masks,
@@ -154,6 +156,13 @@ class Message(NamedTuple):
     summary: str
 
 
+def _is_vertex_id(end) -> bool:
+    """Whether ``end`` is a ``(side, index)`` pair of integers."""
+    return (
+        isinstance(end, tuple) and len(end) == 2 and all(isinstance(x, Integral) and not isinstance(x, bool) for x in end)
+    )
+
+
 @dataclass(frozen=True)
 class RendezvousConfig:
     """Knobs of one exchange session.
@@ -161,8 +170,10 @@ class RendezvousConfig:
     ``metadata_bytes_per_vertex`` prices the per-pose descriptors sent to
     the broker (3 bytes fits one vocabulary word). ``broker_host`` set to
     1 or 2 co-locates the broker with that robot, zeroing its metadata
-    legs; None models a third-party broker. Ground-truth closures must be
-    candidate edges; verification is simulated by membership.
+    legs; None models a third-party broker. Both byte sizes are finite,
+    non-negative real numbers. Ground-truth closures must be pairs of
+    ``(side, index)`` ids, kept as a frozenset, and candidate edges;
+    verification is simulated by membership.
     """
 
     objective: Objective = field(default_factory=Objective.p2)
@@ -173,10 +184,22 @@ class RendezvousConfig:
     broker_host: int | None = None
 
     def __post_init__(self):
+        for name in ("metadata_bytes_per_vertex", "closure_message_bytes"):
+            size = getattr(self, name)
+            if isinstance(size, bool) or not isinstance(size, Real) or size != size or abs(size) == math.inf:
+                raise ValidationError(f"{name} must be a finite number, got {clip_text(repr(size))}")
         if self.metadata_bytes_per_vertex < 0 or self.closure_message_bytes < 0:
             raise ValidationError("message byte sizes must be non-negative")
         if self.broker_host not in (None, 1, 2):
             raise ValidationError(f"broker_host must be 1, 2, or None, got {self.broker_host}")
+        # read once, so that an iterator is not used up by the check
+        closures = tuple(self.ground_truth_closures)
+        for pair in closures:
+            if not (isinstance(pair, tuple) and len(pair) == 2 and all(map(_is_vertex_id, pair))):
+                raise ValidationError(
+                    f"ground-truth closure {clip_text(repr(pair))} is not a pair of (side, index) ids"
+                )
+        object.__setattr__(self, "ground_truth_closures", frozenset(closures))
 
 
 @dataclass(frozen=True, eq=False)

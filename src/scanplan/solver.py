@@ -128,6 +128,8 @@ class SolveResult:
     integral cover polytope: a max-flow value for the cut method, the
     matching weight for the uniform fast path, the enumerated minimum for
     brute force, and the per-edge lower bound for the closed form.
+    ``matching`` holds the matched pairs when ``method`` is "matching",
+    else None.
     """
 
     policy: Policy
@@ -280,8 +282,6 @@ def solve_uniform_matching(g: ExchangeGraph) -> SolveResult:
     min cut of the unit-weight cover network, with a maximum bipartite
     matching of the same size as its certificate."""
     unit = _uniform_scan_weight(g)
-    if not g.num_edges:
-        return SolveResult(Policy(g.vertex_ids, ()), Fraction(0), "matching", Fraction(0))
     n1, n2 = map(len, g.ids)
     policy = _min_cut_cover(g, ([1] * n1, [1] * n2), 1).policy
     match = _max_matching(g)
@@ -301,9 +301,8 @@ def check_hall_uniform(g: ExchangeGraph, side: int) -> bool:
     that side): whether a maximum matching has one edge per vertex of that
     side. Requires uniform scan weights."""
     _uniform_scan_weight(g)
-    if side not in (1, 2):
-        raise ValidationError(f"robot side must be 1 or 2, got {side}")
-    return int((_max_matching(g) >= 0).sum()) == len(g.ids[side - 1])
+    side_size = len(g.side_vids(side))
+    return int((_max_matching(g) >= 0).sum()) == side_size
 
 
 # -- monolog optimality ------------------------------------------------------

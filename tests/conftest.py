@@ -93,13 +93,16 @@ def ghc_subset_oracle(g: sp.ExchangeGraph, obj: sp.Objective, side: int) -> bool
     """Literal subset enumeration of the generalized Hall's condition:
     every subset of the chosen side must weigh no more than its
     neighborhood. Exponential; test oracle only."""
-    side_ids = [sv.vid for sv in g.side(side)]
+    side_ids = g.side_vids(side)
     weight = {vid: effective_weight(g, vid, obj) for vid in g.vertex_ids}
-    inc = g.incidence()
+    neighbors = {vid: set() for vid in side_ids}
+    for e in g.edges:
+        end, other = (e.u, e.v) if side == 1 else (e.v, e.u)
+        neighbors[end].add(other)
     for mask in range(1, 1 << len(side_ids)):
         subset = [side_ids[i] for i in range(len(side_ids)) if mask >> i & 1]
         w_s = sum(weight[v] for v in subset)
-        neighborhood = {nb for v in subset for nb in inc.neighbors(v)}
+        neighborhood = set().union(*(neighbors[v] for v in subset))
         w_n = sum(weight[v] for v in neighborhood)
         if w_s > w_n:
             return False

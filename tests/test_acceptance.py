@@ -177,7 +177,7 @@ def test_criterion_8_strategy_ordering():
             opt = rows["optimal"].scan_bytes
             m1, m2 = rows["monolog1"].scan_bytes, rows["monolog2"].scan_bytes
             bidir = rows["full_bidirectional"].scan_bytes
-            assert opt <= min(m1, m2) <= m1 + m2 == bidir == g.total_scan_weight()
+            assert opt <= min(m1, m2) <= m1 + m2 == bidir == sp.comm_cost(g, sp.full_bidirectional(g))
 
 
 def test_criterion_9_protocol_completeness():

@@ -583,7 +583,7 @@ def test_geometric_weights_are_feature_count_times_descriptor():
     t1, t2 = two_pose_trajectories(5.0)
     t1 = Trajectory([make_pose(0, 0.0, 0.0, 0.0, feature_count=11)])
     g = build_geometric(t1, t2, GeometryParams(d_max=30, eta=0.0))
-    assert g.scan_weight(sp.VertexId(1, 0)) == 11 * DESCRIPTOR_BYTES
+    assert g.vertex(sp.VertexId(1, 0)).effective_scan_size == 11 * DESCRIPTOR_BYTES
 
 
 def test_geometric_transpose_symmetry():

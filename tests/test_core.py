@@ -181,7 +181,7 @@ def test_session_path_builds_no_boundary_objects():
     for side in (1, 2):
         sp.check_ghc(g, obj, side)
     sp.run_rendezvous(g, sp.RendezvousConfig(objective=obj, ground_truth_closures=gt))
-    assert not {"edges", "v1", "v2", "_incidence"} & vars(g).keys()
+    assert not {"edges", "v1", "v2"} & vars(g).keys()
     # nor edge keys, nor any dict with an entry per edge
     assert not {"edge_key_list", "_edge_keys"} & vars(g).keys()
     assert not [name for name, value in vars(g).items() if isinstance(value, dict) and len(value) >= g.num_edges]
@@ -259,8 +259,8 @@ def test_edge_index_matches_dict_oracle():
             (([], 0), (2, 0)),
         ]
         expected = [lookup(table, key) for key in keys]
-        assert [g.edge_index(key) for key in keys] == expected
         assert g.edge_positions(keys).tolist() == [-1 if k is None else k for k in expected]
+        assert [g.edge_positions([key]).tolist() for key in keys] == [[-1 if k is None else k] for k in expected]
         for key, k in table.items():
             assert g.edge_cost(key) == g.edges[k].cost
 

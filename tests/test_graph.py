@@ -2,7 +2,6 @@
 
 import json
 import math
-import random
 import re
 import warnings
 from fractions import Fraction
@@ -13,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scanplan as sp
-from scanplan.graph import effective_weight, format_rational, workload_weight
+from scanplan.graph import effective_weight, format_rational
 from scanplan.objectives import as_fraction, clip_text
 
-from conftest import build_quiet, random_graph
+from conftest import build_quiet
 
 
 def test_double_star_shape(double_star):
@@ -28,8 +27,8 @@ def test_double_star_shape(double_star):
 def test_smallest_admissible_instance(single_edge):
     assert single_edge.num_vertices == 2
     assert single_edge.num_edges == 1
-    assert single_edge.scan_weight(sp.VertexId(1, 0)) == 5
-    assert single_edge.scan_weight(sp.VertexId(2, 0)) == 3
+    assert single_edge.vertex(sp.VertexId(1, 0)).effective_scan_size == 5
+    assert single_edge.vertex(sp.VertexId(2, 0)).effective_scan_size == 3
 
 
 def test_isolated_vertex_pruned_with_warning():
@@ -300,8 +299,7 @@ def test_effective_weight_p1_double_star(double_star):
     a1 = sp.VertexId(1, 0)
     assert effective_weight(double_star, a1, obj) == 4
     # independent recomputation straight from the incident edge costs
-    inc = double_star.incidence()
-    assert effective_weight(double_star, a1, obj) == sum(e.cost for e in inc.edges_at(a1)) * 1
+    assert effective_weight(double_star, a1, obj) == sum(e.cost for e in double_star.edges if a1 in e.key) * 1
     # a leaf on side 2 is priced with alpha1
     b2 = sp.VertexId(2, 1)
     assert effective_weight(double_star, b2, obj) == 2
@@ -365,9 +363,8 @@ def test_constructor_refuses_inconsistent_index_arrays(arrays, error, message):
 
 
 def test_side_lookups_refuse_a_third_side(double_star):
-    for lookup in (double_star.side, double_star.side_vids):
-        with pytest.raises(sp.ValidationError, match="^robot side must be 1 or 2, got 3$"):
-            lookup(3)
+    with pytest.raises(sp.ValidationError, match="^robot side must be 1 or 2, got 3$"):
+        double_star.side_vids(3)
 
 
 def test_edge_lookups_outside_the_candidate_set(double_star):
@@ -376,39 +373,16 @@ def test_edge_lookups_outside_the_candidate_set(double_star):
     empty = sp.build_graph([], [], [])
     keys = [(sp.VertexId(1, 0), sp.VertexId(2, 0)), None]
     assert empty.edge_positions(keys).tolist() == [-1, -1]
-    assert empty.edge_index(keys[0]) is None
+    with pytest.raises(sp.UnknownVertex, match="^no edge 1:0--2:0 in graph$"):
+        empty.edge_cost(keys[0])
 
 
-def test_incidence_view_costs_and_unknown_vertices(double_star):
-    inc = double_star.incidence()
-    with pytest.raises(sp.UnknownVertex, match="^vertex 1:9 not in graph$"):
-        inc.edges_at(sp.VertexId(1, 9))
-    for vid in double_star.vertex_ids:
-        assert inc.incident_cost(vid) == sum(e.cost for e in inc.edges_at(vid))
-    # each hub verifies its four edges, each leaf its one
-    assert inc.incident_cost(sp.VertexId(1, 0)) == 4 and inc.incident_cost(sp.VertexId(2, 3)) == 1
-
-
-def test_degree_sum_is_twice_edge_count():
-    rng = random.Random(11)
-    for _ in range(25):
-        g = random_graph(rng)
-        inc = g.incidence()
-        assert sum(inc.degree(vid) for vid in g.vertex_ids) == 2 * g.num_edges
-
-
-def test_incidence_lists_cover_each_edge_twice(double_star):
-    counts = {e.key: 0 for e in double_star.edges}
-    for _, edges in double_star.incidence().items():
-        for e in edges:
-            counts[e.key] += 1
-    assert set(counts.values()) == {2}
-
-
-def test_workload_weight_sides():
+def test_effective_weight_p1_sides():
+    # side 1 pays alpha2 per unit of incident cost, side 2 alpha1
     g = sp.build_graph([1, 1], [1], [(0, 0, 3), (1, 0, 5)])
-    assert workload_weight(g, sp.VertexId(1, 0), 7, 2) == 2 * 3
-    assert workload_weight(g, sp.VertexId(2, 0), 7, 2) == 7 * 8
+    obj = sp.Objective.p1(7, 2)
+    assert effective_weight(g, sp.VertexId(1, 0), obj) == 2 * 3
+    assert effective_weight(g, sp.VertexId(2, 0), obj) == 7 * 8
 
 
 # -- serialization ---------------------------------------------------------

@@ -1,6 +1,7 @@
 """Rendezvous simulation: determinism, byte accounting, complete search,
 and the strategy comparison ordering."""
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -51,7 +52,8 @@ def test_dead_channel_marks_undelivered(double_star):
 
 
 def test_ground_truth_outside_candidates_rejected(double_star):
-    with pytest.raises(sp.GroundTruthOutsideCandidates):
+    message = "1 ground-truth closures outside the candidate set: 1:3-2:3"
+    with pytest.raises(sp.GroundTruthOutsideCandidates, match=f"^{re.escape(message)}$"):
         sp.run_rendezvous(
             double_star,
             sp.RendezvousConfig(ground_truth_closures=frozenset({edge(3, 3)})),
@@ -158,11 +160,44 @@ def test_metadata_accounting_and_broker_hosting(double_star):
     [
         ({"metadata_bytes_per_vertex": -1}, "message byte sizes must be non-negative"),
         ({"broker_host": 3}, "broker_host must be 1, 2, or None, got 3"),
+        ({"closure_message_bytes": -0.5}, "message byte sizes must be non-negative"),
+        ({"closure_message_bytes": math.nan}, "closure_message_bytes must be a finite number, got nan"),
+        ({"metadata_bytes_per_vertex": math.inf}, "metadata_bytes_per_vertex must be a finite number, got inf"),
+        ({"closure_message_bytes": -math.inf}, "closure_message_bytes must be a finite number, got -inf"),
+        ({"metadata_bytes_per_vertex": "3"}, "metadata_bytes_per_vertex must be a finite number, got '3'"),
+        ({"closure_message_bytes": None}, "closure_message_bytes must be a finite number, got None"),
+        ({"metadata_bytes_per_vertex": True}, "metadata_bytes_per_vertex must be a finite number, got True"),
+        ({"closure_message_bytes": "9" * 30}, f"closure_message_bytes must be a finite number, got '{'9' * 19}..."),
+        ({"ground_truth_closures": {1, 2}}, "ground-truth closure 1 is not a pair of (side, index) ids"),
+        (
+            {"ground_truth_closures": {(sp.VertexId(1, 0),)}},
+            "ground-truth closure (VertexId(side=1, in... is not a pair of (side, index) ids",
+        ),
+        (
+            {"ground_truth_closures": {edge(0, 5), ("a", "b")}},
+            "ground-truth closure ('a', 'b') is not a pair of (side, index) ids",
+        ),
+        (
+            {"ground_truth_closures": {((1, True), (2, 0))}},
+            "ground-truth closure ((1, True), (2, 0)) is not a pair of (side, index) ids",
+        ),
+        (
+            {"ground_truth_closures": [((1, 0, 0), (2, 0))]},
+            "ground-truth closure ((1, 0, 0), (2, 0)) is not a pair of (side, index) ids",
+        ),
     ],
 )
 def test_config_refuses_bad_knobs(knobs, message):
     with pytest.raises(sp.ValidationError, match=f"^{re.escape(message)}$"):
         sp.RendezvousConfig(**knobs)
+
+
+def test_config_reads_ground_truth_once(double_star):
+    # an iterator of closures gives the session the frozenset would
+    truth = [edge(1, 0), edge(0, 0)]
+    cfg = sp.RendezvousConfig(ground_truth_closures=iter(truth))
+    assert cfg == sp.RendezvousConfig(ground_truth_closures=frozenset(truth))
+    assert sp.run_rendezvous(double_star, cfg).discovered_1 == frozenset(truth)
 
 
 def test_trace_format_lines(double_star):

@@ -183,6 +183,8 @@ def test_fast_paths_solve_an_edgeless_graph_to_nothing():
         assert result.policy == sp.Policy((), ())
         assert result.optimal_cost == result.certificate == 0
         assert result.method == method
+    # the matching path returns its (empty) matched pairs here too
+    assert sp.solve_uniform_matching(g).matching == ()
 
 
 def test_unknown_engine_rejected_on_empty_graph():
@@ -426,9 +428,12 @@ def test_hall_uniform_rejects_mixed_weights(single_edge):
         sp.check_hall_uniform(single_edge, 1)
 
 
-def test_hall_uniform_refuses_a_third_side(double_star):
+def test_hall_uniform_refuses_a_third_side(double_star, single_edge):
     with pytest.raises(sp.ValidationError, match="^robot side must be 1 or 2, got 3$"):
         sp.check_hall_uniform(double_star, 3)
+    # the weights are checked first
+    with pytest.raises(sp.NonUniformWeights):
+        sp.check_hall_uniform(single_edge, 3)
 
 
 def test_hall_iff_ghc_under_uniform_weights():
