@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import EmptyTrajectory, GraphFormatError, ScoreOutOfRange, ValidationError
 from .graph import ExchangeGraph, VertexId, _index, build_graph, open_text
-from .objectives import MAX_NUMBER_DIGITS, clip_text
+from .objectives import MAX_NUMBER_DIGITS, _shown, clip_text
 
 # Standard BRIEF descriptor size.
 DESCRIPTOR_BYTES = 32
@@ -55,24 +55,28 @@ class Trajectory:
         last = None
         for pose in self.poses:
             if last is not None and pose.pid <= last:
-                raise ValidationError(f"pose ids must strictly increase, got {pose.pid} after {last}")
+                raise ValidationError(
+                    f"pose ids must strictly increase, got {_shown(pose.pid, str)} after {_shown(last, str)}"
+                )
             last = pose.pid
             count = pose.feature_count
             # an int is never made a float: one beyond the float range would overflow
             if not isinstance(count, numbers.Integral) and not (
                 isinstance(count, numbers.Real) and math.isfinite(count) and int(count) == count
             ):
-                raise ValidationError(f"pose {pose.pid} has a non-integral feature count {count!r}")
+                raise ValidationError(
+                    f"pose {_shown(pose.pid, str)} has a non-integral feature count {_shown(count)}"
+                )
             if count < 0:
-                raise ValidationError(f"pose {pose.pid} has negative feature count")
+                raise ValidationError(f"pose {_shown(pose.pid, str)} has negative feature count")
             # NaN would slip through the residual test below (nan > tol is False)
             for name in ("position", "rotation"):
                 if not np.isfinite(getattr(pose, name)).all():
-                    raise ValidationError(f"pose {pose.pid} {name} has a non-finite entry")
+                    raise ValidationError(f"pose {_shown(pose.pid, str)} {name} has a non-finite entry")
             err = np.abs(pose.rotation @ pose.rotation.T - np.eye(3)).max()
             if err > ROTATION_TOL:
                 raise ValidationError(
-                    f"pose {pose.pid} rotation is not orthonormal (residual {err:.3e})"
+                    f"pose {_shown(pose.pid, str)} rotation is not orthonormal (residual {err:.3e})"
                 )
 
     def __len__(self):
@@ -89,9 +93,9 @@ def _check_count(name: str, value) -> None:
     """A gate count must be a true integer >= 1: floats and booleans are
     refused rather than truncated."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
+        raise ValidationError(f"{name} must be an integer, got {_shown(value)}")
     if value < 1:
-        raise ValidationError(f"{name} must be >= 1, got {value}")
+        raise ValidationError(f"{name} must be >= 1, got {_shown(value, str)}")
 
 
 def _check_finite(name: str, value) -> None:
@@ -560,8 +564,7 @@ def build_geometric_sweep(
             if len(t1) == 0 or len(t2) == 0:
                 raise EmptyTrajectory("both trajectories must contain at least one pose")
             shared = (p.rate_divisor, p.fov_half_angle, p.fov_range)
-            s1 = subsample(t1, p.rate_divisor)
-            s2 = subsample(t2, p.rate_divisor)
+            s1, s2 = t1.poses[:: p.rate_divisor], t2.poses[:: p.rate_divisor]
             pos1 = np.array([pose.position for pose in s1], dtype=float)
             pos2 = np.array([pose.position for pose in s2], dtype=float)
             dists = np.linalg.norm(pos1[:, None, :] - pos2[None, :, :], axis=2)
@@ -628,10 +631,10 @@ def build_appearance_sweep(
             us, vs, values = [], [], []
             for u, v, score in scores:
                 if not 0 <= score <= 1:
-                    pair = f"({clip_text(str(u))}, {clip_text(str(v))})"
-                    raise ScoreOutOfRange(f"score {score!r} for pair {pair} outside [0, 1]")
+                    pair = f"({clip_text(_shown(u, str))}, {clip_text(_shown(v, str))})"
+                    raise ScoreOutOfRange(f"score {_shown(score)} for pair {pair} outside [0, 1]")
                 if type(u) is not int or type(v) is not int:
-                    what = f"score pair ({clip_text(str(u))}, {clip_text(str(v))})"
+                    what = f"score pair ({clip_text(_shown(u, str))}, {clip_text(_shown(v, str))})"
                     u, v = _index(u, what), _index(v, what)
                 us.append(u)
                 vs.append(v)

@@ -22,7 +22,7 @@ import numpy as np
 from . import candidates as cand
 from .errors import EmptySide, GraphFormatError, InvariantViolation, ScanPlanError, ValidationError
 from .graph import ExchangeGraph, format_rational, load_graph, save_graph
-from .objectives import Objective, as_fraction, clip_text
+from .objectives import Objective, _shown, as_fraction, clip_text
 from .policy import (
     full_bidirectional,
     load_policy,
@@ -46,12 +46,7 @@ EXIT_INTERNAL = 4
 
 
 def _objective_from_args(args) -> Objective:
-    return Objective(
-        args.objective,
-        alpha1=as_fraction(args.alpha1),
-        alpha2=as_fraction(args.alpha2),
-        omega=as_fraction(args.omega),
-    )
+    return Objective(args.objective, alpha1=args.alpha1, alpha2=args.alpha2, omega=args.omega)
 
 
 def _add_objective_flags(parser):
@@ -246,7 +241,7 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.parameter not in SWEEP_PARAMETERS:
-            raise ValidationError(f"unknown sweep parameter {self.parameter!r}")
+            raise ValidationError(f"unknown sweep parameter {_shown(self.parameter)}")
         for name in ("start", "stop", "step"):
             object.__setattr__(self, name, as_fraction(getattr(self, name)))
         if self.step <= 0:

@@ -34,7 +34,7 @@ from functools import cached_property
 from itertools import chain, compress
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, NoReturn, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .errors import (
     UnknownVertex,
     ValidationError,
 )
-from .objectives import MAX_NUMBER_DIGITS, P1, P2, Objective, as_fraction, check_number_text, clip_text
+from .objectives import MAX_NUMBER_DIGITS, P1, P2, Objective, _shown, as_fraction, check_number_text, clip_text
 
 
 class VertexId(NamedTuple):
@@ -59,21 +59,21 @@ class VertexId(NamedTuple):
     index: int
 
     def __str__(self):
-        return f"{self.side}:{self.index}"
+        return f"{_shown(self.side, str)}:{_shown(self.index, str)}"
 
 
 def _shown_ids(ids: Sequence) -> str:
     """Sorted vertex ids, in ``side:index`` form, or edges, as ``u-v``, for
     a message: the first 8, each cut at 20 characters, and how many more
     there are."""
-    shown = ", ".join(clip_text(str(v)) for v in ids[:8])
+    shown = ", ".join(clip_text(_shown(v, str)) for v in ids[:8])
     return shown + f", ... ({len(ids) - 8} more)" if len(ids) > 8 else shown
 
 
 def _edge_text(u, v) -> str:
     """An edge given by its end ids, for a message; each id is cut at 20
     characters."""
-    return f"edge ({clip_text(str(u))}, {clip_text(str(v))})"
+    return f"edge ({clip_text(_shown(u, str))}, {clip_text(_shown(v, str))})"
 
 
 class Edge(NamedTuple):
@@ -167,7 +167,7 @@ class ExchangeGraph:
 
     def _validate(self):
         if not (type(self.den) is int and self.den > 0):
-            raise ValidationError(f"common denominator must be a positive integer, got {self.den!r}")
+            raise ValidationError(f"common denominator must be a positive integer, got {_shown(self.den)}")
         for side, ids, sizes, inertia in zip((1, 2), self.ids, self.size_num, self.inertia_num):
             if not len(ids) == len(sizes) == len(inertia):
                 raise ValidationError(f"side {side} arrays differ in length")
@@ -181,15 +181,14 @@ class ExchangeGraph:
                 seen: set[int] = set()
                 for index, size, price in zip(ids, sizes, inertia):
                     if index < 0:
-                        raise IndexOutOfRange(f"negative vertex index {side}:{index}")
+                        raise IndexOutOfRange(f"negative vertex index {VertexId(side, index)}")
                     if index in seen:
-                        raise ValidationError(f"duplicate vertex id {side}:{index}")
+                        raise ValidationError(f"duplicate vertex id {VertexId(side, index)}")
                     seen.add(index)
                     for label, num in (("scan_size", size), ("inertia", price)):
                         if num is not None and num < 0:
-                            raise NegativeWeight(
-                                f"{label} of {side}:{index} is negative: {Fraction(num, self.den)}"
-                            )
+                            value = _shown(Fraction(num, self.den), str)
+                            raise NegativeWeight(f"{label} of {VertexId(side, index)} is negative: {value}")
         n1, n2 = len(self.ids[0]), len(self.ids[1])
         m = len(self.cost_num)
         if self.eu.shape != (m,) or self.ev.shape != (m,):
@@ -211,11 +210,11 @@ class ExchangeGraph:
             negative = next(k for k, c in enumerate(self.cost_num) if c < 0)
         if min(repeat, negative) < m:
             k = min(repeat, negative)
-            u, v = self.ids[0][self.eu[k]], self.ids[1][self.ev[k]]
+            u, v = VertexId(1, self.ids[0][self.eu[k]]), VertexId(2, self.ids[1][self.ev[k]])
             if k == repeat:
-                raise DuplicateEdge(f"duplicate edge 1:{u}--2:{v}")
+                raise DuplicateEdge(f"duplicate edge {u}--{v}")
             raise NegativeWeight(
-                f"edge 1:{u}--2:{v} has negative cost {Fraction(self.cost_num[k], self.den)}"
+                f"edge {u}--{v} has negative cost {_shown(Fraction(self.cost_num[k], self.den), str)}"
             )
 
     # -- boundary objects, built on first use ------------------------------
@@ -305,7 +304,7 @@ class ExchangeGraph:
         s = {1: 0, 2: 1}.get(side)
         k = None if s is None else self.position[s].get(index)
         if k is None:
-            raise UnknownVertex(f"vertex {vid} not in graph")
+            raise UnknownVertex(f"vertex {_shown(vid, str)} not in graph")
         return s, k
 
     def vertex(self, vid: VertexId) -> ScanVertex:
@@ -321,7 +320,7 @@ class ExchangeGraph:
 
     def side_vids(self, side: int) -> tuple[VertexId, ...]:
         if side not in (1, 2):
-            raise ValidationError(f"robot side must be 1 or 2, got {side}")
+            raise ValidationError(f"robot side must be 1 or 2, got {_shown(side, str)}")
         return self.vids[side - 1]
 
     def label_masks(self, ones: frozenset[VertexId]) -> tuple[np.ndarray, np.ndarray]:
@@ -364,7 +363,7 @@ class ExchangeGraph:
     def edge_cost(self, key: EdgeKey) -> Fraction:
         k = int(self.edge_positions([key])[0])
         if k < 0:
-            raise UnknownVertex(f"no edge {key[0]}--{key[1]} in graph")
+            raise UnknownVertex(f"no edge {_shown(key[0], str)}--{_shown(key[1], str)} in graph")
         return Fraction(self.cost_num[k], self.den)
 
     @cached_property
@@ -483,9 +482,9 @@ def _index(value, what) -> int:
     try:
         index = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise IndexOutOfRange(f"{what} has a non-integer index {clip_text(repr(value))}") from exc
+        raise IndexOutOfRange(f"{what} has a non-integer index {clip_text(_shown(value))}") from exc
     if isinstance(value, numbers.Number) and index != value:
-        raise IndexOutOfRange(f"{what} has a non-integral index {clip_text(str(value))}")
+        raise IndexOutOfRange(f"{what} has a non-integral index {clip_text(_shown(value, str))}")
     return index
 
 
@@ -635,13 +634,9 @@ def open_text(path):
             raise GraphFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def _check_number(text: str) -> str:
-    """``text`` if it is within the number bounds, else ``GraphFormatError``."""
-    return check_number_text(text, GraphFormatError)
-
-
-def _bounded_int(token: str) -> int:
-    return int(_check_number(token))
+def _check_number(token: str) -> str:
+    """A number token if it is within the number bounds, else ``GraphFormatError``."""
+    return check_number_text(token, GraphFormatError)
 
 
 def _may_hold_long_int(text: str) -> bool:
@@ -660,15 +655,16 @@ def _may_hold_long_int(text: str) -> bool:
     return False
 
 
-def _load_json(text: str, parse_float=float):
-    """Parse a graph or policy document. Malformed JSON, nesting deeper
-    than the interpreter's recursion limit, and number tokens beyond the
-    format's bounds all raise ``GraphFormatError``."""
+def _load_json(text: str):
+    """Parse a graph or policy document, keeping each decimal token as its
+    text. Malformed JSON, nesting deeper than the interpreter's recursion
+    limit, and number tokens beyond the format's bounds all raise
+    ``GraphFormatError``."""
     try:
         return json.loads(
             text,
-            parse_float=lambda token: parse_float(_check_number(token)),
-            parse_int=_bounded_int if _may_hold_long_int(text) else int,
+            parse_float=_check_number,
+            parse_int=(lambda token: int(_check_number(token))) if _may_hold_long_int(text) else int,
         )
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"invalid JSON: {exc}") from exc
@@ -744,21 +740,21 @@ def dumps_graph(g: ExchangeGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_number(value) -> int | Fraction:
-    if type(value) is int or type(value) is Fraction:
-        return value
+def _load_number(value) -> None:
+    """Refuse a file value that :func:`_ratio`, the reader of every value,
+    does not read as a number."""
     if isinstance(value, bool) or value is None:
         raise GraphFormatError(f"expected a number, got {value!r}")
     try:
-        return as_fraction(value)
+        _ratio(value)
     except ValidationError as exc:
         # in a file, a value that is not a number within the bounds is a format error
         raise GraphFormatError(str(exc)) from exc
 
 
 def _load_int(value) -> int:
-    """A JSON integer as an id or label; floats and booleans are refused
-    rather than truncated."""
+    """A JSON integer as an id or label; decimal tokens, which stay text,
+    and booleans are refused rather than truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise GraphFormatError(f"expected an integer, got {clip_text(repr(value))}")
     return value
@@ -788,36 +784,37 @@ def _columns(doc: dict) -> tuple:
     return ids, sizes, inertia, us, vs, costs
 
 
+def _objects(doc: dict, key: str, default=None) -> Iterator[dict]:
+    """The entries of the array ``doc[key]``, or of ``default`` where one
+    is given and the key is absent, in order; a field that is not an array,
+    or an entry that is not an object, raises ``GraphFormatError``."""
+    entries = doc[key] if default is None else doc.get(key, default)
+    if not isinstance(entries, list):
+        raise GraphFormatError(f"{key!r} must be an array")
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise GraphFormatError(f"{key}[{k}] must be an object")
+        yield entry
+
+
 def _raise_first_fault(doc: dict) -> NoReturn:
     """Read a graph document entry by entry, in file order, and raise the
     error of its first fault: a field that is not an array, an entry that
     is not an object or lacks a key, an id or end that is not a JSON
     integer, or a value that is not a number."""
-    entry = entries = None
     try:
-        for key in ("v1", "v2"):
-            entries = doc[key]
-            if not isinstance(entries, list):
-                raise GraphFormatError(f"{key!r} must be an array")
-            for entry in entries:
-                price = entry.get("inertia")
-                _load_int(entry["id"])
-                _load_number(entry["scan_size"])
-                if price is not None:
-                    _load_number(price)
-        key, entries = "edges", doc.get("edges", [])
-        if not isinstance(entries, list):
-            raise GraphFormatError("'edges' must be an array")
-        for entry in entries:
+        for entry in chain(_objects(doc, "v1"), _objects(doc, "v2")):
+            price = entry.get("inertia")
+            _load_int(entry["id"])
+            _load_number(entry["scan_size"])
+            if price is not None:
+                _load_number(price)
+        for entry in _objects(doc, "edges", []):
             cost = entry.get("cost", 1)
             _load_int(entry["u"])
             _load_int(entry["v"])
             _load_number(cost)
-    except (KeyError, TypeError, AttributeError) as exc:
-        # every entry before the failing one was an object
-        if entry is not None and not isinstance(entry, dict):
-            k = next(k for k, e in enumerate(entries) if not isinstance(e, dict))
-            raise GraphFormatError(f"{key}[{k}] must be an object") from exc
+    except KeyError as exc:
         raise GraphFormatError(f"malformed graph file: {exc!r}") from exc
     raise InvariantViolation("the graph reader refused a file whose entries all read")
 
@@ -829,18 +826,17 @@ def loads_graph(text: str) -> ExchangeGraph:
     parsed once into a reduced integer pair (see :func:`_ratio`): no
     Fraction is built for an int or a plain ``"p/q"`` value. The bound on
     the common denominator is checked before any value is scaled to it.
-    A file with a fault is read again entry by entry, to name its first.
+    A file with a fault is walked again entry by entry, to name its first.
     """
     # decimal tokens stay text, to be parsed once per distinct text
-    doc = _load_json(text, parse_float=str)
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise GraphFormatError("graph file must hold a JSON object")
     try:
         ids, sizes, inertia, us, vs, costs = _columns(doc)
         ratios = {x: _ratio(x) for x in _distinct(sizes, inertia, [costs])}
     except (KeyError, TypeError, AttributeError, ValidationError):
-        # the messages name decimal tokens as the Fractions they denote
-        _raise_first_fault(_load_json(text, parse_float=Fraction))
+        _raise_first_fault(doc)
     # a prefix's LCM divides the whole one, so the first prefix past the
     # bound decides, in any order, and no LCM grows far beyond the bound
     den, bound = 1, 10**MAX_DENOMINATOR_DIGITS

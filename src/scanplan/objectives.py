@@ -8,6 +8,8 @@ comparisons downstream never suffer rounding.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -43,6 +45,17 @@ def clip_text(text: str) -> str:
     return text if len(text) <= 20 else f"{text[:20]}..."
 
 
+def _shown(value, form=repr) -> str:
+    """``form(value)`` for a message; never raises. A value with no such
+    text, such as an int past the interpreter's int-to-str digit limit, is
+    shown by its type, and an int also by its size."""
+    try:
+        return form(value)
+    except Exception:
+        size = f" of {value.bit_length()} bits" if isinstance(value, int) else ""
+        return f"<{type(value).__name__}{size}>"
+
+
 def check_number_text(text: str, error: type[Exception] = ValidationError) -> str:
     """``text`` if its digits and decimal exponent are within
     MAX_NUMBER_DIGITS and MAX_NUMBER_EXPONENT, else ``error``. Only the
@@ -65,27 +78,27 @@ def check_number_text(text: str, error: type[Exception] = ValidationError) -> st
 def as_fraction(value) -> Fraction:
     """Convert ``value`` to an exact Fraction.
 
-    Accepts ints, Fractions, decimal strings ("1.5"), fraction strings
-    ("3/7"), and floats (converted exactly from their binary value).
-    Strings beyond the bounds of ``check_number_text`` are refused.
+    Accepts integers and finite reals of any type registered with
+    ``numbers`` (numpy scalars too; a real is read as its exact binary
+    value), decimal strings ("1.5") and fraction strings ("3/7"). Booleans
+    are refused, and so are strings beyond the bounds of
+    ``check_number_text``.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool):
-        raise ValidationError(f"cannot interpret {value!r} as a number")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        if value != value or value in (float("inf"), float("-inf")):
-            raise ValidationError(f"non-finite value {value!r}")
-        return Fraction(value)
     if isinstance(value, str):
         check_number_text(value)
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"cannot parse number {clip_text(value)!r}") from exc
-    raise ValidationError(f"cannot interpret {clip_text(repr(value))} as a number")
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral):
+            return Fraction(int(value))
+        if not math.isfinite(value):
+            raise ValidationError(f"non-finite value {value!r}")
+        return Fraction(*value.as_integer_ratio())
+    raise ValidationError(f"cannot interpret {clip_text(_shown(value))} as a number")
 
 
 @dataclass(frozen=True)
@@ -105,11 +118,11 @@ class Objective:
 
     def __post_init__(self):
         if self.variant not in _VARIANTS:
-            raise ValidationError(f"unknown objective variant {self.variant!r}")
+            raise ValidationError(f"unknown objective variant {_shown(self.variant)}")
         for name in ("alpha1", "alpha2", "omega"):
             val = as_fraction(getattr(self, name))
             if val < 0:
-                raise ValidationError(f"{name} must be non-negative, got {val}")
+                raise ValidationError(f"{name} must be non-negative, got {_shown(val, str)}")
             if max(val.numerator, val.denominator) >= 10**MAX_PARAMETER_DIGITS:
                 raise ValidationError(
                     f"{name} must have at most {MAX_PARAMETER_DIGITS} digits in its numerator and denominator"
@@ -118,7 +131,7 @@ class Objective:
 
     @classmethod
     def p1(cls, alpha1=1, alpha2=1) -> "Objective":
-        return cls(P1, alpha1=as_fraction(alpha1), alpha2=as_fraction(alpha2))
+        return cls(P1, alpha1=alpha1, alpha2=alpha2)
 
     @classmethod
     def p2(cls) -> "Objective":
@@ -126,9 +139,4 @@ class Objective:
 
     @classmethod
     def p3(cls, alpha1=1, alpha2=1, omega=1) -> "Objective":
-        return cls(
-            P3,
-            alpha1=as_fraction(alpha1),
-            alpha2=as_fraction(alpha2),
-            omega=as_fraction(omega),
-        )
+        return cls(P3, alpha1=alpha1, alpha2=alpha2, omega=omega)

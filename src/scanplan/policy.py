@@ -28,10 +28,11 @@ from .graph import (
     _load_file,
     _load_int,
     _load_json,
+    _objects,
     _shown_ids,
     weight_numerators,
 )
-from .objectives import Objective, clip_text
+from .objectives import Objective, _shown, clip_text
 
 
 class Policy:
@@ -49,12 +50,12 @@ class Policy:
     def from_labels(cls, labels: Mapping[VertexId, int]) -> "Policy":
         for vid, bit in labels.items():
             if bit not in (0, 1):
-                raise ValidationError(f"label of {vid} must be 0 or 1, got {clip_text(repr(bit))}")
+                raise ValidationError(f"label of {_shown(vid, str)} must be 0 or 1, got {clip_text(_shown(bit))}")
         return cls(labels.keys(), (vid for vid, bit in labels.items() if bit == 1))
 
     def label(self, vid: VertexId) -> int:
         if vid not in self.domain:
-            raise LabelDomainMismatch(f"vertex {vid} not labeled by this policy")
+            raise LabelDomainMismatch(f"vertex {_shown(vid, str)} not labeled by this policy")
         return 1 if vid in self.ones else 0
 
     def __eq__(self, other):
@@ -110,13 +111,6 @@ def comm_cost(g: ExchangeGraph, pi: Policy) -> Fraction:
     return objective_cost(g, pi, Objective.p2())
 
 
-def balance_cost(g: ExchangeGraph, pi: Policy, alpha1=1, alpha2=1) -> Fraction:
-    """Workload objective as a pure per-vertex sum; unlike
-    :func:`scanplan.protocol.workloads` this is defined for inadmissible
-    labelings too."""
-    return objective_cost(g, pi, Objective.p1(alpha1, alpha2))
-
-
 def objective_cost(g: ExchangeGraph, pi: Policy, obj: Objective) -> Fraction:
     """Cost of a labeling under an objective; equals the sum of per-vertex
     effective weights over the labeled vertices."""
@@ -143,12 +137,7 @@ def loads_policy(text: str) -> Policy:
     doc = _load_json(text)
     labels = {}
     try:
-        rows = doc["labels"]
-        if not isinstance(rows, list):
-            raise GraphFormatError("'labels' must be an array")
-        for k, row in enumerate(rows):
-            if not isinstance(row, dict):
-                raise GraphFormatError(f"labels[{k}] must be an object")
+        for k, row in enumerate(_objects(doc, "labels")):
             vid, bit = VertexId(_load_int(row["side"]), _load_int(row["index"])), _load_int(row["bit"])
             if vid in labels:
                 raise ValidationError(f"duplicate vertex id {vid} in labels[{k}]")

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InvariantViolation, NonUniformWeights, ValidationError
 from .graph import ExchangeGraph, VertexId, effective_weight, weight_numerators
-from .objectives import Objective, as_fraction
+from .objectives import Objective, _shown, as_fraction
 from .policy import Policy, monolog, objective_cost
 
 # Largest scaled capacity total routed through the compiled engine; above
@@ -163,7 +163,7 @@ def _optimal_cover(
     was computed from, taken from the graph's memo or computed and stored
     there. Concurrent misses compute equal results; the last write wins."""
     if engine not in (None, "scipy", "dinic"):
-        raise ValidationError(f"unknown flow engine {engine!r}")
+        raise ValidationError(f"unknown flow engine {_shown(engine)}")
     key = (obj, engine)
     found = g._covers.get(key)
     if found is None:

@@ -624,6 +624,26 @@ def test_subsample_feeds_build():
     assert g_half.num_vertices <= g_full.num_vertices
 
 
+def test_rate_divisor_matches_subsampled_trajectories():
+    # the sweep slices the poses itself instead of building new trajectories
+    t1, t2 = synthetic_two_loop(60)
+    for r in (2, 3):
+        g = build_geometric(t1, t2, GeometryParams(d_max=20, eta=0.3, rate_divisor=r))
+        via_subsample = build_geometric(subsample(t1, r), subsample(t2, r), GeometryParams(d_max=20, eta=0.3))
+        assert sp.dumps_graph(g) == sp.dumps_graph(via_subsample)
+
+
+def test_numpy_feature_counts_build_the_same_graph():
+    # np.int64 scan sizes were refused: "cannot interpret np.int64(160) as a number"
+    params = GeometryParams(d_max=10, eta=0.0)
+    graphs = [
+        build_geometric(Trajectory([make_pose(0, 0.0, 0.0, 0.0, a)]), Trajectory([make_pose(0, 1.0, 0.0, 0.0, b)]), params)
+        for a, b in ((np.int64(5), np.int64(7)), (5, 7))
+    ]
+    assert sp.dumps_graph(graphs[0]) == sp.dumps_graph(graphs[1])
+    assert graphs[0].vertex(sp.VertexId(1, 0)).scan_size == 5 * DESCRIPTOR_BYTES
+
+
 def test_empty_trajectory_rejected():
     t1, _ = synthetic_two_loop(10)
     with pytest.raises(sp.EmptyTrajectory):

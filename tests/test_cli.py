@@ -692,6 +692,23 @@ def test_undecodable_input_exits_2_naming_file(capsys, tmp_path, reader):
     assert f"error: {path}: not UTF-8 text" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "reader, text, shown",
+    [
+        ("graph", '{"v1": [{"id": 1.5, "scan_size": 1}], "v2": [], "edges": []}', "'1.5'"),
+        ("graph", '{"v1": [{"id": 0, "scan_size": 1}], "v2": [{"id": 0, "scan_size": 1}], "edges": [{"u": 0, "v": 0.0}]}', "'0.0'"),
+        ("policy", '{"labels": [{"side": 1, "index": 0, "bit": 1.0}]}', "'1.0'"),
+    ],
+)
+def test_decimal_token_for_an_integer_is_echoed_as_written(capsys, tmp_path, reader, text, shown):
+    # the graph reader echoed Fraction(3, 2) and Fraction(0, 1), the policy reader 1.0
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *reader_argv(tmp_path, reader, str(path)))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: expected an integer, got {shown}\n"
+
+
 @pytest.mark.parametrize("reader", ["graph", "policy"])
 def test_deeply_nested_json_exits_2_naming_file(capsys, tmp_path, reader):
     path = tmp_path / "deep.json"

@@ -550,6 +550,63 @@ def test_non_integer_index_message_is_clipped():
     assert str(caught.value) == f"edge (0, {x20}...) has a non-integer index '{'x' * 19}..."
 
 
+def test_numpy_scalars_are_read_exactly():
+    # as_fraction refused numpy scalars, though Trajectory and _index took them
+    plain = sp.build_graph([3, 1.5], [2], [(0, 0, 4), (1, 0, 0.25)])
+    numpy = sp.build_graph(
+        [np.int64(3), np.float32(1.5)], [np.uint8(2)], [(0, 0, np.int64(4)), (1, 0, np.float64(0.25))]
+    )
+    assert sp.dumps_graph(numpy) == sp.dumps_graph(plain)
+    assert sp.Objective.p1(np.int64(2), np.float32(0.5)) == sp.Objective.p1(2, Fraction(1, 2))
+    assert as_fraction(np.float32(0.1)) == Fraction(float(np.float32(0.1)))
+    for value, message in (
+        (np.bool_(True), "cannot interpret np.True_ as a number"),
+        (np.float32("inf"), "non-finite value np.float32(inf)"),
+    ):
+        with pytest.raises(sp.ValidationError, match=f"^{re.escape(message)}$"):
+            as_fraction(value)
+
+
+BIG = 10**5000  # past the interpreter's 4300-digit int-to-str limit
+
+
+def _one_edge():
+    return sp.build_graph([1], [1], [(0, 0, 1)])
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: sp.RendezvousConfig(ground_truth_closures={((1, BIG),)}), sp.ValidationError),
+        (lambda: sp.build_graph([1], [1], [(Fraction(BIG, 3), 0)]), sp.IndexOutOfRange),
+        (lambda: sp.build_graph([1], [1], [(BIG, 0)]), sp.IndexOutOfRange),
+        (lambda: sp.ExchangeGraph.from_vertices([(0, 1, None)], [(0, 1, None)], [(BIG, 0, 1)]), sp.IndexOutOfRange),
+        (lambda: as_fraction([BIG]), sp.ValidationError),
+        (lambda: sp.Policy.from_labels({sp.VertexId(1, 0): BIG}), sp.ValidationError),
+        (lambda: _one_edge().edge_cost((sp.VertexId(1, BIG), sp.VertexId(2, 0))), sp.UnknownVertex),
+        (lambda: _one_edge().vertex(sp.VertexId(1, BIG)), sp.UnknownVertex),
+        (
+            lambda: sp.run_rendezvous(
+                _one_edge(), sp.RendezvousConfig(ground_truth_closures={(sp.VertexId(1, 0), sp.VertexId(2, BIG))})
+            ),
+            sp.GroundTruthOutsideCandidates,
+        ),
+        (lambda: sp.build_graph([-BIG], [1], [(0, 0)]), sp.NegativeWeight),
+        (lambda: sp.Objective("p1", alpha1=-BIG), sp.ValidationError),
+    ],
+    ids=[
+        "closure-shape", "fraction-end", "int-end", "from-vertices-end", "as-fraction", "policy-bit",
+        "edge-cost", "vertex", "ground-truth", "negative-size", "objective-parameter",
+    ],
+)
+def test_refusal_of_an_unprintable_value_keeps_its_class(call, error):
+    # each message used to raise a bare ValueError while printing the value
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+    assert len(str(caught.value)) < 300
+
+
 # -- graph-file ingest against a Fraction-per-value oracle ----------------------
 
 _ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")

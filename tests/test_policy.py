@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import scanplan as sp
-from scanplan.policy import balance_cost, dumps_policy, loads_policy
+from scanplan.policy import dumps_policy, loads_policy
 
 from conftest import A1, B1, random_admissible_policy, random_graph, random_objective
 
@@ -214,14 +214,14 @@ def test_label_domain_mismatch_message_is_short():
     )
 
 
-def test_balance_cost_defined_for_inadmissible(double_star):
+def test_p1_cost_defined_for_inadmissible(double_star):
     # pure per-vertex sum works on the all-zeros labeling
-    assert balance_cost(double_star, sp.Policy(double_star.vertex_ids, ()), 1, 1) == 0
+    assert sp.objective_cost(double_star, sp.Policy(double_star.vertex_ids, ()), sp.Objective.p1(1, 1)) == 0
 
 
-def test_balance_cost_rejects_negative_alpha(double_star):
+def test_p1_cost_rejects_negative_alpha(double_star):
     with pytest.raises(sp.ValidationError):
-        balance_cost(double_star, sp.monolog(double_star, 1), -1, 1)
+        sp.objective_cost(double_star, sp.monolog(double_star, 1), sp.Objective.p1(-1, 1))
 
 
 def test_policy_file_round_trip(double_star):
