@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import EmptyTrajectory, GraphFormatError, ScoreOutOfRange, ValidationError
 from .graph import ExchangeGraph, VertexId, _index, build_graph, open_text
-from .objectives import MAX_NUMBER_DIGITS, _shown, clip_text
+from .objectives import MAX_NUMBER_DIGITS, _shown
 
 # Standard BRIEF descriptor size.
 DESCRIPTOR_BYTES = 32
@@ -60,10 +60,11 @@ class Trajectory:
                 )
             last = pose.pid
             count = pose.feature_count
-            # an int is never made a float: one beyond the float range would overflow
-            if not isinstance(count, numbers.Integral) and not (
-                isinstance(count, numbers.Real) and math.isfinite(count) and int(count) == count
-            ):
+            try:  # exactly, with no float, which a huge count would overflow
+                integral = isinstance(count, numbers.Real) and int(count) == count
+            except (OverflowError, ValueError):  # infinite or NaN
+                integral = False
+            if not integral:
                 raise ValidationError(
                     f"pose {_shown(pose.pid, str)} has a non-integral feature count {_shown(count)}"
                 )
@@ -99,8 +100,13 @@ def _check_count(name: str, value) -> None:
 
 
 def _check_finite(name: str, value) -> None:
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value}")
+    real = isinstance(value, numbers.Real)
+    try:  # a number beyond the float range, such as 10**400, is not finite
+        finite = real and math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValidationError(f"{name} must be finite, got {_shown(value, str if real else repr)}")
 
 
 @dataclass(frozen=True)
@@ -117,12 +123,12 @@ class GeometryParams:
         for name in ("d_max", "eta", "fov_half_angle", "fov_range"):
             _check_finite(name, getattr(self, name))
         if self.d_max <= 0:
-            raise ValidationError(f"d_max must be positive, got {self.d_max}")
+            raise ValidationError(f"d_max must be positive, got {_shown(self.d_max, str)}")
         if not 0 <= self.eta <= 1:
-            raise ValidationError(f"eta must lie in [0, 1], got {self.eta}")
+            raise ValidationError(f"eta must lie in [0, 1], got {_shown(self.eta, str)}")
         for name in ("fov_half_angle", "fov_range"):
             if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
+                raise ValidationError(f"{name} must be positive, got {_shown(getattr(self, name), str)}")
         _check_count("rate_divisor", self.rate_divisor)
 
 
@@ -136,8 +142,9 @@ class AppearanceParams:
     symmetric: bool = False
 
     def __post_init__(self):
-        if not 0 <= self.alpha <= 1:
-            raise ValidationError(f"alpha must lie in [0, 1], got {self.alpha}")
+        real = isinstance(self.alpha, numbers.Real)
+        if not (real and 0 <= self.alpha <= 1):
+            raise ValidationError(f"alpha must lie in [0, 1], got {_shown(self.alpha, str if real else repr)}")
         _check_count("top_k", self.top_k)
 
 
@@ -631,10 +638,10 @@ def build_appearance_sweep(
             us, vs, values = [], [], []
             for u, v, score in scores:
                 if not 0 <= score <= 1:
-                    pair = f"({clip_text(_shown(u, str))}, {clip_text(_shown(v, str))})"
+                    pair = f"({_shown(u, str)}, {_shown(v, str)})"
                     raise ScoreOutOfRange(f"score {_shown(score)} for pair {pair} outside [0, 1]")
                 if type(u) is not int or type(v) is not int:
-                    what = f"score pair ({clip_text(_shown(u, str))}, {clip_text(_shown(v, str))})"
+                    what = f"score pair ({_shown(u, str)}, {_shown(v, str)})"
                     u, v = _index(u, what), _index(v, what)
                 us.append(u)
                 vs.append(v)
@@ -674,7 +681,7 @@ def _bad_field(path, lineno: int, what: str, fields) -> GraphFormatError:
             convert(token)
         except ValueError:
             break
-    return GraphFormatError(f"{path}:{lineno + 1}: bad {what} {clip_text(token)!r}")
+    return GraphFormatError(f"{path}:{lineno + 1}: bad {what} {_shown(token, str)!r}")
 
 
 def _records(path, converters, parse, what: str, shape: str) -> Iterator[tuple[int, object]]:
@@ -692,7 +699,7 @@ def _records(path, converters, parse, what: str, shape: str) -> Iterator[tuple[i
             if not fields:
                 continue
             if len(fields) != width:
-                message = shape.format(got=len(fields), line=clip_text(line.strip()))
+                message = shape.format(got=len(fields), line=_shown(line.strip(), str))
                 raise GraphFormatError(f"{path}:{lineno + 1}: {message}")
             try:
                 value = parse(fields)
@@ -737,10 +744,10 @@ def read_feature_counts(path) -> list[int]:
     parse = lambda f: (f[0], int(f[0]))  # noqa: E731
     for lineno, (text, value) in _records(path, (int,), parse, "feature count", "bad feature count {line!r}"):
         if value < 0:
-            raise GraphFormatError(f"{path}:{lineno + 1}: negative feature count {clip_text(str(value))}")
+            raise GraphFormatError(f"{path}:{lineno + 1}: negative feature count {_shown(value, str)}")
         if value * DESCRIPTOR_BYTES >= limit:
             raise GraphFormatError(
-                f"{path}:{lineno + 1}: feature count {clip_text(text)} "
+                f"{path}:{lineno + 1}: feature count {_shown(text, str)} "
                 f"gives a scan size of more than {MAX_NUMBER_DIGITS} digits"
             )
         counts.append(value)

@@ -22,7 +22,7 @@ import numpy as np
 from . import candidates as cand
 from .errors import EmptySide, GraphFormatError, InvariantViolation, ScanPlanError, ValidationError
 from .graph import ExchangeGraph, format_rational, load_graph, save_graph
-from .objectives import Objective, _shown, as_fraction, clip_text
+from .objectives import Objective, _shown, as_fraction
 from .policy import (
     full_bidirectional,
     load_policy,
@@ -81,7 +81,7 @@ def _float_arg(value) -> float:
     try:
         return float(as_fraction(value))
     except OverflowError:
-        raise ValidationError(f"number out of range: {clip_text(str(value))}") from None
+        raise ValidationError(f"number out of range: {_shown(value, str)}") from None
 
 
 def _load_trajectories(args) -> tuple[cand.Trajectory, cand.Trajectory]:
@@ -245,12 +245,12 @@ class SweepSpec:
         for name in ("start", "stop", "step"):
             object.__setattr__(self, name, as_fraction(getattr(self, name)))
         if self.step <= 0:
-            raise ValidationError(f"sweep step must be positive, got {self.step}")
+            raise ValidationError(f"sweep step must be positive, got {_shown(self.step, str)}")
         if self.start > self.stop:
-            raise ValidationError(f"sweep start {self.start} exceeds stop {self.stop}")
+            raise ValidationError(f"sweep start {_shown(self.start, str)} exceeds stop {_shown(self.stop, str)}")
         if self.num_points > MAX_SWEEP_POINTS:
             raise ValidationError(
-                f"sweep has {self.num_points} points, more than the limit of {MAX_SWEEP_POINTS}"
+                f"sweep has {_shown(self.num_points, str)} points, more than the limit of {MAX_SWEEP_POINTS}"
             )
 
     @property

@@ -47,7 +47,7 @@ from .errors import (
     UnknownVertex,
     ValidationError,
 )
-from .objectives import MAX_NUMBER_DIGITS, P1, P2, Objective, _shown, as_fraction, check_number_text, clip_text
+from .objectives import MAX_NUMBER_DIGITS, P1, P2, Objective, _shown, _shown_ids, as_fraction, check_number_text
 
 
 class VertexId(NamedTuple):
@@ -59,21 +59,12 @@ class VertexId(NamedTuple):
     index: int
 
     def __str__(self):
-        return f"{_shown(self.side, str)}:{_shown(self.index, str)}"
-
-
-def _shown_ids(ids: Sequence) -> str:
-    """Sorted vertex ids, in ``side:index`` form, or edges, as ``u-v``, for
-    a message: the first 8, each cut at 20 characters, and how many more
-    there are."""
-    shown = ", ".join(clip_text(_shown(v, str)) for v in ids[:8])
-    return shown + f", ... ({len(ids) - 8} more)" if len(ids) > 8 else shown
+        return f"{self.side}:{self.index}"
 
 
 def _edge_text(u, v) -> str:
-    """An edge given by its end ids, for a message; each id is cut at 20
-    characters."""
-    return f"edge ({clip_text(_shown(u, str))}, {clip_text(_shown(v, str))})"
+    """An edge given by its end ids, for a message."""
+    return f"edge ({_shown(u, str)}, {_shown(v, str)})"
 
 
 class Edge(NamedTuple):
@@ -168,11 +159,13 @@ class ExchangeGraph:
     def _validate(self):
         if not (type(self.den) is int and self.den > 0):
             raise ValidationError(f"common denominator must be a positive integer, got {_shown(self.den)}")
+        limit = 10**MAX_NUMBER_DIGITS  # an id has at most MAX_NUMBER_DIGITS digits, as in a file
         for side, ids, sizes, inertia in zip((1, 2), self.ids, self.size_num, self.inertia_num):
             if not len(ids) == len(sizes) == len(inertia):
                 raise ValidationError(f"side {side} arrays differ in length")
             if ids and (
                 min(ids) < 0
+                or max(ids) >= limit
                 or len(set(ids)) < len(ids)
                 or min(sizes) < 0
                 or min(filter(None, inertia), default=0) < 0
@@ -180,15 +173,18 @@ class ExchangeGraph:
                 # the first faulty vertex, in position order
                 seen: set[int] = set()
                 for index, size, price in zip(ids, sizes, inertia):
+                    vid = VertexId(side, index)
                     if index < 0:
-                        raise IndexOutOfRange(f"negative vertex index {VertexId(side, index)}")
+                        raise IndexOutOfRange(f"negative vertex index {_shown(vid, str)}")
+                    if index >= limit:
+                        raise IndexOutOfRange(f"vertex index {_shown(index, str)} exceeds {MAX_NUMBER_DIGITS} digits")
                     if index in seen:
-                        raise ValidationError(f"duplicate vertex id {VertexId(side, index)}")
+                        raise ValidationError(f"duplicate vertex id {_shown(vid, str)}")
                     seen.add(index)
                     for label, num in (("scan_size", size), ("inertia", price)):
                         if num is not None and num < 0:
                             value = _shown(Fraction(num, self.den), str)
-                            raise NegativeWeight(f"{label} of {VertexId(side, index)} is negative: {value}")
+                            raise NegativeWeight(f"{label} of {_shown(vid, str)} is negative: {value}")
         n1, n2 = len(self.ids[0]), len(self.ids[1])
         m = len(self.cost_num)
         if self.eu.shape != (m,) or self.ev.shape != (m,):
@@ -210,7 +206,8 @@ class ExchangeGraph:
             negative = next(k for k, c in enumerate(self.cost_num) if c < 0)
         if min(repeat, negative) < m:
             k = min(repeat, negative)
-            u, v = VertexId(1, self.ids[0][self.eu[k]]), VertexId(2, self.ids[1][self.ev[k]])
+            u = _shown(VertexId(1, self.ids[0][self.eu[k]]), str)
+            v = _shown(VertexId(2, self.ids[1][self.ev[k]]), str)
             if k == repeat:
                 raise DuplicateEdge(f"duplicate edge {u}--{v}")
             raise NegativeWeight(
@@ -482,9 +479,9 @@ def _index(value, what) -> int:
     try:
         index = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise IndexOutOfRange(f"{what} has a non-integer index {clip_text(_shown(value))}") from exc
+        raise IndexOutOfRange(f"{what} has a non-integer index {_shown(value)}") from exc
     if isinstance(value, numbers.Number) and index != value:
-        raise IndexOutOfRange(f"{what} has a non-integral index {clip_text(_shown(value, str))}")
+        raise IndexOutOfRange(f"{what} has a non-integral index {_shown(value, str)}")
     return index
 
 
@@ -744,7 +741,7 @@ def _load_number(value) -> None:
     """Refuse a file value that :func:`_ratio`, the reader of every value,
     does not read as a number."""
     if isinstance(value, bool) or value is None:
-        raise GraphFormatError(f"expected a number, got {value!r}")
+        raise GraphFormatError(f"expected a number, got {_shown(value)}")
     try:
         _ratio(value)
     except ValidationError as exc:
@@ -756,7 +753,7 @@ def _load_int(value) -> int:
     """A JSON integer as an id or label; decimal tokens, which stay text,
     and booleans are refused rather than truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise GraphFormatError(f"expected an integer, got {clip_text(repr(value))}")
+        raise GraphFormatError(f"expected an integer, got {_shown(value)}")
     return value
 
 

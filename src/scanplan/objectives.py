@@ -39,21 +39,24 @@ MAX_NUMBER_EXPONENT = 500
 MAX_PARAMETER_DIGITS = 100
 
 
-def clip_text(text: str) -> str:
-    """``text`` for a message: its first 20 characters, and "..." when
-    more were cut."""
-    return text if len(text) <= 20 else f"{text[:20]}..."
-
-
 def _shown(value, form=repr) -> str:
-    """``form(value)`` for a message; never raises. A value with no such
-    text, such as an int past the interpreter's int-to-str digit limit, is
-    shown by its type, and an int also by its size."""
+    """``form(value)`` for a refusal or warning: its first 20 characters,
+    and "..." when more were cut. Never raises: a value with no such text,
+    such as an int past the interpreter's int-to-str digit limit, is shown
+    by its type, and an int also by its size."""
     try:
-        return form(value)
+        text = form(value)
     except Exception:
         size = f" of {value.bit_length()} bits" if isinstance(value, int) else ""
         return f"<{type(value).__name__}{size}>"
+    return text if len(text) <= 20 else f"{text[:20]}..."
+
+
+def _shown_ids(values, form=str) -> str:
+    """The first 8 of ``values``, such as sorted vertex ids, for a message:
+    each as ``_shown`` gives it, and how many more there are."""
+    shown = ", ".join(_shown(v, form) for v in values[:8])
+    return shown + f", ... ({len(values) - 8} more)" if len(values) > 8 else shown
 
 
 def check_number_text(text: str, error: type[Exception] = ValidationError) -> str:
@@ -69,7 +72,7 @@ def check_number_text(text: str, error: type[Exception] = ValidationError) -> st
         too_large = False
     if too_long or too_large:
         raise error(
-            f"number {clip_text(text)} exceeds {MAX_NUMBER_DIGITS} digits "
+            f"number {_shown(text, str)} exceeds {MAX_NUMBER_DIGITS} digits "
             f"or a decimal exponent of {MAX_NUMBER_EXPONENT}"
         )
     return text
@@ -91,14 +94,14 @@ def as_fraction(value) -> Fraction:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"cannot parse number {clip_text(value)!r}") from exc
+            raise ValidationError(f"cannot parse number {_shown(value, str)!r}") from exc
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         if isinstance(value, numbers.Integral):
             return Fraction(int(value))
         if not math.isfinite(value):
-            raise ValidationError(f"non-finite value {value!r}")
+            raise ValidationError(f"non-finite value {_shown(value)}")
         return Fraction(*value.as_integer_ratio())
-    raise ValidationError(f"cannot interpret {clip_text(_shown(value))} as a number")
+    raise ValidationError(f"cannot interpret {_shown(value)} as a number")
 
 
 @dataclass(frozen=True)

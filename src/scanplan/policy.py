@@ -29,10 +29,9 @@ from .graph import (
     _load_int,
     _load_json,
     _objects,
-    _shown_ids,
     weight_numerators,
 )
-from .objectives import Objective, _shown, clip_text
+from .objectives import Objective, _shown, _shown_ids
 
 
 class Policy:
@@ -50,7 +49,7 @@ class Policy:
     def from_labels(cls, labels: Mapping[VertexId, int]) -> "Policy":
         for vid, bit in labels.items():
             if bit not in (0, 1):
-                raise ValidationError(f"label of {_shown(vid, str)} must be 0 or 1, got {clip_text(_shown(bit))}")
+                raise ValidationError(f"label of {_shown(vid, str)} must be 0 or 1, got {_shown(bit)}")
         return cls(labels.keys(), (vid for vid, bit in labels.items() if bit == 1))
 
     def label(self, vid: VertexId) -> int:
@@ -140,7 +139,7 @@ def loads_policy(text: str) -> Policy:
         for k, row in enumerate(_objects(doc, "labels")):
             vid, bit = VertexId(_load_int(row["side"]), _load_int(row["index"])), _load_int(row["bit"])
             if vid in labels:
-                raise ValidationError(f"duplicate vertex id {vid} in labels[{k}]")
+                raise ValidationError(f"duplicate vertex id {_shown(vid, str)} in labels[{k}]")
             labels[vid] = bit
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"malformed policy file: {exc!r}") from exc

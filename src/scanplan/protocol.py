@@ -31,8 +31,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GroundTruthOutsideCandidates, InadmissiblePolicy, ValidationError
-from .graph import EdgeKey, ExchangeGraph, VertexId, _shown_ids, format_rational
-from .objectives import Objective, _shown, as_fraction, clip_text
+from .graph import EdgeKey, ExchangeGraph, VertexId, format_rational
+from .objectives import Objective, _shown, _shown_ids, as_fraction
 from .policy import (
     Policy,
     _sent_masks,
@@ -187,7 +187,7 @@ class RendezvousConfig:
         for name in ("metadata_bytes_per_vertex", "closure_message_bytes"):
             size = getattr(self, name)
             if isinstance(size, bool) or not isinstance(size, Real) or size != size or abs(size) == math.inf:
-                raise ValidationError(f"{name} must be a finite number, got {clip_text(_shown(size))}")
+                raise ValidationError(f"{name} must be a finite number, got {_shown(size)}")
         if self.metadata_bytes_per_vertex < 0 or self.closure_message_bytes < 0:
             raise ValidationError("message byte sizes must be non-negative")
         if self.broker_host not in (None, 1, 2):
@@ -197,7 +197,7 @@ class RendezvousConfig:
         for pair in closures:
             if not (isinstance(pair, tuple) and len(pair) == 2 and all(map(_is_vertex_id, pair))):
                 raise ValidationError(
-                    f"ground-truth closure {clip_text(_shown(pair))} is not a pair of (side, index) ids"
+                    f"ground-truth closure {_shown(pair)} is not a pair of (side, index) ids"
                 )
         object.__setattr__(self, "ground_truth_closures", frozenset(closures))
 
@@ -280,7 +280,7 @@ def run_rendezvous(
     at = g.edge_positions(truth)
     if (at < 0).any():
         bad = [key for key, k in zip(truth, at.tolist()) if k < 0]
-        shown = _shown_ids([f"{_shown(u, str)}-{_shown(v, str)}" for u, v in sorted(bad)])
+        shown = _shown_ids(sorted(bad), lambda key: f"{key[0]}-{key[1]}")
         raise GroundTruthOutsideCandidates(f"{len(bad)} ground-truth closures outside the candidate set: {shown}")
     messages: list[Message] = []
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InvariantViolation, NonUniformWeights, ValidationError
 from .graph import ExchangeGraph, VertexId, effective_weight, weight_numerators
-from .objectives import Objective, _shown, as_fraction
+from .objectives import Objective, _shown, _shown_ids, as_fraction
 from .policy import Policy, monolog, objective_cost
 
 # Largest scaled capacity total routed through the compiled engine; above
@@ -195,7 +195,7 @@ def _min_cut_cover(
         if total >= _INT32_SAFE_TOTAL:
             # the compiled engine casts to int32 and would corrupt silently
             raise ValidationError(
-                f"scaled capacities total {total} exceeds the compiled engine's "
+                f"scaled capacities total {_shown(total, str)} exceeds the compiled engine's "
                 "safe range; use the dinic engine"
             )
         max_flow = _min_cut_reachable_scipy
@@ -271,7 +271,7 @@ def _max_matching(g: ExchangeGraph) -> np.ndarray:
 def _uniform_scan_weight(g: ExchangeGraph) -> Fraction:
     values = set(g.eff_num[0]) | set(g.eff_num[1])
     if len(values) > 1:
-        found = sorted(Fraction(x, g.den) for x in values)
+        found = _shown_ids([Fraction(x, g.den) for x in sorted(values)])
         raise NonUniformWeights(f"expected one scan weight, found {found}")
     return Fraction(values.pop(), g.den) if values else Fraction(0)
 

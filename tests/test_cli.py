@@ -378,6 +378,43 @@ def test_policy_bit_out_of_range_message_is_clipped(capsys, tmp_path):
     assert err == f"error: label of 1:0 must be 0 or 1, got {'9' * 20}...\n"
 
 
+NINES = "9" * 401
+
+
+def _long_value_cases(tmp_path):
+    """(argv, the echoed value's full text) of refusals that each repeated
+    a 401-digit or longer value whole, in a 430-1055-byte stderr line."""
+    def graph(name, v1_id, size, edges):
+        path = tmp_path / f"{name}.json"
+        ends = ", ".join(f'{{"u": {v1_id}, "v": 0}}' for _ in range(edges))
+        path.write_text(
+            f'{{"v1": [{{"id": {v1_id}, "scan_size": {size}}}], "v2": [{{"id": 0, "scan_size": 1}}], "edges": [{ends}]}}'
+        )
+        return str(path)
+
+    policy = tmp_path / "policy.json"
+    row = f'{{"side": 1, "index": {NINES}, "bit": 1}}'
+    policy.write_text(f'{{"labels": [{row}, {row}]}}')
+    sweep = ("sweep", "--parameter")
+    return [
+        ((*sweep, "omega", "--graph", DOUBLE_STAR, "--start", "1e500", "--stop", "0", "--step", "1"), "1" + "0" * 500),
+        ((*sweep, "dmax", "--synthetic", "--start", "1", "--stop", "1e500", "--step", "1e-500"), "9" * 500),
+        (("solve", "--graph", graph("size", 0, f"-{NINES}", 1)), f"-{NINES}"),
+        (("solve", "--graph", graph("id", f"-{NINES}", 1, 1)), f"1:-{NINES}"),
+        (("solve", "--graph", graph("dup", NINES, 1, 2)), f"1:{NINES}"),
+        (("simulate", "--graph", DOUBLE_STAR, "--policy", str(policy)), f"1:{NINES}"),
+    ]
+
+
+def test_refusal_of_a_long_value_is_short(capsys, tmp_path):
+    for argv, value in _long_value_cases(tmp_path):
+        code, out, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert out == ""
+        assert len(err.encode()) < 300
+        assert f"{value[:20]}..." in err
+
+
 def test_sweep_spec_validation():
     from scanplan.cli import SweepSpec
 

@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scanplan as sp
+from scanplan.candidates import make_pose
+from scanplan.cli import SweepSpec
 from scanplan.graph import effective_weight, format_rational
-from scanplan.objectives import as_fraction, clip_text
+from scanplan.objectives import _shown, as_fraction
 
 from conftest import build_quiet
 
@@ -75,7 +77,7 @@ def seed_build_graph(v1_weights, v2_weights, edges, v1_inertia=None, v2_inertia=
         else:
             u, v, cost = item
         if not (0 <= int(u) < n1) or not (0 <= int(v) < n2):
-            raise sp.IndexOutOfRange(f"edge ({clip_text(str(u))}, {clip_text(str(v))}) outside vertex ranges")
+            raise sp.IndexOutOfRange(f"edge ({_shown(u, str)}, {_shown(v, str)}) outside vertex ranges")
         norm_edges.append((u, v, cost))
     return sp.ExchangeGraph.from_vertices(v1, v2, norm_edges)
 
@@ -605,6 +607,86 @@ def test_refusal_of_an_unprintable_value_keeps_its_class(call, error):
         call()
     assert type(caught.value) is error
     assert len(str(caught.value)) < 300
+
+
+def _pose(**kwargs):
+    return make_pose(0, 0.0, 0.0, 0.0, **kwargs)
+
+
+def _distinct_weights(n):
+    return sp.build_graph(list(range(1, n + 1)), [1] * n, [(i, i) for i in range(n)])
+
+
+@pytest.mark.parametrize(
+    "call, error, named",
+    [
+        # a value past the int-to-str limit, or thousands of characters long
+        (lambda: sp.AppearanceParams(alpha=Fraction(BIG)), sp.ValidationError, "alpha"),
+        (lambda: SweepSpec("dmax", BIG, 0, 1), sp.ValidationError, "sweep start"),
+        (lambda: sp.solve_uniform_matching(_distinct_weights(3000)), sp.NonUniformWeights, "(2992 more)"),
+        (lambda: _one_edge().vertex(sp.VertexId(1, 10**4000)), sp.UnknownVertex, "vertex 1:1000"),
+        (lambda: sp.Objective("p1", alpha1=-(10**4000)), sp.ValidationError, "alpha1"),
+        (lambda: sp.GeometryParams(d_max=1, eta=0, rate_divisor=-(10**4000)), sp.ValidationError, "rate_divisor"),
+        # a gate value that is not a number, or is beyond the float range
+        (lambda: sp.GeometryParams(d_max="3", eta=0), sp.ValidationError, "d_max must be finite, got '3'"),
+        (lambda: sp.GeometryParams(d_max=None, eta=0), sp.ValidationError, "d_max must be finite, got None"),
+        (lambda: sp.AppearanceParams(alpha="0.5"), sp.ValidationError, "alpha must lie in [0, 1], got '0.5'"),
+        (lambda: sp.AppearanceParams(alpha=None), sp.ValidationError, "alpha must lie in [0, 1], got None"),
+        (lambda: sp.fov_overlap(_pose(), _pose(), 0.7, "30"), sp.ValidationError, "fov_range must be finite"),
+        (lambda: sp.GeometryParams(d_max=10**400, eta=0), sp.ValidationError, "d_max must be finite"),
+        (lambda: sp.fov_overlap(_pose(), _pose(), 10**400, 30), sp.ValidationError, "fov_half_angle must be finite"),
+        (
+            lambda: sp.Trajectory([_pose(feature_count=Fraction(BIG, 3))]),
+            sp.ValidationError,
+            "non-integral feature count",
+        ),
+        # an API vertex id beyond the file format's 500-digit bound
+        (
+            lambda: sp.ExchangeGraph.from_vertices([(BIG, 1, None)], [(0, 1, None)], [(BIG, 0, 1)]),
+            sp.IndexOutOfRange,
+            "exceeds 500 digits",
+        ),
+        (
+            lambda: sp.ExchangeGraph.from_vertices([(10**600, 1, None)], [(0, 1, None)], [(10**600, 0, 1)]),
+            sp.IndexOutOfRange,
+            "exceeds 500 digits",
+        ),
+    ],
+    ids=[
+        "alpha-fraction", "sweep-start", "non-uniform-weights", "vertex", "objective-parameter", "rate-divisor",
+        "d_max-text", "d_max-none", "alpha-text", "alpha-none", "fov-range-text", "d_max-past-float",
+        "fov-half-angle-past-float", "feature-count-fraction", "id-past-int-to-str", "id-of-601-digits",
+    ],
+)
+def test_refusal_of_an_outside_value_is_short_and_keeps_its_class(call, error, named):
+    # each used to escape as a bare TypeError, OverflowError or ValueError,
+    # or to repeat the value whole in a message of thousands of characters
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+    assert named in str(caught.value)
+    assert len(str(caught.value)) < 300
+
+
+def test_gate_values_refused_before_keep_their_messages():
+    for call, message in (
+        (lambda: sp.GeometryParams(d_max=1, eta=0, fov_range=np.float64("nan")), "fov_range must be finite, got nan"),
+        (lambda: sp.GeometryParams(d_max=0, eta=0), "d_max must be positive, got 0"),
+        (lambda: sp.GeometryParams(d_max=1, eta=1.5), "eta must lie in [0, 1], got 1.5"),
+        (lambda: sp.AppearanceParams(alpha=float("nan")), "alpha must lie in [0, 1], got nan"),
+        (lambda: sp.AppearanceParams(alpha=Fraction(3, 2)), "alpha must lie in [0, 1], got 3/2"),
+    ):
+        with pytest.raises(sp.ValidationError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_vertex_id_of_500_digits_round_trips():
+    top = 10**500 - 1
+    g = sp.ExchangeGraph.from_vertices([(top, 1, None)], [(0, 1, None)], [(top, 0, 1)])
+    text = sp.dumps_graph(g)
+    assert sp.dumps_graph(sp.loads_graph(text)) == text
+    assert sp.loads_graph(text).ids == ((top,), (0,))
+    assert str(g.vids[0][0]) == f"1:{top}"
 
 
 # -- graph-file ingest against a Fraction-per-value oracle ----------------------
