@@ -636,7 +636,11 @@ def build_appearance_sweep(
     for p in params:
         if s is None:
             us, vs, values = [], [], []
-            for u, v, score in scores:
+            for entry in scores:
+                try:
+                    u, v, score = entry
+                except (TypeError, ValueError):
+                    raise ValidationError(f"score entry {_shown(entry)} is not a (u, v, score) triple") from None
                 if not 0 <= score <= 1:
                     pair = f"({_shown(u, str)}, {_shown(v, str)})"
                     raise ScoreOutOfRange(f"score {_shown(score)} for pair {pair} outside [0, 1]")

@@ -20,16 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from . import candidates as cand
-from .errors import EmptySide, GraphFormatError, InvariantViolation, ScanPlanError, ValidationError
+from .errors import GraphFormatError, InvariantViolation, ScanPlanError, ValidationError
 from .graph import ExchangeGraph, format_rational, load_graph, save_graph
 from .objectives import Objective, _shown, as_fraction
-from .policy import (
-    full_bidirectional,
-    load_policy,
-    monolog,
-    objective_cost,
-    save_policy,
-)
+from .policy import full_bidirectional, monolog  # noqa: F401  (perfbench/tracing.py wraps both as cli attributes)
+from .policy import load_policy, objective_cost, save_policy
 from .protocol import (
     RendezvousConfig,
     compare_strategies,
@@ -37,7 +32,7 @@ from .protocol import (
     run_rendezvous,
     strategy_table_csv,
 )
-from .solver import check_ghc, solve
+from .solver import _strategy_costs, check_ghc, solve
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -125,13 +120,6 @@ def _gate_params(args, appearance: bool, **swept) -> cand.AppearanceParams | can
     )
 
 
-def _monolog_cost_text(g: ExchangeGraph, side: int, obj: Objective) -> str:
-    try:
-        return format_rational(objective_cost(g, monolog(g, side), obj))
-    except EmptySide:
-        return "n/a"
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -152,9 +140,11 @@ def cmd_solve(args) -> int:
     start = time.perf_counter()
     result = solve(g, obj, engine=args.engine)
     elapsed = time.perf_counter() - start
+    costs = _strategy_costs(g, obj, args.engine)
     print(f"optimal_cost {format_rational(result.optimal_cost)}")
-    print(f"monolog1_cost {_monolog_cost_text(g, 1, obj)}")
-    print(f"monolog2_cost {_monolog_cost_text(g, 2, obj)}")
+    for side in (1, 2):
+        # a graph without vertices has no monolog
+        print(f"monolog{side}_cost {format_rational(costs[side]) if g.num_vertices else 'n/a'}")
     print(f"method {result.method}[{result.engine}]")
     print(f"transmitted_vertices {len(result.policy.ones)}")
     print(f"solve_seconds {elapsed:.4f}")
@@ -270,15 +260,6 @@ def _edge_codes(graphs: list[ExchangeGraph]) -> list[np.ndarray]:
     stride = 1 + max((max(g.ids[1], default=0) for g in graphs), default=0)
     dtype = np.int64 if (top + 1) * stride < 2**63 else object
     return [np.array(g.ids[0], dtype)[g.eu] * stride + np.array(g.ids[1], dtype)[g.ev] for g in graphs]
-
-
-def _strategy_costs(g: ExchangeGraph, obj: Objective) -> list[Fraction]:
-    """The optimal, monolog-1, monolog-2 and full-bidirectional costs of
-    ``g``; all 0 on a graph without vertices."""
-    if g.num_vertices == 0:
-        return [Fraction(0)] * 4
-    policies = (monolog(g, 1), monolog(g, 2), full_bidirectional(g))
-    return [solve(g, obj).optimal_cost, *(objective_cost(g, pi, obj) for pi in policies)]
 
 
 def run_sweep(args) -> tuple[list[str], str]:

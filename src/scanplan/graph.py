@@ -395,7 +395,11 @@ class ExchangeGraph:
         """
         ids, sizes, inertia = _vertex_columns((v1, v2))
         us, vs, costs = [], [], []
-        for u, v, cost in edges:
+        for entry in edges:
+            try:
+                u, v, cost = entry
+            except (TypeError, ValueError):
+                raise ValidationError(f"edge {_shown(entry)} is not a (u, v, cost) triple") from None
             us.append(u if type(u) is int else _index(u, _edge_text(u, v)))
             vs.append(v if type(v) is int else _index(v, _edge_text(u, v)))
             costs.append(_key(cost))
@@ -409,7 +413,12 @@ def _vertex_columns(sides) -> tuple[tuple[list, list], tuple[list, list], tuple[
     :func:`_key` gives it."""
     ids, sizes, inertia = ([], []), ([], []), ([], [])
     for s, entries in enumerate(sides):
-        for index, scan_size, price in entries:
+        for entry in entries:
+            try:
+                index, scan_size, price = entry
+            except (TypeError, ValueError):
+                what = f"side {s + 1} vertex {_shown(entry)}"
+                raise ValidationError(f"{what} is not an (id, scan_size, inertia) triple") from None
             ids[s].append(index if type(index) is int else _index(index, f"side {s + 1} vertex"))
             sizes[s].append(_key(scan_size))
             inertia[s].append(None if price is None else _key(price))
@@ -467,7 +476,7 @@ def _key_ratios(sizes, inertia, costs) -> tuple[dict, int]:
     """The ratios and the common denominator that :func:`_assemble` takes,
     for value columns of :func:`_key` returns."""
     ratios = {x: x if type(x) is tuple else (x, 1) for x in _distinct(sizes, inertia, [costs])}
-    return ratios, math.lcm(*{q for _, q in ratios.values()})
+    return ratios, _common_denominator(ratios, ValidationError)
 
 
 def _index(value, what) -> int:
@@ -514,8 +523,8 @@ def build_graph(
     Every vertex is checked, then degree-0 vertices are pruned (with a
     warning) so every retained vertex has at least one candidate edge.
     Errors come in this order: edge shapes and ranges, then scan sizes and
-    inertia prices vertex by vertex, then edge costs, then the
-    constructor's checks.
+    inertia prices vertex by vertex, then edge costs, then the bound on the
+    values' common denominator, then the constructor's checks.
     """
     # (id, scan size, inertia price) per vertex, as from_vertices reads them
     vertices = [
@@ -525,10 +534,13 @@ def build_graph(
     n1, n2 = len(vertices[0]), len(vertices[1])
     eu, ev, costs = [], [], []
     for item in edges:
-        if len(item) == 2:
-            (u, v), cost = item, 1
-        else:
-            u, v, cost = item
+        try:
+            if len(item) == 2:
+                (u, v), cost = item, 1
+            else:
+                u, v, cost = item
+        except (TypeError, ValueError):
+            raise ValidationError(f"edge {_shown(item)} is not a (u, v) or (u, v, cost) tuple") from None
         i = u if type(u) is int else _index(u, _edge_text(u, v))
         if not 0 <= i < n1 or not 0 <= (j := v if type(v) is int else _index(v, _edge_text(u, v))) < n2:
             raise IndexOutOfRange(f"{_edge_text(u, v)} outside vertex ranges")
@@ -600,12 +612,13 @@ def effective_weight(g: ExchangeGraph, vid: VertexId, objective: Objective) -> F
 # form has no terminating decimal expansion are written as "p/q" strings and
 # accepted back in that form, so serialize/deserialize round-trips exactly.
 
-# Largest common denominator of a graph file's values: ``loads_graph``
-# refuses a file whose values' common denominator has more than
+# Largest common denominator of a graph's values: ``loads_graph`` refuses a
+# file, with ``GraphFormatError``, and ``build_graph`` and ``from_vertices``
+# values, with ``ValidationError``, whose common denominator has more than
 # MAX_DENOMINATOR_DIGITS digits. Every file of decimal numbers within the
 # number bounds (``objectives.check_number_text``) passes, since its
 # denominator is a power of ten below 10**1000; "p/q" values with many
-# coprime denominators may not. Over an accepted graph with fewer than
+# coprime denominators may not. Over an accepted graph file with fewer than
 # 10**11 vertices and edges, every P1, P2 or P3 cost prints inside the
 # 4300-digit limit, since each objective parameter's numerator and
 # denominator have at most ``objectives.MAX_PARAMETER_DIGITS`` = 100 digits:
@@ -616,6 +629,20 @@ def effective_weight(g: ExchangeGraph, vid: VertexId, objective: Objective) -> F
 #   most 1657 factors of 2; the parameters add at most 996);
 # so either printed form, "p/q" or decimal, has at most 3870 digits.
 MAX_DENOMINATOR_DIGITS = 1000
+
+
+def _common_denominator(ratios: Mapping, error: type[Exception]) -> int:
+    """The LCM of the denominators of ``ratios``' reduced pairs, or ``error``
+    past the bound. A prefix's LCM divides the whole one, so the first
+    prefix past the bound decides, in any order, and no LCM grows far
+    beyond the bound."""
+    den, bound = 1, 10**MAX_DENOMINATOR_DIGITS
+    for q in {q for _, q in ratios.values()}:
+        den = math.lcm(den, q)
+        if den >= bound:
+            raise error(f"the values' common denominator exceeds {MAX_DENOMINATOR_DIGITS} digits")
+    return den
+
 
 _DIGITS_AS_ZERO = str.maketrans("123456789", "000000000")
 
@@ -834,13 +861,7 @@ def loads_graph(text: str) -> ExchangeGraph:
         ratios = {x: _ratio(x) for x in _distinct(sizes, inertia, [costs])}
     except (KeyError, TypeError, AttributeError, ValidationError):
         _raise_first_fault(doc)
-    # a prefix's LCM divides the whole one, so the first prefix past the
-    # bound decides, in any order, and no LCM grows far beyond the bound
-    den, bound = 1, 10**MAX_DENOMINATOR_DIGITS
-    for q in {q for _, q in ratios.values()}:
-        den = math.lcm(den, q)
-        if den >= bound:
-            raise GraphFormatError(f"the values' common denominator exceeds {MAX_DENOMINATOR_DIGITS} digits")
+    den = _common_denominator(ratios, GraphFormatError)
     return _assemble(ids, sizes, inertia, *_end_positions(ids, us, vs), costs, ratios, den)
 
 

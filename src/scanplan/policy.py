@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -72,6 +72,12 @@ class Policy:
         return f"Policy(ones={{{ones}}})"
 
 
+def _masked_sum(column: Sequence[int], mask: np.ndarray) -> int:
+    """The sum of an integer column over a boolean mask of the same length:
+    the one sum behind every cost of a labelling."""
+    return sum(compress(column, mask.tolist()))
+
+
 def _sent_masks(g: ExchangeGraph, pi: Policy) -> tuple[np.ndarray, np.ndarray]:
     """Per side, a mask of the vertices the policy transmits.
     ``LabelDomainMismatch`` unless the policy labels exactly g's vertices."""
@@ -115,7 +121,7 @@ def objective_cost(g: ExchangeGraph, pi: Policy, obj: Objective) -> Fraction:
     effective weights over the labeled vertices."""
     sent = _sent_masks(g, pi)
     weight, den = weight_numerators(g, obj)
-    return Fraction(sum(sum(compress(w, m.tolist())) for w, m in zip(weight, sent)), den)
+    return Fraction(sum(map(_masked_sum, weight, sent)), den)
 
 
 # -- policy file format ----------------------------------------------------

@@ -35,6 +35,7 @@ from .graph import EdgeKey, ExchangeGraph, VertexId, format_rational
 from .objectives import Objective, _shown, _shown_ids, as_fraction
 from .policy import (
     Policy,
+    _masked_sum,
     _sent_masks,
     full_bidirectional,
     is_admissible,  # noqa: F401  (perfbench/tracing.py wraps scanplan.protocol.is_admissible)
@@ -86,11 +87,6 @@ def _division(
     return (sent1, sent2), on_robot
 
 
-def _cost_num(g: ExchangeGraph, edges: np.ndarray) -> int:
-    """Summed cost of the edges in a mask, as a numerator over ``g.den``."""
-    return sum(compress(g.cost_num, edges.tolist()))
-
-
 def _edge_key_set(g: ExchangeGraph, edges: np.ndarray) -> frozenset[EdgeKey]:
     """The ``(u, v)`` keys of some edges, given as a mask or as positions;
     built for those edges only."""
@@ -116,7 +112,7 @@ def workloads(g: ExchangeGraph, pi: Policy, alpha1=1, alpha2=1) -> WorkloadRepor
     _, (l1, l2) = _division(g, pi, "workload partition is defined for admissible policies")
     alpha1 = as_fraction(alpha1)
     alpha2 = as_fraction(alpha2)
-    ell1, ell2 = (Fraction(_cost_num(g, m), g.den) for m in (l1, l2))
+    ell1, ell2 = (Fraction(_masked_sum(g.cost_num, m), g.den) for m in (l1, l2))
     return WorkloadReport(
         l1_edges=_edge_key_set(g, l1),
         l2_edges=_edge_key_set(g, l2),
@@ -171,16 +167,18 @@ class RendezvousConfig:
     the broker (3 bytes fits one vocabulary word). ``broker_host`` set to
     1 or 2 co-locates the broker with that robot, zeroing its metadata
     legs; None models a third-party broker. Both byte sizes are finite,
-    non-negative real numbers. Ground-truth closures must be pairs of
+    non-negative real numbers, kept as exact Fractions of the values given
+    (a float as its exact binary value), so that every phase total is the
+    sum of its messages. Ground-truth closures must be pairs of
     ``(side, index)`` ids, kept as a frozenset, and candidate edges;
     verification is simulated by membership.
     """
 
     objective: Objective = field(default_factory=Objective.p2)
-    metadata_bytes_per_vertex: int = 3
+    metadata_bytes_per_vertex: Real = 3
     ground_truth_closures: frozenset[EdgeKey] = frozenset()
     channel_alive_after_exchange: bool = True
-    closure_message_bytes: int = 64
+    closure_message_bytes: Real = 64
     broker_host: int | None = None
 
     def __post_init__(self):
@@ -188,12 +186,18 @@ class RendezvousConfig:
             size = getattr(self, name)
             if isinstance(size, bool) or not isinstance(size, Real) or size != size or abs(size) == math.inf:
                 raise ValidationError(f"{name} must be a finite number, got {_shown(size)}")
+            object.__setattr__(self, name, as_fraction(size))
         if self.metadata_bytes_per_vertex < 0 or self.closure_message_bytes < 0:
             raise ValidationError("message byte sizes must be non-negative")
         if self.broker_host not in (None, 1, 2):
             raise ValidationError(f"broker_host must be 1, 2, or None, got {_shown(self.broker_host, str)}")
         # read once, so that an iterator is not used up by the check
-        closures = tuple(self.ground_truth_closures)
+        try:
+            closures = tuple(self.ground_truth_closures)
+        except TypeError:
+            raise ValidationError(
+                f"ground_truth_closures {_shown(self.ground_truth_closures)} is not a collection of closures"
+            ) from None
         for pair in closures:
             if not (isinstance(pair, tuple) and len(pair) == 2 and all(map(_is_vertex_id, pair))):
                 raise ValidationError(
@@ -311,13 +315,12 @@ def run_rendezvous(
     found = [m[at] for m in on_robot]  # per robot, the true closures it screened
     exclusive = {1: at[found[0] & ~found[1]], 2: at[found[1] & ~found[0]]}
     # round 6: swap discoveries the other robot does not already have
-    closure_size = Fraction(cfg.closure_message_bytes)
     closures = 0
     undelivered = {1: frozenset(), 2: frozenset()}
     if cfg.channel_alive_after_exchange:
         for side in (1, 2):
             messages += [
-                Message(CLOSURE_PHASE, ROBOT[side], ROBOT[3 - side], closure_size, f"closure[{u}-{v}]")
+                Message(CLOSURE_PHASE, ROBOT[side], ROBOT[3 - side], cfg.closure_message_bytes, f"closure[{u}-{v}]")
                 for u, v in sorted(_edge_key_set(g, exclusive[side]))
             ]
             closures += len(exclusive[side])
@@ -334,10 +337,10 @@ def run_rendezvous(
         undelivered_1=undelivered[1],
         undelivered_2=undelivered[2],
         metadata_bytes=metadata_bytes,
-        scan_bytes=Fraction(sum(num for _, _, num in scans), g.den),
-        closure_bytes=Fraction(closures * cfg.closure_message_bytes),
-        ell1=Fraction(_cost_num(g, on_robot[0]), g.den),
-        ell2=Fraction(_cost_num(g, on_robot[1]), g.den),
+        scan_bytes=Fraction(sum(map(_masked_sum, g.eff_num, sent)), g.den),
+        closure_bytes=closures * cfg.closure_message_bytes,
+        ell1=Fraction(_masked_sum(g.cost_num, on_robot[0]), g.den),
+        ell2=Fraction(_masked_sum(g.cost_num, on_robot[1]), g.den),
         _graph=g,
         _on_robot=on_robot,
     )

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import InvariantViolation, NonUniformWeights, ValidationError
 from .graph import ExchangeGraph, VertexId, effective_weight, weight_numerators
 from .objectives import Objective, _shown, _shown_ids, as_fraction
-from .policy import Policy, monolog, objective_cost
+from .policy import Policy, _masked_sum, monolog, objective_cost
 
 # Largest scaled capacity total routed through the compiled engine; above
 # this the int32-based engine could overflow, so the big-int path is used.
@@ -156,6 +156,17 @@ def solve(g: ExchangeGraph, obj: Objective, engine: str | None = None) -> SolveR
     return _optimal_cover(g, obj, engine)[0]
 
 
+def _strategy_costs(g: ExchangeGraph, obj: Objective, engine: str | None = None) -> list[Fraction]:
+    """The optimal, monolog-1, monolog-2 and full-bidirectional costs of
+    ``g`` under ``obj``: the optimum from ``solve``, and each monolog's cost
+    as its side's summed vertex weights from the same memo; all 0 on a
+    graph without vertices."""
+    optimal = solve(g, obj, engine).optimal_cost
+    _, weight, den = _optimal_cover(g, obj, engine)
+    monolog1, monolog2 = (Fraction(sum(w), den) for w in weight)
+    return [optimal, monolog1, monolog2, monolog1 + monolog2]
+
+
 def _optimal_cover(
     g: ExchangeGraph, obj: Objective, engine: str | None = None
 ) -> tuple[SolveResult, tuple[list[int], list[int]], int]:
@@ -209,12 +220,12 @@ def _min_cut_cover(
     flow_value, reach = max_flow(sink + 1, tails, heads, caps)
     reached = np.zeros(sink + 1, dtype=bool)
     reached[list(reach)] = True
-    in_cover = (~reached[1 : 1 + n1]).tolist(), reached[1 + n1 : sink].tolist()
-    cost = Fraction(sum(compress(w1, in_cover[0])) + sum(compress(w2, in_cover[1])), den)
+    in_cover = ~reached[1 : 1 + n1], reached[1 + n1 : sink]
+    cost = Fraction(sum(map(_masked_sum, weight, in_cover)), den)
     certificate = Fraction(flow_value, scale)
     if certificate != cost:
         raise InvariantViolation(f"max-flow value {certificate} differs from cover weight {cost}")
-    cover = [*compress(g.vids[0], in_cover[0]), *compress(g.vids[1], in_cover[1])]
+    cover = [vid for vids, m in zip(g.vids, in_cover) for vid in compress(vids, m.tolist())]
     return SolveResult(Policy(g.vertex_ids, cover), cost, "flow_cut", certificate, engine)
 
 
@@ -347,10 +358,9 @@ def check_ghc(g: ExchangeGraph, obj: Objective, side: int) -> GhcCertificate:
     in_cover = g.label_masks(result.policy.ones)[s]
     ends = (g.eu, g.ev)
     neighbours = np.unique(ends[1 - s][~in_cover[ends[s]]]).tolist()
-    out_of_cover = (~in_cover).tolist()
-    witness = frozenset(compress(side_ids, out_of_cover))
+    witness = frozenset(compress(side_ids, (~in_cover).tolist()))
     neighborhood = sorted(g.vids[1 - s][j] for j in neighbours)
-    w_s = Fraction(sum(compress(weight[s], out_of_cover)), den)
+    w_s = Fraction(_masked_sum(weight[s], ~in_cover), den)
     w_n = Fraction(sum(weight[1 - s][j] for j in neighbours), den)
     if not w_s > w_n:
         raise InvariantViolation(f"witness weight {w_s} <= neighborhood weight {w_n}")

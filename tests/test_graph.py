@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import time
 import warnings
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import scanplan as sp
 from scanplan.candidates import make_pose
 from scanplan.cli import SweepSpec
-from scanplan.graph import effective_weight, format_rational
+from scanplan.graph import MAX_DENOMINATOR_DIGITS, effective_weight, format_rational
 from scanplan.objectives import _shown, as_fraction
 
 from conftest import build_quiet
@@ -140,8 +141,12 @@ BUILD_CASES = {
 
 
 # where build_graph refuses what the reference truncates with int(), or
-# lets int() fail with a bare TypeError, ValueError or OverflowError
+# lets int() or unpacking an edge fail with a bare TypeError, ValueError or
+# OverflowError
 REFUSED_CASES = {
+    "edge of length 1": (sp.ValidationError, "edge (0,) is not a (u, v) or (u, v, cost) tuple"),
+    "edge of length 4": (sp.ValidationError, "edge (0, 0, 1, 1) is not a (u, v) or (u, v, cost) tuple"),
+    "edge without a length": (sp.ValidationError, "edge 5 is not a (u, v) or (u, v, cost) tuple"),
     "float indices refused": (sp.IndexOutOfRange, "edge (0.5, 1.9) has a non-integral index 0.5"),
     "float u refused before its range": (sp.IndexOutOfRange, "edge (1.5, 0) has a non-integral index 1.5"),
     "bad u text": (sp.IndexOutOfRange, "edge (x, 0) has a non-integer index 'x'"),
@@ -830,3 +835,92 @@ def test_a_boolean_is_not_a_number():
 def test_unknown_objective_variant_refused():
     with pytest.raises(sp.ValidationError, match="^unknown objective variant 'p4'$"):
         sp.Objective("p4")
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda: sp.build_graph([1], [1], [(0,)]), "edge (0,) is not a (u, v) or (u, v, cost) tuple"),
+        (lambda: sp.build_graph([1], [1], [5]), "edge 5 is not a (u, v) or (u, v, cost) tuple"),
+        (lambda: sp.build_graph([1], [1], [list(range(10**4))]), "edge [0, 1, 2, 3, 4, 5, 6... is not"),
+        (
+            lambda: sp.ExchangeGraph.from_vertices([(0, 1)], [(0, 1, None)], [(0, 0, 1)]),
+            "side 1 vertex (0, 1) is not an (id, scan_size, inertia) triple",
+        ),
+        (
+            lambda: sp.ExchangeGraph.from_vertices([(0, 1, None)], [None], [(0, 0, 1)]),
+            "side 2 vertex None is not an (id, scan_size, inertia) triple",
+        ),
+        (
+            lambda: sp.ExchangeGraph.from_vertices([(0, 1, None)], [(0, 1, None)], [(0, 0)]),
+            "edge (0, 0) is not a (u, v, cost) triple",
+        ),
+        (
+            lambda: sp.build_appearance([(0, 0)], [1], [1], sp.AppearanceParams(alpha=0.3)),
+            "score entry (0, 0) is not a (u, v, score) triple",
+        ),
+        (
+            lambda: sp.build_appearance([(0, 0, 0.5, 1)], [1], [1], sp.AppearanceParams(alpha=0.3)),
+            "score entry (0, 0, 0.5, 1) is not a (u, v, score) triple",
+        ),
+        (
+            lambda: sp.RendezvousConfig(ground_truth_closures=5),
+            "ground_truth_closures 5 is not a collection of closures",
+        ),
+    ],
+    ids=[
+        "edge-of-one", "edge-not-a-tuple", "edge-of-10000", "vertex-pair", "vertex-none", "from-vertices-edge-pair",
+        "score-pair", "score-of-four", "closures-not-a-collection",
+    ],
+)
+def test_api_entry_of_the_wrong_shape_is_refused_by_name(call, named):
+    # each used to escape as a bare ValueError or TypeError from unpacking
+    with pytest.raises(sp.ValidationError) as caught:
+        call()
+    assert named in str(caught.value)
+    assert len(str(caught.value)) < 300
+
+
+def _primes(lo, hi):
+    sieve = np.ones(hi, dtype=bool)
+    sieve[:2] = False
+    for n in range(2, math.isqrt(hi) + 1):
+        if sieve[n]:
+            sieve[n * n :: n] = False
+    return (np.flatnonzero(sieve[lo:]) + lo).tolist()
+
+
+def _reciprocal_prime_calls(primes):
+    """``build_graph`` and ``from_vertices`` on side-1 scan sizes 1/p, one
+    edge per vertex: the values' common denominator is their product."""
+    n = len(primes)
+    sizes = [Fraction(1, p) for p in primes]
+    return (
+        lambda: sp.build_graph(sizes, [1] * n, [(i, i) for i in range(n)]),
+        lambda: sp.ExchangeGraph.from_vertices(
+            [(i, w, None) for i, w in enumerate(sizes)], [(i, 1, None) for i in range(n)], [(i, i, 1) for i in range(n)]
+        ),
+    )
+
+
+def test_api_graphs_obey_the_common_denominator_bound():
+    # the first primes above 10007, as the graph file tests take them: 247
+    # give a 1000-digit denominator, 248 one past the bound
+    primes = _primes(10008, 25_000)
+    for call in _reciprocal_prime_calls(primes[:247]):
+        assert len(str(call().den)) == MAX_DENOMINATOR_DIGITS
+    for count in (248, 1400):
+        for call in _reciprocal_prime_calls(primes[:count]):
+            with pytest.raises(sp.ValidationError, match="^the values' common denominator exceeds 1000 digits$"):
+                call()
+
+
+def test_api_common_denominator_bound_refuses_in_linear_time():
+    # 32,000 scan sizes 1/p over primes above 10**5; build_graph took the
+    # LCM of every denominator, unbounded
+    primes = _primes(10**5 + 1, 520_000)[:32_000]
+    for call in _reciprocal_prime_calls(primes):
+        start = time.perf_counter()
+        with pytest.raises(sp.ValidationError, match="common denominator exceeds 1000 digits"):
+            call()
+        assert time.perf_counter() - start < 2

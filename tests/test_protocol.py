@@ -228,3 +228,25 @@ def test_empty_graph_strategies_all_zero():
     g = sp.build_graph([], [], [])
     rows = sp.compare_strategies(g, sp.RendezvousConfig())
     assert all(r.scan_bytes == 0 and r.metadata_bytes == 0 for r in rows)
+
+
+def test_byte_sizes_are_read_exactly():
+    # a 3-by-3 double star: the hubs are sent, and each of three true
+    # closures is screened by one robot only
+    g = sp.build_graph([1, 1, 1], [1, 1, 1], [(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)])
+    tenth = Fraction(0.1)
+    cfg = sp.RendezvousConfig(
+        metadata_bytes_per_vertex=0.1,
+        closure_message_bytes=0.1,
+        ground_truth_closures=frozenset({edge(1, 0), edge(2, 0), edge(0, 1)}),
+    )
+    assert (cfg.metadata_bytes_per_vertex, cfg.closure_message_bytes) == (tenth, tenth)
+    trace = sp.run_rendezvous(g, cfg)
+    meta = [m.size for m in trace.messages if m.phase == METADATA_PHASE and m.summary == "meta[3]"]
+    closures = [m.size for m in trace.messages if m.phase == CLOSURE_PHASE]
+    # 3 * 0.1 in floats is 0.30000000000000004, which is not 3 * Fraction(0.1)
+    assert meta == [3 * tenth, 3 * tenth]
+    assert closures == [tenth] * 3
+    for phase, total in ((METADATA_PHASE, trace.metadata_bytes), (SCAN_PHASE, trace.scan_bytes)):
+        assert total == sum(m.size for m in trace.messages if m.phase == phase)
+    assert trace.closure_bytes == sum(closures) == 3 * tenth

@@ -541,3 +541,31 @@ def test_too_small_matching_raises_invariant_violation(double_star, monkeypatch)
     monkeypatch.setattr(sp.solver, "_max_matching", short)
     with pytest.raises(sp.InvariantViolation, match="Koenig cover has 2 vertices, matching 1 edges"):
         sp.solve_uniform_matching(double_star)
+
+
+def test_strategy_costs_match_the_policy_costs():
+    # the costs the CLI prints, against the optimum solve returns and the
+    # cost of each strategy's policy, priced vertex by vertex too
+    rng = random.Random(211)
+    objectives = (
+        lambda: sp.Objective.p1(random_fraction(rng), random_fraction(rng)),
+        sp.Objective.p2,
+        lambda: sp.Objective.p3(random_fraction(rng), random_fraction(rng), random_fraction(rng)),
+    )
+    for _ in range(10):
+        g = random_graph(rng, rational_costs=True)
+        for make in objectives:
+            obj = make()
+            policies = (sp.monolog(g, 1), sp.monolog(g, 2), sp.full_bidirectional(g))
+            expected = [sp.solve(g, obj).optimal_cost, *(sp.objective_cost(g, pi, obj) for pi in policies)]
+            by_vertex = [sum(sp.effective_weight(g, vid, obj) for vid in pi.ones) for pi in policies]
+            assert expected[1:] == by_vertex
+            for engine in (None, "scipy", "dinic"):
+                assert sp.solver._strategy_costs(g, obj, engine) == expected
+
+
+def test_strategy_costs_of_a_graph_without_vertices_are_zero():
+    g = sp.build_graph([], [], [])
+    for obj in (sp.Objective.p1(2, 3), sp.Objective.p2(), sp.Objective.p3(1, 2, 3)):
+        for engine in (None, "scipy", "dinic"):
+            assert sp.solver._strategy_costs(g, obj, engine) == [0, 0, 0, 0]
