@@ -641,8 +641,14 @@ def build_appearance_sweep(
                     u, v, score = entry
                 except (TypeError, ValueError):
                     raise ValidationError(f"score entry {_shown(entry)} is not a (u, v, score) triple") from None
-                if not 0 <= score <= 1:
+                try:
+                    in_range = 0 <= score <= 1
+                except (TypeError, ValueError):
+                    in_range = None
+                if not in_range:
                     pair = f"({_shown(u, str)}, {_shown(v, str)})"
+                    if in_range is None:
+                        raise ValidationError(f"score {_shown(score)} for pair {pair} is not a number")
                     raise ScoreOutOfRange(f"score {_shown(score)} for pair {pair} outside [0, 1]")
                 if type(u) is not int or type(v) is not int:
                     what = f"score pair ({_shown(u, str)}, {_shown(v, str)})"

@@ -395,7 +395,7 @@ class ExchangeGraph:
         """
         ids, sizes, inertia = _vertex_columns((v1, v2))
         us, vs, costs = [], [], []
-        for entry in edges:
+        for entry in _iterated(edges, "edges"):
             try:
                 u, v, cost = entry
             except (TypeError, ValueError):
@@ -413,7 +413,7 @@ def _vertex_columns(sides) -> tuple[tuple[list, list], tuple[list, list], tuple[
     :func:`_key` gives it."""
     ids, sizes, inertia = ([], []), ([], []), ([], [])
     for s, entries in enumerate(sides):
-        for entry in entries:
+        for entry in _iterated(entries, f"side {s + 1} vertices"):
             try:
                 index, scan_size, price = entry
             except (TypeError, ValueError):
@@ -423,6 +423,15 @@ def _vertex_columns(sides) -> tuple[tuple[list, list], tuple[list, list], tuple[
             sizes[s].append(_key(scan_size))
             inertia[s].append(None if price is None else _key(price))
     return ids, sizes, inertia
+
+
+def _iterated(value, what: str) -> Iterator:
+    """``iter(value)``; a value that cannot be iterated is refused with
+    ``ValidationError`` naming ``what``."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be iterable, got {_shown(value)}") from None
 
 
 def _ratio(value) -> tuple[int, int]:
@@ -522,18 +531,23 @@ def build_graph(
     :class:`IndexOutOfRange`. Inertia keys outside the lists are ignored.
     Every vertex is checked, then degree-0 vertices are pruned (with a
     warning) so every retained vertex has at least one candidate edge.
-    Errors come in this order: edge shapes and ranges, then scan sizes and
-    inertia prices vertex by vertex, then edge costs, then the bound on the
-    values' common denominator, then the constructor's checks.
+    Errors come in this order: weight lists that are not iterable and
+    inertia that is neither a mapping nor None, then edge shapes and
+    ranges, then scan sizes and inertia prices vertex by vertex, then edge
+    costs, then the bound on the values' common denominator, then the
+    constructor's checks. Each is a :class:`ValidationError`.
     """
     # (id, scan size, inertia price) per vertex, as from_vertices reads them
-    vertices = [
-        [(i, w, prices.get(i)) for i, w in enumerate(weights)]
-        for weights, prices in ((v1_weights, v1_inertia or {}), (v2_weights, v2_inertia or {}))
-    ]
+    vertices = []
+    for side, weights, prices in ((1, v1_weights, v1_inertia), (2, v2_weights, v2_inertia)):
+        if prices is None:
+            prices = {}
+        elif not isinstance(prices, Mapping):
+            raise ValidationError(f"v{side}_inertia must be a mapping or None, got {_shown(prices)}")
+        vertices.append([(i, w, prices.get(i)) for i, w in enumerate(_iterated(weights, f"v{side}_weights"))])
     n1, n2 = len(vertices[0]), len(vertices[1])
     eu, ev, costs = [], [], []
-    for item in edges:
+    for item in _iterated(edges, "edges"):
         try:
             if len(item) == 2:
                 (u, v), cost = item, 1

@@ -14,15 +14,20 @@ Weights are scaled to integers (LCM of denominators), flows are computed
 in exact integer arithmetic, and the cover is read off the unique
 source-minimal min cut, which makes the returned policy independent of
 the flow engine used. A compiled engine (scipy) is used when capacities
-fit well inside int32; otherwise a pure-Python Dinic with unbounded
-integers takes over, so exactness never depends on magnitudes. Both
-engines are built from the same arc arrays, and the Dinic reads its cut
-off its last level graph, the one in which the sink is out of reach.
+fit well inside int32; otherwise the exact engine takes over, so
+exactness never depends on magnitudes. Both engines are built from the
+same arc arrays. The exact engine pushes one greedy flow along the
+edges in Python integers, then searches the residual's sign pattern for
+the nodes the source reaches. When the sink is out of reach, the greedy
+flow is maximum and those nodes are the cut; otherwise Dinic phases
+finish the flow from the greedy one and read the cut off their last
+level graph.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,16 +59,67 @@ def _min_cut_reachable_scipy(n: int, tails, heads, caps) -> tuple[int, set[int]]
 
 
 def _min_cut_reachable_dinic(n: int, tails, heads, caps) -> tuple[int, list[int]]:
-    """Dinic max flow with arbitrary-precision integer capacities; returns
-    (flow value, source-reachable nodes).
+    """Exact max flow on the cover network with arbitrary-precision integer
+    capacities; returns (flow value, source-reachable nodes).
+
+    Arc ``k < n - 2`` is node ``k + 1``'s arc from the source or to the
+    sink, and every later arc joins a side-1 node ``u`` to a side-2 node
+    ``v`` with a capacity that no flow fills. One greedy pass pushes
+    ``min(source residual of u, sink residual of v)`` along each later arc,
+    in stable tail order. A breadth-first search of the residual's sign
+    pattern (s -> u where u's source residual is positive, every u -> v,
+    and v -> u where that arc carries flow) then finds the nodes the source
+    reaches. When no reached side-2 node has sink residual left, the sink
+    is out of reach: the greedy flow is maximum, and the reached nodes are
+    the source side of the source-minimal min cut, which every maximum flow
+    shares. Otherwise Dinic phases carry on from the greedy flow."""
+    m = n - 2
+    eu, ev = tails[m:].tolist(), heads[m:].tolist()
+    res = [0, *caps[:m], 0]  # each node's residual on its terminal arc
+    carried = [0] * len(eu)
+    out = [[] for _ in range(n)]  # each node's arcs in the residual's sign pattern
+    for k in np.argsort(tails[m:], kind="stable").tolist():
+        u, v = eu[k], ev[k]
+        out[u].append(v)
+        ru, rv = res[u], res[v]
+        if ru and rv:
+            push = carried[k] = ru if ru < rv else rv
+            res[u] = ru - push
+            res[v] = rv - push
+            out[v].append(u)
+    from_source = tails[:m] == 0
+    out[0] = [u for u in heads[:m][from_source].tolist() if res[u]]
+    order = [0]
+    reached = bytearray(n)
+    reached[0] = 1
+    for u in order:
+        for v in out[u]:
+            if not reached[v]:
+                reached[v] = 1
+                order.append(v)
+    flow = sum(carried)
+    if not any(res[v] and reached[v] for v in tails[:m][~from_source].tolist()):
+        return flow, order
+    del eu, ev, out, order, reached  # the phases build their own arc lists
+    # residual capacities: arc 2k is network arc k, 2k + 1 its reverse
+    cap = [0] * (2 * len(caps))
+    cap[0::2] = [*res[1:-1], *map(operator.sub, caps[m:], carried)]
+    cap[1::2] = [*map(operator.sub, caps[:m], res[1:-1]), *carried]
+    return _dinic_phases(n, tails, heads, cap, flow)
+
+
+def _dinic_phases(n: int, tails, heads, cap: list[int], flow: int) -> tuple[int, list[int]]:
+    """Dinic's phases from a feasible flow of value ``flow`` to a maximum
+    one; returns (flow value, source-reachable nodes).
 
     Arc ``2k`` of the residual network is network arc ``k`` and ``2k + 1``
-    its reverse, so ``eid ^ 1`` pairs them. Each node's arcs are listed in
-    arc order. The phases stop when the sink is out of reach, and that last
-    breadth-first search has then reached exactly the source side of the
-    source-minimal min cut."""
+    its reverse, so ``eid ^ 1`` pairs them, and ``cap`` holds their
+    residual capacities. Each node's arcs are listed in arc order. The
+    phases stop when the sink is out of reach, and that last breadth-first
+    search has then reached exactly the source side of the source-minimal
+    min cut."""
     s, t = 0, n - 1
-    to = np.empty(2 * len(caps), np.int64)
+    to = np.empty(len(cap), np.int64)
     to[0::2], to[1::2] = heads, tails
     tail = np.empty_like(to)
     tail[0::2], tail[1::2] = tails, heads
@@ -71,9 +127,6 @@ def _min_cut_reachable_dinic(n: int, tails, heads, caps) -> tuple[int, list[int]
     bounds = np.cumsum(np.bincount(tail, minlength=n)).tolist()
     adj = [by_tail[lo:hi] for lo, hi in zip([0, *bounds], bounds)]
     to = to.tolist()
-    cap = [0] * len(to)
-    cap[0::2] = caps
-    flow = 0
     while True:
         level = [-1] * n
         level[s] = 0

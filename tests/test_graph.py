@@ -867,14 +867,39 @@ def test_unknown_objective_variant_refused():
             lambda: sp.RendezvousConfig(ground_truth_closures=5),
             "ground_truth_closures 5 is not a collection of closures",
         ),
+        (lambda: sp.build_graph([1], [1], [(0, 0)], v1_inertia=5), "v1_inertia must be a mapping or None, got 5"),
+        (lambda: sp.build_graph([1], [1], [(0, 0)], v2_inertia=[2]), "v2_inertia must be a mapping or None, got [2]"),
+        (lambda: sp.build_graph(5, [1], [(0, 0)]), "v1_weights must be iterable, got 5"),
+        (lambda: sp.build_graph([1], None, [(0, 0)]), "v2_weights must be iterable, got None"),
+        (lambda: sp.build_graph(10**10000, [1], []), "v1_weights must be iterable, got <int of 33220 bits>"),
+        (lambda: sp.build_graph([1], [1], 5), "edges must be iterable, got 5"),
+        (lambda: sp.ExchangeGraph.from_vertices(5, [], []), "side 1 vertices must be iterable, got 5"),
+        (lambda: sp.ExchangeGraph.from_vertices([], 2.5, []), "side 2 vertices must be iterable, got 2.5"),
+        (lambda: sp.ExchangeGraph.from_vertices([(0, 1, None)], [(0, 1, None)], 5), "edges must be iterable, got 5"),
+        (
+            lambda: sp.build_appearance([(0, 0, 0.5), (1, 2, "x")], [1] * 2, [1] * 3, sp.AppearanceParams(alpha=0.3)),
+            "score 'x' for pair (1, 2) is not a number",
+        ),
+        (
+            lambda: next(
+                sp.build_appearance_sweep([(0, 0, None)], [1], [1], [sp.AppearanceParams(alpha=0.3)])
+            ),
+            "score None for pair (0, 0) is not a number",
+        ),
+        (
+            lambda: sp.build_appearance([(0, 0, 1j)], [1], [1], sp.AppearanceParams(alpha=0.3)),
+            "score 1j for pair (0, 0) is not a number",
+        ),
     ],
     ids=[
         "edge-of-one", "edge-not-a-tuple", "edge-of-10000", "vertex-pair", "vertex-none", "from-vertices-edge-pair",
-        "score-pair", "score-of-four", "closures-not-a-collection",
+        "score-pair", "score-of-four", "closures-not-a-collection", "inertia-int", "inertia-list", "weights-int",
+        "weights-none", "weights-huge-int", "edges-int", "from-vertices-int", "from-vertices-float",
+        "from-vertices-edges-int", "score-text", "sweep-score-none", "score-complex",
     ],
 )
 def test_api_entry_of_the_wrong_shape_is_refused_by_name(call, named):
-    # each used to escape as a bare ValueError or TypeError from unpacking
+    # each used to escape as a bare AttributeError, TypeError or ValueError
     with pytest.raises(sp.ValidationError) as caught:
         call()
     assert named in str(caught.value)

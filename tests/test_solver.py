@@ -154,6 +154,73 @@ def test_big_weights_fall_back_to_exact_engine():
         sp.solve(g, sp.Objective.p2(), engine="scipy")
 
 
+@pytest.fixture
+def dinic_phase_calls(monkeypatch):
+    """Counts the exact engine's fallbacks to Dinic phases."""
+    calls = []
+    real = sp.solver._dinic_phases
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(sp.solver, "_dinic_phases", counted)
+    return calls
+
+
+def test_exact_engine_finishes_a_greedy_flow_that_is_not_maximum(dinic_phase_calls):
+    # the greedy pass pushes u0 -> v0 first, which blocks u0 -> v1 and
+    # u1 -> v0: its flow is 1 and the maximum is 2
+    g = sp.build_graph([1, 1], [1, 1], [(0, 0), (0, 1), (1, 0)])
+    obj = sp.Objective.p2()
+    res = sp.solve(g, obj, engine="dinic")
+    assert dinic_phase_calls == [1]
+    assert res.optimal_cost == 2 and res.certificate == res.optimal_cost
+    assert res.engine == "dinic"
+    assert res.policy == sp.solve(g, obj, engine="scipy").policy
+    assert res.policy == sp.solve_brute_force(g, obj).policy
+
+
+def test_exact_engine_agrees_with_scipy_on_both_paths(dinic_phase_calls):
+    # small random graphs: some cuts come straight from the greedy flow,
+    # others need the Dinic phases; both give scipy's cut
+    rng = random.Random(211)
+    greedy_only = 0
+    for _ in range(150):
+        g = random_graph(rng, max_side=6, rational_costs=True)
+        obj = random_objective(rng)
+        before = len(dinic_phase_calls)
+        exact = sp.solve(g, obj, engine="dinic")
+        greedy_only += len(dinic_phase_calls) == before
+        compiled = sp.solve(g, obj, engine="scipy")
+        assert (exact.policy, exact.optimal_cost) == (compiled.policy, compiled.optimal_cost)
+        assert exact.certificate == compiled.certificate
+    assert 0 < greedy_only < 150
+
+
+EXACT_ENGINE_IMPORTS = """
+import sys
+import scanplan as sp
+
+g = sp.build_graph([2**40, 1, 3], [1, 2**40], [(0, 0), (1, 1), (2, 0), (2, 1)])
+obj = sp.Objective.p2()
+assert sp.solve(g, obj).engine == "dinic"
+sp.check_ghc(g, obj, 1)
+sp.run_rendezvous(g, sp.RendezvousConfig(objective=obj))
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_exact_engine_session_imports_no_scipy():
+    # importing scipy.sparse costs tens of MB of resident memory, and a
+    # session on the exact engine has no use for it
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", EXACT_ENGINE_IMPORTS], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_scaling_leaves_cover_unchanged():
     rng = random.Random(103)
     for _ in range(15):
