@@ -31,7 +31,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
@@ -60,6 +60,12 @@ class VertexId(NamedTuple):
 
     def __str__(self):
         return f"{self.side}:{self.index}"
+
+
+def _vertex_ids(side: int, indices: Iterable[int]) -> Iterator[VertexId]:
+    """``VertexId(side, i)`` for each ``i`` of ``indices``, built by the
+    tuple constructor with no Python call per id."""
+    return map(tuple.__new__, repeat(VertexId), zip(repeat(side), indices))
 
 
 def _edge_text(u, v) -> str:
@@ -219,10 +225,7 @@ class ExchangeGraph:
     @cached_property
     def vids(self) -> tuple[tuple[VertexId, ...], tuple[VertexId, ...]]:
         """Per side, the VertexIds in position order."""
-        return (
-            tuple(VertexId(1, i) for i in self.ids[0]),
-            tuple(VertexId(2, i) for i in self.ids[1]),
-        )
+        return tuple(tuple(_vertex_ids(side, ids)) for side, ids in zip((1, 2), self.ids))
 
     @cached_property
     def vertex_ids(self) -> tuple[VertexId, ...]:
@@ -316,9 +319,7 @@ class ExchangeGraph:
         return True
 
     def side_vids(self, side: int) -> tuple[VertexId, ...]:
-        if side not in (1, 2):
-            raise ValidationError(f"robot side must be 1 or 2, got {_shown(side, str)}")
-        return self.vids[side - 1]
+        return self.vids[_side_position(side)]
 
     def label_masks(self, ones: frozenset[VertexId]) -> tuple[np.ndarray, np.ndarray]:
         """Per side, a boolean array marking the vertices in ``ones``."""
@@ -405,6 +406,14 @@ class ExchangeGraph:
             costs.append(_key(cost))
         eu, ev = _end_positions(ids, us, vs)
         return _assemble(ids, sizes, inertia, eu, ev, costs, *_key_ratios(sizes, inertia, costs))
+
+
+def _side_position(side: int) -> int:
+    """A robot side's position in the per-side arrays: ``side`` minus one,
+    or ``ValidationError`` unless it is 1 or 2."""
+    if side not in (1, 2):
+        raise ValidationError(f"robot side must be 1 or 2, got {_shown(side, str)}")
+    return side - 1
 
 
 def _vertex_columns(sides) -> tuple[tuple[list, list], tuple[list, list], tuple[list, list]]:
@@ -739,23 +748,29 @@ def format_rational(f: Fraction) -> str:
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 
-def _format_number(f: Fraction) -> str:
-    """JSON token for a rational: exact decimal number, or a quoted p/q
-    string when no terminating decimal exists."""
-    text = format_rational(f)
-    return json.dumps(text) if "/" in text else text
+def _rational_texts(nums: Iterable[int], den: int) -> dict[int, str]:
+    """``format_rational(Fraction(num, den))`` for each distinct ``num``:
+    one gcd per numerator, and one ``format_rational`` call per reduced
+    denominator that gives a ``p/q`` text."""
+    texts = {}
+    as_ratio: dict[int, bool] = {}  # reduced denominator -> whether the text is p/q
+    for num in set(nums):
+        common = math.gcd(num, den)
+        q = den // common
+        ratio = as_ratio.get(q)
+        if ratio is None:
+            ratio = as_ratio[q] = "/" in format_rational(Fraction(1, q))
+        texts[num] = f"{num // common}/{q}" if ratio else format_rational(Fraction(num, den))
+    return texts
 
 
 def dumps_graph(g: ExchangeGraph) -> str:
-    """Serialize a graph to the exchange-graph file format."""
-    texts: dict[int, str] = {}
-
-    def number(num: int) -> str:
-        text = texts.get(num)
-        if text is None:
-            text = texts[num] = _format_number(Fraction(num, g.den))
-        return text
-
+    """Serialize a graph to the exchange-graph file format: each number as
+    an exact decimal, or a quoted ``p/q`` string when no terminating
+    decimal exists."""
+    priced = (price for price in chain(*g.inertia_num) if price is not None)
+    texts = _rational_texts(chain(*g.size_num, priced, g.cost_num), g.den)
+    number = {num: json.dumps(text) if "/" in text else text for num, text in texts.items()}.__getitem__
     lines = ["{"]
     for key, ids, sizes, prices in zip(("v1", "v2"), g.ids, g.size_num, g.inertia_num):
         entries = []

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GroundTruthOutsideCandidates, InadmissiblePolicy, ValidationError
-from .graph import EdgeKey, ExchangeGraph, VertexId, format_rational
+from .graph import EdgeKey, ExchangeGraph, VertexId, _rational_texts, _vertex_ids, format_rational
 from .objectives import Objective, _shown, _shown_ids, as_fraction
 from .policy import (
     Policy,
@@ -89,10 +89,13 @@ def _division(
 
 def _edge_key_set(g: ExchangeGraph, edges: np.ndarray) -> frozenset[EdgeKey]:
     """The ``(u, v)`` keys of some edges, given as a mask or as positions;
-    built for those edges only."""
-    vids1, vids2 = g.vids
+    built from the graph's ids for those edges only."""
+    ids1, ids2 = g.ids
     return frozenset(
-        zip(map(vids1.__getitem__, g.eu[edges].tolist()), map(vids2.__getitem__, g.ev[edges].tolist()))
+        zip(
+            _vertex_ids(1, map(ids1.__getitem__, g.eu[edges].tolist())),
+            _vertex_ids(2, map(ids2.__getitem__, g.ev[edges].tolist())),
+        )
     )
 
 
@@ -206,17 +209,20 @@ class RendezvousConfig:
         object.__setattr__(self, "ground_truth_closures", frozenset(closures))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class RendezvousTrace:
     """Complete record of one simulated exchange.
 
-    ``verified_1``, ``verified_2`` and ``redundant`` are the candidate edges
-    robot 1, robot 2 and both screened. They are built from per-edge masks
-    on first access and cached, like the graph's ``edges``. Two traces are
-    equal when every one of their public values is.
+    ``messages`` holds every message of the session in order. The scan
+    legs are kept as ``(side, index, size)`` with the size a numerator over
+    the graph's ``den``, and the ``Message`` records are built from them on
+    first access and cached. ``verified_1``, ``verified_2`` and
+    ``redundant`` are the candidate edges robot 1, robot 2 and both
+    screened, built from per-edge masks on first access and cached, like
+    the graph's ``edges``. Two traces are equal when every one of their
+    public values is.
     """
 
-    messages: tuple[Message, ...]
     policy: Policy
     discovered_1: frozenset[EdgeKey]  # true closures robot 1 found
     discovered_2: frozenset[EdgeKey]
@@ -228,8 +234,22 @@ class RendezvousTrace:
     ell1: Fraction
     ell2: Fraction
     # the graph and, per robot, the mask of the edges it screened
-    _graph: ExchangeGraph = field(repr=False, compare=False)
-    _on_robot: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
+    _graph: ExchangeGraph = field(compare=False)
+    _on_robot: tuple[np.ndarray, np.ndarray] = field(compare=False)
+    # the metadata messages, the scan legs and the closure messages
+    _metadata: tuple[Message, ...] = field(compare=False)
+    _scans: list[tuple[int, int, int]] = field(compare=False)
+    _closures: tuple[Message, ...] = field(compare=False)
+
+    @cached_property
+    def messages(self) -> tuple[Message, ...]:
+        den = self._graph.den
+        sizes = {num: Fraction(num, den) for num in {num for _, _, num in self._scans}}
+        scans = (
+            Message(SCAN_PHASE, ROBOT[side], ROBOT[3 - side], sizes[num], f"scan[{side}:{index}]")
+            for side, index, num in self._scans
+        )
+        return (*self._metadata, *scans, *self._closures)
 
     @cached_property
     def verified_1(self) -> frozenset[EdgeKey]:
@@ -249,11 +269,16 @@ class RendezvousTrace:
 
     def _values(self) -> tuple:
         return (
+            self.messages,
             *(getattr(self, f.name) for f in fields(self) if f.compare),
             self.verified_1,
             self.verified_2,
             self.redundant,
         )
+
+    def __repr__(self):
+        shown = [("messages", self.messages), *((f.name, getattr(self, f.name)) for f in fields(self) if f.compare)]
+        return f"RendezvousTrace({', '.join(f'{name}={value!r}' for name, value in shown)})"
 
     def __eq__(self, other):
         if not isinstance(other, RendezvousTrace):
@@ -269,6 +294,40 @@ def _policy_leg_bytes(num_vertices: int) -> int:
     return (num_vertices + 7) // 8
 
 
+def _closure_positions(g: ExchangeGraph, cfg: RendezvousConfig) -> np.ndarray:
+    """The edge position of each ground-truth closure of ``cfg``, or
+    ``GroundTruthOutsideCandidates`` when one is not a candidate edge."""
+    truth = tuple(cfg.ground_truth_closures)
+    at = g.edge_positions(truth)
+    if (at < 0).any():
+        bad = [key for key, k in zip(truth, at.tolist()) if k < 0]
+        shown = _shown_ids(sorted(bad), lambda key: f"{key[0]}-{key[1]}")
+        raise GroundTruthOutsideCandidates(f"{len(bad)} ground-truth closures outside the candidate set: {shown}")
+    return at
+
+
+def _metadata_messages(g: ExchangeGraph, cfg: RendezvousConfig) -> tuple[Message, ...]:
+    """Rounds 1 and 3: each robot's per-pose metadata to the broker, then
+    the broker's policy bits back to each robot. A leg to or from the
+    robot that hosts the broker costs nothing."""
+    sizes = [(side, len(ids)) for side, ids in zip((1, 2), g.ids)]
+    legs = [(side, ROBOT[side], BROKER, n * cfg.metadata_bytes_per_vertex, f"meta[{n}]") for side, n in sizes]
+    legs += [(side, BROKER, ROBOT[side], _policy_leg_bytes(n), f"policy[{n}]") for side, n in sizes]
+    return tuple(
+        Message(METADATA_PHASE, sender, recipient, Fraction(0) if cfg.broker_host == side else Fraction(size), summary)
+        for side, sender, recipient, size, summary in legs
+    )
+
+
+def _session_costs(g: ExchangeGraph, sent, on_robot) -> tuple[Fraction, Fraction, Fraction]:
+    """The scan bytes of the transmitted vertices and each robot's
+    verification cost ``ell1``, ``ell2``."""
+    return (
+        Fraction(sum(map(_masked_sum, g.eff_num, sent)), g.den),
+        *(Fraction(_masked_sum(g.cost_num, m), g.den) for m in on_robot),
+    )
+
+
 def run_rendezvous(
     g: ExchangeGraph, cfg: RendezvousConfig, policy: Policy | None = None
 ) -> RendezvousTrace:
@@ -280,69 +339,46 @@ def run_rendezvous(
     index arrays: per-vertex and per-edge masks, sizes and costs as integer
     numerators over ``g.den``.
     """
-    truth = tuple(cfg.ground_truth_closures)
-    at = g.edge_positions(truth)
-    if (at < 0).any():
-        bad = [key for key, k in zip(truth, at.tolist()) if k < 0]
-        shown = _shown_ids(sorted(bad), lambda key: f"{key[0]}-{key[1]}")
-        raise GroundTruthOutsideCandidates(f"{len(bad)} ground-truth closures outside the candidate set: {shown}")
-    messages: list[Message] = []
-
-    def meta_leg(sender, recipient, robot_side, size, summary):
-        cost = Fraction(0) if cfg.broker_host == robot_side else Fraction(size)
-        messages.append(Message(METADATA_PHASE, sender, recipient, cost, summary))
-
-    # round 1: per-pose metadata to the broker
-    for side in (1, 2):
-        n = len(g.ids[side - 1])
-        meta_leg(ROBOT[side], BROKER, side, n * cfg.metadata_bytes_per_vertex, f"meta[{n}]")
-    # round 2/3: broker forms the graph and solves (or adopts the override)
+    at = _closure_positions(g, cfg)
+    # rounds 1 and 3: metadata to the broker, the policy back
+    metadata = _metadata_messages(g, cfg)
+    # round 2: the broker forms the graph and solves (or adopts the override)
     if policy is None:
         policy = solve(g, cfg.objective).policy
     sent, on_robot = _division(g, policy, "rendezvous requires a complete-search policy")
-    for side in (1, 2):
-        n = len(g.ids[side - 1])
-        meta_leg(BROKER, ROBOT[side], side, _policy_leg_bytes(n), f"policy[{n}]")
     # round 4: execute the policy, scans cross to the other robot
     scans = _schedule(g, sent)
-    # one Fraction per distinct scan size
-    sizes = {num: Fraction(num, g.den) for num in {num for _, _, num in scans}}
-    messages += [
-        Message(SCAN_PHASE, ROBOT[side], ROBOT[3 - side], sizes[num], f"scan[{side}:{index}]")
-        for side, index, num in scans
-    ]
     # round 5: verification against the simulated ground truth
     found = [m[at] for m in on_robot]  # per robot, the true closures it screened
     exclusive = {1: at[found[0] & ~found[1]], 2: at[found[1] & ~found[0]]}
     # round 6: swap discoveries the other robot does not already have
-    closures = 0
+    closures = []
     undelivered = {1: frozenset(), 2: frozenset()}
     if cfg.channel_alive_after_exchange:
         for side in (1, 2):
-            messages += [
+            closures += [
                 Message(CLOSURE_PHASE, ROBOT[side], ROBOT[3 - side], cfg.closure_message_bytes, f"closure[{u}-{v}]")
                 for u, v in sorted(_edge_key_set(g, exclusive[side]))
             ]
-            closures += len(exclusive[side])
     else:
         undelivered = {side: _edge_key_set(g, exclusive[side]) for side in (1, 2)}
-    metadata_bytes = sum(
-        (m.size for m in messages if m.phase == METADATA_PHASE), Fraction(0)
-    )
+    scan_bytes, ell1, ell2 = _session_costs(g, sent, on_robot)
     return RendezvousTrace(
-        messages=tuple(messages),
         policy=policy,
         discovered_1=_edge_key_set(g, at[found[0]]),
         discovered_2=_edge_key_set(g, at[found[1]]),
         undelivered_1=undelivered[1],
         undelivered_2=undelivered[2],
-        metadata_bytes=metadata_bytes,
-        scan_bytes=Fraction(sum(map(_masked_sum, g.eff_num, sent)), g.den),
-        closure_bytes=closures * cfg.closure_message_bytes,
-        ell1=Fraction(_masked_sum(g.cost_num, on_robot[0]), g.den),
-        ell2=Fraction(_masked_sum(g.cost_num, on_robot[1]), g.den),
+        metadata_bytes=sum((m.size for m in metadata), Fraction(0)),
+        scan_bytes=scan_bytes,
+        closure_bytes=len(closures) * cfg.closure_message_bytes,
+        ell1=ell1,
+        ell2=ell2,
         _graph=g,
         _on_robot=on_robot,
+        _metadata=metadata,
+        _scans=scans,
+        _closures=tuple(closures),
     )
 
 
@@ -358,31 +394,38 @@ STRATEGIES = ("optimal", "monolog1", "monolog2", "full_bidirectional")
 
 
 def compare_strategies(g: ExchangeGraph, cfg: RendezvousConfig) -> list[StrategyRow]:
-    """Run the rendezvous under the optimal policy, both monologs, and the
-    naive everything-both-ways baseline; report bytes and workloads."""
+    """Price the rendezvous under the optimal policy, both monologs, and
+    the naive everything-both-ways baseline; report bytes and workloads.
+    Each row holds the values ``run_rendezvous`` would report for that
+    policy, from its division of labour alone."""
     if g.num_vertices == 0:
         zero = Fraction(0)
         return [StrategyRow(name, zero, zero, zero, zero) for name in STRATEGIES]
-    policies = {
-        "optimal": None,
-        "monolog1": monolog(g, 1),
-        "monolog2": monolog(g, 2),
-        "full_bidirectional": full_bidirectional(g),
-    }
+    _closure_positions(g, cfg)
+    metadata_bytes = sum((m.size for m in _metadata_messages(g, cfg)), Fraction(0))
+    policies = (solve(g, cfg.objective).policy, monolog(g, 1), monolog(g, 2), full_bidirectional(g))
     rows = []
-    for name in STRATEGIES:
-        trace = run_rendezvous(g, cfg, policy=policies[name])
-        rows.append(
-            StrategyRow(name, trace.scan_bytes, trace.metadata_bytes, trace.ell1, trace.ell2)
-        )
+    for name, policy in zip(STRATEGIES, policies):
+        sent, on_robot = _division(g, policy, "rendezvous requires a complete-search policy")
+        scan_bytes, ell1, ell2 = _session_costs(g, sent, on_robot)
+        rows.append(StrategyRow(name, scan_bytes, metadata_bytes, ell1, ell2))
     return rows
 
 
+def _message_line(m: Message) -> str:
+    return f"{m.phase} {m.sender} {m.recipient} {format_rational(m.size)} {m.summary}"
+
+
 def format_trace(trace: RendezvousTrace) -> str:
-    """Line-oriented export: ``phase from to bytes payload_summary``."""
+    """Line-oriented export: ``phase from to bytes payload_summary``. The
+    scan lines are written from their numerators, with one text per
+    distinct size."""
+    texts = _rational_texts((num for _, _, num in trace._scans), trace._graph.den)
+    heads = {side: f"{SCAN_PHASE} {ROBOT[side]} {ROBOT[3 - side]} " for side in (1, 2)}
     lines = [
-        f"{m.phase} {m.sender} {m.recipient} {format_rational(m.size)} {m.summary}"
-        for m in trace.messages
+        *map(_message_line, trace._metadata),
+        *(f"{heads[side]}{texts[num]} scan[{side}:{index}]" for side, index, num in trace._scans),
+        *map(_message_line, trace._closures),
     ]
     return "\n".join(lines) + ("\n" if lines else "")
 

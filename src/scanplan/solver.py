@@ -36,9 +36,10 @@ from itertools import compress
 import numpy as np
 
 from .errors import InvariantViolation, NonUniformWeights, ValidationError
-from .graph import ExchangeGraph, VertexId, effective_weight, weight_numerators
+from .graph import ExchangeGraph, VertexId, _side_position, _vertex_ids, effective_weight, weight_numerators
 from .objectives import Objective, _shown, _shown_ids, as_fraction
-from .policy import Policy, _masked_sum, monolog, objective_cost
+from .policy import Policy, _masked_sum, _sent_masks, monolog
+from .policy import objective_cost  # noqa: F401  (perfbench/tracing.py wraps scanplan.solver.objective_cost)
 
 # Largest scaled capacity total routed through the compiled engine; above
 # this the int32-based engine could overflow, so the big-int path is used.
@@ -101,9 +102,11 @@ def _min_cut_reachable_dinic(n: int, tails, heads, caps) -> tuple[int, list[int]
     if not any(res[v] and reached[v] for v in tails[:m][~from_source].tolist()):
         return flow, order
     del eu, ev, out, order, reached  # the phases build their own arc lists
-    # residual capacities: arc 2k is network arc k, 2k + 1 its reverse
+    # residual capacities: arc 2k is network arc k, 2k + 1 its reverse. An
+    # edge arc keeps its full capacity: any capacity above the total leaves
+    # the same flow value and reachable set, and the arcs share one int.
     cap = [0] * (2 * len(caps))
-    cap[0::2] = [*res[1:-1], *map(operator.sub, caps[m:], carried)]
+    cap[0::2] = [*res[1:-1], *caps[m:]]
     cap[1::2] = [*map(operator.sub, caps[:m], res[1:-1]), *carried]
     return _dinic_phases(n, tails, heads, cap, flow)
 
@@ -243,7 +246,7 @@ def _min_cut_cover(
     over ``den``), read off the source-minimal min cut of the cover
     network. ``engine`` is None, "scipy" or "dinic"."""
     if not g.num_edges:
-        empty = Policy(g.vertex_ids, ())
+        empty = Policy._over(g.ids, [np.zeros(len(ids), bool) for ids in g.ids])
         return SolveResult(empty, Fraction(0), "flow_cut", Fraction(0), engine or "none")
     w1, w2 = weight
     n1, n2 = len(w1), len(w2)
@@ -278,8 +281,7 @@ def _min_cut_cover(
     certificate = Fraction(flow_value, scale)
     if certificate != cost:
         raise InvariantViolation(f"max-flow value {certificate} differs from cover weight {cost}")
-    cover = [vid for vids, m in zip(g.vids, in_cover) for vid in compress(vids, m.tolist())]
-    return SolveResult(Policy(g.vertex_ids, cover), cost, "flow_cut", certificate, engine)
+    return SolveResult(Policy._over(g.ids, in_cover), cost, "flow_cut", certificate, engine)
 
 
 def solve_brute_force(g: ExchangeGraph, obj: Objective) -> SolveResult:
@@ -400,26 +402,26 @@ def check_ghc(g: ExchangeGraph, obj: Objective, side: int) -> GhcCertificate:
     ``solve(g, obj)`` returns, taken from the same per-graph memo, so both
     sides' certificates and ``solve`` share one min cut.
     """
-    side_ids = g.side_vids(side)
-    s = side - 1
+    s = _side_position(side)
     result, weight, den = _optimal_cover(g, obj)
     monolog_cost = Fraction(sum(weight[s]), den)
     if result.optimal_cost == monolog_cost:
         return GhcCertificate(True, side, monolog_cost, result.optimal_cost)
     # The side vertices left out of the optimal cover form a violating
     # subset: their weight strictly exceeds their neighborhood's.
-    in_cover = g.label_masks(result.policy.ones)[s]
+    in_cover = _sent_masks(g, result.policy)[s]
     ends = (g.eu, g.ev)
-    neighbours = np.unique(ends[1 - s][~in_cover[ends[s]]]).tolist()
-    witness = frozenset(compress(side_ids, (~in_cover).tolist()))
-    neighborhood = sorted(g.vids[1 - s][j] for j in neighbours)
+    neighborhood = np.zeros(len(g.ids[1 - s]), bool)
+    neighborhood[ends[1 - s][~in_cover[ends[s]]]] = True
+    witness = frozenset(_vertex_ids(s + 1, compress(g.ids[s], (~in_cover).tolist())))
     w_s = Fraction(_masked_sum(weight[s], ~in_cover), den)
-    w_n = Fraction(sum(weight[1 - s][j] for j in neighbours), den)
+    w_n = Fraction(_masked_sum(weight[1 - s], neighborhood), den)
     if not w_s > w_n:
         raise InvariantViolation(f"witness weight {w_s} <= neighborhood weight {w_n}")
-    kept = list(compress(side_ids, in_cover.tolist()))
-    improving = Policy(g.vertex_ids, kept + neighborhood)
-    improving_cost = objective_cost(g, improving, obj)
+    # keep the side's covered vertices, and send the witness's neighbourhood
+    masks = (in_cover, neighborhood) if s == 0 else (neighborhood, in_cover)
+    improving = Policy._over(g.ids, masks)
+    improving_cost = Fraction(sum(map(_masked_sum, weight, masks)), den)
     if not improving_cost < monolog_cost:
         raise InvariantViolation(f"improving cost {improving_cost} >= monolog cost {monolog_cost}")
     return GhcCertificate(

@@ -187,6 +187,43 @@ def test_session_path_builds_no_boundary_objects():
     assert not [name for name, value in vars(g).items() if isinstance(value, dict) and len(value) >= g.num_edges]
 
 
+def corridor_graph(rng, n):
+    """Robot 1's pose i faces robot 2's poses i and i + 1, and i + 2 on
+    about a third of the poses; non-decimal rational sizes and costs, and
+    inertia prices on a tenth of side 1."""
+    frac = lambda hi: Fraction(rng.randint(1, hi), rng.choice((3, 7, 9, 11, 13)))
+    edges = [
+        (i, j, frac(9)) for i in range(n) for j in (i, i + 1, i + 2) if j < n and (j < i + 2 or rng.random() < 0.3)
+    ]
+    inertia = {i: frac(4000) for i in rng.sample(range(n), n // 10)}
+    return sp.build_graph([frac(4000) for _ in range(n)], [frac(4000) for _ in range(n)], edges, v1_inertia=inertia)
+
+
+def test_exact_session_builds_no_per_vertex_ids():
+    # the session reads the solver's masks over the graph's ids: no
+    # VertexId per vertex, and no vertex set, is built on the way
+    rng = random.Random(311)
+    g0 = corridor_graph(rng, 200)
+    truth = frozenset(k for k in g0.edge_keys() if rng.random() < 0.05)
+    g = sp.loads_graph(sp.dumps_graph(g0))
+    obj = sp.Objective.p3(Fraction(2, 3), Fraction(5, 7), Fraction(1, 11))
+    result = sp.solve(g, obj)
+    certificates = [sp.check_ghc(g, obj, side) for side in (1, 2)]
+    trace = sp.run_rendezvous(g, sp.RendezvousConfig(objective=obj, ground_truth_closures=truth))
+    policy_text = sp.dumps_policy(result.policy)
+    trace_text = sp.format_trace(trace)
+    assert result.engine == "dinic"
+    assert not any(c.holds for c in certificates)  # both improving policies are built
+    assert trace.closure_bytes > 0
+    assert not {"vids", "vertex_ids", "vertex_set"} & vars(g).keys()
+    # and the outputs are those of the same session on a policy read back
+    # from its file, which keeps frozensets
+    from_file = sp.loads_policy(policy_text)
+    assert from_file == result.policy and sp.dumps_policy(from_file) == policy_text
+    cfg = sp.RendezvousConfig(objective=obj, ground_truth_closures=truth)
+    assert sp.format_trace(sp.run_rendezvous(g0, cfg, from_file)) == trace_text
+
+
 def test_session_matches_per_edge_reference():
     rng = random.Random(233)
     for trial in range(120):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import scanplan as sp
 from scanplan.candidates import make_pose
 from scanplan.cli import SweepSpec
-from scanplan.graph import MAX_DENOMINATOR_DIGITS, effective_weight, format_rational
+from scanplan.graph import MAX_DENOMINATOR_DIGITS, _rational_texts, effective_weight, format_rational
 from scanplan.objectives import _shown, as_fraction
 
 from conftest import build_quiet
@@ -520,6 +520,22 @@ def seed_format_rational(f: Fraction) -> str:
 def test_format_rational_matches_seed(num, twos, fives, rest):
     f = Fraction(num, 2**twos * 5**fives * rest)
     assert format_rational(f) == seed_format_rational(f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-(10**30), 10**30), max_size=30),
+    st.integers(0, 40),
+    st.integers(0, 40),
+    st.sampled_from([1, 3, 7, 9, 11, 2**61 - 1]),
+)
+def test_rational_texts_match_format_rational(nums, twos, fives, rest):
+    # the texts of many numerators over one denominator, as the trace and
+    # graph writers print them
+    den = 2**twos * 5**fives * rest
+    nums += [0, den, -den, 2 * den, den // 2]
+    texts = _rational_texts(nums, den)
+    assert texts == {num: format_rational(Fraction(num, den)) for num in nums}
 
 
 def test_format_rational_long_decimals():

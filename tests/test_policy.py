@@ -1,8 +1,10 @@
 """Policies, admissibility, costs, workloads, and execution order."""
 
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import scanplan as sp
@@ -245,3 +247,64 @@ def test_policy_file_names_the_bad_label():
         loads_policy('{"labels": [{"side": 1, "index": 0, "bit": 1}, "y"]}')
     with pytest.raises(sp.GraphFormatError, match="^'labels' must be an array$"):
         loads_policy('{"labels": {"side": 1}}')
+
+
+def shuffled_id_graph(rng):
+    """A random graph whose vertex ids are scattered and stored out of
+    order, read from its file, and the file's text."""
+    g0 = random_graph(rng)
+    ids = [rng.sample(range(100), len(side)) for side in g0.ids]
+    text = sp.dumps_graph(
+        sp.ExchangeGraph.from_vertices(
+            *(
+                [(ids[s][k], Fraction(size, g0.den), None) for k, size in enumerate(g0.size_num[s])]
+                for s in (0, 1)
+            ),
+            [(ids[0][i], ids[1][j], Fraction(c, g0.den)) for i, j, c in zip(g0.eu.tolist(), g0.ev.tolist(), g0.cost_num)],
+        )
+    )
+    return sp.loads_graph(text), text
+
+
+def test_solver_policy_equals_its_set_backed_twins():
+    # a solver policy keeps per-side masks over its graph's ids; a policy
+    # from labels, ids or a file keeps frozensets; both are one value
+    rng = random.Random(307)
+    for _ in range(60):
+        g, text = shuffled_id_graph(rng)
+        obj = random_objective(rng)
+        pi = sp.solve(g, obj).policy
+        from_file = loads_policy(dumps_policy(pi))
+        from_labels = sp.Policy.from_labels({vid: int(vid in pi.ones) for vid in g.vertex_ids})
+        from_ids = sp.Policy(g.vertex_ids, pi.ones)
+        second = sp.solve(sp.loads_graph(text), obj).policy  # equal ids, another graph
+        for twin in (from_file, from_labels, from_ids, second):
+            assert pi == twin and twin == pi and not pi != twin
+            assert hash(pi) == hash(twin)
+            assert repr(pi) == repr(twin)
+            assert dumps_policy(twin) == dumps_policy(pi)
+            assert all(pi.label(vid) == twin.label(vid) for vid in g.vertex_ids)
+        for made in (sp.monolog(g, 1), sp.monolog(g, 2), sp.full_bidirectional(g)):
+            twin = sp.Policy(made.domain, made.ones)
+            assert made == twin and hash(made) == hash(twin) and dumps_policy(made) == dumps_policy(twin)
+            assert sp.is_admissible(g, made) and sp.is_admissible(g, twin)
+        # an inadmissible mask-backed policy: all zeros on an edged graph
+        none = sp.Policy._over(g.ids, [np.zeros(len(ids), bool) for ids in g.ids])
+        assert none == sp.Policy(g.vertex_ids, ()) and not sp.is_admissible(g, none)
+        assert pi != none and none != sp.Policy(g.vertex_ids, g.vertex_ids)
+        assert sp.objective_cost(g, pi, obj) == sp.objective_cost(g, from_file, obj) == sp.solve(g, obj).optimal_cost
+
+
+def test_mask_policy_over_another_graph_keeps_the_mismatch_message(double_star, single_edge):
+    cases = (
+        (double_star, sp.solve(single_edge, sp.Objective.p2()).policy),
+        (single_edge, sp.monolog(double_star, 2)),
+    )
+    for other, pi in cases:
+        twin = sp.Policy(pi.domain, pi.ones)
+        with pytest.raises(sp.LabelDomainMismatch) as expected:
+            sp.is_admissible(other, twin)
+        for call in (sp.is_admissible, sp.comm_cost, sp.execute_order):
+            with pytest.raises(sp.LabelDomainMismatch, match=f"^{re.escape(str(expected.value))}$"):
+                call(other, pi)
+    assert str(expected.value) == "policy domain mismatch (missing 0: [], extra 6: [1:1, 1:2, 1:3, 2:1, 2:2, 2:3])"

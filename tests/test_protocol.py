@@ -1,6 +1,7 @@
 """Rendezvous simulation: determinism, byte accounting, complete search,
 and the strategy comparison ordering."""
 
+import dataclasses
 import math
 import random
 import re
@@ -9,7 +10,8 @@ from fractions import Fraction
 import pytest
 
 import scanplan as sp
-from scanplan.protocol import CLOSURE_PHASE, METADATA_PHASE, SCAN_PHASE
+from scanplan.graph import format_rational
+from scanplan.protocol import CLOSURE_PHASE, METADATA_PHASE, SCAN_PHASE, STRATEGIES, StrategyRow
 
 from conftest import A1, B1, random_admissible_policy, random_graph
 
@@ -250,3 +252,57 @@ def test_byte_sizes_are_read_exactly():
     for phase, total in ((METADATA_PHASE, trace.metadata_bytes), (SCAN_PHASE, trace.scan_bytes)):
         assert total == sum(m.size for m in trace.messages if m.phase == phase)
     assert trace.closure_bytes == sum(closures) == 3 * tenth
+
+
+def test_trace_builds_its_messages_on_demand():
+    # the scan legs stay numerators until ``messages`` is read; the trace
+    # is the same value either way, and equal to one on a set-backed policy
+    rng = random.Random(313)
+    for _ in range(30):
+        g = random_graph(rng, rational_costs=True)
+        gt = frozenset(k for k in g.edge_keys() if rng.random() < 0.4)
+        cfg = sp.RendezvousConfig(ground_truth_closures=gt, channel_alive_after_exchange=rng.random() < 0.7)
+        trace = sp.run_rendezvous(g, cfg)
+        text = sp.format_trace(trace)
+        assert "messages" not in vars(trace)
+        fresh = sp.run_rendezvous(g, cfg)
+        assert trace.messages == fresh.messages
+        assert text == "".join(
+            f"{m.phase} {m.sender} {m.recipient} {format_rational(m.size)} {m.summary}\n" for m in fresh.messages
+        )
+        for phase, total in (
+            (METADATA_PHASE, trace.metadata_bytes),
+            (SCAN_PHASE, trace.scan_bytes),
+            (CLOSURE_PHASE, trace.closure_bytes),
+        ):
+            assert total == sum((m.size for m in trace.messages if m.phase == phase), Fraction(0))
+        from_file = sp.run_rendezvous(g, cfg, sp.loads_policy(sp.dumps_policy(trace.policy)))
+        assert "messages" not in vars(from_file)
+        assert from_file == trace == fresh and hash(from_file) == hash(trace)
+        assert repr(from_file) == repr(trace)
+        assert repr(trace).startswith(f"RendezvousTrace(messages={trace.messages!r}, policy=")
+
+
+def test_strategy_rows_are_the_sessions_values():
+    # each row holds what a whole session under that strategy reports
+    rng = random.Random(317)
+    for _ in range(30):
+        g = random_graph(rng, rational_costs=True)
+        cfg = sp.RendezvousConfig(
+            objective=sp.Objective.p3(Fraction(rng.randint(0, 5), 3), 1, Fraction(1, 7)),
+            metadata_bytes_per_vertex=rng.randint(0, 5),
+            broker_host=rng.choice((None, 1, 2)),
+            ground_truth_closures=frozenset(k for k in g.edge_keys() if rng.random() < 0.4),
+        )
+        policies = (None, sp.monolog(g, 1), sp.monolog(g, 2), sp.full_bidirectional(g))
+        expected = []
+        for name, policy in zip(STRATEGIES, policies):
+            t = sp.run_rendezvous(g, cfg, policy)
+            expected.append(StrategyRow(name, t.scan_bytes, t.metadata_bytes, t.ell1, t.ell2))
+        assert sp.compare_strategies(g, cfg) == expected
+        # the same first error as the sessions'
+        bad = dataclasses.replace(cfg, ground_truth_closures=cfg.ground_truth_closures | {edge(99, 0)})
+        with pytest.raises(sp.GroundTruthOutsideCandidates) as expected_error:
+            sp.run_rendezvous(g, bad)
+        with pytest.raises(sp.GroundTruthOutsideCandidates, match=f"^{re.escape(str(expected_error.value))}$"):
+            sp.compare_strategies(g, bad)
