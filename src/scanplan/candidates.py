@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import EmptyTrajectory, GraphFormatError, ScoreOutOfRange, ValidationError
-from .graph import ExchangeGraph, VertexId, _index, build_graph, open_text
+from .graph import ExchangeGraph, VertexId, _index, _unpruned_graph, build_graph, open_text
 from .objectives import MAX_NUMBER_DIGITS, _shown
 
 # Standard BRIEF descriptor size.
@@ -53,7 +53,7 @@ class Trajectory:
     def __init__(self, poses: Sequence[Pose]):
         self.poses = tuple(poses)
         last = None
-        for pose in self.poses:
+        for pose, sound in zip(self.poses, _sound_geometry(self.poses)):
             if last is not None and pose.pid <= last:
                 raise ValidationError(
                     f"pose ids must strictly increase, got {_shown(pose.pid, str)} after {_shown(last, str)}"
@@ -70,6 +70,8 @@ class Trajectory:
                 )
             if count < 0:
                 raise ValidationError(f"pose {_shown(pose.pid, str)} has negative feature count")
+            if sound:
+                continue
             # NaN would slip through the residual test below (nan > tol is False)
             for name in ("position", "rotation"):
                 if not np.isfinite(getattr(pose, name)).all():
@@ -88,6 +90,28 @@ class Trajectory:
 
     def __getitem__(self, i):
         return self.poses[i]
+
+
+def _sound_geometry(poses: Sequence[Pose]) -> list[bool]:
+    """Per pose, whether its position and rotation are finite and its
+    rotation's residual is at most half of ``ROTATION_TOL``, checked for
+    all poses at once; all False unless every position is a float64 array
+    of one shape and every rotation a float64 3x3 array. Rounding moves
+    the batched residual far less than that margin, so a pose marked sound
+    passes the one-by-one check, which the others still take."""
+    pos, rot = [pose.position for pose in poses], [pose.rotation for pose in poses]
+    unsound = [False] * len(poses)
+    if not all(type(a) is np.ndarray and a.dtype == np.float64 for a in pos + rot):
+        return unsound
+    try:
+        pos, rot = np.array(pos), np.array(rot)
+    except ValueError:  # shapes differ
+        return unsound
+    if pos.ndim != 2 or rot.shape[1:] != (3, 3):
+        return unsound
+    with np.errstate(all="ignore"):  # a non-finite rotation's residual is NaN, so not sound
+        err = np.abs(rot @ rot.transpose(0, 2, 1) - np.eye(3)).max(axis=(1, 2))
+    return (np.isfinite(pos).all(axis=1) & (err <= ROTATION_TOL / 2)).tolist()
 
 
 def _check_count(name: str, value) -> None:
@@ -560,39 +584,77 @@ def build_geometric_sweep(
     t2: Trajectory,
     params: Iterable[GeometryParams],
 ) -> Iterator[ExchangeGraph]:
-    """``build_geometric`` at each of ``params`` in turn, read one at a
-    time. The points may differ only in ``d_max`` and ``eta``: each pose
-    pair's distance is computed once, and its FOV overlap the first time a
-    point with ``eta > 0`` gates it.
+    """``build_geometric`` at each of ``params`` in turn. The points may
+    differ only in ``d_max`` and ``eta``; ``params`` is read whole at the
+    first point, each pose pair's distance computed once, and the FOV
+    overlap of every pair that a point with ``eta > 0`` gates by distance
+    computed once, in one batch. A point that cannot be read raises its
+    error after the points before it are yielded.
     """
-    s1 = s2 = None
-    for p in params:
-        if s1 is None:
-            if len(t1) == 0 or len(t2) == 0:
-                raise EmptyTrajectory("both trajectories must contain at least one pose")
-            shared = (p.rate_divisor, p.fov_half_angle, p.fov_range)
-            s1, s2 = t1.poses[:: p.rate_divisor], t2.poses[:: p.rate_divisor]
-            pos1 = np.array([pose.position for pose in s1], dtype=float)
-            pos2 = np.array([pose.position for pose in s2], dtype=float)
-            dists = np.linalg.norm(pos1[:, None, :] - pos2[None, :, :], axis=2)
+    points, error = _read_points(params, _check_fov_shape)
+    if points:
+        if len(t1) == 0 or len(t2) == 0:
+            raise EmptyTrajectory("both trajectories must contain at least one pose")
+        first = points[0]
+        s1, s2 = t1.poses[:: first.rate_divisor], t2.poses[:: first.rate_divisor]
+        pos1 = np.array([pose.position for pose in s1], dtype=float)
+        pos2 = np.array([pose.position for pose in s2], dtype=float)
+        dists = np.linalg.norm(pos1[:, None, :] - pos2[None, :, :], axis=2)
+        # [i, j] pairs within every point's distance gate, in row-major order
+        pairs = np.argwhere(dists <= max(p.d_max for p in points))
+        apart = dists[pairs[:, 0], pairs[:, 1]]
+        overlap = np.full(len(pairs), np.nan)  # computed where some point gates by it
+        fov_d_max = max((p.d_max for p in points if p.eta > 0), default=None)
+        if fov_d_max is not None:
             (xy1, h1), (xy2, h2) = (
                 [np.array([f(pose) for pose in s]) for f in (planar_position, planar_heading)] for s in (s1, s2)
             )
-            overlap = np.full(dists.shape, np.nan)  # not computed yet
-            w1 = [pose.feature_count * DESCRIPTOR_BYTES for pose in s1]
-            w2 = [pose.feature_count * DESCRIPTOR_BYTES for pose in s2]
-        elif (p.rate_divisor, p.fov_half_angle, p.fov_range) != shared:
-            raise ValidationError("sweep points may differ only in d_max and eta")
-        pairs = np.argwhere(dists <= p.d_max)
-        if p.eta > 0:
-            i, j = pairs.T
-            todo = np.isnan(overlap[i, j])
-            i_new, j_new = i[todo], j[todo]
-            overlap[i_new, j_new] = _fov_overlaps(
-                xy1[i_new], h1[i_new], xy2[j_new], h2[j_new], p.fov_half_angle, p.fov_range
-            )
-            pairs = pairs[~(overlap[i, j] < p.eta)]
-        yield build_graph(w1, w2, pairs.tolist())  # [i, j] pairs, each of cost 1
+            gated = np.flatnonzero(apart <= fov_d_max)
+            i, j = pairs[gated].T
+            overlap[gated] = _fov_overlaps(xy1[i], h1[i], xy2[j], h2[j], first.fov_half_angle, first.fov_range)
+        # an overlap not computed is NaN, which no eta cuts
+        masks = [(apart <= p.d_max) & ~(overlap < p.eta) for p in points]
+        w1 = [pose.feature_count * DESCRIPTOR_BYTES for pose in s1]
+        w2 = [pose.feature_count * DESCRIPTOR_BYTES for pose in s2]
+        yield from _restrictions(w1, w2, pairs, masks)  # [i, j] pairs, each of cost 1
+    if error is not None:
+        raise error
+
+
+def _check_fov_shape(first: GeometryParams, p: GeometryParams) -> None:
+    if (p.rate_divisor, p.fov_half_angle, p.fov_range) != (first.rate_divisor, first.fov_half_angle, first.fov_range):
+        raise ValidationError("sweep points may differ only in d_max and eta")
+
+
+def _read_points(params: Iterable, check=None) -> tuple[list, Exception | None]:
+    """A sweep's points, read whole: every point up to the first that
+    cannot be read, or that ``check(first point, point)`` refuses, and the
+    error that point raised, or None. The sweep yields the points before
+    it and then raises the error, as a sweep that read one point at a time
+    would."""
+    points = []
+    try:
+        for p in params:
+            if check is not None and points:
+                check(points[0], p)
+            points.append(p)
+    except Exception as exc:
+        return points, exc
+    return points, None
+
+
+def _restrictions(w1: list, w2: list, pairs: np.ndarray, masks: list[np.ndarray]) -> Iterator[ExchangeGraph]:
+    """``build_graph(w1, w2, pairs[mask])`` for each boolean array of
+    ``masks``, where ``pairs`` holds in-range ``[u, v]`` side positions,
+    each pair once. A single graph goes through ``build_graph``; several
+    are read off one graph over the union of their edges, checked once."""
+    if len(masks) == 1:
+        yield build_graph(w1, w2, pairs[masks[0]].tolist())
+        return
+    union = np.logical_or.reduce(masks)
+    widest = _unpruned_graph(w1, w2, pairs[union].tolist())
+    for mask in masks:
+        yield widest._restricted(mask[union])
 
 
 def _top_k(group: np.ndarray, score: np.ndarray, tie: np.ndarray, k: int) -> np.ndarray:
@@ -628,57 +690,76 @@ def build_appearance_sweep(
     t2_weights: Sequence,
     params: Iterable[AppearanceParams],
 ) -> Iterator[ExchangeGraph]:
-    """``build_appearance`` at each of ``params`` in turn, read one at a
-    time. ``scores`` is read, and each score checked, once, when the first
-    point is built; each point then only thresholds and picks its top k.
+    """``build_appearance`` at each of ``params`` in turn. ``params`` is
+    read whole, and ``scores`` read and each score checked once, at the
+    first point; each point then only thresholds and picks its top k. A
+    point that cannot be read, or that picks an index out of range, raises
+    its error after the points before it are yielded.
     """
-    s = None
-    for p in params:
-        if s is None:
-            us, vs, values = [], [], []
-            for entry in scores:
-                try:
-                    u, v, score = entry
-                except (TypeError, ValueError):
-                    raise ValidationError(f"score entry {_shown(entry)} is not a (u, v, score) triple") from None
-                try:
-                    in_range = 0 <= score <= 1
-                except (TypeError, ValueError):
-                    in_range = None
-                if not in_range:
-                    pair = f"({_shown(u, str)}, {_shown(v, str)})"
-                    if in_range is None:
-                        raise ValidationError(f"score {_shown(score)} for pair {pair} is not a number")
-                    raise ScoreOutOfRange(f"score {_shown(score)} for pair {pair} outside [0, 1]")
-                if type(u) is not int or type(v) is not int:
-                    what = f"score pair ({_shown(u, str)}, {_shown(v, str)})"
-                    u, v = _index(u, what), _index(v, what)
-                us.append(u)
-                vs.append(v)
-                values.append(float(score))
-            # np.array keeps indices beyond int64 exact, as an object array
-            u_all, v_all, s = np.array(us), np.array(vs), np.array(values, dtype=float)
-            w1, w2 = list(t1_weights), list(t2_weights)
-        keep = np.flatnonzero(s > p.alpha)
-        u, v, score = u_all[keep], v_all[keep], s[keep]
-        picked = [_top_k(u, score, v, p.top_k)]
-        if p.symmetric:
-            picked.append(_top_k(v, score, u, p.top_k))
-        chosen = np.concatenate(picked)
-        selected = set(zip(u[chosen].tolist(), v[chosen].tolist()))
-        yield build_graph(w1, w2, [(a, b, 1) for a, b in sorted(selected)])
+    points, error = _read_points(params)
+    if points:
+        us, vs, values = [], [], []
+        for entry in scores:
+            try:
+                u, v, score = entry
+            except (TypeError, ValueError):
+                raise ValidationError(f"score entry {_shown(entry)} is not a (u, v, score) triple") from None
+            try:
+                in_range = 0 <= score <= 1
+            except (TypeError, ValueError):
+                in_range = None
+            if not in_range:
+                pair = f"({_shown(u, str)}, {_shown(v, str)})"
+                if in_range is None:
+                    raise ValidationError(f"score {_shown(score)} for pair {pair} is not a number")
+                raise ScoreOutOfRange(f"score {_shown(score)} for pair {pair} outside [0, 1]")
+            if type(u) is not int or type(v) is not int:
+                what = f"score pair ({_shown(u, str)}, {_shown(v, str)})"
+                u, v = _index(u, what), _index(v, what)
+            us.append(u)
+            vs.append(v)
+            values.append(float(score))
+        # np.array keeps indices beyond int64 exact, as an object array
+        u_all, v_all, s = np.array(us), np.array(vs), np.array(values, dtype=float)
+        w1, w2 = list(t1_weights), list(t2_weights)
+        n1, n2 = len(w1), len(w2)
+        # each point's pairs as codes u * n2 + v, up to the first point that
+        # picks a pair out of range
+        codes = []
+        for p in points:
+            keep = np.flatnonzero(s > p.alpha)
+            u, v, score = u_all[keep], v_all[keep], s[keep]
+            picked = [_top_k(u, score, v, p.top_k)]
+            if p.symmetric:
+                picked.append(_top_k(v, score, u, p.top_k))
+            chosen = np.concatenate(picked)
+            selected = sorted(set(zip(u[chosen].tolist(), v[chosen].tolist())))
+            if not all(0 <= a < n1 and 0 <= b < n2 for a, b in selected):
+                break
+            codes.append(np.array([a * n2 + b for a, b in selected], dtype=np.int64))
+        if codes:
+            union = np.unique(np.concatenate(codes))
+            pairs = np.stack(np.divmod(union, n2), axis=1)
+            yield from _restrictions(w1, w2, pairs, [np.isin(union, c) for c in codes])
+        if len(codes) < len(points):
+            # build_graph names the first pair out of range
+            yield build_graph(w1, w2, [(a, b, 1) for a, b in selected])
+    if error is not None:
+        raise error
 
 
 # -- file ingestion ----------------------------------------------------------
 
 
 def _orthonormalized(m: np.ndarray) -> np.ndarray:
-    """Nearest rotation matrix; real pose files carry rounded entries."""
+    """Nearest rotation matrix of each of a stack of 3x3 matrices; real
+    pose files carry rounded entries."""
     u, _, vt = np.linalg.svd(m)
     r = u @ vt
-    if np.linalg.det(r) < 0:
-        u[:, -1] = -u[:, -1]
-        r = u @ vt
+    flip = np.flatnonzero(np.linalg.det(r) < 0)
+    if flip.size:
+        u[flip, :, -1] = -u[flip, :, -1]
+        r[flip] = u[flip] @ vt[flip]
     return r
 
 
@@ -724,25 +805,28 @@ def read_kitti_poses(path, feature_counts: Sequence[int] | None = None) -> Traje
     transform. Rotations are projected to the nearest orthonormal matrix,
     since the files carry rounded entries. ``feature_counts``, when given,
     holds exactly one count per pose."""
-    poses = []
+    rows = []
     lineno = -1
-    parse = lambda f: np.array([float(v) for v in f], dtype=float).reshape(3, 4)  # noqa: E731
-    for lineno, m in _records(path, (float,) * 12, parse, "number", "expected 12 values per pose line, got {got}"):
-        if not np.isfinite(m).all():
+    parse = lambda f: [float(v) for v in f]  # noqa: E731
+    for lineno, row in _records(path, (float,) * 12, parse, "number", "expected 12 values per pose line, got {got}"):
+        # a sum of finite values is finite unless it overflows
+        if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
             raise GraphFormatError(f"{path}:{lineno + 1}: non-finite value in pose line")
-        count = 1
-        if feature_counts is not None:
-            if len(poses) >= len(feature_counts):
-                raise GraphFormatError(f"{path}: more poses than feature counts ({len(feature_counts)})")
-            count = feature_counts[len(poses)]
-        pid = len(poses)
-        poses.append(Pose(pid, m[:, 3].copy(), _orthonormalized(m[:, :3]), feature_count=count, timestamp=pid))
-    if feature_counts is not None and len(feature_counts) > len(poses):
+        if feature_counts is not None and len(rows) >= len(feature_counts):
+            raise GraphFormatError(f"{path}: more poses than feature counts ({len(feature_counts)})")
+        rows.append(row)
+    if feature_counts is not None and len(feature_counts) > len(rows):
         # named at the line after the last pose
         raise GraphFormatError(
-            f"{path}:{lineno + 2}: {len(poses)} poses but {len(feature_counts)} feature counts"
+            f"{path}:{lineno + 2}: {len(rows)} poses but {len(feature_counts)} feature counts"
         )
-    return Trajectory(poses)
+    m = np.array(rows, dtype=float).reshape(-1, 3, 4)
+    positions = np.ascontiguousarray(m[:, :, 3])
+    rotations = _orthonormalized(m[:, :, :3])
+    counts = [1] * len(rows) if feature_counts is None else feature_counts
+    return Trajectory(
+        [Pose(pid, positions[pid], rotations[pid], feature_count=counts[pid], timestamp=pid) for pid in range(len(rows))]
+    )
 
 
 def read_feature_counts(path) -> list[int]:

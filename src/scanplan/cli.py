@@ -9,6 +9,7 @@ failure, 4 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import math
 import sys
@@ -329,21 +330,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", required=True)
     p.add_argument("--alpha", default="0.3", help="appearance score threshold")
-    p.set_defaults(func=cmd_build_graph)
+    p.set_defaults(func="cmd_build_graph")
 
     p = sub.add_parser("solve", help="solve for the optimal exchange policy")
     p.add_argument("--graph", required=True)
     p.add_argument("--policy-out")
     p.add_argument("--engine", choices=("scipy", "dinic"))
     _add_objective_flags(p)
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func="cmd_solve")
 
     p = sub.add_parser("check-monolog", help="certify whether a monolog is optimal")
     p.add_argument("--graph", required=True)
     p.add_argument("--side", type=int, choices=(1, 2), required=True)
     p.add_argument("--improving-out")
     _add_objective_flags(p)
-    p.set_defaults(func=cmd_check_monolog)
+    p.set_defaults(func="cmd_check_monolog")
 
     p = sub.add_parser("simulate", help="simulate a broker-mediated rendezvous")
     p.add_argument("--graph", required=True)
@@ -356,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-out")
     p.add_argument("--compare", action="store_true", help="emit the strategy comparison CSV")
     _add_objective_flags(p)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func="cmd_simulate")
 
     p = sub.add_parser(
         "sweep", parents=[inputs], help="sweep a parameter and emit cost curves as CSV"
@@ -368,16 +369,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--graph", help="prebuilt graph (omega sweeps)")
     _add_objective_flags(p)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func="cmd_sweep")
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process on first use."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # the handler is looked up when it is called, so a replaced cmd_* attribute takes effect
+        return globals()[args.func](args)
     except (GraphFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -132,6 +132,8 @@ class ExchangeGraph:
         eu: Sequence[int],
         ev: Sequence[int],
         cost_num: Sequence[int],
+        *,
+        _prune: bool = True,
     ):
         self.ids = (tuple(ids[0]), tuple(ids[1]))
         self.den = den
@@ -141,16 +143,26 @@ class ExchangeGraph:
         self.ev = np.array(ev, dtype=np.int64)
         self.cost_num = tuple(cost_num)
         self._validate()
-        # every vertex is checked above; the degree-0 ones are pruned here
-        keep = [np.bincount(ends, minlength=len(col)) > 0 for ends, col in zip((self.eu, self.ev), self.ids)]
-        pruned = [
-            VertexId(s, i) for s, col, k in zip((1, 2), self.ids, keep) for i in compress(col, (~k).tolist())
-        ]
-        self.pruned = tuple(sorted(pruned))
-        if pruned:
+        # every vertex is checked above; the degree-0 ones are pruned here,
+        # and the warning names the caller of build_graph, from_vertices or
+        # loads_graph. A sweep's widest graph keeps them (see _restricted).
+        self._finish(5 if _prune else None)
+
+    def _finish(self, stacklevel: int | None) -> None:
+        """Prune the degree-0 vertices, keep their ids in ``pruned`` and
+        warn about them at ``stacklevel``, as ``warnings.warn`` counts it
+        from here; with ``stacklevel`` None, keep them unwarned. Then
+        freeze the edge arrays and start an empty solver memo."""
+        self.pruned = ()
+        if stacklevel is not None:
+            keep = [np.bincount(ends, minlength=len(col)) > 0 for ends, col in zip((self.eu, self.ev), self.ids)]
+            isolated = (_vertex_ids(s, compress(col, (~k).tolist())) for s, col, k in zip((1, 2), self.ids, keep))
+            self.pruned = tuple(sorted(chain.from_iterable(isolated)))
+        if self.pruned:
             shown = _shown_ids(self.pruned)
-            # stacklevel: the caller of build_graph, from_vertices or loads_graph
-            warnings.warn(f"pruned {len(pruned)} isolated vertices (no candidate edges): {shown}", stacklevel=4)
+            warnings.warn(
+                f"pruned {len(self.pruned)} isolated vertices (no candidate edges): {shown}", stacklevel=stacklevel
+            )
             kept = [k.tolist() for k in keep]
             self.ids, self.size_num, self.inertia_num = (
                 tuple(tuple(compress(col, k)) for col, k in zip(cols, kept))
@@ -161,6 +173,32 @@ class ExchangeGraph:
         # solver memo: (objective, requested engine) -> (SolveResult, weight
         # numerators, denominator); holds only results that passed every check
         self._covers: dict = {}
+
+    def _restricted(self, keep: np.ndarray) -> "ExchangeGraph":
+        """The graph ``build_graph`` gives for this graph's vertices and the
+        edges that the boolean array ``keep`` marks, read off this graph
+        with no second check: the kept columns, over the smallest common
+        denominator that the vertex values and the kept edge costs need,
+        with the degree-0 vertices pruned and the warning naming the
+        caller's caller. This graph must keep its own degree-0 vertices
+        (built with ``_prune=False``), so that none is lost."""
+        g = ExchangeGraph.__new__(ExchangeGraph)
+        g.ids, g.den, g.size_num, g.inertia_num = self.ids, self.den, self.size_num, self.inertia_num
+        g.cost_num = tuple(compress(self.cost_num, keep.tolist()))
+        g.eu, g.ev = self.eu[keep], self.ev[keep]
+        if self.den > 1:
+            # an edge cost left out may have been the only value to need some factor of den
+            values = chain(*self.size_num, *self.inertia_num, g.cost_num)
+            common = math.gcd(self.den, *filter(None, values))
+            if common > 1:
+                g.den //= common
+                g.size_num, g.inertia_num = (
+                    tuple(tuple(None if x is None else x // common for x in col) for col in cols)
+                    for cols in (self.size_num, self.inertia_num)
+                )
+                g.cost_num = tuple(c // common for c in g.cost_num)
+        g._finish(3)
+        return g
 
     def _validate(self):
         if not (type(self.den) is int and self.den > 0):
@@ -473,21 +511,22 @@ def _distinct(*columns) -> set:
     return values
 
 
-def _assemble(ids, sizes, inertia, eu, ev, costs, ratios: Mapping, den: int) -> ExchangeGraph:
+def _assemble(ids, sizes, inertia, eu, ev, costs, ratios: Mapping, den: int, prune: bool = True) -> ExchangeGraph:
     """Bring every value over the common denominator ``den`` and construct
-    the graph, which checks every vertex and then prunes the isolated ones.
-    ``ids``, ``sizes`` and ``inertia`` are per-side lists, ``eu``/``ev`` the
-    side positions of each edge's endpoints and ``costs`` its cost. Every
-    value is a key of ``ratios``, which holds its reduced ``(numerator,
-    denominator)`` pair, or None for an unset inertia price. Each distinct
-    value is scaled once and each column built with one lookup per entry;
-    when every value is an int, the columns pass as they are."""
+    the graph, which checks every vertex and then, unless ``prune`` is
+    false, prunes the isolated ones. ``ids``, ``sizes`` and ``inertia`` are
+    per-side lists, ``eu``/``ev`` the side positions of each edge's
+    endpoints and ``costs`` its cost. Every value is a key of ``ratios``,
+    which holds its reduced ``(numerator, denominator)`` pair, or None for
+    an unset inertia price. Each distinct value is scaled once and each
+    column built with one lookup per entry; when every value is an int,
+    the columns pass as they are."""
     if all(type(x) is int for x in ratios):
-        return ExchangeGraph(ids, 1, sizes, inertia, eu, ev, costs)
+        return ExchangeGraph(ids, 1, sizes, inertia, eu, ev, costs, _prune=prune)
     scaled = {x: p * (den // q) for x, (p, q) in ratios.items()}
     scaled[None] = None
     sizes, inertia = ([list(map(scaled.__getitem__, col)) for col in cols] for cols in (sizes, inertia))
-    return ExchangeGraph(ids, den, sizes, inertia, eu, ev, list(map(scaled.__getitem__, costs)))
+    return ExchangeGraph(ids, den, sizes, inertia, eu, ev, list(map(scaled.__getitem__, costs)), _prune=prune)
 
 
 def _key_ratios(sizes, inertia, costs) -> tuple[dict, int]:
@@ -546,6 +585,19 @@ def build_graph(
     costs, then the bound on the values' common denominator, then the
     constructor's checks. Each is a :class:`ValidationError`.
     """
+    return _assemble(*_graph_columns(v1_weights, v2_weights, edges, v1_inertia, v2_inertia))
+
+
+def _unpruned_graph(v1_weights, v2_weights, edges, v1_inertia=None, v2_inertia=None) -> ExchangeGraph:
+    """The graph of :func:`build_graph`'s arguments, checked as it checks
+    them, with its degree-0 vertices kept and no warning: the graph that
+    ``ExchangeGraph._restricted`` reads restrictions off."""
+    return _assemble(*_graph_columns(v1_weights, v2_weights, edges, v1_inertia, v2_inertia), prune=False)
+
+
+def _graph_columns(v1_weights, v2_weights, edges, v1_inertia, v2_inertia) -> tuple:
+    """:func:`_assemble`'s arguments for :func:`build_graph`'s, in its
+    order of errors."""
     # (id, scan size, inertia price) per vertex, as from_vertices reads them
     vertices = []
     for side, weights, prices in ((1, v1_weights, v1_inertia), (2, v2_weights, v2_inertia)):
@@ -573,7 +625,7 @@ def build_graph(
     ids, sizes, inertia = _vertex_columns(vertices)
     # sizes and prices are read before costs
     costs = [c if type(c) is int else _key(c) for c in costs]
-    return _assemble(ids, sizes, inertia, eu, ev, costs, *_key_ratios(sizes, inertia, costs))
+    return (ids, sizes, inertia, eu, ev, costs, *_key_ratios(sizes, inertia, costs))
 
 
 def _weight_terms(g: ExchangeGraph, objective: Objective) -> tuple[int, tuple[int, int], int]:

@@ -3,6 +3,7 @@ gating (each against a brute-force reference), and pose-file ingestion."""
 
 import math
 import random
+import re
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -898,6 +899,34 @@ def test_kitti_round_trip(tmp_path):
         assert a.feature_count == b.feature_count
 
 
+def per_line_poses(path):
+    """Each pose line's position and nearest rotation, one matrix at a time."""
+    out = []
+    for line in Path(path).read_text().splitlines():
+        m = np.array([float(v) for v in line.split()]).reshape(3, 4)
+        u, _, vt = np.linalg.svd(m[:, :3])
+        r = u @ vt
+        if np.linalg.det(r) < 0:
+            u[:, -1] = -u[:, -1]
+            r = u @ vt
+        out.append((m[:, 3], r))
+    return out
+
+
+@pytest.mark.parametrize("name", ["two_loop_poses1.txt", "two_loop_poses2.txt", "reflection"])
+def test_kitti_batch_equals_per_line_projection(tmp_path, name):
+    path = Path(__file__).parent / "data" / name
+    if name == "reflection":
+        # rounded entries, one of them a reflection, and a pure rotation
+        path = tmp_path / "poses.txt"
+        path.write_text("0.6 0 0.8 1 0 1 0 2 -0.8 0 0.6 3\n1 0 0 0 0 1 0 0 0 0 -1 0\n0.5403 0 0.8415 1 0 1 0 0 -0.8415 0 0.5403 0\n")
+    poses = read_kitti_poses(path)
+    reference = per_line_poses(path)
+    assert len(poses) == len(reference) > 0
+    for pose, (position, rotation) in zip(poses, reference):
+        assert np.array_equal(pose.position, position) and np.array_equal(pose.rotation, rotation)
+
+
 def test_kitti_rejects_wrong_field_count(tmp_path):
     f = tmp_path / "bad.txt"
     f.write_text("1 0 0 0 0 1 0 0 0 0 1\n")  # 11 values
@@ -1007,6 +1036,45 @@ def test_trajectory_rejects_non_finite_pose(field, value):
         Trajectory([good, bad])
 
 
+def first_pose_fault(poses):
+    """The one-pose-at-a-time check of a trajectory's geometry: the message
+    for its first pose with a non-finite entry or a rotation residual above
+    the tolerance, or None."""
+    for pose in poses:
+        for name in ("position", "rotation"):
+            if not np.isfinite(getattr(pose, name)).all():
+                return f"pose {pose.pid} {name} has a non-finite entry"
+        err = np.abs(pose.rotation @ pose.rotation.T - np.eye(3)).max()
+        if err > 1e-9:
+            return f"pose {pose.pid} rotation is not orthonormal (residual {err:.3e})"
+    return None
+
+
+@pytest.mark.parametrize(
+    "rotation",
+    [
+        np.eye(3) * (1 + 2e-10),  # residual within half the tolerance
+        np.eye(3) * (1 + 4e-10),  # above half the tolerance, within it
+        np.eye(3) * (1 + 6e-10),  # above it
+        make_pose(0, 0, 0, 0.3).rotation.astype(np.float32),
+        np.diag([1.0, 1.0, np.inf]),
+    ],
+    ids=["within half", "within", "above", "float32", "infinite"],
+)
+def test_trajectory_checks_geometry_as_one_pose_at_a_time(rotation):
+    poses = [make_pose(0, 1.0, 2.0, 0.5), sp.Pose(1, np.zeros(3), rotation), make_pose(2, 0.0, 0.0, 1.0)]
+    fault = first_pose_fault(poses)
+    if fault is None:
+        assert len(Trajectory(poses)) == 3
+    else:
+        with pytest.raises(sp.ValidationError, match=f"^{re.escape(fault)}$"):
+            Trajectory(poses)
+    # a later pose's fault of another kind does not come first
+    poses.append(make_pose(2, 0.0, 0.0, 1.0))
+    with pytest.raises(sp.ValidationError, match=re.escape(fault or "pose ids must strictly increase")):
+        Trajectory(poses)
+
+
 def test_nan_rotation_no_longer_reaches_build_geometric():
     # an all-NaN rotation passes the orthonormality residual test
     bad = sp.Pose(0, np.zeros(3), np.full((3, 3), math.nan))
@@ -1054,3 +1122,36 @@ def test_geometric_sweep_points_share_fov_shape():
     points = [GeometryParams(d_max=20, eta=0.3), GeometryParams(d_max=20, eta=0.3, fov_range=20.0)]
     with pytest.raises(sp.ValidationError, match="differ only in d_max and eta"):
         list(build_geometric_sweep(t1, t2, points))
+
+
+def test_sweeps_raise_a_point_error_after_the_points_before_it():
+    t1, t2 = synthetic_two_loop(10)
+    first = [GeometryParams(d_max=20, eta=0.3), GeometryParams(d_max=30, eta=0.0)]
+
+    def points(tail):
+        """The two points of ``first``, then ``tail``, or its error."""
+        yield from first
+        if isinstance(tail, Exception):
+            raise tail
+        yield tail
+
+    for tail, error in (
+        (RuntimeError("third point"), RuntimeError),
+        (GeometryParams(d_max=20, eta=0.3, fov_range=20.0), sp.ValidationError),
+    ):
+        sweep = build_geometric_sweep(t1, t2, points(tail))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # pruned vertices
+            graphs = [next(sweep), next(sweep)]
+            assert [sp.dumps_graph(g) for g in graphs] == [sp.dumps_graph(build_geometric(t1, t2, p)) for p in first]
+        with pytest.raises(error):
+            next(sweep)
+    # a fault of the first point comes before a later point's error
+    with pytest.raises(sp.EmptyTrajectory):
+        next(build_geometric_sweep(Trajectory([]), t2, points(RuntimeError("later"))))
+    scores = [(0, 0, 0.9), (0, 5, 0.4)]
+    late = (AppearanceParams(alpha=a) for a in (0.5, 0.3, 0.2))
+    sweep = build_appearance_sweep(scores, [1], [1, 1], late)
+    assert next(sweep).num_edges == 1
+    with pytest.raises(sp.IndexOutOfRange, match=r"^edge \(0, 5\) outside vertex ranges$"):
+        next(sweep)

@@ -583,18 +583,20 @@ def test_sweep_matches_per_point_build_geometric(capsys, monkeypatch, argv, fov_
     batched = cand._fov_overlaps
     monkeypatch.setattr(cand, "_fov_overlaps", lambda *a: pairs.append(len(a[0])) or batched(*a))
     argv = ("sweep", *FIXTURE_POSES, "--rate-divisor", "3", *argv)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # pruned vertices
-        shared = run(capsys, *argv)
-        computed = sum(pairs)
-        # the same sweep with one build_geometric call (a one-point sweep)
-        # per point, so no overlap is shared between points
-        sweep = cand.build_geometric_sweep
-        monkeypatch.setattr(
-            cand, "build_geometric_sweep", lambda t1, t2, params: (next(sweep(t1, t2, [p])) for p in params)
-        )
-        per_point = run(capsys, *argv)
+    shared, shared_pruned = run_recording_pruning(capsys, *argv)
+    computed = sum(pairs)
+    # the same sweep with one build_geometric call (a one-point sweep)
+    # per point, so no overlap is shared between points
+    sweep = cand.build_geometric_sweep
+    monkeypatch.setattr(
+        cand, "build_geometric_sweep", lambda t1, t2, params: (next(sweep(t1, t2, [p])) for p in params)
+    )
+    per_point, per_point_pruned = run_recording_pruning(capsys, *argv)
     assert shared[0] == 0 and shared == per_point
+    # the same pruning messages, one per point, in point order
+    assert shared_pruned == per_point_pruned
+    assert pruned_counts(shared_pruned) == pruned_per_point(shared[1], 2 * 34)
+    assert len(shared_pruned) == len(shared[1].splitlines()) - 1
     # the shared sweep computed each gated pair's overlap once
     t1, t2 = (cand.subsample(t, 3) for t in load_fixture_trajectories())
     pos1, pos2 = (np.array([pose.position for pose in t]) for t in (t1, t2))
@@ -604,6 +606,28 @@ def test_sweep_matches_per_point_build_geometric(capsys, monkeypatch, argv, fov_
     else:
         assert computed == int((dists <= fov_d_max).sum())
         assert sum(pairs) > 2 * computed  # the per-point sweep recomputed them
+
+
+def run_recording_pruning(capsys, *argv):
+    """``run``'s result, and each pruning warning's message and file name."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(capsys, *argv)
+    pruned = [str(w.message) for w in caught if str(w.message).startswith("pruned ")]
+    # every warning is a pruning message, issued from candidates.py
+    assert len(pruned) == len(caught) and {Path(w.filename).name for w in caught} <= {"candidates.py"}
+    return result, pruned
+
+
+def pruned_counts(messages):
+    return [int(message.split()[1]) for message in messages]
+
+
+def pruned_per_point(csv, vertices):
+    """How many of ``vertices`` each sweep point of ``csv`` prunes, for
+    the points that prune any."""
+    kept = [int(row.split(",")[5]) for row in csv.splitlines()[1:]]
+    return [vertices - k for k in kept if k < vertices]
 
 
 SCORES_40 = [
@@ -618,17 +642,18 @@ def test_sweep_matches_per_point_build_appearance(capsys, monkeypatch, flags):
     from scanplan import candidates as cand
 
     argv = ("sweep", "--parameter", "alpha", "--start", "0.1", "--stop", "0.95", "--step", "0.05", *SCORES_40, *flags)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # pruned vertices
-        shared = run(capsys, *argv)
-        # the same sweep with one build_appearance call (a one-point sweep)
-        # per point, each reading and checking every score again
-        sweep = cand.build_appearance_sweep
-        monkeypatch.setattr(
-            cand, "build_appearance_sweep", lambda scores, w1, w2, params: (next(sweep(scores, w1, w2, [p])) for p in params)
-        )
-        per_point = run(capsys, *argv)
+    shared, shared_pruned = run_recording_pruning(capsys, *argv)
+    # the same sweep with one build_appearance call (a one-point sweep)
+    # per point, each reading and checking every score again
+    sweep = cand.build_appearance_sweep
+    monkeypatch.setattr(
+        cand, "build_appearance_sweep", lambda scores, w1, w2, params: (next(sweep(scores, w1, w2, [p])) for p in params)
+    )
+    per_point, per_point_pruned = run_recording_pruning(capsys, *argv)
     assert shared[0] == 0 and shared == per_point
+    # the same pruning messages, one per point that prunes, in point order
+    assert shared_pruned == per_point_pruned
+    assert pruned_counts(shared_pruned) == pruned_per_point(shared[1], 2 * 40)
     edge_counts = [int(row.split(",")[-1]) for row in shared[1].splitlines()[1:]]
     assert len(edge_counts) == 18 and edge_counts[0] > edge_counts[-1]
 
@@ -979,6 +1004,18 @@ def test_flag_defaults_are_the_library_defaults():
     args = parser.parse_args(["simulate", "--graph", "g.json"])
     config = sp.RendezvousConfig()
     assert (args.metadata_bytes, args.closure_bytes) == (config.metadata_bytes_per_vertex, config.closure_message_bytes)
+
+
+def test_main_looks_up_the_handler_at_each_call(capsys, monkeypatch):
+    from scanplan import cli
+
+    # the parser is built by the first call and kept; a handler replaced
+    # after it still runs
+    assert run(capsys, "solve", "--graph", DOUBLE_STAR)[0] == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_solve", lambda args: calls.append(args.graph) or 7)
+    assert run(capsys, "solve", "--graph", DOUBLE_STAR) == (7, "", "")
+    assert calls == [DOUBLE_STAR]
 
 
 BAD_SCORES = "0 0 0.5\n0 zz 0.5\n"

@@ -965,3 +965,65 @@ def test_api_common_denominator_bound_refuses_in_linear_time():
         with pytest.raises(sp.ValidationError, match="common denominator exceeds 1000 digits"):
             call()
         assert time.perf_counter() - start < 2
+
+
+# -- restriction of an unpruned graph (the sweeps' points) ------------------------
+
+restriction_value = st.one_of(
+    st.integers(0, 12),
+    st.sampled_from([Fraction(1, 3), Fraction(5, 6), Fraction(7, 4), "2/9", "0.25", 1.5]),
+)
+
+
+def built_with_warnings(build):
+    """``build()``'s graph and the messages of the warnings it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        g = build()
+    return g, [str(w.message) for w in caught]
+
+
+def assert_restriction_matches_build(w1, w2, edges, inertia, keep):
+    from scanplan.graph import _unpruned_graph
+
+    widest, issued = built_with_warnings(lambda: _unpruned_graph(w1, w2, edges, *inertia))
+    assert issued == [] and widest.pruned == ()
+    got, got_warnings = built_with_warnings(lambda: widest._restricted(np.array(keep, dtype=bool)))
+    kept = [e for e, k in zip(edges, keep) if k]
+    want, want_warnings = built_with_warnings(lambda: sp.build_graph(w1, w2, kept, *inertia))
+    for name in ("ids", "den", "size_num", "inertia_num", "cost_num", "pruned"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("eu", "ev"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b) and not a.flags.writeable
+    assert got_warnings == want_warnings
+    assert sp.dumps_graph(got) == sp.dumps_graph(want)
+    assert got._covers == {}
+    # the widest graph is left as it was
+    assert widest.num_edges == len(edges) and widest.pruned == ()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_restriction_matches_build_graph_over_kept_edges(data):
+    n1, n2 = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    w1 = data.draw(st.lists(restriction_value, min_size=n1, max_size=n1))
+    w2 = data.draw(st.lists(restriction_value, min_size=n2, max_size=n2))
+    inertia = [
+        data.draw(st.none() | st.dictionaries(st.integers(0, n), restriction_value, max_size=3)) for n in (n1, n2)
+    ]
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, max(n1 - 1, 0)), st.integers(0, max(n2 - 1, 0))), unique=True))
+    pairs = pairs if n1 and n2 else []
+    edges = [(u, v, data.draw(restriction_value)) if data.draw(st.booleans()) else (u, v) for u, v in pairs]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    assert_restriction_matches_build(w1, w2, edges, inertia, keep)
+
+
+@pytest.mark.parametrize("mask", ["all", "none", "first"])
+def test_restriction_keeps_all_none_or_one_edge(mask):
+    # the only value with a factor 3 in its denominator is the last edge's
+    # cost; keeping no edge prunes every vertex
+    w1, w2 = [Fraction(1, 2), 3, 0], [Fraction(1, 4), 5]
+    edges = [(0, 0, 1), (1, 1, Fraction(1, 2)), (2, 0, Fraction(2, 3))]
+    keep = {"all": [True] * 3, "none": [False] * 3, "first": [True, False, False]}[mask]
+    assert_restriction_matches_build(w1, w2, edges, (None, {1: Fraction(1, 8)}), keep)
