@@ -16,19 +16,17 @@ source-minimal min cut, which makes the returned policy independent of
 the flow engine used. A compiled engine (scipy) is used when capacities
 fit well inside int32; otherwise the exact engine takes over, so
 exactness never depends on magnitudes. Both engines are built from the
-same arc arrays. The exact engine pushes one greedy flow along the
-edges in Python integers, then searches the residual's sign pattern for
-the nodes the source reaches. When the sink is out of reach, the greedy
-flow is maximum and those nodes are the cut; otherwise Dinic phases
-finish the flow from the greedy one and read the cut off their last
-level graph.
+same arc arrays. The exact engine keeps one residual network of node
+residuals, edge flows and per-node edge lists, in Python integers. A
+greedy pass pushes flow along each edge, then one breadth-first search
+levels the nodes the source reaches: when the sink is out of reach those
+nodes are the cut, and otherwise a Dinic phase pushes a blocking flow
+along the levels on the same network and the search runs again.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -46,8 +44,9 @@ from .policy import objective_cost  # noqa: F401  (perfbench/tracing.py wraps sc
 _INT32_SAFE_TOTAL = 2**30
 
 
-def _min_cut_reachable_scipy(n: int, tails, heads, caps) -> tuple[int, set[int]]:
-    """Compiled max-flow path; returns (flow value, source-reachable set)."""
+def _min_cut_reachable_scipy(n: int, tails, heads, caps) -> tuple[int, np.ndarray]:
+    """Compiled max flow on the cover network; returns (flow value,
+    source-reachable nodes)."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
@@ -56,7 +55,7 @@ def _min_cut_reachable_scipy(n: int, tails, heads, caps) -> tuple[int, set[int]]
     residual = cap - result.flow  # reverse arcs appear as positive entries
     residual.eliminate_zeros()
     order = breadth_first_order(residual, 0, directed=True, return_predecessors=False)
-    return int(result.flow_value), set(order.tolist())
+    return int(result.flow_value), order
 
 
 def _min_cut_reachable_dinic(n: int, tails, heads, caps) -> tuple[int, list[int]]:
@@ -64,116 +63,116 @@ def _min_cut_reachable_dinic(n: int, tails, heads, caps) -> tuple[int, list[int]
     capacities; returns (flow value, source-reachable nodes).
 
     Arc ``k < n - 2`` is node ``k + 1``'s arc from the source or to the
-    sink, and every later arc joins a side-1 node ``u`` to a side-2 node
-    ``v`` with a capacity that no flow fills. One greedy pass pushes
-    ``min(source residual of u, sink residual of v)`` along each later arc,
-    in stable tail order. A breadth-first search of the residual's sign
-    pattern (s -> u where u's source residual is positive, every u -> v,
-    and v -> u where that arc carries flow) then finds the nodes the source
-    reaches. When no reached side-2 node has sink residual left, the sink
-    is out of reach: the greedy flow is maximum, and the reached nodes are
-    the source side of the source-minimal min cut, which every maximum flow
-    shares. Otherwise Dinic phases carry on from the greedy flow."""
+    sink, the side-1 nodes (those with an arc from the source) come first,
+    and every later arc joins a side-1 node ``u`` to a side-2 node ``v``
+    with a capacity that no flow fills. The residual network is each
+    node's residual on its terminal arc (``res``), each edge's flow
+    (``carried``) and each node's edge indices: its arcs are s -> u while
+    ``res[u]``, every u -> v, v -> u while the edge carries flow, and
+    v -> t while ``res[v]``. A greedy pass pushes ``min(res[u], res[v])``
+    along each edge, in stable tail order. Then a breadth-first search
+    levels the nodes the source reaches. When the sink is out of reach,
+    the flow is maximum and those nodes are the source side of the
+    source-minimal min cut, which every maximum flow shares; otherwise a
+    Dinic phase pushes a blocking flow and the search runs again."""
     m = n - 2
+    n1 = m - int(np.count_nonzero(tails[:m]))
     eu, ev = tails[m:].tolist(), heads[m:].tolist()
-    res = [0, *caps[:m], 0]  # each node's residual on its terminal arc
+    res = [0, *caps[:m], 0]
     carried = [0] * len(eu)
-    out = [[] for _ in range(n)]  # each node's arcs in the residual's sign pattern
+    edges = [[] for _ in range(n)]
     for k in np.argsort(tails[m:], kind="stable").tolist():
         u, v = eu[k], ev[k]
-        out[u].append(v)
+        edges[u].append(k)
+        edges[v].append(k)
         ru, rv = res[u], res[v]
         if ru and rv:
             push = carried[k] = ru if ru < rv else rv
             res[u] = ru - push
             res[v] = rv - push
-            out[v].append(u)
-    from_source = tails[:m] == 0
-    out[0] = [u for u in heads[:m][from_source].tolist() if res[u]]
-    order = [0]
-    reached = bytearray(n)
-    reached[0] = 1
-    for u in order:
-        for v in out[u]:
-            if not reached[v]:
-                reached[v] = 1
-                order.append(v)
     flow = sum(carried)
-    if not any(res[v] and reached[v] for v in tails[:m][~from_source].tolist()):
-        return flow, order
-    del eu, ev, out, order, reached  # the phases build their own arc lists
-    # residual capacities: arc 2k is network arc k, 2k + 1 its reverse. An
-    # edge arc keeps its full capacity: any capacity above the total leaves
-    # the same flow value and reachable set, and the arcs share one int.
-    cap = [0] * (2 * len(caps))
-    cap[0::2] = [*res[1:-1], *caps[m:]]
-    cap[1::2] = [*map(operator.sub, caps[:m], res[1:-1]), *carried]
-    return _dinic_phases(n, tails, heads, cap, flow)
-
-
-def _dinic_phases(n: int, tails, heads, cap: list[int], flow: int) -> tuple[int, list[int]]:
-    """Dinic's phases from a feasible flow of value ``flow`` to a maximum
-    one; returns (flow value, source-reachable nodes).
-
-    Arc ``2k`` of the residual network is network arc ``k`` and ``2k + 1``
-    its reverse, so ``eid ^ 1`` pairs them, and ``cap`` holds their
-    residual capacities. Each node's arcs are listed in arc order. The
-    phases stop when the sink is out of reach, and that last breadth-first
-    search has then reached exactly the source side of the source-minimal
-    min cut."""
-    s, t = 0, n - 1
-    to = np.empty(len(cap), np.int64)
-    to[0::2], to[1::2] = heads, tails
-    tail = np.empty_like(to)
-    tail[0::2], tail[1::2] = tails, heads
-    by_tail = np.argsort(tail, kind="stable").tolist()
-    bounds = np.cumsum(np.bincount(tail, minlength=n)).tolist()
-    adj = [by_tail[lo:hi] for lo, hi in zip([0, *bounds], bounds)]
-    to = to.tolist()
     while True:
+        starts = [u for u in range(1, n1 + 1) if res[u]]
         level = [-1] * n
-        level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            lu = level[u] + 1
-            for eid in adj[u]:
-                if cap[eid] > 0:
-                    v = to[eid]
+        level[0] = 0
+        for u in starts:
+            level[u] = 1
+        order = [0, *starts]
+        top = 0  # the level of the side-2 nodes next to the sink, once reached
+        for x in order:
+            lx = level[x] + 1
+            if x <= n1:
+                for k in edges[x]:
+                    v = ev[k]
                     if level[v] < 0:
-                        level[v] = lu
-                        queue.append(v)
-        if level[t] < 0:
-            return flow, [v for v in range(n) if level[v] >= 0]
-        # push shortest augmenting paths until the phase is blocked
-        it = [0] * n
-        path: list[int] = []
-        u = s
-        while True:
-            if u == t:
-                bottleneck = min(cap[eid] for eid in path)
-                for eid in path:
-                    cap[eid] -= bottleneck
-                    cap[eid ^ 1] += bottleneck
-                flow += bottleneck
-                path.clear()
-                u = s
-                continue
-            arcs = adj[u]
-            while it[u] < len(arcs):
-                eid = arcs[it[u]]
-                v = to[eid]
-                if cap[eid] > 0 and level[v] == level[u] + 1:
-                    path.append(eid)
-                    u = v
-                    break
-                it[u] += 1
+                        level[v] = lx
+                        order.append(v)
+            elif res[x]:
+                top = lx - 1
+                break
             else:
-                if u == s:
-                    break
-                level[u] = -1  # dead end within this phase
-                u = to[path.pop() ^ 1]
-                it[u] += 1
+                for k in edges[x]:
+                    if carried[k]:
+                        u = eu[k]
+                        if level[u] < 0:
+                            level[u] = lx
+                            order.append(u)
+        if not top:
+            return flow, order
+        flow += _blocking_flow(n1, starts, level, top, res, carried, edges, eu, ev)
+
+
+def _blocking_flow(n1: int, starts, level, top: int, res, carried, edges, eu, ev) -> int:
+    """One Dinic phase on the exact engine's residual network: pushes
+    paths from the ``starts`` along ``level`` to the sink, depth first,
+    until the level graph is blocked; returns the flow pushed.
+
+    A path leaves its start along an edge and then alternates backward and
+    forward edges, so its bottleneck is the least of the start's and the
+    end's residuals and the flows of its backward edges."""
+    pushed = 0
+    it = [0] * len(level)
+    for start in starts:
+        path: list[int] = []
+        x = start
+        while res[start]:
+            lx = level[x] + 1
+            if lx > top:  # a side-2 node at the sink's level
+                if res[x]:
+                    back = path[1::2]
+                    push = min(res[start], res[x], *(carried[k] for k in back))
+                    res[start] -= push
+                    res[x] -= push
+                    for k in path[0::2]:
+                        carried[k] += push
+                    for k in back:
+                        carried[k] -= push
+                    pushed += push
+                    path.clear()
+                    x = start
+                    continue
+            else:
+                ks = edges[x]
+                i = it[x]
+                if x <= n1:
+                    while i < len(ks) and level[ev[ks[i]]] != lx:
+                        i += 1
+                else:
+                    while i < len(ks) and not (carried[ks[i]] and level[eu[ks[i]]] == lx):
+                        i += 1
+                it[x] = i
+                if i < len(ks):
+                    k = ks[i]
+                    path.append(k)
+                    x = ev[k] if x <= n1 else eu[k]
+                    continue
+            level[x] = -1  # dead end within this phase
+            if not path:
+                break
+            k = path.pop()
+            x = eu[k] if x > n1 else ev[k]
+            it[x] += 1
+    return pushed
 
 
 @dataclass(frozen=True)
@@ -275,7 +274,7 @@ def _min_cut_cover(
     caps += [total + 1] * g.num_edges
     flow_value, reach = max_flow(sink + 1, tails, heads, caps)
     reached = np.zeros(sink + 1, dtype=bool)
-    reached[list(reach)] = True
+    reached[reach] = True
     in_cover = ~reached[1 : 1 + n1], reached[1 + n1 : sink]
     cost = Fraction(sum(map(_masked_sum, weight, in_cover)), den)
     certificate = Fraction(flow_value, scale)
@@ -367,7 +366,7 @@ def check_hall_uniform(g: ExchangeGraph, side: int) -> bool:
     that side): whether a maximum matching has one edge per vertex of that
     side. Requires uniform scan weights."""
     _uniform_scan_weight(g)
-    side_size = len(g.side_vids(side))
+    side_size = len(g.ids[_side_position(side)])
     return int((_max_matching(g) >= 0).sum()) == side_size
 
 

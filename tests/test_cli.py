@@ -140,7 +140,7 @@ def test_non_positive_fov_exits_3(capsys, tmp_path, flag, value):
 
 def test_invariant_violation_exits_4(capsys, monkeypatch):
     def wrong_flow(*network):
-        return 0, set()
+        return 0, []
 
     monkeypatch.setattr("scanplan.solver._min_cut_reachable_scipy", wrong_flow)
     code, _, err = run(capsys, "solve", "--graph", DOUBLE_STAR)

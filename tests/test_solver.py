@@ -156,29 +156,40 @@ def test_big_weights_fall_back_to_exact_engine():
 
 @pytest.fixture
 def dinic_phase_calls(monkeypatch):
-    """Counts the exact engine's fallbacks to Dinic phases."""
+    """Counts the exact engine's Dinic phases, one per blocking flow."""
     calls = []
-    real = sp.solver._dinic_phases
+    real = sp.solver._blocking_flow
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(sp.solver, "_dinic_phases", counted)
+    monkeypatch.setattr(sp.solver, "_blocking_flow", counted)
     return calls
 
 
-def test_exact_engine_finishes_a_greedy_flow_that_is_not_maximum(dinic_phase_calls):
-    # the greedy pass pushes u0 -> v0 first, which blocks u0 -> v1 and
-    # u1 -> v0: its flow is 1 and the maximum is 2
-    g = sp.build_graph([1, 1], [1, 1], [(0, 0), (0, 1), (1, 0)])
+@pytest.mark.parametrize(
+    "sides, edges",
+    [
+        # the greedy pass pushes u0 -> v0 first, which blocks u0 -> v1 and
+        # u1 -> v0: its flow is 1 and the maximum is 2
+        pytest.param(2, [(0, 0), (0, 1), (1, 0)], id="one-backward-edge"),
+        # the greedy flow u0 -> v0, u1 -> v1 is 2 and the maximum is 3,
+        # along u2 -> v0 -> u0 -> v1 -> u1 -> v2 with two backward edges
+        pytest.param(3, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 0)], id="two-backward-edges"),
+    ],
+)
+def test_exact_engine_finishes_a_greedy_flow_that_is_not_maximum(dinic_phase_calls, sides, edges):
+    g = sp.build_graph([1] * sides, [1] * sides, edges)
     obj = sp.Objective.p2()
     res = sp.solve(g, obj, engine="dinic")
     assert dinic_phase_calls == [1]
-    assert res.optimal_cost == 2 and res.certificate == res.optimal_cost
+    assert res.optimal_cost == sides and res.certificate == res.optimal_cost
     assert res.engine == "dinic"
-    assert res.policy == sp.solve(g, obj, engine="scipy").policy
-    assert res.policy == sp.solve_brute_force(g, obj).policy
+    compiled = sp.solve(g, obj, engine="scipy")
+    oracle = sp.solve_brute_force(g, obj)
+    assert (res.policy, res.optimal_cost) == (compiled.policy, compiled.optimal_cost)
+    assert (res.policy, res.optimal_cost) == (oracle.policy, oracle.optimal_cost)
 
 
 def test_exact_engine_agrees_with_scipy_on_both_paths(dinic_phase_calls):
