@@ -14,9 +14,11 @@ camera heading is the rotation's z column projected onto it.
 
 from __future__ import annotations
 
+import io
 import math
 import numbers
 import random
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -34,6 +36,9 @@ ROTATION_TOL = 1e-9
 
 # Cells per axis for the deterministic sector-overlap quadrature.
 FOV_GRID_RESOLUTION = 256
+
+# The record of a score file line, as ``read_scores`` returns it.
+SCORE_DTYPE = np.dtype([("u", np.int64), ("v", np.int64), ("score", np.float64)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -669,8 +674,37 @@ def _top_k(group: np.ndarray, score: np.ndarray, tie: np.ndarray, k: int) -> np.
     return order[rank < k]
 
 
+def _score_columns(scores: Iterable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The index and score columns of ``(u, v, score)`` entries, each
+    entry checked in turn: the first that is not a triple, whose score is
+    not a number in [0, 1], or whose indices are not integral, is refused.
+    Indices beyond int64 stay exact, in object arrays."""
+    us, vs, values = [], [], []
+    for entry in scores:
+        try:
+            u, v, score = entry
+        except (TypeError, ValueError):
+            raise ValidationError(f"score entry {_shown(entry)} is not a (u, v, score) triple") from None
+        try:
+            in_range = 0 <= score <= 1
+        except (TypeError, ValueError):
+            in_range = None
+        if not in_range:
+            pair = f"({_shown(u, str)}, {_shown(v, str)})"
+            if in_range is None:
+                raise ValidationError(f"score {_shown(score)} for pair {pair} is not a number")
+            raise ScoreOutOfRange(f"score {_shown(score)} for pair {pair} outside [0, 1]")
+        if type(u) is not int or type(v) is not int:
+            what = f"score pair ({_shown(u, str)}, {_shown(v, str)})"
+            u, v = _index(u, what), _index(v, what)
+        us.append(u)
+        vs.append(v)
+        values.append(float(score))
+    return np.array(us), np.array(vs), np.array(values, dtype=float)
+
+
 def build_appearance(
-    scores: Iterable[tuple[int, int, float]],
+    scores: Iterable[tuple[int, int, float]] | np.ndarray,
     t1_weights: Sequence,
     t2_weights: Sequence,
     p: AppearanceParams,
@@ -685,7 +719,7 @@ def build_appearance(
 
 
 def build_appearance_sweep(
-    scores: Iterable[tuple[int, int, float]],
+    scores: Iterable[tuple[int, int, float]] | np.ndarray,
     t1_weights: Sequence,
     t2_weights: Sequence,
     params: Iterable[AppearanceParams],
@@ -695,32 +729,24 @@ def build_appearance_sweep(
     first point; each point then only thresholds and picks its top k. A
     point that cannot be read, or that picks an index out of range, raises
     its error after the points before it are yielded.
+
+    ``scores`` is an iterable of ``(u, v, score)`` entries, or a 1-d array
+    of ``SCORE_DTYPE`` records, as ``read_scores`` gives, whose three
+    fields are taken whole as the index and score columns. Either way the
+    first entry whose score is outside [0, 1], NaN included, is refused
+    with the same ``ScoreOutOfRange`` message.
     """
     points, error = _read_points(params)
     if points:
-        us, vs, values = [], [], []
-        for entry in scores:
-            try:
-                u, v, score = entry
-            except (TypeError, ValueError):
-                raise ValidationError(f"score entry {_shown(entry)} is not a (u, v, score) triple") from None
-            try:
-                in_range = 0 <= score <= 1
-            except (TypeError, ValueError):
-                in_range = None
-            if not in_range:
-                pair = f"({_shown(u, str)}, {_shown(v, str)})"
-                if in_range is None:
-                    raise ValidationError(f"score {_shown(score)} for pair {pair} is not a number")
-                raise ScoreOutOfRange(f"score {_shown(score)} for pair {pair} outside [0, 1]")
-            if type(u) is not int or type(v) is not int:
-                what = f"score pair ({_shown(u, str)}, {_shown(v, str)})"
-                u, v = _index(u, what), _index(v, what)
-            us.append(u)
-            vs.append(v)
-            values.append(float(score))
-        # np.array keeps indices beyond int64 exact, as an object array
-        u_all, v_all, s = np.array(us), np.array(vs), np.array(values, dtype=float)
+        if isinstance(scores, np.ndarray) and scores.dtype == SCORE_DTYPE and scores.ndim == 1:
+            u_all, v_all, s = scores["u"], scores["v"], scores["score"]
+            outside = ~((s >= 0) & (s <= 1))
+            if outside.any():
+                # the loop refuses the first such entry, given as Python values
+                i = int(outside.argmax())
+                _score_columns([(int(u_all[i]), int(v_all[i]), float(s[i]))])
+        else:
+            u_all, v_all, s = _score_columns(scores)
         w1, w2 = list(t1_weights), list(t2_weights)
         n1, n2 = len(w1), len(w2)
         # each point's pairs as codes u * n2 + v, up to the first point that
@@ -848,8 +874,35 @@ def read_feature_counts(path) -> list[int]:
     return counts
 
 
-def read_scores(path) -> list[tuple[int, int, float]]:
-    """Score file: lines of ``u_index v_index score``."""
+def read_scores(path) -> np.ndarray | list[tuple[int, int, float]]:
+    """Score file: lines of ``u_index v_index score``.
+
+    ASCII text with at least one field is parsed in one compiled pass into
+    a 1-d array of ``SCORE_DTYPE`` records, one per non-blank line, which
+    ``build_appearance_sweep`` takes as columns. Any other file, or one
+    that pass cannot read (an index beyond int64, ``1_0``, a wrong field
+    count, bytes that are not UTF-8, an empty file), is read by the line
+    loop: a list of ``(int, int, float)`` triples, or the
+    ``GraphFormatError`` that names the file, line and field at fault.
+    Both readers split fields at the same whitespace and read the same
+    numbers, so a file that both accept gives the same values."""
+    try:
+        with open_text(path) as fh:
+            text = fh.read()
+    except GraphFormatError:
+        text = ""  # the line loop names the first line it cannot read
+    if text.isascii() and text and not text.isspace():
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return np.loadtxt(io.StringIO(text), dtype=SCORE_DTYPE, comments=None, ndmin=1)
+        except (ValueError, Warning):
+            pass
+    return _read_score_lines(path)
+
+
+def _read_score_lines(path) -> list[tuple[int, int, float]]:
+    """``read_scores``' line loop: ``(int, int, float)`` per non-blank line."""
     parse = lambda f: (int(f[0]), int(f[1]), float(f[2]))  # noqa: E731
     return [score for _, score in _records(path, (int, int, float), parse, "score line field", "expected 'u v score'")]
 

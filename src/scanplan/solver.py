@@ -15,13 +15,16 @@ in exact integer arithmetic, and the cover is read off the unique
 source-minimal min cut, which makes the returned policy independent of
 the flow engine used. A compiled engine (scipy) is used when capacities
 fit well inside int32; otherwise the exact engine takes over, so
-exactness never depends on magnitudes. Both engines are built from the
-same arc arrays. The exact engine keeps one residual network of node
-residuals, edge flows and per-node edge lists, in Python integers. A
-greedy pass pushes flow along each edge, then one breadth-first search
-levels the nodes the source reaches: when the sink is out of reach those
-nodes are the cut, and otherwise a Dinic phase pushes a blocking flow
-along the levels on the same network and the search runs again.
+exactness never depends on magnitudes. Both engines read the same arc
+arrays and terminal capacities. No flow fills an edge arc: the compiled
+engine writes it a capacity above the terminal total into its own int64
+capacity array, and the exact engine stores none. The exact engine keeps
+one residual network of node residuals, edge flows and per-node edge
+lists, in Python integers. A greedy pass pushes flow along each edge,
+then one breadth-first search levels the nodes the source reaches: when
+the sink is out of reach those nodes are the cut, and otherwise a Dinic
+phase pushes a blocking flow along the levels on the same network and
+the search runs again.
 """
 
 from __future__ import annotations
@@ -46,11 +49,17 @@ _INT32_SAFE_TOTAL = 2**30
 
 def _min_cut_reachable_scipy(n: int, tails, heads, caps) -> tuple[int, np.ndarray]:
     """Compiled max flow on the cover network; returns (flow value,
-    source-reachable nodes)."""
+    source-reachable nodes). ``caps`` holds the ``n - 2`` terminal arcs'
+    capacities; every later arc gets one more than their total, which no
+    flow fills."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
-    cap = csr_matrix((caps, (tails, heads)), shape=(n, n), dtype=np.int64)
+    m = n - 2
+    data = np.empty(len(tails), dtype=np.int64)
+    data[:m] = caps
+    data[m:] = data[:m].sum() + 1
+    cap = csr_matrix((data, (tails, heads)), shape=(n, n))
     result = maximum_flow(cap, 0, n - 1)
     residual = cap - result.flow  # reverse arcs appear as positive entries
     residual.eliminate_zeros()
@@ -63,22 +72,23 @@ def _min_cut_reachable_dinic(n: int, tails, heads, caps) -> tuple[int, list[int]
     capacities; returns (flow value, source-reachable nodes).
 
     Arc ``k < n - 2`` is node ``k + 1``'s arc from the source or to the
-    sink, the side-1 nodes (those with an arc from the source) come first,
-    and every later arc joins a side-1 node ``u`` to a side-2 node ``v``
-    with a capacity that no flow fills. The residual network is each
-    node's residual on its terminal arc (``res``), each edge's flow
-    (``carried``) and each node's edge indices: its arcs are s -> u while
-    ``res[u]``, every u -> v, v -> u while the edge carries flow, and
-    v -> t while ``res[v]``. A greedy pass pushes ``min(res[u], res[v])``
-    along each edge, in stable tail order. Then a breadth-first search
-    levels the nodes the source reaches. When the sink is out of reach,
-    the flow is maximum and those nodes are the source side of the
-    source-minimal min cut, which every maximum flow shares; otherwise a
-    Dinic phase pushes a blocking flow and the search runs again."""
+    sink, with capacity ``caps[k]``; the side-1 nodes (those with an arc
+    from the source) come first, and every later arc joins a side-1 node
+    ``u`` to a side-2 node ``v`` with a capacity that no flow fills. The
+    residual network is each node's residual on its terminal arc
+    (``res``), each edge's flow (``carried``) and each node's edge
+    indices: its arcs are s -> u while ``res[u]``, every u -> v, v -> u
+    while the edge carries flow, and v -> t while ``res[v]``. A greedy
+    pass pushes ``min(res[u], res[v])`` along each edge, in stable tail
+    order. Then a breadth-first search levels the nodes the source
+    reaches. When the sink is out of reach, the flow is maximum and those
+    nodes are the source side of the source-minimal min cut, which every
+    maximum flow shares; otherwise a Dinic phase pushes a blocking flow
+    and the search runs again."""
     m = n - 2
     n1 = m - int(np.count_nonzero(tails[:m]))
     eu, ev = tails[m:].tolist(), heads[m:].tolist()
-    res = [0, *caps[:m], 0]
+    res = [0, *caps, 0]
     carried = [0] * len(eu)
     edges = [[] for _ in range(n)]
     for k in np.argsort(tails[m:], kind="stable").tolist():
@@ -271,7 +281,6 @@ def _min_cut_cover(
     sink = n1 + n2 + 1
     tails = np.concatenate((np.zeros(n1, np.int64), np.arange(1 + n1, sink), 1 + g.eu))
     heads = np.concatenate((np.arange(1, 1 + n1), np.full(n2, sink), 1 + n1 + g.ev))
-    caps += [total + 1] * g.num_edges
     flow_value, reach = max_flow(sink + 1, tails, heads, caps)
     reached = np.zeros(sink + 1, dtype=bool)
     reached[reach] = True

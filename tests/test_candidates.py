@@ -36,6 +36,7 @@ from scanplan.candidates import (
     write_feature_counts,
     write_kitti_poses,
 )
+from test_cli import mutated
 
 
 HALF, RANGE = 0.7, 30.0
@@ -959,10 +960,97 @@ def test_kitti_projects_a_reflection_to_a_rotation(tmp_path):
 def test_score_file_parsing(tmp_path):
     f = tmp_path / "scores.txt"
     f.write_text("0 1 0.5\n2 3 0.25\n")
-    assert read_scores(f) == [(0, 1, 0.5), (2, 3, 0.25)]
+    assert [tuple(r) for r in read_scores(f)] == [(0, 1, 0.5), (2, 3, 0.25)]
     f.write_text("0 1\n")
     with pytest.raises(sp.GraphFormatError):
         read_scores(f)
+
+
+# tokens and separators on which the compiled parse and the line loop may
+# disagree about what a field is or what it reads as
+SCORE_TOKENS = ["1_0", "٣", "+1", "1.", ".5", "0x1p-2", "#", "inf", "Infinity", "+nan", "9" * 30, "-" + "9" * 30]
+SCORE_SEPARATORS = ["\x0b", "\x0c", "\x1c", "\r\n", "\xa0", "\x00"]
+SCORE_TEXT = "0 0 0.470091\n0 1 0.728264\n1 0 1\n1 1 0.25\n2 1 0\n"
+SCORE_FILES = [
+    "", "\n", " \x0c\n\t\n", "0\x0b1\x0c0.5\x1c\n", "0 1 0.5\r\n2 3 0.25\r\n", "0 1 0.5\r2 3 0.25", "0\xa01 0.5\n",
+    "0 1 0.5\x00\n", "0 1 0.5\n\x00\n", "1_0 1 0.5\n", "٣ 1 0.5\n", "+1 1 .5\n", "1. 1 0.5\n", "0 1 1.\n", "0 1 0x1p-2\n",
+    "0 1 #\n", "# 0 1\n", "#\n0 1 0.5\n", "0 1 0.5 #\n", "0 1 inf\n", "0 1 Infinity\n", "0 1 +nan\n", "0 1 -0.0\n", "9" * 30 + " 1 0.5\n",
+    "0 -" + "9" * 30 + " 0.5\n", "9223372036854775807 0 0.5\n", "9223372036854775808 0 0.5\n", "0 1 0.5 2\n", "0 1\n",
+    b"0 1 0.5\n\xff\n", b"0 1\n\xff\n",
+]  # fmt: skip
+
+
+def score_outcome(reader, path):
+    """``reader(path)``'s rows, each score as its repr (NaN as "nan"), or
+    its refusal's message."""
+    try:
+        rows = reader(path)
+    except sp.GraphFormatError as exc:
+        return str(exc)
+    return [(int(u), int(v), "nan" if math.isnan(s) else repr(float(s))) for u, v, s in rows]
+
+
+@pytest.fixture(scope="module")
+def score_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("scores") / "scores.txt"
+
+
+@pytest.mark.parametrize("text", SCORE_FILES)
+def test_read_scores_agrees_with_the_line_loop(score_path, text):
+    if isinstance(text, bytes):
+        score_path.write_bytes(text)
+    else:
+        score_path.write_text(text, encoding="utf-8")
+    assert score_outcome(read_scores, score_path) == score_outcome(candidates._read_score_lines, score_path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_score_file_reads_as_the_line_loop_reads_it(score_path, data):
+    text = mutated(data, SCORE_TEXT, SCORE_TOKENS)
+    for _ in range(data.draw(st.integers(0, 2), label="separators")):
+        at = data.draw(st.sampled_from([i for i, c in enumerate(text) if c in " \n"] or [0]), label="gap")
+        text = text[:at] + data.draw(st.sampled_from(SCORE_SEPARATORS)) + text[at + 1 :]
+    score_path.write_text(text, encoding="utf-8")
+    assert score_outcome(read_scores, score_path) == score_outcome(candidates._read_score_lines, score_path)
+
+
+def appearance_sweep_points(scores, weights, params):
+    """Each point's graph file text, pruned ids and warning texts."""
+    out = []
+    sweep = build_appearance_sweep(scores, weights, weights, params)
+    while True:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            g = next(sweep, None)
+        if g is None:
+            return out
+        out.append((sp.dumps_graph(g), g.pruned, [str(w.message) for w in caught]))
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("top_k", [1, 2, 3])
+def test_appearance_sweep_over_the_score_array_equals_sweep_over_triples(top_k, symmetric):
+    data = Path(__file__).parent / "data"
+    scores = read_scores(data / "scores_40x40.txt")
+    assert isinstance(scores, np.ndarray) and scores.dtype == candidates.SCORE_DTYPE
+    triples = [tuple(r) for r in scores.tolist()]
+    weights = [c * DESCRIPTOR_BYTES for c in read_feature_counts(data / "features_40.txt")]
+    params = [AppearanceParams(alpha=a / 20, top_k=top_k, symmetric=symmetric) for a in range(2, 20)]
+    points = appearance_sweep_points(scores, weights, params)
+    assert len(points) == len(params) and any(warned for _, _, warned in points)
+    assert points == appearance_sweep_points(triples, weights, params)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), 1.5, -0.1])
+def test_score_array_refused_as_its_triples_are(bad):
+    triples = [(0, 0, 0.5), (3, 1, bad), (1, 2, 2.0), (2, 2, 0.25)]
+    messages = []
+    for scores in (triples, np.array(triples, dtype=candidates.SCORE_DTYPE)):
+        with pytest.raises(sp.ScoreOutOfRange) as refused:
+            next(build_appearance_sweep(scores, [1] * 4, [1] * 3, [AppearanceParams(alpha=0.1)]))
+        messages.append(str(refused.value))
+    assert messages == [f"score {bad!r} for pair (3, 1) outside [0, 1]"] * 2
 
 
 @pytest.mark.parametrize("count", [2.7, np.float64(0.5), float("nan"), float("inf"), "2"])

@@ -1268,10 +1268,12 @@ def fuzz_argv(workdir, reader, path):
     }[reader]  # fmt: skip
 
 
-def mutated(data, text):
-    """``text`` after one to three token or line edits."""
+def mutated(data, text, extra_tokens=()):
+    """``text`` after one to three token or line edits, each new token one
+    of ``HOSTILE_TOKENS`` and ``extra_tokens`` or a short random text."""
     lines = [line.split() for line in text.splitlines()]
-    tokens = st.one_of(st.sampled_from(HOSTILE_TOKENS), st.text(st.characters(exclude_categories=["Cs"]), max_size=6))
+    hostile = st.sampled_from([*HOSTILE_TOKENS, *extra_tokens])
+    tokens = st.one_of(hostile, st.text(st.characters(exclude_categories=["Cs"]), max_size=6))
     for _ in range(data.draw(st.integers(1, 3), label="edits")):
         i = data.draw(st.integers(0, len(lines)), label="line")
         edit = data.draw(st.sampled_from(["replace", "insert", "delete", "drop line", "copy line", "blank line"]))
