@@ -33,7 +33,7 @@ from .protocol import (
     run_rendezvous,
     strategy_table_csv,
 )
-from .solver import _strategy_costs, check_ghc, solve
+from .solver import _optimal_covers, _strategy_costs, check_ghc, solve
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -296,6 +296,8 @@ def run_sweep(args) -> tuple[list[str], str]:
         if not all(np.isin(a, b).all() for a, b in steps):
             raise InvariantViolation(f"candidate sets not nested along {parameter} sweep")
 
+    # every point's cut at once, on networks shared by many points
+    _optimal_covers(zip(graphs, objectives))
     lines = ["param,optimal,monolog1,monolog2,bidirectional,num_vertices,num_edges"]
     for value, g, obj_here in zip(values, graphs, objectives):
         costs = [format_rational(x) for x in _strategy_costs(g, obj_here)]

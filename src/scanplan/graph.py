@@ -553,7 +553,12 @@ def _index(value, what) -> int:
 
 def _end_positions(ids, us, vs) -> tuple[list[int], list[int]]:
     """The side positions of edge ends given as vertex ids; an end that no
-    vertex of its side holds is refused."""
+    vertex of its side holds is refused. When each side's ids are
+    ``0..n-1`` in order, every end in range is its own position."""
+    if all(side_ids == list(range(len(side_ids))) for side_ids in ids) and all(
+        0 <= min(ends, default=0) and max(ends, default=-1) < len(side_ids) for ends, side_ids in zip((us, vs), ids)
+    ):
+        return us, vs
     pos1, pos2 = ({i: k for k, i in enumerate(side_ids)} for side_ids in ids)
     eu = list(map(pos1.get, us))
     ev = list(map(pos2.get, vs))

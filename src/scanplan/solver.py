@@ -25,6 +25,15 @@ then one breadth-first search levels the nodes the source reaches: when
 the sink is out of reach those nodes are the cut, and otherwise a Dinic
 phase pushes a blocking flow along the levels on the same network and
 the search runs again.
+
+Many cuts can share one compiled max flow: the cover networks of a
+sweep's points are joined at one source and one sink, packed in order
+while their capacities total less than 2^30 and they hold at most
+``_MAX_JOINED_ARCS`` arcs. Components share only the two terminals, so
+each point's cover is read off the shared source-minimal cut, and a flow
+value equal to the summed cut capacities proves every cut minimum. A
+single cut is such a network of one component; each exact-engine cut
+keeps a network of its own.
 """
 
 from __future__ import annotations
@@ -32,12 +41,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvariantViolation, NonUniformWeights, ValidationError
-from .graph import ExchangeGraph, VertexId, _side_position, _vertex_ids, effective_weight, weight_numerators
+from .graph import ExchangeGraph, VertexId, _side_position, effective_weight, weight_numerators
 from .objectives import Objective, _shown, _shown_ids, as_fraction
 from .policy import Policy, _masked_sum, _sent_masks, monolog
 from .policy import objective_cost  # noqa: F401  (perfbench/tracing.py wraps scanplan.solver.objective_cost)
@@ -236,60 +246,147 @@ def _optimal_cover(
     g: ExchangeGraph, obj: Objective, engine: str | None = None
 ) -> tuple[SolveResult, tuple[list[int], list[int]], int]:
     """``solve``'s result with the weight numerators and denominator it
-    was computed from, taken from the graph's memo or computed and stored
-    there. Concurrent misses compute equal results; the last write wins."""
+    was computed from: :func:`_optimal_covers` of one job."""
+    return _optimal_covers([(g, obj)], engine)[0]
+
+
+def _optimal_covers(items, engine: str | None = None) -> list[tuple[SolveResult, tuple[list[int], list[int]], int]]:
+    """For each (graph, objective) of ``items``, ``solve``'s result with
+    the weight numerators and denominator it was computed from, taken from
+    the graph's memo, or cut together with the other misses by
+    :func:`_min_cut_covers` and stored there once every cut passed its
+    checks. Concurrent misses compute equal results; the last write wins."""
     if engine not in (None, "scipy", "dinic"):
         raise ValidationError(f"unknown flow engine {_shown(engine)}")
-    key = (obj, engine)
-    found = g._covers.get(key)
-    if found is None:
-        weight, den = weight_numerators(g, obj)
-        found = g._covers[key] = (_min_cut_cover(g, weight, den, engine), weight, den)
-    return found
+    items = list(items)
+    misses = {}
+    for g, obj in items:
+        if (obj, engine) not in g._covers:
+            misses.setdefault((id(g), obj), (g, obj))
+    if misses:
+        jobs = [(g, *weight_numerators(g, obj)) for g, obj in misses.values()]
+        for (g, obj), (_, weight, den), result in zip(misses.values(), jobs, _min_cut_covers(jobs, engine)):
+            g._covers[obj, engine] = (result, weight, den)
+    return [g._covers[obj, engine] for g, obj in items]
 
 
-def _min_cut_cover(
-    g: ExchangeGraph, weight: tuple[list[int], list[int]], den: int, engine: str | None = None
-) -> SolveResult:
-    """Minimum-weight vertex cover for exact weights (per side, numerators
-    over ``den``), read off the source-minimal min cut of the cover
-    network. ``engine`` is None, "scipy" or "dinic"."""
-    if not g.num_edges:
-        empty = Policy._over(g.ids, [np.zeros(len(ids), bool) for ids in g.ids])
-        return SolveResult(empty, Fraction(0), "flow_cut", Fraction(0), engine or "none")
-    w1, w2 = weight
-    n1, n2 = len(w1), len(w2)
-    # Capacities are the weights over the LCM of their reduced denominators,
-    # which is den divided by the gcd of den and every numerator.
-    common = math.gcd(den, *w1, *w2)
-    scale = den // common
-    caps = [w // common for w in w1] + [w // common for w in w2]
-    total = sum(caps)
-    if engine is None:
-        engine = "scipy" if total < _INT32_SAFE_TOTAL else "dinic"
-    if engine == "scipy":
+# Most arcs of one joined cover network: the compiled engine's jobs are
+# packed into networks of at most this many arcs, so that a long sweep
+# never builds one huge network; a job with more arcs is cut alone.
+_MAX_JOINED_ARCS = 2**17
+
+
+class _CoverNetwork(NamedTuple):
+    """One job's cover network: the graph, its vertex weights as per-side
+    numerators over ``den``, and its terminal capacities, which are the
+    weights over ``scale``, per side."""
+
+    g: ExchangeGraph
+    weight: tuple[list[int], list[int]]
+    den: int
+    caps: tuple[list[int], list[int]]
+    scale: int
+
+
+def _min_cut_covers(jobs, engine: str | None = None) -> list[SolveResult]:
+    """Minimum-weight vertex covers for exact weights, one per job
+    ``(graph, per-side weight numerators, denominator)``, each read off the
+    source-minimal min cut of the job's cover network. ``engine`` is None,
+    "scipy" or "dinic"; by default a job takes the compiled engine when
+    its scaled capacities total less than ``_INT32_SAFE_TOTAL``.
+
+    The compiled engine's jobs are packed in order into joined networks
+    (see :func:`_joined_covers`) whose capacities total less than
+    ``_INT32_SAFE_TOTAL`` and which hold at most ``_MAX_JOINED_ARCS`` arcs.
+    Each exact-engine job keeps a network of its own: a Dinic phase spans
+    its whole network, so a joined one would make every component pay the
+    phases of the slowest."""
+    results: list = [None] * len(jobs)
+    batches = []  # (engine, indices of the jobs joined in one network)
+    networks = {}
+    batch, batch_total, batch_arcs = [], 0, 0
+    for i, (g, weight, den) in enumerate(jobs):
+        if not g.num_edges:
+            empty = Policy._over(g.ids, [np.zeros(len(ids), bool) for ids in g.ids])
+            results[i] = SolveResult(empty, Fraction(0), "flow_cut", Fraction(0), engine or "none")
+            continue
+        # Capacities are the weights over the LCM of their reduced
+        # denominators, which is den divided by the gcd of den and every numerator.
+        common = math.gcd(den, *weight[0], *weight[1])
+        caps = tuple([w // common for w in side] for side in weight)
+        networks[i] = _CoverNetwork(g, weight, den, caps, den // common)
+        total = sum(map(sum, caps))
+        if (engine or ("scipy" if total < _INT32_SAFE_TOTAL else "dinic")) == "dinic":
+            batches.append(("dinic", [i]))
+            continue
         if total >= _INT32_SAFE_TOTAL:
             # the compiled engine casts to int32 and would corrupt silently
             raise ValidationError(
                 f"scaled capacities total {_shown(total, str)} exceeds the compiled engine's "
                 "safe range; use the dinic engine"
             )
-        max_flow = _min_cut_reachable_scipy
-    else:
-        max_flow = _min_cut_reachable_dinic
-    # node 0 is the source, 1..n1 side 1, then side 2, and n1 + n2 + 1 the sink
+        arcs = len(weight[0]) + len(weight[1]) + g.num_edges
+        if batch and (batch_total + total >= _INT32_SAFE_TOTAL or batch_arcs + arcs > _MAX_JOINED_ARCS):
+            batches.append(("scipy", batch))
+            batch, batch_total, batch_arcs = [], 0, 0
+        batch.append(i)
+        batch_total += total
+        batch_arcs += arcs
+    if batch:
+        batches.append(("scipy", batch))
+    for name, indices in batches:
+        for i, result in zip(indices, _joined_covers(name, [networks[i] for i in indices])):
+            results[i] = result
+    return results
+
+
+def _joined_covers(engine: str, networks: list[_CoverNetwork]) -> list[SolveResult]:
+    """The covers of ``networks`` from one max flow on ``engine`` over
+    those networks joined at one source (node 0) and one sink: every
+    network's side-1 nodes in order, then every network's side-2 nodes,
+    then the sink.
+
+    Components share only the source and the sink, so the source-minimal
+    cut of the joined network is every component's own, and each cover is
+    read off the one reach mask at its component's offsets. By weak
+    duality each component's flow is at most its cut's capacity, so a flow
+    value equal to the summed capacities proves every cut minimum; each
+    certificate is then its component's cut capacity over its scale."""
+    sizes = [tuple(map(len, net.caps)) for net in networks]
+    n1, n2 = map(sum, zip(*sizes))
     sink = n1 + n2 + 1
-    tails = np.concatenate((np.zeros(n1, np.int64), np.arange(1 + n1, sink), 1 + g.eu))
-    heads = np.concatenate((np.arange(1, 1 + n1), np.full(n2, sink), 1 + n1 + g.ev))
+    # each component's first side-1 and first side-2 node
+    first1 = list(accumulate((s1 for s1, _ in sizes), initial=1))
+    first2 = list(accumulate((s2 for _, s2 in sizes), initial=1 + n1))
+    tails = np.concatenate(
+        (np.zeros(n1, np.int64), np.arange(1 + n1, sink), *(a + net.g.eu for a, net in zip(first1, networks)))
+    )
+    heads = np.concatenate(
+        (np.arange(1, 1 + n1), np.full(n2, sink), *(b + net.g.ev for b, net in zip(first2, networks)))
+    )
+    caps = [c for side in (0, 1) for net in networks for c in net.caps[side]]
+    max_flow = _min_cut_reachable_scipy if engine == "scipy" else _min_cut_reachable_dinic
     flow_value, reach = max_flow(sink + 1, tails, heads, caps)
     reached = np.zeros(sink + 1, dtype=bool)
     reached[reach] = True
-    in_cover = ~reached[1 : 1 + n1], reached[1 + n1 : sink]
-    cost = Fraction(sum(map(_masked_sum, weight, in_cover)), den)
-    certificate = Fraction(flow_value, scale)
-    if certificate != cost:
-        raise InvariantViolation(f"max-flow value {certificate} differs from cover weight {cost}")
-    return SolveResult(Policy._over(g.ids, in_cover), cost, "flow_cut", certificate, engine)
+    covers = [(~reached[a : a + s1], reached[b : b + s2]) for a, b, (s1, s2) in zip(first1, first2, sizes)]
+    costs = [Fraction(sum(map(_masked_sum, net.weight, cover)), net.den) for net, cover in zip(networks, covers)]
+    cuts = [sum(map(_masked_sum, net.caps, cover)) for net, cover in zip(networks, covers)]
+    if flow_value != sum(cuts):
+        if len(networks) == 1:
+            certificate = Fraction(flow_value, networks[0].scale)
+            raise InvariantViolation(f"max-flow value {certificate} differs from cover weight {costs[0]}")
+        raise InvariantViolation(
+            f"max-flow value {flow_value} of {len(networks)} joined cover networks "
+            f"differs from their cut capacity {sum(cuts)}"
+        )
+    results = []
+    for net, in_cover, cost, cut in zip(networks, covers, costs, cuts):
+        certificate = Fraction(cut, net.scale)
+        if certificate != cost:
+            raise InvariantViolation(f"max-flow value {certificate} differs from cover weight {cost}")
+        results.append(SolveResult(Policy._over(net.g.ids, in_cover), cost, "flow_cut", certificate, engine))
+    return results
 
 
 def solve_brute_force(g: ExchangeGraph, obj: Objective) -> SolveResult:
@@ -357,7 +454,7 @@ def solve_uniform_matching(g: ExchangeGraph) -> SolveResult:
     matching of the same size as its certificate."""
     unit = _uniform_scan_weight(g)
     n1, n2 = map(len, g.ids)
-    policy = _min_cut_cover(g, ([1] * n1, [1] * n2), 1).policy
+    policy = _min_cut_covers([(g, ([1] * n1, [1] * n2), 1)])[0].policy
     match = _max_matching(g)
     matched = np.flatnonzero(match >= 0).tolist()
     if len(policy.ones) != len(matched):
@@ -391,6 +488,11 @@ class GhcCertificate:
     violating subset is read off the min cut, together with a strictly
     cheaper admissible policy that keeps (side minus S) and switches to
     transmitting S's neighborhood instead.
+
+    ``witness`` reads as a frozenset of vertex ids, also in ==, hash and
+    repr. ``check_ghc`` hands it over as the policy over its graph that
+    sends exactly the witness, one mask per side, so the frozenset is
+    built on the first read, as ``Policy`` builds its own.
     """
 
     holds: bool
@@ -401,6 +503,19 @@ class GhcCertificate:
     witness_weight: Fraction | None = None
     neighborhood_weight: Fraction | None = None
     improving_policy: Policy | None = None
+
+
+def _held_witness(cert: GhcCertificate) -> frozenset[VertexId] | None:
+    held = cert.__dict__["_witness"]
+    return held.ones if isinstance(held, Policy) else held
+
+
+def _hold_witness(cert: GhcCertificate, witness) -> None:
+    cert.__dict__["_witness"] = witness
+
+
+# the dataclass's __init__ stores the witness through the setter
+GhcCertificate.witness = property(_held_witness, _hold_witness)
 
 
 def check_ghc(g: ExchangeGraph, obj: Objective, side: int) -> GhcCertificate:
@@ -421,7 +536,6 @@ def check_ghc(g: ExchangeGraph, obj: Objective, side: int) -> GhcCertificate:
     ends = (g.eu, g.ev)
     neighborhood = np.zeros(len(g.ids[1 - s]), bool)
     neighborhood[ends[1 - s][~in_cover[ends[s]]]] = True
-    witness = frozenset(_vertex_ids(s + 1, compress(g.ids[s], (~in_cover).tolist())))
     w_s = Fraction(_masked_sum(weight[s], ~in_cover), den)
     w_n = Fraction(_masked_sum(weight[1 - s], neighborhood), den)
     if not w_s > w_n:
@@ -429,6 +543,9 @@ def check_ghc(g: ExchangeGraph, obj: Objective, side: int) -> GhcCertificate:
     # keep the side's covered vertices, and send the witness's neighbourhood
     masks = (in_cover, neighborhood) if s == 0 else (neighborhood, in_cover)
     improving = Policy._over(g.ids, masks)
+    # the witness, as the policy that sends exactly its vertices
+    outside = np.zeros(len(g.ids[1 - s]), bool)
+    witness = Policy._over(g.ids, (~in_cover, outside) if s == 0 else (outside, ~in_cover))
     improving_cost = Fraction(sum(map(_masked_sum, weight, masks)), den)
     if not improving_cost < monolog_cost:
         raise InvariantViolation(f"improving cost {improving_cost} >= monolog cost {monolog_cost}")

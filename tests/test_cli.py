@@ -1308,3 +1308,56 @@ def test_mutated_reader_input_exits_cleanly(fuzz_workdir, reader, data):
     assert code in (0, 2, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
     assert len(err.getvalue().encode()) < 1024, err.getvalue()[:200]
+
+
+APPEARANCE_INPUTS = [
+    "--scores", str(DATA / "scores_40x40.txt"),
+    "--features1", str(DATA / "features_40.txt"),
+    "--features2", str(DATA / "features_40.txt"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            [*FIXTURE_POSES, "--parameter", "dmax", "--start", "2", "--stop", "60", "--step", "2", "--eta", "0"],
+            "b2c6417f46554e61b289ae819680eb0c4671d82c1869413a0b4fbeecdae7c822",
+        ),
+        (
+            [*FIXTURE_POSES, "--parameter", "eta", "--start", "0", "--stop", "0.9", "--step", "0.1", "--dmax", "30"],
+            "a91f9dc81b70b83806d9a615e97c25d586abab469630be3738f4046d983d2426",
+        ),
+        (
+            [*APPEARANCE_INPUTS, "--parameter", "alpha", "--start", "0.1", "--stop", "0.95", "--step", "0.05"],
+            "62a71cb68eef56ff2f217ac7a19b809ea394e8e1a8baa99376124b07a6c42f71",
+        ),
+        (
+            ["--parameter", "omega", "--graph", DOUBLE_STAR, "--start", "0", "--stop", "1", "--step", "0.5"],
+            "9550bf35b29d67289f1d35a93436b81d3bca433181e68beb8f365e9a017b2211",
+        ),
+    ],
+    ids=["dmax", "eta", "alpha", "omega"],
+)
+def test_sweep_csv_digests(capsys, argv, digest):
+    # the digests that CI checks on the installed entry point
+    code, out, _ = run(capsys, "sweep", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_sweep_cuts_every_point_with_one_flow(capsys, monkeypatch):
+    from scanplan import solver
+
+    networks = []
+    flow = solver._min_cut_reachable_scipy
+    monkeypatch.setattr(solver, "_min_cut_reachable_scipy", lambda *net: networks.append(net) or flow(*net))
+    code, out, _ = run(
+        capsys,
+        "sweep", *FIXTURE_POSES, "--parameter", "dmax", "--start", "2", "--stop", "60", "--step", "2", "--eta", "0",
+    )
+    assert code == 0
+    assert len(networks) == 1
+    # the joined network holds every point's side-1 and side-2 nodes
+    points = [line.split(",") for line in out.splitlines()[1:]]
+    assert networks[0][0] == 2 + sum(int(point[5]) for point in points)

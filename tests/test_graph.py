@@ -745,11 +745,15 @@ VALUE_TOKENS = st.one_of(
 
 
 @st.composite
-def graph_documents(draw) -> str:
-    """A graph file with ids in shuffled, non-contiguous order, costs and
-    inertia prices that are sometimes missing, and now and then an edge
-    end that no vertex holds."""
-    ids = [draw(st.lists(st.integers(0, 40), unique=True, max_size=5)) for _ in range(2)]
+def graph_documents(draw, positional: bool = False) -> str:
+    """A graph file with ids in shuffled, non-contiguous order, or with
+    ``positional`` each side's ids ``0..n-1`` in order; costs and inertia
+    prices that are sometimes missing, and now and then an edge end that no
+    vertex holds."""
+    if positional:
+        ids = [list(range(draw(st.integers(0, 5)))) for _ in range(2)]
+    else:
+        ids = [draw(st.lists(st.integers(0, 40), unique=True, max_size=5)) for _ in range(2)]
     sides = []
     for side in ids:
         entries = []
@@ -757,7 +761,8 @@ def graph_documents(draw) -> str:
             price = f', "inertia": {draw(VALUE_TOKENS)}' if draw(st.booleans()) else ""
             entries.append(f'{{"id": {i}, "scan_size": {draw(VALUE_TOKENS)}{price}}}')
         sides.append(", ".join(entries))
-    ends = [st.sampled_from(side) | st.just(41) if side else st.just(41) for side in ids]
+    missing = st.sampled_from([41, -1, len(ids[0]), len(ids[1])])
+    ends = [st.sampled_from(side) | missing if side else missing for side in ids]
     edges = []
     for _ in range(draw(st.integers(0, 8))):
         cost = f', "cost": {draw(VALUE_TOKENS)}' if draw(st.booleans()) else ""
@@ -805,6 +810,17 @@ def oracle_graph(text: str) -> sp.ExchangeGraph:
 @settings(max_examples=150, deadline=None)
 @given(graph_documents())
 def test_loads_graph_matches_a_fraction_per_value_oracle(text):
+    check_against_oracle(text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_documents(positional=True))
+def test_loads_graph_with_positional_ids_matches_the_oracle(text):
+    # each side's ids are 0..n-1 in order, so every end in range is its own position
+    check_against_oracle(text)
+
+
+def check_against_oracle(text):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
@@ -1027,3 +1043,19 @@ def test_restriction_keeps_all_none_or_one_edge(mask):
     edges = [(0, 0, 1), (1, 1, Fraction(1, 2)), (2, 0, Fraction(2, 3))]
     keep = {"all": [True] * 3, "none": [False] * 3, "first": [True, False, False]}[mask]
     assert_restriction_matches_build(w1, w2, edges, (None, {1: Fraction(1, 8)}), keep)
+
+
+@pytest.mark.parametrize("u, v", [(-1, 0), (2, 0), (0, -1), (0, 1), (1, 1)])
+def test_positional_ids_refuse_an_end_out_of_range(u, v):
+    message = rf"^edge \({u}, {v}\) references a missing vertex$"
+    with pytest.raises(sp.IndexOutOfRange, match=message):
+        sp.ExchangeGraph.from_vertices([(0, 1, None), (1, 1, None)], [(0, 1, None)], [(0, 0, 1), (u, v, 1)])
+    text = json.dumps(
+        {
+            "v1": [{"id": 0, "scan_size": 1}, {"id": 1, "scan_size": 1}],
+            "v2": [{"id": 0, "scan_size": 1}],
+            "edges": [{"u": 0, "v": 0}, {"u": u, "v": v}],
+        }
+    )
+    with pytest.raises(sp.IndexOutOfRange, match=message):
+        sp.loads_graph(text)

@@ -8,6 +8,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -345,6 +346,97 @@ def test_memoized_results_equal_fresh_graph(rng, picks):
         engine = (None, "scipy", "dinic", None)[pick]
         fresh = sp.loads_graph(text)
         assert _solver_outputs(g, obj, engine) == _solver_outputs(fresh, obj, engine)
+
+
+def _joined_cover_jobs(rng):
+    """(graph, objective) jobs of every kind a sweep can hand over at once,
+    and the one job that the compiled engine refuses: small random graphs,
+    one of them under several objectives and one job twice, graphs without
+    edges, graphs whose scaled capacity totals pass 2**30 two by two, and
+    one graph whose own total is above 2**30."""
+    small = [random_graph(rng, max_side=5, rational_costs=True) for _ in range(4)]
+    jobs = [(g, random_objective(rng)) for g in small]
+    jobs += [(small[0], random_objective(rng)) for _ in range(2)] + [jobs[1]]
+    jobs += [(build_quiet([1, 2], [3], []), random_objective(rng)), (sp.build_graph([], [], []), sp.Objective.p2())]
+    for k in range(3):
+        # a weight of 1 keeps the scale at 1, so the capacities are the weights
+        big = [2**29 + rng.randint(1, 1000), 1], [5 + k, 2**28 + rng.randint(1, 1000)]
+        jobs.append((sp.build_graph(*big, [(0, 0), (1, 1), (0, 1)]), sp.Objective.p2()))
+    huge = (sp.build_graph([2**30, 1], [1, 3], [(0, 0), (1, 1)]), sp.Objective.p2())
+    jobs.append(huge)
+    rng.shuffle(jobs)
+    return jobs, huge
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_joined_covers_equal_separate_solves(rng):
+    jobs, huge = _joined_cover_jobs(rng)
+    totals = []
+    flow = sp.solver._min_cut_reachable_scipy
+
+    def recorded(n, tails, heads, caps):
+        totals.append(sum(caps))
+        return flow(n, tails, heads, caps)
+
+    for engine in (None, "dinic", "scipy"):
+        todo = [job for job in jobs if engine != "scipy" or job is not huge]
+        totals.clear()
+        with mock.patch.object(sp.solver, "_min_cut_reachable_scipy", recorded):
+            found = sp.solver._optimal_covers(todo, engine)
+        for (g, obj), (result, weight, den) in zip(todo, found):
+            assert result == sp.solve(sp.loads_graph(sp.dumps_graph(g)), obj, engine=engine)
+            assert (weight, den) == sp.graph.weight_numerators(g, obj)
+            assert g._covers[obj, engine][0] is result
+        assert all(total < 2**30 for total in totals)
+        if engine != "dinic":
+            # each big graph needs a network of its own; the small ones join them
+            assert len(totals) == 3
+
+
+def test_joined_networks_hold_at_most_the_arc_cap(monkeypatch):
+    # 3, 5, 9 and 3 arcs (vertices plus edges); a cap of 8 joins the first
+    # two, cuts the 9-arc graph alone, and starts again with the last
+    graphs = [
+        sp.build_graph([1], [2], [(0, 0)]),
+        sp.build_graph([1, 1], [3], [(0, 0), (1, 0)]),
+        sp.build_graph([1, 2, 3], [2, 2], [(0, 0), (1, 0), (1, 1), (2, 1)]),
+        sp.build_graph([4], [1], [(0, 0)]),
+    ]
+    networks = []
+    flow = sp.solver._min_cut_reachable_scipy
+    monkeypatch.setattr(sp.solver, "_min_cut_reachable_scipy", lambda *net: networks.append(net) or flow(*net))
+    monkeypatch.setattr(sp.solver, "_MAX_JOINED_ARCS", 8)
+    found = sp.solver._optimal_covers((g, sp.Objective.p2()) for g in graphs)
+    assert [len(tails) for _, tails, _, _ in networks] == [8, 9, 3]
+    for g, (result, *_) in zip(graphs, found):
+        assert result == sp.solve(sp.loads_graph(sp.dumps_graph(g)), sp.Objective.p2())
+
+
+def test_corrupt_component_of_joined_network_is_refused_and_not_remembered(monkeypatch):
+    # side-1 nodes 1, 2 and 3-4, side-2 nodes 5, 6 and 7, sink 8
+    graphs = [
+        sp.build_graph([2], [1], [(0, 0)]),
+        sp.build_graph([5], [3], [(0, 0)]),
+        sp.build_graph([1, 1], [4], [(0, 0), (1, 0)]),
+    ]
+    jobs = [(g, sp.Objective.p2()) for g in graphs]
+    flow = sp.solver._min_cut_reachable_scipy
+
+    def corrupt(n, tails, heads, caps):
+        value, reach = flow(n, tails, heads, caps)
+        # the second graph's cover holds its side-2 vertex; drop it
+        assert n == 9 and 6 in reach
+        return value, reach[reach != 6]
+
+    monkeypatch.setattr(sp.solver, "_min_cut_reachable_scipy", corrupt)
+    message = "max-flow value 6 of 3 joined cover networks differs from their cut capacity 3$"
+    with pytest.raises(sp.InvariantViolation, match=message):
+        sp.solver._optimal_covers(jobs)
+    assert all(g._covers == {} for g in graphs)
+    monkeypatch.undo()
+    costs = [result.optimal_cost for result, *_ in sp.solver._optimal_covers(jobs)]
+    assert costs == [1, 3, 2]
 
 
 def test_brute_force_size_guard():
