@@ -659,18 +659,21 @@ def _weight_terms(g: ExchangeGraph, objective: Objective) -> tuple[int, tuple[in
 
 
 def weight_numerators(g: ExchangeGraph, objective: Objective) -> tuple[tuple[list[int], list[int]], int]:
-    """Every vertex's weight under ``objective``: per side, numerators in
-    position order, over the returned denominator."""
+    """Every vertex's weight under ``objective`` in lowest terms: per side,
+    numerators in position order, over the returned denominator, which
+    shares no factor with all of them."""
     a, b, den = _weight_terms(g, objective)
     if b == (0, 0):
-        return tuple([a * x for x in eff] for eff in g.eff_num), den
-    return (
-        tuple(
+        weight = tuple([a * x for x in eff] for eff in g.eff_num)
+    else:
+        weight = tuple(
             [a * x + bs * c for x, c in zip(eff, inc)]
             for eff, inc, bs in zip(g.eff_num, g.incident_num, b)
-        ),
-        den,
-    )
+        )
+    common = math.gcd(den, *weight[0], *weight[1])
+    if common == 1:
+        return weight, den
+    return tuple([w // common for w in side] for side in weight), den // common
 
 
 def effective_weight(g: ExchangeGraph, vid: VertexId, objective: Objective) -> Fraction:

@@ -112,10 +112,10 @@ def _schedule(g: ExchangeGraph, sent: tuple[np.ndarray, np.ndarray]) -> list[tup
 
 def workloads(g: ExchangeGraph, pi: Policy, alpha1=1, alpha2=1) -> WorkloadReport:
     """Compute the induced division of labor for an admissible policy."""
-    _, (l1, l2) = _division(g, pi, "workload partition is defined for admissible policies")
+    sent, (l1, l2) = _division(g, pi, "workload partition is defined for admissible policies")
     alpha1 = as_fraction(alpha1)
     alpha2 = as_fraction(alpha2)
-    ell1, ell2 = (Fraction(_masked_sum(g.cost_num, m), g.den) for m in (l1, l2))
+    _, ell1, ell2 = _session_costs(g, sent, (l1, l2))
     return WorkloadReport(
         l1_edges=_edge_key_set(g, l1),
         l2_edges=_edge_key_set(g, l2),

@@ -10,7 +10,8 @@ minimum s-t cut on the standard cover network:
     side-2 vertex -> sink    with capacity = vertex weight
     side-1 -> side-2         with effectively infinite capacity per edge
 
-Weights are scaled to integers (LCM of denominators), flows are computed
+Weights arrive as integer numerators over one denominator, in lowest
+terms, and the numerators are the capacities. Flows are computed
 in exact integer arithmetic, and the cover is read off the unique
 source-minimal min cut, which makes the returned policy independent of
 the flow engine used. A compiled engine (scipy) is used when capacities
@@ -42,7 +43,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import NamedTuple
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from .objectives import Objective, _shown, _shown_ids, as_fraction
 from .policy import Policy, _masked_sum, _sent_masks, monolog
 from .policy import objective_cost  # noqa: F401  (perfbench/tracing.py wraps scanplan.solver.objective_cost)
 
-# Largest scaled capacity total routed through the compiled engine; above
+# Largest capacity total routed through the compiled engine; above
 # this the int32-based engine could overflow, so the big-int path is used.
 _INT32_SAFE_TOTAL = 2**30
 
@@ -219,7 +219,7 @@ def solve(g: ExchangeGraph, obj: Objective, engine: str | None = None) -> SolveR
     """Minimum-cost admissible policy under ``obj``, exactly.
 
     ``engine`` forces the flow backend ("scipy" or "dinic"); by default
-    the compiled backend is used whenever the scaled capacities are safely
+    the compiled backend is used whenever the capacities are safely
     inside int32 range. Both backends return the same policy because the
     cover is extracted from the source-minimal min cut, which is unique
     across all maximum flows.
@@ -276,24 +276,15 @@ def _optimal_covers(items, engine: str | None = None) -> list[tuple[SolveResult,
 _MAX_JOINED_ARCS = 2**17
 
 
-class _CoverNetwork(NamedTuple):
-    """One job's cover network: the graph, its vertex weights as per-side
-    numerators over ``den``, and its terminal capacities, which are the
-    weights over ``scale``, per side."""
-
-    g: ExchangeGraph
-    weight: tuple[list[int], list[int]]
-    den: int
-    caps: tuple[list[int], list[int]]
-    scale: int
-
-
 def _min_cut_covers(jobs, engine: str | None = None) -> list[SolveResult]:
     """Minimum-weight vertex covers for exact weights, one per job
     ``(graph, per-side weight numerators, denominator)``, each read off the
-    source-minimal min cut of the job's cover network. ``engine`` is None,
-    "scipy" or "dinic"; by default a job takes the compiled engine when
-    its scaled capacities total less than ``_INT32_SAFE_TOTAL``.
+    source-minimal min cut of the job's cover network. Jobs arrive in
+    lowest terms, as :func:`weight_numerators` returns them and as unit
+    weights over 1 are, so each job's numerators are its capacities.
+    ``engine`` is None, "scipy" or "dinic"; by default a job takes the
+    compiled engine when its capacities total less than
+    ``_INT32_SAFE_TOTAL``.
 
     The compiled engine's jobs are packed in order into joined networks
     (see :func:`_joined_covers`) whose capacities total less than
@@ -303,19 +294,13 @@ def _min_cut_covers(jobs, engine: str | None = None) -> list[SolveResult]:
     phases of the slowest."""
     results: list = [None] * len(jobs)
     batches = []  # (engine, indices of the jobs joined in one network)
-    networks = {}
     batch, batch_total, batch_arcs = [], 0, 0
-    for i, (g, weight, den) in enumerate(jobs):
+    for i, (g, weight, _) in enumerate(jobs):
         if not g.num_edges:
             empty = Policy._over(g.ids, [np.zeros(len(ids), bool) for ids in g.ids])
             results[i] = SolveResult(empty, Fraction(0), "flow_cut", Fraction(0), engine or "none")
             continue
-        # Capacities are the weights over the LCM of their reduced
-        # denominators, which is den divided by the gcd of den and every numerator.
-        common = math.gcd(den, *weight[0], *weight[1])
-        caps = tuple([w // common for w in side] for side in weight)
-        networks[i] = _CoverNetwork(g, weight, den, caps, den // common)
-        total = sum(map(sum, caps))
+        total = sum(map(sum, weight))
         if (engine or ("scipy" if total < _INT32_SAFE_TOTAL else "dinic")) == "dinic":
             batches.append(("dinic", [i]))
             continue
@@ -335,57 +320,57 @@ def _min_cut_covers(jobs, engine: str | None = None) -> list[SolveResult]:
     if batch:
         batches.append(("scipy", batch))
     for name, indices in batches:
-        for i, result in zip(indices, _joined_covers(name, [networks[i] for i in indices])):
+        for i, result in zip(indices, _joined_covers(name, [jobs[i] for i in indices])):
             results[i] = result
     return results
 
 
-def _joined_covers(engine: str, networks: list[_CoverNetwork]) -> list[SolveResult]:
-    """The covers of ``networks`` from one max flow on ``engine`` over
-    those networks joined at one source (node 0) and one sink: every
-    network's side-1 nodes in order, then every network's side-2 nodes,
-    then the sink.
+def _joined_covers(engine: str, jobs) -> list[SolveResult]:
+    """The covers of ``jobs`` ``(graph, weight, den)`` from one max flow on
+    ``engine`` over their cover networks joined at one source (node 0) and
+    one sink: every job's side-1 nodes in order, then every job's side-2
+    nodes, then the sink.
 
     Components share only the source and the sink, so the source-minimal
     cut of the joined network is every component's own, and each cover is
     read off the one reach mask at its component's offsets. By weak
     duality each component's flow is at most its cut's capacity, so a flow
     value equal to the summed capacities proves every cut minimum; each
-    certificate is then its component's cut capacity over its scale."""
-    sizes = [tuple(map(len, net.caps)) for net in networks]
+    cover's cost and certificate is then its cut capacity over its
+    denominator."""
+    sizes = [tuple(map(len, weight)) for _, weight, _ in jobs]
     n1, n2 = map(sum, zip(*sizes))
     sink = n1 + n2 + 1
     # each component's first side-1 and first side-2 node
     first1 = list(accumulate((s1 for s1, _ in sizes), initial=1))
     first2 = list(accumulate((s2 for _, s2 in sizes), initial=1 + n1))
     tails = np.concatenate(
-        (np.zeros(n1, np.int64), np.arange(1 + n1, sink), *(a + net.g.eu for a, net in zip(first1, networks)))
+        (np.zeros(n1, np.int64), np.arange(1 + n1, sink), *(a + g.eu for a, (g, _, _) in zip(first1, jobs)))
     )
     heads = np.concatenate(
-        (np.arange(1, 1 + n1), np.full(n2, sink), *(b + net.g.ev for b, net in zip(first2, networks)))
+        (np.arange(1, 1 + n1), np.full(n2, sink), *(b + g.ev for b, (g, _, _) in zip(first2, jobs)))
     )
-    caps = [c for side in (0, 1) for net in networks for c in net.caps[side]]
+    caps = [c for side in (0, 1) for _, weight, _ in jobs for c in weight[side]]
     max_flow = _min_cut_reachable_scipy if engine == "scipy" else _min_cut_reachable_dinic
     flow_value, reach = max_flow(sink + 1, tails, heads, caps)
     reached = np.zeros(sink + 1, dtype=bool)
     reached[reach] = True
     covers = [(~reached[a : a + s1], reached[b : b + s2]) for a, b, (s1, s2) in zip(first1, first2, sizes)]
-    costs = [Fraction(sum(map(_masked_sum, net.weight, cover)), net.den) for net, cover in zip(networks, covers)]
-    cuts = [sum(map(_masked_sum, net.caps, cover)) for net, cover in zip(networks, covers)]
+    cuts = [sum(map(_masked_sum, weight, cover)) for (_, weight, _), cover in zip(jobs, covers)]
     if flow_value != sum(cuts):
-        if len(networks) == 1:
-            certificate = Fraction(flow_value, networks[0].scale)
-            raise InvariantViolation(f"max-flow value {certificate} differs from cover weight {costs[0]}")
+        if len(jobs) == 1:
+            den = jobs[0][2]
+            raise InvariantViolation(
+                f"max-flow value {Fraction(flow_value, den)} differs from cover weight {Fraction(cuts[0], den)}"
+            )
         raise InvariantViolation(
-            f"max-flow value {flow_value} of {len(networks)} joined cover networks "
+            f"max-flow value {flow_value} of {len(jobs)} joined cover networks "
             f"differs from their cut capacity {sum(cuts)}"
         )
     results = []
-    for net, in_cover, cost, cut in zip(networks, covers, costs, cuts):
-        certificate = Fraction(cut, net.scale)
-        if certificate != cost:
-            raise InvariantViolation(f"max-flow value {certificate} differs from cover weight {cost}")
-        results.append(SolveResult(Policy._over(net.g.ids, in_cover), cost, "flow_cut", certificate, engine))
+    for (g, _, den), in_cover, cut in zip(jobs, covers, cuts):
+        cost = Fraction(cut, den)
+        results.append(SolveResult(Policy._over(g.ids, in_cover), cost, "flow_cut", cost, engine))
     return results
 
 
@@ -540,15 +525,13 @@ def check_ghc(g: ExchangeGraph, obj: Objective, side: int) -> GhcCertificate:
     w_n = Fraction(_masked_sum(weight[1 - s], neighborhood), den)
     if not w_s > w_n:
         raise InvariantViolation(f"witness weight {w_s} <= neighborhood weight {w_n}")
-    # keep the side's covered vertices, and send the witness's neighbourhood
+    # keep the side's covered vertices, and send the witness's neighbourhood:
+    # the monolog's cost less w_s plus w_n, strictly less than the monolog's
     masks = (in_cover, neighborhood) if s == 0 else (neighborhood, in_cover)
     improving = Policy._over(g.ids, masks)
     # the witness, as the policy that sends exactly its vertices
     outside = np.zeros(len(g.ids[1 - s]), bool)
     witness = Policy._over(g.ids, (~in_cover, outside) if s == 0 else (outside, ~in_cover))
-    improving_cost = Fraction(sum(map(_masked_sum, weight, masks)), den)
-    if not improving_cost < monolog_cost:
-        raise InvariantViolation(f"improving cost {improving_cost} >= monolog cost {monolog_cost}")
     return GhcCertificate(
         False,
         side,

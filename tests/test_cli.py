@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -1361,3 +1362,99 @@ def test_sweep_cuts_every_point_with_one_flow(capsys, monkeypatch):
     # the joined network holds every point's side-1 and side-2 nodes
     points = [line.split(",") for line in out.splitlines()[1:]]
     assert networks[0][0] == 2 + sum(int(point[5]) for point in points)
+
+
+SOLVE_IMPORTS = """
+import sys
+from scanplan import cli
+
+real = cli.solve
+
+
+def solve(*args, **kwargs):
+    print("compiled engine loaded:", "scipy.sparse.csgraph" in sys.modules)
+    return real(*args, **kwargs)
+
+
+cli.solve = solve
+graph = sys.argv[1]
+assert cli.main(["solve", "--graph", graph, "--engine", "dinic"]) == 0
+print("scipy loaded:", any(name.split(".")[0] == "scipy" for name in sys.modules))
+assert cli.main(["solve", "--graph", graph]) == 0
+"""
+
+
+def test_solve_seconds_times_the_solve_alone():
+    # the exact engine imports no scipy module, and the automatic choice
+    # imports the compiled engine before the timer starts
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", SOLVE_IMPORTS, DOUBLE_STAR],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = [line for line in done.stdout.splitlines() if "loaded" in line]
+    assert loaded == ["compiled engine loaded: False", "scipy loaded: False", "compiled engine loaded: True"]
+
+
+# -- the entry-point checks of CI, through cli.main ------------------------------
+
+KITTI_P3 = ["--objective", "p3", "--alpha1", "1", "--alpha2", "2", "--omega", "1/10"]
+
+
+@pytest.fixture(scope="module")
+def kitti_graph(tmp_path_factory) -> str:
+    path = str(tmp_path_factory.mktemp("kitti") / "kitti.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["build-graph", *FIXTURE_POSES, "--dmax", "30", "--eta", "0.4", "--out", path]) == 0
+    return path
+
+
+@pytest.mark.parametrize(
+    "graph, objective, engines",
+    [
+        ("kitti", KITTI_P3, [[], ["--engine", "dinic"]]),
+        ("star", ["--objective", "p2"], [["--engine", "scipy"], ["--engine", "dinic"]]),
+    ],
+    ids=["kitti-p3", "double-star-p2"],
+)
+def test_engines_write_byte_identical_policy_files(capsys, tmp_path, kitti_graph, graph, objective, engines):
+    # on the double star the exact engine's greedy flow is 1 and one Dinic
+    # phase raises it to 2
+    path = kitti_graph if graph == "kitti" else DOUBLE_STAR
+    written = []
+    for k, engine in enumerate(engines):
+        out = tmp_path / f"policy{k}.json"
+        code, _, _ = run(capsys, "solve", "--graph", path, *objective, *engine, "--policy-out", str(out))
+        assert code == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
+def test_solved_and_file_policies_write_one_trace(capsys, tmp_path, kitti_graph):
+    # the solved policy (kept as masks) and the same policy read from its
+    # file (kept as sets) give one trace
+    policy = tmp_path / "policy.json"
+    assert run(capsys, "solve", "--graph", kitti_graph, *KITTI_P3, "--policy-out", str(policy))[0] == 0
+    traces = []
+    for name, extra in (("solved", []), ("file", ["--policy", str(policy)])):
+        trace = tmp_path / f"{name}.log"
+        code, _, _ = run(capsys, "simulate", "--graph", kitti_graph, *extra, *KITTI_P3, "--trace-out", str(trace))
+        assert code == 0
+        traces.append(trace.read_bytes())
+    assert traces[0] == traces[1]
+
+
+def test_score_file_refused_by_the_compiled_parse_names_the_bad_line(capsys, tmp_path):
+    # the line loop that runs after the compiled parse names the short line
+    scores = tmp_path / "scores-bad.txt"
+    scores.write_text((DATA / "scores_40x40.txt").read_text() + "0 1\n")
+    code, _, err = run(
+        capsys,
+        "build-graph", "--scores", str(scores), "--features1", str(DATA / "features_40.txt"),
+        "--features2", str(DATA / "features_40.txt"), "--alpha", "0.5", "--out", str(tmp_path / "scores-bad.json"),
+    )
+    assert code == 2
+    assert err == f"error: {scores}:1601: expected 'u v score'\n"

@@ -373,6 +373,29 @@ def test_engines_return_identical_policies_and_certificates(g, obj):
             sp.solve(g, obj, engine="scipy")
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_relabelling_keeps_the_cost_and_maps_the_policy_along(rng):
+    # new ids and a new file order for the vertices and the edges; the edge
+    # order also reorders the exact engine's greedy pass, and the
+    # source-minimal cut is unique, so the policy maps along with the ids
+    g = random_graph(rng)
+    obj = random_objective(rng)
+    new_id = [dict(zip(ids, rng.sample(range(1000), len(ids)))) for ids in g.ids]
+    sides = []
+    for s, vertices in enumerate((g.v1, g.v2)):
+        entries = [(new_id[s][v.vid.index], v.scan_size, v.inertia) for v in vertices]
+        rng.shuffle(entries)
+        sides.append(entries)
+    edges = [(new_id[0][e.u.index], new_id[1][e.v.index], e.cost) for e in g.edges]
+    rng.shuffle(edges)
+    h = sp.ExchangeGraph.from_vertices(*sides, edges)
+    for engine in ("scipy", "dinic"):
+        a, b = sp.solve(g, obj, engine=engine), sp.solve(h, obj, engine=engine)
+        assert (b.optimal_cost, b.certificate) == (a.optimal_cost, a.certificate)
+        assert b.policy.ones == {sp.VertexId(v.side, new_id[v.side - 1][v.index]) for v in a.policy.ones}
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(1, 4),

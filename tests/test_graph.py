@@ -15,10 +15,16 @@ from hypothesis import strategies as st
 import scanplan as sp
 from scanplan.candidates import make_pose
 from scanplan.cli import SweepSpec
-from scanplan.graph import MAX_DENOMINATOR_DIGITS, _rational_texts, effective_weight, format_rational
+from scanplan.graph import (
+    MAX_DENOMINATOR_DIGITS,
+    _rational_texts,
+    effective_weight,
+    format_rational,
+    weight_numerators,
+)
 from scanplan.objectives import _shown, as_fraction
 
-from conftest import build_quiet
+from conftest import build_quiet, random_fraction, random_graph
 
 
 def test_double_star_shape(double_star):
@@ -390,6 +396,18 @@ def test_effective_weight_p1_sides():
     obj = sp.Objective.p1(7, 2)
     assert effective_weight(g, sp.VertexId(1, 0), obj) == 2 * 3
     assert effective_weight(g, sp.VertexId(2, 0), obj) == 7 * 8
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_weight_numerators_are_in_lowest_terms(rng):
+    g = random_graph(rng, rational_costs=True)
+    a1, a2, omega = (random_fraction(rng) for _ in range(3))
+    for obj in (sp.Objective.p1(a1, a2), sp.Objective.p2(), sp.Objective.p3(a1, a2, omega)):
+        weight, den = weight_numerators(g, obj)
+        assert math.gcd(den, *weight[0], *weight[1]) == 1
+        for vids, numerators in zip(g.vids, weight):
+            assert [Fraction(w, den) for w in numerators] == [effective_weight(g, vid, obj) for vid in vids]
 
 
 # -- serialization ---------------------------------------------------------

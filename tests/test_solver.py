@@ -1,6 +1,7 @@
 """Exact solver, matching fast path, and monolog-optimality certificates,
 all cross-checked against exhaustive oracles on small instances."""
 
+import dataclasses
 import os
 import random
 import subprocess
@@ -543,6 +544,16 @@ def test_ghc_double_star_side1_violated(double_star):
     improving = cert.improving_policy
     assert improving.ones == frozenset({A1, B1})
     assert sp.objective_cost(double_star, improving, sp.Objective.p2()) == 2 < 4
+
+
+def test_ghc_refuses_a_witness_no_heavier_than_its_neighbourhood(double_star, monkeypatch):
+    # a corrupt optimum below the monolog's cost whose cover keeps the whole
+    # side leaves an empty witness
+    result, weight, den = sp.solver._optimal_cover(double_star, sp.Objective.p2())
+    wrong = dataclasses.replace(result, policy=sp.monolog(double_star, 1))
+    monkeypatch.setattr(sp.solver, "_optimal_cover", lambda g, obj, engine=None: (wrong, weight, den))
+    with pytest.raises(sp.InvariantViolation, match="^witness weight 0 <= neighborhood weight 0$"):
+        sp.check_ghc(double_star, sp.Objective.p2(), 1)
 
 
 def test_ghc_single_edge_holds():
