@@ -203,8 +203,9 @@ _WEDGE_BAND = 2.0**-20  # delta: half-width, in radians, of a wedge around a con
 _APEX = 2.0**-1000  # on rows this near the apex both wedge bands span the whole chord
 _SCALE = 2.0**400  # the range lies in [1/_SCALE, _SCALE], every lattice bound within +-_SCALE
 _INDEX_ERROR = 2.0**-48  # 32u: column tolerance per cell of coordinate magnitude
-_BLOCK_ROWS = 1024  # live lattice rows per block; under 1 MB of working arrays unless a pair takes full rows
+_BLOCK_ROWS = 1024  # band rows per block, a full row counting n / 16; under about 1 MB of working arrays
 _SETUP_PAIRS = 1024  # pairs set up and culled at a time; under about 1 MB of per-pair arrays
+_GATE_ARC = 0.3  # the widest arc, in radians, that one side of a _count_bounds polygon spans
 
 
 def _fov_overlaps(pa, ha, pb, hb, fov_half_angle, fov_range, resolution=FOV_GRID_RESOLUTION) -> list[float]:
@@ -317,8 +318,10 @@ def _fov_overlaps(pa, ha, pb, hb, fov_half_angle, fov_range, resolution=FOV_GRID
 
     **Blocks.** Pairs are set up and culled ``_SETUP_PAIRS`` at a time. The
     live rows of those pairs, in pair order, are processed in blocks of at
-    most ``_BLOCK_ROWS`` rows, which may take rows from several pairs and
-    split a pair's rows between blocks; a block spans at most
+    most ``_BLOCK_ROWS`` band rows, or of the full rows that evaluate about
+    as many cells (``16 * _BLOCK_ROWS // resolution`` of them, at least
+    one). A block may take rows from several pairs and split a pair's rows
+    between blocks; it spans at most
     ``16 * _BLOCK_ROWS // resolution`` pairs (at least one), which bounds
     its per-pair column tables.
     """
@@ -348,7 +351,7 @@ def _fov_overlaps(pa, ha, pb, hb, fov_half_angle, fov_range, resolution=FOV_GRID
             if lattice.size < chunk.size:
                 params = {key: value[lattice] for key, value in params.items()}
             counts = np.zeros((len(lattice), 4), dtype=np.int64)
-            for pair, row in _row_blocks(first[lattice], rows[lattice], n):
+            for pair, row in _row_blocks(first[lattice], rows[lattice], params["full"], n):
                 counts[pair[0] : pair[-1] + 1] += _block_counts(params, pair, row, cos_half, r, n)
             for k, (_, a, b, ab) in zip(chunk[lattice].tolist(), counts.tolist()):
                 n_a, n_b = a + ab, b + ab
@@ -426,16 +429,27 @@ def _live_rows(params, r, n, alpha):
     return first.astype(np.int64), (stop - first).astype(np.int64)
 
 
-def _row_blocks(first, rows, n):
+def _row_blocks(first, rows, full, n):
     """The pairs' live rows, in pair order, in blocks of at most
-    ``_BLOCK_ROWS`` rows over at most ``16 * _BLOCK_ROWS // n`` pairs (at
-    least one): per block, each row's pair and lattice row index."""
+    ``16 * _BLOCK_ROWS`` evaluated cells over at most
+    ``16 * _BLOCK_ROWS // n`` pairs (at least one row and one pair): per
+    block, each row's pair and lattice row index. A band row counts 16
+    cells, one per band edge, and a full row (``full`` per pair) all of
+    its ``n``, so a block of full rows holds about as many cells as a
+    block of ``_BLOCK_ROWS`` band rows."""
     ends = np.cumsum(rows)
-    most = max(1, 16 * _BLOCK_ROWS // n)
+    width = np.where(full, max(n, 16), 16)
+    spent = np.cumsum(rows * width)
+    budget = 16 * _BLOCK_ROWS
+    most = max(1, budget // n)
     done = 0
     while done < ends[-1]:
         head = int(np.searchsorted(ends, done, side="right"))
-        stop = min(done + _BLOCK_ROWS, int(ends[min(head + most, len(ends)) - 1]))
+        until = int(spent[head] - (ends[head] - done) * width[head]) + budget
+        # the last pair the block reaches, and the rows of it past the budget
+        last = min(int(np.searchsorted(spent, until, side="right")), head + most - 1, len(ends) - 1)
+        over = max(0, -((until - int(spent[last])) // int(width[last])))
+        stop = max(done + 1, int(ends[last]) - over)
         flat = np.arange(done, stop)
         pair = np.searchsorted(ends, flat, side="right")
         yield pair, first[pair] + flat - (ends[pair] - rows[pair])
@@ -537,6 +551,222 @@ def _block_counts(params, pair, row, cos_half, r, n) -> np.ndarray:
     return np.bincount(code, weights=weight, minlength=4 * pairs).astype(np.int64).reshape(pairs, 4)
 
 
+def _fov_gates(pa, ha, pb, hb, fov_half_angle, fov_range, etas) -> np.ndarray:
+    """Whether each pair's ``fov_overlap`` is at least each of ``etas``, as
+    a (pairs, len(etas)) bool array; the pairs are given as for
+    ``_fov_overlaps``. The gate reads the overlap off the count bounds of
+    ``_count_bounds`` and runs ``_fov_overlaps`` only on the pairs whose
+    bounds leave some ``eta`` in doubt.
+
+    The kernel returns ``fl(2 ab / (n_a + n_b))`` (or ``0.0``). With
+    ``n_a`` and ``n_b`` in ``[n_lo, n_hi]`` and ``ab`` in
+    ``[ab_lo, ab_hi]``, the exact quotient lies in ``[ab_lo / n_hi,
+    ab_hi / n_lo]`` and in ``[0, 1]``. Widening both ends by ``2**-40``
+    relative covers their own rounding, and rounding the quotient is
+    monotone, so the kernel's value lies in the widened interval
+    ``[low, high]``. So ``low >= eta`` decides the gate open and
+    ``high < eta`` closed, both compared exactly; any other pair, and every
+    pair without bounds, goes to the kernel, which decides it as before.
+    No pair is in doubt at ``eta == 0``, since ``low >= 0``.
+    """
+    pa, ha, pb, hb = (np.asarray(v, dtype=float).reshape(-1, 2) for v in (pa, ha, pb, hb))
+    n_lo, n_hi, ab_lo, ab_hi = _count_bounds(pa, ha, pb, hb, fov_half_angle, fov_range)
+    with np.errstate(all="ignore"):
+        # a pair without bounds (NaN) spans [0, 1]
+        low = np.fmax(ab_lo / n_hi * (1 - 2.0**-40), 0.0)
+        high = np.where(n_lo > 0, np.fmin(ab_hi / n_lo * (1 + 2.0**-40), 1.0), 1.0)
+    gates = np.empty((len(pa), len(etas)), dtype=bool)
+    doubt = np.zeros(len(pa), dtype=bool)
+    for k, eta in enumerate(etas):
+        gates[:, k] = low >= eta
+        doubt |= ~gates[:, k] & ~(high < eta)
+    held = np.flatnonzero(doubt)
+    if held.size:
+        overlap = np.array(_fov_overlaps(pa[held], ha[held], pb[held], hb[held], fov_half_angle, fov_range))
+        for k, eta in enumerate(etas):
+            gates[held, k] = ~(overlap < eta)
+    return gates
+
+
+def _count_bounds(pa, ha, pb, hb, fov_half_angle, fov_range, resolution=FOV_GRID_RESOLUTION):
+    """Bounds ``(n_lo, n_hi, ab_lo, ab_hi)`` on the counts ``_fov_overlaps``
+    takes, per pair: each sector's cells ``n_a`` and ``n_b`` lie in
+    ``[n_lo, n_hi]``, and the cells in both, ``ab``, in ``[ab_lo, ab_hi]``.
+    A pair gets NaN bounds when the kernel takes it with full rows, when
+    ``alpha + delta >= pi/2`` (``alpha = acos(cos_half)``), when the
+    kernel would not evaluate it at all (a half-angle or range that is not
+    positive), or when rounding leaves a clipped polygon in two pieces.
+
+    **Float cells between two exact sectors.** The kernel counts a cell
+    in a sector by the float predicate at the cell's computed offset
+    ``v`` from the apex. Its error analysis bounds the grown sector ``S+``
+    (range ``r(1 + kappa)``, half-angle ``alpha + delta``): every cell
+    that passes lies in ``S+`` or in the ``2**-1000`` ball round the apex.
+    The same margins give the converse for the *shrunk sector* ``S-``
+    (range ``r(1 - kappa)``, half-angle ``alpha - delta``): there
+    ``hypot`` is below ``r(1 - kappa)(1 + 2u) < r``, and the angle ``b``
+    to the heading is at most ``alpha - delta`` with ``alpha < pi/2``, so
+    ``cos b - cos alpha >= 2 sin(delta/2)**2``, again far above the
+    ``6.1u`` error of the cone test. So every cell of ``S-`` outside the
+    apex ball passes. (For ``alpha < delta``, ``S-`` is taken as the
+    segment along the heading; it has no area, and every lower bound below
+    is then negative.) Both sectors hold with far more room than the
+    rounding of their radius and half-angle. At most one cell lies in each apex ball, since the
+    cells are far more than ``2**-999`` apart. So ``n_a`` lies between
+    the cells of ``S-`` less one and those of ``S+`` plus one, and ``ab``
+    between the cells of ``S-_a & S-_b`` less two and those of
+    ``S+_a & S+_b`` plus two.
+
+    **Cells of a convex set.** The lattice tiles the box ``[lo, lo +
+    span]`` with ``w x h`` cells. A computed offset puts the cell's point
+    within ``mu = 2**-40 (|pa|_1 + |pb|_1 + 2R) + 2**-999`` of its exact
+    centre (the culls' margin, far above the rounding of the lattice lines
+    and offsets), so within ``rho = hypot(w, h) / 2 + mu`` of every point of
+    its cell. For a convex ``K`` with ``N`` cell points inside:
+
+    - each such cell lies in ``K`` grown by ``rho``, whose area is
+      ``A + rho P + pi rho**2`` (Steiner's formula), so
+      ``N w h <= A + rho P + pi rho**2``;
+    - each point ``y`` with its ``rho`` disk inside ``K`` lies in a cell
+      whose point is within ``rho`` of ``y``, so inside ``K``. Those ``y``
+      form the inner parallel body of ``K``, whose area is at least
+      ``A - rho P``, because its area falls at the rate of its perimeter,
+      never more than ``P``, as the distance grows. So
+      ``N w h >= A - rho P``. For ``K`` inside ``S-``, the inner body lies
+      within ``r(1 - kappa) - rho`` of the apex, inside the box (whose
+      rounding ``rho`` covers).
+
+    **Per-sector counts.** ``S+`` and ``S-`` are convex while their
+    half-angle ``beta`` is below ``pi/2``. A sector of radius ``R`` has
+    ``A = beta R**2`` and ``P = 2R + 2 beta R``.
+
+    **Intersection counts.** ``S-_a & S-_b`` holds the intersection of the
+    inscribed polygons of ``S-_a`` and ``S-_b``: the apex and points on
+    the arc no more than ``_GATE_ARC`` apart. ``S+_a & S+_b`` lies in the
+    intersection ``X`` of the circumscribed polygons of ``S+_a`` and
+    ``S+_b``: the same fan at radius ``R / cos(s/2)`` for an arc step
+    ``s``, whose chords touch the arc. The perimeter of either
+    intersection is at most that of ``X``, which contains it. The
+    polygons are built round ``pa`` and clipped by ``_clip_left``. The
+    vertices are off by a few ulps of ``r + |pb - pa|_1``, and a clip only
+    moves a vertex that rounding puts on the wrong side of a line, within
+    that distance of it; so ``2**-30 (r + |pb - pa|_1)`` more on each
+    perimeter, and ``r`` times it on each area, covers the rounding. Each
+    count is widened by ``2**-40`` of its terms for the rest.
+    """
+    pa, ha, pb, hb = (np.asarray(v, dtype=float).reshape(-1, 2) for v in (pa, ha, pb, hb))
+    bounds = np.full((4, len(pa)), np.nan)
+    r, n = float(fov_range), int(resolution)
+    if not (fov_half_angle > 0 and math.isfinite(fov_half_angle) and n < 2**30 and 1 / _SCALE <= r <= _SCALE):
+        return bounds
+    alpha = math.acos(math.cos(fov_half_angle))
+    wide, thin = alpha + _WEDGE_BAND, max(alpha - _WEDGE_BAND, 0.0)
+    if wide >= math.pi / 2:
+        return bounds
+    with np.errstate(all="ignore"):
+        params = _band_setup(pa, ha, pb, hb, r, n, alpha, True)
+        held = np.flatnonzero(~params["full"])
+        if not held.size:
+            return bounds
+        pa, ha, pb, hb = pa[held], ha[held], pb[held], hb[held]
+        w, h = params["span"][held].T / n
+        cell = w * h
+        small, big = r * (1 - _DISK_BAND), r * (1 + _DISK_BAND)
+        mu = 2.0**-40 * (np.abs(pa).sum(1) + np.abs(pb).sum(1) + 2 * big) + 2.0**-999
+        rho = np.hypot(w, h) / 2 + mu
+        rim = 2 * small * (1 + thin)  # the perimeter of S-
+        n_lo = _cells_within(thin * small**2, rim, rho, cell)[0] - 1
+        n_hi = _cells_within(wide * big**2, 2 * big * (1 + wide), rho, cell)[1] + 1
+        # per pair, the inscribed polygons of S-, then the circumscribed
+        # ones of S+, with a at the origin
+        m = len(held)
+        apart = pb - pa
+        arcs = max(1, math.ceil(2 * wide / _GATE_ARC))
+        outer = big / math.cos(wide / arcs)
+        shapes = np.repeat([small, outer], m), np.repeat([thin, wide], m)
+        turns = [np.tile(np.arctan2(v[:, 1], v[:, 0]), 2) for v in (ha, hb)]
+        ax, az = _fan(np.zeros((2 * m, 2)), turns[0], *shapes, arcs)
+        bx, bz = _fan(np.tile(apart, (2, 1)), turns[1], *shapes, arcs)
+        torn = np.zeros(2 * m, dtype=bool)
+        for k in range(arcs + 2):
+            ahead = (k + 1) % (arcs + 2)
+            ax, az, runs = _clip_left(ax, az, bx[k], bz[k], bx[ahead] - bx[k], bz[ahead] - bz[k])
+            torn |= runs > 1
+        nx, nz = np.roll(ax, -1, axis=0), np.roll(az, -1, axis=0)
+        area = 0.5 * (ax * nz - nx * az).sum(0)
+        fuzz = 2.0**-30 * (r + np.abs(apart).sum(1))
+        perimeter = np.hypot(nx - ax, nz - az).sum(0)[m:] + fuzz
+        inner, outer_area = area[:m] - r * fuzz, area[m:] + r * fuzz
+        ab_lo = _cells_within(inner, np.minimum(perimeter, rim), rho, cell)[0] - 2
+        ab_hi = _cells_within(outer_area, perimeter, rho, cell)[1] + 2
+    bounds[:, held] = n_lo, n_hi, ab_lo, ab_hi
+    # a polygon that rounding left on both sides of a line has no bound
+    bounds[:, held[torn[:m] | torn[m:]]] = np.nan
+    return bounds
+
+
+def _cells_within(area, perimeter, rho, cell):
+    """Bounds on the cells of area ``cell`` whose points, each within
+    ``rho`` of all of its cell, lie in a convex set of this area and
+    perimeter (see ``_count_bounds``)."""
+    spread, corners = rho * perimeter, math.pi * rho**2
+    slack = 2.0**-40 * (np.abs(area) + spread + corners)
+    return (area - spread - slack) / cell, (area + spread + corners + slack) / cell
+
+
+def _fan(apex, turn, radius, half, arcs):
+    """(arcs + 2, pairs) x and z of the polygons with a vertex at each
+    apex and ``arcs + 1`` evenly spaced from ``turn - half`` to ``turn +
+    half`` at ``radius`` from it, counter-clockwise in the (x, z) plane;
+    every argument but ``arcs`` is per pair."""
+    angle = turn + np.arange(arcs + 1)[:, None] * (2 * half / arcs) - half
+    x, z = np.empty((2, arcs + 2, len(turn)))
+    x[0], z[0] = apex[:, 0], apex[:, 1]
+    x[1:] = apex[:, 0] + radius * np.cos(angle)
+    z[1:] = apex[:, 1] + radius * np.sin(angle)
+    return x, z
+
+
+def _clip_left(x, z, sx, sz, ex, ez):
+    """Convex polygons, as (vertices, pairs) x and z, clipped to the left
+    of the lines through ``(sx, sz)`` along ``(ex, ez)`` (Sutherland and
+    Hodgman, CACM 17(1), 1974), one vertex longer; the clip keeps the run
+    of vertices on the line's left and puts a vertex where the polygon
+    enters it and where it leaves, and repeats the last to fill the
+    array. A polygon wholly on the right becomes one point. Also returns,
+    per polygon, how many runs of vertices lie on the left: a polygon with
+    more than one, which rounding can give a polygon that hugs the line,
+    is not clipped as it should be."""
+    size, pairs = x.shape
+    side = ex * (z - sz) - ez * (x - sx)
+    left = side >= 0
+    ahead = np.r_[1:size, 0]
+    cols = np.arange(pairs)
+    # the edges on which the polygon enters and leaves the left side
+    enters = ~left & left[ahead]
+    edges = [enters.argmax(0), (left & ~left[ahead]).argmax(0)]
+    run = (edges[1] - edges[0]) % size
+    ends = []
+    for edge in edges:
+        nxt = (edge + 1) % size
+        s0, s1 = side[edge, cols], side[nxt, cols]
+        t = s0 / (s0 - s1)
+        x0, z0 = x[edge, cols], z[edge, cols]
+        ends.append((x0 + t * (x[nxt, cols] - x0), z0 + t * (z[nxt, cols] - z0)))
+    (xe, ze), (xl, zl) = ends
+    inside, outside = left.all(0), ~left.any(0)
+    # a polygon wholly on the left is kept, from its vertex 0 on
+    edges[0] = np.where(inside, size - 1, edges[0])
+    run = np.where(inside, size, np.where(outside, 0, run))
+    xe, ze = np.where(inside, x[-1], np.where(outside, x[0], xe)), np.where(inside, z[-1], np.where(outside, z[0], ze))
+    xl, zl = np.where(outside, x[0], xl), np.where(outside, z[0], zl)
+    slot = np.arange(size + 1)[:, None]
+    source = np.where(slot > run, size + 1, (edges[0] + slot) % size)
+    source[0] = size
+    flat = source * pairs + cols
+    return np.concatenate([x, [xe, xl]]).ravel()[flat], np.concatenate([z, [ze, zl]]).ravel()[flat], enters.sum(0)
+
+
 def fov_overlap(
     pose_a: Pose,
     pose_b: Pose,
@@ -591,9 +821,10 @@ def build_geometric_sweep(
 ) -> Iterator[ExchangeGraph]:
     """``build_geometric`` at each of ``params`` in turn. The points may
     differ only in ``d_max`` and ``eta``; ``params`` is read whole at the
-    first point, each pose pair's distance computed once, and the FOV
-    overlap of every pair that a point with ``eta > 0`` gates by distance
-    computed once, in one batch. A point that cannot be read raises its
+    first point, each pose pair's distance computed once, and every pair
+    that a point with ``eta > 0`` gates by distance put through one batch
+    of ``_fov_gates``, which runs the FOV quadrature only on the pairs its
+    bounds leave in doubt. A point that cannot be read raises its
     error after the points before it are yielded.
     """
     points, error = _read_points(params, _check_fov_shape)
@@ -608,7 +839,8 @@ def build_geometric_sweep(
         # [i, j] pairs within every point's distance gate, in row-major order
         pairs = np.argwhere(dists <= max(p.d_max for p in points))
         apart = dists[pairs[:, 0], pairs[:, 1]]
-        overlap = np.full(len(pairs), np.nan)  # computed where some point gates by it
+        # [pair, point]: the overlap is at least the point's eta; eta 0 passes every pair
+        passes = np.ones((len(pairs), len(points)), dtype=bool)
         fov_d_max = max((p.d_max for p in points if p.eta > 0), default=None)
         if fov_d_max is not None:
             (xy1, h1), (xy2, h2) = (
@@ -616,9 +848,10 @@ def build_geometric_sweep(
             )
             gated = np.flatnonzero(apart <= fov_d_max)
             i, j = pairs[gated].T
-            overlap[gated] = _fov_overlaps(xy1[i], h1[i], xy2[j], h2[j], first.fov_half_angle, first.fov_range)
-        # an overlap not computed is NaN, which no eta cuts
-        masks = [(apart <= p.d_max) & ~(overlap < p.eta) for p in points]
+            passes[gated] = _fov_gates(
+                xy1[i], h1[i], xy2[j], h2[j], first.fov_half_angle, first.fov_range, [p.eta for p in points]
+            )
+        masks = [(apart <= p.d_max) & passes[:, k] for k, p in enumerate(points)]
         w1 = [pose.feature_count * DESCRIPTOR_BYTES for pose in s1]
         w2 = [pose.feature_count * DESCRIPTOR_BYTES for pose in s2]
         yield from _restrictions(w1, w2, pairs, masks)  # [i, j] pairs, each of cost 1

@@ -4,9 +4,11 @@ gating (each against a brute-force reference), and pose-file ingestion."""
 import math
 import random
 import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -68,6 +70,16 @@ def seed_fov_overlap(pose_a, pose_b, fov_half_angle, fov_range, resolution=256):
     pa, pb = planar_position(pose_a), planar_position(pose_b)
     if float(np.hypot(*(pa - pb))) > 2 * fov_range:
         return 0.0
+    n_a, n_b, n_ab = seed_fov_counts(pose_a, pose_b, fov_half_angle, fov_range, resolution)
+    if n_a + n_b == 0:
+        return 0.0
+    return 2.0 * n_ab / (n_a + n_b)
+
+
+def seed_fov_counts(pose_a, pose_b, fov_half_angle, fov_range, resolution=256):
+    """The frozen reference's lattice counts: the cells in each sector and
+    in both."""
+    pa, pb = planar_position(pose_a), planar_position(pose_b)
     ha, hb = planar_heading(pose_a), planar_heading(pose_b)
     r = float(fov_range)
     lo = np.minimum(pa, pb) - r
@@ -86,12 +98,7 @@ def seed_fov_overlap(pose_a, pose_b, fov_half_angle, fov_range, resolution=256):
 
     mask_a = sector_mask(pa, ha)
     mask_b = sector_mask(pb, hb)
-    n_a = int(mask_a.sum())
-    n_b = int(mask_b.sum())
-    if n_a + n_b == 0:
-        return 0.0
-    n_ab = int((mask_a & mask_b).sum())
-    return 2.0 * n_ab / (n_a + n_b)
+    return int(mask_a.sum()), int(mask_b.sum()), int((mask_a & mask_b).sum())
 
 
 def two_loop_fixture():
@@ -440,28 +447,24 @@ def adversarial_trajectories(seed, count):
 
 
 def test_build_geometric_overlaps_match_seed(monkeypatch):
-    # every overlap build_geometric computes, in its gated-pair order, set
-    # up 16 pairs at a time (the last time 1) and over several blocks of
-    # live rows, equals the frozen reference
+    # the kernel on every pair build_geometric gates, in its gated-pair
+    # order, set up 16 pairs at a time (the last time 1) and over several
+    # blocks of live rows, equals the frozen reference; and build_geometric
+    # keeps exactly the pairs whose reference overlap reaches eta
     monkeypatch.setattr(candidates, "_SETUP_PAIRS", 16)
     t1, t2 = adversarial_trajectories(5, 15)
     params = GeometryParams(d_max=30, eta=0.4)
-    seen, blocks = [], []
-    batched, counts = candidates._fov_overlaps, candidates._block_counts
-
-    def recording(*args):
-        values = batched(*args)
-        seen.extend(values)
-        return values
+    blocks = []
+    counts = candidates._block_counts
 
     def block_pairs(params, pair, row, *args):
         blocks.append(pair.tolist())
         return counts(params, pair, row, *args)
 
-    monkeypatch.setattr(candidates, "_fov_overlaps", recording)
     monkeypatch.setattr(candidates, "_block_counts", block_pairs)
-    g = build_geometric(t1, t2, params)
     pairs = [(i, j) for i in range(len(t1)) for j in range(len(t2))]
+    assert gated_pairs(t1, t2, params.d_max) == pairs
+    seen = candidates._fov_overlaps(*planar(t1[i] for i, _ in pairs), *planar(t2[j] for _, j in pairs), HALF, RANGE)
     expected = [seed_fov_overlap(t1[i], t2[j], HALF, RANGE) for i, j in pairs]
     # blocks that hold rows of several pairs, pairs whose rows two blocks
     # share, and a short last block
@@ -469,9 +472,25 @@ def test_build_geometric_overlaps_match_seed(monkeypatch):
     assert len(blocks) > 4 and len(blocks[-1]) < candidates._BLOCK_ROWS
     assert any(b[0] != b[-1] for b in blocks) and any(a[-1] == b[0] for a, b in zip(blocks, blocks[1:]))
     assert seen == expected
+    g = build_geometric(t1, t2, params)
     assert g.edge_keys() == {
         (sp.VertexId(1, i), sp.VertexId(2, j)) for (i, j), v in zip(pairs, expected) if v >= params.eta
     }
+
+
+def gated_pairs(t1, t2, d_max):
+    """The [i, j] pairs within ``d_max``, in build_geometric's row-major order."""
+    pos1, pos2 = (np.array([pose.position for pose in t]) for t in (t1, t2))
+    return [tuple(p) for p in np.argwhere(np.linalg.norm(pos1[:, None, :] - pos2[None, :, :], axis=2) <= d_max).tolist()]
+
+
+def gated_fixture_pairs():
+    """The two-loop fixture and its 1065 pairs within 30 m, as planar
+    positions and headings of each side."""
+    t1, t2 = two_loop_fixture()
+    pairs = gated_pairs(t1, t2, 30)
+    assert len(pairs) == 1065
+    return t1, t2, (*planar(t1[i] for i, _ in pairs), *planar(t2[j] for _, j in pairs))
 
 
 def full_row_masks(monkeypatch):
@@ -492,11 +511,13 @@ def full_row_masks(monkeypatch):
 def test_fixture_pairs_need_no_kernel_fallback(monkeypatch):
     # at pi/2, 571 of the pairs have a cone edge within asin(2**-10) rad of
     # the row direction
-    t1, t2 = two_loop_fixture()
+    t1, t2, planes = gated_fixture_pairs()
     for half, edges in ((HALF, 233), (math.pi / 2, 420)):
         masks = full_row_masks(monkeypatch)
-        g = build_geometric(t1, t2, GeometryParams(d_max=30, eta=0.4, fov_half_angle=half))
-        assert g.num_edges == edges and sum(map(len, masks)) == 1065 and not any(map(any, masks))
+        values = candidates._fov_overlaps(*planes, half, RANGE)
+        assert sum(map(len, masks)) == 1065 and not any(map(any, masks))
+        assert sum(v >= 0.4 for v in values) == edges
+        assert build_geometric(t1, t2, GeometryParams(d_max=30, eta=0.4, fov_half_angle=half)).num_edges == edges
 
 
 @pytest.mark.parametrize("half, edges, pairs, rows", [(HALF, 233, 755, 124_772), (math.pi / 2, 420, 999, 237_736)])
@@ -504,6 +525,7 @@ def test_culls_shrink_the_fixture_lattice(monkeypatch, half, edges, pairs, rows)
     # of the 1065 gated pairs, 272,640 lattice rows at resolution 256, the
     # lattice sees only the pairs no axis separates, and of those only the
     # rows their grown sectors' x-extents reach
+    t1, t2, planes = gated_fixture_pairs()
     culled = culls(monkeypatch)
     sent = []
     counts = candidates._block_counts
@@ -513,11 +535,11 @@ def test_culls_shrink_the_fixture_lattice(monkeypatch, half, edges, pairs, rows)
         return counts(params, pair, row, *args)
 
     monkeypatch.setattr(candidates, "_block_counts", recording)
-    t1, t2 = two_loop_fixture()
-    g = build_geometric(t1, t2, GeometryParams(d_max=30, eta=0.4, fov_half_angle=half))
-    assert g.num_edges == edges
+    values = candidates._fov_overlaps(*planes, half, RANGE)
+    assert sum(v >= 0.4 for v in values) == edges
     assert (1065 - culled["split"], sum(sent)) == (pairs, rows)
     assert sum(sent) + culled["rows"] == pairs * 256
+    assert build_geometric(t1, t2, GeometryParams(d_max=30, eta=0.4, fov_half_angle=half)).num_edges == edges
 
 
 @pytest.mark.parametrize("heading", [HALF, -HALF, math.pi - HALF])
@@ -541,6 +563,74 @@ def test_full_rows_match_seed_beyond_the_range_bound(monkeypatch):
         expected = [seed_fov_overlap(pa, pb, HALF, r, 7) for pa, pb in cases]
         assert candidates._fov_overlaps(*a, *b, HALF, r, 7) == expected
     assert masks and all(map(all, masks))
+
+
+def test_full_rows_stay_within_a_block_of_cells(monkeypatch):
+    # a pair the error bound does not cover evaluates every cell; at
+    # resolution 1024 a block of 1024 such rows took about 94 MB
+    masks = full_row_masks(monkeypatch)
+    rng = random.Random(3)
+    cases = [adversarial_sector_pair(rng, kind, HALF, 1e-300, 1024) for kind in ("same", "axis")]
+    (pa, ha), (pb, hb) = planar(c[0] for c in cases), planar(c[1] for c in cases)
+    tracemalloc.start()
+    try:
+        full = candidates._fov_overlaps(pa, ha, pb, hb, HALF, 1e-300, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    # scaling every length by a power of two changes no float operation's
+    # result, and brings the range inside the bound, where rows are banded
+    scale = 2.0**996
+    banded = candidates._fov_overlaps([p * scale for p in pa], ha, [p * scale for p in pb], hb, HALF, 1e-300 * scale, 1024)
+    assert masks == [[True, True], [False, False]]
+    assert full == banded and any(full)
+
+
+GATE_HALVES = (*ADVERSARIAL_HALVES, math.pi / 2 - 2**-19, math.pi / 2 - 2**-20)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(ADVERSARIAL_KINDS),
+    st.sampled_from(GATE_HALVES),
+    st.sampled_from((*ADVERSARIAL_RANGES, 1e-300)),
+)
+def test_gate_bounds_hold_the_kernel_and_decide_as_it_does(seed, kind, half, r):
+    rng = random.Random(seed)
+    cases = [adversarial_sector_pair(rng, kind, half, r, 256) for _ in range(3)]
+    a, b = planar(c[0] for c in cases), planar(c[1] for c in cases)
+    bounds = candidates._count_bounds(*a, *b, half, r)
+    # past pi/2 - delta a sector is not convex, and below 2**-400 the
+    # kernel takes full rows: no bounds, so every such pair reaches the kernel
+    uncovered = math.acos(math.cos(half)) + 2**-20 >= math.pi / 2 or r < 2**-400
+    assert np.isnan(bounds).all() or not uncovered
+    for (n_lo, n_hi, ab_lo, ab_hi), (pa, pb) in zip(bounds.T, cases):
+        if math.isnan(n_lo) or float(np.hypot(*(planar_position(pa) - planar_position(pb)))) > 2 * r:
+            continue  # the kernel counts nothing for a pair farther apart than 2r
+        n_a, n_b, ab = seed_fov_counts(pa, pb, half, r)
+        assert n_lo <= min(n_a, n_b) and max(n_a, n_b) <= n_hi and ab_lo <= ab <= ab_hi
+    # the gate at eta equal to each kernel value and its float neighbours
+    values = candidates._fov_overlaps(*a, *b, half, r)
+    etas = sorted({0.0, 0.4, 1.0}.union(*({v, np.nextafter(v, 0), np.nextafter(v, 1)} for v in values)))
+    with mock.patch.object(candidates, "_fov_overlaps", wraps=candidates._fov_overlaps) as kernel:
+        gates = candidates._fov_gates(*a, *b, half, r, etas)
+    assert (gates == (np.array(values)[:, None] >= etas)).all()
+    sent = sum(len(call.args[0]) for call in kernel.call_args_list)
+    assert kernel.call_count <= 1
+    assert sent == len(cases) if uncovered else sent <= len(cases)
+
+
+def test_fixture_build_sends_few_pairs_to_the_kernel(monkeypatch):
+    # build-graph --dmax 30 --eta 0.4 on the fixture: the bounds decide all
+    # but 42 of the 1065 gated pairs
+    sent = []
+    kernel = candidates._fov_overlaps
+    monkeypatch.setattr(candidates, "_fov_overlaps", lambda *a: sent.append(len(a[0])) or kernel(*a))
+    t1, t2 = two_loop_fixture()
+    assert build_geometric(t1, t2, GeometryParams(d_max=30, eta=0.4)).num_edges == 233
+    assert sent == [42]
 
 
 # -- geometric gating ---------------------------------------------------------

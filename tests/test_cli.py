@@ -580,12 +580,13 @@ FIXTURE_POSES = [
 def test_sweep_matches_per_point_build_geometric(capsys, monkeypatch, argv, fov_d_max):
     from scanplan import candidates as cand
 
-    pairs = []
-    batched = cand._fov_overlaps
-    monkeypatch.setattr(cand, "_fov_overlaps", lambda *a: pairs.append(len(a[0])) or batched(*a))
+    pairs, kernel = [], []
+    gates, batched = cand._fov_gates, cand._fov_overlaps
+    monkeypatch.setattr(cand, "_fov_gates", lambda *a: pairs.append(len(a[0])) or gates(*a))
+    monkeypatch.setattr(cand, "_fov_overlaps", lambda *a: kernel.extend(np.hstack(a[:4]).tolist()) or batched(*a))
     argv = ("sweep", *FIXTURE_POSES, "--rate-divisor", "3", *argv)
     shared, shared_pruned = run_recording_pruning(capsys, *argv)
-    computed = sum(pairs)
+    computed, sent = sum(pairs), [tuple(row) for row in kernel]
     # the same sweep with one build_geometric call (a one-point sweep)
     # per point, so no overlap is shared between points
     sweep = cand.build_geometric_sweep
@@ -598,15 +599,17 @@ def test_sweep_matches_per_point_build_geometric(capsys, monkeypatch, argv, fov_
     assert shared_pruned == per_point_pruned
     assert pruned_counts(shared_pruned) == pruned_per_point(shared[1], 2 * 34)
     assert len(shared_pruned) == len(shared[1].splitlines()) - 1
-    # the shared sweep computed each gated pair's overlap once
+    # the shared sweep decided each gated pair once, and the kernel saw
+    # only some of them, none twice
     t1, t2 = (cand.subsample(t, 3) for t in load_fixture_trajectories())
     pos1, pos2 = (np.array([pose.position for pose in t]) for t in (t1, t2))
     dists = np.linalg.norm(pos1[:, None, :] - pos2[None, :, :], axis=2)
     if fov_d_max is None:
-        assert sum(pairs) == 0
+        assert sum(pairs) == 0 and not kernel
     else:
         assert computed == int((dists <= fov_d_max).sum())
-        assert sum(pairs) > 2 * computed  # the per-point sweep recomputed them
+        assert len(set(sent)) == len(sent) < computed
+        assert sum(pairs) > 2 * computed  # the per-point sweep decided them again
 
 
 def run_recording_pruning(capsys, *argv):
@@ -1330,6 +1333,12 @@ APPEARANCE_INPUTS = [
             "a91f9dc81b70b83806d9a615e97c25d586abab469630be3738f4046d983d2426",
         ),
         (
+            # many pairs whose overlap lies near eta, where the gate's bounds
+            # leave the pair to the FOV quadrature
+            [*FIXTURE_POSES, "--parameter", "eta", "--start", "0.3", "--stop", "0.5", "--step", "0.01", "--dmax", "30"],
+            "2608bf93b0401c483d39bde99936787c81cde94104ecdf7e000d2963d4d0aef6",
+        ),
+        (
             [*APPEARANCE_INPUTS, "--parameter", "alpha", "--start", "0.1", "--stop", "0.95", "--step", "0.05"],
             "62a71cb68eef56ff2f217ac7a19b809ea394e8e1a8baa99376124b07a6c42f71",
         ),
@@ -1338,7 +1347,7 @@ APPEARANCE_INPUTS = [
             "9550bf35b29d67289f1d35a93436b81d3bca433181e68beb8f365e9a017b2211",
         ),
     ],
-    ids=["dmax", "eta", "alpha", "omega"],
+    ids=["dmax", "eta", "eta-dense", "alpha", "omega"],
 )
 def test_sweep_csv_digests(capsys, argv, digest):
     # the digests that CI checks on the installed entry point
