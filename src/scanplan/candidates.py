@@ -204,7 +204,7 @@ _APEX = 2.0**-1000  # on rows this near the apex both wedge bands span the whole
 _SCALE = 2.0**400  # the range lies in [1/_SCALE, _SCALE], every lattice bound within +-_SCALE
 _INDEX_ERROR = 2.0**-48  # 32u: column tolerance per cell of coordinate magnitude
 _BLOCK_ROWS = 1024  # band rows per block, a full row counting n / 16; under about 1 MB of working arrays
-_SETUP_PAIRS = 1024  # pairs set up and culled at a time; under about 1 MB of per-pair arrays
+_SETUP_PAIRS = 1024  # pairs set up and culled, or bounded, at a time; under about 1 MB of per-pair arrays
 _GATE_ARC = 0.3  # the widest arc, in radians, that one side of a _count_bounds polygon spans
 
 
@@ -214,7 +214,7 @@ def _fov_overlaps(pa, ha, pb, hb, fov_half_angle, fov_range, resolution=FOV_GRID
     of the plain quadrature, which tests every cell of the full lattice,
     while a pair the error bound below covers evaluates O(resolution)
     cells instead of O(resolution**2), on the lattice rows its sectors can
-    reach, or none when an axis separates them.
+    reach.
 
     **Row bands.** On one lattice row (fixed ``x``) a sector's exact
     predicate ``|v| <= r and v.h >= c|v|`` (``v`` the cell's offset from the
@@ -283,37 +283,23 @@ def _fov_overlaps(pa, ha, pb, hb, fov_half_angle, fov_range, resolution=FOV_GRID
     ``alpha``); or else ``|v| < 2**-1000``. So each such cell lies in the
     *grown sector* ``S+``: the sector of range ``R = r(1 + kappa)`` and
     half-angle ``beta = alpha + delta`` (the whole disk once ``beta >=
-    pi``), together with the ``2**-1000`` ball around the apex. Along a
-    unit direction ``d`` at angle ``phi`` in ``[0, pi]`` from the heading,
-    ``S+`` reaches ``p.d + R max(0, cos(max(0, phi - beta)))`` beyond the
-    apex ball: the whole range while ``d`` lies inside the cone, the tip of
-    the nearer cone edge until ``phi = beta + pi/2``, and the apex after
-    it. That is the support function of ``S+``, so what follows holds at
-    every half-angle, also where the sector is not convex.
-
-    **Culling.** Two culls use it (Gilbert, Johnson and Keerthi, IEEE J.
-    Robotics and Automation 4(2), 1988), each with the margin
-    ``2**-40 (|pa|_1 + |pb|_1 + 2R) + 2**-999``, far above the rounding of
-    the support values, of the offsets ``fl(x - p)`` and of the row
-    positions, and covering both apex balls:
-
-    - *pairs*: when some axis ``d`` has ``max over S+_a of d.x`` plus the
-      margin below ``min over S+_b of d.x``, or the other way round, no
-      cell lies in both sectors, ``n_ab = 0``, and the overlap is ``0.0``
-      without a lattice. The axes tried are ``x``, ``z``, the outward
-      normals of the four grown cone edges and the apex-to-apex direction,
-      each in both orientations;
-    - *rows*: a lattice row whose centre lies outside the hull of the two
-      grown sectors' x-extents, widened by the margin, holds no cell of
-      either sector, so it adds nothing to any count and is skipped. The
-      live rows of a pair are one run.
+    pi``), together with the ``2**-1000`` ball around the apex. Its
+    circumscribed fan (the polygon of ``_count_bounds``, at ``beta`` up to
+    ``pi``) is star-shaped from the apex, and every ray inside the cone
+    leaves it at distance ``R`` or more, so the fan holds ``S+`` at every
+    half-angle and its vertices bound every row the float test can put a
+    sector cell on. So a lattice row whose centre lies outside the hull of
+    both fans' x-extents, widened by ``2**-40 (|pa|_1 + |pb|_1 + 2R) +
+    2**-999`` (far above the rounding of the vertices, the offsets and the
+    row positions, and covering both apex balls), adds nothing to any
+    count and is skipped: the *row cull*. A pair's live rows are one run.
 
     **Full rows.** A pair the bound does not cover has every band span the
-    whole row, so every cell is evaluated one by one, and neither cull
-    touches it: a position, a heading, the range or ``cos_half`` is not
-    finite; the range is outside ``[2**-400, 2**400]`` or a lattice bound
-    exceeds ``2**400`` in magnitude; ``|h|`` is not within ``2**-50`` of 1;
-    the resolution is ``2**30`` or more; or the column tolerance exceeds a
+    whole row, so every cell of every row is evaluated one by one: a
+    position, a heading, the range or ``cos_half`` is not finite; the
+    range is outside ``[2**-400, 2**400]`` or a lattice bound exceeds
+    ``2**400`` in magnitude; ``|h|`` is not within ``2**-50`` of 1; the
+    resolution is ``2**30`` or more; or the column tolerance exceeds a
     quarter cell.
 
     **Blocks.** Pairs are set up and culled ``_SETUP_PAIRS`` at a time. The
@@ -390,42 +376,25 @@ def _band_setup(pa, ha, pb, hb, r, n, alpha, bounded):
 
 def _live_rows(params, r, n, alpha):
     """Per pair, the first lattice row that can hold a cell of either
-    sector and the number of such rows: none when an axis separates the
-    grown sectors, the rows inside the hull of their x-extents otherwise,
-    and all ``n`` for a pair that takes full rows."""
-    grown, wide = r * (1 + _DISK_BAND), alpha + _WEDGE_BAND
-    pa, pb = params["pa"], params["pb"]
-    apart = pb - pa
-    turns = np.empty((len(pa), 2))
-    for k, s in enumerate("ab"):
-        turns[:, k] = np.arctan2(params[f"h{s}"][:, 1], params[f"h{s}"][:, 0])
-    edge = wide + math.pi / 2
-    # (pairs, axis) as angles: +x, +z, the outward normals of the four
-    # grown cone edges and the apex-to-apex direction, then each of them
-    # reversed
-    axes = np.empty((len(pa), 14))
-    axes[:, 0], axes[:, 1] = 0.0, math.pi / 2
-    axes[:, 2:4], axes[:, 4:6] = turns + edge, turns - edge
-    axes[:, 6] = np.arctan2(apart[:, 1], apart[:, 0])
-    axes[:, 7:] = axes[:, :7] + math.pi
-    # (pairs, sector, axis): how far each grown sector reaches beyond its apex
-    phi = np.abs((axes[:, None, :] - turns[..., None] + math.pi) % (2 * math.pi) - math.pi)
-    reach = grown * np.maximum(np.cos(np.maximum(phi - wide, 0.0)), 0.0)
-    along_a, along_b, back_a, back_b = reach[:, 0, :7], reach[:, 1, :7], reach[:, 0, 7:], reach[:, 1, 7:]
-    margin = (2.0**-40 * (np.abs(pa).sum(1) + np.abs(pb).sum(1) + 2 * grown) + 2.0**-999)[:, None]
-    # the apexes' gap along each axis exceeds a's reach along it and b's
-    # against it, or the other way round
-    gap = apart[:, :1] * np.cos(axes[:, :7]) + apart[:, 1:] * np.sin(axes[:, :7])
-    split = ((gap - along_a - back_b > margin) | (-gap - back_a - along_b > margin)).any(1)
-    # axis 0 is +x: the rows whose centre lies within the x-extents' hull
-    x_lo = np.minimum(pa[:, 0] - back_a[:, 0], pb[:, 0] - back_b[:, 0]) - margin[:, 0]
-    x_hi = np.maximum(pa[:, 0] + along_a[:, 0], pb[:, 0] + along_b[:, 0]) + margin[:, 0]
+    sector and the number of such rows: the rows inside the x-extent of
+    both grown sectors' circumscribed fans, and all ``n`` for a pair that
+    takes full rows."""
+    grown, wide = r * (1 + _DISK_BAND), min(alpha + _WEDGE_BAND, math.pi)
+    arcs = max(1, math.ceil(2 * wide / _GATE_ARC))
+    radius = grown / math.cos(wide / arcs)
+    x = []  # per sector, (vertices, pairs): the x of its fan's vertices
+    for s in "ab":
+        h = params[f"h{s}"]
+        x.append(_fan(params[f"p{s}"], np.arctan2(h[:, 1], h[:, 0]), radius, wide, arcs)[0])
+    x = np.concatenate(x)
+    margin = 2.0**-40 * (np.abs(params["pa"]).sum(1) + np.abs(params["pb"]).sum(1) + 2 * grown) + 2.0**-999
+    x_lo, x_hi = x.min(0) - margin, x.max(0) + margin
     lo, per_row = params["lo"][:, 0], n / params["span"][:, 0]
     first = np.minimum(np.maximum(np.ceil((x_lo - lo) * per_row - 0.5), 0), n)
     stop = np.minimum(np.maximum(np.floor((x_hi - lo) * per_row - 0.5) + 1, first), n)
     full = params["full"]
     first = np.where(full, 0, first)
-    stop = np.where(full, n, np.where(split, first, stop))
+    stop = np.where(full, n, stop)
     return first.astype(np.int64), (stop - first).astype(np.int64)
 
 
@@ -555,8 +524,9 @@ def _fov_gates(pa, ha, pb, hb, fov_half_angle, fov_range, etas) -> np.ndarray:
     """Whether each pair's ``fov_overlap`` is at least each of ``etas``, as
     a (pairs, len(etas)) bool array; the pairs are given as for
     ``_fov_overlaps``. The gate reads the overlap off the count bounds of
-    ``_count_bounds`` and runs ``_fov_overlaps`` only on the pairs whose
-    bounds leave some ``eta`` in doubt.
+    ``_count_bounds``, taken ``_SETUP_PAIRS`` pairs at a time, and runs
+    ``_fov_overlaps`` once, on the pairs whose bounds leave some ``eta``
+    in doubt.
 
     The kernel returns ``fl(2 ab / (n_a + n_b))`` (or ``0.0``). With
     ``n_a`` and ``n_b`` in ``[n_lo, n_hi]`` and ``ab`` in
@@ -570,16 +540,18 @@ def _fov_gates(pa, ha, pb, hb, fov_half_angle, fov_range, etas) -> np.ndarray:
     No pair is in doubt at ``eta == 0``, since ``low >= 0``.
     """
     pa, ha, pb, hb = (np.asarray(v, dtype=float).reshape(-1, 2) for v in (pa, ha, pb, hb))
-    n_lo, n_hi, ab_lo, ab_hi = _count_bounds(pa, ha, pb, hb, fov_half_angle, fov_range)
-    with np.errstate(all="ignore"):
-        # a pair without bounds (NaN) spans [0, 1]
-        low = np.fmax(ab_lo / n_hi * (1 - 2.0**-40), 0.0)
-        high = np.where(n_lo > 0, np.fmin(ab_hi / n_lo * (1 + 2.0**-40), 1.0), 1.0)
     gates = np.empty((len(pa), len(etas)), dtype=bool)
     doubt = np.zeros(len(pa), dtype=bool)
-    for k, eta in enumerate(etas):
-        gates[:, k] = low >= eta
-        doubt |= ~gates[:, k] & ~(high < eta)
+    for start in range(0, len(pa), _SETUP_PAIRS):
+        part = slice(start, start + _SETUP_PAIRS)
+        n_lo, n_hi, ab_lo, ab_hi = _count_bounds(pa[part], ha[part], pb[part], hb[part], fov_half_angle, fov_range)
+        with np.errstate(all="ignore"):
+            # a pair without bounds (NaN) spans [0, 1]
+            low = np.fmax(ab_lo / n_hi * (1 - 2.0**-40), 0.0)
+            high = np.where(n_lo > 0, np.fmin(ab_hi / n_lo * (1 + 2.0**-40), 1.0), 1.0)
+        for k, eta in enumerate(etas):
+            gates[part, k] = low >= eta
+            doubt[part] |= ~gates[part, k] & ~(high < eta)
     held = np.flatnonzero(doubt)
     if held.size:
         overlap = np.array(_fov_overlaps(pa[held], ha[held], pb[held], hb[held], fov_half_angle, fov_range))
@@ -620,9 +592,9 @@ def _count_bounds(pa, ha, pb, hb, fov_half_angle, fov_range, resolution=FOV_GRID
     **Cells of a convex set.** The lattice tiles the box ``[lo, lo +
     span]`` with ``w x h`` cells. A computed offset puts the cell's point
     within ``mu = 2**-40 (|pa|_1 + |pb|_1 + 2R) + 2**-999`` of its exact
-    centre (the culls' margin, far above the rounding of the lattice lines
-    and offsets), so within ``rho = hypot(w, h) / 2 + mu`` of every point of
-    its cell. For a convex ``K`` with ``N`` cell points inside:
+    centre (the row cull's margin, far above the rounding of the lattice
+    lines and offsets), so within ``rho = hypot(w, h) / 2 + mu`` of every
+    point of its cell. For a convex ``K`` with ``N`` cell points inside:
 
     - each such cell lies in ``K`` grown by ``rho``, whose area is
       ``A + rho P + pi rho**2`` (Steiner's formula), so
@@ -645,7 +617,8 @@ def _count_bounds(pa, ha, pb, hb, fov_half_angle, fov_range, resolution=FOV_GRID
     the arc no more than ``_GATE_ARC`` apart. ``S+_a & S+_b`` lies in the
     intersection ``X`` of the circumscribed polygons of ``S+_a`` and
     ``S+_b``: the same fan at radius ``R / cos(s/2)`` for an arc step
-    ``s``, whose chords touch the arc. The perimeter of either
+    ``s``, whose chords touch the arc; the row cull of ``_fov_overlaps``
+    skips the rows outside the same fans. The perimeter of either
     intersection is at most that of ``X``, which contains it. The
     polygons are built round ``pa`` and clipped by ``_clip_left``. The
     vertices are off by a few ulps of ``r + |pb - pa|_1``, and a clip only
@@ -718,7 +691,8 @@ def _fan(apex, turn, radius, half, arcs):
     """(arcs + 2, pairs) x and z of the polygons with a vertex at each
     apex and ``arcs + 1`` evenly spaced from ``turn - half`` to ``turn +
     half`` at ``radius`` from it, counter-clockwise in the (x, z) plane;
-    every argument but ``arcs`` is per pair."""
+    ``apex`` and ``turn`` are per pair, ``radius`` and ``half`` per pair or
+    one for all."""
     angle = turn + np.arange(arcs + 1)[:, None] * (2 * half / arcs) - half
     x, z = np.empty((2, arcs + 2, len(turn)))
     x[0], z[0] = apex[:, 0], apex[:, 1]
@@ -835,10 +809,17 @@ def build_geometric_sweep(
         s1, s2 = t1.poses[:: first.rate_divisor], t2.poses[:: first.rate_divisor]
         pos1 = np.array([pose.position for pose in s1], dtype=float)
         pos2 = np.array([pose.position for pose in s2], dtype=float)
-        dists = np.linalg.norm(pos1[:, None, :] - pos2[None, :, :], axis=2)
-        # [i, j] pairs within every point's distance gate, in row-major order
-        pairs = np.argwhere(dists <= max(p.d_max for p in points))
-        apart = dists[pairs[:, 0], pairs[:, 1]]
+        d_max, rows = max(p.d_max for p in points), max(1, 16 * _BLOCK_ROWS // len(pos2))
+        # [i, j] pairs within every point's distance gate, in row-major
+        # order, and their distances, taken a block of rows at a time
+        pairs, apart = [], []
+        for start in range(0, len(pos1), rows):
+            dists = np.linalg.norm(pos1[start : start + rows, None, :] - pos2[None, :, :], axis=2)
+            near = np.argwhere(dists <= d_max)
+            apart.append(dists[near[:, 0], near[:, 1]])
+            near[:, 0] += start
+            pairs.append(near)
+        pairs, apart = np.concatenate(pairs), np.concatenate(apart)
         # [pair, point]: the overlap is at least the point's eta; eta 0 passes every pair
         passes = np.ones((len(pairs), len(points)), dtype=bool)
         fov_d_max = max((p.d_max for p in points if p.eta > 0), default=None)
@@ -884,11 +865,8 @@ def _read_points(params: Iterable, check=None) -> tuple[list, Exception | None]:
 def _restrictions(w1: list, w2: list, pairs: np.ndarray, masks: list[np.ndarray]) -> Iterator[ExchangeGraph]:
     """``build_graph(w1, w2, pairs[mask])`` for each boolean array of
     ``masks``, where ``pairs`` holds in-range ``[u, v]`` side positions,
-    each pair once. A single graph goes through ``build_graph``; several
-    are read off one graph over the union of their edges, checked once."""
-    if len(masks) == 1:
-        yield build_graph(w1, w2, pairs[masks[0]].tolist())
-        return
+    each pair once, read off one graph over the union of their edges,
+    checked once."""
     union = np.logical_or.reduce(masks)
     widest = _unpruned_graph(w1, w2, pairs[union].tolist())
     for mask in masks:

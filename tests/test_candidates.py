@@ -79,6 +79,13 @@ def seed_fov_overlap(pose_a, pose_b, fov_half_angle, fov_range, resolution=256):
 def seed_fov_counts(pose_a, pose_b, fov_half_angle, fov_range, resolution=256):
     """The frozen reference's lattice counts: the cells in each sector and
     in both."""
+    mask_a, mask_b = seed_fov_masks(pose_a, pose_b, fov_half_angle, fov_range, resolution)
+    return int(mask_a.sum()), int(mask_b.sum()), int((mask_a & mask_b).sum())
+
+
+def seed_fov_masks(pose_a, pose_b, fov_half_angle, fov_range, resolution=256):
+    """The frozen reference's (row, column) lattice masks of each sector's
+    cells."""
     pa, pb = planar_position(pose_a), planar_position(pose_b)
     ha, hb = planar_heading(pose_a), planar_heading(pose_b)
     r = float(fov_range)
@@ -96,9 +103,7 @@ def seed_fov_counts(pose_a, pose_b, fov_half_angle, fov_range, resolution=256):
         dist = np.hypot(dx, dz)
         return (dist <= r) & (dx * h[0] + dz * h[1] >= cos_half * dist)
 
-    mask_a = sector_mask(pa, ha)
-    mask_b = sector_mask(pb, hb)
-    return int(mask_a.sum()), int(mask_b.sum()), int((mask_a & mask_b).sum())
+    return sector_mask(pa, ha), sector_mask(pb, hb)
 
 
 def two_loop_fixture():
@@ -272,9 +277,10 @@ def adversarial_sector_pair(rng, kind, half, r, resolution):
     it (a long wedge band) or within a wedge's half-width of it (wedge ends
     on both sides of the row direction) with the middle lattice row on or
     near both apexes, an apex on or next to a lattice line, coincident
-    poses, poses 2r apart within ulps, sectors a hair apart along one of
-    the pair cull's axes, disks touching head-on, and a sector along +-x
-    whose x-extent ends on a lattice row."""
+    poses, poses 2r apart within ulps, sectors a hair apart along a lattice
+    axis, a cone edge's normal or the apex-to-apex direction, disks
+    touching head-on, and a sector along +-x whose x-extent ends on a
+    lattice row."""
     x, z = rng.uniform(-3, 3) * r, rng.uniform(-3, 3) * r
     heading_a, heading_b = rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi)
     bx, bz = x + rng.uniform(-2, 2) * r, z + rng.uniform(-2, 2) * r
@@ -348,14 +354,14 @@ def adversarial_sector_pair(rng, kind, half, r, resolution):
 
 
 def culls(monkeypatch):
-    """Count, over every call, the pairs the pair cull separates and the
-    lattice rows the row cull skips in the pairs it keeps."""
-    culled = {"split": 0, "rows": 0}
+    """Count, over every call, the pairs the row cull leaves no live row
+    and the lattice rows it skips in the other pairs."""
+    culled = {"empty": 0, "rows": 0}
     live_rows = candidates._live_rows
 
     def recording(params, r, n, alpha):
         first, rows = live_rows(params, r, n, alpha)
-        culled["split"] += int((rows == 0).sum())
+        culled["empty"] += int((rows == 0).sum())
         culled["rows"] += int((n - rows)[rows > 0].sum())
         return first, rows
 
@@ -372,7 +378,7 @@ def test_row_bands_match_seed_on_adversarial_pairs(monkeypatch):
     # 7826 pairs over every half-angle and range above, each compared with
     # ``==`` in both orders: all of them through the batched routine, in
     # pair counts that end blocks part-way, and the first few of every
-    # shape through fov_overlap, one pair per call; many of them are culled
+    # shape through fov_overlap, one pair per call; many rows are culled
     culled = culls(monkeypatch)
     rng = random.Random(2024)
     checked = 0
@@ -392,8 +398,33 @@ def test_row_bands_match_seed_on_adversarial_pairs(monkeypatch):
                     assert fov_overlap(pa, pb, half, r, resolution) == value
                 checked += len(cases)
     assert checked >= 7000
-    # 6660 separated pairs and 16,704 skipped rows when written
-    assert culled["split"] >= 3000 and culled["rows"] >= 8000, culled
+    # the row cull's coverage: pairs whose sectors reach no row centre, and
+    # rows skipped in the other pairs
+    assert culled == {"empty": 550, "rows": 66_468}
+
+
+@pytest.mark.parametrize("resolution", [1, 2, 7, 33])
+def test_live_rows_hold_every_sector_cell(resolution):
+    # a pair with no cell in both sectors overlaps 0.0 whatever rows the
+    # cull keeps, so equality with the reference cannot see a cull that
+    # drops cells of such a pair: every lattice row that holds a cell of
+    # either sector must be live
+    rng = random.Random(resolution)
+    checked = 0
+    for half in ADVERSARIAL_HALVES:
+        for r in ADVERSARIAL_RANGES:
+            cases = [adversarial_sector_pair(rng, kind, half, r, resolution) for kind in ADVERSARIAL_KINDS * 2]
+            pa, ha, pb, hb = (np.array(v) for v in (*planar(c[0] for c in cases), *planar(c[1] for c in cases)))
+            alpha = math.acos(math.cos(half))
+            with np.errstate(all="ignore"):
+                params = candidates._band_setup(pa, ha, pb, hb, r, resolution, alpha, True)
+                first, rows = candidates._live_rows(params, r, resolution, alpha)
+                masks = [seed_fov_masks(a, b, half, r, resolution) for a, b in cases]
+            for (mask_a, mask_b), start, count in zip(masks, first.tolist(), rows.tolist()):
+                held = np.flatnonzero((mask_a | mask_b).any(1))
+                assert held.size == 0 or start <= held[0] and held[-1] < start + count, (half, r, start, count, held)
+                checked += held.size > 0
+    assert checked > 1000
 
 
 @pytest.mark.parametrize("resolution", [3, 9, 21])
@@ -520,11 +551,15 @@ def test_fixture_pairs_need_no_kernel_fallback(monkeypatch):
         assert build_geometric(t1, t2, GeometryParams(d_max=30, eta=0.4, fov_half_angle=half)).num_edges == edges
 
 
-@pytest.mark.parametrize("half, edges, pairs, rows", [(HALF, 233, 755, 124_772), (math.pi / 2, 420, 999, 237_736)])
+@pytest.mark.parametrize(
+    "half, edges, pairs, rows",
+    [(HALF, 233, 1065, 189_466), (math.pi / 2, 420, 1065, 254_858)],
+    ids=["half-0.7", "half-pi-over-2"],
+)
 def test_culls_shrink_the_fixture_lattice(monkeypatch, half, edges, pairs, rows):
     # of the 1065 gated pairs, 272,640 lattice rows at resolution 256, the
-    # lattice sees only the pairs no axis separates, and of those only the
-    # rows their grown sectors' x-extents reach
+    # lattice sees only the rows that the x-extents of the pair's grown
+    # sectors' fans reach
     t1, t2, planes = gated_fixture_pairs()
     culled = culls(monkeypatch)
     sent = []
@@ -537,7 +572,7 @@ def test_culls_shrink_the_fixture_lattice(monkeypatch, half, edges, pairs, rows)
     monkeypatch.setattr(candidates, "_block_counts", recording)
     values = candidates._fov_overlaps(*planes, half, RANGE)
     assert sum(v >= 0.4 for v in values) == edges
-    assert (1065 - culled["split"], sum(sent)) == (pairs, rows)
+    assert (1065 - culled["empty"], sum(sent)) == (pairs, rows)
     assert sum(sent) + culled["rows"] == pairs * 256
     assert build_geometric(t1, t2, GeometryParams(d_max=30, eta=0.4, fov_half_angle=half)).num_edges == edges
 

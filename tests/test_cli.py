@@ -548,6 +548,28 @@ def test_build_graph_fov_golden(capsys, tmp_path):
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
+def test_synthetic_build_graph_memory_stays_bounded(capsys, tmp_path):
+    # 500 poses a side, 26,671 pairs within dmax: a distance array over
+    # every pose pair and count bounds over every gated pair at once took
+    # a 79 MB traced peak; the file is the one those wrote, byte for byte
+    out_file = tmp_path / "g.json"
+    tracemalloc.start()
+    try:
+        with pytest.warns(UserWarning, match="pruned 632 isolated vertices"):
+            code, _, _ = run(
+                capsys,
+                "build-graph", "--synthetic", "--synthetic-poses", "500",
+                "--dmax", "30", "--eta", "0.4", "--out", str(out_file),
+            )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 24 * 2**20, peak
+    digest = "10939df770ddfbf5d13d3db0598e0a69d969e15867d6c2f9d8984a3e132ffbc4"
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+
 def test_build_graph_extreme_fov_range_no_numpy_warnings(capsys, tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
