@@ -58,7 +58,11 @@ class Trajectory:
     def __init__(self, poses: Sequence[Pose]):
         self.poses = tuple(poses)
         last = None
-        for pose, sound in zip(self.poses, _sound_geometry(self.poses)):
+        for k, (pose, sound) in enumerate(zip(self.poses, _sound_geometry(self.poses))):
+            if not isinstance(pose, Pose):
+                raise ValidationError(f"trajectory entry {k} is not a Pose, got {_shown(pose)}")
+            if isinstance(pose.pid, bool) or not isinstance(pose.pid, numbers.Integral):
+                raise ValidationError(f"trajectory entry {k} has a non-integer pose id {_shown(pose.pid)}")
             if last is not None and pose.pid <= last:
                 raise ValidationError(
                     f"pose ids must strictly increase, got {_shown(pose.pid, str)} after {_shown(last, str)}"
@@ -77,11 +81,17 @@ class Trajectory:
                 raise ValidationError(f"pose {_shown(pose.pid, str)} has negative feature count")
             if sound:
                 continue
-            # NaN would slip through the residual test below (nan > tol is False)
-            for name in ("position", "rotation"):
-                if not np.isfinite(getattr(pose, name)).all():
+            for name, shape, what in (("position", (3,), "3"), ("rotation", (3, 3), "3x3")):
+                try:  # any array-like of real numbers, a list or tuple included
+                    value = np.asarray(getattr(pose, name))
+                except ValueError:  # ragged
+                    value = None
+                if value is None or value.shape != shape or value.dtype.kind not in "iuf":
+                    raise ValidationError(f"pose {_shown(pose.pid, str)} {name} is not a {what} array of numbers")
+                # NaN would slip through the residual test below (nan > tol is False)
+                if not np.isfinite(value).all():
                     raise ValidationError(f"pose {_shown(pose.pid, str)} {name} has a non-finite entry")
-            err = np.abs(pose.rotation @ pose.rotation.T - np.eye(3)).max()
+            err = np.abs(value @ value.T - np.eye(3)).max()  # value is the rotation
             if err > ROTATION_TOL:
                 raise ValidationError(
                     f"pose {_shown(pose.pid, str)} rotation is not orthonormal (residual {err:.3e})"
@@ -101,10 +111,10 @@ def _sound_geometry(poses: Sequence[Pose]) -> list[bool]:
     """Per pose, whether its position and rotation are finite and its
     rotation's residual is at most half of ``ROTATION_TOL``, checked for
     all poses at once; all False unless every position is a float64 array
-    of one shape and every rotation a float64 3x3 array. Rounding moves
-    the batched residual far less than that margin, so a pose marked sound
+    of 3 and every rotation a float64 3x3 array. Rounding moves the
+    batched residual far less than that margin, so a pose marked sound
     passes the one-by-one check, which the others still take."""
-    pos, rot = [pose.position for pose in poses], [pose.rotation for pose in poses]
+    pos, rot = ([getattr(pose, name, None) for pose in poses] for name in ("position", "rotation"))
     unsound = [False] * len(poses)
     if not all(type(a) is np.ndarray and a.dtype == np.float64 for a in pos + rot):
         return unsound
@@ -112,7 +122,7 @@ def _sound_geometry(poses: Sequence[Pose]) -> list[bool]:
         pos, rot = np.array(pos), np.array(rot)
     except ValueError:  # shapes differ
         return unsound
-    if pos.ndim != 2 or rot.shape[1:] != (3, 3):
+    if pos.shape[1:] != (3,) or rot.shape[1:] != (3, 3):
         return unsound
     with np.errstate(all="ignore"):  # a non-finite rotation's residual is NaN, so not sound
         err = np.abs(rot @ rot.transpose(0, 2, 1) - np.eye(3)).max(axis=(1, 2))
@@ -183,7 +193,7 @@ def planar_position(pose: Pose) -> np.ndarray:
 
 def planar_heading(pose: Pose) -> np.ndarray:
     """Camera forward direction projected to the ground plane, unit length."""
-    fwd = pose.rotation[:, 2]
+    fwd = np.asarray(pose.rotation)[:, 2]
     h = np.array([fwd[0], fwd[2]], dtype=float)
     norm = float(np.hypot(h[0], h[1]))
     if norm < 1e-12:  # camera pointing straight up/down; pick a fixed axis
@@ -204,7 +214,7 @@ _APEX = 2.0**-1000  # on rows this near the apex both wedge bands span the whole
 _SCALE = 2.0**400  # the range lies in [1/_SCALE, _SCALE], every lattice bound within +-_SCALE
 _INDEX_ERROR = 2.0**-48  # 32u: column tolerance per cell of coordinate magnitude
 _BLOCK_ROWS = 1024  # band rows per block, a full row counting n / 16; under about 1 MB of working arrays
-_SETUP_PAIRS = 1024  # pairs set up and culled, or bounded, at a time; under about 1 MB of per-pair arrays
+_SETUP_PAIRS = 1024  # pairs gated, and their pairs in doubt set up, at a time; under about 1 MB of per-pair arrays
 _GATE_ARC = 0.3  # the widest arc, in radians, that one side of a _count_bounds polygon spans
 
 
@@ -302,9 +312,11 @@ def _fov_overlaps(pa, ha, pb, hb, fov_half_angle, fov_range, resolution=FOV_GRID
     resolution is ``2**30`` or more; or the column tolerance exceeds a
     quarter cell.
 
-    **Blocks.** Pairs are set up and culled ``_SETUP_PAIRS`` at a time. The
-    live rows of those pairs, in pair order, are processed in blocks of at
-    most ``_BLOCK_ROWS`` band rows, or of the full rows that evaluate about
+    **Blocks.** Every pair is set up and culled in one pass, so a caller
+    hands over at most ``_SETUP_PAIRS`` pairs at a time: ``_fov_gates``
+    one chunk's pairs in doubt, ``fov_overlap`` one pair. The live rows of
+    those pairs, in pair order, are processed in blocks of at most
+    ``_BLOCK_ROWS`` band rows, or of the full rows that evaluate about
     as many cells (``16 * _BLOCK_ROWS // resolution`` of them, at least
     one). A block may take rows from several pairs and split a pair's rows
     between blocks; it spans at most
@@ -327,22 +339,14 @@ def _fov_overlaps(pa, ha, pb, hb, fov_half_angle, fov_range, resolution=FOV_GRID
         cos_half = math.cos(fov_half_angle)
         alpha = math.acos(cos_half)
         bounded = n < 2**30 and 1 / _SCALE <= r <= _SCALE and math.isfinite(fov_half_angle)
-        for start in range(0, len(live), _SETUP_PAIRS):
-            chunk = live[start : start + _SETUP_PAIRS]
-            params = _band_setup(pa[chunk], ha[chunk], pb[chunk], hb[chunk], r, n, alpha, bounded)
-            first, rows = _live_rows(params, r, n, alpha)
-            lattice = np.flatnonzero(rows)
-            if not lattice.size:
-                continue
-            if lattice.size < chunk.size:
-                params = {key: value[lattice] for key, value in params.items()}
-            counts = np.zeros((len(lattice), 4), dtype=np.int64)
-            for pair, row in _row_blocks(first[lattice], rows[lattice], params["full"], n):
-                counts[pair[0] : pair[-1] + 1] += _block_counts(params, pair, row, cos_half, r, n)
-            for k, (_, a, b, ab) in zip(chunk[lattice].tolist(), counts.tolist()):
-                n_a, n_b = a + ab, b + ab
-                if n_a + n_b:
-                    out[k] = 2.0 * ab / (n_a + n_b)
+        params = _band_setup(pa[live], ha[live], pb[live], hb[live], r, n, alpha, bounded)
+        counts = np.zeros((len(live), 4), dtype=np.int64)
+        for pair, row in _row_blocks(*_live_rows(params, r, n, alpha), params["full"], n):
+            counts[pair[0] : pair[-1] + 1] += _block_counts(params, pair, row, cos_half, r, n)
+    for k, (_, a, b, ab) in zip(live.tolist(), counts.tolist()):
+        n_a, n_b = a + ab, b + ab
+        if n_a + n_b:
+            out[k] = 2.0 * ab / (n_a + n_b)
     return out
 
 
@@ -520,13 +524,14 @@ def _block_counts(params, pair, row, cos_half, r, n) -> np.ndarray:
     return np.bincount(code, weights=weight, minlength=4 * pairs).astype(np.int64).reshape(pairs, 4)
 
 
-def _fov_gates(pa, ha, pb, hb, fov_half_angle, fov_range, etas) -> np.ndarray:
+def _fov_gates(xy1, h1, xy2, h2, pairs, fov_half_angle, fov_range, etas) -> np.ndarray:
     """Whether each pair's ``fov_overlap`` is at least each of ``etas``, as
-    a (pairs, len(etas)) bool array; the pairs are given as for
-    ``_fov_overlaps``. The gate reads the overlap off the count bounds of
-    ``_count_bounds``, taken ``_SETUP_PAIRS`` pairs at a time, and runs
-    ``_fov_overlaps`` once, on the pairs whose bounds leave some ``eta``
-    in doubt.
+    a (pairs, len(etas)) bool array, for the ``[i, j]`` pose indices of
+    ``pairs`` into each side's (poses, 2) planar positions and unit
+    headings. Per chunk of ``_SETUP_PAIRS`` pairs, the gate gathers their
+    sectors, reads the overlap off the count bounds of ``_count_bounds``,
+    and runs ``_fov_overlaps`` on the pairs whose bounds leave some
+    ``eta`` in doubt.
 
     The kernel returns ``fl(2 ab / (n_a + n_b))`` (or ``0.0``). With
     ``n_a`` and ``n_b`` in ``[n_lo, n_hi]`` and ``ab`` in
@@ -539,31 +544,29 @@ def _fov_gates(pa, ha, pb, hb, fov_half_angle, fov_range, etas) -> np.ndarray:
     pair without bounds, goes to the kernel, which decides it as before.
     No pair is in doubt at ``eta == 0``, since ``low >= 0``.
     """
-    pa, ha, pb, hb = (np.asarray(v, dtype=float).reshape(-1, 2) for v in (pa, ha, pb, hb))
-    gates = np.empty((len(pa), len(etas)), dtype=bool)
-    doubt = np.zeros(len(pa), dtype=bool)
-    for start in range(0, len(pa), _SETUP_PAIRS):
-        part = slice(start, start + _SETUP_PAIRS)
-        n_lo, n_hi, ab_lo, ab_hi = _count_bounds(pa[part], ha[part], pb[part], hb[part], fov_half_angle, fov_range)
+    gates = np.empty((len(pairs), len(etas)), dtype=bool)
+    for start in range(0, len(pairs), _SETUP_PAIRS):
+        i, j = pairs[start : start + _SETUP_PAIRS].T
+        pa, ha, pb, hb = xy1[i], h1[i], xy2[j], h2[j]
+        n_lo, n_hi, ab_lo, ab_hi = _count_bounds(pa, ha, pb, hb, fov_half_angle, fov_range)
         with np.errstate(all="ignore"):
             # a pair without bounds (NaN) spans [0, 1]
             low = np.fmax(ab_lo / n_hi * (1 - 2.0**-40), 0.0)
             high = np.where(n_lo > 0, np.fmin(ab_hi / n_lo * (1 + 2.0**-40), 1.0), 1.0)
-        for k, eta in enumerate(etas):
-            gates[part, k] = low >= eta
-            doubt[part] |= ~gates[part, k] & ~(high < eta)
-    held = np.flatnonzero(doubt)
-    if held.size:
-        overlap = np.array(_fov_overlaps(pa[held], ha[held], pb[held], hb[held], fov_half_angle, fov_range))
-        for k, eta in enumerate(etas):
-            gates[held, k] = ~(overlap < eta)
+        gate = gates[start : start + _SETUP_PAIRS]
+        gate[:] = low[:, None] >= etas
+        held = np.flatnonzero((~gate & ~(high[:, None] < etas)).any(1))
+        if held.size:
+            overlap = np.array(_fov_overlaps(pa[held], ha[held], pb[held], hb[held], fov_half_angle, fov_range))
+            gate[held] = ~(overlap[:, None] < etas)
     return gates
 
 
-def _count_bounds(pa, ha, pb, hb, fov_half_angle, fov_range, resolution=FOV_GRID_RESOLUTION):
+def _count_bounds(pa, ha, pb, hb, fov_half_angle, fov_range):
     """Bounds ``(n_lo, n_hi, ab_lo, ab_hi)`` on the counts ``_fov_overlaps``
-    takes, per pair: each sector's cells ``n_a`` and ``n_b`` lie in
-    ``[n_lo, n_hi]``, and the cells in both, ``ab``, in ``[ab_lo, ab_hi]``.
+    takes at ``FOV_GRID_RESOLUTION``, per pair: each sector's cells ``n_a``
+    and ``n_b`` lie in ``[n_lo, n_hi]``, and the cells in both, ``ab``, in
+    ``[ab_lo, ab_hi]``.
     A pair gets NaN bounds when the kernel takes it with full rows, when
     ``alpha + delta >= pi/2`` (``alpha = acos(cos_half)``), when the
     kernel would not evaluate it at all (a half-angle or range that is not
@@ -629,8 +632,8 @@ def _count_bounds(pa, ha, pb, hb, fov_half_angle, fov_range, resolution=FOV_GRID
     """
     pa, ha, pb, hb = (np.asarray(v, dtype=float).reshape(-1, 2) for v in (pa, ha, pb, hb))
     bounds = np.full((4, len(pa)), np.nan)
-    r, n = float(fov_range), int(resolution)
-    if not (fov_half_angle > 0 and math.isfinite(fov_half_angle) and n < 2**30 and 1 / _SCALE <= r <= _SCALE):
+    r, n = float(fov_range), FOV_GRID_RESOLUTION
+    if not (fov_half_angle > 0 and math.isfinite(fov_half_angle) and 1 / _SCALE <= r <= _SCALE):
         return bounds
     alpha = math.acos(math.cos(fov_half_angle))
     wide, thin = alpha + _WEDGE_BAND, max(alpha - _WEDGE_BAND, 0.0)
@@ -796,10 +799,10 @@ def build_geometric_sweep(
     """``build_geometric`` at each of ``params`` in turn. The points may
     differ only in ``d_max`` and ``eta``; ``params`` is read whole at the
     first point, each pose pair's distance computed once, and every pair
-    that a point with ``eta > 0`` gates by distance put through one batch
-    of ``_fov_gates``, which runs the FOV quadrature only on the pairs its
-    bounds leave in doubt. A point that cannot be read raises its
-    error after the points before it are yielded.
+    that a point with ``eta > 0`` gates by distance put, as pose indices,
+    through one call of ``_fov_gates``, which runs the FOV quadrature only
+    on the pairs its bounds leave in doubt. A point that cannot be read
+    raises its error after the points before it are yielded.
     """
     points, error = _read_points(params, _check_fov_shape)
     if points:
@@ -828,10 +831,8 @@ def build_geometric_sweep(
                 [np.array([f(pose) for pose in s]) for f in (planar_position, planar_heading)] for s in (s1, s2)
             )
             gated = np.flatnonzero(apart <= fov_d_max)
-            i, j = pairs[gated].T
-            passes[gated] = _fov_gates(
-                xy1[i], h1[i], xy2[j], h2[j], first.fov_half_angle, first.fov_range, [p.eta for p in points]
-            )
+            etas = [p.eta for p in points]
+            passes[gated] = _fov_gates(xy1, h1, xy2, h2, pairs[gated], first.fov_half_angle, first.fov_range, etas)
         masks = [(apart <= p.d_max) & passes[:, k] for k, p in enumerate(points)]
         w1 = [pose.feature_count * DESCRIPTOR_BYTES for pose in s1]
         w2 = [pose.feature_count * DESCRIPTOR_BYTES for pose in s2]
@@ -868,7 +869,7 @@ def _restrictions(w1: list, w2: list, pairs: np.ndarray, masks: list[np.ndarray]
     each pair once, read off one graph over the union of their edges,
     checked once."""
     union = np.logical_or.reduce(masks)
-    widest = _unpruned_graph(w1, w2, pairs[union].tolist())
+    widest = _unpruned_graph(w1, w2, pairs[union])
     for mask in masks:
         yield widest._restricted(mask[union])
 
@@ -970,17 +971,17 @@ def build_appearance_sweep(
             if p.symmetric:
                 picked.append(_top_k(v, score, u, p.top_k))
             chosen = np.concatenate(picked)
-            selected = sorted(set(zip(u[chosen].tolist(), v[chosen].tolist())))
-            if not all(0 <= a < n1 and 0 <= b < n2 for a, b in selected):
+            a, b = u[chosen], v[chosen]
+            if not ((a >= 0) & (a < n1) & (b >= 0) & (b < n2)).all():
                 break
-            codes.append(np.array([a * n2 + b for a, b in selected], dtype=np.int64))
+            codes.append(np.unique(a.astype(np.int64) * n2 + b.astype(np.int64)))
         if codes:
             union = np.unique(np.concatenate(codes))
             pairs = np.stack(np.divmod(union, n2), axis=1)
             yield from _restrictions(w1, w2, pairs, [np.isin(union, c) for c in codes])
         if len(codes) < len(points):
             # build_graph names the first pair out of range
-            yield build_graph(w1, w2, [(a, b, 1) for a, b in selected])
+            yield build_graph(w1, w2, sorted(set(zip(a.tolist(), b.tolist()))))
     if error is not None:
         raise error
 
@@ -1128,7 +1129,7 @@ def read_ground_truth(path) -> frozenset:
 def write_kitti_poses(traj: Trajectory, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for pose in traj:
-            m = np.hstack([pose.rotation, pose.position.reshape(3, 1)])
+            m = np.hstack([pose.rotation, np.reshape(pose.position, (3, 1))])
             fh.write(" ".join(f"{v:.17g}" for v in m.reshape(-1)) + "\n")
 
 

@@ -177,26 +177,18 @@ class ExchangeGraph:
     def _restricted(self, keep: np.ndarray) -> "ExchangeGraph":
         """The graph ``build_graph`` gives for this graph's vertices and the
         edges that the boolean array ``keep`` marks, read off this graph
-        with no second check: the kept columns, over the smallest common
-        denominator that the vertex values and the kept edge costs need,
+        with no second check: the kept columns over the same denominator,
         with the degree-0 vertices pruned and the warning naming the
         caller's caller. This graph must keep its own degree-0 vertices
-        (built with ``_prune=False``), so that none is lost."""
+        (built with ``_prune=False``), so that none is lost, and have only
+        unit edge costs, as ``_unpruned_graph`` gives. Then ``den`` is the
+        LCM of the vertex values' reduced denominators, and for each prime
+        power in it some value's numerator over ``den`` is coprime to it;
+        every restriction keeps all those values, so needs all of ``den``."""
         g = ExchangeGraph.__new__(ExchangeGraph)
         g.ids, g.den, g.size_num, g.inertia_num = self.ids, self.den, self.size_num, self.inertia_num
         g.cost_num = tuple(compress(self.cost_num, keep.tolist()))
         g.eu, g.ev = self.eu[keep], self.ev[keep]
-        if self.den > 1:
-            # an edge cost left out may have been the only value to need some factor of den
-            values = chain(*self.size_num, *self.inertia_num, g.cost_num)
-            common = math.gcd(self.den, *filter(None, values))
-            if common > 1:
-                g.den //= common
-                g.size_num, g.inertia_num = (
-                    tuple(tuple(None if x is None else x // common for x in col) for col in cols)
-                    for cols in (self.size_num, self.inertia_num)
-                )
-                g.cost_num = tuple(c // common for c in g.cost_num)
         g._finish(3)
         return g
 
@@ -593,11 +585,15 @@ def build_graph(
     return _assemble(*_graph_columns(v1_weights, v2_weights, edges, v1_inertia, v2_inertia))
 
 
-def _unpruned_graph(v1_weights, v2_weights, edges, v1_inertia=None, v2_inertia=None) -> ExchangeGraph:
-    """The graph of :func:`build_graph`'s arguments, checked as it checks
-    them, with its degree-0 vertices kept and no warning: the graph that
-    ``ExchangeGraph._restricted`` reads restrictions off."""
-    return _assemble(*_graph_columns(v1_weights, v2_weights, edges, v1_inertia, v2_inertia), prune=False)
+def _unpruned_graph(v1_weights, v2_weights, pairs: np.ndarray) -> ExchangeGraph:
+    """:func:`build_graph` of these weights and the edges of the (m, 2) int
+    array ``pairs``, in-range ``[u, v]`` side positions, each once and of
+    cost 1, with its degree-0 vertices kept and no warning: the graph that
+    ``ExchangeGraph._restricted`` reads restrictions off. The weights are
+    checked as ``build_graph`` checks them."""
+    ids, sizes, inertia, _, _, _, ratios, den = _graph_columns(v1_weights, v2_weights, (), None, None)
+    ratios[1] = (1, 1)  # every edge's cost
+    return _assemble(ids, sizes, inertia, pairs[:, 0], pairs[:, 1], [1] * len(pairs), ratios, den, prune=False)
 
 
 def _graph_columns(v1_weights, v2_weights, edges, v1_inertia, v2_inertia) -> tuple:

@@ -649,8 +649,10 @@ def test_gate_bounds_hold_the_kernel_and_decide_as_it_does(seed, kind, half, r):
     # the gate at eta equal to each kernel value and its float neighbours
     values = candidates._fov_overlaps(*a, *b, half, r)
     etas = sorted({0.0, 0.4, 1.0}.union(*({v, np.nextafter(v, 0), np.nextafter(v, 1)} for v in values)))
+    # the k-th pose of each side makes the k-th pair
+    sides, pairs = map(np.array, (*a, *b)), np.repeat(np.arange(len(cases)), 2).reshape(-1, 2)
     with mock.patch.object(candidates, "_fov_overlaps", wraps=candidates._fov_overlaps) as kernel:
-        gates = candidates._fov_gates(*a, *b, half, r, etas)
+        gates = candidates._fov_gates(*sides, pairs, half, r, etas)
     assert (gates == (np.array(values)[:, None] >= etas)).all()
     sent = sum(len(call.args[0]) for call in kernel.call_args_list)
     assert kernel.call_count <= 1
@@ -1293,6 +1295,54 @@ def test_nan_rotation_no_longer_reaches_build_geometric():
     bad = sp.Pose(0, np.zeros(3), np.full((3, 3), math.nan))
     with pytest.raises(sp.ValidationError, match="pose 0 rotation"):
         Trajectory([bad])
+
+
+def bare_pose(pid=0, position=np.zeros(3), rotation=np.eye(3)):
+    return sp.Pose(pid, position, rotation)
+
+
+@pytest.mark.parametrize(
+    "poses, message",
+    [
+        ([bare_pose(rotation=np.eye(2))], "pose 0 rotation is not a 3x3 array of numbers"),
+        ([bare_pose(rotation=[[1, 0, 0], [0, 1], [0, 0, 1]])], "pose 0 rotation is not a 3x3 array of numbers"),
+        ([bare_pose(rotation=np.eye(3).astype(object))], "pose 0 rotation is not a 3x3 array of numbers"),
+        ([bare_pose(position="abc")], "pose 0 position is not a 3 array of numbers"),
+        ([bare_pose(position=None)], "pose 0 position is not a 3 array of numbers"),
+        ([bare_pose(position=np.zeros(2))], "pose 0 position is not a 3 array of numbers"),
+        ([bare_pose(1), bare_pose(None)], "trajectory entry 1 has a non-integer pose id None"),
+        ([bare_pose(True)], "trajectory entry 0 has a non-integer pose id True"),
+        ([bare_pose(), (1, np.zeros(3), np.eye(3))], "trajectory entry 1 is not a Pose, got (1, array([0., 0., 0..."),
+        ([bare_pose(), "x" * 500], "trajectory entry 1 is not a Pose, got 'xxxxxxxxxxxxxxxxxxx..."),
+    ],
+    ids=[
+        "2x2 rotation", "ragged rotation", "object rotation", "text position", "no position", "planar position",
+        "no pid", "bool pid", "tuple entry", "text entry",
+    ],
+)
+def test_trajectory_refuses_malformed_poses(poses, message):
+    # each used to escape as a bare numpy or Python error, or, for a planar
+    # position, to reach build_geometric and fail there on a broadcast
+    with pytest.raises(sp.ValidationError, match=f"^{re.escape(message)}$") as caught:
+        Trajectory(poses)
+    assert len(str(caught.value)) < 300
+    # an earlier pose's fault still comes first
+    with pytest.raises(sp.ValidationError, match="^pose 0 rotation is not orthonormal"):
+        Trajectory([bare_pose(rotation=np.eye(3) * 2.0), *poses])
+
+
+def test_trajectory_reads_list_and_tuple_geometry(tmp_path):
+    # a position or rotation given as a list or tuple of numbers is read as
+    # the array it spells, through the sweep and the KITTI writer alike
+    rot = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
+    arrays = Trajectory([sp.Pose(0, np.array([1.0, 2.0, 3.0]), rot), sp.Pose(1, np.array([4.0, 0.0, 0.0]), rot)])
+    lists = Trajectory([sp.Pose(0, [1.0, 2.0, 3.0], rot.tolist()), sp.Pose(1, (4, 0, 0), tuple(map(tuple, rot)))])
+    g = build_geometric(arrays, arrays, GeometryParams(d_max=10.0, eta=0.1))
+    assert g.num_edges == 4
+    assert sp.dumps_graph(build_geometric(lists, lists, GeometryParams(d_max=10.0, eta=0.1))) == sp.dumps_graph(g)
+    for name, traj in (("arrays", arrays), ("lists", lists)):
+        candidates.write_kitti_poses(traj, tmp_path / name)
+    assert (tmp_path / "arrays").read_text() == (tmp_path / "lists").read_text()
 
 
 def test_geometry_params_validation():

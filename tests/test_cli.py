@@ -551,23 +551,29 @@ def test_build_graph_fov_golden(capsys, tmp_path):
 def test_synthetic_build_graph_memory_stays_bounded(capsys, tmp_path):
     # 500 poses a side, 26,671 pairs within dmax: a distance array over
     # every pose pair and count bounds over every gated pair at once took
-    # a 79 MB traced peak; the file is the one those wrote, byte for byte
-    out_file = tmp_path / "g.json"
-    tracemalloc.start()
-    try:
-        with pytest.warns(UserWarning, match="pruned 632 isolated vertices"):
-            code, _, _ = run(
-                capsys,
-                "build-graph", "--synthetic", "--synthetic-poses", "500",
-                "--dmax", "30", "--eta", "0.4", "--out", str(out_file),
-            )
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    assert peak < 24 * 2**20, peak
-    digest = "10939df770ddfbf5d13d3db0598e0a69d969e15867d6c2f9d8984a3e132ffbc4"
-    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+    # a 79 MB traced peak. At 1000 poses a side, gathering every gated
+    # pair's sectors before chunking them took 16 MB. Each file is the one
+    # those wrote, byte for byte
+    cases = [
+        ("500", 632, 24, "10939df770ddfbf5d13d3db0598e0a69d969e15867d6c2f9d8984a3e132ffbc4"),
+        ("1000", 1262, 12, "69d8d102d9ef5db3b0ec62cc8434d79f833cc71851ef8f54c350be7d1a9796c0"),
+    ]
+    for poses, pruned, megabytes, digest in cases:
+        out_file = tmp_path / f"g{poses}.json"
+        tracemalloc.start()
+        try:
+            with pytest.warns(UserWarning, match=f"pruned {pruned} isolated vertices"):
+                code, _, _ = run(
+                    capsys,
+                    "build-graph", "--synthetic", "--synthetic-poses", poses,
+                    "--dmax", "30", "--eta", "0.4", "--out", str(out_file),
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < megabytes * 2**20, (poses, peak)
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
 def test_build_graph_extreme_fov_range_no_numpy_warnings(capsys, tmp_path):
@@ -604,7 +610,7 @@ def test_sweep_matches_per_point_build_geometric(capsys, monkeypatch, argv, fov_
 
     pairs, kernel = [], []
     gates, batched = cand._fov_gates, cand._fov_overlaps
-    monkeypatch.setattr(cand, "_fov_gates", lambda *a: pairs.append(len(a[0])) or gates(*a))
+    monkeypatch.setattr(cand, "_fov_gates", lambda *a: pairs.append(len(a[4])) or gates(*a))
     monkeypatch.setattr(cand, "_fov_overlaps", lambda *a: kernel.extend(np.hstack(a[:4]).tolist()) or batched(*a))
     argv = ("sweep", *FIXTURE_POSES, "--rate-divisor", "3", *argv)
     shared, shared_pruned = run_recording_pruning(capsys, *argv)

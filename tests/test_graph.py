@@ -1017,14 +1017,16 @@ def built_with_warnings(build):
     return g, [str(w.message) for w in caught]
 
 
-def assert_restriction_matches_build(w1, w2, edges, inertia, keep):
+def assert_restriction_matches_build(w1, w2, pairs, keep):
     from scanplan.graph import _unpruned_graph
 
-    widest, issued = built_with_warnings(lambda: _unpruned_graph(w1, w2, edges, *inertia))
+    # a sweep's widest graph: unit-cost edges and no inertia prices
+    columns = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    widest, issued = built_with_warnings(lambda: _unpruned_graph(w1, w2, columns))
     assert issued == [] and widest.pruned == ()
     got, got_warnings = built_with_warnings(lambda: widest._restricted(np.array(keep, dtype=bool)))
-    kept = [e for e, k in zip(edges, keep) if k]
-    want, want_warnings = built_with_warnings(lambda: sp.build_graph(w1, w2, kept, *inertia))
+    kept = [e for e, k in zip(pairs, keep) if k]
+    want, want_warnings = built_with_warnings(lambda: sp.build_graph(w1, w2, kept))
     for name in ("ids", "den", "size_num", "inertia_num", "cost_num", "pruned"):
         assert getattr(got, name) == getattr(want, name), name
     for name in ("eu", "ev"):
@@ -1034,7 +1036,7 @@ def assert_restriction_matches_build(w1, w2, edges, inertia, keep):
     assert sp.dumps_graph(got) == sp.dumps_graph(want)
     assert got._covers == {}
     # the widest graph is left as it was
-    assert widest.num_edges == len(edges) and widest.pruned == ()
+    assert widest.num_edges == len(pairs) and widest.pruned == ()
 
 
 @settings(max_examples=60, deadline=None)
@@ -1043,24 +1045,21 @@ def test_restriction_matches_build_graph_over_kept_edges(data):
     n1, n2 = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
     w1 = data.draw(st.lists(restriction_value, min_size=n1, max_size=n1))
     w2 = data.draw(st.lists(restriction_value, min_size=n2, max_size=n2))
-    inertia = [
-        data.draw(st.none() | st.dictionaries(st.integers(0, n), restriction_value, max_size=3)) for n in (n1, n2)
-    ]
     pairs = data.draw(st.lists(st.tuples(st.integers(0, max(n1 - 1, 0)), st.integers(0, max(n2 - 1, 0))), unique=True))
     pairs = pairs if n1 and n2 else []
-    edges = [(u, v, data.draw(restriction_value)) if data.draw(st.booleans()) else (u, v) for u, v in pairs]
-    keep = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
-    assert_restriction_matches_build(w1, w2, edges, inertia, keep)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    assert_restriction_matches_build(w1, w2, pairs, keep)
 
 
 @pytest.mark.parametrize("mask", ["all", "none", "first"])
 def test_restriction_keeps_all_none_or_one_edge(mask):
-    # the only value with a factor 3 in its denominator is the last edge's
-    # cost; keeping no edge prunes every vertex
-    w1, w2 = [Fraction(1, 2), 3, 0], [Fraction(1, 4), 5]
-    edges = [(0, 0, 1), (1, 1, Fraction(1, 2)), (2, 0, Fraction(2, 3))]
+    # the only value with a factor 3 in its denominator is the scan size of
+    # a vertex that only the last edge touches; every restriction keeps it
+    # in the denominator, and keeping no edge prunes every vertex
+    w1, w2 = [Fraction(1, 2), 3, Fraction(2, 3)], [Fraction(1, 4), 5]
+    pairs = [(0, 0), (1, 1), (2, 0)]
     keep = {"all": [True] * 3, "none": [False] * 3, "first": [True, False, False]}[mask]
-    assert_restriction_matches_build(w1, w2, edges, (None, {1: Fraction(1, 8)}), keep)
+    assert_restriction_matches_build(w1, w2, pairs, keep)
 
 
 @pytest.mark.parametrize("u, v", [(-1, 0), (2, 0), (0, -1), (0, 1), (1, 1)])
