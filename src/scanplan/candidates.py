@@ -814,15 +814,18 @@ def build_geometric_sweep(
         pos2 = np.array([pose.position for pose in s2], dtype=float)
         d_max, rows = max(p.d_max for p in points), max(1, 16 * _BLOCK_ROWS // len(pos2))
         # [i, j] pairs within every point's distance gate, in row-major
-        # order, and their distances, taken a block of rows at a time
+        # order, and their distances, taken a block of rows at a time; the
+        # pose indices are int32, as pose counts are far below 2**31
         pairs, apart = [], []
         for start in range(0, len(pos1), rows):
             dists = np.linalg.norm(pos1[start : start + rows, None, :] - pos2[None, :, :], axis=2)
             near = np.argwhere(dists <= d_max)
             apart.append(dists[near[:, 0], near[:, 1]])
             near[:, 0] += start
-            pairs.append(near)
-        pairs, apart = np.concatenate(pairs), np.concatenate(apart)
+            pairs.append(near.astype(np.int32))
+        # joined one list at a time, so one list's blocks and its copy are held at once
+        pairs = np.concatenate(pairs)
+        apart = np.concatenate(apart)
         # [pair, point]: the overlap is at least the point's eta; eta 0 passes every pair
         passes = np.ones((len(pairs), len(points)), dtype=bool)
         fov_d_max = max((p.d_max for p in points if p.eta > 0), default=None)
@@ -830,7 +833,7 @@ def build_geometric_sweep(
             (xy1, h1), (xy2, h2) = (
                 [np.array([f(pose) for pose in s]) for f in (planar_position, planar_heading)] for s in (s1, s2)
             )
-            gated = np.flatnonzero(apart <= fov_d_max)
+            gated = apart <= fov_d_max
             etas = [p.eta for p in points]
             passes[gated] = _fov_gates(xy1, h1, xy2, h2, pairs[gated], first.fov_half_angle, first.fov_range, etas)
         masks = [(apart <= p.d_max) & passes[:, k] for k, p in enumerate(points)]

@@ -367,7 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sweep", parents=[inputs], help="sweep a parameter and emit cost curves as CSV"
     )
-    p.add_argument("--parameter", choices=SWEEP_PARAMETERS, required=True)
+    p.add_argument(
+        "--parameter",
+        choices=SWEEP_PARAMETERS,
+        required=True,
+        help="the swept value; an omega sweep prices p3 with --alpha1, --alpha2 and each swept omega, "
+        "so --objective and --omega are checked but not used",
+    )
     p.add_argument("--start", required=True)
     p.add_argument("--stop", required=True)
     p.add_argument("--step", required=True)

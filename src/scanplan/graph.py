@@ -145,7 +145,9 @@ class ExchangeGraph:
         self._validate()
         # every vertex is checked above; the degree-0 ones are pruned here,
         # and the warning names the caller of build_graph, from_vertices or
-        # loads_graph. A sweep's widest graph keeps them (see _restricted).
+        # loads_graph. For load_graph that caller is _load_file, so its
+        # warning names graph.py. A sweep's widest graph keeps them (see
+        # _restricted).
         self._finish(5 if _prune else None)
 
     def _finish(self, stacklevel: int | None) -> None:
@@ -178,8 +180,10 @@ class ExchangeGraph:
         """The graph ``build_graph`` gives for this graph's vertices and the
         edges that the boolean array ``keep`` marks, read off this graph
         with no second check: the kept columns over the same denominator,
-        with the degree-0 vertices pruned and the warning naming the
-        caller's caller. This graph must keep its own degree-0 vertices
+        with the degree-0 vertices pruned and the warning naming this
+        method's caller: for ``build_geometric``, ``build_appearance`` and
+        every sweep, the line of ``candidates._restrictions`` that yields
+        each point. This graph must keep its own degree-0 vertices
         (built with ``_prune=False``), so that none is lost, and have only
         unit edge costs, as ``_unpruned_graph`` gives. Then ``den`` is the
         LCM of the vertex values' reduced denominators, and for each prime

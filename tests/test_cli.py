@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -78,6 +79,7 @@ def test_invalid_graph_exits_3(capsys):
     code, _, err = run(capsys, "solve", "--graph", str(DATA / "dup_edge.json"))
     assert code == 3
     assert "error" in err
+    assert len(err.encode()) < 300
 
 
 @pytest.mark.parametrize(
@@ -149,7 +151,7 @@ def test_invariant_violation_exits_4(capsys, monkeypatch):
     assert "internal error" in err
 
 
-def test_check_monolog_double_star(capsys, tmp_path):
+def test_check_monolog_double_star(capsys, tmp_path, kitti_graph):
     improving = tmp_path / "improving.json"
     code, out, _ = run(
         capsys,
@@ -163,6 +165,18 @@ def test_check_monolog_double_star(capsys, tmp_path):
     g = sp.load_graph(DOUBLE_STAR)
     assert sp.is_admissible(g, pi)
     assert sp.comm_cost(g, pi) == 2
+    # without --improving-out, the same certificate and no file line
+    assert run(capsys, "check-monolog", "--graph", DOUBLE_STAR, "--side", "1") == (
+        0, out.replace(f"wrote improving policy {improving}\n", ""), ""
+    )
+    # the two-loop fixture's side-2 monolog is not optimal either
+    improving = tmp_path / "kitti-improving.json"
+    code, out, _ = run(capsys, "check-monolog", "--graph", kitti_graph, "--side", "2", "--improving-out", str(improving))
+    assert code == 0
+    assert "monolog_optimal no" in out
+    pi, g = sp.load_policy(improving), sp.load_graph(kitti_graph)
+    assert sp.is_admissible(g, pi)
+    assert f"improving_cost {sp.comm_cost(g, pi)}\n" in out
 
 
 def test_check_monolog_holds(capsys):
@@ -251,43 +265,44 @@ def test_build_graph_from_pose_files(capsys, tmp_path):
 
 def test_build_graph_appearance_mode(capsys, tmp_path):
     out_file = tmp_path / "g.json"
-    code, _, _ = run(
-        capsys,
-        "build-graph",
-        "--scores", str(DATA / "scores_40x40.txt"),
-        "--features1", str(DATA / "features_40.txt"),
-        "--features2", str(DATA / "features_40.txt"),
-        "--alpha", "0.6", "--top-k", "2", "--out", str(out_file),
-    )
-    assert code == 0
-    g = sp.load_graph(out_file)
-    assert 0 < g.num_edges <= 80
+    # the default top-k is 2
+    for flags in (["--alpha", "0.6", "--top-k", "2"], ["--alpha", "0.5"]):
+        code, _, _ = run(
+            capsys,
+            "build-graph",
+            "--scores", str(DATA / "scores_40x40.txt"),
+            "--features1", str(DATA / "features_40.txt"),
+            "--features2", str(DATA / "features_40.txt"),
+            *flags, "--out", str(out_file),
+        )
+        assert code == 0
+        g = sp.load_graph(out_file)
+        assert 0 < g.num_edges <= 80
 
 
 def test_sweep_dmax_deterministic_and_consistent(capsys, tmp_path):
-    args = [
-        "sweep", "--parameter", "dmax", "--start", "10", "--stop", "50", "--step", "10",
-        "--synthetic", "--synthetic-poses", "60", "--eta", "0",
-    ]
-    code, out1, err1 = run(capsys, *args)
-    assert code == 0
-    code, out2, _ = run(capsys, *args)
-    assert out1 == out2  # byte-for-byte deterministic
-    assert "nesting non-decreasing: ok" in err1
-    lines = out1.strip().splitlines()
-    assert lines[0] == "param,optimal,monolog1,monolog2,bidirectional,num_vertices,num_edges"
-    assert len(lines) == 6
-    # each row's optimal equals a fresh solve of the graph built at that value
     from scanplan.candidates import GeometryParams, build_geometric, synthetic_two_loop
 
-    t1, t2 = synthetic_two_loop(60)
-    for row in lines[1:]:
-        cells = row.split(",")
-        g = build_geometric(t1, t2, GeometryParams(d_max=float(cells[0]), eta=0.0))
-        expect = sp.solve(g, sp.Objective.p2()).optimal_cost if g.num_vertices else 0
-        assert cells[1] == str(expect)
-        # optimal never beats the feasibility ordering
-        assert int(cells[1]) <= min(int(cells[2]), int(cells[3]))
+    # 60 poses a side, then the default pose count and eta
+    for poses, stop, flags in ((60, "50", ["--synthetic-poses", "60", "--eta", "0"]), (100, "30", [])):
+        args = ["sweep", "--parameter", "dmax", "--start", "10", "--stop", stop, "--step", "10", "--synthetic", *flags]
+        code, out1, err1 = run(capsys, *args)
+        assert code == 0
+        code, out2, _ = run(capsys, *args)
+        assert out1 == out2  # byte-for-byte deterministic
+        assert "nesting non-decreasing: ok" in err1
+        lines = out1.strip().splitlines()
+        assert lines[0] == "param,optimal,monolog1,monolog2,bidirectional,num_vertices,num_edges"
+        assert len(lines) == 1 + int(stop) // 10
+        # each row's optimal equals a fresh solve of the graph built at that value
+        t1, t2 = synthetic_two_loop(poses)
+        for row in lines[1:]:
+            cells = row.split(",")
+            g = build_geometric(t1, t2, GeometryParams(d_max=float(cells[0]), eta=0.0))
+            expect = sp.solve(g, sp.Objective.p2()).optimal_cost if g.num_vertices else 0
+            assert cells[1] == str(expect)
+            # optimal never beats the feasibility ordering
+            assert int(cells[1]) <= min(int(cells[2]), int(cells[3]))
 
 
 def test_build_graph_synthetic_defaults_are_the_apis(capsys, tmp_path):
@@ -301,16 +316,18 @@ def test_build_graph_synthetic_defaults_are_the_apis(capsys, tmp_path):
 
 
 def test_sweep_alpha_edge_counts_non_increasing(capsys):
-    code, out, _ = run(
-        capsys,
-        "sweep", "--parameter", "alpha", "--start", "0.1", "--stop", "0.9", "--step", "0.2",
-        "--scores", str(DATA / "scores_40x40.txt"),
-        "--features1", str(DATA / "features_40.txt"),
-        "--features2", str(DATA / "features_40.txt"),
-    )
-    assert code == 0
-    edge_counts = [int(row.split(",")[-1]) for row in out.strip().splitlines()[1:]]
-    assert edge_counts == sorted(edge_counts, reverse=True)
+    for start, points in (("0.1", 5), ("0.5", 3)):
+        code, out, _ = run(
+            capsys,
+            "sweep", "--parameter", "alpha", "--start", start, "--stop", "0.9", "--step", "0.2",
+            "--scores", str(DATA / "scores_40x40.txt"),
+            "--features1", str(DATA / "features_40.txt"),
+            "--features2", str(DATA / "features_40.txt"),
+        )
+        assert code == 0
+        edge_counts = [int(row.split(",")[-1]) for row in out.strip().splitlines()[1:]]
+        assert len(edge_counts) == points
+        assert edge_counts == sorted(edge_counts, reverse=True)
 
 
 def test_sweep_omega_over_prebuilt_graph(capsys):
@@ -344,13 +361,15 @@ def test_solve_policy_feeds_simulate(capsys, tmp_path):
     policy_file = tmp_path / "policy.json"
     code, _, _ = run(capsys, "solve", "--graph", DOUBLE_STAR, "--policy-out", str(policy_file))
     assert code == 0
-    code, out, _ = run(
-        capsys,
-        "simulate", "--graph", DOUBLE_STAR, "--policy", str(policy_file),
-        "--trace-out", str(tmp_path / "t.log"),
-    )
-    assert code == 0
-    assert "scan_bytes 2" in out
+    # the policy from the file, then the one simulate solves for itself
+    traces = []
+    for name, extra in (("file", ["--policy", str(policy_file)]), ("solved", [])):
+        trace = tmp_path / f"{name}.log"
+        code, out, _ = run(capsys, "simulate", "--graph", DOUBLE_STAR, *extra, "--trace-out", str(trace))
+        assert code == 0
+        assert "scan_bytes 2" in out
+        traces.append(trace.read_bytes())
+    assert traces[0] == traces[1]
 
 
 def test_repeated_policy_row_exits_3(capsys, tmp_path):
@@ -1105,6 +1124,11 @@ def test_solve_and_sweep_on_graphs_without_vertices(capsys, tmp_path):
     code, out, _ = run(capsys, "solve", "--graph", str(path))
     assert code == 0
     assert "optimal_cost 0\nmonolog1_cost n/a\nmonolog2_cost n/a\n" in out
+    # every strategy costs 0
+    code, out, _ = run(capsys, "simulate", "--graph", str(path), "--compare")
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 4 and all(re.fullmatch("[a-z0-9_]*,0,0,0,0", row) for row in rows)
     # a 1 mm gate keeps no pose pair, so every vertex is pruned
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -1423,11 +1447,12 @@ assert cli.main(["solve", "--graph", graph]) == 0
 
 def test_solve_seconds_times_the_solve_alone():
     # the exact engine imports no scipy module, and the automatic choice
-    # imports the compiled engine before the timer starts
-    src = Path(__file__).resolve().parent.parent / "src"
+    # imports the compiled engine before the timer starts; the child
+    # imports the scanplan package that this test imported
+    package_root = Path(sp.__file__).resolve().parent.parent
     done = subprocess.run(
         [sys.executable, "-c", SOLVE_IMPORTS, DOUBLE_STAR],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**os.environ, "PYTHONPATH": str(package_root)},
         capture_output=True,
         text=True,
     )
@@ -1436,7 +1461,7 @@ def test_solve_seconds_times_the_solve_alone():
     assert loaded == ["compiled engine loaded: False", "scipy loaded: False", "compiled engine loaded: True"]
 
 
-# -- the entry-point checks of CI, through cli.main ------------------------------
+# -- the entry-point checks, through cli.main; CI runs this file on the installed package --
 
 KITTI_P3 = ["--objective", "p3", "--alpha1", "1", "--alpha2", "2", "--omega", "1/10"]
 
@@ -1482,6 +1507,12 @@ def test_solved_and_file_policies_write_one_trace(capsys, tmp_path, kitti_graph)
         assert code == 0
         traces.append(trace.read_bytes())
     assert traces[0] == traces[1]
+    # a dead channel, and the broker hosted on robot 1, which zeroes its legs
+    trace = tmp_path / "broker.log"
+    argv = ["--policy", str(policy), *KITTI_P3, "--channel-dead", "--broker-host", "1", "--trace-out", str(trace)]
+    code, _, _ = run(capsys, "simulate", "--graph", kitti_graph, *argv)
+    assert code == 0
+    assert trace.read_text().startswith("metadata robot1 broker 0 ")
 
 
 def test_score_file_refused_by_the_compiled_parse_names_the_bad_line(capsys, tmp_path):
