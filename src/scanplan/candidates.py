@@ -17,12 +17,15 @@ from __future__ import annotations
 import io
 import math
 import numbers
+import os
 import random
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
+from urllib.parse import urlparse
 
 import numpy as np
+from numpy.lib._datasource import _file_openers
 
 from .errors import EmptyTrajectory, GraphFormatError, ScoreOutOfRange, ValidationError
 from .graph import ExchangeGraph, VertexId, _index, _unpruned_graph, build_graph, open_text
@@ -837,6 +840,7 @@ def build_geometric_sweep(
             etas = [p.eta for p in points]
             passes[gated] = _fov_gates(xy1, h1, xy2, h2, pairs[gated], first.fov_half_angle, first.fov_range, etas)
         masks = [(apart <= p.d_max) & passes[:, k] for k, p in enumerate(points)]
+        del apart, passes  # read no further, so not held while the union graph is built
         w1 = [pose.feature_count * DESCRIPTOR_BYTES for pose in s1]
         w2 = [pose.feature_count * DESCRIPTOR_BYTES for pose in s2]
         yield from _restrictions(w1, w2, pairs, masks)  # [i, j] pairs, each of cost 1
@@ -1100,20 +1104,35 @@ def read_scores(path) -> np.ndarray | list[tuple[int, int, float]]:
     loop: a list of ``(int, int, float)`` triples, or the
     ``GraphFormatError`` that names the file, line and field at fault.
     Both readers split fields at the same whitespace and read the same
-    numbers, so a file that both accept gives the same values."""
+    numbers, so a file that both accept gives the same values. A plain
+    local file is read again by ``np.loadtxt`` from its path, in chunks,
+    which is faster than line by line from memory (see
+    :func:`_opened_in_place`)."""
     try:
         with open_text(path) as fh:
             text = fh.read()
     except GraphFormatError:
         text = ""  # the line loop names the first line it cannot read
     if text.isascii() and text and not text.isspace():
+        source = path if _opened_in_place(path) else io.StringIO(text)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                return np.loadtxt(io.StringIO(text), dtype=SCORE_DTYPE, comments=None, ndmin=1)
+                return np.loadtxt(source, dtype=SCORE_DTYPE, comments=None, ndmin=1)
         except (ValueError, Warning):
             pass
     return _read_score_lines(path)
+
+
+def _opened_in_place(path) -> bool:
+    """Whether numpy's ``DataSource``, which ``np.loadtxt`` opens a path
+    with, opens ``path`` as the plain local file it names: a text path
+    with no URL scheme, which it would fetch, and no suffix of a file it
+    would decompress."""
+    if not isinstance(path, (str, os.PathLike)):
+        return False
+    path = os.fspath(path)
+    return isinstance(path, str) and not urlparse(path).scheme and os.path.splitext(path)[1] not in _file_openers.keys()
 
 
 def _read_score_lines(path) -> list[tuple[int, int, float]]:

@@ -15,7 +15,13 @@ side positions. ``Fraction``, ``VertexId``, ``ScanVertex`` and ``Edge``
 objects exist only at the API boundary, built on first access and cached.
 A graph file is read column by column, and each distinct number in it is
 parsed once into a reduced integer ``(numerator, denominator)`` pair and
-scaled once to the common denominator.
+scaled once to the common denominator. When the file's edge section is
+byte for byte what ``dumps_graph`` writes for integer edge costs of at
+most 18 digits, and ends of at most 18 digits, that section is read in
+one numpy pass and only the vertex lists go through the JSON parser. Any
+other file, such as one with ``"p/q"`` or decimal costs, another layout
+or a file written by hand, is parsed whole, to the same graph or the same
+error.
 
 Graphs are immutable after construction and safe to share across threads.
 Each graph also remembers the solver's optimal covers (see ``solver.solve``).
@@ -283,11 +289,17 @@ class ExchangeGraph:
         return self._scan_vertices(2)
 
     def _scan_vertices(self, side: int) -> tuple[ScanVertex, ...]:
-        s, den = side - 1, self.den
-        return tuple(
-            ScanVertex(vid, Fraction(size, den), None if price is None else Fraction(price, den))
-            for vid, size, price in zip(self.vids[s], self.size_num[s], self.inertia_num[s])
-        )
+        s = side - 1
+        sizes, prices = self.size_num[s], self.inertia_num[s]
+        value = self._fractions(chain(sizes, prices))
+        return tuple(map(ScanVertex, self.vids[s], map(value, sizes), map(value, prices)))
+
+    def _fractions(self, nums: Iterable[int | None]):
+        """A lookup from each of ``nums`` to its value ``Fraction(num,
+        den)``, None for None: one Fraction per distinct numerator."""
+        values = {num: Fraction(num, self.den) for num in set(nums) - {None}}
+        values[None] = None
+        return values.__getitem__
 
     @cached_property
     def edge_key_list(self) -> list[EdgeKey]:
@@ -297,8 +309,8 @@ class ExchangeGraph:
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
-        den = self.den
-        return tuple(Edge(u, v, Fraction(c, den)) for (u, v), c in zip(self.edge_key_list, self.cost_num))
+        costs = map(self._fractions(self.cost_num), self.cost_num)
+        return tuple(map(tuple.__new__, repeat(Edge), ((u, v, c) for (u, v), c in zip(self.edge_key_list, costs))))
 
     @cached_property
     def _edge_lookup(self) -> tuple[np.ndarray, np.ndarray]:
@@ -547,14 +559,17 @@ def _index(value, what) -> int:
     return index
 
 
-def _end_positions(ids, us, vs) -> tuple[list[int], list[int]]:
-    """The side positions of edge ends given as vertex ids; an end that no
-    vertex of its side holds is refused. When each side's ids are
-    ``0..n-1`` in order, every end in range is its own position."""
-    if all(side_ids == list(range(len(side_ids))) for side_ids in ids) and all(
-        0 <= min(ends, default=0) and max(ends, default=-1) < len(side_ids) for ends, side_ids in zip((us, vs), ids)
-    ):
-        return us, vs
+def _end_positions(ids, us, vs) -> tuple[Sequence[int], Sequence[int]]:
+    """The side positions of edge ends given as vertex ids, in lists of
+    ints or int64 arrays; an end that no vertex of its side holds is
+    refused. When each side's ids are ``0..n-1`` in order, every end in
+    range is its own position."""
+    if all(side_ids == list(range(len(side_ids))) for side_ids in ids):
+        with contextlib.suppress(OverflowError):  # an end past int64 is no position
+            ends = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
+            if all(not len(e) or 0 <= e.min() and e.max() < len(side_ids) for e, side_ids in zip(ends, ids)):
+                return ends
+    us, vs = (e.tolist() if isinstance(e, np.ndarray) else e for e in (us, vs))
     pos1, pos2 = ({i: k for k, i in enumerate(side_ids)} for side_ids in ids)
     eu = list(map(pos1.get, us))
     ev = list(map(pos2.get, vs))
@@ -932,24 +947,131 @@ def _raise_first_fault(doc: dict) -> NoReturn:
     raise InvariantViolation("the graph reader refused a file whose entries all read")
 
 
+def _ratio_columns(doc: dict) -> tuple | None:
+    """:func:`_columns` of a graph document and the reduced pair of each
+    distinct value in it, or None when the document has a fault."""
+    try:
+        ids, sizes, inertia, us, vs, costs = _columns(doc)
+        ratios = {x: _ratio(x) for x in _distinct(sizes, inertia, [costs])}
+    except (KeyError, TypeError, AttributeError, ValidationError):
+        return None
+    return ids, sizes, inertia, us, vs, costs, ratios
+
+
+# The edge section as dumps_graph writes it when every cost is an integer:
+# the marker after the head, the edge lines joined by ",\n", and the tail.
+_EDGES_MARK = ',\n  "edges": [\n'
+_EDGES_TAIL = "\n  ]\n}\n"
+_EDGE_LINE = '    {"u": , "v": , "cost": }'  # an edge line with its digits deleted
+_DELETE_DIGITS = str.maketrans("", "", "0123456789")
+# from the end of each of a line's three slots to the next colon: ', "v"',
+# ', "cost"', and '},\n    {"u"' on to the next line
+_SLOT_TAILS = tuple(map(len, (_EDGE_LINE + ",\n" + _EDGE_LINE).split(": ")[1:4]))
+# the most digits of which every number fits int64
+_MAX_SLOT_DIGITS = 18
+
+
+def _canonical_edges(text: str) -> tuple[int, np.ndarray, np.ndarray, np.ndarray] | None:
+    """Where the head of ``text`` ends, and the ``u``, ``v`` and ``cost``
+    columns as int64 arrays, when its edge section is in the layout that
+    :func:`dumps_graph` writes for integer costs; None for any other text.
+
+    The section is read only when it is that layout byte for byte. With
+    its digits deleted it must be ``_EDGE_LINE`` repeated, so it holds
+    three colons a line, and each slot runs from two bytes past a colon to
+    the template text before the next one. Every slot must hold 1 to 18
+    digits and nothing else, with no leading zero, and the slots must hold
+    every digit of the section. The JSON parser then reads the section as
+    exactly these ints. The first line is checked before any pass over the
+    whole section, so a file of ``"p/q"`` or decimal costs is declined at
+    once.
+    """
+    start = text.find(_EDGES_MARK)
+    lo, hi = start + len(_EDGES_MARK), len(text) - len(_EDGES_TAIL)
+    if start < 0 or lo > hi or not text.endswith(_EDGES_TAIL):
+        return None
+    # a line has at most 3 * 18 digits, so the prefix holds the first line whole
+    shape = text[lo : min(hi, lo + len(_EDGE_LINE) + 3 * _MAX_SLOT_DIGITS + 2)].translate(_DELETE_DIGITS)
+    if not ((_EDGE_LINE + ",\n") * 3).startswith(shape):
+        return None
+    section = text[lo:hi]
+    if not section.isascii():
+        return None
+    raw = section.encode("ascii")
+    bare, line = raw.translate(None, b"0123456789"), _EDGE_LINE.encode("ascii")
+    m = (len(bare) + 2) // (len(line) + 2)
+    if bare != (line + (b",\n" + line) * (m - 1) if m else b""):
+        return None
+    byte = np.frombuffer(raw, dtype=np.uint8)
+    colons = np.flatnonzero(byte == ord(":"))
+    starts = colons + 2
+    # the last slot ends at the closing "}", the section's last byte
+    ends = (np.append(colons, len(raw) - 1 + _SLOT_TAILS[2])[1:].reshape(m, 3) - _SLOT_TAILS).ravel()
+    size = ends - starts
+    if (
+        size.min(initial=1) < 1
+        or size.max(initial=1) > _MAX_SLOT_DIGITS
+        or size.sum() != len(raw) - len(bare)
+        or ((byte[starts] == ord("0")) & (size > 1)).any()
+    ):
+        return None
+    # each slot's value, its digits added from the last one up
+    values = np.zeros(3 * m, dtype=np.int64)
+    for k in range(int(size.max(initial=0))):
+        longer = np.flatnonzero(size > k)
+        digit = byte[ends[longer] - 1 - k] - np.uint8(ord("0"))
+        if (digit > 9).any():
+            return None
+        values[longer] += digit.astype(np.int64) * 10**k
+    return start, values[0::3], values[1::3], values[2::3]
+
+
+def _canonical_columns(text: str) -> tuple | None:
+    """:func:`_ratio_columns` of ``text`` for a text whose edge section
+    :func:`_canonical_edges` reads; only the head, whose keys must be
+    exactly ``v1`` and ``v2``, goes through the JSON parser. None for any
+    other text, and for one whose head does not parse or has a fault: the
+    whole text then names the fault as it does today."""
+    edges = _canonical_edges(text)
+    if edges is None:
+        return None
+    head_end, us, vs, costs = edges
+    try:
+        head = _load_json(text[:head_end] + "\n}")
+    except GraphFormatError:
+        return None
+    columns = _ratio_columns(head) if type(head) is dict and head.keys() == {"v1", "v2"} else None
+    if columns is None:
+        return None
+    ids, sizes, inertia, _, _, _, ratios = columns
+    costs = costs.tolist()
+    ratios.update((c, (c, 1)) for c in set(costs))
+    return ids, sizes, inertia, us, vs, costs, ratios
+
+
 def loads_graph(text: str) -> ExchangeGraph:
     """Parse the exchange-graph file format; numbers become exact rationals.
 
     Each field is read as one column, and each distinct number text is
     parsed once into a reduced integer pair (see :func:`_ratio`): no
-    Fraction is built for an int or a plain ``"p/q"`` value. The bound on
-    the common denominator is checked before any value is scaled to it.
-    A file with a fault is walked again entry by entry, to name its first.
+    Fraction is built for an int or a plain ``"p/q"`` value. A file whose
+    edge section is in the layout :func:`dumps_graph` writes for integer
+    costs has that section read in one numpy pass (see
+    :func:`_canonical_edges`) and only its head parsed as JSON. The bound
+    on the common denominator is checked before any value is scaled to
+    it. A file with a fault is walked again entry by entry, to name its
+    first.
     """
-    # decimal tokens stay text, to be parsed once per distinct text
-    doc = _load_json(text)
-    if not isinstance(doc, dict):
-        raise GraphFormatError("graph file must hold a JSON object")
-    try:
-        ids, sizes, inertia, us, vs, costs = _columns(doc)
-        ratios = {x: _ratio(x) for x in _distinct(sizes, inertia, [costs])}
-    except (KeyError, TypeError, AttributeError, ValidationError):
-        _raise_first_fault(doc)
+    columns = _canonical_columns(text)
+    if columns is None:
+        # decimal tokens stay text, to be parsed once per distinct text
+        doc = _load_json(text)
+        if not isinstance(doc, dict):
+            raise GraphFormatError("graph file must hold a JSON object")
+        columns = _ratio_columns(doc)
+        if columns is None:
+            _raise_first_fault(doc)
+    ids, sizes, inertia, us, vs, costs, ratios = columns
     den = _common_denominator(ratios, GraphFormatError)
     return _assemble(ids, sizes, inertia, *_end_positions(ids, us, vs), costs, ratios, den)
 

@@ -1,10 +1,12 @@
 """Candidate generation: FOV-overlap quadrature, geometric and appearance
 gating (each against a brute-force reference), and pose-file ingestion."""
 
+import io
 import math
 import random
 import re
 import tracemalloc
+import urllib.request
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -1141,6 +1143,43 @@ def test_mutated_score_file_reads_as_the_line_loop_reads_it(score_path, data):
     score_path.write_text(text, encoding="utf-8")
     assert score_outcome(read_scores, score_path) == score_outcome(candidates._read_score_lines, score_path)
 
+
+
+def score_array(path):
+    """``read_scores(path)``, which must be a ``SCORE_DTYPE`` array, as a list."""
+    scores = read_scores(path)
+    assert isinstance(scores, np.ndarray) and scores.dtype == candidates.SCORE_DTYPE
+    return scores.tolist()
+
+
+@pytest.mark.parametrize("name", ["scores.gz", "scores.txt.bz2", "scores.xz"])
+def test_a_plain_score_file_with_a_compressed_suffix_reads_as_text(tmp_path, name):
+    # numpy's DataSource would decompress a path with this suffix, and fail
+    (tmp_path / "scores.txt").write_text(SCORE_TEXT)
+    (tmp_path / name).write_text(SCORE_TEXT)
+    assert score_array(tmp_path / name) == score_array(tmp_path / "scores.txt")
+
+
+def test_a_url_shaped_local_score_path_is_read_locally(tmp_path, monkeypatch):
+    # "http://localhost/scores.txt" names the local file http:/localhost/scores.txt
+    # when the working directory holds it; numpy's DataSource would fetch the URL
+    (tmp_path / "http:" / "localhost").mkdir(parents=True)
+    (tmp_path / "http:" / "localhost" / "scores.txt").write_text(SCORE_TEXT)
+    (tmp_path / "scores.txt").write_text(SCORE_TEXT)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(urllib.request, "urlopen", mock.Mock(side_effect=AssertionError("a URL was fetched")))
+    assert score_array("http://localhost/scores.txt") == score_array("scores.txt")
+
+
+def test_loadtxt_reads_only_a_plain_local_score_path_itself(tmp_path, monkeypatch):
+    sources, loadtxt = [], np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda source, **kwargs: sources.append(source) or loadtxt(source, **kwargs))
+    for name in ("scores.txt", "scores", "scores.gz"):
+        (tmp_path / name).write_text(SCORE_TEXT)
+        score_array(tmp_path / name)
+        score_array(str(tmp_path / name))
+    plain = [tmp_path / "scores.txt", str(tmp_path / "scores.txt"), tmp_path / "scores", str(tmp_path / "scores")]
+    assert sources[:4] == plain and [type(s) for s in sources[4:]] == [io.StringIO] * 2
 
 def appearance_sweep_points(scores, weights, params):
     """Each point's graph file text, pruned ids and warning texts."""

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import re
 import time
 import warnings
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scanplan as sp
+from scanplan import graph
 from scanplan.candidates import make_pose
 from scanplan.cli import SweepSpec
 from scanplan.graph import (
@@ -1076,3 +1078,218 @@ def test_positional_ids_refuse_an_end_out_of_range(u, v):
     )
     with pytest.raises(sp.IndexOutOfRange, match=message):
         sp.loads_graph(text)
+
+
+# -- the one-pass reader of dumps_graph's integer edge section -------------------
+
+
+def load_outcome(text: str, reader: bool = True):
+    """``loads_graph(text)`` as data: the graph's columns, the types of its
+    numbers and the warnings it issued, or the error's class and message.
+    With ``reader`` false, the edge-section reader declines every text."""
+    with pytest.MonkeyPatch.context() as mp:
+        if not reader:
+            mp.setattr(graph, "_canonical_edges", lambda text: None)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                g = sp.loads_graph(text)
+            except Exception as exc:  # every refusal, compared by class and message
+                return type(exc), str(exc)
+    numbers = {type(x) for x in (g.den, *chain_all(g.size_num), *chain_all(g.inertia_num), *g.cost_num)}
+    arrays = [(a.dtype, a.flags.writeable, a.tolist()) for a in (g.eu, g.ev)]
+    warned = [(str(w.message), w.filename) for w in caught]
+    return g.ids, g.den, g.size_num, g.inertia_num, g.cost_num, arrays, g.pruned, numbers, warned
+
+
+def chain_all(columns):
+    return [x for column in columns for x in column]
+
+
+def read_whole(text: str) -> bool:
+    """Whether ``loads_graph`` parses all of ``text`` as JSON, not only the
+    head before the edge section (and asserts that it gives the same
+    result either way)."""
+    assert load_outcome(text) == load_outcome(text, reader=False)
+    return graph._canonical_columns(text) is None
+
+
+# ids and values at the reader's 18-digit bound and past it
+LONG_INTS = [10**17, 10**18 - 1, 10**18, 2**63 - 1, 2**63, 10**19 - 1]
+READ_IDS = st.one_of(st.integers(0, 30), st.sampled_from(LONG_INTS))
+READ_SIZES = st.one_of(
+    st.integers(0, 10**6), st.sampled_from(LONG_INTS), st.sampled_from([Fraction(1, 3), Fraction(5, 4), "0.25"])
+)
+READ_COSTS = st.one_of(st.integers(0, 9), st.integers(0, 10**18 - 1), st.sampled_from(LONG_INTS))
+
+
+@st.composite
+def integer_cost_texts(draw) -> str:
+    """``dumps_graph`` of a ``from_vertices`` graph whose edge costs are
+    ints: ids with gaps or ``0..n-1``, a side that may be empty, edges
+    that may be none; now and then an isolated side-2 vertex added by
+    hand, which ``loads_graph`` prunes."""
+    if draw(st.booleans()):
+        ids = [draw(st.lists(READ_IDS, unique=True, max_size=4)) for _ in range(2)]
+    else:
+        ids = [list(range(draw(st.integers(0, 4)))) for _ in range(2)]
+    sides = [[(i, draw(READ_SIZES), draw(st.none() | READ_SIZES)) for i in side] for side in ids]
+    pairs = draw(st.lists(st.tuples(*map(st.sampled_from, ids)), unique=True, max_size=6)) if all(ids) else []
+    edges = [(u, v, draw(READ_COSTS)) for u, v in pairs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        text = sp.dumps_graph(sp.ExchangeGraph.from_vertices(*sides, edges))
+    if draw(st.booleans()):
+        entry = '    {"id": 77, "scan_size": 5}' + (",\n" if '"v2": [\n\n' not in text else "")
+        text = text.replace('"v2": [\n', '"v2": [\n' + entry, 1)
+    return text
+
+
+@settings(max_examples=120, deadline=None)
+@given(integer_cost_texts())
+def test_integer_cost_files_read_as_the_json_parser_reads_them(text):
+    edge_section = text[text.index('"edges"') :]
+    long_value = re.search(r"\d{19}", edge_section) is not None
+    assert read_whole(text) == long_value
+
+
+def test_pruning_warning_from_the_edge_reader_names_the_caller():
+    text = sp.dumps_graph(sp.build_graph([1, 1], [1], [(0, 0)]))
+    assert not read_whole(text)
+    text = text.replace('"v1": [\n', '"v1": [\n    {"id": 7, "scan_size": 1},\n', 1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sp.loads_graph(text)
+    assert [str(w.message) for w in caught] == ["pruned 1 isolated vertices (no candidate edges): 1:7"]
+    assert caught[0].filename == __file__
+
+
+MUTANT_CHARACTERS = '0123456789 -+.,:{}[]"\n\r\tuvcostde/\ufeff\u0661'
+
+
+def test_mutated_integer_cost_files_read_as_the_json_parser_reads_them():
+    # 19-digit values, a "p/q" scan size, ids with gaps, and the smallest file
+    texts = [
+        sp.dumps_graph(
+            sp.ExchangeGraph.from_vertices(
+                [(3, 10**18 - 1, None), (40, Fraction(1, 3), 2)],
+                [(0, 7, None), (10**18, 1, 5)],
+                [(3, 0, 0), (40, 0, 10**17), (3, 10**18, 12)],
+            )
+        ),
+        sp.dumps_graph(sp.build_graph([1, 2, 3], [4, 5], [(0, 0, 1), (1, 1, 20), (2, 0, 300), (2, 1, 0)])),
+        sp.dumps_graph(sp.build_graph([1], [1], [(0, 0)])),
+    ]
+    assert [read_whole(text) for text in texts] == [True, False, False]
+    rng = random.Random(32)
+    accepted = 0
+    for text in texts:
+        for _ in range(600):
+            at = rng.randrange(len(text) + 1)
+            edit = rng.choice(["insert", "delete", "replace"])
+            char = rng.choice(MUTANT_CHARACTERS)
+            mutant = text[:at] + (char if edit != "delete" else "") + text[at + (edit != "insert") :]
+            accepted += not read_whole(mutant)
+    # digit changes inside the slots and in the head read in one pass
+    assert accepted > 100
+
+
+CANONICAL_HEAD = (
+    '"v1": [\n    {"id": 0, "scan_size": 1}\n  ],\n  "v2": [\n    {"id": 0, "scan_size": 1},\n'
+    '    {"id": 1, "scan_size": 1}\n  ]'
+)
+
+
+def graph_file(edges: str, head: str = CANONICAL_HEAD) -> str:
+    """A graph file in ``dumps_graph``'s layout around the given head
+    members and edge lines."""
+    return "{\n  " + head + ',\n  "edges": [\n' + edges + "\n  ]\n}\n"
+
+
+CANONICAL_EDGES = '    {"u": 0, "v": 0, "cost": 1},\n    {"u": 0, "v": 1, "cost": 2}'
+NESTED_MARKER = (
+    '"v1": [\n    {"id": 0, "scan_size": 1, "note": {"a": 1,\n  "edges": [\n'
+    '    {"u": 0, "v": 0, "cost": 1}\n  ]\n}}\n  ],\n  "v2": [\n    {"id": 0, "scan_size": 1}\n  ]'
+)
+HEAD_WITH_EDGES = (
+    '"edges": [],\n  "v1": [\n    {"id": 0, "scan_size": 1}\n  ],\n  "v2": [\n    {"id": 0, "scan_size": 1},\n'
+    '    {"id": 1, "scan_size": 1}\n  ]'
+)
+# (text, whether loads_graph parses it whole)
+ADVERSARIAL_TEXTS = {
+    "canonical": (graph_file(CANONICAL_EDGES), False),
+    "empty edge list": (graph_file(""), False),
+    "18-digit cost": (graph_file('    {"u": 0, "v": 0, "cost": 999999999999999999}'), False),
+    "digit outside a slot": (graph_file(CANONICAL_EDGES.replace('"v": 1', '"v1": 1')), True),
+    "digit before a slot": (graph_file(CANONICAL_EDGES.replace('"cost": 2', '"cost":2 2')), True),
+    "digit at the section start": (graph_file("1" + CANONICAL_EDGES), True),
+    "leading zero": (graph_file(CANONICAL_EDGES.replace('"cost": 2', '"cost": 02')), True),
+    "zero alone": (graph_file(CANONICAL_EDGES.replace('"cost": 2', '"cost": 0')), False),
+    "19-digit end": (graph_file(CANONICAL_EDGES.replace('"u": 0, "v": 1', f'"u": {10**18}, "v": 1')), True),
+    "19-digit cost": (graph_file(CANONICAL_EDGES.replace('"cost": 2', '"cost": 9223372036854775808')), True),
+    "-1 cost": (graph_file(CANONICAL_EDGES.replace('"cost": 2', '"cost": -1')), True),
+    "p/q cost": (graph_file(CANONICAL_EDGES.replace('"cost": 2', '"cost": "1/3"')), True),
+    "decimal cost": (graph_file(CANONICAL_EDGES.replace('"cost": 2', '"cost": 2.0')), True),
+    "Arabic-Indic digit": (graph_file(CANONICAL_EDGES.replace('"cost": 2', '"cost": \u0662')), True),
+    "CRLF line ends": (graph_file(CANONICAL_EDGES).replace("\n", "\r\n"), True),
+    "reordered keys": (graph_file(CANONICAL_EDGES.replace('"u": 0, "v": 1', '"v": 1, "u": 0')), True),
+    "extra key": (graph_file(CANONICAL_EDGES.replace('"cost": 2}', '"cost": 2, "x": 3}')), True),
+    "no cost": (graph_file(CANONICAL_EDGES.replace(', "cost": 2}', "}")), True),
+    "duplicate edge": (graph_file(CANONICAL_EDGES.replace('"v": 1', '"v": 0')), False),
+    "missing vertex": (graph_file(CANONICAL_EDGES.replace('"v": 1', '"v": 5')), False),
+    "nested edges marker in v1": (graph_file(CANONICAL_EDGES, NESTED_MARKER), True),
+    "edges key in the head": (graph_file(CANONICAL_EDGES, HEAD_WITH_EDGES), True),
+    "head not an object": ("[" + graph_file(CANONICAL_EDGES)[1:], True),
+    "head with a fault": (graph_file(CANONICAL_EDGES).replace('"scan_size": 1}', '"scan_size": true}', 1), True),
+    "BOM": ("\ufeff" + graph_file(CANONICAL_EDGES), True),
+    "text after the tail": (graph_file(CANONICAL_EDGES) + " ", True),
+    "no trailing newline": (graph_file(CANONICAL_EDGES)[:-1], True),
+    "tail only": ('{\n  "v1": [],\n  "v2": [],\n  "edges": [\n  ]\n}\n', True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ADVERSARIAL_TEXTS))
+def test_adversarial_edge_sections_read_as_the_json_parser_reads_them(case):
+    text, whole = ADVERSARIAL_TEXTS[case]
+    assert read_whole(text) == whole
+
+
+def json_lengths(text: str) -> list[int]:
+    """The length of each text that ``loads_graph(text)`` hands the JSON parser."""
+    lengths, parse = [], graph._load_json
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_load_json", lambda part: lengths.append(len(part)) or parse(part))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sp.loads_graph(text)
+    return lengths
+
+
+def test_only_integer_cost_files_of_dumps_graph_skip_the_edge_parse():
+    rng = random.Random(5)
+    whole = [
+        sp.dumps_graph(random_graph(rng, rational_costs=True)),  # "p/q" costs
+        sp.dumps_graph(sp.build_graph([1, 1], [1], [(0, 0, "0.25"), (1, 0, 3)])),  # a decimal cost
+        json.dumps({"v1": [{"id": 0, "scan_size": 1}], "v2": [{"id": 0, "scan_size": 1}], "edges": [{"u": 0, "v": 0}]}),
+        json.dumps(json.loads(sp.dumps_graph(random_graph(rng))), indent=2) + "\n",
+    ]
+    for text in whole:
+        assert json_lengths(text) == [len(text)]
+    for g in (random_graph(rng), random_graph(rng, rational_weights=False), sp.build_graph([], [], [])):
+        text = sp.dumps_graph(g)
+        assert json_lengths(text) == [text.index(',\n  "edges": [\n') + len("\n}")]
+
+
+def test_boundary_objects_share_one_fraction_per_value():
+    rng = random.Random(9)
+    for _ in range(20):
+        g = random_graph(rng, rational_costs=rng.random() < 0.5)
+        assert g.edges == tuple(sp.Edge(u, v, Fraction(c, g.den)) for (u, v), c in zip(g.edge_key_list, g.cost_num))
+        assert all(type(e) is sp.Edge and type(e.cost) is Fraction for e in g.edges)
+        for vertices, vids, sizes, prices in zip((g.v1, g.v2), g.vids, g.size_num, g.inertia_num):
+            assert vertices == tuple(
+                sp.ScanVertex(vid, Fraction(x, g.den), None if p is None else Fraction(p, g.den))
+                for vid, x, p in zip(vids, sizes, prices)
+            )
+    g = sp.build_graph([1, 1], [1], [(0, 0, "1/3"), (1, 0, "1/3")], v1_inertia={0: 2})
+    assert g.edges[0].cost is g.edges[1].cost and g.v2[0].inertia is None
