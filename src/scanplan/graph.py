@@ -13,15 +13,14 @@ order; scan sizes, inertia prices and edge costs as integer numerators
 over one common denominator; and the edge endpoints as two int64 arrays of
 side positions. ``Fraction``, ``VertexId``, ``ScanVertex`` and ``Edge``
 objects exist only at the API boundary, built on first access and cached.
-A graph file is read column by column, and each distinct number in it is
-parsed once into a reduced integer ``(numerator, denominator)`` pair and
-scaled once to the common denominator. When the file's edge section is
-byte for byte what ``dumps_graph`` writes for integer edge costs of at
-most 18 digits, and ends of at most 18 digits, that section is read in
-one numpy pass and only the vertex lists go through the JSON parser. Any
-other file, such as one with ``"p/q"`` or decimal costs, another layout
-or a file written by hand, is parsed whole, to the same graph or the same
-error.
+A graph file that is byte for byte what ``dumps_graph`` writes, with at
+most 18 digits in each run of digits, is read in numpy passes over its
+three sections with no JSON parse: ints, decimals and ``"p/q"`` values
+alike. Any other file, such as one reindented or written by hand, or one
+with a longer number, is parsed as JSON and read column by column, each
+distinct number parsed once into a reduced integer ``(numerator,
+denominator)`` pair and scaled once to the common denominator; it gives
+the same graph or the same error.
 
 Graphs are immutable after construction and safe to share across threads.
 Each graph also remembers the solver's optimal covers (see ``solver.solve``).
@@ -37,7 +36,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
@@ -541,7 +540,7 @@ def _key_ratios(sizes, inertia, costs) -> tuple[dict, int]:
     """The ratios and the common denominator that :func:`_assemble` takes,
     for value columns of :func:`_key` returns."""
     ratios = {x: x if type(x) is tuple else (x, 1) for x in _distinct(sizes, inertia, [costs])}
-    return ratios, _common_denominator(ratios, ValidationError)
+    return ratios, _common_denominator((q for _, q in ratios.values()), ValidationError)
 
 
 def _index(value, what) -> int:
@@ -707,8 +706,9 @@ def effective_weight(g: ExchangeGraph, vid: VertexId, objective: Objective) -> F
 # File format: UTF-8 JSON with keys "v1"/"v2" (arrays of {"id", "scan_size",
 # optional "inertia"}) and "edges" (arrays of {"u", "v", optional "cost"}).
 # Numbers are decimal and parsed exactly into rationals. Values whose exact
-# form has no terminating decimal expansion are written as "p/q" strings and
-# accepted back in that form, so serialize/deserialize round-trips exactly.
+# form has no terminating decimal expansion, or whose decimal is past the
+# number bounds, are written as "p/q" strings and accepted back in that
+# form, so serialize/deserialize round-trips exactly.
 
 # Largest common denominator of a graph's values: ``loads_graph`` refuses a
 # file, with ``GraphFormatError``, and ``build_graph`` and ``from_vertices``
@@ -729,13 +729,12 @@ def effective_weight(g: ExchangeGraph, vid: VertexId, objective: Objective) -> F
 MAX_DENOMINATOR_DIGITS = 1000
 
 
-def _common_denominator(ratios: Mapping, error: type[Exception]) -> int:
-    """The LCM of the denominators of ``ratios``' reduced pairs, or ``error``
-    past the bound. A prefix's LCM divides the whole one, so the first
-    prefix past the bound decides, in any order, and no LCM grows far
-    beyond the bound."""
+def _common_denominator(denominators: Iterable[int], error: type[Exception]) -> int:
+    """The LCM of ``denominators``, or ``error`` past the bound. A prefix's
+    LCM divides the whole one, so the first prefix past the bound decides,
+    in any order, and no LCM grows far beyond the bound."""
     den, bound = 1, 10**MAX_DENOMINATOR_DIGITS
-    for q in {q for _, q in ratios.values()}:
+    for q in set(denominators):
         den = math.lcm(den, q)
         if den >= bound:
             raise error(f"the values' common denominator exceeds {MAX_DENOMINATOR_DIGITS} digits")
@@ -823,28 +822,71 @@ def format_rational(f: Fraction) -> str:
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 
-def _rational_texts(nums: Iterable[int], den: int) -> dict[int, str]:
+def _rational_texts(nums: Iterable[int], den: int, bounded: bool = False) -> dict[int, str]:
     """``format_rational(Fraction(num, den))`` for each distinct ``num``:
     one gcd per numerator, and one ``format_rational`` call per reduced
-    denominator that gives a ``p/q`` text."""
+    denominator that gives a ``p/q`` text.
+
+    With ``bounded``, every text is within the number bounds of
+    ``objectives.check_number_text``, as a file needs: a decimal past them
+    is written as the reduced ``p/q`` instead, and a value whose ``p/q``
+    is past them too is refused with ``ValidationError``. Digits are
+    counted from bit lengths before any number is printed, so no text
+    reaches the interpreter's int-to-str limit."""
     texts = {}
-    as_ratio: dict[int, bool] = {}  # reduced denominator -> whether the text is p/q
+    # reduced denominator -> (digits after the point, 10**digits // q) of a
+    # terminating decimal, or None
+    scales: dict[int, tuple[int, int] | None] = {}
     for num in set(nums):
         common = math.gcd(num, den)
-        q = den // common
-        ratio = as_ratio.get(q)
-        if ratio is None:
-            ratio = as_ratio[q] = "/" in format_rational(Fraction(1, q))
-        texts[num] = f"{num // common}/{q}" if ratio else format_rational(Fraction(num, den))
+        p, q = num // common, den // common
+        if q not in scales:
+            scales[q] = _decimal_scale(q) if not bounded or q.bit_length() <= _MAX_NUMBER_BITS else None
+        scale = scales[q]
+        if scale is not None and (not bounded or scale[0] < MAX_NUMBER_DIGITS and p * scale[1] < _NUMBER_LIMIT):
+            texts[num] = format_rational(Fraction(num, den))
+        else:
+            texts[num] = _bounded_ratio(p, q) if bounded else f"{p}/{q}"
     return texts
+
+
+# every int below _NUMBER_LIMIT has at most MAX_NUMBER_DIGITS digits; every
+# int of at most _MAX_NUMBER_BITS bits, one digit more at most
+_NUMBER_LIMIT = 10**MAX_NUMBER_DIGITS
+_MAX_NUMBER_BITS = _NUMBER_LIMIT.bit_length()
+
+
+def _decimal_scale(q: int) -> tuple[int, int] | None:
+    """``(d, 10**d // q)`` when ``1/q`` has a terminating decimal with ``d``
+    digits after the point, else None."""
+    one = format_rational(Fraction(1, q))
+    if "/" in one:
+        return None
+    digits = len(one) - 2 if "." in one else 0
+    return digits, 10**digits // q
+
+
+def _bounded_ratio(p: int, q: int) -> str:
+    """The text ``p/q`` when it has at most MAX_NUMBER_DIGITS digits, else
+    ``ValidationError``; neither number is printed before its bit length
+    shows that it is short enough."""
+    if p.bit_length() <= _MAX_NUMBER_BITS and q.bit_length() <= _MAX_NUMBER_BITS:
+        text = f"{p}/{q}"
+        if len(text) - 1 <= MAX_NUMBER_DIGITS:
+            return text
+    value = _shown(Fraction(p, q), str)
+    raise ValidationError(f"value {value} has no exact text of at most {MAX_NUMBER_DIGITS} digits")
 
 
 def dumps_graph(g: ExchangeGraph) -> str:
     """Serialize a graph to the exchange-graph file format: each number as
     an exact decimal, or a quoted ``p/q`` string when no terminating
-    decimal exists."""
+    decimal exists or the decimal has more than MAX_NUMBER_DIGITS digits.
+    A value whose ``p/q`` has more digits too is refused with
+    ``ValidationError``, so the file of every graph that ``build_graph``
+    or ``from_vertices`` accepts reads back."""
     priced = (price for price in chain(*g.inertia_num) if price is not None)
-    texts = _rational_texts(chain(*g.size_num, priced, g.cost_num), g.den)
+    texts = _rational_texts(chain(*g.size_num, priced, g.cost_num), g.den, bounded=True)
     number = {num: json.dumps(text) if "/" in text else text for num, text in texts.items()}.__getitem__
     lines = ["{"]
     for key, ids, sizes, prices in zip(("v1", "v2"), g.ids, g.size_num, g.inertia_num):
@@ -958,121 +1000,265 @@ def _ratio_columns(doc: dict) -> tuple | None:
     return ids, sizes, inertia, us, vs, costs, ratios
 
 
-# The edge section as dumps_graph writes it when every cost is an integer:
-# the marker after the head, the edge lines joined by ",\n", and the tail.
-_EDGES_MARK = ',\n  "edges": [\n'
-_EDGES_TAIL = "\n  ]\n}\n"
-_EDGE_LINE = '    {"u": , "v": , "cost": }'  # an edge line with its digits deleted
-_DELETE_DIGITS = str.maketrans("", "", "0123456789")
-# from the end of each of a line's three slots to the next colon: ', "v"',
-# ', "cost"', and '},\n    {"u"' on to the next line
-_SLOT_TAILS = tuple(map(len, (_EDGE_LINE + ",\n" + _EDGE_LINE).split(": ")[1:4]))
+# The layout dumps_graph writes: the four fixed texts of _LAYOUT around the
+# "v1", "v2" and "edges" sections. A section is its lines joined by ",\n",
+# or empty; each line is one of the templates below with a number after
+# each ": ", in its slot. A vertex line with a price has _PRICE before its
+# closing "}".
+_LAYOUT = ('{\n  "v1": [\n', '\n  ],\n  "v2": [\n', '\n  ],\n  "edges": [\n', "\n  ]\n}\n")
+_VERTEX_LINE = b'    {"id": , "scan_size": }'
+_PRICE = b', "inertia": '
+_EDGE_LINE = b'    {"u": , "v": , "cost": }'
+# the bytes from a slot's end to the next colon, by the last letter of the
+# key before that colon; "id" and "u" open a line
+_GAPS = {
+    "d": '},\n    {"id"', "e": ', "scan_size"', "a": ', "inertia"', "u": '},\n    {"u"', "v": ', "v"', "t": ', "cost"'
+}
+_GAP_SIZE = np.zeros(256, dtype=np.int64)
+_GAP_SIZE[list(map(ord, _GAPS))] = list(map(len, _GAPS.values()))
+# the bytes of a slot besides the quotes of a "p/q" value
+_SLOT_BYTES = b"0123456789./"
 # the most digits of which every number fits int64
 _MAX_SLOT_DIGITS = 18
 
 
-def _canonical_edges(text: str) -> tuple[int, np.ndarray, np.ndarray, np.ndarray] | None:
-    """Where the head of ``text`` ends, and the ``u``, ``v`` and ``cost``
-    columns as int64 arrays, when its edge section is in the layout that
-    :func:`dumps_graph` writes for integer costs; None for any other text.
-
-    The section is read only when it is that layout byte for byte. With
-    its digits deleted it must be ``_EDGE_LINE`` repeated, so it holds
-    three colons a line, and each slot runs from two bytes past a colon to
-    the template text before the next one. Every slot must hold 1 to 18
-    digits and nothing else, with no leading zero, and the slots must hold
-    every digit of the section. The JSON parser then reads the section as
-    exactly these ints. The first line is checked before any pass over the
-    whole section, so a file of ``"p/q"`` or decimal costs is declined at
-    once.
-    """
-    start = text.find(_EDGES_MARK)
-    lo, hi = start + len(_EDGES_MARK), len(text) - len(_EDGES_TAIL)
-    if start < 0 or lo > hi or not text.endswith(_EDGES_TAIL):
-        return None
-    # a line has at most 3 * 18 digits, so the prefix holds the first line whole
-    shape = text[lo : min(hi, lo + len(_EDGE_LINE) + 3 * _MAX_SLOT_DIGITS + 2)].translate(_DELETE_DIGITS)
-    if not ((_EDGE_LINE + ",\n") * 3).startswith(shape):
-        return None
-    section = text[lo:hi]
-    if not section.isascii():
-        return None
-    raw = section.encode("ascii")
-    bare, line = raw.translate(None, b"0123456789"), _EDGE_LINE.encode("ascii")
-    m = (len(bare) + 2) // (len(line) + 2)
-    if bare != (line + (b",\n" + line) * (m - 1) if m else b""):
-        return None
-    byte = np.frombuffer(raw, dtype=np.uint8)
-    colons = np.flatnonzero(byte == ord(":"))
-    starts = colons + 2
-    # the last slot ends at the closing "}", the section's last byte
-    ends = (np.append(colons, len(raw) - 1 + _SLOT_TAILS[2])[1:].reshape(m, 3) - _SLOT_TAILS).ravel()
-    size = ends - starts
-    if (
-        size.min(initial=1) < 1
-        or size.max(initial=1) > _MAX_SLOT_DIGITS
-        or size.sum() != len(raw) - len(bare)
-        or ((byte[starts] == ord("0")) & (size > 1)).any()
+def _sections(text: str) -> list[bytes] | None:
+    """The ``v1``, ``v2`` and ``edges`` sections of ``text`` as bytes, when
+    the text is ASCII and holds the fixed texts of ``_LAYOUT`` around
+    them; None for any other text. A text reindented from its first
+    vertex line on is declined before any pass over it."""
+    head, *marks, tail = _LAYOUT
+    if not (
+        text.isascii()
+        and text.startswith(head)
+        and text.endswith(tail)
+        and text.startswith(('    {"id": ', marks[0]), len(head))
     ):
         return None
-    # each slot's value, its digits added from the last one up
-    values = np.zeros(3 * m, dtype=np.int64)
+    sections, at = [], len(head)
+    for mark in marks:
+        k = text.find(mark, at)
+        if k < 0:
+            return None
+        sections.append(text[at:k].encode("ascii"))
+        at = k + len(mark)
+    if at > len(text) - len(tail):
+        return None
+    sections.append(text[at : len(text) - len(tail)].encode("ascii"))
+    return sections
+
+
+def _slots(raw: bytes) -> tuple | None:
+    """The slots of a section of ``dumps_graph``'s layout, or None when one
+    holds anything but a number; the caller checks the section with its
+    slots deleted against its templates.
+
+    A slot runs from two bytes past a colon to the text of ``_GAPS`` that
+    leads to the next colon. It holds an int, a decimal ``a.b`` or a
+    ``"p/q"`` string with ``q`` not zero; each run of digits has 1 to 18
+    ASCII digits, and neither an int nor ``a`` has a leading zero, as in
+    JSON. Every byte deleted from the section must lie in a slot.
+
+    Returns each slot's key, as the last letter of its name; whether it
+    holds an int; its value ``whole + num / den`` as int64 arrays, with
+    ``num / den`` reduced; and the section with its slots deleted. In a
+    section with no ``.`` or ``/`` every slot must hold an int, and
+    ``num`` and ``den`` are None: it needs no separator or gcd work."""
+    byte = np.frombuffer(raw, dtype=np.uint8)
+    starts = np.flatnonzero(byte == ord(":"))
+    if starts.min(initial=2) < 2:  # no room for a key before a colon
+        return None
+    key = byte[starts - 2]
+    starts += 2
+    # the last slot ends at the closing "}", the section's last byte
+    ends = np.append(starts[1:] - 2 - _GAP_SIZE[key[1:]], len(raw) - 1)[: len(starts)]
+    if (ends - starts).min(initial=1) < 1:
+        return None
+    quoted = byte[starts] == ord('"')
+    bare = _deleted(raw, np.concatenate((starts[quoted], ends[quoted] - 1)))
+    if len(raw) - len(bare) != (ends - starts).sum():
+        return None
+    if b"." not in raw and b"/" not in raw:
+        size = ends - starts
+        if quoted.any() or ((byte[starts] == ord("0")) & (size > 1)).any():
+            return None
+        whole = _digits(byte, ends, size)
+        return None if whole is None else (key, ~quoted, whole, None, None, bare)
+    sep = _separators(byte, starts, ends)
+    if sep is None:
+        return None
+    has = sep > 0
+    # a "p/q" is quoted and holds a "/", a decimal holds a "."
+    if ((quoted != (has & (byte[sep] == ord("/")))) | (quoted & (byte[ends - 1] != ord('"')))).any():
+        return None
+    # a slot's digits lie inside its quotes; its first run ends at its
+    # separator or its end, and a second runs from the separator to the end
+    # (the position arrays are reused in place: they are the largest ones)
+    ends -= quoted
+    second_size = (ends - sep - 1)[has]
+    np.copyto(sep, ends, where=~has)
+    if ((byte[starts] == ord("0")) & (sep - starts > 1)).any():
+        return None
+    starts += quoted
+    whole = _digits(byte, sep, sep - starts)
+    second = None if whole is None else _digits(byte, ends[has], second_size)
+    ratio = quoted[has]
+    if second is None or (second[ratio] == 0).any():
+        return None
+    # a decimal a.b is a + b / 10**len(b), and a "p/q" is 0 + p / q
+    num, den = np.zeros(len(starts), dtype=np.int64), np.ones(len(starts), dtype=np.int64)
+    num[has] = np.where(ratio, whole[has], second)
+    den[has] = np.where(ratio, second, 10**second_size)
+    whole[quoted] = 0
+    common = np.gcd(num, den)
+    return key, ~(quoted | has), whole, num // common, den // common, bare
+
+
+def _deleted(raw: bytes, quotes: np.ndarray) -> bytes:
+    """``raw`` with its digits, ``.`` and ``/`` deleted, and the bytes at
+    ``quotes``, the quotes of its ``"p/q"`` slots, too."""
+    if not len(quotes):
+        return raw.translate(None, _SLOT_BYTES)
+    marked = bytearray(raw)
+    np.frombuffer(marked, dtype=np.uint8)[quotes] = ord("0")
+    return bytes(marked.translate(None, _SLOT_BYTES))
+
+
+def _separators(byte: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """The position of each slot's ``.`` or ``/``, 0 where it has none; None
+    when a slot has two, or one lies in no slot."""
+    seps = np.flatnonzero((byte == ord(".")) | (byte == ord("/")))
+    slot = np.searchsorted(starts, seps, side="right") - 1
+    if slot.min() < 0 or (seps >= ends[slot]).any() or (np.diff(slot) == 0).any():
+        return None
+    sep = np.zeros(len(starts), dtype=np.int64)
+    sep[slot] = seps
+    return sep
+
+
+def _digits(byte: np.ndarray, end: np.ndarray, size: np.ndarray) -> np.ndarray | None:
+    """The value of each run of ``size`` bytes before ``end`` as int64, or
+    None unless every run holds 1 to 18 ASCII digits."""
+    if size.min(initial=1) < 1 or size.max(initial=1) > _MAX_SLOT_DIGITS:
+        return None
+    # the digits added from the last one up
+    value = np.zeros(len(end), dtype=np.int64)
     for k in range(int(size.max(initial=0))):
         longer = np.flatnonzero(size > k)
-        digit = byte[ends[longer] - 1 - k] - np.uint8(ord("0"))
+        digit = byte[end[longer] - (k + 1)] - np.uint8(ord("0"))
         if (digit > 9).any():
             return None
-        values[longer] += digit.astype(np.int64) * 10**k
-    return start, values[0::3], values[1::3], values[2::3]
+        value[longer] += digit.astype(np.int64) * 10**k
+    return value
 
 
-def _canonical_columns(text: str) -> tuple | None:
-    """:func:`_ratio_columns` of ``text`` for a text whose edge section
-    :func:`_canonical_edges` reads; only the head, whose keys must be
-    exactly ``v1`` and ``v2``, goes through the JSON parser. None for any
-    other text, and for one whose head does not parse or has a fault: the
-    whole text then names the fault as it does today."""
-    edges = _canonical_edges(text)
-    if edges is None:
+def _picked(value: tuple, where) -> tuple:
+    """The slots that ``where`` picks of a section's ``(whole, num, den)``."""
+    return tuple(None if column is None else column[where] for column in value)
+
+
+def _over(whole: np.ndarray, num: np.ndarray, dens: np.ndarray, den: int) -> list[int]:
+    """Each ``whole + num / dens`` as a numerator over ``den``, which every
+    one of ``dens`` divides: in int64 when every product fits, else in
+    Python ints."""
+    if den < 2**62:
+        step = den // dens
+        if (whole * float(den) + num * step.astype(float)).max(initial=0) < 2**62:
+            return (whole * den + num * step).tolist()
+    steps = {d: den // d for d in set(dens.tolist())}
+    return [w * den + n * steps[d] for w, n, d in zip(whole.tolist(), num.tolist(), dens.tolist())]
+
+
+def _dumped_graph(text: str) -> ExchangeGraph | None:
+    """The graph of ``text`` when it is byte for byte what
+    :func:`dumps_graph` writes for numbers whose runs of digits have at
+    most 18 digits, read in numpy passes with no JSON parse; None for any
+    other text, which the JSON path reads to the same graph or error.
+
+    Each section must equal its lines' templates once its slots (see
+    :func:`_slots`) are deleted, and every id and edge end must be an int.
+    The bound on the common denominator is checked before any value is
+    scaled to it, and the graph is built here, so that the pruning warning
+    names the caller of ``loads_graph``."""
+    sections = _sections(text)
+    if sections is None:
         return None
-    head_end, us, vs, costs = edges
-    try:
-        head = _load_json(text[:head_end] + "\n}")
-    except GraphFormatError:
+    read = []
+    for raw, line in zip(sections, (_VERTEX_LINE, _VERTEX_LINE, _EDGE_LINE)):
+        slots = _slots(raw)
+        if slots is None:
+            return None
+        *slots, bare = slots
+        if line is _VERTEX_LINE:
+            # a price sits only before a line's closing "}"
+            if bare.count(_PRICE) != bare.count(_PRICE + b"}"):
+                return None
+            bare = bare.replace(_PRICE, b"")
+        m = (len(bare) + 2) // (len(line) + 2)
+        if bare != (line + (b",\n" + line) * (m - 1) if m else b""):
+            return None
+        read.append(slots)
+    # per side the ids, and the scan sizes and prices as (whole, num, den);
+    # a slot's key is the last letter of "id", "scan_size" or "inertia"
+    ids, columns, priced = [], [], []
+    for key, plain, *value in read[:2]:
+        is_id = key == ord("d")
+        if not plain[is_id].all():
+            return None
+        ids.append(value[0][is_id].tolist())
+        price = key == ord("a")
+        columns += [_picked(value, key == ord("e")), _picked(value, price)]
+        priced.append((np.cumsum(is_id) - 1)[price].tolist())
+    _, plain, *value = read[2]
+    if not (plain[0::3] & plain[1::3]).all():
         return None
-    columns = _ratio_columns(head) if type(head) is dict and head.keys() == {"v1", "v2"} else None
-    if columns is None:
-        return None
-    ids, sizes, inertia, _, _, _, ratios = columns
-    costs = costs.tolist()
-    ratios.update((c, (c, 1)) for c in set(costs))
-    return ids, sizes, inertia, us, vs, costs, ratios
+    us, vs = value[0][0::3], value[0][1::3]
+    columns.append(_picked(value, slice(2, None, 3)))
+    if all(num is None for _, num, _ in columns):
+        den, nums = 1, [whole.tolist() for whole, _, _ in columns]
+    else:
+        whole = np.concatenate([w for w, _, _ in columns])
+        num = np.concatenate([np.zeros_like(w) if n is None else n for w, n, _ in columns])
+        dens = np.concatenate([np.ones_like(w) if d is None else d for w, _, d in columns])
+        den = _common_denominator(np.unique(dens).tolist(), GraphFormatError)
+        flat = iter(_over(whole, num, dens, den))
+        nums = [list(islice(flat, len(w))) for w, _, _ in columns]
+    inertia = []
+    for side_ids, at, prices in zip(ids, priced, nums[1::2]):
+        column = [None] * len(side_ids)
+        for k, price in zip(at, prices):
+            column[k] = price
+        inertia.append(column)
+    return ExchangeGraph(ids, den, nums[0:4:2], inertia, *_end_positions(ids, us, vs), nums[4])
 
 
 def loads_graph(text: str) -> ExchangeGraph:
     """Parse the exchange-graph file format; numbers become exact rationals.
 
-    Each field is read as one column, and each distinct number text is
-    parsed once into a reduced integer pair (see :func:`_ratio`): no
-    Fraction is built for an int or a plain ``"p/q"`` value. A file whose
-    edge section is in the layout :func:`dumps_graph` writes for integer
-    costs has that section read in one numpy pass (see
-    :func:`_canonical_edges`) and only its head parsed as JSON. The bound
-    on the common denominator is checked before any value is scaled to
-    it. A file with a fault is walked again entry by entry, to name its
-    first.
+    A file that is byte for byte what :func:`dumps_graph` writes, with at
+    most 18 digits in each run of digits, is read in numpy passes over its
+    three sections with no JSON parse (see :func:`_dumped_graph`). Any
+    other file, such as one reindented or written by hand, or one with a
+    longer number, is parsed as JSON, to the same graph or the same error:
+    each field is read as one column, and each distinct number text is
+    parsed once into a reduced integer pair (see :func:`_ratio`), with no
+    Fraction built for an int or a plain ``"p/q"`` value. On either path
+    the bound on the common denominator is checked before any value is
+    scaled to it. A file with a fault is walked again entry by entry, to
+    name its first.
     """
-    columns = _canonical_columns(text)
+    g = _dumped_graph(text)
+    if g is not None:
+        return g
+    # decimal tokens stay text, to be parsed once per distinct text
+    doc = _load_json(text)
+    if not isinstance(doc, dict):
+        raise GraphFormatError("graph file must hold a JSON object")
+    columns = _ratio_columns(doc)
     if columns is None:
-        # decimal tokens stay text, to be parsed once per distinct text
-        doc = _load_json(text)
-        if not isinstance(doc, dict):
-            raise GraphFormatError("graph file must hold a JSON object")
-        columns = _ratio_columns(doc)
-        if columns is None:
-            _raise_first_fault(doc)
+        _raise_first_fault(doc)
     ids, sizes, inertia, us, vs, costs, ratios = columns
-    den = _common_denominator(ratios, GraphFormatError)
+    den = _common_denominator((q for _, q in ratios.values()), GraphFormatError)
     return _assemble(ids, sizes, inertia, *_end_positions(ids, us, vs), costs, ratios, den)
 
 

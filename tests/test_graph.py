@@ -730,6 +730,26 @@ def test_vertex_id_of_500_digits_round_trips():
     assert str(g.vids[0][0]) == f"1:{top}"
 
 
+def test_dumps_graph_writes_only_what_loads_graph_reads_back():
+    # the plain decimal within the number bounds, else the reduced "p/q"
+    for value, text in (
+        (Fraction(1, 2**499), format_rational(Fraction(1, 2**499))),  # 500 digits
+        (Fraction(1, 2**500), f'"1/{2**500}"'),
+        (5e-324, f'"1/{2**1074}"'),
+        (10**500 - 1, str(10**500 - 1)),
+        (Fraction(10**400, 3**80), f'"{10**400}/{3**80}"'),
+    ):
+        g = build_quiet([value], [1], [(0, 0)])
+        dumped = sp.dumps_graph(g)
+        assert f'"scan_size": {text}}}' in dumped
+        assert sp.loads_graph(dumped).v1 == g.v1 and sp.dumps_graph(sp.loads_graph(dumped)) == dumped
+    # else a refusal; 10**5000 is past the int-to-str limit, which raised a bare ValueError
+    for value in (10**500, 10**600, Fraction(10**5000, 3), Fraction(10**400, 3**220)):
+        with pytest.raises(sp.ValidationError, match="has no exact text of at most 500 digits$") as caught:
+            sp.dumps_graph(build_quiet([value], [1], [(0, 0)]))
+        assert type(caught.value) is sp.ValidationError and len(str(caught.value)) < 300
+
+
 # -- graph-file ingest against a Fraction-per-value oracle ----------------------
 
 _ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
@@ -1080,16 +1100,16 @@ def test_positional_ids_refuse_an_end_out_of_range(u, v):
         sp.loads_graph(text)
 
 
-# -- the one-pass reader of dumps_graph's integer edge section -------------------
+# -- the numpy reader of every file dumps_graph writes -----------------------------
 
 
 def load_outcome(text: str, reader: bool = True):
     """``loads_graph(text)`` as data: the graph's columns, the types of its
     numbers and the warnings it issued, or the error's class and message.
-    With ``reader`` false, the edge-section reader declines every text."""
+    With ``reader`` false, the numpy reader declines every text."""
     with pytest.MonkeyPatch.context() as mp:
         if not reader:
-            mp.setattr(graph, "_canonical_edges", lambda text: None)
+            mp.setattr(graph, "_dumped_graph", lambda text: None)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
@@ -1107,28 +1127,43 @@ def chain_all(columns):
 
 
 def read_whole(text: str) -> bool:
-    """Whether ``loads_graph`` parses all of ``text`` as JSON, not only the
-    head before the edge section (and asserts that it gives the same
-    result either way)."""
+    """Whether ``loads_graph`` parses ``text`` as JSON rather than in numpy
+    passes (and asserts that it gives the same result either way)."""
     assert load_outcome(text) == load_outcome(text, reader=False)
-    return graph._canonical_columns(text) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return graph._dumped_graph(text) is None
+        except sp.ScanPlanError:  # read, and refused
+            return False
 
 
 # ids and values at the reader's 18-digit bound and past it
 LONG_INTS = [10**17, 10**18 - 1, 10**18, 2**63 - 1, 2**63, 10**19 - 1]
 READ_IDS = st.one_of(st.integers(0, 30), st.sampled_from(LONG_INTS))
-READ_SIZES = st.one_of(
-    st.integers(0, 10**6), st.sampled_from(LONG_INTS), st.sampled_from([Fraction(1, 3), Fraction(5, 4), "0.25"])
+# terminating decimals, up to 18 digits on each side of the point and past it
+READ_DECIMALS = st.builds(
+    Fraction, st.integers(0, 10**37), st.sampled_from([2, 4, 5, 8, 10, 2**20, 10**18, 10**19, 5**30])
 )
-READ_COSTS = st.one_of(st.integers(0, 9), st.integers(0, 10**18 - 1), st.sampled_from(LONG_INTS))
+# "p/q" values: small, with 18-digit sides, and with coprime 18-digit
+# denominators whose common denominator is past int64
+READ_RATIOS = st.one_of(
+    st.builds(Fraction, st.integers(0, 99), st.sampled_from([3, 7, 9, 11, 13])),
+    st.builds(Fraction, st.integers(0, 10**18 - 1), st.integers(1, 10**18 - 1)),
+    st.sampled_from([Fraction(1, 10**17 + 3), Fraction(10**18 - 1, 10**17 + 19), Fraction(5, 10**18 + 9)]),
+)
+READ_SIZES = st.one_of(st.integers(0, 10**6), st.sampled_from(LONG_INTS), READ_DECIMALS, READ_RATIOS)
+READ_COSTS = st.one_of(
+    st.integers(0, 9), st.integers(0, 10**18 - 1), st.sampled_from(LONG_INTS), READ_DECIMALS, READ_RATIOS
+)
 
 
 @st.composite
-def integer_cost_texts(draw) -> str:
-    """``dumps_graph`` of a ``from_vertices`` graph whose edge costs are
-    ints: ids with gaps or ``0..n-1``, a side that may be empty, edges
-    that may be none; now and then an isolated side-2 vertex added by
-    hand, which ``loads_graph`` prunes."""
+def dumped_texts(draw) -> str:
+    """``dumps_graph`` of a ``from_vertices`` graph: ids with gaps or
+    ``0..n-1``, sizes, prices and costs as ints, decimals or ``"p/q"``, a
+    side that may be empty, edges that may be none; now and then an
+    isolated side-2 vertex added by hand, which ``loads_graph`` prunes."""
     if draw(st.booleans()):
         ids = [draw(st.lists(READ_IDS, unique=True, max_size=4)) for _ in range(2)]
     else:
@@ -1140,35 +1175,40 @@ def integer_cost_texts(draw) -> str:
         warnings.simplefilter("ignore")
         text = sp.dumps_graph(sp.ExchangeGraph.from_vertices(*sides, edges))
     if draw(st.booleans()):
-        entry = '    {"id": 77, "scan_size": 5}' + (",\n" if '"v2": [\n\n' not in text else "")
+        entry = '    {"id": 77, "scan_size": "5/3"}' + (",\n" if '"v2": [\n\n' not in text else "")
         text = text.replace('"v2": [\n', '"v2": [\n' + entry, 1)
     return text
 
 
-@settings(max_examples=120, deadline=None)
-@given(integer_cost_texts())
-def test_integer_cost_files_read_as_the_json_parser_reads_them(text):
-    edge_section = text[text.index('"edges"') :]
-    long_value = re.search(r"\d{19}", edge_section) is not None
-    assert read_whole(text) == long_value
+@settings(max_examples=150, deadline=None)
+@given(dumped_texts())
+def test_dumped_files_read_as_the_json_parser_reads_them(text):
+    assert read_whole(text) == (re.search(r"\d{19}", text) is not None)
 
 
 def test_pruning_warning_from_the_edge_reader_names_the_caller():
-    text = sp.dumps_graph(sp.build_graph([1, 1], [1], [(0, 0)]))
-    assert not read_whole(text)
-    text = text.replace('"v1": [\n', '"v1": [\n    {"id": 7, "scan_size": 1},\n', 1)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        sp.loads_graph(text)
-    assert [str(w.message) for w in caught] == ["pruned 1 isolated vertices (no candidate edges): 1:7"]
-    assert caught[0].filename == __file__
+    integer = sp.dumps_graph(sp.build_graph([1, 1], [1], [(0, 0)]))
+    rational = sp.dumps_graph(sp.build_graph(["1/3", "0.5"], [1], [(0, 0, "2/7"), (1, 0, 3)], v1_inertia={0: "5/9"}))
+    for text, vertex in (
+        (integer, '    {"id": 7, "scan_size": 1},\n'),
+        (rational, '    {"id": 7, "scan_size": "1/3", "inertia": 2.5},\n'),
+    ):
+        assert not read_whole(text)
+        text = text.replace('"v1": [\n', '"v1": [\n' + vertex, 1)
+        assert not read_whole(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sp.loads_graph(text)
+        assert [str(w.message) for w in caught] == ["pruned 1 isolated vertices (no candidate edges): 1:7"]
+        assert caught[0].filename == __file__
 
 
-MUTANT_CHARACTERS = '0123456789 -+.,:{}[]"\n\r\tuvcostde/\ufeff\u0661'
+MUTANT_CHARACTERS = '0123456789 -+.,:{}[]"\n\r\tuvcostdeina/\ufeff\u0661'
 
 
-def test_mutated_integer_cost_files_read_as_the_json_parser_reads_them():
-    # 19-digit values, a "p/q" scan size, ids with gaps, and the smallest file
+def test_mutated_dumped_files_read_as_the_json_parser_reads_them():
+    # 19-digit values, a "p/q" scan size, ids with gaps, the smallest file,
+    # and "p/q" and decimal values with inertia prices
     texts = [
         sp.dumps_graph(
             sp.ExchangeGraph.from_vertices(
@@ -1179,8 +1219,15 @@ def test_mutated_integer_cost_files_read_as_the_json_parser_reads_them():
         ),
         sp.dumps_graph(sp.build_graph([1, 2, 3], [4, 5], [(0, 0, 1), (1, 1, 20), (2, 0, 300), (2, 1, 0)])),
         sp.dumps_graph(sp.build_graph([1], [1], [(0, 0)])),
+        sp.dumps_graph(
+            sp.ExchangeGraph.from_vertices(
+                [(0, "7/3", "1.25"), (5, "10.5", None)],
+                [(2, 4, "2/9"), (3, "0.125", None)],
+                [(0, 2, "1/3"), (5, 2, "0.5"), (5, 3, 2)],
+            )
+        ),
     ]
-    assert [read_whole(text) for text in texts] == [True, False, False]
+    assert [read_whole(text) for text in texts] == [True, False, False, False]
     rng = random.Random(32)
     accepted = 0
     for text in texts:
@@ -1190,8 +1237,9 @@ def test_mutated_integer_cost_files_read_as_the_json_parser_reads_them():
             char = rng.choice(MUTANT_CHARACTERS)
             mutant = text[:at] + (char if edit != "delete" else "") + text[at + (edit != "insert") :]
             accepted += not read_whole(mutant)
-    # digit changes inside the slots and in the head read in one pass
-    assert accepted > 100
+    # digit changes inside the slots read in numpy passes; any other change
+    # to a head declines the whole text
+    assert accepted > 30
 
 
 CANONICAL_HEAD = (
@@ -1204,6 +1252,11 @@ def graph_file(edges: str, head: str = CANONICAL_HEAD) -> str:
     """A graph file in ``dumps_graph``'s layout around the given head
     members and edge lines."""
     return "{\n  " + head + ',\n  "edges": [\n' + edges + "\n  ]\n}\n"
+
+
+def with_cost(cost: str) -> str:
+    """The canonical file with its second edge's cost slot holding ``cost``."""
+    return graph_file(CANONICAL_EDGES.replace('"cost": 2', f'"cost": {cost}'))
 
 
 CANONICAL_EDGES = '    {"u": 0, "v": 0, "cost": 1},\n    {"u": 0, "v": 1, "cost": 2}'
@@ -1223,14 +1276,14 @@ ADVERSARIAL_TEXTS = {
     "digit outside a slot": (graph_file(CANONICAL_EDGES.replace('"v": 1', '"v1": 1')), True),
     "digit before a slot": (graph_file(CANONICAL_EDGES.replace('"cost": 2', '"cost":2 2')), True),
     "digit at the section start": (graph_file("1" + CANONICAL_EDGES), True),
-    "leading zero": (graph_file(CANONICAL_EDGES.replace('"cost": 2', '"cost": 02')), True),
-    "zero alone": (graph_file(CANONICAL_EDGES.replace('"cost": 2', '"cost": 0')), False),
+    "leading zero": (with_cost("02"), True),
+    "zero alone": (with_cost("0"), False),
     "19-digit end": (graph_file(CANONICAL_EDGES.replace('"u": 0, "v": 1', f'"u": {10**18}, "v": 1')), True),
-    "19-digit cost": (graph_file(CANONICAL_EDGES.replace('"cost": 2', '"cost": 9223372036854775808')), True),
-    "-1 cost": (graph_file(CANONICAL_EDGES.replace('"cost": 2', '"cost": -1')), True),
-    "p/q cost": (graph_file(CANONICAL_EDGES.replace('"cost": 2', '"cost": "1/3"')), True),
-    "decimal cost": (graph_file(CANONICAL_EDGES.replace('"cost": 2', '"cost": 2.0')), True),
-    "Arabic-Indic digit": (graph_file(CANONICAL_EDGES.replace('"cost": 2', '"cost": \u0662')), True),
+    "19-digit cost": (with_cost("9223372036854775808"), True),
+    "-1 cost": (with_cost("-1"), True),
+    "p/q cost": (with_cost('"1/3"'), False),
+    "decimal cost": (with_cost("2.0"), False),
+    "Arabic-Indic digit": (with_cost("\u0662"), True),
     "CRLF line ends": (graph_file(CANONICAL_EDGES).replace("\n", "\r\n"), True),
     "reordered keys": (graph_file(CANONICAL_EDGES.replace('"u": 0, "v": 1', '"v": 1, "u": 0')), True),
     "extra key": (graph_file(CANONICAL_EDGES.replace('"cost": 2}', '"cost": 2, "x": 3}')), True),
@@ -1245,6 +1298,44 @@ ADVERSARIAL_TEXTS = {
     "text after the tail": (graph_file(CANONICAL_EDGES) + " ", True),
     "no trailing newline": (graph_file(CANONICAL_EDGES)[:-1], True),
     "tail only": ('{\n  "v1": [],\n  "v2": [],\n  "edges": [\n  ]\n}\n', True),
+    # "p/q" and decimal slots, read or declined
+    "p/q with leading zeros": (with_cost('"007/3"'), False),
+    "zero denominator": (with_cost('"1/0"'), True),
+    "p/q without p": (with_cost('"/3"'), True),
+    "two slashes": (with_cost('"1//3"'), True),
+    "unterminated p/q": (with_cost('"1/3'), True),
+    "decimal without a": (with_cost(".5"), True),
+    "decimal without b": (with_cost("5."), True),
+    "decimal with a trailing zero": (with_cost("1.50"), False),
+    "decimal with a leading zero": (with_cost("01.5"), True),
+    "negative p/q": (with_cost('"-1/3"'), True),
+    "quoted int": (with_cost('"2"'), True),
+    "quoted decimal": (with_cost('"2.5"'), True),
+    "unquoted p/q": (with_cost("1/3"), True),
+    "decimal with two points": (with_cost("1.2.5"), True),
+    "decimal with an exponent": (with_cost("2.5e1"), True),
+    "19-digit p": (with_cost(f'"{10**18}/7"'), True),
+    "19-digit q": (with_cost(f'"1/{10**18 + 1}"'), True),
+    "19-digit decimal side": (with_cost(f"1.{10**18}"), True),
+    "p/q in an id slot": (graph_file(CANONICAL_EDGES).replace('"id": 1,', '"id": "1/3",'), True),
+    "decimal in an end slot": (graph_file(CANONICAL_EDGES.replace('"v": 1', '"v": 1.0')), True),
+    "p/q scan size and price": (
+        graph_file(CANONICAL_EDGES).replace('"scan_size": 1}', '"scan_size": "4/6", "inertia": 0.25}', 1),
+        False,
+    ),
+    "inertia before scan_size": (
+        graph_file(CANONICAL_EDGES).replace('"id": 1, "scan_size": 1}', '"id": 1, "inertia": 2, "scan_size": 1}'),
+        True,
+    ),
+    "two prices": (
+        graph_file(CANONICAL_EDGES).replace('"scan_size": 1}', '"scan_size": 1, "inertia": 2, "inertia": 3}', 1),
+        True,
+    ),
+    "inertia on an edge line": (graph_file(CANONICAL_EDGES.replace('"cost": 2}', '"cost": 2, "inertia": 3}')), True),
+    "empty side": (
+        '{\n  "v1": [\n\n  ],\n  "v2": [\n    {"id": 0, "scan_size": "1/3"}\n  ],\n  "edges": [\n\n  ]\n}\n',
+        False,
+    ),
 }
 
 
@@ -1252,6 +1343,33 @@ ADVERSARIAL_TEXTS = {
 def test_adversarial_edge_sections_read_as_the_json_parser_reads_them(case):
     text, whole = ADVERSARIAL_TEXTS[case]
     assert read_whole(text) == whole
+
+
+def _reciprocal_costs(denominators) -> str:
+    """A file in dumps_graph's layout: one side-1 vertex joined to one
+    side-2 vertex per denominator q by an edge of cost ``"1/q"``."""
+    v2 = ",\n".join(f'    {{"id": {k}, "scan_size": 1}}' for k in range(len(denominators)))
+    edges = ",\n".join(f'    {{"u": 0, "v": {k}, "cost": "1/{q}"}}' for k, q in enumerate(denominators))
+    return graph_file(edges, '"v1": [\n    {"id": 0, "scan_size": 1}\n  ],\n  "v2": [\n' + v2 + "\n  ]")
+
+
+def test_numpy_reader_refuses_a_common_denominator_past_the_bound_as_the_json_path_does():
+    # 100 costs 1/(10**17 + k): their common denominator has over 1000 digits
+    text = _reciprocal_costs([10**17 + k for k in range(100)])
+    assert not read_whole(text)
+    assert load_outcome(text) == (sp.GraphFormatError, "the values' common denominator exceeds 1000 digits")
+
+
+def test_numpy_reader_scales_past_int64_as_the_json_path_does():
+    # coprime 18-digit denominators: every scaled numerator is past int64
+    text = _reciprocal_costs([10**17 + 3, 10**17 + 19, 999999999999999989])
+    assert not read_whole(text)
+    g = sp.loads_graph(text)
+    assert g.den > 2**63 and min(g.cost_num) > 2**63
+    # an 18-digit whole part over 10**18: a + b / 10**18 is past int64 too
+    text = with_cost("999999999999999999.999999999999999999")
+    assert not read_whole(text)
+    assert sp.loads_graph(text).edges[1].cost == Fraction(10**36 - 1, 10**18)
 
 
 def json_lengths(text: str) -> list[int]:
@@ -1265,19 +1383,25 @@ def json_lengths(text: str) -> list[int]:
     return lengths
 
 
-def test_only_integer_cost_files_of_dumps_graph_skip_the_edge_parse():
+def test_dumped_files_skip_the_json_parse():
     rng = random.Random(5)
+    dumped = [
+        random_graph(rng, rational_costs=True),  # "p/q" costs
+        sp.build_graph([1, 1], [1], [(0, 0, "0.25"), (1, 0, 3)], v1_inertia={1: "1/3"}),  # a decimal cost, a price
+        random_graph(rng),
+        random_graph(rng, rational_weights=False),
+        sp.build_graph([], [], []),
+    ]
+    for g in dumped:
+        assert json_lengths(sp.dumps_graph(g)) == []
+    # reindented, hand-written, and with a 19-digit run
     whole = [
-        sp.dumps_graph(random_graph(rng, rational_costs=True)),  # "p/q" costs
-        sp.dumps_graph(sp.build_graph([1, 1], [1], [(0, 0, "0.25"), (1, 0, 3)])),  # a decimal cost
+        json.dumps(json.loads(sp.dumps_graph(random_graph(rng, rational_costs=True))), indent=2) + "\n",
         json.dumps({"v1": [{"id": 0, "scan_size": 1}], "v2": [{"id": 0, "scan_size": 1}], "edges": [{"u": 0, "v": 0}]}),
-        json.dumps(json.loads(sp.dumps_graph(random_graph(rng))), indent=2) + "\n",
+        sp.dumps_graph(sp.build_graph([1], [1], [(0, 0, Fraction(1, 10**18 + 1))])),
     ]
     for text in whole:
         assert json_lengths(text) == [len(text)]
-    for g in (random_graph(rng), random_graph(rng, rational_weights=False), sp.build_graph([], [], [])):
-        text = sp.dumps_graph(g)
-        assert json_lengths(text) == [text.index(',\n  "edges": [\n') + len("\n}")]
 
 
 def test_boundary_objects_share_one_fraction_per_value():
