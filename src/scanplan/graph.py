@@ -17,10 +17,10 @@ A graph file that is byte for byte what ``dumps_graph`` writes, with at
 most 18 digits in each run of digits, is read in numpy passes over its
 three sections with no JSON parse: ints, decimals and ``"p/q"`` values
 alike. Any other file, such as one reindented or written by hand, or one
-with a longer number, is parsed as JSON and read column by column, each
-distinct number parsed once into a reduced integer ``(numerator,
-denominator)`` pair and scaled once to the common denominator; it gives
-the same graph or the same error.
+with a longer number, is parsed as JSON and read entry by entry in file
+order, each distinct number parsed once into a reduced integer
+``(numerator, denominator)`` pair and scaled once to the common
+denominator; it gives the same graph or the same error.
 
 Graphs are immutable after construction and safe to share across threads.
 Each graph also remembers the solver's optimal covers (see ``solver.solve``).
@@ -32,14 +32,14 @@ import contextlib
 import json
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, compress, islice, repeat
-from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from .errors import (
     DuplicateEdge,
     GraphFormatError,
     IndexOutOfRange,
-    InvariantViolation,
     NegativeWeight,
     UnknownVertex,
     ValidationError,
@@ -489,18 +488,11 @@ def _iterated(value, what: str) -> Iterator:
 
 
 def _ratio(value) -> tuple[int, int]:
-    """A number as its reduced ``(numerator, denominator)`` pair. A ``"p/q"``
-    text of at most MAX_NUMBER_DIGITS characters with ASCII digits on both
-    sides is read with two ``int`` calls and a ``gcd``; anything else but
-    an int goes through ``as_fraction``, which decides what is a number."""
+    """A number as its reduced ``(numerator, denominator)`` pair: an int as
+    itself over 1, anything else as ``as_fraction``, which decides what is
+    a number, reads it."""
     if type(value) is int:
         return value, 1
-    if type(value) is str and len(value) <= MAX_NUMBER_DIGITS and value.isascii():
-        p, slash, q = value.partition("/")
-        if slash and p.isdigit() and q.isdigit() and (q := int(q)):
-            p = int(p)
-            g = math.gcd(p, q)
-            return p // g, q // g
     exact = as_fraction(value)
     return exact.numerator, exact.denominator
 
@@ -509,13 +501,6 @@ def _key(value) -> int | tuple[int, int]:
     """A number given to the API as an int, or else as its reduced pair:
     a key of :func:`_assemble`'s ratios that no int or text equals."""
     return value if type(value) is int else _ratio(value)
-
-
-def _distinct(*columns) -> set:
-    """The distinct values of the given value columns, None left out."""
-    values = set(chain.from_iterable(chain.from_iterable(columns)))
-    values.discard(None)
-    return values
 
 
 def _assemble(ids, sizes, inertia, eu, ev, costs, ratios: Mapping, den: int, prune: bool = True) -> ExchangeGraph:
@@ -539,7 +524,7 @@ def _assemble(ids, sizes, inertia, eu, ev, costs, ratios: Mapping, den: int, pru
 def _key_ratios(sizes, inertia, costs) -> tuple[dict, int]:
     """The ratios and the common denominator that :func:`_assemble` takes,
     for value columns of :func:`_key` returns."""
-    ratios = {x: x if type(x) is tuple else (x, 1) for x in _distinct(sizes, inertia, [costs])}
+    ratios = {x: x if type(x) is tuple else (x, 1) for x in set(chain(*sizes, *inertia, costs)) - {None}}
     return ratios, _common_denominator((q for _, q in ratios.values()), ValidationError)
 
 
@@ -741,9 +726,6 @@ def _common_denominator(denominators: Iterable[int], error: type[Exception]) -> 
     return den
 
 
-_DIGITS_AS_ZERO = str.maketrans("123456789", "000000000")
-
-
 @contextlib.contextmanager
 def open_text(path):
     """Open a UTF-8 text file for reading. Bytes that do not decode raise
@@ -755,71 +737,60 @@ def open_text(path):
             raise GraphFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def _check_number(token: str) -> str:
-    """A number token if it is within the number bounds, else ``GraphFormatError``."""
-    return check_number_text(token, GraphFormatError)
-
-
-def _may_hold_long_int(text: str) -> bool:
-    """False only when no run of digits in ``text`` is longer than
-    MAX_NUMBER_DIGITS. Such a run covers two consecutive multiples of half
-    that length with only digits between them, so only those windows are
-    read. Integer tokens then need a checking hook, a Python call per
-    integer where the stdlib scanner has a fast path."""
-    step = MAX_NUMBER_DIGITS // 2
-    marks = text[::step].translate(_DIGITS_AS_ZERO)
-    k = marks.find("00")
-    while k >= 0:
-        if text[k * step : (k + 1) * step + 1].isdigit():
-            return True
-        k = marks.find("00", k + 1)
-    return False
-
-
 def _load_json(text: str):
     """Parse a graph or policy document, keeping each decimal token as its
-    text. Malformed JSON, nesting deeper than the interpreter's recursion
-    limit, and number tokens beyond the format's bounds all raise
+    text; every number token is checked against the format's bounds before
+    it is read. Malformed JSON, nesting deeper than the interpreter's
+    recursion limit, and number tokens beyond the bounds all raise
     ``GraphFormatError``."""
+    check = partial(check_number_text, error=GraphFormatError)
     try:
-        return json.loads(
-            text,
-            parse_float=_check_number,
-            parse_int=(lambda token: int(_check_number(token))) if _may_hold_long_int(text) else int,
-        )
+        return json.loads(text, parse_float=check, parse_int=lambda token: int(check(token)))
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise GraphFormatError("JSON nested too deeply") from None
 
 
+def _unprintable() -> ValidationError:
+    """The refusal of a text with a number past the interpreter's int-to-str
+    digit limit, which ``str`` refuses with a bare ``ValueError``."""
+    limit = sys.get_int_max_str_digits()
+    return ValidationError(f"value too long to print: a number in it has more than {limit} digits")
+
+
 def format_rational(f: Fraction) -> str:
     """Exact text form of a rational: a plain integer, a terminating
-    decimal when the denominator is of the form 2^a*5^b, else ``p/q``."""
-    den = f.denominator
-    if den == 1:
-        return str(f.numerator)
-    twos = fives = 0
-    if not den & 1:
-        twos = (den & -den).bit_length() - 1
-        den >>= twos
-    if den % 5 == 0:
-        # 5**(2**k) while it divides, then the exponent bit by bit from the top
-        powers = [5]
-        while den % powers[-1] == 0:
-            powers.append(powers[-1] ** 2)
-        for k in reversed(range(len(powers) - 1)):
-            if den % powers[k] == 0:
-                den //= powers[k]
-                fives += 1 << k
-    if den != 1:
-        return f"{f.numerator}/{f.denominator}"
-    digits = max(twos, fives)
-    # times 10**digits / denominator, with no big-int division
-    scaled = f.numerator * 5 ** (digits - fives) << (digits - twos)
-    sign = "-" if scaled < 0 else ""
-    text = str(abs(scaled)).rjust(digits + 1, "0")
-    return f"{sign}{text[:-digits]}.{text[-digits:]}"
+    decimal when the denominator is of the form 2^a*5^b, else ``p/q``. A
+    text with a number past the interpreter's int-to-str limit is refused
+    with ``ValidationError``."""
+    try:
+        den = f.denominator
+        if den == 1:
+            return str(f.numerator)
+        twos = fives = 0
+        if not den & 1:
+            twos = (den & -den).bit_length() - 1
+            den >>= twos
+        if den % 5 == 0:
+            # 5**(2**k) while it divides, then the exponent bit by bit from the top
+            powers = [5]
+            while den % powers[-1] == 0:
+                powers.append(powers[-1] ** 2)
+            for k in reversed(range(len(powers) - 1)):
+                if den % powers[k] == 0:
+                    den //= powers[k]
+                    fives += 1 << k
+        if den != 1:
+            return f"{f.numerator}/{f.denominator}"
+        digits = max(twos, fives)
+        # times 10**digits / denominator, with no big-int division
+        scaled = f.numerator * 5 ** (digits - fives) << (digits - twos)
+        sign = "-" if scaled < 0 else ""
+        text = str(abs(scaled)).rjust(digits + 1, "0")
+        return f"{sign}{text[:-digits]}.{text[-digits:]}"
+    except ValueError:  # from str() of an int past the limit
+        raise _unprintable() from None
 
 
 def _rational_texts(nums: Iterable[int], den: int, bounded: bool = False) -> dict[int, str]:
@@ -832,7 +803,9 @@ def _rational_texts(nums: Iterable[int], den: int, bounded: bool = False) -> dic
     is written as the reduced ``p/q`` instead, and a value whose ``p/q``
     is past them too is refused with ``ValidationError``. Digits are
     counted from bit lengths before any number is printed, so no text
-    reaches the interpreter's int-to-str limit."""
+    reaches the interpreter's int-to-str limit. Without ``bounded``, a text
+    past that limit is refused with ``ValidationError``, as
+    :func:`format_rational` refuses it."""
     texts = {}
     # reduced denominator -> (digits after the point, 10**digits // q) of a
     # terminating decimal, or None
@@ -845,8 +818,13 @@ def _rational_texts(nums: Iterable[int], den: int, bounded: bool = False) -> dic
         scale = scales[q]
         if scale is not None and (not bounded or scale[0] < MAX_NUMBER_DIGITS and p * scale[1] < _NUMBER_LIMIT):
             texts[num] = format_rational(Fraction(num, den))
+        elif bounded:
+            texts[num] = _bounded_ratio(p, q)
         else:
-            texts[num] = _bounded_ratio(p, q) if bounded else f"{p}/{q}"
+            try:
+                texts[num] = f"{p}/{q}"
+            except ValueError:  # from str() of an int past the limit
+                raise _unprintable() from None
     return texts
 
 
@@ -910,16 +888,21 @@ def dumps_graph(g: ExchangeGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_number(value) -> None:
-    """Refuse a file value that :func:`_ratio`, the reader of every value,
-    does not read as a number."""
+def _load_number(value, ratios: dict):
+    """``value``, a file value that :func:`_ratio`, the reader of every
+    value, reads as a number; its reduced pair is kept in ``ratios``, so
+    that each distinct value is parsed once. Anything else is refused with
+    ``GraphFormatError``."""
+    if (type(value) is int or type(value) is str) and value in ratios:
+        return value
     if isinstance(value, bool) or value is None:
         raise GraphFormatError(f"expected a number, got {_shown(value)}")
     try:
-        _ratio(value)
+        ratios[value] = _ratio(value)
     except ValidationError as exc:
         # in a file, a value that is not a number within the bounds is a format error
         raise GraphFormatError(str(exc)) from exc
+    return value
 
 
 def _load_int(value) -> int:
@@ -928,30 +911,6 @@ def _load_int(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise GraphFormatError(f"expected an integer, got {_shown(value)}")
     return value
-
-
-def _columns(doc: dict) -> tuple:
-    """The ids, scan sizes and inertia prices per side, and the edge ends
-    and costs, of a graph document, each read as one column. An entry that
-    is not an object or lacks a key raises; so does an id or end that is
-    not an int, or a value that is neither an int nor a text (a string, or
-    a decimal token kept as text)."""
-    sides = doc["v1"], doc["v2"]
-    edges = doc.get("edges", [])
-    if not all(type(entries) is list for entries in (*sides, edges)):
-        raise TypeError("a graph field is not an array")
-    ids = [list(map(itemgetter("id"), entries)) for entries in sides]
-    sizes = [list(map(itemgetter("scan_size"), entries)) for entries in sides]
-    inertia = [[entry.get("inertia") for entry in entries] for entries in sides]
-    us, vs = list(map(itemgetter("u"), edges)), list(map(itemgetter("v"), edges))
-    costs = [entry.get("cost", 1) for entry in edges]
-    if not (
-        set(map(type, chain(*ids, us, vs))) <= {int}
-        and set(map(type, chain(*sizes, costs))) <= {int, str}
-        and set(map(type, chain(*inertia))) <= {int, str, type(None)}
-    ):
-        raise TypeError("a graph entry holds a value of the wrong type")
-    return ids, sizes, inertia, us, vs, costs
 
 
 def _objects(doc: dict, key: str, default=None) -> Iterator[dict]:
@@ -967,36 +926,28 @@ def _objects(doc: dict, key: str, default=None) -> Iterator[dict]:
         yield entry
 
 
-def _raise_first_fault(doc: dict) -> NoReturn:
-    """Read a graph document entry by entry, in file order, and raise the
-    error of its first fault: a field that is not an array, an entry that
-    is not an object or lacks a key, an id or end that is not a JSON
-    integer, or a value that is not a number."""
+def _document_columns(doc: dict) -> tuple:
+    """The ids, scan sizes and prices (None where unset) per side, the edge
+    ends and costs (1 where unset), and each distinct value's reduced pair,
+    of a graph document, read entry by entry in file order so that its first
+    fault raises: ``v1``, ``v2``, then ``edges``; a vertex's id, scan size,
+    then price; an edge's ``u``, ``v``, then cost."""
+    ids, sizes, inertia = ([], []), ([], []), ([], [])
+    us, vs, costs = [], [], []
+    ratios: dict = {}
     try:
-        for entry in chain(_objects(doc, "v1"), _objects(doc, "v2")):
-            price = entry.get("inertia")
-            _load_int(entry["id"])
-            _load_number(entry["scan_size"])
-            if price is not None:
-                _load_number(price)
+        for s, key in enumerate(("v1", "v2")):
+            for entry in _objects(doc, key):
+                ids[s].append(_load_int(entry["id"]))
+                sizes[s].append(_load_number(entry["scan_size"], ratios))
+                price = entry.get("inertia")
+                inertia[s].append(None if price is None else _load_number(price, ratios))
         for entry in _objects(doc, "edges", []):
-            cost = entry.get("cost", 1)
-            _load_int(entry["u"])
-            _load_int(entry["v"])
-            _load_number(cost)
+            us.append(_load_int(entry["u"]))
+            vs.append(_load_int(entry["v"]))
+            costs.append(_load_number(entry.get("cost", 1), ratios))
     except KeyError as exc:
         raise GraphFormatError(f"malformed graph file: {exc!r}") from exc
-    raise InvariantViolation("the graph reader refused a file whose entries all read")
-
-
-def _ratio_columns(doc: dict) -> tuple | None:
-    """:func:`_columns` of a graph document and the reduced pair of each
-    distinct value in it, or None when the document has a fault."""
-    try:
-        ids, sizes, inertia, us, vs, costs = _columns(doc)
-        ratios = {x: _ratio(x) for x in _distinct(sizes, inertia, [costs])}
-    except (KeyError, TypeError, AttributeError, ValidationError):
-        return None
     return ids, sizes, inertia, us, vs, costs, ratios
 
 
@@ -1240,12 +1191,12 @@ def loads_graph(text: str) -> ExchangeGraph:
     three sections with no JSON parse (see :func:`_dumped_graph`). Any
     other file, such as one reindented or written by hand, or one with a
     longer number, is parsed as JSON, to the same graph or the same error:
-    each field is read as one column, and each distinct number text is
-    parsed once into a reduced integer pair (see :func:`_ratio`), with no
-    Fraction built for an int or a plain ``"p/q"`` value. On either path
-    the bound on the common denominator is checked before any value is
-    scaled to it. A file with a fault is walked again entry by entry, to
-    name its first.
+    its entries are read one by one in file order, so that the first fault
+    is the one named (see :func:`_document_columns`), and each distinct
+    number is parsed once into a reduced integer pair (see
+    :func:`_ratio`), with no Fraction built for an int. On either path the
+    bound on the common denominator is checked before any value is scaled
+    to it.
     """
     g = _dumped_graph(text)
     if g is not None:
@@ -1254,10 +1205,7 @@ def loads_graph(text: str) -> ExchangeGraph:
     doc = _load_json(text)
     if not isinstance(doc, dict):
         raise GraphFormatError("graph file must hold a JSON object")
-    columns = _ratio_columns(doc)
-    if columns is None:
-        _raise_first_fault(doc)
-    ids, sizes, inertia, us, vs, costs, ratios = columns
+    ids, sizes, inertia, us, vs, costs, ratios = _document_columns(doc)
     den = _common_denominator((q for _, q in ratios.values()), GraphFormatError)
     return _assemble(ids, sizes, inertia, *_end_positions(ids, us, vs), costs, ratios, den)
 

@@ -201,6 +201,8 @@ def dumps_policy(pi: Policy) -> str:
 
 def loads_policy(text: str) -> Policy:
     doc = _load_json(text)
+    if not isinstance(doc, dict):
+        raise GraphFormatError("policy file must hold a JSON object")
     labels = {}
     try:
         for k, row in enumerate(_objects(doc, "labels")):
@@ -208,7 +210,7 @@ def loads_policy(text: str) -> Policy:
             if vid in labels:
                 raise ValidationError(f"duplicate vertex id {_shown(vid, str)} in labels[{k}]")
             labels[vid] = bit
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise GraphFormatError(f"malformed policy file: {exc!r}") from exc
     return Policy.from_labels(labels)
 

@@ -385,6 +385,13 @@ def test_repeated_policy_row_exits_3(capsys, tmp_path):
     assert err == "error: duplicate vertex id 1:0 in labels[1]\n"
 
 
+def test_policy_file_that_is_not_an_object_exits_2(capsys, tmp_path):
+    policy_file = tmp_path / "policy.json"
+    policy_file.write_text("[]")
+    code, out, err = run(capsys, "simulate", "--graph", DOUBLE_STAR, "--policy", str(policy_file))
+    assert (code, out, err) == (2, "", f"error: {policy_file}: policy file must hold a JSON object\n")
+
+
 def test_policy_bit_out_of_range_message_is_clipped(capsys, tmp_path):
     # a 500-digit bit was repeated whole: a 541-byte line
     policy_file = tmp_path / "policy.json"

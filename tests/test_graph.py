@@ -1,5 +1,9 @@
 """Exchange-graph model: construction, validation, weights, serialization."""
 
+import contextlib
+import copy
+import functools
+import hashlib
 import json
 import math
 import random
@@ -585,6 +589,165 @@ def test_non_object_after_malformed_object_reports_the_first():
         sp.loads_graph('{"v1": [{"id": 0}, "x"], "v2": [], "edges": []}')
 
 
+VERTEX = '{"id": 0, "scan_size": 1}'
+
+
+def _document(v1: str = VERTEX, v2: str = VERTEX, edges: str = '{"u": 0, "v": 0}', order=None) -> str:
+    """A graph document with the given entry texts, the fields in the given
+    key order."""
+    fields = {"v1": f'"v1": [{v1}]', "v2": f'"v2": [{v2}]', "edges": f'"edges": [{edges}]'}
+    return "{" + ", ".join(fields[key] for key in order or fields) + "}"
+
+
+# (document with two faults, the message of the one that comes first in
+# file order: v1, v2, then edges; in a vertex the id, scan_size, then
+# inertia; in an edge u, v, then cost; whatever the order of the keys)
+TWO_FAULTS = {
+    "id before scan_size": (_document('{"scan_size": true, "id": "x"}'), "expected an integer, got 'x'"),
+    "scan_size before inertia": (
+        _document('{"inertia": null, "id": 0, "scan_size": "1/0", "inertia": []}'),
+        "cannot parse number '1/0'",
+    ),
+    "missing scan_size before a later entry": (
+        _document('{"id": 0}, 3'),
+        "malformed graph file: KeyError('scan_size')",
+    ),
+    "v1 before v2": (
+        _document('{"id": 0, "scan_size": "x"}', '{"id": 1.5, "scan_size": 1}'),
+        "cannot parse number 'x'",
+    ),
+    "v1 before v2, keys reversed": (
+        _document('{"id": 0, "scan_size": null}', '{"id": true, "scan_size": 1}', order=("edges", "v2", "v1")),
+        "expected a number, got None",
+    ),
+    "v2 before edges": (
+        _document(v2='{"id": 0, "scan_size": 1, "inertia": false}', edges='{"u": "0", "v": 0}'),
+        "expected a number, got False",
+    ),
+    "missing v2 before edges": (
+        '{"v1": [{"id": 0, "scan_size": 1}], "edges": [{"u": true, "v": 0}]}',
+        "malformed graph file: KeyError('v2')",
+    ),
+    "u before v": (_document(edges='{"cost": 1, "v": "1", "u": 0.5}'), "expected an integer, got '0.5'"),
+    "v before cost": (_document(edges='{"u": 0, "v": [], "cost": {}}'), "expected an integer, got []"),
+    "an edge before the next": (
+        _document(edges='{"u": 0, "v": 0, "cost": "1e600"}, {"v": 0}'),
+        "number 1e600 exceeds 500 digits or a decimal exponent of 500",
+    ),
+    "a value before an entry that is not an object": (
+        _document(edges='{"u": 0, "v": 0, "cost": {}}, 7'),
+        "cannot interpret {} as a number",
+    ),
+    "an entry that is not an object before a missing key": (
+        _document(VERTEX + ', [], {"id": 2}'),
+        "v1[1] must be an object",
+    ),
+    "v2 not an array before a bad edge": (
+        '{"v1": [{"id": 0, "scan_size": 1}], "v2": {}, "edges": [{"u": "x", "v": 0}]}',
+        "'v2' must be an array",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWO_FAULTS))
+def test_the_first_of_two_faults_in_file_order_is_named(case):
+    text, message = TWO_FAULTS[case]
+    with pytest.raises(sp.GraphFormatError, match=f"^{re.escape(message)}$"):
+        sp.loads_graph(text)
+
+
+# what a mutant puts in place of a value
+MUTANT_VALUES = [True, None, "x", "1/0", "1e600", -1, "1.5", [], {}]
+
+
+def _fuzz_documents(rng: random.Random) -> list[dict]:
+    """Small graph documents with ids with gaps, and scan sizes, inertia
+    prices and edge costs as ints, decimals and ``"p/q"`` strings."""
+    numbers = [0, 3, 12, 2.5, 0.125, 10.75, "1/3", "7/6", "0.5", "22/7"]
+    docs = []
+    for _ in range(4):
+        ids = [sorted(rng.sample(range(12), rng.randint(1, 3))) for _ in range(2)]
+        sides = [[{"id": i, "scan_size": rng.choice(numbers)} for i in side] for side in ids]
+        for entry in sides[0] + sides[1]:
+            if rng.random() < 0.4:
+                entry["inertia"] = rng.choice(numbers)
+        pairs = rng.sample([(u, v) for u in ids[0] for v in ids[1]], rng.randint(1, 3))
+        edges = [{"u": u, "v": v} for u, v in pairs]
+        for entry in edges:
+            if rng.random() < 0.7:
+                entry["cost"] = rng.choice(numbers)
+        docs.append({"v1": sides[0], "v2": sides[1], "edges": edges})
+    return docs
+
+
+def _mutations(doc: dict) -> list[tuple]:
+    """Each ``(path, slot, value)`` that deletes one key or array entry of
+    ``doc`` (``value`` "delete"), or puts one of ``MUTANT_VALUES`` in its
+    place."""
+    paths = [(), *((key,) for key in doc), *((key, k) for key in doc for k in range(len(doc[key])))]
+    slots = []
+    for path in paths:
+        container = _at(doc, path)
+        slots += [(path, slot) for slot in (list(container) if type(container) is dict else range(len(container)))]
+    return [(path, slot, value) for path, slot in slots for value in ["delete", *MUTANT_VALUES]]
+
+
+def _mutated(doc: dict, mutations) -> dict:
+    """A copy of ``doc`` with the given mutations made in order; one that an
+    earlier one leaves no place for is skipped."""
+    mutant = json.loads(json.dumps(doc))
+    for path, slot, value in mutations:
+        with contextlib.suppress(KeyError, IndexError, TypeError):
+            if value == "delete":
+                del _at(mutant, path)[slot]
+            else:
+                _at(mutant, path)[slot] = copy.deepcopy(value)
+    return mutant
+
+
+def _at(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+def _outcome(text: str):
+    """``loads_graph(text)`` as data: the graph's columns and the warnings
+    it issued, or the error's class and message."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            g = sp.loads_graph(text)
+        except sp.ScanPlanError as exc:
+            return type(exc).__name__, str(exc)
+    columns = (g.ids, g.den, g.size_num, g.inertia_num, g.cost_num, g.eu.tolist(), g.ev.tolist(), g.pruned)
+    return columns, [str(w.message) for w in caught]
+
+
+def _fuzz_outcomes() -> list:
+    """The outcomes of single and paired mutants of :func:`_fuzz_documents`,
+    each as a reindented and as a compact text."""
+    rng = random.Random(34)
+    outcomes = []
+    for doc in _fuzz_documents(rng):
+        mutations = _mutations(doc)
+        mutants = [[m] for m in mutations] + [rng.sample(mutations, 2) for _ in range(len(mutations) // 2)]
+        for mutant in map(functools.partial(_mutated, doc), mutants):
+            for text in (json.dumps(mutant, indent=2), json.dumps(mutant, separators=(",", ":"))):
+                assert graph._dumped_graph(text) is None  # JSON-only texts
+                outcomes.append(_outcome(text))
+    return outcomes
+
+
+def test_json_documents_read_as_before():
+    # the digest was recorded on the two-pass reader (a columnar read, then a
+    # walk to name a fault) that the one walk in file order replaced
+    outcomes = _fuzz_outcomes()
+    assert len(outcomes) == 3060
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == "1980d04da830f21cab81d0dc0cdcb095b9c6126c85b88e89996c574d89d3d535"
+
+
 def test_non_integer_index_message_is_clipped():
     # the message repeated the value and both ends whole: 10,037 characters
     with pytest.raises(sp.IndexOutOfRange) as caught:
@@ -617,6 +780,21 @@ def _one_edge():
     return sp.build_graph([1], [1], [(0, 0, 1)])
 
 
+def _long_scan_session():
+    """The trace and the strategy rows of a P2 session that sends a scan of
+    BIG / 3 bytes."""
+    g = sp.build_graph([Fraction(BIG, 3)], [10 * BIG], [(0, 0)])
+    cfg = sp.RendezvousConfig(objective=sp.Objective.p2())
+    return sp.run_rendezvous(g, cfg), sp.compare_strategies(g, cfg)
+
+
+def _long_metadata_session():
+    """The trace and the strategy rows of a session whose metadata legs
+    carry BIG bytes per vertex."""
+    cfg = sp.RendezvousConfig(metadata_bytes_per_vertex=BIG)
+    return sp.run_rendezvous(_one_edge(), cfg), sp.compare_strategies(_one_edge(), cfg)
+
+
 @pytest.mark.parametrize(
     "call, error",
     [
@@ -636,10 +814,19 @@ def _one_edge():
         ),
         (lambda: sp.build_graph([-BIG], [1], [(0, 0)]), sp.NegativeWeight),
         (lambda: sp.Objective("p1", alpha1=-BIG), sp.ValidationError),
+        # printed values: a decimal of 1 / 2**20000 has 13980 digits
+        (lambda: format_rational(Fraction(1, 2**20000)), sp.ValidationError),
+        (lambda: format_rational(Fraction(BIG, 3)), sp.ValidationError),
+        (lambda: sp.format_trace(_long_scan_session()[0]), sp.ValidationError),
+        (lambda: sp.strategy_table_csv(_long_scan_session()[1]), sp.ValidationError),
+        (lambda: sp.format_trace(_long_metadata_session()[0]), sp.ValidationError),
+        (lambda: sp.strategy_table_csv(_long_metadata_session()[1]), sp.ValidationError),
     ],
     ids=[
         "closure-shape", "fraction-end", "int-end", "from-vertices-end", "as-fraction", "policy-bit",
         "edge-cost", "vertex", "ground-truth", "negative-size", "objective-parameter",
+        "format-rational-decimal", "format-rational-ratio", "trace-scan", "strategy-table-scan",
+        "trace-metadata", "strategy-table-metadata",
     ],
 )
 def test_refusal_of_an_unprintable_value_keeps_its_class(call, error):

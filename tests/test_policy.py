@@ -249,6 +249,14 @@ def test_policy_file_names_the_bad_label():
         loads_policy('{"labels": {"side": 1}}')
 
 
+@pytest.mark.parametrize("text", ["[]", "5", '"x"'])
+def test_policy_file_that_is_not_an_object_is_refused(text):
+    # each leaked Python's own text, such as TypeError('list indices must be
+    # integers or slices, not str')
+    with pytest.raises(sp.GraphFormatError, match="^policy file must hold a JSON object$"):
+        loads_policy(text)
+
+
 def shuffled_id_graph(rng):
     """A random graph whose vertex ids are scattered and stored out of
     order, read from its file, and the file's text."""
