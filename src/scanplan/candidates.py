@@ -28,7 +28,7 @@ import numpy as np
 from numpy.lib._datasource import _file_openers
 
 from .errors import EmptyTrajectory, GraphFormatError, ScoreOutOfRange, ValidationError
-from .graph import ExchangeGraph, VertexId, _index, _unpruned_graph, build_graph, open_text
+from .graph import _NUMBER_LIMIT, ExchangeGraph, VertexId, _index, _unpruned_graph, build_graph, open_text
 from .objectives import MAX_NUMBER_DIGITS, _shown
 
 # Standard BRIEF descriptor size.
@@ -1079,12 +1079,11 @@ def read_feature_counts(path) -> list[int]:
     whose scan size, ``count * DESCRIPTOR_BYTES``, has more than
     MAX_NUMBER_DIGITS digits is refused, as a graph file would refuse it."""
     counts = []
-    limit = 10**MAX_NUMBER_DIGITS
     parse = lambda f: (f[0], int(f[0]))  # noqa: E731
     for lineno, (text, value) in _records(path, (int,), parse, "feature count", "bad feature count {line!r}"):
         if value < 0:
             raise GraphFormatError(f"{path}:{lineno + 1}: negative feature count {_shown(value, str)}")
-        if value * DESCRIPTOR_BYTES >= limit:
+        if value * DESCRIPTOR_BYTES >= _NUMBER_LIMIT:
             raise GraphFormatError(
                 f"{path}:{lineno + 1}: feature count {_shown(text, str)} "
                 f"gives a scan size of more than {MAX_NUMBER_DIGITS} digits"
@@ -1203,6 +1202,11 @@ def _resample_loop(corners: list[tuple[float, float]], n: int) -> list[tuple[flo
     return out
 
 
+# Most poses a side of the synthetic fixture: 22 times the 4,541 poses of
+# KITTI sequence 00; generation time and memory grow linearly in ``n``.
+MAX_SYNTHETIC_POSES = 100_000
+
+
 def synthetic_two_loop(n: int = 100, seed: int = 7) -> tuple[Trajectory, Trajectory]:
     """Deterministic two-robot fixture: each robot drives a rectangular
     loop and the two loops share a central corridor traversed in the same
@@ -1215,8 +1219,16 @@ def synthetic_two_loop(n: int = 100, seed: int = 7) -> tuple[Trajectory, Traject
     different conditions), so the cheapest complete-search policy is a
     dialog mixing each robot's light scans, strictly beating both
     one-directional policies.
+
+    ``n``, the poses a side, is an integer from 1 to MAX_SYNTHETIC_POSES
+    and ``seed`` an integer; anything else raises ``ValidationError``.
     """
-    rng = random.Random(seed)
+    _check_count("n", n)
+    if n > MAX_SYNTHETIC_POSES:
+        raise ValidationError(f"n must be at most {MAX_SYNTHETIC_POSES}, got {_shown(n, str)}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValidationError(f"seed must be an integer, got {_shown(seed)}")
+    rng = random.Random(int(seed))
     half = 30.0
     width = 60.0
     lane = 1.0  # the corridor legs' distance from the centre line

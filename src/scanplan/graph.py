@@ -53,6 +53,9 @@ from .errors import (
 )
 from .objectives import MAX_NUMBER_DIGITS, P1, P2, Objective, _shown, _shown_ids, as_fraction, check_number_text
 
+# every int below _NUMBER_LIMIT has at most MAX_NUMBER_DIGITS digits
+_NUMBER_LIMIT = 10**MAX_NUMBER_DIGITS
+
 
 class VertexId(NamedTuple):
     """Identifies a pose: its robot side (1 or 2) and an index unique
@@ -203,13 +206,12 @@ class ExchangeGraph:
     def _validate(self):
         if not (type(self.den) is int and self.den > 0):
             raise ValidationError(f"common denominator must be a positive integer, got {_shown(self.den)}")
-        limit = 10**MAX_NUMBER_DIGITS  # an id has at most MAX_NUMBER_DIGITS digits, as in a file
         for side, ids, sizes, inertia in zip((1, 2), self.ids, self.size_num, self.inertia_num):
             if not len(ids) == len(sizes) == len(inertia):
                 raise ValidationError(f"side {side} arrays differ in length")
             if ids and (
                 min(ids) < 0
-                or max(ids) >= limit
+                or max(ids) >= _NUMBER_LIMIT  # an id has at most MAX_NUMBER_DIGITS digits, as in a file
                 or len(set(ids)) < len(ids)
                 or min(sizes) < 0
                 or min(filter(None, inertia), default=0) < 0
@@ -220,7 +222,7 @@ class ExchangeGraph:
                     vid = VertexId(side, index)
                     if index < 0:
                         raise IndexOutOfRange(f"negative vertex index {_shown(vid, str)}")
-                    if index >= limit:
+                    if index >= _NUMBER_LIMIT:
                         raise IndexOutOfRange(f"vertex index {_shown(index, str)} exceeds {MAX_NUMBER_DIGITS} digits")
                     if index in seen:
                         raise ValidationError(f"duplicate vertex id {_shown(vid, str)}")
@@ -454,10 +456,11 @@ class ExchangeGraph:
 
 def _side_position(side: int) -> int:
     """A robot side's position in the per-side arrays: ``side`` minus one,
-    or ``ValidationError`` unless it is 1 or 2."""
-    if side not in (1, 2):
-        raise ValidationError(f"robot side must be 1 or 2, got {_shown(side, str)}")
-    return side - 1
+    or ``ValidationError`` unless it is an integer (a numpy one too, but no
+    bool) equal to 1 or 2."""
+    if isinstance(side, bool) or not isinstance(side, numbers.Integral) or side not in (1, 2):
+        raise ValidationError(f"robot side must be 1 or 2, got {_shown(side)}")
+    return int(side) - 1
 
 
 def _vertex_columns(sides) -> tuple[tuple[list, list], tuple[list, list], tuple[list, list]]:
@@ -752,60 +755,31 @@ def _load_json(text: str):
         raise GraphFormatError("JSON nested too deeply") from None
 
 
-def _unprintable() -> ValidationError:
-    """The refusal of a text with a number past the interpreter's int-to-str
-    digit limit, which ``str`` refuses with a bare ``ValueError``."""
-    limit = sys.get_int_max_str_digits()
-    return ValidationError(f"value too long to print: a number in it has more than {limit} digits")
-
-
 def format_rational(f: Fraction) -> str:
-    """Exact text form of a rational: a plain integer, a terminating
-    decimal when the denominator is of the form 2^a*5^b, else ``p/q``. A
-    text with a number past the interpreter's int-to-str limit is refused
-    with ``ValidationError``."""
-    try:
-        den = f.denominator
-        if den == 1:
-            return str(f.numerator)
-        twos = fives = 0
-        if not den & 1:
-            twos = (den & -den).bit_length() - 1
-            den >>= twos
-        if den % 5 == 0:
-            # 5**(2**k) while it divides, then the exponent bit by bit from the top
-            powers = [5]
-            while den % powers[-1] == 0:
-                powers.append(powers[-1] ** 2)
-            for k in reversed(range(len(powers) - 1)):
-                if den % powers[k] == 0:
-                    den //= powers[k]
-                    fives += 1 << k
-        if den != 1:
-            return f"{f.numerator}/{f.denominator}"
-        digits = max(twos, fives)
-        # times 10**digits / denominator, with no big-int division
-        scaled = f.numerator * 5 ** (digits - fives) << (digits - twos)
-        sign = "-" if scaled < 0 else ""
-        text = str(abs(scaled)).rjust(digits + 1, "0")
-        return f"{sign}{text[:-digits]}.{text[-digits:]}"
-    except ValueError:  # from str() of an int past the limit
-        raise _unprintable() from None
+    """Exact text form of a rational, as :func:`_rational_texts` prints it:
+    a plain integer, a terminating decimal when the denominator is of the
+    form 2^a*5^b and the decimal's digits are within the interpreter's
+    int-to-str limit, else ``p/q``. A ``p/q`` past that limit too is
+    refused with ``ValidationError``."""
+    if f.denominator == 1 and -_NUMBER_LIMIT < f.numerator < _NUMBER_LIMIT:
+        return str(f.numerator)  # an integer that surely prints: no set, gcd or scale
+    return _rational_texts((f.numerator,), f.denominator)[f.numerator]
 
 
 def _rational_texts(nums: Iterable[int], den: int, bounded: bool = False) -> dict[int, str]:
-    """``format_rational(Fraction(num, den))`` for each distinct ``num``:
-    one gcd per numerator, and one ``format_rational`` call per reduced
-    denominator that gives a ``p/q`` text.
+    """The exact text of ``num / den`` for each distinct ``num``: the
+    terminating decimal when one exists and prints, else the reduced
+    ``p/q``. The decimal places and scale of each reduced denominator are
+    found once.
 
     With ``bounded``, every text is within the number bounds of
     ``objectives.check_number_text``, as a file needs: a decimal past them
     is written as the reduced ``p/q`` instead, and a value whose ``p/q``
-    is past them too is refused with ``ValidationError``. Digits are
-    counted from bit lengths before any number is printed, so no text
-    reaches the interpreter's int-to-str limit. Without ``bounded``, a text
-    past that limit is refused with ``ValidationError``, as
-    :func:`format_rational` refuses it."""
+    is past them too is refused with ``ValidationError``. Sizes are checked
+    against ``_NUMBER_LIMIT`` before any number is printed, so no text
+    reaches the interpreter's int-to-str limit. Without ``bounded``, a
+    decimal past that limit is written as the reduced ``p/q``, and a value
+    whose ``p/q`` is past it too is refused with ``ValidationError``."""
     texts = {}
     # reduced denominator -> (digits after the point, 10**digits // q) of a
     # terminating decimal, or None
@@ -814,46 +788,47 @@ def _rational_texts(nums: Iterable[int], den: int, bounded: bool = False) -> dic
         common = math.gcd(num, den)
         p, q = num // common, den // common
         if q not in scales:
-            scales[q] = _decimal_scale(q) if not bounded or q.bit_length() <= _MAX_NUMBER_BITS else None
+            places = _decimal_places(q) if not bounded or q < _NUMBER_LIMIT else None
+            scales[q] = None if places is None else (places, 10**places // q)
         scale = scales[q]
-        if scale is not None and (not bounded or scale[0] < MAX_NUMBER_DIGITS and p * scale[1] < _NUMBER_LIMIT):
-            texts[num] = format_rational(Fraction(num, den))
-        elif bounded:
-            texts[num] = _bounded_ratio(p, q)
-        else:
-            try:
-                texts[num] = f"{p}/{q}"
-            except ValueError:  # from str() of an int past the limit
-                raise _unprintable() from None
+        if scale is not None:
+            places, scaled = scale[0], p * scale[1]
+            if not bounded or places < MAX_NUMBER_DIGITS and scaled < _NUMBER_LIMIT:
+                try:
+                    digits = str(abs(scaled)).rjust(places + 1, "0")
+                except ValueError:  # past the int-to-str limit: the p/q may print
+                    pass
+                else:
+                    texts[num] = f"{'-' * (scaled < 0)}{digits[:-places]}.{digits[-places:]}" if places else str(scaled)
+                    continue
+        try:
+            texts[num] = text = f"{p}/{q}" if not bounded or max(abs(p), q) < _NUMBER_LIMIT else ""
+        except ValueError:  # from str() of an int past the limit
+            limit = sys.get_int_max_str_digits()
+            raise ValidationError(f"value too long to print: a number in it has more than {limit} digits") from None
+        if bounded and (not text or len(text) - 1 > MAX_NUMBER_DIGITS):
+            value = _shown(Fraction(p, q), str)
+            raise ValidationError(f"value {value} has no exact text of at most {MAX_NUMBER_DIGITS} digits")
     return texts
 
 
-# every int below _NUMBER_LIMIT has at most MAX_NUMBER_DIGITS digits; every
-# int of at most _MAX_NUMBER_BITS bits, one digit more at most
-_NUMBER_LIMIT = 10**MAX_NUMBER_DIGITS
-_MAX_NUMBER_BITS = _NUMBER_LIMIT.bit_length()
-
-
-def _decimal_scale(q: int) -> tuple[int, int] | None:
-    """``(d, 10**d // q)`` when ``1/q`` has a terminating decimal with ``d``
-    digits after the point, else None."""
-    one = format_rational(Fraction(1, q))
-    if "/" in one:
-        return None
-    digits = len(one) - 2 if "." in one else 0
-    return digits, 10**digits // q
-
-
-def _bounded_ratio(p: int, q: int) -> str:
-    """The text ``p/q`` when it has at most MAX_NUMBER_DIGITS digits, else
-    ``ValidationError``; neither number is printed before its bit length
-    shows that it is short enough."""
-    if p.bit_length() <= _MAX_NUMBER_BITS and q.bit_length() <= _MAX_NUMBER_BITS:
-        text = f"{p}/{q}"
-        if len(text) - 1 <= MAX_NUMBER_DIGITS:
-            return text
-    value = _shown(Fraction(p, q), str)
-    raise ValidationError(f"value {value} has no exact text of at most {MAX_NUMBER_DIGITS} digits")
+def _decimal_places(q: int) -> int | None:
+    """The digits after the point of the terminating decimal of ``1/q``,
+    for a positive ``q``: the larger of ``a`` and ``b`` when
+    ``q = 2**a * 5**b``, else None."""
+    twos = (q & -q).bit_length() - 1
+    q >>= twos
+    fives = 0
+    if q % 5 == 0:
+        # 5**(2**k) while it divides, then the exponent bit by bit from the top
+        powers = [5]
+        while q % powers[-1] == 0:
+            powers.append(powers[-1] ** 2)
+        for k in reversed(range(len(powers) - 1)):
+            if q % powers[k] == 0:
+                q //= powers[k]
+                fives += 1 << k
+    return max(twos, fives) if q == 1 else None
 
 
 def dumps_graph(g: ExchangeGraph) -> str:

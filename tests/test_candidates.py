@@ -1457,3 +1457,34 @@ def test_sweeps_raise_a_point_error_after_the_points_before_it():
     assert next(sweep).num_edges == 1
     with pytest.raises(sp.IndexOutOfRange, match=r"^edge \(0, 5\) outside vertex ranges$"):
         next(sweep)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"n": 2.5}, "n must be an integer, got 2.5"),
+        ({"n": "3"}, "n must be an integer, got '3'"),
+        ({"n": None}, "n must be an integer, got None"),
+        ({"n": True}, "n must be an integer, got True"),
+        ({"n": 0}, "n must be >= 1, got 0"),
+        ({"n": -1}, "n must be >= 1, got -1"),
+        ({"n": candidates.MAX_SYNTHETIC_POSES + 1}, "n must be at most 100000, got 100001"),
+        ({"seed": None}, "seed must be an integer, got None"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": 7.0}, "seed must be an integer, got 7.0"),
+        ({"seed": "7"}, "seed must be an integer, got '7'"),
+    ],
+)
+def test_synthetic_two_loop_refuses_a_bad_size_or_seed(monkeypatch, kwargs, message):
+    # a float, a string or None was a bare TypeError; True gave one pose a
+    # side, 0 or less none, and a seed of None a different fixture per call.
+    # Each is refused before any pose is placed.
+    monkeypatch.setattr(candidates, "_resample_loop", mock.Mock(side_effect=AssertionError("poses placed")))
+    with pytest.raises(sp.ValidationError, match=f"^{re.escape(message)}$"):
+        synthetic_two_loop(**kwargs)
+
+
+def test_synthetic_two_loop_is_deterministic():
+    counts = [[p.feature_count for p in t.poses] for t in synthetic_two_loop(30, seed=3)]
+    assert counts == [[p.feature_count for p in t.poses] for t in synthetic_two_loop(30, seed=np.int64(3))]
+    assert counts != [[p.feature_count for p in t.poses] for t in synthetic_two_loop(30, seed=4)]

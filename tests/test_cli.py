@@ -13,6 +13,7 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -313,6 +314,19 @@ def test_build_graph_synthetic_defaults_are_the_apis(capsys, tmp_path):
     assert code == 0
     g = build_geometric(*synthetic_two_loop(), GeometryParams(d_max=30, eta=0))
     assert out_file.read_text(encoding="utf-8") == sp.dumps_graph(g)
+
+
+@pytest.mark.parametrize("flag, value", [("--synthetic-poses", "100000000000"), ("--synthetic-poses", "0")])
+def test_synthetic_size_out_of_range_exits_3_at_once(capsys, monkeypatch, tmp_path, flag, value):
+    # 10**11 poses a side ran for minutes, growing linearly in memory: the
+    # size is refused before any pose is placed
+    monkeypatch.setattr(sp.candidates, "_resample_loop", mock.Mock(side_effect=AssertionError("poses placed")))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "build-graph", "--synthetic", flag, value, "--out", str(tmp_path / "g.json"))
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert err.startswith("error: n must be ")
+    assert not (tmp_path / "g.json").exists()
 
 
 def test_sweep_alpha_edge_counts_non_increasing(capsys):

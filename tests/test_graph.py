@@ -8,13 +8,14 @@ import json
 import math
 import random
 import re
+import sys
 import time
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scanplan as sp
@@ -386,6 +387,25 @@ def test_side_lookups_refuse_a_third_side(double_star):
         double_star.side_vids(3)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, side: g.side_vids(side),
+        lambda g, side: sp.monolog(g, side),
+        lambda g, side: sp.check_ghc(g, sp.Objective.p1(), side),
+        lambda g, side: sp.check_hall_uniform(g, side),
+    ],
+    ids=["side-vids", "monolog", "check-ghc", "check-hall-uniform"],
+)
+def test_a_side_is_an_integer_equal_to_1_or_2(double_star, call):
+    # a float, a bool or a string was a bare TypeError or, for True, side 1
+    for side, shown in ((1.0, "1.0"), (2.0, "2.0"), (True, "True"), ("1", "'1'"), (None, "None")):
+        with pytest.raises(sp.ValidationError, match=f"^robot side must be 1 or 2, got {re.escape(shown)}$"):
+            call(double_star, side)
+    # a numpy integer is a side
+    assert call(double_star, np.int64(2)) == call(double_star, 2)
+
+
 def test_edge_lookups_outside_the_candidate_set(double_star):
     with pytest.raises(sp.UnknownVertex, match="^no edge 1:1--2:1 in graph$"):
         double_star.edge_cost((sp.VertexId(1, 1), sp.VertexId(2, 1)))
@@ -546,20 +566,172 @@ def test_format_rational_matches_seed(num, twos, fives, rest):
     assert format_rational(f) == seed_format_rational(f)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.integers(-(10**30), 10**30), max_size=30),
-    st.integers(0, 40),
-    st.integers(0, 40),
-    st.sampled_from([1, 3, 7, 9, 11, 2**61 - 1]),
+def seed_rational_texts(nums, den, bounded=False):
+    """Frozen reference: the printer of ``dumps_graph`` and ``format_trace``
+    when it learned the decimal places of each denominator by printing
+    ``1/q`` and printed each decimal through ``format_rational``, which
+    refused one past the int-to-str limit."""
+    limit = 10**500
+    max_bits = limit.bit_length()
+
+    def unprintable():
+        return sp.ValidationError(
+            f"value too long to print: a number in it has more than {sys.get_int_max_str_digits()} digits"
+        )
+
+    def printed(f):
+        # format_rational then: seed_format_rational's text, with the twos
+        # counted from the low bit and the fives by bisection
+        try:
+            den = f.denominator
+            if den == 1:
+                return str(f.numerator)
+            twos = fives = 0
+            if not den & 1:
+                twos = (den & -den).bit_length() - 1
+                den >>= twos
+            if den % 5 == 0:
+                powers = [5]
+                while den % powers[-1] == 0:
+                    powers.append(powers[-1] ** 2)
+                for k in reversed(range(len(powers) - 1)):
+                    if den % powers[k] == 0:
+                        den //= powers[k]
+                        fives += 1 << k
+            if den != 1:
+                return f"{f.numerator}/{f.denominator}"
+            digits = max(twos, fives)
+            scaled = f.numerator * 5 ** (digits - fives) << (digits - twos)
+            sign = "-" if scaled < 0 else ""
+            text = str(abs(scaled)).rjust(digits + 1, "0")
+            return f"{sign}{text[:-digits]}.{text[-digits:]}"
+        except ValueError:
+            raise unprintable() from None
+
+    def decimal_scale(q):
+        one = printed(Fraction(1, q))
+        if "/" in one:
+            return None
+        digits = len(one) - 2 if "." in one else 0
+        return digits, 10**digits // q
+
+    def bounded_ratio(p, q):
+        if p.bit_length() <= max_bits and q.bit_length() <= max_bits:
+            text = f"{p}/{q}"
+            if len(text) - 1 <= 500:
+                return text
+        raise sp.ValidationError(f"value {_shown(Fraction(p, q), str)} has no exact text of at most 500 digits")
+
+    texts, scales = {}, {}
+    for num in set(nums):
+        common = math.gcd(num, den)
+        p, q = num // common, den // common
+        if q not in scales:
+            scales[q] = decimal_scale(q) if not bounded or q.bit_length() <= max_bits else None
+        scale = scales[q]
+        if scale is not None and (not bounded or scale[0] < 500 and p * scale[1] < limit):
+            texts[num] = printed(Fraction(num, den))
+        elif bounded:
+            texts[num] = bounded_ratio(p, q)
+        else:
+            try:
+                texts[num] = f"{p}/{q}"
+            except ValueError:
+                raise unprintable() from None
+    return texts
+
+
+def _printed(call, *args):
+    """What ``call(*args)`` gives: its value, or its error's class and text."""
+    try:
+        return call(*args)
+    except sp.ScanPlanError as exc:
+        return type(exc), str(exc)
+
+
+# exponents of 2 and 5 near the bounds: 500 digits after the point, a
+# 500-digit p/q, a 4300-digit decimal (5**6152), and a 4300-digit q
+_NEAR_BOUNDS = st.one_of(
+    st.integers(0, 12),
+    st.integers(495, 505),
+    st.integers(1655, 1667),
+    st.integers(6140, 6165),
+    st.integers(14270, 14300),
 )
-def test_rational_texts_match_format_rational(nums, twos, fives, rest):
-    # the texts of many numerators over one denominator, as the trace and
-    # graph writers print them
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.builds(
+            lambda m, k, twos, fives: m * 10**k * 2**twos * 5**fives,
+            st.integers(-(10**6), 10**6),
+            st.sampled_from([0, 1, 2, 490, 495, 499, 500, 501, 4290, 4299, 4300, 4305]),
+            st.integers(0, 3),
+            st.integers(0, 3),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    _NEAR_BOUNDS,
+    _NEAR_BOUNDS,
+    st.sampled_from([1, 1, 1, 3, 7, 2**61 - 1]),
+)
+# at the bounds of a file's text: 500 and 501 places, integers of 500 and
+# 501 digits, and p/q texts of 500 and 501 digits
+@example(nums=[1, 3 * 2**499], twos=500, fives=0, rest=1)
+@example(nums=[10**500 - 1, 10**500], twos=0, fives=0, rest=1)
+@example(nums=[10**250 - 1, 10**251 - 1], twos=249, fives=249, rest=7)
+def test_rational_texts_match_the_seed_printer(nums, twos, fives, rest):
     den = 2**twos * 5**fives * rest
-    nums += [0, den, -den, 2 * den, den // 2]
-    texts = _rational_texts(nums, den)
-    assert texts == {num: format_rational(Fraction(num, den)) for num in nums}
+    nums = [*nums, 0, den, -den, den // 2]
+    sizes = [abs(num) for num in nums]
+    texts = {}
+    for size, num in zip(sizes, nums):
+        # bounded, as dumps_graph prints a graph's values, all >= 0
+        assert _printed(_rational_texts, [size], den, True) == _printed(seed_rational_texts, [size], den, True)
+        # unbounded, as the trace prints: the seed's text or refusal, but a
+        # refused value whose p/q prints is now that p/q
+        got, seed = _printed(_rational_texts, [num], den), _printed(seed_rational_texts, [num], den)
+        if isinstance(seed, dict) or isinstance(got, tuple):
+            assert got == seed
+        else:
+            common = math.gcd(num, den)
+            assert got == {num: f"{num // common}/{den // common}"}
+        assert _printed(format_rational, Fraction(num, den)) == (got[num] if isinstance(got, dict) else got)
+        texts.update(got if isinstance(got, dict) else {})
+    # many numerators over one denominator print as each does alone
+    assert _printed(_rational_texts, sizes, den, True) == _printed(seed_rational_texts, sizes, den, True)
+    whole = _printed(_rational_texts, nums, den)
+    if len(texts) == len(set(nums)):
+        assert whole == texts
+    else:
+        assert isinstance(whole, tuple)
+
+
+def test_a_decimal_past_the_int_to_str_limit_prints_as_its_ratio():
+    # the decimal of 1 / 2**10000 has 10000 places and 6990 digits of
+    # 5**10000; its p/q has 3013 characters
+    assert format_rational(Fraction(1, 2**10000)) == f"1/{2**10000}"
+    trace = sp.run_rendezvous(_one_edge(), sp.RendezvousConfig(metadata_bytes_per_vertex=Fraction(1, 2**10000)))
+    assert f"metadata robot1 broker 1/{2**10000} meta[1]\n" in sp.format_trace(trace)
+    # a p/q past the limit is still refused
+    with pytest.raises(sp.ValidationError, match="^value too long to print: a number in it has more than 4300 digits$"):
+        format_rational(Fraction(1, 2**20000))
+
+
+def test_the_ratio_fallback_follows_the_interpreters_limit():
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        # 5**1500 has 1049 digits and 2**1500 has 452
+        assert format_rational(Fraction(3, 2**1500)) == f"3/{2**1500}"
+        assert _rational_texts([3, 2**1499], 2**1500) == {3: f"3/{2**1500}", 2**1499: "0.5"}
+        # 2**2200 has 663 digits
+        with pytest.raises(sp.ValidationError, match="^value too long to print: a number in it has more than 640 digits$"):
+            format_rational(Fraction(3, 2**2200))
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_format_rational_long_decimals():

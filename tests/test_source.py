@@ -14,15 +14,7 @@ def unused_imports(text: str) -> list[str]:
     read in a string annotation, counts as read; ``__future__`` imports and
     lines marked ``noqa: F401`` are left out."""
     tree = ast.parse(text)
-    lines = text.splitlines()
-    bound = {}
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                if not any("noqa: F401" in lines[k - 1] for k in {node.lineno, alias.lineno}):
-                    bound[alias.asname or alias.name.partition(".")[0]] = alias.lineno
+    bound = {name: line for name, line, kept in module_imports(text) if not kept}
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
@@ -32,6 +24,22 @@ def unused_imports(text: str) -> list[str]:
                 if isinstance(c, ast.Constant) and isinstance(c.value, str):
                     read.update(n.id for n in ast.walk(ast.parse(c.value, mode="eval")) if isinstance(n, ast.Name))
     return [f"{line}: {name}" for name, line in sorted(bound.items(), key=lambda item: item[1]) if name not in read]
+
+
+def module_imports(text: str) -> list[tuple[str, int, bool]]:
+    """``(name, line, kept)`` for each name that a module-level import of
+    the module binds, ``__future__`` imports aside; ``kept`` when the
+    import's line is marked ``noqa: F401``."""
+    lines = text.splitlines()
+    found = []
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                kept = any("noqa: F401" in lines[k - 1] for k in {node.lineno, alias.lineno})
+                found.append((alias.asname or alias.name.partition(".")[0], alias.lineno, kept))
+    return found
 
 
 def annotations(node) -> list:
@@ -65,3 +73,35 @@ def test_the_import_check_finds_an_unused_import():
         "    return os.path.join(x)\n"
     )
     assert unused_imports(text) == ["2: json", "4: NoReturn", "7: save_graph"]
+
+
+def traced_sites(text: str) -> set[tuple[str, str]]:
+    """The ``(module, attribute)`` pairs of the ``SITES`` list in a
+    perfbench tracing module's text, read without importing it."""
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "SITES" for t in node.targets):
+            return {(module, attr) for module, attr, _ in ast.literal_eval(node.value)}
+    raise AssertionError("no SITES list")
+
+
+def test_every_kept_import_is_a_traced_site():
+    # a name imported only for perfbench to wrap (noqa: F401) must be one
+    # that it wraps, so a stale one shows when the wrapper is dropped
+    sites = traced_sites((SOURCE.parent.parent / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    kept = {
+        (f"scanplan.{path.stem}", name)
+        for path in SOURCE.glob("*.py")
+        for name, _, marked in module_imports(path.read_text(encoding="utf-8"))
+        if marked
+    }
+    assert kept - sites == set()
+
+
+def test_the_site_check_reads_the_sites_list():
+    text = 'SITES = [\n    ("scanplan.cli", "monolog", "policy.monolog"),  # wrapped\n]\nOTHER = [("a", "b", "c")]\n'
+    assert traced_sites(text) == {("scanplan.cli", "monolog")}
+    assert module_imports("from .policy import monolog, solve  # noqa: F401\nimport json\n") == [
+        ("monolog", 1, True),
+        ("solve", 1, True),
+        ("json", 2, False),
+    ]
