@@ -204,12 +204,6 @@ def planar_heading(pose: Pose) -> np.ndarray:
     return h / norm
 
 
-def subsample(traj: Trajectory, rate_divisor: int) -> Trajectory:
-    """Keep every rate_divisor-th pose starting from the first."""
-    _check_count("rate_divisor", rate_divisor)
-    return Trajectory(traj.poses[::rate_divisor])
-
-
 # Row-band filter constants; _fov_overlaps derives them.
 _DISK_BAND = 2.0**-40  # kappa: relative half-width of a band around the disk edge
 _WEDGE_BAND = 2.0**-20  # delta: half-width, in radians, of a wedge around a cone edge
@@ -1145,19 +1139,6 @@ def read_ground_truth(path) -> frozenset:
     side-2) vertex id pairs."""
     parse = lambda f: (VertexId(1, int(f[0])), VertexId(2, int(f[1])))  # noqa: E731
     return frozenset(pair for _, pair in _records(path, (int, int), parse, "index", "expected 'u_index v_index'"))
-
-
-def write_kitti_poses(traj: Trajectory, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for pose in traj:
-            m = np.hstack([pose.rotation, np.reshape(pose.position, (3, 1))])
-            fh.write(" ".join(f"{v:.17g}" for v in m.reshape(-1)) + "\n")
-
-
-def write_feature_counts(traj: Trajectory, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for pose in traj:
-            fh.write(f"{int(pose.feature_count)}\n")
 
 
 # -- synthetic fixture --------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import candidates as cand
 from .errors import GraphFormatError, InvariantViolation, ScanPlanError, ValidationError
-from .graph import ExchangeGraph, format_rational, load_graph, save_graph
+from .graph import ExchangeGraph, format_rational, load_graph, save_graph, weight_numerators
 from .objectives import Objective, _shown, as_fraction
 from .policy import full_bidirectional, monolog  # noqa: F401  (perfbench/tracing.py wraps both as cli attributes)
 from .policy import load_policy, objective_cost, save_policy
@@ -33,7 +33,7 @@ from .protocol import (
     run_rendezvous,
     strategy_table_csv,
 )
-from .solver import _optimal_covers, _strategy_costs, check_ghc, solve
+from .solver import _min_cut_covers, _optimal_cover, _strategy_costs, check_ghc, solve
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -144,7 +144,7 @@ def cmd_solve(args) -> int:
     start = time.perf_counter()
     result = solve(g, obj, engine=args.engine)
     elapsed = time.perf_counter() - start
-    costs = _strategy_costs(g, obj, args.engine)
+    costs = _strategy_costs(*_optimal_cover(g, obj, args.engine))
     print(f"optimal_cost {format_rational(result.optimal_cost)}")
     for side in (1, 2):
         # a graph without vertices has no monolog
@@ -266,10 +266,23 @@ def _edge_codes(graphs: list[ExchangeGraph]) -> list[np.ndarray]:
     return [np.array(g.ids[0], dtype)[g.eu] * stride + np.array(g.ids[1], dtype)[g.ev] for g in graphs]
 
 
+def _nested(graphs, parameter: str):
+    """``graphs`` in turn, each checked against the one before it only:
+    candidate sets grow with dmax and shrink with eta and alpha."""
+    before = None
+    for g in graphs:
+        narrower_first = [before, g] if parameter == "dmax" else [g, before]
+        if before is not None and not np.isin(*_edge_codes(narrower_first)).all():
+            raise InvariantViolation(f"candidate sets not nested along {parameter} sweep")
+        yield g
+        before = g
+
+
 def run_sweep(args) -> tuple[list[str], str]:
-    """Build one graph per sweep point, solve all strategies, and return
-    (CSV lines, nesting report). Candidate sets must be nested along the
-    sweep direction; a violation is an internal error."""
+    """Build one graph per sweep point, price all strategies, and return
+    (CSV lines, nesting report). Points stream in one pass: each is checked
+    for nesting against the point before it, then cut and formatted, so
+    memory holds one joined flow network's points, not the sweep's."""
     spec = SweepSpec(args.parameter, args.start, args.stop, args.step)
     values = spec.values()
     parameter = spec.parameter
@@ -279,9 +292,8 @@ def run_sweep(args) -> tuple[list[str], str]:
         # one graph, a P3 objective per point
         if not args.graph:
             raise GraphFormatError("omega sweeps need --graph")
-        graphs = [load_graph(args.graph)] * len(values)
-        objectives = [Objective.p3(alpha1=args.alpha1, alpha2=args.alpha2, omega=value) for value in values]
-        direction = "constant"
+        g = load_graph(args.graph)
+        points = ((g, Objective.p3(alpha1=args.alpha1, alpha2=args.alpha2, omega=value)) for value in values)
     else:
         # a graph per point, one objective; each input is read, and each
         # pose pair's distance and FOV overlap or each score checked, once
@@ -289,23 +301,16 @@ def run_sweep(args) -> tuple[list[str], str]:
         if appearance and not args.scores:
             raise GraphFormatError("alpha sweeps need --scores")
         build = cand.build_appearance_sweep if appearance else cand.build_geometric_sweep
-        points = (_gate_params(args, appearance, **{parameter: value}) for value in values)
-        graphs = list(build(*_candidate_inputs(args, appearance), points))
-        objectives = [obj] * len(values)
-        # candidate sets grow with dmax and shrink with eta and alpha
-        codes, grows = _edge_codes(graphs), parameter == "dmax"
-        direction = "non-decreasing" if grows else "non-increasing"
-        steps = zip(codes, codes[1:]) if grows else zip(codes[1:], codes)
-        if not all(np.isin(a, b).all() for a, b in steps):
-            raise InvariantViolation(f"candidate sets not nested along {parameter} sweep")
+        params = (_gate_params(args, appearance, **{parameter: value}) for value in values)
+        points = ((g, obj) for g in _nested(build(*_candidate_inputs(args, appearance), params), parameter))
 
-    # every point's cut at once, on networks shared by many points
-    _optimal_covers(zip(graphs, objectives))
     lines = ["param,optimal,monolog1,monolog2,bidirectional,num_vertices,num_edges"]
-    for value, g, obj_here in zip(values, graphs, objectives):
-        costs = [format_rational(x) for x in _strategy_costs(g, obj_here)]
+    jobs = ((g, *weight_numerators(g, obj_here)) for g, obj_here in points)
+    for value, ((g, weight, den), result) in zip(values, _min_cut_covers(jobs)):
+        costs = [format_rational(x) for x in _strategy_costs(result, weight, den)]
         lines.append(",".join([format_rational(value), *costs, str(g.num_vertices), str(g.num_edges)]))
-    return lines, f"nesting {direction}: ok ({len(graphs)} points)"
+    direction = {"omega": "constant", "dmax": "non-decreasing"}.get(parameter, "non-increasing")
+    return lines, f"nesting {direction}: ok ({len(lines) - 1} points)"
 
 
 def cmd_sweep(args) -> int:

@@ -646,6 +646,8 @@ def _weight_terms(g: ExchangeGraph, objective: Objective) -> tuple[int, tuple[in
     the *other* robot verify its edges, so side-1 vertices carry alpha2
     and side-2 vertices alpha1.
     """
+    if not isinstance(objective, Objective):
+        raise ValidationError(f"expected an Objective, got {_shown(objective)}")
     if objective.variant == P2:
         return 1, (0, 0), g.den
     q = math.lcm(objective.alpha1.denominator, objective.alpha2.denominator)

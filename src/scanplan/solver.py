@@ -43,6 +43,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from typing import Iterator
 
 import numpy as np
 
@@ -231,43 +232,30 @@ def solve(g: ExchangeGraph, obj: Objective, engine: str | None = None) -> SolveR
     return _optimal_cover(g, obj, engine)[0]
 
 
-def _strategy_costs(g: ExchangeGraph, obj: Objective, engine: str | None = None) -> list[Fraction]:
+def _strategy_costs(result: SolveResult, weight: tuple[list[int], list[int]], den: int) -> list[Fraction]:
     """The optimal, monolog-1, monolog-2 and full-bidirectional costs of
-    ``g`` under ``obj``: the optimum from ``solve``, and each monolog's cost
-    as its side's summed vertex weights from the same memo; all 0 on a
-    graph without vertices."""
-    optimal = solve(g, obj, engine).optimal_cost
-    _, weight, den = _optimal_cover(g, obj, engine)
+    the cut ``result``, each monolog's as its side's summed numerators of
+    the ``weight`` the cut was computed from; all 0 without vertices."""
     monolog1, monolog2 = (Fraction(sum(w), den) for w in weight)
-    return [optimal, monolog1, monolog2, monolog1 + monolog2]
+    return [result.optimal_cost, monolog1, monolog2, monolog1 + monolog2]
 
 
 def _optimal_cover(
     g: ExchangeGraph, obj: Objective, engine: str | None = None
 ) -> tuple[SolveResult, tuple[list[int], list[int]], int]:
     """``solve``'s result with the weight numerators and denominator it
-    was computed from: :func:`_optimal_covers` of one job."""
-    return _optimal_covers([(g, obj)], engine)[0]
-
-
-def _optimal_covers(items, engine: str | None = None) -> list[tuple[SolveResult, tuple[list[int], list[int]], int]]:
-    """For each (graph, objective) of ``items``, ``solve``'s result with
-    the weight numerators and denominator it was computed from, taken from
-    the graph's memo, or cut together with the other misses by
-    :func:`_min_cut_covers` and stored there once every cut passed its
-    checks. Concurrent misses compute equal results; the last write wins."""
+    was computed from, as the graph's memo holds them per objective and
+    requested engine: the one reader and writer of the memo, which stores
+    a :func:`_min_cut_covers` cut once it passed every check."""
+    if not isinstance(g, ExchangeGraph):
+        raise ValidationError(f"expected an ExchangeGraph, got {_shown(g)}")
     if engine not in (None, "scipy", "dinic"):
         raise ValidationError(f"unknown flow engine {_shown(engine)}")
-    items = list(items)
-    misses = {}
-    for g, obj in items:
-        if (obj, engine) not in g._covers:
-            misses.setdefault((id(g), obj), (g, obj))
-    if misses:
-        jobs = [(g, *weight_numerators(g, obj)) for g, obj in misses.values()]
-        for (g, obj), (_, weight, den), result in zip(misses.values(), jobs, _min_cut_covers(jobs, engine)):
-            g._covers[obj, engine] = (result, weight, den)
-    return [g._covers[obj, engine] for g, obj in items]
+    if (obj, engine) not in g._covers:
+        weight, den = weight_numerators(g, obj)
+        [(_, result)] = _min_cut_covers([(g, weight, den)], engine)
+        g._covers[obj, engine] = (result, weight, den)
+    return g._covers[obj, engine]
 
 
 # Most arcs of one joined cover network: the compiled engine's jobs are
@@ -276,9 +264,10 @@ def _optimal_covers(items, engine: str | None = None) -> list[tuple[SolveResult,
 _MAX_JOINED_ARCS = 2**17
 
 
-def _min_cut_covers(jobs, engine: str | None = None) -> list[SolveResult]:
-    """Minimum-weight vertex covers for exact weights, one per job
-    ``(graph, per-side weight numerators, denominator)``, each read off the
+def _min_cut_covers(jobs, engine: str | None = None) -> Iterator[tuple[tuple, SolveResult]]:
+    """Minimum-weight vertex covers for exact weights: reads the jobs
+    ``(graph, per-side weight numerators, denominator)`` as they arrive and
+    yields ``(job, cover)`` in job order, each cover read off the
     source-minimal min cut of the job's cover network. Jobs arrive in
     lowest terms, as :func:`weight_numerators` returns them and as unit
     weights over 1 are, so each job's numerators are its capacities.
@@ -288,41 +277,45 @@ def _min_cut_covers(jobs, engine: str | None = None) -> list[SolveResult]:
 
     The compiled engine's jobs are packed in order into joined networks
     (see :func:`_joined_covers`) whose capacities total less than
-    ``_INT32_SAFE_TOTAL`` and which hold at most ``_MAX_JOINED_ARCS`` arcs.
-    Each exact-engine job keeps a network of its own: a Dinic phase spans
-    its whole network, so a joined one would make every component pay the
-    phases of the slowest."""
-    results: list = [None] * len(jobs)
-    batches = []  # (engine, indices of the jobs joined in one network)
-    batch, batch_total, batch_arcs = [], 0, 0
-    for i, (g, weight, _) in enumerate(jobs):
+    ``_INT32_SAFE_TOTAL`` and which hold at most ``_MAX_JOINED_ARCS`` arcs,
+    each cut once the next such job does not join it. Each exact-engine
+    job is cut at once on a network of its own: a Dinic phase spans its
+    whole network, so a joined one would make every component pay the
+    phases of the slowest. Such a job, and an edgeless one, which needs no
+    cut, is yielded in order after the network pending before it."""
+    held, joined_total, joined_arcs = [], 0, 0  # (job, cover, or None while its network is pending)
+    for job in jobs:
+        g, weight, _ = job
+        total = sum(map(sum, weight))
+        cover = None
         if not g.num_edges:
             empty = Policy._over(g.ids, [np.zeros(len(ids), bool) for ids in g.ids])
-            results[i] = SolveResult(empty, Fraction(0), "flow_cut", Fraction(0), engine or "none")
-            continue
-        total = sum(map(sum, weight))
-        if (engine or ("scipy" if total < _INT32_SAFE_TOTAL else "dinic")) == "dinic":
-            batches.append(("dinic", [i]))
-            continue
-        if total >= _INT32_SAFE_TOTAL:
+            cover = SolveResult(empty, Fraction(0), "flow_cut", Fraction(0), engine or "none")
+        elif (engine or ("scipy" if total < _INT32_SAFE_TOTAL else "dinic")) == "dinic":
+            [cover] = _joined_covers("dinic", [job])
+        elif total >= _INT32_SAFE_TOTAL:
             # the compiled engine casts to int32 and would corrupt silently
             raise ValidationError(
                 f"scaled capacities total {_shown(total, str)} exceeds the compiled engine's "
                 "safe range; use the dinic engine"
             )
-        arcs = len(weight[0]) + len(weight[1]) + g.num_edges
-        if batch and (batch_total + total >= _INT32_SAFE_TOTAL or batch_arcs + arcs > _MAX_JOINED_ARCS):
-            batches.append(("scipy", batch))
-            batch, batch_total, batch_arcs = [], 0, 0
-        batch.append(i)
-        batch_total += total
-        batch_arcs += arcs
-    if batch:
-        batches.append(("scipy", batch))
-    for name, indices in batches:
-        for i, result in zip(indices, _joined_covers(name, [jobs[i] for i in indices])):
-            results[i] = result
-    return results
+        else:
+            arcs = len(weight[0]) + len(weight[1]) + g.num_edges
+            if joined_arcs and (joined_total + total >= _INT32_SAFE_TOTAL or joined_arcs + arcs > _MAX_JOINED_ARCS):
+                yield from _released(held)
+                held, joined_total, joined_arcs = [], 0, 0
+            joined_total += total
+            joined_arcs += arcs
+        held.append((job, cover))
+    yield from _released(held)
+
+
+def _released(held) -> Iterator[tuple[tuple, SolveResult]]:
+    """``held``, each pending cover read off the pending jobs' network."""
+    joined = [job for job, cover in held if cover is None]
+    covers = iter(_joined_covers("scipy", joined) if joined else ())
+    for job, cover in held:
+        yield job, cover if cover is not None else next(covers)
 
 
 def _joined_covers(engine: str, jobs) -> list[SolveResult]:
@@ -439,7 +432,7 @@ def solve_uniform_matching(g: ExchangeGraph) -> SolveResult:
     matching of the same size as its certificate."""
     unit = _uniform_scan_weight(g)
     n1, n2 = map(len, g.ids)
-    policy = _min_cut_covers([(g, ([1] * n1, [1] * n2), 1)])[0].policy
+    policy = next(_min_cut_covers([(g, ([1] * n1, [1] * n2), 1)]))[1].policy
     match = _max_matching(g)
     matched = np.flatnonzero(match >= 0).tolist()
     if len(policy.ones) != len(matched):

@@ -1,5 +1,6 @@
 """Shared fixtures: the double-star reference graph, random instance
-generators, and the exhaustive oracles the fast paths are checked against."""
+generators, the exhaustive oracles the fast paths are checked against, and
+a trajectory subsampler and file writers."""
 
 from __future__ import annotations
 
@@ -7,9 +8,11 @@ import random
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import scanplan as sp
+from scanplan.candidates import Trajectory, _check_count
 from scanplan.graph import effective_weight
 
 # the 8-vertex, 7-edge double star: one hub per side joined to every
@@ -107,3 +110,22 @@ def ghc_subset_oracle(g: sp.ExchangeGraph, obj: sp.Objective, side: int) -> bool
         if w_s > w_n:
             return False
     return True
+
+
+def subsample(traj: Trajectory, rate_divisor: int) -> Trajectory:
+    """Keep every rate_divisor-th pose starting from the first."""
+    _check_count("rate_divisor", rate_divisor)
+    return Trajectory(traj.poses[::rate_divisor])
+
+
+def write_kitti_poses(traj: Trajectory, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for pose in traj:
+            m = np.hstack([pose.rotation, np.reshape(pose.position, (3, 1))])
+            fh.write(" ".join(f"{v:.17g}" for v in m.reshape(-1)) + "\n")
+
+
+def write_feature_counts(traj: Trajectory, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for pose in traj:
+            fh.write(f"{int(pose.feature_count)}\n")

@@ -35,11 +35,9 @@ from scanplan.candidates import (
     read_feature_counts,
     read_kitti_poses,
     read_scores,
-    subsample,
     synthetic_two_loop,
-    write_feature_counts,
-    write_kitti_poses,
 )
+from conftest import subsample, write_feature_counts, write_kitti_poses
 from test_cli import mutated
 
 
@@ -1380,7 +1378,7 @@ def test_trajectory_reads_list_and_tuple_geometry(tmp_path):
     assert g.num_edges == 4
     assert sp.dumps_graph(build_geometric(lists, lists, GeometryParams(d_max=10.0, eta=0.1))) == sp.dumps_graph(g)
     for name, traj in (("arrays", arrays), ("lists", lists)):
-        candidates.write_kitti_poses(traj, tmp_path / name)
+        write_kitti_poses(traj, tmp_path / name)
     assert (tmp_path / "arrays").read_text() == (tmp_path / "lists").read_text()
 
 

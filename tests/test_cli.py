@@ -24,6 +24,8 @@ import scanplan as sp
 from scanplan.cli import main
 from scanplan.graph import MAX_DENOMINATOR_DIGITS
 
+from conftest import subsample
+
 DATA = Path(__file__).parent / "data"
 DOUBLE_STAR = str(DATA / "double_star.json")
 
@@ -616,6 +618,29 @@ def test_synthetic_build_graph_memory_stays_bounded(capsys, tmp_path):
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
+def test_sweep_memory_stays_bounded(capsys):
+    # 291 dmax points at 300 poses a side: holding every point's graph,
+    # memo and edge codes until the last point took a traced peak of 128
+    # to 141 MiB; streaming holds one joined network's points. The CSV is
+    # the one the all-points sweep wrote, byte for byte
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # pruned vertices
+            code, out, err = run(
+                capsys,
+                "sweep", "--synthetic", "--synthetic-poses", "300",
+                "--parameter", "dmax", "--start", "2", "--stop", "60", "--step", "0.2", "--eta", "0",
+            )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert err == "nesting non-decreasing: ok (291 points)\n"
+    assert peak < 64 * 2**20, peak
+    assert hashlib.sha256(out.encode()).hexdigest() == "bc3e80b2ac52f9b5583858b250530d8032f469bd856df848fc6cc54912713d95"
+
+
 def test_build_graph_extreme_fov_range_no_numpy_warnings(capsys, tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -669,7 +694,7 @@ def test_sweep_matches_per_point_build_geometric(capsys, monkeypatch, argv, fov_
     assert len(shared_pruned) == len(shared[1].splitlines()) - 1
     # the shared sweep decided each gated pair once, and the kernel saw
     # only some of them, none twice
-    t1, t2 = (cand.subsample(t, 3) for t in load_fixture_trajectories())
+    t1, t2 = (subsample(t, 3) for t in load_fixture_trajectories())
     pos1, pos2 = (np.array([pose.position for pose in t]) for t in (t1, t2))
     dists = np.linalg.norm(pos1[:, None, :] - pos2[None, :, :], axis=2)
     if fov_d_max is None:
@@ -750,6 +775,26 @@ def test_sweep_out_of_order_graphs_exit_4(capsys, monkeypatch, parameter, builde
     assert code == 4
     assert out == ""
     assert err == f"internal error: candidate sets not nested along {parameter} sweep\n"
+
+
+@pytest.mark.parametrize(
+    "parameter, argv",
+    [
+        ("eta", ("--synthetic", "--start", "0.8", "--stop", "1.2", "--step", "0.1", "--dmax", "30")),
+        ("alpha", ("--start", "0.9", "--stop", "1.1", "--step", "0.1", *SCORES_40)),
+    ],
+)
+def test_sweep_refusing_a_later_point_writes_no_row(capsys, tmp_path, parameter, argv):
+    # the points before the refused one stream into the cut before its
+    # error arrives, yet no row reaches stdout or the --out file
+    out_file = tmp_path / "sweep.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # pruned vertices
+        for out_flags in ((), ("--out", str(out_file))):
+            code, out, err = run(capsys, "sweep", "--parameter", parameter, *argv, *out_flags)
+            assert (code, out) == (3, "")
+            assert err == f"error: {parameter} must lie in [0, 1], got 1.1\n"
+    assert not out_file.exists()
 
 
 def graphs_over(data, n1, n2, ids=None):

@@ -278,6 +278,30 @@ def test_unknown_engine_rejected_on_empty_graph():
     assert sp.solve(g, sp.Objective.p2()).engine == "none"
 
 
+@pytest.mark.parametrize("bad", ["p2", None, "p" * 1000])
+def test_non_objective_is_refused_with_a_validation_error(double_star, bad):
+    calls = [
+        lambda: sp.solve(double_star, bad),
+        lambda: sp.check_ghc(double_star, bad, 1),
+        lambda: sp.objective_cost(double_star, sp.monolog(double_star, 1), bad),
+        lambda: sp.effective_weight(double_star, A1, bad),
+        lambda: sp.solve_brute_force(double_star, bad),
+    ]
+    for call in calls:
+        with pytest.raises(sp.ValidationError, match="^expected an Objective, got ") as refused:
+            call()
+        assert len(str(refused.value)) < 300
+    assert double_star._covers == {}
+
+
+@pytest.mark.parametrize("bad", [None, "graph", [1] * 1000])
+def test_non_graph_is_refused_with_a_validation_error(bad):
+    for call in (sp.solve, lambda g, obj: sp.check_ghc(g, obj, 1)):
+        with pytest.raises(sp.ValidationError, match="^expected an ExchangeGraph, got ") as refused:
+            call(bad, sp.Objective.p2())
+        assert len(str(refused.value)) < 300
+
+
 # -- one min cut per graph and objective ---------------------------------------
 
 
@@ -350,7 +374,7 @@ def test_memoized_results_equal_fresh_graph(rng, picks):
 
 
 def _joined_cover_jobs(rng):
-    """(graph, objective) jobs of every kind a sweep can hand over at once,
+    """(graph, objective) jobs of every kind a sweep can hand over in turn,
     and the one job that the compiled engine refuses: small random graphs,
     one of them under several objectives and one job twice, graphs without
     edges, graphs whose scaled capacity totals pass 2**30 two by two, and
@@ -382,13 +406,14 @@ def test_joined_covers_equal_separate_solves(rng):
 
     for engine in (None, "dinic", "scipy"):
         todo = [job for job in jobs if engine != "scipy" or job is not huge]
+        cuts = [(g, *sp.graph.weight_numerators(g, obj)) for g, obj in todo]
         totals.clear()
         with mock.patch.object(sp.solver, "_min_cut_reachable_scipy", recorded):
-            found = sp.solver._optimal_covers(todo, engine)
-        for (g, obj), (result, weight, den) in zip(todo, found):
+            found = list(sp.solver._min_cut_covers(iter(cuts), engine))
+        # each job comes back once, in job order, with its cover
+        assert [id(job) for job, _ in found] == list(map(id, cuts))
+        for (g, obj), (_, result) in zip(todo, found):
             assert result == sp.solve(sp.loads_graph(sp.dumps_graph(g)), obj, engine=engine)
-            assert (weight, den) == sp.graph.weight_numerators(g, obj)
-            assert g._covers[obj, engine][0] is result
         assert all(total < 2**30 for total in totals)
         if engine != "dinic":
             # each big graph needs a network of its own; the small ones join them
@@ -408,9 +433,14 @@ def test_joined_networks_hold_at_most_the_arc_cap(monkeypatch):
     flow = sp.solver._min_cut_reachable_scipy
     monkeypatch.setattr(sp.solver, "_min_cut_reachable_scipy", lambda *net: networks.append(net) or flow(*net))
     monkeypatch.setattr(sp.solver, "_MAX_JOINED_ARCS", 8)
-    found = sp.solver._optimal_covers((g, sp.Objective.p2()) for g in graphs)
+    covers = sp.solver._min_cut_covers((g, *sp.graph.weight_numerators(g, sp.Objective.p2())) for g in graphs)
+    # the jobs stream: the first network is cut once the 9-arc graph does not join it
+    found = [next(covers)]
+    assert [len(tails) for _, tails, _, _ in networks] == [8]
+    found += covers
     assert [len(tails) for _, tails, _, _ in networks] == [8, 9, 3]
-    for g, (result, *_) in zip(graphs, found):
+    for g, ((job_graph, *_), result) in zip(graphs, found):
+        assert job_graph is g
         assert result == sp.solve(sp.loads_graph(sp.dumps_graph(g)), sp.Objective.p2())
 
 
@@ -421,7 +451,7 @@ def test_corrupt_component_of_joined_network_is_refused_and_not_remembered(monke
         sp.build_graph([5], [3], [(0, 0)]),
         sp.build_graph([1, 1], [4], [(0, 0), (1, 0)]),
     ]
-    jobs = [(g, sp.Objective.p2()) for g in graphs]
+    jobs = [(g, *sp.graph.weight_numerators(g, sp.Objective.p2())) for g in graphs]
     flow = sp.solver._min_cut_reachable_scipy
 
     def corrupt(n, tails, heads, caps):
@@ -433,10 +463,9 @@ def test_corrupt_component_of_joined_network_is_refused_and_not_remembered(monke
     monkeypatch.setattr(sp.solver, "_min_cut_reachable_scipy", corrupt)
     message = "max-flow value 6 of 3 joined cover networks differs from their cut capacity 3$"
     with pytest.raises(sp.InvariantViolation, match=message):
-        sp.solver._optimal_covers(jobs)
-    assert all(g._covers == {} for g in graphs)
+        list(sp.solver._min_cut_covers(jobs))
     monkeypatch.undo()
-    costs = [result.optimal_cost for result, *_ in sp.solver._optimal_covers(jobs)]
+    costs = [result.optimal_cost for _, result in sp.solver._min_cut_covers(jobs)]
     assert costs == [1, 3, 2]
 
 
@@ -742,11 +771,11 @@ def test_strategy_costs_match_the_policy_costs():
             by_vertex = [sum(sp.effective_weight(g, vid, obj) for vid in pi.ones) for pi in policies]
             assert expected[1:] == by_vertex
             for engine in (None, "scipy", "dinic"):
-                assert sp.solver._strategy_costs(g, obj, engine) == expected
+                assert sp.solver._strategy_costs(*sp.solver._optimal_cover(g, obj, engine)) == expected
 
 
 def test_strategy_costs_of_a_graph_without_vertices_are_zero():
     g = sp.build_graph([], [], [])
     for obj in (sp.Objective.p1(2, 3), sp.Objective.p2(), sp.Objective.p3(1, 2, 3)):
         for engine in (None, "scipy", "dinic"):
-            assert sp.solver._strategy_costs(g, obj, engine) == [0, 0, 0, 0]
+            assert sp.solver._strategy_costs(*sp.solver._optimal_cover(g, obj, engine)) == [0, 0, 0, 0]

@@ -75,6 +75,44 @@ def test_the_import_check_finds_an_unused_import():
     assert unused_imports(text) == ["2: json", "4: NoReturn", "7: save_graph"]
 
 
+def unread_definitions(texts: dict[str, str]) -> list[str]:
+    """The module-level functions and classes of ``texts`` (module name:
+    source) that no module of ``texts`` reads, as ``module: name``. A name
+    counts as read where it is loaded as a name or an attribute, or where a
+    string constant equals it, as in ``__all__`` and in the handler names
+    that ``cli.main`` looks up."""
+    trees = {module: ast.parse(text) for module, text in texts.items()}
+    read = set()
+    for node in (n for tree in trees.values() for n in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return [
+        f"{module}: {node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name not in read
+    ]
+
+
+def test_every_module_level_definition_is_read():
+    texts = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SOURCE.glob("*.py"))}
+    assert unread_definitions(texts) == []
+
+
+def test_the_dead_code_check_finds_an_unread_definition():
+    texts = {
+        "a": "__all__ = ['public']\ndef public():\n    return helper()\ndef helper():\n    pass\n"
+        "def left_over():\n    pass\nclass Spec:\n    pass\n",
+        "b": "from . import a\nclass Unused:\n    def method(self):\n        return a.Spec\n"
+        "def cmd_run(args):\n    pass\nHANDLER = 'cmd_run'\nleft = 1\n",
+    }
+    assert unread_definitions(texts) == ["a: left_over", "b: Unused"]
+
+
 def traced_sites(text: str) -> set[tuple[str, str]]:
     """The ``(module, attribute)`` pairs of the ``SITES`` list in a
     perfbench tracing module's text, read without importing it."""
