@@ -11,8 +11,11 @@ certificates downstream are exact.
 Inside, a graph is a set of index arrays: per side the vertex ids in file
 order; scan sizes, inertia prices and edge costs as integer numerators
 over one common denominator; and the edge endpoints as two int64 arrays of
-side positions. ``Fraction``, ``VertexId``, ``ScanVertex`` and ``Edge``
-objects exist only at the API boundary, built on first access and cached.
+side positions. The edge costs, and the per-vertex columns the costs of a
+plan are summed over, are numpy arrays of one rule (:func:`_int_column`):
+int64 while every sum of their entries fits, else Python ints. ``Fraction``,
+``VertexId``, ``ScanVertex`` and ``Edge`` objects exist only at the API
+boundary, built on first access and cached.
 A graph file that is byte for byte what ``dumps_graph`` writes, with at
 most 18 digits in each run of digits, is read in numpy passes over its
 three sections with no JSON parse: ints, decimals and ``"p/q"`` values
@@ -37,7 +40,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -127,7 +130,9 @@ class ExchangeGraph:
       ``den``; an inertia entry is None where no price is set.
     - ``eu`` / ``ev``: read-only int64 arrays holding, for each edge in
       file order, the side-1 and the side-2 position of its endpoints.
-    - ``cost_num``: tuple of edge-cost numerators over ``den``.
+    - ``costs``: read-only integer array of the edge-cost numerators over
+      ``den``, int64 or Python ints as :func:`_int_column` decides;
+      ``cost_num`` gives them as a tuple of ints, built on first read.
     """
 
     def __init__(
@@ -148,7 +153,7 @@ class ExchangeGraph:
         self.inertia_num = (tuple(inertia_num[0]), tuple(inertia_num[1]))
         self.eu = np.array(eu, dtype=np.int64)
         self.ev = np.array(ev, dtype=np.int64)
-        self.cost_num = tuple(cost_num)
+        self.costs = _int_column(cost_num)
         self._validate()
         # every vertex is checked above; the degree-0 ones are pruned here,
         # and the warning names the caller of build_graph, from_vertices or
@@ -198,7 +203,7 @@ class ExchangeGraph:
         every restriction keeps all those values, so needs all of ``den``."""
         g = ExchangeGraph.__new__(ExchangeGraph)
         g.ids, g.den, g.size_num, g.inertia_num = self.ids, self.den, self.size_num, self.inertia_num
-        g.cost_num = tuple(compress(self.cost_num, keep.tolist()))
+        g.costs = _int_column(self.costs[keep])
         g.eu, g.ev = self.eu[keep], self.ev[keep]
         g._finish(3)
         return g
@@ -232,7 +237,7 @@ class ExchangeGraph:
                             value = _shown(Fraction(num, self.den), str)
                             raise NegativeWeight(f"{label} of {_shown(vid, str)} is negative: {value}")
         n1, n2 = len(self.ids[0]), len(self.ids[1])
-        m = len(self.cost_num)
+        m = len(self.costs)
         if self.eu.shape != (m,) or self.ev.shape != (m,):
             raise ValidationError("edge endpoint arrays and edge costs differ in length")
         if m and (min(self.eu.min(), self.ev.min()) < 0 or self.eu.max() >= n1 or self.ev.max() >= n2):
@@ -248,8 +253,8 @@ class ExchangeGraph:
             repeated[first] = False
             repeat = int(np.flatnonzero(repeated)[0])
         negative = m
-        if min(self.cost_num, default=0) < 0:
-            negative = next(k for k, c in enumerate(self.cost_num) if c < 0)
+        if self.costs.min(initial=0) < 0:
+            negative = int(np.flatnonzero(self.costs < 0)[0])
         if min(repeat, negative) < m:
             k = min(repeat, negative)
             u = _shown(VertexId(1, self.ids[0][self.eu[k]]), str)
@@ -257,7 +262,7 @@ class ExchangeGraph:
             if k == repeat:
                 raise DuplicateEdge(f"duplicate edge {u}--{v}")
             raise NegativeWeight(
-                f"edge {u}--{v} has negative cost {_shown(Fraction(self.cost_num[k], self.den), str)}"
+                f"edge {u}--{v} has negative cost {_shown(Fraction(int(self.costs[k]), self.den), str)}"
             )
 
     # -- boundary objects, built on first use ------------------------------
@@ -308,8 +313,14 @@ class ExchangeGraph:
         return list(zip(map(vids1.__getitem__, self.eu.tolist()), map(vids2.__getitem__, self.ev.tolist())))
 
     @cached_property
+    def cost_num(self) -> tuple[int, ...]:
+        """The edge-cost numerators over ``den`` as a tuple of ints."""
+        return tuple(self.costs.tolist())
+
+    @cached_property
     def edges(self) -> tuple[Edge, ...]:
-        costs = map(self._fractions(self.cost_num), self.cost_num)
+        nums = self.costs.tolist()
+        costs = map(self._fractions(nums), nums)
         return tuple(map(tuple.__new__, repeat(Edge), ((u, v, c) for (u, v), c in zip(self.edge_key_list, costs))))
 
     @cached_property
@@ -324,23 +335,25 @@ class ExchangeGraph:
     # -- integer columns, built on first use -------------------------------
 
     @cached_property
-    def eff_num(self) -> tuple[list[int], list[int]]:
+    def eff_num(self) -> tuple[np.ndarray, np.ndarray]:
         """Per side, the effective scan sizes (the inertia price where set)
-        as numerators over ``den``."""
+        as numerators over ``den``, in :func:`_int_column` arrays."""
         return tuple(
-            [size if price is None else price for size, price in zip(sizes, prices)]
+            _int_column([size if price is None else price for size, price in zip(sizes, prices)])
             for sizes, prices in zip(self.size_num, self.inertia_num)
         )
 
     @cached_property
-    def incident_num(self) -> tuple[list[int], list[int]]:
-        """Per side, the summed cost numerators of each vertex's edges."""
-        sums = ([0] * len(self.ids[0]), [0] * len(self.ids[1]))
-        at1, at2 = sums
-        for i, j, c in zip(self.eu.tolist(), self.ev.tolist(), self.cost_num):
-            at1[i] += c
-            at2[j] += c
-        return sums
+    def incident_num(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per side, the summed cost numerators of each vertex's edges, in
+        :func:`_int_column` arrays. Each is a sum of entries of ``costs``,
+        so it fits int64 when ``costs`` is int64."""
+        sums = []
+        for ends, ids in zip((self.eu, self.ev), self.ids):
+            total = np.zeros(len(ids), dtype=self.costs.dtype)
+            np.add.at(total, ends, self.costs)
+            sums.append(_int_column(total))
+        return tuple(sums)
 
     # -- lookups ---------------------------------------------------------
 
@@ -377,7 +390,7 @@ class ExchangeGraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self.cost_num)
+        return len(self.costs)
 
     def edge_positions(self, keys: Iterable) -> np.ndarray:
         """Position of each edge ``(u, v)`` of ``keys`` in the edge arrays,
@@ -408,7 +421,7 @@ class ExchangeGraph:
         k = int(self.edge_positions([key])[0])
         if k < 0:
             raise UnknownVertex(f"no edge {_shown(key[0], str)}--{_shown(key[1], str)} in graph")
-        return Fraction(self.cost_num[k], self.den)
+        return Fraction(int(self.costs[k]), self.den)
 
     @cached_property
     def _edge_keys(self) -> frozenset[EdgeKey]:
@@ -418,7 +431,7 @@ class ExchangeGraph:
         return self._edge_keys
 
     def total_edge_cost(self) -> Fraction:
-        return Fraction(sum(self.cost_num), self.den)
+        return Fraction(int(self.costs.sum()), self.den)
 
     def __repr__(self):
         return (
@@ -452,6 +465,72 @@ class ExchangeGraph:
             costs.append(_key(cost))
         eu, ev = _end_positions(ids, us, vs)
         return _assemble(ids, sizes, inertia, eu, ev, costs, *_key_ratios(sizes, inertia, costs))
+
+
+# _int_column keeps a column in int64 while len * max|v| is below this
+_SUM_BOUND = 2**62
+
+
+def _int_column(values) -> np.ndarray:
+    """Integers ``values`` as a new read-only array: int64 when ``len *
+    max|v| < 2**62``, else an object array of Python ints. A value that is
+    not an integer is refused with ``ValidationError``, not truncated;
+    numpy integers and bools count as integers.
+
+    Every sum of entries of an int64 column is exact: a sum of ``k <= len``
+    entries is at most ``k * max|v| <= len * max|v| < 2**62 < 2**63`` in
+    size, and so is each partial sum numpy forms on the way, itself a sum
+    of entries, in any order of addition. On an object column numpy adds
+    Python ints, which never overflow, so the same expression (a masked
+    ``.sum()``, ``np.add.at``, ``np.gcd.reduce``) is exact on both."""
+    column = np.array(values)  # ints that all fit int64 give an int64 array
+    if column.dtype.kind != "i":  # ints past int64, or values that are not integers
+        values = values.tolist() if isinstance(values, np.ndarray) else values
+        for v in values:
+            if not isinstance(v, numbers.Integral):
+                raise ValidationError(f"expected integer numerators, got {_shown(v)}")
+        column = np.array([int(v) for v in values], dtype=object)
+        with contextlib.suppress(OverflowError):  # an entry past int64 keeps them Python ints
+            column = column.astype(np.int64)
+    if column.dtype != object:
+        column = column.astype(np.int64, copy=False)  # where the platform's int is narrower
+        if len(column) * _max_abs(column) >= _SUM_BOUND:
+            column = column.astype(object)
+    column.flags.writeable = False
+    return column
+
+
+def _max_abs(column: np.ndarray) -> int:
+    """The largest size of an entry of an integer array, as a Python int; 0
+    when it is empty."""
+    return max(int(column.max(initial=0)), -int(column.min(initial=0)))
+
+
+def _weighted_sum(terms: Iterable[tuple[int, np.ndarray]], n: int) -> np.ndarray:
+    """The column ``sum(c * column)`` over ``terms``, each a non-negative
+    int ``c`` and an :func:`_int_column` array of length ``n``, as
+    :func:`_int_column` types it. The bound ``n * sum(c * max|column|)`` is
+    found in Python ints before any product: below 2**62, every product
+    and partial sum fits, so the sum is taken in int64; else in Python
+    ints. A term with no nonzero entry is dropped, so each ``c`` kept in
+    int64 is at most the bound; a lone term with ``c`` 1 is its column."""
+    terms = [(c, column) for c, column in terms if c and column.any()]
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    bound = n * sum(c * _max_abs(column) for c, column in terms)
+    if bound >= _SUM_BOUND:
+        return _int_column(sum(c * column.astype(object) for c, column in terms))
+    total = np.zeros(n, dtype=np.int64)
+    for c, column in terms:
+        total += c * column
+    total.flags.writeable = False  # within the bound, so int64 by the rule too
+    return total
+
+
+def _checked_graph(g) -> None:
+    """``ValidationError`` unless ``g`` is an :class:`ExchangeGraph`."""
+    if not isinstance(g, ExchangeGraph):
+        raise ValidationError(f"expected an ExchangeGraph, got {_shown(g)}")
 
 
 def _side_position(side: int) -> int:
@@ -599,7 +678,8 @@ def _unpruned_graph(v1_weights, v2_weights, pairs: np.ndarray) -> ExchangeGraph:
     checked as ``build_graph`` checks them."""
     ids, sizes, inertia, _, _, _, ratios, den = _graph_columns(v1_weights, v2_weights, (), None, None)
     ratios[1] = (1, 1)  # every edge's cost
-    return _assemble(ids, sizes, inertia, pairs[:, 0], pairs[:, 1], [1] * len(pairs), ratios, den, prune=False)
+    costs = np.ones(len(pairs), dtype=np.int64)
+    return _assemble(ids, sizes, inertia, pairs[:, 0], pairs[:, 1], costs, ratios, den, prune=False)
 
 
 def _graph_columns(v1_weights, v2_weights, edges, v1_inertia, v2_inertia) -> tuple:
@@ -662,22 +742,24 @@ def _weight_terms(g: ExchangeGraph, objective: Objective) -> tuple[int, tuple[in
     )
 
 
-def weight_numerators(g: ExchangeGraph, objective: Objective) -> tuple[tuple[list[int], list[int]], int]:
+def weight_numerators(g: ExchangeGraph, objective: Objective) -> tuple[tuple[np.ndarray, np.ndarray], int]:
     """Every vertex's weight under ``objective`` in lowest terms: per side,
-    numerators in position order, over the returned denominator, which
-    shares no factor with all of them."""
+    numerators in position order as an :func:`_int_column` array, over the
+    returned denominator, which shares no factor with all of them. Each
+    side's column is typed on its own, so sums over both sides are taken
+    in Python ints."""
+    _checked_graph(g)
     a, b, den = _weight_terms(g, objective)
-    if b == (0, 0):
-        weight = tuple([a * x for x in eff] for eff in g.eff_num)
-    else:
-        weight = tuple(
-            [a * x + bs * c for x, c in zip(eff, inc)]
-            for eff, inc, bs in zip(g.eff_num, g.incident_num, b)
-        )
-    common = math.gcd(den, *weight[0], *weight[1])
-    if common == 1:
-        return weight, den
-    return tuple([w // common for w in side] for side in weight), den // common
+    weight = tuple(
+        _weighted_sum([(a, eff), (bs, g.incident_num[s])] if bs else [(a, eff)], len(eff))
+        for s, (eff, bs) in enumerate(zip(g.eff_num, b))
+    )
+    spread = math.gcd(*(int(np.gcd.reduce(w)) for w in weight))
+    common = math.gcd(den, spread)
+    if common == 1 or not spread:  # nothing to divide, or every weight is 0
+        return weight, den // common
+    # common divides a nonzero weight, so fits the weights' dtype
+    return tuple(_int_column(w // common) for w in weight), den // common
 
 
 def effective_weight(g: ExchangeGraph, vid: VertexId, objective: Objective) -> Fraction:
@@ -685,10 +767,11 @@ def effective_weight(g: ExchangeGraph, vid: VertexId, objective: Objective) -> F
     (see :func:`_weight_terms`). The inertia override, when present,
     replaces the scan size before composition.
     """
+    _checked_graph(g)
     s, k = g.locate(vid)
     a, b, den = _weight_terms(g, objective)
-    incident = g.incident_num[s][k] if b[s] else 0
-    return Fraction(a * g.eff_num[s][k] + b[s] * incident, den)
+    incident = int(g.incident_num[s][k]) if b[s] else 0
+    return Fraction(a * int(g.eff_num[s][k]) + b[s] * incident, den)
 
 
 # -- serialization --------------------------------------------------------
@@ -840,8 +923,10 @@ def dumps_graph(g: ExchangeGraph) -> str:
     A value whose ``p/q`` has more digits too is refused with
     ``ValidationError``, so the file of every graph that ``build_graph``
     or ``from_vertices`` accepts reads back."""
+    _checked_graph(g)
+    costs = g.costs.tolist()
     priced = (price for price in chain(*g.inertia_num) if price is not None)
-    texts = _rational_texts(chain(*g.size_num, priced, g.cost_num), g.den, bounded=True)
+    texts = _rational_texts(chain(*g.size_num, priced, costs), g.den, bounded=True)
     number = {num: json.dumps(text) if "/" in text else text for num, text in texts.items()}.__getitem__
     lines = ["{"]
     for key, ids, sizes, prices in zip(("v1", "v2"), g.ids, g.size_num, g.inertia_num):
@@ -856,7 +941,7 @@ def dumps_graph(g: ExchangeGraph) -> str:
     v_ids = map(g.ids[1].__getitem__, g.ev.tolist())
     entries = [
         f'    {{"u": {u}, "v": {v}, "cost": {number(c)}}}'
-        for u, v, c in zip(u_ids, v_ids, g.cost_num)
+        for u, v, c in zip(u_ids, v_ids, costs)
     ]
     lines.append('  "edges": [')
     lines.append(",\n".join(entries))
@@ -1085,16 +1170,17 @@ def _picked(value: tuple, where) -> tuple:
     return tuple(None if column is None else column[where] for column in value)
 
 
-def _over(whole: np.ndarray, num: np.ndarray, dens: np.ndarray, den: int) -> list[int]:
+def _over(whole: np.ndarray, num: np.ndarray, dens: np.ndarray, den: int) -> np.ndarray:
     """Each ``whole + num / dens`` as a numerator over ``den``, which every
-    one of ``dens`` divides: in int64 when every product fits, else in
-    Python ints."""
+    one of ``dens`` divides: in int64 when every product fits, else as an
+    object array of Python ints."""
     if den < 2**62:
         step = den // dens
         if (whole * float(den) + num * step.astype(float)).max(initial=0) < 2**62:
-            return (whole * den + num * step).tolist()
+            return whole * den + num * step
     steps = {d: den // d for d in set(dens.tolist())}
-    return [w * den + n * steps[d] for w, n, d in zip(whole.tolist(), num.tolist(), dens.tolist())]
+    nums = [w * den + n * steps[d] for w, n, d in zip(whole.tolist(), num.tolist(), dens.tolist())]
+    return np.array(nums, dtype=object)
 
 
 def _dumped_graph(text: str) -> ExchangeGraph | None:
@@ -1142,22 +1228,25 @@ def _dumped_graph(text: str) -> ExchangeGraph | None:
         return None
     us, vs = value[0][0::3], value[0][1::3]
     columns.append(_picked(value, slice(2, None, 3)))
+    # the values over the common denominator: the vertex columns go to
+    # lists, the edge costs stay an array
     if all(num is None for _, num, _ in columns):
-        den, nums = 1, [whole.tolist() for whole, _, _ in columns]
+        den, nums = 1, [whole for whole, _, _ in columns]
     else:
         whole = np.concatenate([w for w, _, _ in columns])
         num = np.concatenate([np.zeros_like(w) if n is None else n for w, n, _ in columns])
         dens = np.concatenate([np.ones_like(w) if d is None else d for w, _, d in columns])
         den = _common_denominator(np.unique(dens).tolist(), GraphFormatError)
-        flat = iter(_over(whole, num, dens, den))
-        nums = [list(islice(flat, len(w))) for w, _, _ in columns]
+        ends = np.cumsum([len(w) for w, _, _ in columns])
+        nums = np.split(_over(whole, num, dens, den), ends[:-1])
+    sizes = [nums[0].tolist(), nums[2].tolist()]
     inertia = []
-    for side_ids, at, prices in zip(ids, priced, nums[1::2]):
+    for side_ids, at, prices in zip(ids, priced, nums[1:4:2]):
         column = [None] * len(side_ids)
-        for k, price in zip(at, prices):
+        for k, price in zip(at, prices.tolist()):
             column[k] = price
         inertia.append(column)
-    return ExchangeGraph(ids, den, nums[0:4:2], inertia, *_end_positions(ids, us, vs), nums[4])
+    return ExchangeGraph(ids, den, sizes, inertia, *_end_positions(ids, us, vs), nums[4])
 
 
 def loads_graph(text: str) -> ExchangeGraph:

@@ -26,6 +26,7 @@ from .errors import (
 from .graph import (
     ExchangeGraph,
     VertexId,
+    _checked_graph,
     _load_file,
     _load_int,
     _load_json,
@@ -115,16 +116,18 @@ class Policy:
         return f"Policy(ones={{{ones}}})"
 
 
-def _masked_sum(column: Sequence[int], mask: np.ndarray) -> int:
-    """The sum of an integer column over a boolean mask of the same length:
-    the one sum behind every cost of a labelling."""
-    return sum(compress(column, mask.tolist()))
+def _masked_sum(column: np.ndarray, mask: np.ndarray) -> int:
+    """The sum of an integer column (see ``graph._int_column``, which makes
+    it exact) over a boolean mask of the same length: the one sum behind
+    every cost of a labelling."""
+    return int(column[mask].sum())
 
 
 def _sent_masks(g: ExchangeGraph, pi: Policy) -> tuple[np.ndarray, np.ndarray]:
     """Per side, a mask of the vertices the policy transmits: its own masks
     when it was built over g's ids. ``LabelDomainMismatch`` unless the
     policy labels exactly g's vertices."""
+    _checked_graph(g)
     masks = pi._masks_over(g.ids)
     if masks is not None:
         return masks
@@ -146,6 +149,7 @@ def is_admissible(g: ExchangeGraph, pi: Policy) -> bool:
 
 def monolog(g: ExchangeGraph, source_side: int) -> Policy:
     """The one-directional policy transmitting every scan of one robot."""
+    _checked_graph(g)
     s = _side_position(source_side)
     if not g.ids[s]:
         raise EmptySide(f"side {source_side} has no vertices")
@@ -154,6 +158,7 @@ def monolog(g: ExchangeGraph, source_side: int) -> Policy:
 
 def full_bidirectional(g: ExchangeGraph) -> Policy:
     """Every scan sent both ways: the naive all-ones baseline."""
+    _checked_graph(g)
     return Policy._over(g.ids, [np.ones(len(ids), bool) for ids in g.ids])
 
 

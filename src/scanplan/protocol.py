@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GroundTruthOutsideCandidates, InadmissiblePolicy, ValidationError
-from .graph import EdgeKey, ExchangeGraph, VertexId, _rational_texts, _vertex_ids, format_rational
+from .graph import EdgeKey, ExchangeGraph, VertexId, _checked_graph, _rational_texts, _vertex_ids, format_rational
 from .objectives import Objective, _shown, _shown_ids, as_fraction
 from .policy import (
     Policy,
@@ -106,7 +106,7 @@ def _schedule(g: ExchangeGraph, sent: tuple[np.ndarray, np.ndarray]) -> list[tup
     return [
         (side, index, size)
         for side, ids, eff, mask in zip((1, 2), g.ids, g.eff_num, sent)
-        for index, size in sorted(compress(zip(ids, eff), mask.tolist()))
+        for index, size in sorted(compress(zip(ids, eff.tolist()), mask.tolist()))
     ]
 
 
@@ -324,7 +324,7 @@ def _session_costs(g: ExchangeGraph, sent, on_robot) -> tuple[Fraction, Fraction
     verification cost ``ell1``, ``ell2``."""
     return (
         Fraction(sum(map(_masked_sum, g.eff_num, sent)), g.den),
-        *(Fraction(_masked_sum(g.cost_num, m), g.den) for m in on_robot),
+        *(Fraction(_masked_sum(g.costs, m), g.den) for m in on_robot),
     )
 
 
@@ -339,6 +339,7 @@ def run_rendezvous(
     index arrays: per-vertex and per-edge masks, sizes and costs as integer
     numerators over ``g.den``.
     """
+    _checked_graph(g)
     at = _closure_positions(g, cfg)
     # rounds 1 and 3: metadata to the broker, the policy back
     metadata = _metadata_messages(g, cfg)
@@ -398,6 +399,7 @@ def compare_strategies(g: ExchangeGraph, cfg: RendezvousConfig) -> list[Strategy
     the naive everything-both-ways baseline; report bytes and workloads.
     Each row holds the values ``run_rendezvous`` would report for that
     policy, from its division of labour alone."""
+    _checked_graph(g)
     if g.num_vertices == 0:
         zero = Fraction(0)
         return [StrategyRow(name, zero, zero, zero, zero) for name in STRATEGIES]

@@ -48,7 +48,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InvariantViolation, NonUniformWeights, ValidationError
-from .graph import ExchangeGraph, VertexId, _side_position, effective_weight, weight_numerators
+from .graph import ExchangeGraph, VertexId, _checked_graph, _side_position, effective_weight, weight_numerators
 from .objectives import Objective, _shown, _shown_ids, as_fraction
 from .policy import Policy, _masked_sum, _sent_masks, monolog
 from .policy import objective_cost  # noqa: F401  (perfbench/tracing.py wraps scanplan.solver.objective_cost)
@@ -99,7 +99,7 @@ def _min_cut_reachable_dinic(n: int, tails, heads, caps) -> tuple[int, list[int]
     m = n - 2
     n1 = m - int(np.count_nonzero(tails[:m]))
     eu, ev = tails[m:].tolist(), heads[m:].tolist()
-    res = [0, *caps, 0]
+    res = [0, *caps.tolist(), 0]
     carried = [0] * len(eu)
     edges = [[] for _ in range(n)]
     for k in np.argsort(tails[m:], kind="stable").tolist():
@@ -232,23 +232,22 @@ def solve(g: ExchangeGraph, obj: Objective, engine: str | None = None) -> SolveR
     return _optimal_cover(g, obj, engine)[0]
 
 
-def _strategy_costs(result: SolveResult, weight: tuple[list[int], list[int]], den: int) -> list[Fraction]:
+def _strategy_costs(result: SolveResult, weight: tuple[np.ndarray, np.ndarray], den: int) -> list[Fraction]:
     """The optimal, monolog-1, monolog-2 and full-bidirectional costs of
     the cut ``result``, each monolog's as its side's summed numerators of
     the ``weight`` the cut was computed from; all 0 without vertices."""
-    monolog1, monolog2 = (Fraction(sum(w), den) for w in weight)
+    monolog1, monolog2 = (Fraction(int(w.sum()), den) for w in weight)
     return [result.optimal_cost, monolog1, monolog2, monolog1 + monolog2]
 
 
 def _optimal_cover(
     g: ExchangeGraph, obj: Objective, engine: str | None = None
-) -> tuple[SolveResult, tuple[list[int], list[int]], int]:
+) -> tuple[SolveResult, tuple[np.ndarray, np.ndarray], int]:
     """``solve``'s result with the weight numerators and denominator it
     was computed from, as the graph's memo holds them per objective and
     requested engine: the one reader and writer of the memo, which stores
     a :func:`_min_cut_covers` cut once it passed every check."""
-    if not isinstance(g, ExchangeGraph):
-        raise ValidationError(f"expected an ExchangeGraph, got {_shown(g)}")
+    _checked_graph(g)
     if engine not in (None, "scipy", "dinic"):
         raise ValidationError(f"unknown flow engine {_shown(engine)}")
     if (obj, engine) not in g._covers:
@@ -286,7 +285,7 @@ def _min_cut_covers(jobs, engine: str | None = None) -> Iterator[tuple[tuple, So
     held, joined_total, joined_arcs = [], 0, 0  # (job, cover, or None while its network is pending)
     for job in jobs:
         g, weight, _ = job
-        total = sum(map(sum, weight))
+        total = sum(int(w.sum()) for w in weight)
         cover = None
         if not g.num_edges:
             empty = Policy._over(g.ids, [np.zeros(len(ids), bool) for ids in g.ids])
@@ -343,7 +342,7 @@ def _joined_covers(engine: str, jobs) -> list[SolveResult]:
     heads = np.concatenate(
         (np.arange(1, 1 + n1), np.full(n2, sink), *(b + g.ev for b, (g, _, _) in zip(first2, jobs)))
     )
-    caps = [c for side in (0, 1) for _, weight, _ in jobs for c in weight[side]]
+    caps = np.concatenate([weight[side] for side in (0, 1) for _, weight, _ in jobs])
     max_flow = _min_cut_reachable_scipy if engine == "scipy" else _min_cut_reachable_dinic
     flow_value, reach = max_flow(sink + 1, tails, heads, caps)
     reached = np.zeros(sink + 1, dtype=bool)
@@ -370,6 +369,7 @@ def _joined_covers(engine: str, jobs) -> list[SolveResult]:
 def solve_brute_force(g: ExchangeGraph, obj: Objective) -> SolveResult:
     """Exhaustive minimum over all 2^|V| labelings; the independent oracle
     for the polynomial solvers. Only usable on small graphs."""
+    _checked_graph(g)
     # The oracle numbers vertices itself, not through the solvers' shared
     # numbering, so that it stays independent of the code it checks.
     vids = sorted(g.vertex_ids)
@@ -418,7 +418,8 @@ def _max_matching(g: ExchangeGraph) -> np.ndarray:
 
 
 def _uniform_scan_weight(g: ExchangeGraph) -> Fraction:
-    values = set(g.eff_num[0]) | set(g.eff_num[1])
+    _checked_graph(g)
+    values = set(g.eff_num[0].tolist()) | set(g.eff_num[1].tolist())
     if len(values) > 1:
         found = _shown_ids([Fraction(x, g.den) for x in sorted(values)])
         raise NonUniformWeights(f"expected one scan weight, found {found}")
@@ -432,7 +433,8 @@ def solve_uniform_matching(g: ExchangeGraph) -> SolveResult:
     matching of the same size as its certificate."""
     unit = _uniform_scan_weight(g)
     n1, n2 = map(len, g.ids)
-    policy = next(_min_cut_covers([(g, ([1] * n1, [1] * n2), 1)]))[1].policy
+    unit_weight = (np.ones(n1, np.int64), np.ones(n2, np.int64))
+    policy = next(_min_cut_covers([(g, unit_weight, 1)]))[1].policy
     match = _max_matching(g)
     matched = np.flatnonzero(match >= 0).tolist()
     if len(policy.ones) != len(matched):
@@ -505,7 +507,7 @@ def check_ghc(g: ExchangeGraph, obj: Objective, side: int) -> GhcCertificate:
     """
     s = _side_position(side)
     result, weight, den = _optimal_cover(g, obj)
-    monolog_cost = Fraction(sum(weight[s]), den)
+    monolog_cost = Fraction(int(weight[s].sum()), den)
     if result.optimal_cost == monolog_cost:
         return GhcCertificate(True, side, monolog_cost, result.optimal_cost)
     # The side vertices left out of the optimal cover form a violating
@@ -542,6 +544,7 @@ def p1_closed_form(g: ExchangeGraph, alpha1=1, alpha2=1) -> SolveResult:
     the side with the larger alpha. Every edge must be verified by at
     least one robot at a price of at least min(alpha1, alpha2) times its
     cost, and that monolog meets the bound with equality."""
+    _checked_graph(g)
     alpha1 = as_fraction(alpha1)
     alpha2 = as_fraction(alpha2)
     if not g.num_edges:

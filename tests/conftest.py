@@ -74,6 +74,33 @@ def random_graph(
         return build_quiet(w1, w2, edges)
 
 
+def rational_graph(rng, n1, n2, inertia=True):
+    """Random graph with p/q sizes, inertia prices (unless ``inertia`` is
+    false) and edge costs."""
+    frac = lambda hi: Fraction(rng.randint(0, hi), rng.choice((1, 2, 3, 7, 10)))
+    edges = [(i, j, frac(9)) for i in range(n1) for j in range(n2) if rng.random() < 0.35]
+    edges = edges or [(0, 0, frac(9))]
+    share = 0.3 if inertia else 0
+    return build_quiet(
+        [frac(40) for _ in range(n1)],
+        [frac(40) for _ in range(n2)],
+        edges,
+        v1_inertia={i: frac(40) for i in range(n1) if rng.random() < share},
+        v2_inertia={j: frac(40) for j in range(n2) if rng.random() < share},
+    )
+
+
+def rescaled(g, size_scale, cost_scale=None):
+    """``g`` with every scan size and inertia price times ``size_scale`` and
+    every edge cost times ``cost_scale`` (``size_scale`` when None)."""
+    cost_scale = size_scale if cost_scale is None else cost_scale
+    sides = [
+        [(v.vid.index, v.scan_size * size_scale, None if v.inertia is None else v.inertia * size_scale) for v in vs]
+        for vs in (g.v1, g.v2)
+    ]
+    return sp.ExchangeGraph.from_vertices(*sides, [(e.u.index, e.v.index, e.cost * cost_scale) for e in g.edges])
+
+
 def random_objective(rng: random.Random) -> sp.Objective:
     variant = rng.choice(["p1", "p2", "p3"])
     if variant == "p1":

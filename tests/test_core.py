@@ -8,6 +8,7 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,7 @@ from scanplan.graph import format_rational
 from scanplan.protocol import Message
 from scanplan.solver import _INT32_SAFE_TOTAL
 
-from conftest import build_quiet, random_admissible_policy, random_graph, random_objective
+from conftest import build_quiet, random_admissible_policy, random_graph, random_objective, rational_graph, rescaled
 
 DATA = Path(__file__).parent / "data"
 
@@ -133,22 +134,6 @@ def ref_rendezvous(g, cfg, policy=None):
     }
     text = "".join(f"{m.phase} {m.sender} {m.recipient} {format_rational(m.size)} {m.summary}\n" for m in messages)
     return values, text
-
-
-def rational_graph(rng, n1, n2, inertia=True):
-    """Random graph with p/q sizes, inertia prices (unless ``inertia`` is
-    false) and edge costs."""
-    frac = lambda hi: Fraction(rng.randint(0, hi), rng.choice((1, 2, 3, 7, 10)))
-    edges = [(i, j, frac(9)) for i in range(n1) for j in range(n2) if rng.random() < 0.35]
-    edges = edges or [(0, 0, frac(9))]
-    share = 0.3 if inertia else 0
-    return build_quiet(
-        [frac(40) for _ in range(n1)],
-        [frac(40) for _ in range(n2)],
-        edges,
-        v1_inertia={i: frac(40) for i in range(n1) if rng.random() < share},
-        v2_inertia={j: frac(40) for j in range(n2) if rng.random() < share},
-    )
 
 
 def test_policy_layer_matches_per_edge_reference():
@@ -466,3 +451,131 @@ def test_common_denominator_is_shared_by_every_value():
         assert (sv.scan_size * g.den).denominator == 1
     for e in g.edges:
         assert (e.cost * g.den).denominator == 1
+
+
+# -- integer columns: int64 below the bound, Python ints at it ------------------
+
+
+def python_int_weights(g, obj):
+    """Every vertex's weight under ``obj``, per side in position order, from
+    the graph's tuples and one edge at a time in Python ints: the oracle
+    for the numpy columns."""
+    incident = ([0] * len(g.ids[0]), [0] * len(g.ids[1]))
+    for i, j, c in zip(g.eu.tolist(), g.ev.tolist(), g.cost_num):
+        incident[0][i] += c
+        incident[1][j] += c
+    weights = []
+    for s, (sizes, prices) in enumerate(zip(g.size_num, g.inertia_num)):
+        alpha = obj.alpha2 if s == 0 else obj.alpha1  # side 1 pays alpha2
+        side = []
+        for size, price, inc in zip(sizes, prices, incident[s]):
+            scan = Fraction(size if price is None else price, g.den)
+            work = alpha * Fraction(inc, g.den)
+            side.append({"p1": work, "p2": scan, "p3": scan + obj.omega * work}[obj.variant])
+        weights.append(side)
+    return weights
+
+
+def column_dtypes(columns):
+    """The dtypes of integer columns, each checked against the rule: int64
+    when ``len * max|v| < 2**62``, else Python ints."""
+    for column in columns:
+        top = max(map(abs, column.tolist()), default=0)
+        assert column.dtype == (np.int64 if len(column) * top < 2**62 else object)
+    return {column.dtype for column in columns}
+
+
+def test_int_column_is_int64_just_below_the_bound_and_python_ints_at_it():
+    below = [([2**61 - 1, 1], 2), ([2**62 - 1], 1), ([-(2**61) + 1, 0], 2), ([7] * 4, 4), ([], 0)]
+    at = [([2**61, 1], 2), ([2**62], 1), ([-(2**61), 0], 2), ([2**63 + 5, 3], 2), ([2**200], 1)]
+    for values, n in below + at:
+        column = sp.graph._int_column(values)
+        assert len(column) == n and column.tolist() == values
+        assert not column.flags.writeable
+        if (values, n) in below:
+            assert column.dtype == np.int64
+        else:
+            assert column.dtype == object
+            assert all(type(x) is int for x in column)
+        # the same rule, whichever dtype the values arrive in
+        assert sp.graph._int_column(column).dtype == column.dtype
+
+
+@pytest.mark.parametrize("big, dtype", [(2**61 - 1, np.int64), (2**61, object)])
+def test_graph_columns_take_their_dtype_at_the_bound(big, dtype):
+    # two edges of cost ``big`` into one side-2 vertex: the cost column and
+    # side 1's sizes and incident costs hold 2 * big, side 2's incident
+    # column its one sum 2 * big
+    g = sp.build_graph([big, 1], [big], [(0, 0, big), (1, 0, big)])
+    assert g.costs.dtype == dtype and g.cost_num == (big, big)
+    assert all(type(c) is int for c in g.cost_num)
+    assert [c.dtype for c in g.eff_num] == [dtype, np.int64]
+    assert [c.dtype for c in g.incident_num] == [dtype, dtype]
+    assert g.incident_num[1].tolist() == [2 * big]
+    assert sp.loads_graph(sp.dumps_graph(g)).costs.dtype == dtype
+    # a P2 sum over the object column of side 1 and the int64 one of side 2
+    assert sp.comm_cost(g, sp.full_bidirectional(g)) == 2 * big + 1
+
+
+@pytest.mark.parametrize("digits", [1, 30, 100])
+def test_costs_near_and_past_the_bound_match_a_python_int_oracle(digits):
+    # P3 parameters whose numerators and denominators have up to 100 digits,
+    # on graphs whose values are scaled to either side of the int64 bound
+    rng = random.Random(digits)
+    dtypes, weight_dtypes, compiled, witnesses = set(), set(), 0, 0
+    for _ in range(8):
+        g0 = rational_graph(rng, rng.randint(1, 5), rng.randint(1, 5))
+        g = rescaled(g0, rng.choice((1, 2**40, 2**48, 2**49, 2**61, 3**50)))
+        top = 10**digits
+        alpha1, alpha2, omega = (Fraction(rng.randint(top // 10, top), rng.randint(1, top)) for _ in range(3))
+        cfg = sp.RendezvousConfig(objective=sp.Objective.p3(alpha1, alpha2, omega))
+        for obj in (cfg.objective, sp.Objective.p1(alpha1, alpha2), sp.Objective.p2()):
+            oracle = python_int_weights(g, obj)
+            weight, den = sp.graph.weight_numerators(g, obj)
+            assert [[Fraction(int(w), den) for w in side] for side in weight] == oracle
+            weight_dtypes |= column_dtypes(weight)
+            best = sp.solve_brute_force(g, obj).optimal_cost
+            for engine in ("scipy", "dinic"):
+                try:
+                    result = sp.solve(g, obj, engine=engine)
+                except sp.ValidationError:  # the compiled engine's capacities stop at 2**30
+                    assert engine == "scipy" and sum(map(sum, oracle)) * den >= 2**30
+                    continue
+                compiled += engine == "scipy"
+                sent = sp.policy._sent_masks(g, result.policy)
+                cost = sum(w for side, mask in zip(oracle, sent) for w, on in zip(side, mask.tolist()) if on)
+                assert result.optimal_cost == result.certificate == cost == best
+                assert sp.objective_cost(g, result.policy, obj) == cost
+            for side in (1, 2):
+                cert = sp.check_ghc(g, obj, side)
+                own, other = oracle[side - 1], oracle[2 - side]
+                assert cert.monolog_cost == sum(own) and cert.optimal_cost == best
+                if not cert.holds:
+                    witnesses += 1
+                    ends = (g.eu.tolist(), g.ev.tolist())
+                    witness = {vid.index for vid in cert.witness}
+                    inside = [index in witness for index in g.ids[side - 1]]
+                    near = {ends[2 - side][e] for e in range(g.num_edges) if inside[ends[side - 1][e]]}
+                    assert cert.witness_weight == sum(w for w, on in zip(own, inside) if on)
+                    assert cert.neighborhood_weight == sum(other[k] for k in near)
+        trace = sp.run_rendezvous(g, cfg)
+        values, _ = ref_rendezvous(g, cfg)
+        assert (trace.scan_bytes, trace.ell1, trace.ell2) == (values["scan_bytes"], values["ell1"], values["ell2"])
+        dtypes |= column_dtypes([g.costs, *g.eff_num, *g.incident_num])
+    assert dtypes == weight_dtypes == {np.dtype(np.int64), np.dtype(object)}
+    assert compiled and witnesses
+
+
+def test_object_cost_column_prices_a_session_on_the_compiled_engine():
+    # small scan sizes and costs past int64: P2 cuts on scipy, and the
+    # workloads are sums over the object cost column
+    rng = random.Random(239)
+    for _ in range(10):
+        g = rescaled(rational_graph(rng, rng.randint(1, 6), rng.randint(1, 6)), 1, 2**70 + 1)
+        cfg = sp.RendezvousConfig(objective=sp.Objective.p2())
+        trace = sp.run_rendezvous(g, cfg)
+        assert sp.solve(g, cfg.objective).engine == "scipy"
+        assert g.costs.dtype == object or not g.costs.any()
+        values, text = ref_rendezvous(g, cfg)
+        assert {name: getattr(trace, name) for name in values} == values
+        assert sp.format_trace(trace) == text

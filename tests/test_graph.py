@@ -375,11 +375,21 @@ ONE_EDGE_ARRAYS = dict(
         ({"ids": ([0, 1], [0])}, sp.ValidationError, "side 1 arrays differ in length"),
         ({"cost_num": [1, 1]}, sp.ValidationError, "edge endpoint arrays and edge costs differ in length"),
         ({"ev": [1]}, sp.IndexOutOfRange, "edge 0 references a missing vertex position"),
+        ({"cost_num": [1.5]}, sp.ValidationError, "expected integer numerators, got 1.5"),
+        ({"cost_num": np.array([0.5])}, sp.ValidationError, "expected integer numerators, got 0.5"),
+        ({"cost_num": ["5"]}, sp.ValidationError, "expected integer numerators, got '5'"),
+        ({"cost_num": [Fraction(3, 2)]}, sp.ValidationError, "expected integer numerators, got Fraction(3, 2)"),
     ],
 )
 def test_constructor_refuses_inconsistent_index_arrays(arrays, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         sp.ExchangeGraph(**{**ONE_EDGE_ARRAYS, **arrays})
+
+
+def test_a_scan_size_that_is_no_integer_numerator_is_refused_not_truncated():
+    g = sp.ExchangeGraph(**{**ONE_EDGE_ARRAYS, "size_num": ([1.5], [1])})
+    with pytest.raises(sp.ValidationError, match=r"^expected integer numerators, got 1\.5$"):
+        sp.comm_cost(g, sp.full_bidirectional(g))
 
 
 def test_side_lookups_refuse_a_third_side(double_star):

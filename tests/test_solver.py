@@ -11,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,8 @@ from conftest import (
     random_fraction,
     random_graph,
     random_objective,
+    rational_graph,
+    rescaled,
 )
 
 
@@ -235,20 +238,23 @@ def test_exact_engine_session_imports_no_scipy():
 
 
 def test_scaling_leaves_cover_unchanged():
+    # c times every scan size, inertia price and edge cost is c times every
+    # P1, P2 and P3 weight: the same cut at c times the cost. The larger c
+    # push the integer columns past the int64 bound, so both dtypes occur.
     rng = random.Random(103)
-    for _ in range(15):
-        g = random_graph(rng, rational_costs=True)
-        obj = sp.Objective.p2()
-        base = sp.solve(g, obj)
-        # same vertex ids, every scan weight multiplied by 5
-        scaled_g = sp.ExchangeGraph.from_vertices(
-            [(sv.vid.index, sv.scan_size * 5, None) for sv in g.v1],
-            [(sv.vid.index, sv.scan_size * 5, None) for sv in g.v2],
-            [(e.u.index, e.v.index, e.cost) for e in g.edges],
-        )
-        scaled = sp.solve(scaled_g, obj)
-        assert scaled.optimal_cost == 5 * base.optimal_cost
-        assert scaled.policy.ones == base.policy.ones
+    dtypes = set()
+    for _ in range(30):
+        g = rational_graph(rng, rng.randint(1, 6), rng.randint(1, 6))
+        c = Fraction(rng.randint(1, 9) * 2 ** rng.choice((0, 20, 45, 48, 61, 100)), rng.randint(1, 9))
+        scaled_g = rescaled(g, c)
+        dtypes.add(scaled_g.costs.dtype)
+        a1, a2, omega = (random_fraction(rng) for _ in range(3))
+        for obj in (sp.Objective.p1(a1, a2), sp.Objective.p2(), sp.Objective.p3(a1, a2, omega)):
+            base, scaled = sp.solve(g, obj), sp.solve(scaled_g, obj)
+            assert scaled.policy.ones == base.policy.ones
+            assert scaled.optimal_cost == scaled.certificate == c * base.optimal_cost
+            assert sp.objective_cost(scaled_g, base.policy, obj) == c * sp.objective_cost(g, base.policy, obj)
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
 
 
 def test_empty_graph_solves_to_nothing():
@@ -296,9 +302,30 @@ def test_non_objective_is_refused_with_a_validation_error(double_star, bad):
 
 @pytest.mark.parametrize("bad", [None, "graph", [1] * 1000])
 def test_non_graph_is_refused_with_a_validation_error(bad):
-    for call in (sp.solve, lambda g, obj: sp.check_ghc(g, obj, 1)):
+    p2, nothing, cfg = sp.Objective.p2(), sp.Policy([], []), sp.RendezvousConfig()
+    calls = [
+        lambda g: sp.solve(g, p2),
+        lambda g: sp.check_ghc(g, p2, 1),
+        lambda g: sp.objective_cost(g, nothing, p2),
+        lambda g: sp.comm_cost(g, nothing),
+        lambda g: sp.graph.effective_weight(g, sp.VertexId(1, 0), p2),
+        lambda g: sp.graph.weight_numerators(g, p2),
+        lambda g: sp.monolog(g, 1),
+        sp.full_bidirectional,
+        lambda g: sp.is_admissible(g, nothing),
+        lambda g: sp.workloads(g, nothing),
+        lambda g: sp.execute_order(g, nothing),
+        lambda g: sp.run_rendezvous(g, cfg),
+        lambda g: sp.compare_strategies(g, cfg),
+        lambda g: sp.check_hall_uniform(g, 1),
+        sp.solve_uniform_matching,
+        lambda g: sp.solve_brute_force(g, p2),
+        sp.p1_closed_form,
+        sp.dumps_graph,
+    ]
+    for call in calls:
         with pytest.raises(sp.ValidationError, match="^expected an ExchangeGraph, got ") as refused:
-            call(bad, sp.Objective.p2())
+            call(bad)
         assert len(str(refused.value)) < 300
 
 
@@ -755,7 +782,8 @@ def test_too_small_matching_raises_invariant_violation(double_star, monkeypatch)
 
 def test_strategy_costs_match_the_policy_costs():
     # the costs the CLI prints, against the optimum solve returns and the
-    # cost of each strategy's policy, priced vertex by vertex too
+    # cost of each strategy's policy, priced vertex by vertex too, and under
+    # P2 against the scan bytes of the strategies the rendezvous compares
     rng = random.Random(211)
     objectives = (
         lambda: sp.Objective.p1(random_fraction(rng), random_fraction(rng)),
@@ -763,7 +791,7 @@ def test_strategy_costs_match_the_policy_costs():
         lambda: sp.Objective.p3(random_fraction(rng), random_fraction(rng), random_fraction(rng)),
     )
     for _ in range(10):
-        g = random_graph(rng, rational_costs=True)
+        g = rational_graph(rng, rng.randint(1, 7), rng.randint(1, 7))
         for make in objectives:
             obj = make()
             policies = (sp.monolog(g, 1), sp.monolog(g, 2), sp.full_bidirectional(g))
@@ -772,6 +800,9 @@ def test_strategy_costs_match_the_policy_costs():
             assert expected[1:] == by_vertex
             for engine in (None, "scipy", "dinic"):
                 assert sp.solver._strategy_costs(*sp.solver._optimal_cover(g, obj, engine)) == expected
+            if obj.variant == "p2":
+                rows = sp.compare_strategies(g, sp.RendezvousConfig(objective=obj))
+                assert [row.scan_bytes for row in rows] == expected
 
 
 def test_strategy_costs_of_a_graph_without_vertices_are_zero():
