@@ -522,13 +522,13 @@ def _block_counts(params, pair, row, cos_half, r, n) -> np.ndarray:
 
 
 def _fov_gates(xy1, h1, xy2, h2, pairs, fov_half_angle, fov_range, etas) -> np.ndarray:
-    """Whether each pair's ``fov_overlap`` is at least each of ``etas``, as
-    a (pairs, len(etas)) bool array, for the ``[i, j]`` pose indices of
-    ``pairs`` into each side's (poses, 2) planar positions and unit
-    headings. Per chunk of ``_SETUP_PAIRS`` pairs, the gate gathers their
-    sectors, reads the overlap off the count bounds of ``_count_bounds``,
-    and runs ``_fov_overlaps`` on the pairs whose bounds leave some
-    ``eta`` in doubt.
+    """One float per pair that decides its gate at every one of ``etas``:
+    ``fov_overlap >= eta`` exactly when ``value >= eta``. ``pairs`` holds
+    ``[i, j]`` pose indices into each side's (poses, 2) planar positions
+    and unit headings. Per chunk of ``_SETUP_PAIRS`` pairs, the gate
+    gathers their sectors, reads the overlap's bounds off the counts of
+    ``_count_bounds``, and runs ``_fov_overlaps`` once on the pairs whose
+    bounds leave some ``eta`` in doubt.
 
     The kernel returns ``fl(2 ab / (n_a + n_b))`` (or ``0.0``). With
     ``n_a`` and ``n_b`` in ``[n_lo, n_hi]`` and ``ab`` in
@@ -536,12 +536,15 @@ def _fov_gates(xy1, h1, xy2, h2, pairs, fov_half_angle, fov_range, etas) -> np.n
     ab_hi / n_lo]`` and in ``[0, 1]``. Widening both ends by ``2**-40``
     relative covers their own rounding, and rounding the quotient is
     monotone, so the kernel's value lies in the widened interval
-    ``[low, high]``. So ``low >= eta`` decides the gate open and
-    ``high < eta`` closed, both compared exactly; any other pair, and every
-    pair without bounds, goes to the kernel, which decides it as before.
-    No pair is in doubt at ``eta == 0``, since ``low >= 0``.
+    ``[low, high]``, which is ``[0, 1]`` for a pair without bounds. A pair
+    with some ``eta`` in ``(low, high]`` is in doubt and takes the
+    kernel's value. Any other pair takes ``low``: each ``eta`` is either
+    at most ``low``, where the gate is open, or above ``high``, where it
+    is closed, both compared exactly. No pair is in doubt at ``eta == 0``,
+    since ``low >= 0``.
     """
-    gates = np.empty((len(pairs), len(etas)), dtype=bool)
+    overlap = np.empty(len(pairs))
+    etas = np.sort(np.asarray(etas))
     for start in range(0, len(pairs), _SETUP_PAIRS):
         i, j = pairs[start : start + _SETUP_PAIRS].T
         pa, ha, pb, hb = xy1[i], h1[i], xy2[j], h2[j]
@@ -550,13 +553,12 @@ def _fov_gates(xy1, h1, xy2, h2, pairs, fov_half_angle, fov_range, etas) -> np.n
             # a pair without bounds (NaN) spans [0, 1]
             low = np.fmax(ab_lo / n_hi * (1 - 2.0**-40), 0.0)
             high = np.where(n_lo > 0, np.fmin(ab_hi / n_lo * (1 + 2.0**-40), 1.0), 1.0)
-        gate = gates[start : start + _SETUP_PAIRS]
-        gate[:] = low[:, None] >= etas
-        held = np.flatnonzero((~gate & ~(high[:, None] < etas)).any(1))
-        if held.size:
-            overlap = np.array(_fov_overlaps(pa[held], ha[held], pb[held], hb[held], fov_half_angle, fov_range))
-            gate[held] = ~(overlap[:, None] < etas)
-    return gates
+        # more etas lie at or below high than at or below low
+        held = np.flatnonzero(np.searchsorted(etas, high, "right") > np.searchsorted(etas, low, "right"))
+        if held.size:  # the value of a pair in doubt is the kernel's
+            low[held] = _fov_overlaps(pa[held], ha[held], pb[held], hb[held], fov_half_angle, fov_range)
+        overlap[start : start + _SETUP_PAIRS] = low
+    return overlap
 
 
 def _count_bounds(pa, ha, pb, hb, fov_half_angle, fov_range):
@@ -759,11 +761,15 @@ def fov_overlap(
     identical ones while the lattice bounds are finite. Degenerate
     zero-range sectors overlap nothing, and so do ranges whose lattice
     bounds overflow. ``fov_half_angle`` and ``fov_range`` must be finite,
-    and ``resolution`` an integer >= 1.
+    and ``resolution`` an integer from 1 to ``2**20``: the kernel's
+    per-pair column tables hold ``resolution`` floats each, about 40 MiB
+    at that bound.
     """
     _check_finite("fov_half_angle", fov_half_angle)
     _check_finite("fov_range", fov_range)
     _check_count("resolution", resolution)
+    if resolution > 2**20:
+        raise ValidationError(f"resolution must be at most 2**20, got {_shown(resolution, str)}")
     return _fov_overlaps(
         planar_position(pose_a),
         planar_heading(pose_a),
@@ -798,8 +804,12 @@ def build_geometric_sweep(
     first point, each pose pair's distance computed once, and every pair
     that a point with ``eta > 0`` gates by distance put, as pose indices,
     through one call of ``_fov_gates``, which runs the FOV quadrature only
-    on the pairs its bounds leave in doubt. A point that cannot be read
-    raises its error after the points before it are yielded.
+    on the pairs its bounds leave in doubt and gives one overlap per pair.
+    Only the pairs within the loosest gates, the largest ``d_max`` and the
+    smallest ``eta``, are kept, with their distance and overlap; each
+    point's mask over them is made as the point is yielded. A point that
+    cannot be read raises its error after the points before it are
+    yielded.
     """
     points, error = _read_points(params, _check_fov_shape)
     if points:
@@ -823,8 +833,8 @@ def build_geometric_sweep(
         # joined one list at a time, so one list's blocks and its copy are held at once
         pairs = np.concatenate(pairs)
         apart = np.concatenate(apart)
-        # [pair, point]: the overlap is at least the point's eta; eta 0 passes every pair
-        passes = np.ones((len(pairs), len(points)), dtype=bool)
+        # a pair no point with eta > 0 gates by distance only meets eta 0
+        overlap = np.zeros(len(pairs))
         fov_d_max = max((p.d_max for p in points if p.eta > 0), default=None)
         if fov_d_max is not None:
             (xy1, h1), (xy2, h2) = (
@@ -832,12 +842,12 @@ def build_geometric_sweep(
             )
             gated = apart <= fov_d_max
             etas = [p.eta for p in points]
-            passes[gated] = _fov_gates(xy1, h1, xy2, h2, pairs[gated], first.fov_half_angle, first.fov_range, etas)
-        masks = [(apart <= p.d_max) & passes[:, k] for k, p in enumerate(points)]
-        del apart, passes  # read no further, so not held while the union graph is built
-        w1 = [pose.feature_count * DESCRIPTOR_BYTES for pose in s1]
-        w2 = [pose.feature_count * DESCRIPTOR_BYTES for pose in s2]
-        yield from _restrictions(w1, w2, pairs, masks)  # [i, j] pairs, each of cost 1
+            overlap[gated] = _fov_gates(xy1, h1, xy2, h2, pairs[gated], first.fov_half_angle, first.fov_range, etas)
+            kept = overlap >= min(etas)
+            pairs, apart, overlap = pairs[kept], apart[kept], overlap[kept]
+        w1, w2 = ([pose.feature_count * DESCRIPTOR_BYTES for pose in s] for s in (s1, s2))
+        # [i, j] pairs, each of cost 1, and each point's mask, made as it is yielded
+        yield from _restrictions(w1, w2, pairs, ((apart <= p.d_max) & (overlap >= p.eta) for p in points))
     if error is not None:
         raise error
 
@@ -864,15 +874,14 @@ def _read_points(params: Iterable, check=None) -> tuple[list, Exception | None]:
     return points, None
 
 
-def _restrictions(w1: list, w2: list, pairs: np.ndarray, masks: list[np.ndarray]) -> Iterator[ExchangeGraph]:
+def _restrictions(w1: list, w2: list, pairs: np.ndarray, masks: Iterable[np.ndarray]) -> Iterator[ExchangeGraph]:
     """``build_graph(w1, w2, pairs[mask])`` for each boolean array of
-    ``masks``, where ``pairs`` holds in-range ``[u, v]`` side positions,
-    each pair once, read off one graph over the union of their edges,
-    checked once."""
-    union = np.logical_or.reduce(masks)
-    widest = _unpruned_graph(w1, w2, pairs[union])
+    ``masks``, taken one at a time, where ``pairs`` holds in-range
+    ``[u, v]`` side positions, each pair once, read off one graph over
+    all of ``pairs``, checked once."""
+    widest = _unpruned_graph(w1, w2, pairs)
     for mask in masks:
-        yield widest._restricted(mask[union])
+        yield widest._restricted(mask)
 
 
 def _top_k(group: np.ndarray, score: np.ndarray, tie: np.ndarray, k: int) -> np.ndarray:
@@ -979,7 +988,7 @@ def build_appearance_sweep(
         if codes:
             union = np.unique(np.concatenate(codes))
             pairs = np.stack(np.divmod(union, n2), axis=1)
-            yield from _restrictions(w1, w2, pairs, [np.isin(union, c) for c in codes])
+            yield from _restrictions(w1, w2, pairs, (np.isin(union, c) for c in codes))
         if len(codes) < len(points):
             # build_graph names the first pair out of range
             yield build_graph(w1, w2, sorted(set(zip(a.tolist(), b.tolist()))))

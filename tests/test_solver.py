@@ -2,6 +2,7 @@
 all cross-checked against exhaustive oracles on small instances."""
 
 import dataclasses
+import math
 import os
 import random
 import subprocess
@@ -257,6 +258,52 @@ def test_scaling_leaves_cover_unchanged():
     assert dtypes == {np.dtype(np.int64), np.dtype(object)}
 
 
+def side_swapped(g):
+    """``g`` with its two sides traded: scan sizes, inertia prices and edge ends."""
+    v1, v2 = ([(v.vid.index, v.scan_size, v.inertia) for v in vs] for vs in (g.v1, g.v2))
+    return sp.ExchangeGraph.from_vertices(v2, v1, [(e.v.index, e.u.index, e.cost) for e in g.edges])
+
+
+def optimal_labelings(g, obj):
+    """How many labelings of ``g`` are vertex covers of the optimal cost,
+    by enumerating all of them."""
+    vids = g.vertex_ids
+    weight = [sp.effective_weight(g, vid, obj) for vid in vids]
+    scale = math.lcm(*(w.denominator for w in weight))
+    ints = [w.numerator * (scale // w.denominator) for w in weight]
+    assert max(ints) * len(ints) < 2**62  # every cost below fits int64
+    pos = {vid: k for k, vid in enumerate(vids)}
+    us, vs = ([pos[vid] for vid in ends] for ends in zip(*((e.u, e.v) for e in g.edges)))
+    labels = (np.arange(1 << len(vids))[:, None] >> np.arange(len(vids)) & 1).astype(bool)
+    cost = labels[(labels[:, us] | labels[:, vs]).all(1)] @ np.array(ints, dtype=np.int64)
+    return int((cost == cost.min()).sum())
+
+
+def test_side_swap_mirrors_cost_certificates_and_unique_policies():
+    # trading the sides, with alpha1 for alpha2, keeps every cost under P1,
+    # P2 and P3: the optimum, and each monolog's certificate as the other
+    # side's. The optimal policy mirrors where the optimum is unique
+    rng = random.Random(107)
+    unique, verdicts = 0, set()
+    for k in range(30):
+        g = random_graph(rng, max_side=6) if k % 2 else rational_graph(rng, rng.randint(1, 6), rng.randint(1, 6))
+        h = side_swapped(g)
+        a1, a2, omega = (random_fraction(rng) for _ in range(3))
+        for obj, swapped in (
+            (sp.Objective.p1(a1, a2), sp.Objective.p1(a2, a1)),
+            (sp.Objective.p2(), sp.Objective.p2()),
+            (sp.Objective.p3(a1, a2, omega), sp.Objective.p3(a2, a1, omega)),
+        ):
+            base, mirror = sp.solve(g, obj), sp.solve(h, swapped)
+            assert mirror.optimal_cost == base.optimal_cost
+            for side in (1, 2):
+                cert, other = sp.check_ghc(h, swapped, side), sp.check_ghc(g, obj, 3 - side)
+                assert (cert.holds, cert.monolog_cost) == (other.holds, other.monolog_cost)
+                verdicts.add(cert.holds)
+            if optimal_labelings(g, obj) == 1:
+                unique += 1
+                assert mirror.policy.ones == {sp.VertexId(3 - v.side, v.index) for v in base.policy.ones}
+    assert verdicts == {True, False} and unique > 30
 def test_empty_graph_solves_to_nothing():
     g = sp.build_graph([], [], [])
     res = sp.solve(g, sp.Objective.p2())
