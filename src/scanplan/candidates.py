@@ -142,6 +142,10 @@ def _check_count(name: str, value) -> None:
 
 
 def _check_finite(name: str, value) -> None:
+    """A gate value must be a finite real number: booleans, numpy's
+    included, are refused rather than read as 0 or 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValidationError(f"{name} must be a real number, got {value}")
     real = isinstance(value, numbers.Real)
     try:  # a number beyond the float range, such as 10**400, is not finite
         finite = real and math.isfinite(value)
@@ -184,10 +188,14 @@ class AppearanceParams:
     symmetric: bool = False
 
     def __post_init__(self):
+        if isinstance(self.alpha, (bool, np.bool_)):
+            raise ValidationError(f"alpha must be a real number, got {self.alpha}")
         real = isinstance(self.alpha, numbers.Real)
         if not (real and 0 <= self.alpha <= 1):
             raise ValidationError(f"alpha must lie in [0, 1], got {_shown(self.alpha, str if real else repr)}")
         _check_count("top_k", self.top_k)
+        if not isinstance(self.symmetric, (bool, np.bool_)):
+            raise ValidationError(f"symmetric must be a bool, got {_shown(self.symmetric)}")
 
 
 def planar_position(pose: Pose) -> np.ndarray:
@@ -884,16 +892,17 @@ def _restrictions(w1: list, w2: list, pairs: np.ndarray, masks: Iterable[np.ndar
         yield widest._restricted(mask)
 
 
-def _top_k(group: np.ndarray, score: np.ndarray, tie: np.ndarray, k: int) -> np.ndarray:
-    """Positions of each group's ``k`` best entries: highest score first,
+def _ranks(group: np.ndarray, score: np.ndarray, tie: np.ndarray) -> np.ndarray:
+    """Each entry's rank within its group, from 0: highest score first,
     then the lower ``tie`` value, then the earlier entry."""
     order = np.lexsort((tie, -score, group))
     g = group[order]
     first = np.ones(len(g), dtype=bool)
     first[1:] = g[1:] != g[:-1]
     at = np.arange(len(g))
-    rank = at - np.maximum.accumulate(np.where(first, at, 0))
-    return order[rank < k]
+    rank = np.empty(len(g), dtype=np.int64)
+    rank[order] = at - np.maximum.accumulate(np.where(first, at, 0))
+    return rank
 
 
 def _score_columns(scores: Iterable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -948,9 +957,14 @@ def build_appearance_sweep(
 ) -> Iterator[ExchangeGraph]:
     """``build_appearance`` at each of ``params`` in turn. ``params`` is
     read whole, and ``scores`` read and each score checked once, at the
-    first point; each point then only thresholds and picks its top k. A
-    point that cannot be read, or that picks an index out of range, raises
-    its error after the points before it are yielded.
+    first point. The entries above the smallest ``alpha`` are ranked once
+    within their side-1 query (and their side-2 query if some point is
+    symmetric), so a point's picks are the entries above its ``alpha``
+    ranked below its ``top_k``, with no sort of its own. One pass over the
+    points takes the union of their picks; each point's mask over that
+    union is made as the point is yielded. A point that cannot be read, or
+    that picks an index out of range, raises its error after the points
+    before it are yielded.
 
     ``scores`` is an iterable of ``(u, v, score)`` entries, or a 1-d array
     of ``SCORE_DTYPE`` records, as ``read_scores`` gives, whose three
@@ -971,27 +985,37 @@ def build_appearance_sweep(
             u_all, v_all, s = _score_columns(scores)
         w1, w2 = list(t1_weights), list(t2_weights)
         n1, n2 = len(w1), len(w2)
-        # each point's pairs as codes u * n2 + v, up to the first point that
-        # picks a pair out of range
-        codes = []
+        # the entries above the smallest alpha, ranked once within their
+        # side-1 query and, if a point is symmetric, their side-2 query;
+        # a query's entries above any larger alpha are a prefix of its
+        # ranking, so a point picks those ranked below its top_k
+        keep = np.flatnonzero(s > min(p.alpha for p in points))
+        u, v, score = u_all[keep], v_all[keep], s[keep]
+        rank = _ranks(u, score, v)
+        either = np.minimum(rank, _ranks(v, score, u)) if any(p.symmetric for p in points) else None
+
+        def picks(p: AppearanceParams) -> np.ndarray:
+            return ((either if p.symmetric else rank) < p.top_k) & (score > p.alpha)
+
+        # the exact union of the points' picks, up to the first point that
+        # picks a pair out of range: the loosest gates' picks may hold an
+        # out-of-range entry that no point picks
+        out_of_range = ~((u >= 0) & (u < n1) & (v >= 0) & (v < n2))
+        union, good = np.zeros(len(u), dtype=bool), 0
         for p in points:
-            keep = np.flatnonzero(s > p.alpha)
-            u, v, score = u_all[keep], v_all[keep], s[keep]
-            picked = [_top_k(u, score, v, p.top_k)]
-            if p.symmetric:
-                picked.append(_top_k(v, score, u, p.top_k))
-            chosen = np.concatenate(picked)
-            a, b = u[chosen], v[chosen]
-            if not ((a >= 0) & (a < n1) & (b >= 0) & (b < n2)).all():
+            pick = picks(p)
+            if pick[out_of_range].any():
                 break
-            codes.append(np.unique(a.astype(np.int64) * n2 + b.astype(np.int64)))
-        if codes:
-            union = np.unique(np.concatenate(codes))
-            pairs = np.stack(np.divmod(union, n2), axis=1)
-            yield from _restrictions(w1, w2, pairs, (np.isin(union, c) for c in codes))
-        if len(codes) < len(points):
+            union |= pick
+            good += 1
+        if good:
+            codes, inverse = np.unique(u[union].astype(np.int64) * n2 + v[union].astype(np.int64), return_inverse=True)
+            pairs = np.stack(np.divmod(codes, n2), axis=1)
+            masks = (np.bincount(inverse[picks(p)[union]], minlength=len(codes)) > 0 for p in points[:good])
+            yield from _restrictions(w1, w2, pairs, masks)
+        if good < len(points):
             # build_graph names the first pair out of range
-            yield build_graph(w1, w2, sorted(set(zip(a.tolist(), b.tolist()))))
+            yield build_graph(w1, w2, sorted(set(zip(u[pick].tolist(), v[pick].tolist()))))
     if error is not None:
         raise error
 

@@ -162,11 +162,13 @@ class ExchangeGraph:
         # _restricted).
         self._finish(5 if _prune else None)
 
-    def _finish(self, stacklevel: int | None) -> None:
+    def _finish(self, stacklevel: int | None) -> list[np.ndarray] | None:
         """Prune the degree-0 vertices, keep their ids in ``pruned`` and
         warn about them at ``stacklevel``, as ``warnings.warn`` counts it
         from here; with ``stacklevel`` None, keep them unwarned. Then
-        freeze the edge arrays and start an empty solver memo."""
+        freeze the edge arrays and start an empty solver memo. Returns
+        the per-side boolean masks of the kept vertex positions if some
+        vertex was pruned, else None."""
         self.pruned = ()
         if stacklevel is not None:
             keep = [np.bincount(ends, minlength=len(col)) > 0 for ends, col in zip((self.eu, self.ev), self.ids)]
@@ -187,6 +189,7 @@ class ExchangeGraph:
         # solver memo: (objective, requested engine) -> (SolveResult, weight
         # numerators, denominator); holds only results that passed every check
         self._covers: dict = {}
+        return keep if self.pruned else None
 
     def _restricted(self, keep: np.ndarray) -> "ExchangeGraph":
         """The graph ``build_graph`` gives for this graph's vertices and the
@@ -200,12 +203,15 @@ class ExchangeGraph:
         unit edge costs, as ``_unpruned_graph`` gives. Then ``den`` is the
         LCM of the vertex values' reduced denominators, and for each prime
         power in it some value's numerator over ``den`` is coprime to it;
-        every restriction keeps all those values, so needs all of ``den``."""
+        every restriction keeps all those values, so needs all of ``den``.
+        The effective scan sizes are this graph's at the kept positions,
+        typed afresh by :func:`_int_column` for their count."""
         g = ExchangeGraph.__new__(ExchangeGraph)
         g.ids, g.den, g.size_num, g.inertia_num = self.ids, self.den, self.size_num, self.inertia_num
         g.costs = _int_column(self.costs[keep])
         g.eu, g.ev = self.eu[keep], self.ev[keep]
-        g._finish(3)
+        kept = g._finish(3)
+        g.eff_num = self.eff_num if kept is None else tuple(_int_column(eff[k]) for eff, k in zip(self.eff_num, kept))
         return g
 
     def _validate(self):

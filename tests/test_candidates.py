@@ -1004,6 +1004,92 @@ def test_appearance_sweep_checks_scores_at_the_first_point():
         build_appearance(scores, [1] * 4, [1] * 5, params[0])
 
 
+def test_appearance_sweep_is_exact_where_the_loosest_gates_pick_out_of_range():
+    # side-2 index 7 is past n2: query 0 ranks (0, 7) third, so top_k 2 at
+    # alpha 0.1 and top_k 3 at alpha 0.5 both miss it, while the loosest
+    # gates (alpha 0.1, top_k 3) would pick it. A side-1 index past n1
+    # cannot play this part: the smallest alpha's point picks the best
+    # entry of its own query.
+    scores = [(0, 0, 0.9), (0, 1, 0.8), (0, 7, 0.3), (1, 1, 0.6), (1, 0, 0.2)]
+    params = [
+        AppearanceParams(alpha=0.1, top_k=2),
+        AppearanceParams(alpha=0.5, top_k=3),
+        AppearanceParams(alpha=0.5, top_k=3, symmetric=True),
+        AppearanceParams(alpha=0.1, top_k=1),
+    ]
+    w1, w2 = [1, 2], [3, 4]
+    swept = appearance_outcomes(build_appearance_sweep(scores, w1, w2, params))
+    assert swept == appearance_outcomes(build_appearance(scores, w1, w2, p) for p in params)
+    assert len(swept) == len(params)  # every point yielded, no error
+    with pytest.raises(sp.IndexOutOfRange, match=r"^edge \(0, 7\) outside vertex ranges$"):
+        build_appearance(scores, w1, w2, AppearanceParams(alpha=0.1, top_k=3))
+
+
+def test_appearance_sweep_keeps_boundary_ties_and_excludes_a_score_equal_to_alpha():
+    # query 0 ranks (0, 3) at 0.75 first, then ties three ways at 0.6, so
+    # top_k 2 keeps side-2 index 1, the lowest of the tie; query 1 ties at
+    # 0.5 across the top_k 1 boundary; side-2 query 3 ties at 0.75 between
+    # side-1 indices 2 and 0; query 2 repeats an entry; each alpha below
+    # equals some score, which is then excluded
+    scores = [
+        (0, 3, 0.6), (0, 2, 0.6), (0, 1, 0.6), (0, 0, 0.4),
+        (1, 1, 0.5), (1, 0, 0.5), (1, 2, 0.25),
+        (2, 3, 0.75), (0, 3, 0.75), (2, 0, 0.5), (2, 0, 0.5),
+    ]  # fmt: skip
+    params = [
+        AppearanceParams(alpha=a, top_k=k, symmetric=sym)
+        for a in (0.0, 0.25, 0.4, 0.5, 0.6, 0.75)
+        for k in (1, 2)
+        for sym in (False, True)
+    ]
+    w1, w2 = [1] * 3, [1] * 4
+    swept = appearance_outcomes(build_appearance_sweep(scores, w1, w2, params))
+    assert swept == appearance_outcomes(build_appearance(scores, w1, w2, p) for p in params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # pruned vertices
+        graphs = list(build_appearance_sweep(scores, w1, w2, params))
+    assert [g.edge_keys() for g in graphs] == [seed_appearance_edges(scores, p) for p in params]
+    assert graphs[params.index(AppearanceParams(alpha=0.25, top_k=2))].edge_keys() == {
+        (sp.VertexId(1, u), sp.VertexId(2, v)) for u, v in ((0, 3), (0, 1), (1, 0), (1, 1), (2, 3), (2, 0))
+    }
+    # at alpha 0.75 nothing scores above it: an empty point
+    assert graphs[-1].edge_keys() == set()
+
+
+def test_sweep_points_share_the_widest_effective_sizes_with_a_fresh_build_graph():
+    # side-1 sizes 9 * (2**57 + k) over the denominator 9: six of them
+    # need Python ints, and the points that keep at most three (alpha 0.7
+    # and 0.8) fit int64, so the dtype rule is applied afresh
+    w1 = [2**57 + k for k in range(6)]
+    w2 = [Fraction(1, 3), 5, 7, Fraction(2, 9)]
+    scores = [(u, v, (u * 7 + v * 3) % 10 / 10) for u in range(6) for v in range(4)]
+    params = [AppearanceParams(alpha=a / 10, top_k=k) for a in range(9) for k in (1, 3)]
+    t1, t2 = synthetic_two_loop(30)
+    geometric = [GeometryParams(d_max=d, eta=e) for d in (5, 15, 40) for e in (0.0, 0.5)]
+    objectives = [sp.Objective.p1(), sp.Objective.p1(3, 7), sp.Objective.p2(), sp.Objective.p3(1, 2, Fraction(1, 3))]
+    g1, g2 = ([p.feature_count * DESCRIPTOR_BYTES for p in t] for t in (t1, t2))
+    sweeps = [
+        (build_appearance_sweep(scores, w1, w2, params), w1, w2),
+        (build_geometric_sweep(t1, t2, geometric), g1, g2),
+    ]
+    side1_dtypes = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # pruned vertices
+        for sweep, a, b in sweeps:
+            for g in sweep:
+                edges = list(zip((g.ids[0][i] for i in g.eu), (g.ids[1][j] for j in g.ev)))
+                fresh = sp.build_graph(a, b, edges)
+                for ours, theirs in zip(g.eff_num, fresh.eff_num):
+                    assert ours.dtype == theirs.dtype and ours.tolist() == theirs.tolist()
+                side1_dtypes.add(g.eff_num[0].dtype)
+                for obj in objectives:
+                    (ours, ours_den), (theirs, theirs_den) = (sp.graph.weight_numerators(h, obj) for h in (g, fresh))
+                    assert ours_den == theirs_den
+                    for x, y in zip(ours, theirs):
+                        assert x.dtype == y.dtype and x.tolist() == y.tolist()
+    assert side1_dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
 def test_score_out_of_range():
     with pytest.raises(sp.ScoreOutOfRange):
         build_appearance([(0, 0, 1.5)], [1], [1], AppearanceParams(alpha=0.5))
@@ -1271,6 +1357,41 @@ def test_gate_counts_must_be_integers(value):
         subsample(t1, value)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: AppearanceParams(alpha=0.5, symmetric="no"), "symmetric must be a bool, got 'no'"),
+        (lambda: AppearanceParams(alpha=0.5, symmetric=1), "symmetric must be a bool, got 1"),
+        (lambda: AppearanceParams(alpha=0.5, symmetric=None), "symmetric must be a bool, got None"),
+        (lambda: AppearanceParams(alpha=0.5, symmetric="x" * 10**4), "symmetric must be a bool, got 'xxx"),
+        (lambda: AppearanceParams(alpha=True), "alpha must be a real number, got True"),
+        (lambda: AppearanceParams(alpha=False), "alpha must be a real number, got False"),
+        (lambda: AppearanceParams(alpha=np.True_), "alpha must be a real number, got True"),
+        (lambda: GeometryParams(d_max=np.True_, eta=0.5), "d_max must be a real number, got True"),
+        (lambda: GeometryParams(d_max=True, eta=False), "d_max must be a real number, got True"),
+        (lambda: GeometryParams(d_max=10.0, eta=False), "eta must be a real number, got False"),
+        (lambda: GeometryParams(d_max=10.0, eta=0.5, fov_half_angle=True), "fov_half_angle must be a real number"),
+        (lambda: GeometryParams(d_max=10.0, eta=0.5, fov_range=True), "fov_range must be a real number, got True"),
+        (lambda: fov_overlap(make_pose(0, 0, 0, 0), make_pose(1, 0, 0, 0), True, 30.0), "fov_half_angle must be a"),
+    ],
+)
+def test_gate_values_of_the_wrong_kind_are_refused(build, message):
+    # a bool gate value would read as 0 or 1, and a truthy symmetric as set
+    with pytest.raises(sp.ValidationError, match="^" + re.escape(message)) as refused:
+        build()
+    assert len(str(refused.value)) < 300
+
+
+def test_symmetric_accepts_numpy_bools():
+    scores = [(1, 0, 0.8), (0, 0, 0.8), (0, 1, 0.9)]
+    for flag in (True, False):
+        ours, theirs = (
+            build_appearance(scores, [1, 1], [1, 1], AppearanceParams(alpha=0.1, top_k=1, symmetric=f))
+            for f in (flag, np.bool_(flag))
+        )
+        assert ours.edge_keys() == theirs.edge_keys()
+
+
 def test_gate_counts_accept_integers():
     assert GeometryParams(d_max=10.0, eta=0.0, rate_divisor=np.int64(2)).rate_divisor == 2
     assert AppearanceParams(alpha=0.5, top_k=3).top_k == 3
@@ -1427,6 +1548,28 @@ def test_geometric_sweep_memory_does_not_grow_with_points_times_pairs():
     try:
         for _ in build_geometric_sweep(t1, t2, points):
             pass  # each graph is dropped when the next replaces it
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+
+
+def test_appearance_sweep_memory_does_not_grow_with_points():
+    # 300 alpha points over 2,000 queries of 20 scores each, top_k 2: each
+    # point's pair codes held until the first yield took a traced peak of
+    # about 27 MiB; one ranking and a mask made per point take about 3 MiB
+    rng = np.random.default_rng(5)
+    scores = np.zeros(40_000, dtype=candidates.SCORE_DTYPE)
+    scores["u"] = np.repeat(np.arange(2000), 20)
+    scores["v"] = rng.integers(0, 2000, len(scores))
+    scores["score"] = rng.random(len(scores))
+    points = [AppearanceParams(alpha=k / 300) for k in range(300)]
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # pruned vertices
+            for _ in build_appearance_sweep(scores, [1] * 2000, [1] * 2000, points):
+                pass  # each graph is dropped when the next replaces it
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
