@@ -221,6 +221,7 @@ _INDEX_ERROR = 2.0**-48  # 32u: column tolerance per cell of coordinate magnitud
 _BLOCK_ROWS = 1024  # band rows per block, a full row counting n / 16; under about 1 MB of working arrays
 _SETUP_PAIRS = 1024  # pairs gated, and their pairs in doubt set up, at a time; under about 1 MB of per-pair arrays
 _GATE_ARC = 0.3  # the widest arc, in radians, that one side of a _count_bounds polygon spans
+_MAX_FULL_RESOLUTION = 2**12  # a full-row pair: about 1.5 s at 2**12 (2-core host), 4-5x more per doubling
 
 
 def _fov_overlaps(pa, ha, pb, hb, fov_half_angle, fov_range, resolution=FOV_GRID_RESOLUTION) -> list[float]:
@@ -311,11 +312,13 @@ def _fov_overlaps(pa, ha, pb, hb, fov_half_angle, fov_range, resolution=FOV_GRID
 
     **Full rows.** A pair the bound does not cover has every band span the
     whole row, so every cell of every row is evaluated one by one: a
-    position, a heading, the range or ``cos_half`` is not finite; the
-    range is outside ``[2**-400, 2**400]`` or a lattice bound exceeds
-    ``2**400`` in magnitude; ``|h|`` is not within ``2**-50`` of 1; the
-    resolution is ``2**30`` or more; or the column tolerance exceeds a
-    quarter cell.
+    position or a heading is not finite; the range is outside
+    ``[2**-400, 2**400]`` or a lattice bound exceeds ``2**400`` in
+    magnitude; ``|h|`` is not within ``2**-50`` of 1; or the column
+    tolerance, or its twin for the rows (rows closer than their rounding
+    fall on the apex, where bands span the whole row), exceeds a quarter
+    cell. Callers pass a finite half-angle and a resolution of at most
+    ``2**20``; above ``2**12`` a full-row pair is refused before any row.
 
     **Blocks.** Every pair is set up and culled in one pass, so a caller
     hands over at most ``_SETUP_PAIRS`` pairs at a time: ``_fov_gates``
@@ -343,8 +346,10 @@ def _fov_overlaps(pa, ha, pb, hb, fov_half_angle, fov_range, resolution=FOV_GRID
         r, n = float(fov_range), int(resolution)
         cos_half = math.cos(fov_half_angle)
         alpha = math.acos(cos_half)
-        bounded = n < 2**30 and 1 / _SCALE <= r <= _SCALE and math.isfinite(fov_half_angle)
-        params = _band_setup(pa[live], ha[live], pb[live], hb[live], r, n, alpha, bounded)
+        params = _band_setup(pa[live], ha[live], pb[live], hb[live], r, n, alpha)
+        if n > _MAX_FULL_RESOLUTION and params["full"].any():
+            what = "such as one far from the origin for its range, whose every lattice cell would be evaluated"
+            raise ValidationError(f"resolution {n} is above 2**12 for a pair outside the row-band error bound, {what}")
         counts = np.zeros((len(live), 4), dtype=np.int64)
         for pair, row in _row_blocks(*_live_rows(params, r, n, alpha), params["full"], n):
             counts[pair[0] : pair[-1] + 1] += _block_counts(params, pair, row, cos_half, r, n)
@@ -355,7 +360,7 @@ def _fov_overlaps(pa, ha, pb, hb, fov_half_angle, fov_range, resolution=FOV_GRID
     return out
 
 
-def _band_setup(pa, ha, pb, hb, r, n, alpha, bounded):
+def _band_setup(pa, ha, pb, hb, r, n, alpha):
     """Per-pair arrays of the row-band filter, with the mask ``full`` of
     the pairs that take full rows."""
     lo = np.minimum(pa, pb) - r
@@ -363,9 +368,9 @@ def _band_setup(pa, ha, pb, hb, r, n, alpha, bounded):
     span = hi - lo
     step = span[:, 1] / n
     params = {"lo": lo, "span": span, "scale": 1 / step}
-    ok = bounded & np.isfinite(pa).all(1) & np.isfinite(pb).all(1)
+    ok = (1 / _SCALE <= r <= _SCALE) & np.isfinite(pa).all(1) & np.isfinite(pb).all(1)
     ok &= np.maximum(np.abs(lo), np.abs(hi)).max(1) <= _SCALE
-    reach = np.abs(lo[:, 1]) + np.abs(hi[:, 1]) + 2 * r * (1 + _DISK_BAND)
+    reach = np.abs(lo) + np.abs(hi) + 2 * r * (1 + _DISK_BAND)
     turns = (alpha - _WEDGE_BAND, alpha + _WEDGE_BAND, -alpha - _WEDGE_BAND, -alpha + _WEDGE_BAND)
     cos_t, sin_t = np.array([math.cos(t) for t in turns]), np.array([math.sin(t) for t in turns])
     for s, p, h in (("a", pa, ha), ("b", pb, hb)):
@@ -377,9 +382,11 @@ def _band_setup(pa, ha, pb, hb, r, n, alpha, bounded):
         params[f"cot{s}"] = ez / ex * params["scale"][:, None]
         params[f"far{s}"] = np.repeat(np.where(ez[:, ::2] > 0, np.inf, -np.inf), 2, axis=1)
         params[f"apex{s}"] = (p[:, 1] - lo[:, 1]) / step - 0.5
-        reach = reach + np.abs(p[:, 1])
-    params["tol"] = _INDEX_ERROR * (reach / step + 1)
-    params["full"] = ~(ok & (params["tol"] <= 0.25))
+        reach = reach + np.abs(p)
+    # per axis, how far a lattice line may lie off its place, in cells
+    tol = _INDEX_ERROR * (reach / (span / n) + 1)
+    params["tol"] = tol[:, 1]
+    params["full"] = ~(ok & (tol.max(1) <= 0.25))
     return params
 
 
@@ -647,7 +654,7 @@ def _count_bounds(pa, ha, pb, hb, fov_half_angle, fov_range):
     if wide >= math.pi / 2:
         return bounds
     with np.errstate(all="ignore"):
-        params = _band_setup(pa, ha, pb, hb, r, n, alpha, True)
+        params = _band_setup(pa, ha, pb, hb, r, n, alpha)
         held = np.flatnonzero(~params["full"])
         if not held.size:
             return bounds
@@ -769,24 +776,23 @@ def fov_overlap(
     identical ones while the lattice bounds are finite. Degenerate
     zero-range sectors overlap nothing, and so do ranges whose lattice
     bounds overflow. ``fov_half_angle`` and ``fov_range`` must be finite,
-    and ``resolution`` an integer from 1 to ``2**20``: the kernel's
-    per-pair column tables hold ``resolution`` floats each, about 40 MiB
-    at that bound.
+    each pose's planar position and heading too, and ``resolution`` an
+    integer from 1 to ``2**20``: the kernel's per-pair column tables hold
+    ``resolution`` floats each, about 40 MiB at that bound. A full-row
+    pair (see :func:`_fov_overlaps`) is refused above ``2**12``.
     """
     _check_finite("fov_half_angle", fov_half_angle)
     _check_finite("fov_range", fov_range)
     _check_count("resolution", resolution)
     if resolution > 2**20:
         raise ValidationError(f"resolution must be at most 2**20, got {_shown(resolution, str)}")
-    return _fov_overlaps(
-        planar_position(pose_a),
-        planar_heading(pose_a),
-        planar_position(pose_b),
-        planar_heading(pose_b),
-        fov_half_angle,
-        fov_range,
-        resolution,
-    )[0]
+    sectors = []
+    for name, pose in (("pose_a", pose_a), ("pose_b", pose_b)):
+        with np.errstate(invalid="ignore"):  # an infinite heading is scaled to NaN
+            sectors += [planar_position(pose), planar_heading(pose)]
+        if not np.isfinite(sectors[-2:]).all():
+            raise ValidationError(f"{name} has a non-finite planar position or heading")
+    return _fov_overlaps(*sectors, fov_half_angle, fov_range, resolution)[0]
 
 
 def build_geometric(

@@ -922,6 +922,16 @@ def _decimal_places(q: int) -> int | None:
     return max(twos, fives) if q == 1 else None
 
 
+# The layout dumps_graph writes and _dumped_graph reads: _LAYOUT around the
+# "v1", "v2" and "edges" sections, each its lines joined by _NEXT. A line is
+# its keys' texts, each followed by a number in its slot, then _END.
+_LAYOUT = ('{\n  "v1": [\n', '\n  ],\n  "v2": [\n', '\n  ],\n  "edges": [\n', "\n  ]\n}\n")
+_NEXT = ",\n"
+_ID, _SCAN_SIZE, _INERTIA = '    {"id": ', ', "scan_size": ', ', "inertia": '
+_U, _V, _COST = '    {"u": ', ', "v": ', ', "cost": '
+_END = "}"
+
+
 def dumps_graph(g: ExchangeGraph) -> str:
     """Serialize a graph to the exchange-graph file format: each number as
     an exact decimal, or a quoted ``p/q`` string when no terminating
@@ -934,26 +944,18 @@ def dumps_graph(g: ExchangeGraph) -> str:
     priced = (price for price in chain(*g.inertia_num) if price is not None)
     texts = _rational_texts(chain(*g.size_num, priced, costs), g.den, bounded=True)
     number = {num: json.dumps(text) if "/" in text else text for num, text in texts.items()}.__getitem__
-    lines = ["{"]
-    for key, ids, sizes, prices in zip(("v1", "v2"), g.ids, g.size_num, g.inertia_num):
-        entries = []
+    sections = []
+    for ids, sizes, prices in zip(g.ids, g.size_num, g.inertia_num):
+        lines = []
         for index, size, price in zip(ids, sizes, prices):
-            inertia = "" if price is None else f', "inertia": {number(price)}'
-            entries.append(f'    {{"id": {index}, "scan_size": {number(size)}{inertia}}}')
-        lines.append(f'  "{key}": [')
-        lines.append(",\n".join(entries))
-        lines.append("  ],")
+            inertia = "" if price is None else f"{_INERTIA}{number(price)}"
+            lines.append(f"{_ID}{index}{_SCAN_SIZE}{number(size)}{inertia}{_END}")
+        sections.append(_NEXT.join(lines))
     u_ids = map(g.ids[0].__getitem__, g.eu.tolist())
     v_ids = map(g.ids[1].__getitem__, g.ev.tolist())
-    entries = [
-        f'    {{"u": {u}, "v": {v}, "cost": {number(c)}}}'
-        for u, v, c in zip(u_ids, v_ids, costs)
-    ]
-    lines.append('  "edges": [')
-    lines.append(",\n".join(entries))
-    lines.append("  ]")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    sections.append(_NEXT.join([f"{_U}{u}{_V}{v}{_COST}{number(c)}{_END}" for u, v, c in zip(u_ids, v_ids, costs)]))
+    (v1, v2, edges), (a, b, c, d) = sections, _LAYOUT
+    return f"{a}{v1}{b}{v2}{c}{edges}{d}"
 
 
 def _load_number(value, ratios: dict):
@@ -1019,20 +1021,13 @@ def _document_columns(doc: dict) -> tuple:
     return ids, sizes, inertia, us, vs, costs, ratios
 
 
-# The layout dumps_graph writes: the four fixed texts of _LAYOUT around the
-# "v1", "v2" and "edges" sections. A section is its lines joined by ",\n",
-# or empty; each line is one of the templates below with a number after
-# each ": ", in its slot. A vertex line with a price has _PRICE before its
-# closing "}".
-_LAYOUT = ('{\n  "v1": [\n', '\n  ],\n  "v2": [\n', '\n  ],\n  "edges": [\n', "\n  ]\n}\n")
-_VERTEX_LINE = b'    {"id": , "scan_size": }'
-_PRICE = b', "inertia": '
-_EDGE_LINE = b'    {"u": , "v": , "cost": }'
-# the bytes from a slot's end to the next colon, by the last letter of the
+# the bytes of each line with its slots emptied, and of a price's key
+_VERTEX_LINE = f"{_ID}{_SCAN_SIZE}{_END}".encode()
+_EDGE_LINE = f"{_U}{_V}{_COST}{_END}".encode()
+_PRICE = _INERTIA.encode()
+# the text from a slot's end to the next colon, by the last letter of the
 # key before that colon; "id" and "u" open a line
-_GAPS = {
-    "d": '},\n    {"id"', "e": ', "scan_size"', "a": ', "inertia"', "u": '},\n    {"u"', "v": ', "v"', "t": ', "cost"'
-}
+_GAPS = {k[-4]: (_END + _NEXT if k in (_ID, _U) else "") + k[:-2] for k in (_ID, _SCAN_SIZE, _INERTIA, _U, _V, _COST)}
 _GAP_SIZE = np.zeros(256, dtype=np.int64)
 _GAP_SIZE[list(map(ord, _GAPS))] = list(map(len, _GAPS.values()))
 # the bytes of a slot besides the quotes of a "p/q" value
@@ -1051,7 +1046,7 @@ def _sections(text: str) -> list[bytes] | None:
         text.isascii()
         and text.startswith(head)
         and text.endswith(tail)
-        and text.startswith(('    {"id": ', marks[0]), len(head))
+        and text.startswith((_ID, marks[0]), len(head))
     ):
         return None
     sections, at = [], len(head)
@@ -1210,12 +1205,12 @@ def _dumped_graph(text: str) -> ExchangeGraph | None:
             return None
         *slots, bare = slots
         if line is _VERTEX_LINE:
-            # a price sits only before a line's closing "}"
-            if bare.count(_PRICE) != bare.count(_PRICE + b"}"):
+            # a price sits only before a line's end
+            if bare.count(_PRICE) != bare.count(_PRICE + _END.encode()):
                 return None
             bare = bare.replace(_PRICE, b"")
-        m = (len(bare) + 2) // (len(line) + 2)
-        if bare != (line + (b",\n" + line) * (m - 1) if m else b""):
+        m = (len(bare) + len(_NEXT)) // (len(line) + len(_NEXT))
+        if bare != (line + (_NEXT.encode() + line) * (m - 1) if m else b""):
             return None
         read.append(slots)
     # per side the ids, and the scan sizes and prices as (whole, num, den);

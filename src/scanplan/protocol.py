@@ -397,20 +397,17 @@ STRATEGIES = ("optimal", "monolog1", "monolog2", "full_bidirectional")
 def compare_strategies(g: ExchangeGraph, cfg: RendezvousConfig) -> list[StrategyRow]:
     """Price the rendezvous under the optimal policy, both monologs, and
     the naive everything-both-ways baseline; report bytes and workloads.
-    Each row holds the values ``run_rendezvous`` would report for that
-    policy, from its division of labour alone."""
+    Each row holds the values ``run_rendezvous`` reports for that policy's
+    session."""
     _checked_graph(g)
     if g.num_vertices == 0:
         zero = Fraction(0)
         return [StrategyRow(name, zero, zero, zero, zero) for name in STRATEGIES]
-    _closure_positions(g, cfg)
-    metadata_bytes = sum((m.size for m in _metadata_messages(g, cfg)), Fraction(0))
-    policies = (solve(g, cfg.objective).policy, monolog(g, 1), monolog(g, 2), full_bidirectional(g))
     rows = []
-    for name, policy in zip(STRATEGIES, policies):
-        sent, on_robot = _division(g, policy, "rendezvous requires a complete-search policy")
-        scan_bytes, ell1, ell2 = _session_costs(g, sent, on_robot)
-        rows.append(StrategyRow(name, scan_bytes, metadata_bytes, ell1, ell2))
+    # the optimal session solves cfg.objective itself, after checking the closures
+    for name, policy in zip(STRATEGIES, (None, monolog(g, 1), monolog(g, 2), full_bidirectional(g))):
+        trace = run_rendezvous(g, cfg, policy)
+        rows.append(StrategyRow(name, trace.scan_bytes, trace.metadata_bytes, trace.ell1, trace.ell2))
     return rows
 
 

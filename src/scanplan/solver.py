@@ -507,7 +507,7 @@ def check_ghc(g: ExchangeGraph, obj: Objective, side: int) -> GhcCertificate:
     """
     s = _side_position(side)
     result, weight, den = _optimal_cover(g, obj)
-    monolog_cost = Fraction(int(weight[s].sum()), den)
+    monolog_cost = _strategy_costs(result, weight, den)[1 + s]
     if result.optimal_cost == monolog_cost:
         return GhcCertificate(True, side, monolog_cost, result.optimal_cost)
     # The side vertices left out of the optimal cover form a violating

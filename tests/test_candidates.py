@@ -166,10 +166,12 @@ def test_kernel_matches_seed_on_random_sectors(case, resolution):
     a, b, half, fov_range = case
     with np.errstate(all="ignore"):  # the reference warns on overflowing ranges
         expected = seed_fov_overlap(a, b, half, fov_range, resolution)
-    if math.isnan(fov_range):
-        # fov_overlap refuses a NaN range; the quadrature behind it must
-        # still match the reference
-        with pytest.raises(sp.ValidationError, match="^fov_range must be finite, got nan$"):
+    if math.isnan(fov_range) or not np.isfinite(planar_position(b)).all():
+        # fov_overlap refuses a NaN range, and a pose 2 * 1e308 away, at an
+        # infinite position; the quadrature behind it must still match the
+        # reference
+        refusal = "fov_range must be finite, got nan" if math.isnan(fov_range) else "pose_b has a non-finite"
+        with pytest.raises(sp.ValidationError, match=f"^{refusal}"):
             fov_overlap(a, b, half, fov_range, resolution)
         for p, q in ((a, b), (b, a)):
             assert candidates._fov_overlaps(*planar([p]), *planar([q]), half, fov_range, resolution) == [expected]
@@ -249,6 +251,61 @@ def test_fov_overlap_refuses_non_finite_geometry(monkeypatch, argument, value):
     shape = {"fov_half_angle": HALF, "fov_range": RANGE, argument: value}
     with pytest.raises(sp.ValidationError, match=f"^{argument} must be finite, got {value}$"):
         fov_overlap(p, p, **shape)
+
+
+def tilted(rotation_entry, value):
+    """The identity rotation with one entry set to ``value``."""
+    rotation = np.eye(3)
+    rotation[rotation_entry] = value
+    return rotation
+
+
+@pytest.mark.parametrize(
+    "position, rotation",
+    [
+        (np.zeros(3), np.full((3, 3), np.nan)),
+        (np.zeros(3), tilted((0, 2), np.inf)),
+        (np.array([np.inf, 0.0, 0.0]), np.eye(3)),
+        (np.array([0.0, 0.0, -np.inf]), np.eye(3)),
+    ],
+    ids=["nan-rotation", "inf-forward", "inf-x", "inf-z"],
+)
+def test_fov_overlap_refuses_a_non_finite_pose(monkeypatch, position, rotation):
+    # a NaN rotation returned 0.0 after evaluating every lattice cell,
+    # though Trajectory refuses the same pose
+    def quadrature(*args):
+        raise AssertionError("the quadrature ran")
+
+    monkeypatch.setattr(candidates, "_fov_overlaps", quadrature)
+    p, bad = make_pose(0, 0.0, 0.0, 0.0), candidates.Pose(1, position, rotation)
+    for name, pair in (("pose_a", (bad, p)), ("pose_b", (p, bad))):
+        with pytest.raises(sp.ValidationError, match=f"^{name} has a non-finite planar position or heading$"):
+            fov_overlap(*pair, HALF, RANGE)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [((1e18, 0.0), (1e18, 5.0)), ((0.0, 1e18), (5.0, 1e18))],
+    ids=["far-x", "far-z"],
+)
+def test_full_row_pairs_are_refused_past_resolution_2_12(monkeypatch, a, b):
+    # far from the origin for a 30 m range, every lattice cell is
+    # evaluated: 1.5 s at 4096, about 4-5x more per doubling
+    a, b = make_pose(0, *a, 0.3), make_pose(1, *b, 1.0)
+    assert fov_overlap(a, b, HALF, RANGE, 64) == seed_fov_overlap(a, b, HALF, RANGE, 64)
+
+    def rows(*args):
+        raise AssertionError("a lattice row was evaluated")
+
+    monkeypatch.setattr(candidates, "_live_rows", rows)
+    with pytest.raises(sp.ValidationError, match=r"^resolution 4097 is above 2\*\*12 for a pair outside") as refused:
+        fov_overlap(a, b, HALF, RANGE, 2**12 + 1)
+    assert len(str(refused.value)) < 300
+
+
+def test_a_pair_the_error_bound_covers_is_accepted_at_2_16():
+    a, b = make_pose(0, 0.0, 0.0, 0.0), make_pose(1, 10.6, 10.6, -math.pi / 4)
+    assert fov_overlap(a, b, HALF, RANGE, 2**16) == pytest.approx(fov_overlap(a, b, HALF, RANGE), abs=1e-2)
 
 
 def test_degenerate_zero_range_overlaps_nothing():
@@ -417,7 +474,7 @@ def test_live_rows_hold_every_sector_cell(resolution):
             pa, ha, pb, hb = (np.array(v) for v in (*planar(c[0] for c in cases), *planar(c[1] for c in cases)))
             alpha = math.acos(math.cos(half))
             with np.errstate(all="ignore"):
-                params = candidates._band_setup(pa, ha, pb, hb, r, resolution, alpha, True)
+                params = candidates._band_setup(pa, ha, pb, hb, r, resolution, alpha)
                 first, rows = candidates._live_rows(params, r, resolution, alpha)
                 masks = [seed_fov_masks(a, b, half, r, resolution) for a, b in cases]
             for (mask_a, mask_b), start, count in zip(masks, first.tolist(), rows.tolist()):
