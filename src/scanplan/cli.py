@@ -272,10 +272,29 @@ def _nested(graphs, parameter: str):
     before = None
     for g in graphs:
         narrower_first = [before, g] if parameter == "dmax" else [g, before]
-        if before is not None and not np.isin(*_edge_codes(narrower_first)).all():
+        if before is not None and not _subset(*_edge_codes(narrower_first)):
             raise InvariantViolation(f"candidate sets not nested along {parameter} sweep")
         yield g
         before = g
+
+
+# _subset looks codes up in a table of one flag per code in the wider
+# array's range while that range is at most this many times the two sizes
+_TABLE_SPAN = 64
+
+
+def _subset(narrower: np.ndarray, wider: np.ndarray) -> bool:
+    """Whether every code of ``narrower`` is in ``wider``, two arrays of
+    :func:`_edge_codes`. Int64 codes whose range in ``wider`` is within
+    ``_TABLE_SPAN`` times the two sizes are looked up in a table (numpy
+    would sort them once the range passes 6 times the sizes); Python-int
+    codes, and codes spread wider, take numpy's default."""
+    kind = None
+    if wider.dtype == np.int64 and len(wider):
+        span = int(wider.max()) - int(wider.min())
+        if span <= _TABLE_SPAN * (len(narrower) + len(wider)):
+            kind = "table"
+    return bool(np.isin(narrower, wider, kind=kind).all())
 
 
 def run_sweep(args) -> tuple[list[str], str]:

@@ -292,6 +292,21 @@ class ExchangeGraph:
         return tuple({i: k for k, i in enumerate(ids)} for ids in self.ids)
 
     @cached_property
+    def _id_lookups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per side, the :func:`_id_lookup` of the ids."""
+        return tuple(map(_id_lookup, self.ids))
+
+    def _equal_id(self, s: int, index) -> int:
+        """The id of side ``s + 1`` that ``index``, an end of another type
+        than int, equals (as ``0.0`` equals 0), or -1 when it equals none or
+        cannot be hashed."""
+        try:
+            k = self.position[s].get(index)
+        except TypeError:
+            return -1
+        return -1 if k is None else self.ids[s][k]
+
+    @cached_property
     def v1(self) -> tuple[ScanVertex, ...]:
         return self._scan_vertices(1)
 
@@ -400,23 +415,22 @@ class ExchangeGraph:
 
     def edge_positions(self, keys: Iterable) -> np.ndarray:
         """Position of each edge ``(u, v)`` of ``keys`` in the edge arrays,
-        -1 where the pair is not a candidate edge: one binary search in the
-        sorted edge codes for all of them."""
-        pos1, pos2 = self.position
-        n2 = len(self.ids[1])
-        codes = []
+        -1 where the pair is not a candidate edge: one binary search in each
+        side's sorted ids (:attr:`_id_lookups`) for all the ends, and one in
+        the sorted edge codes for all the pairs."""
+        us, vs = [], []
         for key in keys:
-            code = -1
             try:
-                (su, iu), (sv, iv) = key
-                if su == 1 and sv == 2:
-                    i, j = pos1.get(iu), pos2.get(iv)
-                    if i is not None and j is not None:
-                        code = i * n2 + j
+                (su, u), (sv, v) = key
+                if not (su == 1 and sv == 2):
+                    u = v = -1  # no vertex id is negative
             except (TypeError, ValueError):
-                pass
-            codes.append(code)
-        codes = np.array(codes, dtype=np.int64)
+                u = v = -1
+            us.append(u)
+            vs.append(v)
+        ends = ([e if type(e) is int else self._equal_id(s, e) for e in side] for s, side in enumerate((us, vs)))
+        i, j = (_id_positions(lookup, e) for lookup, e in zip(self._id_lookups, ends))
+        codes = np.where((i < 0) | (j < 0), -1, i * len(self.ids[1]) + j)
         if not self.num_edges:
             return np.full(len(codes), -1, dtype=np.int64)
         edge_codes, order = self._edge_lookup
@@ -631,24 +645,49 @@ def _index(value, what) -> int:
     return index
 
 
-def _end_positions(ids, us, vs) -> tuple[Sequence[int], Sequence[int]]:
+def _end_positions(ids, us, vs) -> tuple[np.ndarray, np.ndarray]:
     """The side positions of edge ends given as vertex ids, in lists of
-    ints or int64 arrays; an end that no vertex of its side holds is
-    refused. When each side's ids are ``0..n-1`` in order, every end in
-    range is its own position."""
+    ints or int64 arrays, as int64 arrays; the first edge with an end that
+    no vertex of its side holds is refused. When each side's ids are
+    ``0..n-1`` in order, every end in range is its own position; else the
+    ends are searched in each side's sorted ids (:func:`_id_lookup`)."""
     if all(side_ids == list(range(len(side_ids))) for side_ids in ids):
         with contextlib.suppress(OverflowError):  # an end past int64 is no position
             ends = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
             if all(not len(e) or 0 <= e.min() and e.max() < len(side_ids) for e, side_ids in zip(ends, ids)):
                 return ends
-    us, vs = (e.tolist() if isinstance(e, np.ndarray) else e for e in (us, vs))
-    pos1, pos2 = ({i: k for k, i in enumerate(side_ids)} for side_ids in ids)
-    eu = list(map(pos1.get, us))
-    ev = list(map(pos2.get, vs))
-    if None in eu or None in ev:
-        k = next(k for k, ends in enumerate(zip(eu, ev)) if None in ends)
+    eu, ev = (_id_positions(_id_lookup(side_ids), e) for side_ids, e in zip(ids, (us, vs)))
+    missing = np.flatnonzero((eu < 0) | (ev < 0))
+    if len(missing):
+        k = int(missing[0])
         raise IndexOutOfRange(f"{_edge_text(us[k], vs[k])} references a missing vertex")
     return eu, ev
+
+
+def _id_lookup(ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """A side's int ids in ascending order, int64 where every one fits and
+    Python ints otherwise, and the position of each in ``ids``."""
+    try:
+        column = np.fromiter(ids, dtype=np.int64, count=len(ids))
+    except OverflowError:
+        column = np.array(ids, dtype=object)
+    order = np.argsort(column, kind="stable")
+    return column[order], order
+
+
+def _id_positions(lookup: tuple[np.ndarray, np.ndarray], values) -> np.ndarray:
+    """The position of the id equal to each int of ``values`` in the side
+    that :func:`_id_lookup` made ``lookup`` of, -1 where no id is equal:
+    one binary search for all of them."""
+    ids, order = lookup
+    try:
+        query = np.asarray(values, dtype=ids.dtype)
+    except OverflowError:  # an int past int64 equals no int64 id
+        ids, query = ids.astype(object), np.array(values, dtype=object)
+    if not len(ids):
+        return np.full(len(query), -1, dtype=np.int64)
+    at = np.minimum(np.searchsorted(ids, query), len(ids) - 1)
+    return np.where(ids[at] == query, order[at], -1)
 
 
 def build_graph(
@@ -1077,7 +1116,10 @@ def _slots(raw: bytes) -> tuple | None:
     holds an int; its value ``whole + num / den`` as int64 arrays, with
     ``num / den`` reduced; and the section with its slots deleted. In a
     section with no ``.`` or ``/`` every slot must hold an int, and
-    ``num`` and ``den`` are None: it needs no separator or gcd work."""
+    ``num`` and ``den`` are None: it needs no separator or gcd work.
+    Elsewhere only the slots that hold a separator get a numerator and a
+    denominator of their own, and only they go through the gcd and the
+    divisions: every other slot is ``whole + 0 / 1``, already reduced."""
     byte = np.frombuffer(raw, dtype=np.uint8)
     starts = np.flatnonzero(byte == ord(":"))
     if starts.min(initial=2) < 2:  # no room for a key before a colon
@@ -1085,16 +1127,22 @@ def _slots(raw: bytes) -> tuple | None:
     key = byte[starts - 2]
     starts += 2
     # the last slot ends at the closing "}", the section's last byte
-    ends = np.append(starts[1:] - 2 - _GAP_SIZE[key[1:]], len(raw) - 1)[: len(starts)]
-    if (ends - starts).min(initial=1) < 1:
+    ends = np.empty_like(starts)
+    if len(ends):
+        np.subtract(starts[1:], _GAP_SIZE[key[1:]], out=ends[:-1])
+        ends[:-1] -= 2
+        ends[-1] = len(raw) - 1
+    size = ends - starts
+    if size.min(initial=1) < 1:
         return None
-    quoted = byte[starts] == ord('"')
-    bare = _deleted(raw, np.concatenate((starts[quoted], ends[quoted] - 1)))
-    if len(raw) - len(bare) != (ends - starts).sum():
+    first = byte[starts]
+    quoted = first == ord('"')
+    any_quoted = bool(quoted.any())
+    bare = _deleted(raw, np.concatenate((starts[quoted], ends[quoted] - 1)) if any_quoted else None)
+    if len(raw) - len(bare) != size.sum():
         return None
     if b"." not in raw and b"/" not in raw:
-        size = ends - starts
-        if quoted.any() or ((byte[starts] == ord("0")) & (size > 1)).any():
+        if any_quoted or ((first == ord("0")) & (size > 1)).any():
             return None
         whole = _digits(byte, ends, size)
         return None if whole is None else (key, ~quoted, whole, None, None, bare)
@@ -1111,7 +1159,7 @@ def _slots(raw: bytes) -> tuple | None:
     ends -= quoted
     second_size = (ends - sep - 1)[has]
     np.copyto(sep, ends, where=~has)
-    if ((byte[starts] == ord("0")) & (sep - starts > 1)).any():
+    if ((first == ord("0")) & (sep - starts > 1)).any():
         return None
     starts += quoted
     whole = _digits(byte, sep, sep - starts)
@@ -1120,22 +1168,23 @@ def _slots(raw: bytes) -> tuple | None:
     if second is None or (second[ratio] == 0).any():
         return None
     # a decimal a.b is a + b / 10**len(b), and a "p/q" is 0 + p / q
+    p = np.where(ratio, whole[has], second)
+    q = np.where(ratio, second, 10**second_size)
+    common = np.gcd(p, q)
     num, den = np.zeros(len(starts), dtype=np.int64), np.ones(len(starts), dtype=np.int64)
-    num[has] = np.where(ratio, whole[has], second)
-    den[has] = np.where(ratio, second, 10**second_size)
+    num[has], den[has] = p // common, q // common
     whole[quoted] = 0
-    common = np.gcd(num, den)
-    return key, ~(quoted | has), whole, num // common, den // common, bare
+    return key, ~(quoted | has), whole, num, den, bare
 
 
-def _deleted(raw: bytes, quotes: np.ndarray) -> bytes:
+def _deleted(raw: bytes, quotes: np.ndarray | None) -> bytes | bytearray:
     """``raw`` with its digits, ``.`` and ``/`` deleted, and the bytes at
-    ``quotes``, the quotes of its ``"p/q"`` slots, too."""
-    if not len(quotes):
+    ``quotes``, the quotes of its ``"p/q"`` slots, too, unless it is None."""
+    if quotes is None:
         return raw.translate(None, _SLOT_BYTES)
     marked = bytearray(raw)
     np.frombuffer(marked, dtype=np.uint8)[quotes] = ord("0")
-    return bytes(marked.translate(None, _SLOT_BYTES))
+    return marked.translate(None, _SLOT_BYTES)
 
 
 def _separators(byte: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
@@ -1152,18 +1201,31 @@ def _separators(byte: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.nd
 
 def _digits(byte: np.ndarray, end: np.ndarray, size: np.ndarray) -> np.ndarray | None:
     """The value of each run of ``size`` bytes before ``end`` as int64, or
-    None unless every run holds 1 to 18 ASCII digits."""
-    if size.min(initial=1) < 1 or size.max(initial=1) > _MAX_SLOT_DIGITS:
+    None unless every run holds 1 to 18 ASCII digits.
+
+    The digits are added from the last place up, with one gather over every
+    run per place. A run shorter than the place reads a byte before its
+    start there (clipped to the section's first byte), which may be any
+    byte, so that digit is zeroed before the check that each digit is at
+    most 9. When no run has more than 9 digits, every value is below
+    ``10**9 < 2**31``, so the sum is taken in int32 and is exact."""
+    shortest, longest = int(size.min(initial=1)), int(size.max(initial=1))
+    if shortest < 1 or longest > _MAX_SLOT_DIGITS:
         return None
-    # the digits added from the last one up
-    value = np.zeros(len(end), dtype=np.int64)
-    for k in range(int(size.max(initial=0))):
-        longer = np.flatnonzero(size > k)
-        digit = byte[end[longer] - (k + 1)] - np.uint8(ord("0"))
-        if (digit > 9).any():
+    kind = np.int32 if longest <= 9 else np.int64
+    value = np.zeros(len(end), dtype=kind)
+    digit = np.empty(len(end), dtype=np.uint8)
+    at = end - 1
+    for k in range(longest):
+        byte.take(at, mode="clip", out=digit)
+        digit -= np.uint8(ord("0"))
+        if k >= shortest:
+            np.putmask(digit, size <= k, 0)
+        if digit.max(initial=0) > 9:
             return None
-        value[longer] += digit.astype(np.int64) * 10**k
-    return value
+        value += np.multiply(digit, 10**k, dtype=kind)
+        at -= 1
+    return value.astype(np.int64, copy=False)
 
 
 def _picked(value: tuple, where) -> tuple:

@@ -827,6 +827,50 @@ def test_edge_codes_nest_as_edge_key_sets(data):
     assert bool(np.isin(codes[1], codes[0]).all()) == (b.edge_keys() <= a.edge_keys())
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_subset_check_nests_as_edge_key_sets(data):
+    from scanplan.cli import _edge_codes, _subset
+
+    n1, n2 = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    ids = None
+    if data.draw(st.booleans()):
+        # ids near 2**63 and past it: int64 codes near the bound that a
+        # table spans (a side of one id gives a span of 0), codes spread
+        # too wide for it, and Python-int codes
+        pool = st.one_of(st.integers(0, 9), st.sampled_from([2**31, 2**62, 2**63 - 2, 2**63 - 1, 2**63, 2**70]))
+        ids = [data.draw(st.lists(pool, min_size=n, max_size=n, unique=True)) for n in (n1, n2)]
+    a, b = graphs_over(data, n1, n2, ids), graphs_over(data, n1, n2, ids)
+    codes = _edge_codes([a, b])
+    assert _subset(codes[0], codes[1]) == (a.edge_keys() <= b.edge_keys())
+    assert _subset(codes[1], codes[0]) == (b.edge_keys() <= a.edge_keys())
+
+
+@pytest.mark.parametrize(
+    "narrower, wider, kind",
+    [
+        ([1, 2], list(range(10)), "table"),
+        ([5], [0, 3 * 64], "table"),  # a span of 64 times the two sizes
+        ([5], [0, 3 * 64 + 1], None),
+        ([2**63 - 2], [2**63 - 2], "table"),
+        ([0, 2**63 - 1], [2**63 - 2, 2**63 - 1], "table"),
+        ([0], [0, 2**63 - 1], None),
+        ([3], [], None),
+    ],
+)
+def test_subset_check_uses_a_table_only_within_its_span(monkeypatch, narrower, wider, kind):
+    from scanplan.cli import _subset
+
+    kinds, isin = [], np.isin
+    monkeypatch.setattr(np, "isin", lambda *arrays, kind=None: kinds.append(kind) or isin(*arrays, kind=kind))
+    narrower, wider = np.array(narrower, dtype=np.int64), np.array(wider, dtype=np.int64)
+    assert _subset(narrower, wider) == (set(narrower.tolist()) <= set(wider.tolist()))
+    assert kinds == [kind]
+    objects = [np.array(codes.tolist() + [2**70], dtype=object) for codes in (narrower, wider)]
+    assert _subset(*objects) == (set(narrower.tolist()) <= set(wider.tolist()))
+    assert kinds == [kind, None]
+
+
 def load_fixture_trajectories():
     from scanplan.candidates import read_feature_counts, read_kitti_poses
 

@@ -1742,6 +1742,155 @@ def test_numpy_reader_scales_past_int64_as_the_json_path_does():
     assert sp.loads_graph(text).edges[1].cost == Fraction(10**36 - 1, 10**18)
 
 
+def digit_run(rng: random.Random, k: int, lead: bool = False) -> str:
+    """``k`` random digits; the first is a zero only with ``lead`` or when
+    it is the only one."""
+    first = rng.choice("0123456789" if lead or k == 1 else "123456789")
+    return first + "".join(rng.choices("0123456789", k=k - 1))
+
+
+def read_runs(runs: list[str], at_start: bool = False):
+    """``graph._digits`` over a section holding ``runs``, each after ``": "``
+    (a colon and a space, neither a digit); with ``at_start``, the first run
+    starts at the section's first byte."""
+    section, ends = "", []
+    for run in runs:
+        section += ("" if at_start and not section else ": ") + run
+        ends.append(len(section))
+    byte = np.frombuffer(section.encode("ascii"), dtype=np.uint8)
+    return graph._digits(byte, np.array(ends, dtype=np.int64), np.array(list(map(len, runs)), dtype=np.int64))
+
+
+@pytest.mark.parametrize("at_start", [False, True])
+def test_digit_runs_read_as_int_reads_them(at_start):
+    rng = random.Random(17)
+    # every length, as a first run and after longer and shorter ones; the
+    # 9-digit sections are summed in int32, the longer ones in int64
+    by_length = [[digit_run(rng, k) for k in range(1, top + 1)] for top in (9, 18)]
+    boundaries = ["999999999", "1000000000", str(2**31 - 1), str(2**31), str(10**18 - 1)]
+    sections = [*by_length, [*by_length[1][::-1], "0"], boundaries, ["999999999", "7", "0", "12345"]]
+    sections += [[run, "123456789012345678"] for run in ("5", "0", "99")]  # a short first run
+    for runs in sections:
+        value = read_runs(runs, at_start)
+        assert value.dtype == np.int64
+        assert value.tolist() == [int(run) for run in runs]
+    assert read_runs([], at_start).tolist() == []
+
+
+@pytest.mark.parametrize("at_start", [False, True])
+@pytest.mark.parametrize(
+    "runs",
+    [
+        ["1234567890123456789"],  # 19 digits
+        ["12", "1" * 19],
+        ["12", ""],
+        ["1a4"],
+        ["7", "12/4"],
+        ["7", "1.5"],
+        ["123456789", "1234:6789"],
+        ["9" * 18, " 99"],
+    ],
+)
+def test_digit_runs_with_a_non_digit_or_past_18_digits_read_as_none(runs, at_start):
+    assert read_runs(runs, at_start) is None
+
+
+def full_size_number(rng: random.Random) -> str:
+    """A number as a graph file may hold it: an int, a decimal ``a.b`` (``b``
+    may end in a zero) or a ``"p/q"`` string, often unreduced such as
+    ``"4/6"``, each run of 1 to 18 digits. The reduced denominators divide
+    ``126 * 10**18``, well within the bound on the common denominator; a
+    ``"p/11"`` is always a multiple of 11, so only an unreduced one would
+    bring a factor 11 into it."""
+    k = functools.partial(rng.randint, 1, 18)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return digit_run(rng, k())
+    if kind == 1:
+        return f"{digit_run(rng, k())}.{digit_run(rng, k(), lead=True)}"
+    if kind == 2:
+        return f'"{11 * rng.randrange(10**16)}/11"'
+    q = rng.choice([3, 6, 7, 9]) * 10 ** rng.randint(0, 17)
+    return f'"{digit_run(rng, k(), lead=True)}/{q}"'
+
+
+def full_size_text(rng: random.Random, n: int = 2000, num_edges: int = 20_000) -> str:
+    """A file in dumps_graph's layout with ``n`` vertices a side, ids of 1
+    to 18 digits, a price on about a third of them, and ``num_edges``
+    edges that leave the last two vertices of each side isolated."""
+    ids = []
+    for _ in range(2):
+        side: dict[int, None] = {}
+        while len(side) < n:
+            side[int(digit_run(rng, rng.randint(1, 18)))] = None
+        ids.append(list(side))
+    sides = []
+    for side in ids:
+        lines = []
+        for i in side:
+            price = f', "inertia": {full_size_number(rng)}' if rng.random() < 0.3 else ""
+            lines.append(f'    {{"id": {i}, "scan_size": {full_size_number(rng)}{price}}}')
+        sides.append(",\n".join(lines))
+    pairs: dict[tuple[int, int], None] = {}
+    while len(pairs) < num_edges:
+        pairs[rng.randrange(n - 2), rng.randrange(n - 2)] = None
+    edges = ",\n".join(
+        f'    {{"u": {ids[0][u]}, "v": {ids[1][v]}, "cost": {full_size_number(rng)}}}' for u, v in pairs
+    )
+    return graph_file(edges, f'"v1": [\n{sides[0]}\n  ],\n  "v2": [\n{sides[1]}\n  ]')
+
+
+def test_full_size_file_reads_as_the_json_parser_reads_it():
+    text = full_size_text(random.Random(41))
+    assert {len(run) for run in re.findall(r"\d+", text)} == set(range(1, 19))
+    assert re.search(r'"(\d*[02468])/(\d*[02468])"', text)  # an unreduced "p/q"
+    outcome = load_outcome(text)
+    assert outcome == load_outcome(text, reader=False)
+    ids, den, *_, pruned, numbers, warned = outcome
+    assert len(ids[0]) == len(ids[1]) == 1998 and len(pruned) == 4 and den > 2**63
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert graph._dumped_graph(text) is not None  # read in numpy passes
+
+
+def build_from_ids(ids, pairs) -> sp.ExchangeGraph:
+    """A graph with unit values on the given side ids and (u id, v id) edges."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # pruned vertices
+        sides = ([(i, 1, None) for i in side] for side in ids)
+        return sp.ExchangeGraph.from_vertices(*sides, [(u, v, 1) for u, v in pairs])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_end_positions_find_each_end_as_a_dict_of_ids_does(data):
+    # ids with gaps, around the int64 bound and past it
+    pool = st.one_of(st.integers(0, 9), st.sampled_from([2**31, 2**63 - 2, 2**63 - 1, 2**63, 2**70]))
+    ids = [data.draw(st.lists(pool, unique=True, max_size=5)) for _ in range(2)]
+    m = data.draw(st.integers(0, 6))
+    us, vs = (data.draw(st.lists(st.one_of(st.just(-1), pool), min_size=m, max_size=m)) for _ in range(2))
+    positions = [{i: k for k, i in enumerate(side)} for side in ids]
+    want = [(positions[0].get(u), positions[1].get(v)) for u, v in zip(us, vs)]
+    if all(max(ends, default=0) < 2**63 for ends in (us, vs)) and data.draw(st.booleans()):
+        us, vs = np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)  # as the numpy reader hands them
+    missing = [k for k, pair in enumerate(want) if None in pair]
+    if missing:
+        k = missing[0]
+        message = f"{graph._edge_text(us[k], vs[k])} references a missing vertex"
+        with pytest.raises(sp.IndexOutOfRange, match=f"^{re.escape(message)}$"):
+            graph._end_positions(ids, us, vs)
+        return
+    eu, ev = graph._end_positions(ids, us, vs)
+    assert [(int(i), int(j)) for i, j in zip(eu, ev)] == want
+    pairs = [(int(u), int(v)) for u, v in zip(us, vs)]
+    if len(set(pairs)) == m:
+        g = build_from_ids(ids, pairs)
+        keys = [(sp.VertexId(1, u), sp.VertexId(2, v)) for u, v in pairs]
+        keys += [(sp.VertexId(1, i), sp.VertexId(2, j)) for i in (-1, 2**70, 2**63) for j in ids[1][:2]]
+        table = {key: k for k, key in enumerate(g.edge_key_list)}
+        assert g.edge_positions(keys).tolist() == [table.get(key, -1) for key in keys]
+
+
 def json_lengths(text: str) -> list[int]:
     """The length of each text that ``loads_graph(text)`` hands the JSON parser."""
     lengths, parse = [], graph._load_json
