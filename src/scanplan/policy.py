@@ -27,6 +27,7 @@ from .graph import (
     ExchangeGraph,
     VertexId,
     _checked_graph,
+    _id_lookup,
     _load_file,
     _load_int,
     _load_json,
@@ -192,11 +193,11 @@ def dumps_policy(pi: Policy) -> str:
             (side, [(vid.index, int(vid in ones)) for vid in vids])
             for side, vids in groupby(sorted(pi.domain), itemgetter(0))
         ]
-    else:  # from the masks, side by side
-        sides = [
-            (side, sorted(zip(ids, mask.view(np.int8).tolist())))
-            for side, ids, mask in zip((1, 2), pi._ids, pi._masks)
-        ]
+    else:  # from the masks, side by side, in each side's sorted ids
+        sides = []
+        for side, ids, mask in zip((1, 2), pi._ids, pi._masks):
+            column, order = _id_lookup(ids)
+            sides.append((side, zip(column.tolist(), mask[order].view(np.int8).tolist())))
     rows = []
     for side, labels in sides:
         head = f'    {{"side": {side}, "index": '

@@ -21,12 +21,12 @@ are byte-identical across runs for identical inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import chain, repeat
 from numbers import Integral, Real
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -87,27 +87,47 @@ def _division(
     return (sent1, sent2), on_robot
 
 
+def _edge_ends(g: ExchangeGraph, edges: np.ndarray) -> tuple[Iterator[int], Iterator[int]]:
+    """The side-1 ids and the side-2 ids of some edges, given as a mask or
+    as positions, in edge order."""
+    ids1, ids2 = g.ids
+    return map(ids1.__getitem__, g.eu[edges].tolist()), map(ids2.__getitem__, g.ev[edges].tolist())
+
+
 def _edge_key_set(g: ExchangeGraph, edges: np.ndarray) -> frozenset[EdgeKey]:
     """The ``(u, v)`` keys of some edges, given as a mask or as positions;
     built from the graph's ids for those edges only."""
-    ids1, ids2 = g.ids
-    return frozenset(
-        zip(
-            _vertex_ids(1, map(ids1.__getitem__, g.eu[edges].tolist())),
-            _vertex_ids(2, map(ids2.__getitem__, g.ev[edges].tolist())),
-        )
-    )
+    us, vs = _edge_ends(g, edges)
+    return frozenset(zip(_vertex_ids(1, us), _vertex_ids(2, vs)))
 
 
-def _schedule(g: ExchangeGraph, sent: tuple[np.ndarray, np.ndarray]) -> list[tuple[int, int, int]]:
-    """The transmitted scans in ascending (side, index) order, from per-side
-    masks of the transmitted vertices: ``(side, index, size)`` with the
-    effective scan size as a numerator over ``g.den``."""
+def _schedule(g: ExchangeGraph, sent: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per side, the transmitted vertices in ascending id order, from
+    per-side masks of the transmitted vertices: as indices into the side's
+    sorted ids (:attr:`ExchangeGraph._id_lookups`)."""
+    return tuple(np.flatnonzero(mask[order]) for (_, order), mask in zip(g._id_lookups, sent))
+
+
+def _scan_legs(g: ExchangeGraph, scans: tuple[np.ndarray, np.ndarray]) -> list[tuple[int, list[int], list[int]]]:
+    """Per side, ``(side, ids, sizes)`` of the scheduled scans: their ids
+    in ascending order, and their effective scan sizes as numerators over
+    ``g.den``."""
     return [
-        (side, index, size)
-        for side, ids, eff, mask in zip((1, 2), g.ids, g.eff_num, sent)
-        for index, size in sorted(compress(zip(ids, eff.tolist()), mask.tolist()))
+        (side, column[at].tolist(), eff[order[at]].tolist())
+        for side, (column, order), eff, at in zip((1, 2), g._id_lookups, g.eff_num, scans)
     ]
+
+
+def _in_id_order(g: ExchangeGraph, edges: np.ndarray) -> np.ndarray:
+    """Edge positions sorted by (side-1 id, side-2 id): by the rank of each
+    end in its side's sorted ids, so ids past int64 sort too."""
+    ranks = []
+    for (_, order), ends in zip(g._id_lookups, (g.eu, g.ev)):
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        ranks.append(rank[ends[edges]])
+    u, v = ranks
+    return edges[np.lexsort((v, u))]  # lexsort sorts by its last key first
 
 
 def workloads(g: ExchangeGraph, pi: Policy, alpha1=1, alpha2=1) -> WorkloadReport:
@@ -131,9 +151,12 @@ def execute_order(g: ExchangeGraph, pi: Policy) -> list[Transmission]:
     labeled scans in ascending (side, index) order, each going to the
     other robot, with its effective byte count."""
     sent, _ = _division(g, pi, "refusing to execute an incomplete-search policy")
+    legs = _scan_legs(g, _schedule(g, sent))
+    size = g._fractions(chain.from_iterable(nums for _, _, nums in legs))
     return [
-        Transmission(VertexId(side, index), 3 - side, Fraction(size, g.den))
-        for side, index, size in _schedule(g, sent)
+        Transmission(VertexId(side, index), 3 - side, size(num))
+        for side, ids, nums in legs
+        for index, num in zip(ids, nums)
     ]
 
 
@@ -162,6 +185,17 @@ def _is_vertex_id(end) -> bool:
     )
 
 
+def _closure_ids(pair: tuple) -> tuple[VertexId, VertexId]:
+    """A ground-truth closure as a pair of ``VertexId``s of ints, so that it
+    is named one way whatever integers and tuples it was given in. A pair
+    that already is one is kept, not copied: on the ``corridor_exact``
+    benchmark a copy of its 230 closures raised the peak RSS by 1.6 MB."""
+    if type(pair) is tuple and all(type(e) is VertexId and type(e.side) is int and type(e.index) is int for e in pair):
+        return pair
+    (su, u), (sv, v) = pair
+    return VertexId(int(su), int(u)), VertexId(int(sv), int(v))
+
+
 @dataclass(frozen=True)
 class RendezvousConfig:
     """Knobs of one exchange session.
@@ -173,8 +207,9 @@ class RendezvousConfig:
     non-negative real numbers, kept as exact Fractions of the values given
     (a float as its exact binary value), so that every phase total is the
     sum of its messages. Ground-truth closures must be pairs of
-    ``(side, index)`` ids, kept as a frozenset, and candidate edges;
-    verification is simulated by membership.
+    ``(side, index)`` ids of integers, kept as a frozenset of
+    ``VertexId`` pairs of ints, and candidate edges; verification is
+    simulated by membership.
     """
 
     objective: Objective = field(default_factory=Objective.p2)
@@ -206,50 +241,102 @@ class RendezvousConfig:
                 raise ValidationError(
                     f"ground-truth closure {_shown(pair)} is not a pair of (side, index) ids"
                 )
-        object.__setattr__(self, "ground_truth_closures", frozenset(closures))
+        object.__setattr__(self, "ground_truth_closures", frozenset(map(_closure_ids, closures)))
+
+
+# the public values of a trace, in the order its repr shows them
+_SHOWN = (
+    "messages", "policy", "discovered_1", "discovered_2", "undelivered_1", "undelivered_2",
+    "metadata_bytes", "scan_bytes", "closure_bytes", "ell1", "ell2",
+)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class RendezvousTrace:
     """Complete record of one simulated exchange.
 
-    ``messages`` holds every message of the session in order. The scan
-    legs are kept as ``(side, index, size)`` with the size a numerator over
-    the graph's ``den``, and the ``Message`` records are built from them on
-    first access and cached. ``verified_1``, ``verified_2`` and
-    ``redundant`` are the candidate edges robot 1, robot 2 and both
-    screened, built from per-edge masks on first access and cached, like
-    the graph's ``edges``. Two traces are equal when every one of their
-    public values is.
+    The trace keeps the byte totals and workloads as values, and each
+    decision of the session as an index array over its graph: per side,
+    the transmitted vertices in ascending id order (as indices into the
+    side's sorted ids); per robot, a mask of the edges it screened; the
+    edge position of each ground-truth closure, and per robot a mask of
+    those it screened; per robot, the edge positions of the closures only
+    it screened, in ascending (side-1 id, side-2 id) order.
+
+    ``messages`` (every message of the session, in order),
+    ``discovered_1``/``discovered_2`` (the true closures each robot
+    found), ``undelivered_1``/``undelivered_2`` (those it alone found and,
+    with the channel dead, never sent over), and ``verified_1``,
+    ``verified_2`` and ``redundant`` (the candidate edges robot 1, robot 2
+    and both screened) are built from those arrays on first access and
+    cached, like the graph's ``edges``. Two traces are equal when every
+    one of their public values is.
     """
 
     policy: Policy
-    discovered_1: frozenset[EdgeKey]  # true closures robot 1 found
-    discovered_2: frozenset[EdgeKey]
-    undelivered_1: frozenset[EdgeKey]  # found by robot 1, never sent over
-    undelivered_2: frozenset[EdgeKey]
     metadata_bytes: Fraction
     scan_bytes: Fraction
     closure_bytes: Fraction
     ell1: Fraction
     ell2: Fraction
-    # the graph and, per robot, the mask of the edges it screened
-    _graph: ExchangeGraph = field(compare=False)
-    _on_robot: tuple[np.ndarray, np.ndarray] = field(compare=False)
-    # the metadata messages, the scan legs and the closure messages
-    _metadata: tuple[Message, ...] = field(compare=False)
-    _scans: list[tuple[int, int, int]] = field(compare=False)
-    _closures: tuple[Message, ...] = field(compare=False)
+    _graph: ExchangeGraph
+    _config: RendezvousConfig
+    _on_robot: tuple[np.ndarray, np.ndarray]
+    # the metadata legs as (sender, recipient, size, summary)
+    _metadata: tuple[tuple[str, str, Fraction, str], ...]
+    _scans: tuple[np.ndarray, np.ndarray]
+    # the closures in the config's order, which the edge-key sets are built
+    # in, so that they print as they always have
+    _truth: np.ndarray
+    _found: tuple[np.ndarray, np.ndarray]
+    _exclusive: tuple[np.ndarray, np.ndarray]
 
     @cached_property
     def messages(self) -> tuple[Message, ...]:
-        den = self._graph.den
-        sizes = {num: Fraction(num, den) for num in {num for _, _, num in self._scans}}
-        scans = (
-            Message(SCAN_PHASE, ROBOT[side], ROBOT[3 - side], sizes[num], f"scan[{side}:{index}]")
-            for side, index, num in self._scans
+        g = self._graph
+        scans = _scan_legs(g, self._scans)
+        size = g._fractions(chain.from_iterable(nums for _, _, nums in scans))
+        closure_size = self._config.closure_message_bytes
+        return (
+            *(Message(METADATA_PHASE, *leg) for leg in self._metadata),
+            *(
+                Message(SCAN_PHASE, ROBOT[side], ROBOT[3 - side], size(num), f"scan[{side}:{index}]")
+                for side, ids, nums in scans
+                for index, num in zip(ids, nums)
+            ),
+            *(
+                Message(CLOSURE_PHASE, ROBOT[side], ROBOT[3 - side], closure_size, f"closure[1:{u}-2:{v}]")
+                for side, u, v in self._closure_legs()
+            ),
         )
-        return (*self._metadata, *scans, *self._closures)
+
+    def _closure_legs(self) -> Iterator[tuple[int, int, int]]:
+        """``(side, u, v)`` of each closure message: robot ``side`` sends
+        the closure between side-1 id ``u`` and side-2 id ``v``."""
+        if self._config.channel_alive_after_exchange:
+            for side, edges in zip((1, 2), self._exclusive):
+                yield from zip(repeat(side), *_edge_ends(self._graph, edges))
+
+    def _undelivered(self, s: int) -> frozenset[EdgeKey]:
+        if self._config.channel_alive_after_exchange:
+            return frozenset()
+        return _edge_key_set(self._graph, self._truth[self._found[s] & ~self._found[1 - s]])
+
+    @cached_property
+    def discovered_1(self) -> frozenset[EdgeKey]:
+        return _edge_key_set(self._graph, self._truth[self._found[0]])
+
+    @cached_property
+    def discovered_2(self) -> frozenset[EdgeKey]:
+        return _edge_key_set(self._graph, self._truth[self._found[1]])
+
+    @cached_property
+    def undelivered_1(self) -> frozenset[EdgeKey]:
+        return self._undelivered(0)
+
+    @cached_property
+    def undelivered_2(self) -> frozenset[EdgeKey]:
+        return self._undelivered(1)
 
     @cached_property
     def verified_1(self) -> frozenset[EdgeKey]:
@@ -268,17 +355,10 @@ class RendezvousTrace:
         return self.metadata_bytes + self.scan_bytes + self.closure_bytes
 
     def _values(self) -> tuple:
-        return (
-            self.messages,
-            *(getattr(self, f.name) for f in fields(self) if f.compare),
-            self.verified_1,
-            self.verified_2,
-            self.redundant,
-        )
+        return tuple(getattr(self, name) for name in (*_SHOWN, "verified_1", "verified_2", "redundant"))
 
     def __repr__(self):
-        shown = [("messages", self.messages), *((f.name, getattr(self, f.name)) for f in fields(self) if f.compare)]
-        return f"RendezvousTrace({', '.join(f'{name}={value!r}' for name, value in shown)})"
+        return f"RendezvousTrace({', '.join(f'{name}={getattr(self, name)!r}' for name in _SHOWN)})"
 
     def __eq__(self, other):
         if not isinstance(other, RendezvousTrace):
@@ -306,15 +386,16 @@ def _closure_positions(g: ExchangeGraph, cfg: RendezvousConfig) -> np.ndarray:
     return at
 
 
-def _metadata_messages(g: ExchangeGraph, cfg: RendezvousConfig) -> tuple[Message, ...]:
+def _metadata_legs(g: ExchangeGraph, cfg: RendezvousConfig) -> tuple[tuple[str, str, Fraction, str], ...]:
     """Rounds 1 and 3: each robot's per-pose metadata to the broker, then
-    the broker's policy bits back to each robot. A leg to or from the
-    robot that hosts the broker costs nothing."""
+    the broker's policy bits back to each robot, as ``(sender, recipient,
+    size, summary)``. A leg to or from the robot that hosts the broker
+    costs nothing."""
     sizes = [(side, len(ids)) for side, ids in zip((1, 2), g.ids)]
     legs = [(side, ROBOT[side], BROKER, n * cfg.metadata_bytes_per_vertex, f"meta[{n}]") for side, n in sizes]
     legs += [(side, BROKER, ROBOT[side], _policy_leg_bytes(n), f"policy[{n}]") for side, n in sizes]
     return tuple(
-        Message(METADATA_PHASE, sender, recipient, Fraction(0) if cfg.broker_host == side else Fraction(size), summary)
+        (sender, recipient, Fraction(0) if cfg.broker_host == side else Fraction(size), summary)
         for side, sender, recipient, size, summary in legs
     )
 
@@ -342,7 +423,7 @@ def run_rendezvous(
     _checked_graph(g)
     at = _closure_positions(g, cfg)
     # rounds 1 and 3: metadata to the broker, the policy back
-    metadata = _metadata_messages(g, cfg)
+    metadata = _metadata_legs(g, cfg)
     # round 2: the broker forms the graph and solves (or adopts the override)
     if policy is None:
         policy = solve(g, cfg.objective).policy
@@ -350,36 +431,26 @@ def run_rendezvous(
     # round 4: execute the policy, scans cross to the other robot
     scans = _schedule(g, sent)
     # round 5: verification against the simulated ground truth
-    found = [m[at] for m in on_robot]  # per robot, the true closures it screened
-    exclusive = {1: at[found[0] & ~found[1]], 2: at[found[1] & ~found[0]]}
+    found = (on_robot[0][at], on_robot[1][at])  # per robot, the true closures it screened
     # round 6: swap discoveries the other robot does not already have
-    closures = []
-    undelivered = {1: frozenset(), 2: frozenset()}
-    if cfg.channel_alive_after_exchange:
-        for side in (1, 2):
-            closures += [
-                Message(CLOSURE_PHASE, ROBOT[side], ROBOT[3 - side], cfg.closure_message_bytes, f"closure[{u}-{v}]")
-                for u, v in sorted(_edge_key_set(g, exclusive[side]))
-            ]
-    else:
-        undelivered = {side: _edge_key_set(g, exclusive[side]) for side in (1, 2)}
+    exclusive = (_in_id_order(g, at[found[0] & ~found[1]]), _in_id_order(g, at[found[1] & ~found[0]]))
+    sent_closures = len(exclusive[0]) + len(exclusive[1]) if cfg.channel_alive_after_exchange else 0
     scan_bytes, ell1, ell2 = _session_costs(g, sent, on_robot)
     return RendezvousTrace(
         policy=policy,
-        discovered_1=_edge_key_set(g, at[found[0]]),
-        discovered_2=_edge_key_set(g, at[found[1]]),
-        undelivered_1=undelivered[1],
-        undelivered_2=undelivered[2],
-        metadata_bytes=sum((m.size for m in metadata), Fraction(0)),
+        metadata_bytes=sum((size for _, _, size, _ in metadata), Fraction(0)),
         scan_bytes=scan_bytes,
-        closure_bytes=len(closures) * cfg.closure_message_bytes,
+        closure_bytes=sent_closures * cfg.closure_message_bytes,
         ell1=ell1,
         ell2=ell2,
         _graph=g,
+        _config=cfg,
         _on_robot=on_robot,
         _metadata=metadata,
         _scans=scans,
-        _closures=tuple(closures),
+        _truth=at,
+        _found=found,
+        _exclusive=exclusive,
     )
 
 
@@ -401,6 +472,7 @@ def compare_strategies(g: ExchangeGraph, cfg: RendezvousConfig) -> list[Strategy
     session."""
     _checked_graph(g)
     if g.num_vertices == 0:
+        _closure_positions(g, cfg)  # the sessions' first error
         zero = Fraction(0)
         return [StrategyRow(name, zero, zero, zero, zero) for name in STRATEGIES]
     rows = []
@@ -411,21 +483,26 @@ def compare_strategies(g: ExchangeGraph, cfg: RendezvousConfig) -> list[Strategy
     return rows
 
 
-def _message_line(m: Message) -> str:
-    return f"{m.phase} {m.sender} {m.recipient} {format_rational(m.size)} {m.summary}"
-
-
 def format_trace(trace: RendezvousTrace) -> str:
     """Line-oriented export: ``phase from to bytes payload_summary``. The
-    scan lines are written from their numerators, with one text per
-    distinct size."""
-    texts = _rational_texts((num for _, _, num in trace._scans), trace._graph.den)
-    heads = {side: f"{SCAN_PHASE} {ROBOT[side]} {ROBOT[3 - side]} " for side in (1, 2)}
+    scan and closure lines are written from the trace's index arrays, with
+    one text per distinct scan size and one for the closure size."""
+    g = trace._graph
     lines = [
-        *map(_message_line, trace._metadata),
-        *(f"{heads[side]}{texts[num]} scan[{side}:{index}]" for side, index, num in trace._scans),
-        *map(_message_line, trace._closures),
+        f"{METADATA_PHASE} {sender} {recipient} {format_rational(size)} {summary}"
+        for sender, recipient, size, summary in trace._metadata
     ]
+    scans = _scan_legs(g, trace._scans)
+    texts = _rational_texts(chain.from_iterable(nums for _, _, nums in scans), g.den)
+    for side, ids, nums in scans:
+        head = f"{SCAN_PHASE} {ROBOT[side]} {ROBOT[3 - side]} "
+        lines += [f"{head}{texts[num]} scan[{side}:{index}]" for index, num in zip(ids, nums)]
+    closures = list(trace._closure_legs())
+    if closures:
+        size = format_rational(trace._config.closure_message_bytes)
+        lines += [
+            f"{CLOSURE_PHASE} {ROBOT[side]} {ROBOT[3 - side]} {size} closure[1:{u}-2:{v}]" for side, u, v in closures
+        ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

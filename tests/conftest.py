@@ -90,6 +90,18 @@ def rational_graph(rng, n1, n2, inertia=True):
     )
 
 
+def relabelled(g: sp.ExchangeGraph, rng: random.Random) -> sp.ExchangeGraph:
+    """``g`` with each side's ids replaced by distinct ids with gaps, in
+    shuffled order, one of them (on a random side) past ``2**63``: the
+    same sizes, prices and edges at the same positions."""
+    ids = [[3 * k + rng.randrange(3) for k in rng.sample(range(10 * len(side)), len(side))] for side in g.ids]
+    side = ids[rng.randrange(2)]
+    side[rng.randrange(len(side))] = 2**63 + rng.randrange(2**20)
+    vertices = [[(i, v.scan_size, v.inertia) for i, v in zip(side_ids, vs)] for side_ids, vs in zip(ids, (g.v1, g.v2))]
+    edges = [(ids[0][i], ids[1][j], e.cost) for i, j, e in zip(g.eu.tolist(), g.ev.tolist(), g.edges)]
+    return sp.ExchangeGraph.from_vertices(*vertices, edges)
+
+
 def rescaled(g, size_scale, cost_scale=None):
     """``g`` with every scan size and inertia price times ``size_scale`` and
     every edge cost times ``cost_scale`` (``size_scale`` when None)."""

@@ -10,7 +10,7 @@ import pytest
 import scanplan as sp
 from scanplan.policy import dumps_policy, loads_policy
 
-from conftest import A1, B1, random_admissible_policy, random_graph, random_objective
+from conftest import A1, B1, random_admissible_policy, random_graph, random_objective, relabelled
 
 
 def cover_policy(g, pairs):
@@ -301,6 +301,24 @@ def test_solver_policy_equals_its_set_backed_twins():
         assert none == sp.Policy(g.vertex_ids, ()) and not sp.is_admissible(g, none)
         assert pi != none and none != sp.Policy(g.vertex_ids, g.vertex_ids)
         assert sp.objective_cost(g, pi, obj) == sp.objective_cost(g, from_file, obj) == sp.solve(g, obj).optimal_cost
+
+
+def test_mask_backed_policy_file_is_the_set_backed_one():
+    # ids with gaps, stored out of order, one past 2**63: a policy over the
+    # graph's masks writes each side in ascending id order, as one holding
+    # frozensets does, and reads back equal
+    rng = random.Random(337)
+    unsorted = 0
+    for _ in range(30):
+        g = relabelled(random_graph(rng, max_side=9), rng)
+        unsorted += any(list(ids) != sorted(ids) for ids in g.ids)
+        masks = [np.array([rng.random() < 0.5 for _ in ids]) for ids in g.ids]
+        for pi in (sp.Policy._over(g.ids, masks), sp.solve(g, random_objective(rng)).policy):
+            twin = sp.Policy(pi.domain, pi.ones)
+            text = dumps_policy(pi)
+            assert text == dumps_policy(twin)
+            assert loads_policy(text) == pi == twin
+    assert unsorted > 20
 
 
 def test_mask_policy_over_another_graph_keeps_the_mismatch_message(double_star, single_edge):

@@ -7,13 +7,14 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import scanplan as sp
 from scanplan.graph import format_rational
-from scanplan.protocol import CLOSURE_PHASE, METADATA_PHASE, SCAN_PHASE, STRATEGIES, StrategyRow
+from scanplan.protocol import CLOSURE_PHASE, METADATA_PHASE, SCAN_PHASE, STRATEGIES, Message, StrategyRow
 
-from conftest import A1, B1, random_admissible_policy, random_graph
+from conftest import A1, B1, random_admissible_policy, random_graph, rational_graph, relabelled
 
 
 def edge(u_index, v_index):
@@ -306,3 +307,132 @@ def test_strategy_rows_are_the_sessions_values():
             sp.run_rendezvous(g, bad)
         with pytest.raises(sp.GroundTruthOutsideCandidates, match=f"^{re.escape(str(expected_error.value))}$"):
             sp.compare_strategies(g, bad)
+    # a graph with no vertices: all-zero rows, but only after the closures
+    # pass the sessions' check
+    empty = sp.build_graph([], [], [])
+    zero = Fraction(0)
+    rows = sp.compare_strategies(empty, sp.RendezvousConfig())
+    assert rows == [StrategyRow(name, zero, zero, zero, zero) for name in STRATEGIES]
+    bad = sp.RendezvousConfig(ground_truth_closures={((1, 0), (2, 0))})
+    with pytest.raises(sp.GroundTruthOutsideCandidates) as expected_error:
+        sp.run_rendezvous(empty, bad)
+    with pytest.raises(sp.GroundTruthOutsideCandidates, match=f"^{re.escape(str(expected_error.value))}$"):
+        sp.compare_strategies(empty, bad)
+
+
+def test_a_closure_is_named_one_way_whatever_it_was_given_in(double_star):
+    # VertexIds, plain tuples and numpy integers: one stored closure, one
+    # refusal message and one session
+    def forms(u, v):
+        return [edge(u, v), ((1, u), (2, v)), ((np.int64(1), np.int64(u)), (np.int32(2), np.uint8(v)))]
+
+    message = "1 ground-truth closures outside the candidate set: 1:3-2:3"
+    for closure in forms(3, 3):
+        cfg = sp.RendezvousConfig(ground_truth_closures={closure})
+        assert cfg.ground_truth_closures == frozenset({closure}) == frozenset({edge(3, 3)})
+        (stored,) = cfg.ground_truth_closures
+        assert all(type(end) is sp.VertexId and type(end.side) is int and type(end.index) is int for end in stored)
+        with pytest.raises(sp.GroundTruthOutsideCandidates, match=f"^{re.escape(message)}$"):
+            sp.run_rendezvous(double_star, cfg)
+    traces = [sp.run_rendezvous(double_star, sp.RendezvousConfig(ground_truth_closures={c})) for c in forms(3, 0)]
+    assert traces[0].discovered_1 == frozenset({edge(3, 0)})
+    assert traces[0] == traces[1] == traces[2]
+    assert len({sp.format_trace(t) for t in traces}) == 1
+
+
+def eager_session(g, cfg, policy):
+    """The broker session as first defined, on whole lists of edge keys
+    (``g.edge_key_list``), with the closures sorted as VertexId pairs and
+    the scans sorted by (side, index): every public trace value by name,
+    the ``format_trace`` text and the ``execute_order`` schedule."""
+    if policy is None:
+        policy = sp.solve(g, cfg.objective).policy
+    keys = g.edge_key_list
+    # robot 1 verifies an edge when it received the side-2 scan
+    verified = {1: [k for k in keys if k[1] in policy.ones], 2: [k for k in keys if k[0] in policy.ones]}
+    found = {side: set(verified[side]) & cfg.ground_truth_closures for side in (1, 2)}
+    exclusive = {1: found[1] - found[2], 2: found[2] - found[1]}
+
+    def in_config_order(chosen):
+        # the trace builds its closure sets in this order, so the reprs match
+        return frozenset(k for k in cfg.ground_truth_closures if k in chosen)
+
+    n = {side: len(ids) for side, ids in zip((1, 2), g.ids)}
+    legs = [(f"robot{s}", "broker", s, n[s] * cfg.metadata_bytes_per_vertex, f"meta[{n[s]}]") for s in (1, 2)]
+    legs += [("broker", f"robot{s}", s, (n[s] + 7) // 8, f"policy[{n[s]}]") for s in (1, 2)]
+    messages = [
+        Message("metadata", sender, recipient, Fraction(0 if cfg.broker_host == s else size), summary)
+        for sender, recipient, s, size, summary in legs
+    ]
+    schedule = [sp.Transmission(vid, 3 - vid.side, g.vertex(vid).effective_scan_size) for vid in sorted(policy.ones)]
+    messages += [
+        Message("scan", f"robot{t.vertex.side}", f"robot{t.dest_side}", t.size, f"scan[{t.vertex}]") for t in schedule
+    ]
+    closures = []
+    if cfg.channel_alive_after_exchange:
+        closures = [
+            Message("closure", f"robot{side}", f"robot{3 - side}", cfg.closure_message_bytes, f"closure[{u}-{v}]")
+            for side in (1, 2)
+            for u, v in sorted(exclusive[side])
+        ]
+    messages += closures
+    undelivered = {1: set(), 2: set()} if cfg.channel_alive_after_exchange else exclusive
+    ell = {side: sum((g.edge_cost(k) for k in verified[side]), Fraction(0)) for side in (1, 2)}
+    values = {
+        "messages": tuple(messages),
+        "policy": policy,
+        "discovered_1": in_config_order(found[1]),
+        "discovered_2": in_config_order(found[2]),
+        "undelivered_1": in_config_order(undelivered[1]),
+        "undelivered_2": in_config_order(undelivered[2]),
+        "metadata_bytes": sum((m.size for m in messages if m.phase == "metadata"), Fraction(0)),
+        "scan_bytes": sum((t.size for t in schedule), Fraction(0)),
+        "closure_bytes": sum((m.size for m in closures), Fraction(0)),
+        "ell1": ell[1],
+        "ell2": ell[2],
+        "verified_1": frozenset(verified[1]),
+        "verified_2": frozenset(verified[2]),
+        "redundant": frozenset(verified[1]) & frozenset(verified[2]),
+    }
+    text = "".join(f"{m.phase} {m.sender} {m.recipient} {format_rational(m.size)} {m.summary}\n" for m in messages)
+    return values, text, schedule
+
+
+def test_session_matches_the_eager_reference_on_scattered_ids():
+    # ids with gaps, in shuffled order, one past 2**63: the sorted-id
+    # lookups order the scans and closures as the eager definitions do
+    rng = random.Random(331)
+    shown = ["messages", "policy", "discovered_1", "discovered_2", "undelivered_1", "undelivered_2"]
+    shown += ["metadata_bytes", "scan_bytes", "closure_bytes", "ell1", "ell2"]
+    unsorted = 0
+    for trial in range(40):
+        g0 = random_graph(rng, max_side=9, rational_costs=True) if trial % 2 else rational_graph(rng, 9, 9)
+        g = relabelled(g0, rng)
+        assert max(map(max, g.ids)) > 2**63
+        unsorted += any(list(ids) != sorted(ids) for ids in g.ids)
+        truth = [k for k in g.edge_key_list if rng.random() < 0.5]
+        rng.shuffle(truth)
+        for alive in (True, False):
+            for host in (None, 1, 2):
+                cfg = sp.RendezvousConfig(
+                    objective=sp.Objective.p3(Fraction(rng.randint(0, 5), 3), 1, Fraction(1, 7)),
+                    metadata_bytes_per_vertex=Fraction(rng.randint(0, 9), 3),
+                    ground_truth_closures=truth,
+                    channel_alive_after_exchange=alive,
+                    closure_message_bytes=rng.choice((0, 64, Fraction(7, 3))),
+                    broker_host=host,
+                )
+                policies = (None, sp.monolog(g, 1), sp.monolog(g, 2), sp.full_bidirectional(g))
+                for policy in (*policies, random_admissible_policy(g, rng)):
+                    values, text, schedule = eager_session(g, cfg, policy)
+                    trace = sp.run_rendezvous(g, cfg, policy)
+                    assert sp.format_trace(trace) == text
+                    assert not {"messages", *shown[2:6]} & vars(trace).keys()
+                    assert {name: getattr(trace, name) for name in values} == values
+                    totals = values["metadata_bytes"] + values["scan_bytes"] + values["closure_bytes"]
+                    assert trace.total_bytes == totals
+                    again = sp.run_rendezvous(g, cfg, policy)
+                    assert again == trace and hash(again) == hash(trace)
+                    assert repr(trace) == f"RendezvousTrace({', '.join(f'{n}={values[n]!r}' for n in shown)})"
+                    assert sp.execute_order(g, trace.policy) == schedule
+    assert unsorted > 30
