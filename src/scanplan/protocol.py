@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 from numbers import Integral, Real
 from typing import Iterator, NamedTuple
 
@@ -178,6 +178,11 @@ class Message(NamedTuple):
     summary: str
 
 
+def _line(phase: str, sender: str, recipient: str, size: str, summary: str) -> str:
+    """One line of a trace file: ``phase from to bytes payload_summary``."""
+    return f"{phase} {sender} {recipient} {size} {summary}"
+
+
 def _is_vertex_id(end) -> bool:
     """Whether ``end`` is a ``(side, index)`` pair of integers."""
     return (
@@ -187,11 +192,7 @@ def _is_vertex_id(end) -> bool:
 
 def _closure_ids(pair: tuple) -> tuple[VertexId, VertexId]:
     """A ground-truth closure as a pair of ``VertexId``s of ints, so that it
-    is named one way whatever integers and tuples it was given in. A pair
-    that already is one is kept, not copied: on the ``corridor_exact``
-    benchmark a copy of its 230 closures raised the peak RSS by 1.6 MB."""
-    if type(pair) is tuple and all(type(e) is VertexId and type(e.side) is int and type(e.index) is int for e in pair):
-        return pair
+    is named one way whatever integers and tuples it was given in."""
     (su, u), (sv, v) = pair
     return VertexId(int(su), int(u)), VertexId(int(sv), int(v))
 
@@ -260,8 +261,7 @@ class RendezvousTrace:
     the transmitted vertices in ascending id order (as indices into the
     side's sorted ids); per robot, a mask of the edges it screened; the
     edge position of each ground-truth closure, and per robot a mask of
-    those it screened; per robot, the edge positions of the closures only
-    it screened, in ascending (side-1 id, side-2 id) order.
+    those it screened.
 
     ``messages`` (every message of the session, in order),
     ``discovered_1``/``discovered_2`` (the true closures each robot
@@ -289,7 +289,6 @@ class RendezvousTrace:
     # in, so that they print as they always have
     _truth: np.ndarray
     _found: tuple[np.ndarray, np.ndarray]
-    _exclusive: tuple[np.ndarray, np.ndarray]
 
     @cached_property
     def messages(self) -> tuple[Message, ...]:
@@ -305,22 +304,32 @@ class RendezvousTrace:
                 for index, num in zip(ids, nums)
             ),
             *(
-                Message(CLOSURE_PHASE, ROBOT[side], ROBOT[3 - side], closure_size, f"closure[1:{u}-2:{v}]")
-                for side, u, v in self._closure_legs()
+                Message(CLOSURE_PHASE, sender, recipient, closure_size, summary)
+                for sender, recipient, summary in self._closure_legs()
             ),
         )
 
-    def _closure_legs(self) -> Iterator[tuple[int, int, int]]:
-        """``(side, u, v)`` of each closure message: robot ``side`` sends
-        the closure between side-1 id ``u`` and side-2 id ``v``."""
-        if self._config.channel_alive_after_exchange:
-            for side, edges in zip((1, 2), self._exclusive):
-                yield from zip(repeat(side), *_edge_ends(self._graph, edges))
+    def _only(self, s: int) -> np.ndarray:
+        """The edge positions of the true closures robot ``s + 1`` alone
+        screened, in the config's order."""
+        return self._truth[self._found[s] & ~self._found[1 - s]]
+
+    def _closure_legs(self) -> Iterator[tuple[str, str, str]]:
+        """``(sender, recipient, summary)`` of each closure message: with
+        the channel alive, each robot sends the closures only it screened,
+        in ascending (side-1 id, side-2 id) order."""
+        if not self._config.channel_alive_after_exchange:
+            return
+        for s, side in enumerate((1, 2)):
+            us, vs = _edge_ends(self._graph, _in_id_order(self._graph, self._only(s)))
+            sender, recipient = ROBOT[side], ROBOT[3 - side]
+            for u, v in zip(us, vs):
+                yield sender, recipient, f"closure[1:{u}-2:{v}]"
 
     def _undelivered(self, s: int) -> frozenset[EdgeKey]:
         if self._config.channel_alive_after_exchange:
             return frozenset()
-        return _edge_key_set(self._graph, self._truth[self._found[s] & ~self._found[1 - s]])
+        return _edge_key_set(self._graph, self._only(s))
 
     @cached_property
     def discovered_1(self) -> frozenset[EdgeKey]:
@@ -433,8 +442,7 @@ def run_rendezvous(
     # round 5: verification against the simulated ground truth
     found = (on_robot[0][at], on_robot[1][at])  # per robot, the true closures it screened
     # round 6: swap discoveries the other robot does not already have
-    exclusive = (_in_id_order(g, at[found[0] & ~found[1]]), _in_id_order(g, at[found[1] & ~found[0]]))
-    sent_closures = len(exclusive[0]) + len(exclusive[1]) if cfg.channel_alive_after_exchange else 0
+    sent_closures = int(np.count_nonzero(found[0] ^ found[1])) if cfg.channel_alive_after_exchange else 0
     scan_bytes, ell1, ell2 = _session_costs(g, sent, on_robot)
     return RendezvousTrace(
         policy=policy,
@@ -450,7 +458,6 @@ def run_rendezvous(
         _scans=scans,
         _truth=at,
         _found=found,
-        _exclusive=exclusive,
     )
 
 
@@ -489,7 +496,7 @@ def format_trace(trace: RendezvousTrace) -> str:
     one text per distinct scan size and one for the closure size."""
     g = trace._graph
     lines = [
-        f"{METADATA_PHASE} {sender} {recipient} {format_rational(size)} {summary}"
+        _line(METADATA_PHASE, sender, recipient, format_rational(size), summary)
         for sender, recipient, size, summary in trace._metadata
     ]
     scans = _scan_legs(g, trace._scans)
@@ -497,12 +504,10 @@ def format_trace(trace: RendezvousTrace) -> str:
     for side, ids, nums in scans:
         head = f"{SCAN_PHASE} {ROBOT[side]} {ROBOT[3 - side]} "
         lines += [f"{head}{texts[num]} scan[{side}:{index}]" for index, num in zip(ids, nums)]
-    closures = list(trace._closure_legs())
-    if closures:
-        size = format_rational(trace._config.closure_message_bytes)
-        lines += [
-            f"{CLOSURE_PHASE} {ROBOT[side]} {ROBOT[3 - side]} {size} closure[1:{u}-2:{v}]" for side, u, v in closures
-        ]
+    size = format_rational(trace._config.closure_message_bytes)
+    lines += [
+        _line(CLOSURE_PHASE, sender, recipient, size, summary) for sender, recipient, summary in trace._closure_legs()
+    ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
